@@ -285,10 +285,6 @@ def preprocess(interactions: list[RawInteraction], config: PreprocessConfig) -> 
     return split_train_test(histories, config.train_fraction, config.min_sessions)
 
 
-def bucketize_gap(gap: float, b: GapBucketizer) -> int:
-    return b.bucket(gap)
-
-
 # ---------------------------------------------------------------------------
 # ingestion adapters
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DatasetSplit
-from .hawkes import FitConfig, HawkesParams, fit, hawkes_predict_next
+from .hawkes import FitConfig, fit, hawkes_predict_next
 from .point_process import QuadratureConfig
 
 REPORT_FORMAT_VERSION = 1
@@ -178,12 +178,17 @@ def iter_test_gaps(split: DatasetSplit):
     length-split session is the same sitting, so it never becomes an event.
     """
     for tr, te in zip(split.train, split.test):
-        train_gaps = [s.gap_before for s in tr.sessions[1:] if not s.gap_masked]
-        events = [s.start_time for s in tr.sessions if not s.gap_masked]
+        events, train_gaps = _train_events(tr)
         for s in te.sessions:
             if not s.gap_masked:
                 yield tr.user_index, s.gap_before, list(events), train_gaps
                 events.append(s.start_time)
+
+
+def _train_events(tr) -> tuple[list[float], list[float]]:
+    """One user's train event times and the gaps between them, in seconds."""
+    gaps = [s.gap_before for s in tr.sessions[1:] if not s.gap_masked]
+    return [s.start_time for s in tr.sessions if not s.gap_masked], gaps
 
 
 def mean_gap_report(split: DatasetSplit, bucket_edges_days=None) -> EvalReport:
@@ -217,23 +222,24 @@ def popularity_report(split: DatasetSplit, ks=(5, 10, 20)) -> EvalReport:
 def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig,
                   time_unit: float = SECONDS_PER_DAY,
                   bucket_edges_days=None) -> EvalReport:
-    """Per-user Hawkes fit on train events; predictions teacher-forced over
-    the test walk (fitting is once per user, not per event)."""
+    """Hawkes fits on the train events of every user with a test gap, all in
+    one batched call; predictions teacher-forced over the test walk."""
     all_train = [s.gap_before for u in split.train
                  for s in u.sessions[1:] if not s.gap_masked]
     global_rate = time_unit / float(np.mean(all_train)) if all_train else 1.0
-    params_by_user: dict[int, HawkesParams] = {}
+    users, histories, rates = [], [], []
+    for tr, te in zip(split.train, split.test):
+        if any(not s.gap_masked for s in te.sessions):
+            events, train_gaps = _train_events(tr)
+            users.append(tr.user_index)
+            histories.append(np.asarray(events, dtype=np.float64) / time_unit)
+            rates.append(time_unit / float(np.mean(train_gaps)) if train_gaps
+                         else global_rate)
+    params_by_user = dict(zip(users, fit(histories, cfg, rates)))
     preds, targets = [], []
-    for user, gap, events, train_gaps in iter_test_gaps(split):
-        if user not in params_by_user:
-            # the walk yields the first test gap before appending anything,
-            # so `events` here is exactly the user's train history
-            train_events = np.asarray(events, dtype=np.float64) / time_unit
-            rate = time_unit / float(np.mean(train_gaps)) if train_gaps else global_rate
-            params_by_user[user] = fit(train_events, cfg, fallback_rate=rate)
-        p = params_by_user[user]
+    for user, gap, events, _ in iter_test_gaps(split):
         history = np.asarray(events, dtype=np.float64) / time_unit
-        preds.append(hawkes_predict_next(history, p, q) * time_unit)
+        preds.append(hawkes_predict_next(history, params_by_user[user], q) * time_unit)
         targets.append(gap)
     name = "hawkes_short" if cfg.window == "last_k" else "hawkes_long"
     return build_report(name, [], preds, targets, bucket_edges_days=bucket_edges_days)

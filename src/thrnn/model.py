@@ -480,7 +480,11 @@ def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
                     f"non-finite loss at epoch {epoch}, batch {batch_no}")
             opt.zero_grad()
             tape.backward(loss)
-            opt.step()
+            step = opt.step()
+            if not step.applied:
+                raise TrainingDivergedError(
+                    f"optimizer step skipped at epoch {epoch}, batch {batch_no}: "
+                    f"{step.skipped_reason}")
             loss_sum += float(loss.value) * len(batch)
             time_sum += lt * nt
             rec_sum += lr_ * nr

@@ -138,10 +138,6 @@ def cdf_from_s(t, s, w: float):
     return -np.expm1(-np.exp(s) * np.expm1(w * t) / w)
 
 
-def gap_cdf(h: np.ndarray, t, p: TimeHeadParams):
-    return cdf_from_s(t, _linear_exponent(h, p), p.w)
-
-
 def total_mass(s: float, w: float) -> float:
     """Limit of the CDF at infinity: 1 for w >= 0, defective below."""
     if w >= 0:

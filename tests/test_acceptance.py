@@ -173,7 +173,7 @@ def test_criterion_4_hawkes_fit_recovers_planted_parameters():
     t0 = time.time()
     true = HawkesParams(gamma0=0.5, excitation=0.8, decay=2.0)
     events = simulate_thinning(true, 5000, np.random.default_rng(0))
-    fitted = fit(events, FitConfig(window="full"))
+    fitted = fit([events], FitConfig(window="full"))[0]
     rels = {f: abs(getattr(fitted, f) - getattr(true, f)) / getattr(true, f)
             for f in ("gamma0", "excitation", "decay")}
     worst = max(rels, key=rels.get)

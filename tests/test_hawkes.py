@@ -136,29 +136,83 @@ class TestSimulation:
         assert wins >= 9
 
 
+def _ragged_batch(lengths, seed):
+    """Windows of the given lengths (longest first) at a large absolute
+    offset, as real timelines have, padded for the batched evaluator."""
+    rng = np.random.default_rng(seed)
+    windows = [18000.0 + np.sort(rng.uniform(0, 50, size=n)) for n in lengths]
+    params = np.column_stack([rng.uniform(0.3, 1.5, len(lengths)),
+                              rng.uniform(0.1, 0.8, len(lengths)),
+                              rng.uniform(0.8, 3.0, len(lengths))])
+    return windows, params
+
+
+class TestBatchedEvaluator:
+    # chunk edges at 32 events: one short of, at and one past a chunk
+    LENGTHS = (101, 33, 32, 31, 2, 1)
+
+    def test_matches_scalar_recursion(self):
+        windows, params = _ragged_batch(self.LENGTHS, seed=20)
+        nll, grad, _ = hk._nll_grad_hess(*hk._pad(windows), params)
+        for w, p, got_nll, got_grad in zip(windows, params, nll, grad):
+            want_nll, want_grad = hk._nll_and_grads(w, *p, t_start=float(w[0]),
+                                                    horizon=float(w[-1]))
+            np.testing.assert_allclose(got_nll, want_nll, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(got_grad, want_grad, rtol=1e-10, atol=0)
+
+    def test_hessian_matches_central_differences(self):
+        windows, params = _ragged_batch(self.LENGTHS, seed=21)
+        times, lengths = hk._pad(windows)
+        _, _, hess = hk._nll_grad_hess(times, lengths, params)
+        eps = 1e-6
+        fd = np.empty_like(hess)
+        for k in range(3):
+            up, dn = params.copy(), params.copy()
+            up[:, k] += eps
+            dn[:, k] -= eps
+            fd[:, :, k] = (hk._nll_grad_hess(times, lengths, up)[1]
+                           - hk._nll_grad_hess(times, lengths, dn)[1]) / (2 * eps)
+        for h, f in zip(hess, fd):
+            np.testing.assert_allclose(h, f, rtol=1e-6, atol=1e-7 * np.abs(h).max())
+
+
+def _projected_log_grad(events, p):
+    """Log-space NLL gradient at p with its outward component on the
+    branching-ratio cap removed, and the NLL; asserts the cap's multiplier
+    is non-negative where p sits on it."""
+    nll, grad = hk._nll_and_grads(events, p.gamma0, p.excitation, p.decay,
+                                  t_start=float(events[0]), horizon=float(events[-1]))
+    g = grad * np.array([p.gamma0, p.excitation, p.decay])
+    if p.branching_ratio > hk.MAX_BRANCHING * (1 - 1e-12):
+        normal = np.array([0.0, 1.0, -1.0])
+        assert g @ normal <= 0.0, "the cap must hold the optimum, not repel it"
+        g = g - 0.5 * (g @ normal) * normal
+    return g, nll
+
+
 class TestFit:
     def test_poisson_data(self):
         rng = np.random.default_rng(7)
         events = np.cumsum(rng.exponential(0.5, size=1000))  # rate 2
-        fitted = hk.fit(events, hk.FitConfig())
+        fitted = hk.fit([events], hk.FitConfig())[0]
         assert 1.8 <= fitted.gamma0 / (1 - fitted.branching_ratio) <= 2.2
         assert fitted.excitation * fitted.branching_ratio < 0.1
 
     def test_planted_recovery(self):
         true = hk.HawkesParams(0.5, 0.8, 2.0)
         events = hk.simulate_thinning(true, 1500, np.random.default_rng(8))
-        fitted = hk.fit(events, hk.FitConfig())
+        fitted = hk.fit([events], hk.FitConfig())[0]
         assert fitted.gamma0 == pytest.approx(true.gamma0, rel=0.25)
         assert fitted.excitation == pytest.approx(true.excitation, rel=0.25)
         assert fitted.decay == pytest.approx(true.decay, rel=0.25)
         assert fitted.branching_ratio < 1.0
 
     def test_matches_reference_optimizer(self):
-        # our backtracking descent should reach the same optimum as a
-        # quasi-Newton reference on the identical objective
+        # our Newton fit should reach the same optimum as a derivative-free
+        # reference on the identical objective
         true = hk.HawkesParams(0.6, 0.5, 1.5)
         events = hk.simulate_thinning(true, 600, np.random.default_rng(9))
-        ours = hk.fit(events, hk.FitConfig())
+        ours = hk.fit([events], hk.FitConfig())[0]
 
         def objective(theta):
             return hk._nll_and_grads(events, *np.exp(theta),
@@ -177,16 +231,54 @@ class TestFit:
         dense = np.cumsum(rng.exponential(0.1, size=200))
         sparse = dense[-1] + np.cumsum(rng.exponential(5.0, size=15))
         events = np.concatenate([dense, sparse])
-        windowed = hk.fit(events, hk.FitConfig(window="last_k", last_k=15))
+        windowed = hk.fit([events], hk.FitConfig(window="last_k", last_k=15))[0]
         assert windowed.gamma0 / (1 - windowed.branching_ratio) < 1.0
-        full = hk.fit(events, hk.FitConfig())
+        full = hk.fit([events], hk.FitConfig())[0]
         assert full.gamma0 / (1 - full.branching_ratio) > 1.0
 
     def test_fallback_poisson(self):
-        got = hk.fit(np.array([5.0]), hk.FitConfig(), fallback_rate=0.25)
+        got = hk.fit([np.array([5.0])], hk.FitConfig(), [0.25])[0]
         assert got == hk.HawkesParams(0.25, 0.0, 1.0)
         with pytest.raises(ValueError, match="fallback"):
-            hk.fit(np.array([5.0]), hk.FitConfig())
+            hk.fit([np.array([5.0])], hk.FitConfig())
+
+    def test_first_order_optimal_inside_and_on_cap(self):
+        # seed 0 fits inside the cap, seed 2 runs into it
+        true = hk.HawkesParams(0.2, 1.96, 2.0)
+        histories = [hk.simulate_thinning(true, 400, np.random.default_rng(seed))
+                     for seed in (0, 2)]
+        inside, capped = hk.fit(histories, hk.FitConfig())
+        assert inside.branching_ratio < hk.MAX_BRANCHING - 1e-3
+        assert capped.branching_ratio == pytest.approx(hk.MAX_BRANCHING, rel=1e-12)
+        for events, p in zip(histories, (inside, capped)):
+            g, nll = _projected_log_grad(events, p)
+            assert np.abs(g).max() <= 1e-6 * (abs(nll) + 1)
+
+    def test_batch_matches_each_history_alone(self):
+        true = hk.HawkesParams(0.5, 0.8, 2.0)
+        histories = [hk.simulate_thinning(true, n, np.random.default_rng(30 + n))
+                     for n in (12, 150, 40, 3, 75)]
+        for cfg in (hk.FitConfig(), hk.FitConfig(window="last_k", last_k=15)):
+            together = hk.fit(histories, cfg)
+            for events, p in zip(histories, together):
+                alone = hk.fit([events], cfg)[0]
+                window = events[-cfg.last_k:] if cfg.window == "last_k" else events
+                assert hk.hawkes_nll(window - window[0], p) == pytest.approx(
+                    hk.hawkes_nll(window - window[0], alone), rel=1e-9)
+
+    def test_fallback_inside_mixed_batch(self):
+        true = hk.HawkesParams(0.5, 0.8, 2.0)
+        a = hk.simulate_thinning(true, 60, np.random.default_rng(40))
+        b = hk.simulate_thinning(true, 25, np.random.default_rng(41))
+        histories = [a, np.array([5.0]), b, np.array([3.0, 3.0, 3.0])]
+        got = hk.fit(histories, hk.FitConfig(), [1.0, 0.25, 1.0, 0.5])
+        assert got[1] == hk.HawkesParams(0.25, 0.0, 1.0)
+        assert got[3] == hk.HawkesParams(0.5, 0.0, 1.0)
+        for events, p in ((a, got[0]), (b, got[2])):
+            assert p.excitation > 0.0
+            assert hk.hawkes_nll(events - events[0], p) == pytest.approx(
+                hk.hawkes_nll(events - events[0], hk.fit([events], hk.FitConfig())[0]),
+                rel=1e-9)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

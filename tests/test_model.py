@@ -391,6 +391,23 @@ class TestTraining:
         with pytest.raises(TrainingDivergedError, match=r"epoch \d+, batch \d+"):
             train(split, cfg, epochs=3, seed=0)
 
+    def test_skipped_optimizer_step_aborts_with_location(self, monkeypatch):
+        # a non-finite gradient behind a finite loss: Adam skips the step,
+        # and training must not carry on as if it had been applied
+        split = _tiny_corpus()
+        cfg = _train_cfg(split)
+        params = ModelParams.init(cfg, 0)
+        backward = md.Tape.backward
+
+        def poisoned(tape, loss):
+            backward(tape, loss)
+            params.time_b.grad = np.full_like(params.time_b.value, np.nan)
+
+        monkeypatch.setattr(md.Tape, "backward", poisoned)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"epoch 1, batch 1: non-finite gradient in group 'time'"):
+            train(split, cfg, epochs=1, seed=0, params=params)
+
     def test_epoch_log_lines_parse(self):
         import json
         split = _tiny_corpus(users=8, sessions=6)
