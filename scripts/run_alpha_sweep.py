@@ -57,8 +57,7 @@ def main() -> int:
             cfg = ModelConfig(num_items=split.num_items,
                               num_users=split.num_users,
                               item_embedding_dim=12, user_embedding_dim=4,
-                              gap_embedding_dim=3, hidden_dim_inter=16,
-                              hidden_dim_intra=16, batch_size=100,
+                              gap_embedding_dim=3, hidden_dim=16, batch_size=100,
                               num_gap_buckets=10, alpha_exp=alpha)
             t0 = time.time()
             params, _, _ = train(split, cfg, epochs=args.epochs, seed=seed)

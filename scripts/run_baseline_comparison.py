@@ -47,7 +47,7 @@ def main() -> int:
     split = make_corpus(args.users, args.sessions, args.vocab, args.seed)
     base = dict(num_items=split.num_items, num_users=split.num_users,
                 item_embedding_dim=12, user_embedding_dim=4,
-                gap_embedding_dim=3, hidden_dim_inter=24, hidden_dim_intra=24,
+                gap_embedding_dim=3, hidden_dim=24,
                 batch_size=100, num_gap_buckets=10, learning_rate_time=0.01)
     runs = {}
     for name, cfg in (("thrnn", ModelConfig(**base)),

@@ -15,10 +15,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-class NonFiniteError(RuntimeError):
-    """A value that must stay finite became NaN or Inf."""
-
-
 class Tensor:
     """A numpy array plus an accumulated gradient slot."""
 
@@ -345,8 +341,3 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
-
-
-def check_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"non-finite values in {name}")

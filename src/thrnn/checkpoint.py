@@ -26,7 +26,7 @@ import numpy as np
 from .model import ModelConfig, ModelParams
 
 MAGIC = b"THRNCKPT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: one hidden_dim for both GRU levels
 
 
 def _array_bytes(a: np.ndarray) -> bytes:

@@ -34,7 +34,7 @@ SECONDS_PER_DAY = 86400.0
 
 # model-config fields that map one-to-one onto a flag of the same name
 _FLAG_FIELDS = [
-    ("item_embedding_dim", int), ("user_embedding_dim", int),
+    ("hidden_dim", int), ("item_embedding_dim", int), ("user_embedding_dim", int),
     ("gap_embedding_dim", int), ("max_session_reps", int),
     ("dropout_rate", float), ("loss_weight_time", float),
     ("loss_weight_rec", float), ("alpha_exp", float), ("batch_size", int),
@@ -56,8 +56,6 @@ def _add_model_flags(sp: argparse.ArgumentParser) -> None:
         "and explicit flags win")
     g.add_argument("--config", metavar="JSON",
                    help="JSON object of ModelConfig fields")
-    g.add_argument("--hidden-dim", type=int,
-                   help="GRU width, used for both hierarchy levels")
     g.add_argument("--time-clip-norm", type=float,
                    help="gradient-norm cap for the time head; 0 disables")
     g.add_argument("--gap-bucket-days", type=float,
@@ -90,8 +88,6 @@ def _config_values(args) -> dict:
         v = getattr(args, name)
         if v is not None:
             values[name] = v
-    if args.hidden_dim is not None:
-        values["hidden_dim_inter"] = values["hidden_dim_intra"] = args.hidden_dim
     if args.time_clip_norm is not None:
         values["time_clip_norm"] = (args.time_clip_norm
                                     if args.time_clip_norm > 0 else None)
@@ -103,8 +99,7 @@ def _config_values(args) -> dict:
 
 
 def _has_config_flags(args) -> bool:
-    if args.config or args.hidden_dim is not None \
-            or args.time_clip_norm is not None \
+    if args.config or args.time_clip_norm is not None \
             or args.gap_bucket_days is not None \
             or args.gap_bucket_scheme is not None:
         return True

@@ -397,14 +397,30 @@ def load_split(path: str) -> DatasetSplit:
         vocab_line = json.loads(fh.readline())
         vocab = {item_id: i for i, item_id in enumerate(vocab_line["items"])}
         train, test = [], []
-        for line in fh:
+        for row, line in enumerate(fh):
             rec = json.loads(line)
+            _check_user_record(rec, row, header["num_items"], path)
             train.append(UserHistory(rec["user_id"], rec["user_index"],
                                      [_session_from(o) for o in rec["train"]]))
             test.append(UserHistory(rec["user_id"], rec["user_index"],
                                     [_session_from(o) for o in rec["test"]]))
     return DatasetSplit(train=train, test=test, item_vocabulary=vocab,
                         num_items=header["num_items"], num_users=header["num_users"])
+
+
+def _check_user_record(rec: dict, row: int, num_items: int, path: str) -> None:
+    """Reject indices the model would misread: numpy takes item -1 as the
+    last embedding row, and users are looked up by user_index."""
+    who = f"{path}: user {rec['user_id']!r}"
+    if rec["user_index"] != row:
+        raise IngestError(f"{who}: field 'user_index' is {rec['user_index']}, "
+                          f"but the record is row {row}")
+    for part in ("train", "test"):
+        for o in rec[part]:
+            bad = [i for i in o["items"] if not 0 <= i < num_items]
+            if bad:
+                raise IngestError(f"{who}: field 'items' of a {part} session holds "
+                                  f"{bad[0]}, outside [0, {num_items})")
 
 
 def _session_obj(s: Session) -> dict:

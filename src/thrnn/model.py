@@ -6,7 +6,8 @@ embeddings; the last hidden state, a gap-bucket embedding, and a user
 embedding concatenate into the session representation. The inter-level
 GRU consumes the most recent representations from a zero state, and its
 final state h_j both seeds the next intra-level unroll and drives the
-return-time density.
+return-time density. The time head reads h_j only through the scalar
+s = v.h_j + b, which is all that point_process needs.
 
 Two details of the training scheme deserve calling out:
 
@@ -30,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import point_process as pp
-from .autodiff import (GRUWeights, NonFiniteError, Tape, Tensor, add, concat,
-                       constant, dropout, embedding, gru_cell, gru_cell_np,
-                       linear, masked_softmax_xent, scale)
+from .autodiff import (GRUWeights, Tape, Tensor, add, concat, constant, dropout,
+                       embedding, gru_cell, gru_cell_np, linear,
+                       masked_softmax_xent, scale)
 from .data import DatasetSplit, GapBucketizer, UserHistory
 from .evaluation import EvalReport, build_report, rank_of_target
 from .optim import Adam, ParamGroup
@@ -50,8 +51,7 @@ class ModelConfig:
     item_embedding_dim: int = 50
     user_embedding_dim: int = 10
     gap_embedding_dim: int = 5
-    hidden_dim_inter: int = 100
-    hidden_dim_intra: int = 100
+    hidden_dim: int = 100  # both GRU levels: the inter state seeds the intra unroll
     max_session_reps: int = 15
     dropout_rate: float = 0.0
     loss_weight_time: float = 0.45
@@ -68,16 +68,11 @@ class ModelConfig:
 
     def __post_init__(self):
         dims = (self.item_embedding_dim, self.user_embedding_dim,
-                self.gap_embedding_dim, self.hidden_dim_inter,
-                self.hidden_dim_intra)
+                self.gap_embedding_dim, self.hidden_dim)
         if any(d < 1 for d in dims):
             raise ValueError("all dimensions must be positive")
         if self.num_items < 2 or self.num_users < 1:
             raise ValueError("need >= 2 items and >= 1 user")
-        if self.hidden_dim_inter != self.hidden_dim_intra:
-            raise ValueError(
-                "inter and intra hidden dims must match: the inter state is "
-                "propagated directly as the intra initial state")
         if self.max_session_reps < 1:
             raise ValueError("max_session_reps must be >= 1")
         if self.loss_weight_time < 0 or self.loss_weight_rec < 0:
@@ -95,7 +90,7 @@ class ModelConfig:
 
     @property
     def rep_dim(self) -> int:
-        return self.hidden_dim_intra + self.gap_embedding_dim + self.user_embedding_dim
+        return self.hidden_dim + self.gap_embedding_dim + self.user_embedding_dim
 
     def bucketizer(self) -> GapBucketizer:
         return GapBucketizer(upper_bound=self.gap_bucket_bound,
@@ -145,7 +140,7 @@ class ModelParams:
     @staticmethod
     def init(cfg: ModelConfig, seed: int) -> "ModelParams":
         rng = np.random.default_rng([seed, 0])
-        h = cfg.hidden_dim_intra
+        h = cfg.hidden_dim
 
         def emb(rows, dim, nm):
             return Tensor(rng.uniform(-0.1, 0.1, size=(rows, dim)), name=nm)
@@ -181,12 +176,6 @@ class ModelParams:
 
     def time_tensors(self) -> list[Tensor]:
         return [self.time_v, self.time_b, self.time_w]
-
-
-def time_head(params: ModelParams) -> pp.TimeHeadParams:
-    return pp.TimeHeadParams(v=params.time_v.value[:, 0],
-                             w=float(params.time_w.value),
-                             b=float(params.time_b.value[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +235,23 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
 
     Returns per-user lists (intra_states, gap_buckets, h_before) and, when
     `ranked_from` marks each user's first scored slot, the rank of every
-    within-session target from that slot on, teacher-forced.
+    within-session target from that slot on, teacher-forced. A user with
+    n sessions gets n + 1 inter states: h_before[u][n] follows the last
+    session and is the state the next return time conditions on.
     """
     n_users = len(session_lists)
-    h_dim = cfg.hidden_dim_intra
+    h_dim = cfg.hidden_dim
     bucketizer = cfg.bucketizer()
     n_slots = [len(sl) for sl in session_lists]
     intra_states = [[None] * n for n in n_slots]
     buckets = [[bucketizer.bucket(s.gap_before) for s in sl] for sl in session_lists]
-    h_before = [[None] * n for n in n_slots]
+    h_before = [[None] * (n + 1) for n in n_slots]
     ranks = [[] for _ in range(n_users)] if ranked_from is not None else None
 
     item_t, gap_t, user_t = (params.item_emb.value, params.gap_emb.value,
                              params.user_emb.value)
-    for j in range(max(n_slots, default=0)):
-        active = [u for u in range(n_users) if n_slots[u] > j]
+    for j in range(max(n_slots, default=-1) + 1):
+        active = [u for u in range(n_users) if n_slots[u] >= j]
         h = np.zeros((len(active), h_dim))
         for t in range(j - min(j, cfg.max_session_reps), j):
             rep = np.concatenate(
@@ -270,6 +261,10 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
             h = gru_cell_np(rep, h, params.inter)
         for row, u in enumerate(active):
             h_before[u][j] = h[row]
+        rows = [row for row, u in enumerate(active) if n_slots[u] > j]
+        if not rows:
+            continue
+        active, h = [active[row] for row in rows], h[rows]
 
         sessions = [session_lists[u][j] for u in active]
         lens = np.array([len(s.items) for s in sessions])
@@ -311,49 +306,12 @@ def _refresh_histories(examples: list[TrainingExample], split: DatasetSplit,
 # ---------------------------------------------------------------------------
 # taped forward
 
-def forward(example: TrainingExample, params: ModelParams,
-            cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Tape-free single-example pass: per-step item scores over the
-    current session and the inter state h_j that preceded it."""
-    h = np.zeros((1, cfg.hidden_dim_intra))
-    for rep in example.history[-cfg.max_session_reps:]:
-        x = np.concatenate([rep.intra_state,
-                            params.gap_emb.value[rep.gap_bucket],
-                            params.user_emb.value[example.user_index]])[None, :]
-        h = gru_cell_np(x, h, params.inter)
-    h_j = h[0].copy()
-    scores = np.zeros((len(example.inputs), cfg.num_items))
-    for t, item in enumerate(example.inputs):
-        h = gru_cell_np(params.item_emb.value[[int(item)]], h, params.intra)
-        scores[t] = h[0] @ params.out_w.value + params.out_b.value
-    return scores, h_j
-
-
-def joint_loss(item_scores: np.ndarray, targets: np.ndarray, h_j: np.ndarray,
-               gap_target: float, gap_masked: bool, params: ModelParams,
-               cfg: ModelConfig) -> float:
-    """Reference combination for one example: loss_weight_time * L_time +
-    loss_weight_rec * (mean per-step cross-entropy). gap_target is in
-    model time units."""
-    if len(targets):
-        sc = np.asarray(item_scores, dtype=np.float64)
-        shifted = sc - sc.max(axis=1, keepdims=True)
-        logz = np.log(np.exp(shifted).sum(axis=1))
-        l_rec = float(np.mean(logz - shifted[np.arange(len(targets)), targets]))
-    else:
-        l_rec = 0.0
-    l_time = pp.time_loss(h_j, gap_target, time_head(params),
-                          pp.TimeLossConfig(cfg.alpha_exp, cfg.time_unit),
-                          masked=gap_masked)
-    return cfg.loss_weight_time * l_time + cfg.loss_weight_rec * l_rec
-
-
 def _forward_batch(tape: Tape, params: ModelParams, cfg: ModelConfig,
                    batch: list[TrainingExample], rng, training: bool):
     """Batched taped pass; returns (joint loss tensor, time nll value,
     rec nll value, unmasked time rows, rec steps)."""
     n = len(batch)
-    h_dim = cfg.hidden_dim_intra
+    h_dim = cfg.hidden_dim
     rate = cfg.dropout_rate if training else 0.0
     users = np.array([ex.user_index for ex in batch], dtype=np.int64)
 
@@ -472,7 +430,7 @@ def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
             try:
                 loss, lt, lr_, nt, nr = _forward_batch(tape, params, cfg, batch,
                                                        drop_rng, training=True)
-            except (ExponentOverflowError, NonFiniteError) as err:
+            except ExponentOverflowError as err:
                 raise TrainingDivergedError(
                     f"forward diverged at epoch {epoch}, batch {batch_no}: {err}") from err
             if not np.isfinite(float(loss.value)):
@@ -567,21 +525,13 @@ def predict(history: UserHistory, params: ModelParams, cfg: ModelConfig,
         raise IndexError(f"unknown item indices: {bad}")
     quad = quad or cfg.quadrature()
 
-    intra_states, buckets, _, _ = _hierarchy_walk(
+    intra_states, _, h_before, _ = _hierarchy_walk(
         params, cfg, [list(history.sessions)], [history.user_index])
-    last = len(history.sessions) - 1
-    scores = intra_states[0][last] @ params.out_w.value + params.out_b.value
+    scores = intra_states[0][-1] @ params.out_w.value + params.out_b.value
     order = np.argsort(-scores, kind="stable")[:k]
 
-    # the next-gap prediction conditions on the session that just ended,
-    # so run the inter recursion once more over the freshest window
-    h = np.zeros((1, cfg.hidden_dim_intra))
-    for t in range(max(0, last + 1 - cfg.max_session_reps), last + 1):
-        rep = np.concatenate([intra_states[0][t],
-                              params.gap_emb.value[buckets[0][t]],
-                              params.user_emb.value[history.user_index]])[None, :]
-        h = gru_cell_np(rep, h, params.inter)
-    s = float(h[0] @ params.time_v.value[:, 0] + params.time_b.value[0])
+    # the next gap conditions on the session that just ended
+    s = float(h_before[0][-1] @ params.time_v.value[:, 0] + params.time_b.value[0])
     gap = float(pp.expected_return_time_from_s(s, float(params.time_w.value), quad)[0])
     return Prediction(items=order, scores=scores[order],
                       return_gap_seconds=gap * cfg.time_unit)

@@ -13,9 +13,10 @@ exponential-distribution branch. The expm1 form keeps small |w|
 numerically exact. For w < 0 the density is defective: total mass
 1 - exp(exp(s)/w) < 1, some probability "never returns".
 
-Everything here is plain numpy over precomputed s = v.h + b (or a
-hidden vector plus TimeHeadParams); the taped training op time_nll
-lives at the bottom and exposes analytic gradients to the tape.
+The head depends on h only through s, so every function here takes
+the precomputed s = v.h + b (a scalar or an array of them) and never h
+itself. Everything is plain numpy except the taped training op
+time_nll at the bottom, which exposes analytic gradients to the tape.
 """
 
 from __future__ import annotations
@@ -35,17 +36,6 @@ class ExponentOverflowError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TimeHeadParams:
-    v: np.ndarray
-    w: float
-    b: float
-
-    def __post_init__(self):
-        if not (np.all(np.isfinite(self.v)) and np.isfinite(self.w) and np.isfinite(self.b)):
-            raise ValueError("time head parameters must be finite")
-
-
-@dataclass(frozen=True)
 class QuadratureConfig:
     cutoff: float
     num_points: int = 2048
@@ -57,37 +47,11 @@ class QuadratureConfig:
             raise ValueError("need at least 64 quadrature nodes")
 
 
-@dataclass(frozen=True)
-class TimeLossConfig:
-    alpha_exp: float = 1.0
-    time_unit: float = 86400.0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha_exp <= 1.0:
-            raise ValueError(f"alpha_exp must lie in (0, 1], got {self.alpha_exp}")
-        if self.time_unit <= 0:
-            raise ValueError("time_unit must be positive")
-
-
-def _linear_exponent(h: np.ndarray, p: TimeHeadParams) -> float:
-    return float(np.dot(p.v, h) + p.b)
-
-
 def _check_exponent(x) -> None:
     if np.any(np.asarray(x) > MAX_EXPONENT):
         raise ExponentOverflowError(
             f"exponent {float(np.max(x)):.1f} > {MAX_EXPONENT:.0f}; "
             "time head parameters have diverged")
-
-
-def intensity(h: np.ndarray, g, p: TimeHeadParams):
-    """lam(g) = exp(s + w*g); strictly positive."""
-    g = np.asarray(g, dtype=np.float64)
-    if np.any(g < 0):
-        raise ValueError("elapsed time must be non-negative")
-    expo = _linear_exponent(h, p) + p.w * g
-    _check_exponent(expo)
-    return np.exp(expo)
 
 
 def log_density_from_s(s, g, w: float, branch: str = "auto"):
@@ -107,24 +71,6 @@ def log_density_from_s(s, g, w: float, branch: str = "auto"):
     wg = w * g
     _check_exponent(s + wg)
     return (s + wg) - np.exp(s) * np.expm1(wg) / w
-
-
-def log_density(h: np.ndarray, g, p: TimeHeadParams, branch: str = "auto"):
-    return log_density_from_s(_linear_exponent(h, p), g, p.w, branch=branch)
-
-
-def time_loss(h: np.ndarray, g_target: float, p: TimeHeadParams,
-              cfg: TimeLossConfig, masked: bool = False) -> float:
-    """Negative log density evaluated at g_target ** alpha_exp; 0 if masked.
-
-    g_target is in model time units (seconds already divided by
-    cfg.time_unit by the caller).
-    """
-    if masked:
-        return 0.0
-    if g_target < 0:
-        raise ValueError("g_target must be non-negative")
-    return -float(log_density(h, g_target ** cfg.alpha_exp, p))
 
 
 def cdf_from_s(t, s, w: float):
@@ -163,13 +109,6 @@ def inverse_cdf_from_s(u, s: float, w: float):
     return np.log1p(w * neg_l * np.exp(-s)) / w
 
 
-def sample_return_times(h: np.ndarray, p: TimeHeadParams,
-                        rng: np.random.Generator, n: int) -> np.ndarray:
-    """n inverse-CDF draws from f; raises on defective densities whose
-    leak mass the draw would hit."""
-    return inverse_cdf_from_s(rng.random(n), _linear_exponent(h, p), p.w)
-
-
 def expected_return_time_from_s(s, w: float, q: QuadratureConfig) -> np.ndarray:
     """Trapezoid approximation of integral of t*f(t) over [0, cutoff].
 
@@ -182,10 +121,6 @@ def expected_return_time_from_s(s, w: float, q: QuadratureConfig) -> np.ndarray:
     y = ts[None, :] * np.exp(logf)
     dt = q.cutoff / (q.num_points - 1)
     return dt * (y.sum(axis=1) - 0.5 * (y[:, 0] + y[:, -1]))
-
-
-def expected_return_time(h: np.ndarray, p: TimeHeadParams, q: QuadratureConfig) -> float:
-    return float(expected_return_time_from_s(_linear_exponent(h, p), p.w, q)[0])
 
 
 def density_mass_from_s(s, w: float, q: QuadratureConfig) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import DatasetSplit, Session, UserHistory, split_train_test
 from .evaluation import rank_of_target
-from .point_process import TimeHeadParams, cdf_from_s, sample_return_times
+from .point_process import cdf_from_s, inverse_cdf_from_s
 
 SECONDS_PER_DAY = 86400.0
 ITEM_SPACING_SECONDS = 30.0
@@ -167,14 +167,13 @@ def bayes_optimal_ranks(split: DatasetSplit, spec: SynthSpec) -> np.ndarray:
     return np.asarray(ranks)
 
 
-def sample_gap_from_model_density(h: np.ndarray, p: TimeHeadParams, seed: int,
-                                  n: int = 1, cutoff: float = 30.0) -> np.ndarray:
-    """Inverse-CDF gaps from the neural time density, for planting known
-    time structure. Refuses configurations whose truncated mass at the
-    cutoff exceeds 1e-3 (defective or too-heavy tails)."""
-    s = float(np.dot(p.v, h) + p.b)
-    mass = float(cdf_from_s(cutoff, s, p.w))
+def sample_gap_from_model_density(s: float, w: float, seed: int, n: int = 1,
+                                  cutoff: float = 30.0) -> np.ndarray:
+    """Inverse-CDF gaps from the neural time density at s = v.h + b, for
+    planting known time structure. Refuses configurations whose truncated
+    mass at the cutoff exceeds 1e-3 (defective or too-heavy tails)."""
+    mass = float(cdf_from_s(cutoff, s, w))
     if mass < 1.0 - 1e-3:
         raise ValueError(f"improper density: mass within cutoff {cutoff} is "
                          f"{mass:.6f} < 0.999")
-    return sample_return_times(h, p, np.random.default_rng(seed), n)
+    return inverse_cdf_from_s(np.random.default_rng(seed).random(n), s, w)

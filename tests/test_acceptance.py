@@ -9,6 +9,7 @@ the tolerance.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 
@@ -19,13 +20,14 @@ from thrnn import model as md
 from thrnn import point_process as pp
 from thrnn import synthetic as sy
 from thrnn.autodiff import Tape, fd_gradient, rel_error
-from thrnn.data import PreprocessConfig, Session, preprocess, read_reddit_csv
+from thrnn.data import (PreprocessConfig, Session, UserHistory, preprocess,
+                        read_reddit_csv)
 from thrnn.evaluation import (hawkes_report, mean_gap_report,
                               popularity_report, recall_at_k)
 from thrnn.hawkes import (FitConfig, HawkesParams, fit, hawkes_predict_next,
                           sample_next_gaps, simulate_thinning)
 from thrnn.model import (ModelConfig, ModelParams, SessionRep,
-                         TrainingExample, evaluate, forward, train)
+                         TrainingExample, evaluate, predict, train)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -43,7 +45,7 @@ def _rand_params(cfg: ModelConfig, seed: int) -> ModelParams:
 
 
 def _example(rng, cfg, n_hist, n_items, gap, user):
-    hist = [SessionRep(intra_state=rng.normal(0, 0.5, cfg.hidden_dim_intra),
+    hist = [SessionRep(intra_state=rng.normal(0, 0.5, cfg.hidden_dim),
                        gap_bucket=int(rng.integers(cfg.num_gap_buckets)))
             for _ in range(n_hist)]
     items = rng.integers(cfg.num_items, size=n_items + 1)
@@ -71,8 +73,7 @@ def test_criterion_1_gradients_match_finite_differences():
     t0 = time.time()
     cfg = ModelConfig(num_items=6, num_users=3, item_embedding_dim=3,
                       user_embedding_dim=2, gap_embedding_dim=2,
-                      hidden_dim_inter=4, hidden_dim_intra=4,
-                      num_gap_buckets=3, batch_size=2)
+                      hidden_dim=4, num_gap_buckets=3, batch_size=2)
     params = _rand_params(cfg, seed=8)
     rng = np.random.default_rng(9)
     batch = [_example(rng, cfg, n_hist=2, n_items=3, gap=1.7, user=0),
@@ -215,8 +216,7 @@ def test_criterion_5_alpha_trades_short_against_long_gaps():
             cfg = ModelConfig(num_items=split.num_items,
                               num_users=split.num_users,
                               item_embedding_dim=12, user_embedding_dim=4,
-                              gap_embedding_dim=3, hidden_dim_inter=16,
-                              hidden_dim_intra=16, batch_size=100,
+                              gap_embedding_dim=3, hidden_dim=16, batch_size=100,
                               num_gap_buckets=10, alpha_exp=alpha)
             params, _, _ = train(split, cfg, epochs=8, seed=seed)
             rep = evaluate(params, cfg, split)
@@ -254,8 +254,7 @@ def test_criterion_6_joint_model_beats_hawkes_and_mean_gap():
         cfg = ModelConfig(num_items=split.num_items,
                           num_users=split.num_users,
                           item_embedding_dim=12, user_embedding_dim=4,
-                          gap_embedding_dim=3, hidden_dim_inter=24,
-                          hidden_dim_intra=24, batch_size=100,
+                          gap_embedding_dim=3, hidden_dim=24, batch_size=100,
                           num_gap_buckets=10, learning_rate_time=0.01)
         params, _, _ = train(split, cfg, epochs=10, seed=seed)
         maes["thrnn"].append(evaluate(params, cfg, split).overall_mae_days)
@@ -292,8 +291,8 @@ def markov_runs():
         out["popularity"].append(popularity_report(split).recall[5])
         base = dict(num_items=split.num_items, num_users=split.num_users,
                     item_embedding_dim=24, user_embedding_dim=4,
-                    gap_embedding_dim=3, hidden_dim_inter=32,
-                    hidden_dim_intra=32, batch_size=100, num_gap_buckets=10)
+                    gap_embedding_dim=3, hidden_dim=32, batch_size=100,
+                    num_gap_buckets=10)
         for key, cfg in (("joint", ModelConfig(**base)),
                          ("ablation",
                           ModelConfig(**base, loss_weight_time=0.0))):
@@ -320,12 +319,12 @@ def test_criterion_8_ablation_trace_equality_and_joint_parity(markov_runs):
     # GRU; scores must match an independent numpy trace of that network
     cfg = ModelConfig(num_items=6, num_users=3, item_embedding_dim=3,
                       user_embedding_dim=2, gap_embedding_dim=2,
-                      hidden_dim_inter=4, hidden_dim_intra=4,
-                      num_gap_buckets=3, batch_size=4, loss_weight_time=0.0)
+                      hidden_dim=4, num_gap_buckets=3, batch_size=4,
+                      loss_weight_time=0.0)
     params = _rand_params(cfg, seed=14)
     params.gap_emb.value[:] = 0.0
     params.user_emb.value[:] = 0.0
-    h_dim = cfg.hidden_dim_intra
+    h_dim = cfg.hidden_dim
 
     rng = np.random.default_rng(15)
     sessions = [Session(items=list(rng.integers(cfg.num_items, size=n)),
@@ -356,19 +355,18 @@ def test_criterion_8_ablation_trace_equality_and_joint_parity(markov_runs):
         reps.append(h)
         plain_scores.append(np.array(per_step[:-1]))
 
-    intra_states, buckets, _, _ = md._hierarchy_walk(params, cfg,
-                                                     [sessions], [0])
+    # every per-step score of the model, read from predict() on each
+    # prefix of session j behind the full sessions before it
     trace_gap = 0.0
     for j, s in enumerate(sessions):
-        ex = TrainingExample(
-            user_index=0, slot=j,
-            inputs=np.asarray(s.items[:-1], dtype=np.int64),
-            targets=np.asarray(s.items[1:], dtype=np.int64),
-            gap_target=0.0, time_masked=True,
-            history=[SessionRep(intra_states[0][t], buckets[0][t])
-                     for t in range(max(0, j - cfg.max_session_reps), j)])
-        scores, _ = forward(ex, params, cfg)
-        trace_gap = max(trace_gap, float(np.max(np.abs(scores - plain_scores[j]))))
+        for t in range(len(s.items) - 1):
+            prefix = dataclasses.replace(s, items=s.items[:t + 1])
+            pred = predict(UserHistory("u", 0, sessions[:j] + [prefix]), params,
+                           cfg, k=cfg.num_items)
+            scores = np.empty(cfg.num_items)
+            scores[pred.items] = pred.scores
+            trace_gap = max(trace_gap,
+                            float(np.max(np.abs(scores - plain_scores[j][t]))))
 
     # (b) joint training must not cost recommendation quality
     joint = float(np.mean(markov_runs["joint"]))

@@ -264,12 +264,6 @@ def test_rel_error_metric():
     assert ad.rel_error(np.array([200.0]), np.array([100.0])) == pytest.approx(0.5)
 
 
-def test_check_finite():
-    ad.check_finite("ok", np.ones(3))
-    with pytest.raises(ad.NonFiniteError, match="bad"):
-        ad.check_finite("bad", np.array([1.0, np.nan]))
-
-
 # -- helpers ----------------------------------------------------------------
 
 def _total(tape, t):

@@ -167,7 +167,7 @@ class TestTrain:
         params, cfg, opt_state, meta = load_checkpoint(str(ws / "m2.ckpt"))
         assert meta == {"epochs_completed": 2, "seed": 1}
         assert opt_state is not None
-        assert cfg.hidden_dim_inter == 12
+        assert cfg.hidden_dim == 12
 
     def test_same_seed_same_digest(self, ws, tmp_path, capsys):
         digests = []
@@ -240,8 +240,7 @@ class TestTrain:
 
     def test_flags_override_config_file(self, ws, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps(
-            {"hidden_dim_inter": 16, "hidden_dim_intra": 16,
-             "item_embedding_dim": 6, "user_embedding_dim": 3,
+            {"hidden_dim": 16, "item_embedding_dim": 6, "user_embedding_dim": 3,
              "gap_embedding_dim": 2, "batch_size": 16,
              "num_gap_buckets": 6}))
         assert main(["train", "--split", str(ws / "corpus.split"),
@@ -249,7 +248,7 @@ class TestTrain:
                      "--config", str(tmp_path / "cfg.json"),
                      "--hidden-dim", "8"]) == 0
         _, cfg, _, _ = load_checkpoint(str(tmp_path / "x.ckpt"))
-        assert cfg.hidden_dim_inter == 8
+        assert cfg.hidden_dim == 8
         assert cfg.item_embedding_dim == 6
 
     def test_rec_only_ablation_trains(self, ws, tmp_path, capsys):
@@ -358,6 +357,19 @@ class TestEvaluate:
                    "--out-dir", str(tmp_path / "r")])
         assert rc == 2
         assert "version 9" in capsys.readouterr().err
+
+    def test_split_with_bad_item_index_rejected(self, ws, tmp_path, capsys):
+        lines = (ws / "corpus.split").read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["test"][0]["items"][0] = -1
+        lines[2] = json.dumps(rec)
+        (tmp_path / "bad.split").write_text("\n".join(lines) + "\n")
+        rc = main(["evaluate", "--checkpoint", str(ws / "m2.ckpt"),
+                   "--split", str(tmp_path / "bad.split"),
+                   "--out-dir", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"user {rec['user_id']!r}: field 'items'" in err and "-1" in err
 
 
 class TestPredict:

@@ -276,6 +276,30 @@ class TestSplitFile:
         with pytest.raises(D.IngestError, match="version"):
             D.load_split(str(p))
 
+    def _tampered(self, tmp_path, edit):
+        """Save the split, pass the second user record through `edit`."""
+        p = tmp_path / "bad.jsonl"
+        D.save_split(self._split(), str(p))
+        lines = p.read_text().splitlines()
+        rec = json.loads(lines[3])
+        edit(rec)
+        lines[3] = json.dumps(rec)
+        p.write_text("\n".join(lines) + "\n")
+        return str(p)
+
+    def test_item_outside_vocabulary_rejected(self, tmp_path):
+        # -1 would otherwise index the last embedding row without a word
+        path = self._tampered(tmp_path, lambda rec: rec["test"][0]["items"].__setitem__(0, -1))
+        with pytest.raises(D.IngestError, match=r"bad\.jsonl: user 'u2': field 'items' "
+                                                r"of a test session holds -1"):
+            D.load_split(path)
+
+    def test_user_index_off_its_row_rejected(self, tmp_path):
+        path = self._tampered(tmp_path, lambda rec: rec.update(user_index=0))
+        with pytest.raises(D.IngestError, match=r"bad\.jsonl: user 'u2': field "
+                                                r"'user_index' is 0, but the record is row 1"):
+            D.load_split(path)
+
 
 def test_raw_interaction_validation():
     with pytest.raises(ValueError):

@@ -1,17 +1,19 @@
 """Model wiring: forward composition, loss assembly, gradients,
 training behavior, and prediction contracts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from thrnn import model as md
+from thrnn import point_process as pp
 from thrnn import synthetic as sy
-from thrnn.autodiff import Tape, fd_gradient, rel_error
+from thrnn.autodiff import Tape, fd_gradient, gru_cell_np, rel_error
 from thrnn.data import DatasetSplit, Session, UserHistory
 from thrnn.evaluation import mean_gap_report
 from thrnn.model import (ModelConfig, ModelParams, SessionRep, TrainingDivergedError,
-                         TrainingExample, build_examples, evaluate, forward,
-                         joint_loss, predict, train)
+                         TrainingExample, build_examples, evaluate, predict, train)
 
 DAY = 86400.0
 
@@ -19,8 +21,7 @@ DAY = 86400.0
 def _cfg(**kw):
     base = dict(num_items=6, num_users=3, item_embedding_dim=3,
                 user_embedding_dim=2, gap_embedding_dim=2,
-                hidden_dim_inter=4, hidden_dim_intra=4, num_gap_buckets=3,
-                batch_size=4)
+                hidden_dim=4, num_gap_buckets=3, batch_size=4)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -36,7 +37,7 @@ def _rand_params(cfg, seed=0, with_time=True):
 
 
 def _example(rng, cfg, n_hist, n_items, time_masked=False, gap=1.3, user=0):
-    hist = [SessionRep(intra_state=rng.normal(0, 0.5, cfg.hidden_dim_intra),
+    hist = [SessionRep(intra_state=rng.normal(0, 0.5, cfg.hidden_dim),
                        gap_bucket=int(rng.integers(cfg.num_gap_buckets)))
             for _ in range(n_hist)]
     items = rng.integers(cfg.num_items, size=n_items + 1)
@@ -46,12 +47,47 @@ def _example(rng, cfg, n_hist, n_items, time_masked=False, gap=1.3, user=0):
                            gap_target=gap, time_masked=time_masked, history=hist)
 
 
+def _sessions(rng, cfg, lengths, gap=5000.0):
+    """One user's timeline of random items, one session per length."""
+    return [Session(items=[int(i) for i in rng.integers(cfg.num_items, size=n)],
+                    start_time=float(j * 10000), end_time=float(j * 10000 + 60),
+                    gap_before=0.0 if j == 0 else gap)
+            for j, n in enumerate(lengths)]
+
+
+def _step_scores(params, cfg, sessions, j, user=0):
+    """Per-step item scores over session j: row t is what predict() scores
+    after the first t + 1 items, given the full sessions before j."""
+    rows = []
+    for t in range(1, len(sessions[j].items)):
+        prefix = dataclasses.replace(sessions[j], items=sessions[j].items[:t])
+        pred = predict(UserHistory("u", user, sessions[:j] + [prefix]), params, cfg,
+                       k=cfg.num_items)
+        row = np.empty(cfg.num_items)
+        row[pred.items] = pred.scores
+        rows.append(row)
+    return np.array(rows)
+
+
+def _batch_losses(params, cfg, batch):
+    """(joint loss, time nll, rec nll) as _forward_batch reports them."""
+    loss, l_time, l_rec, _, _ = md._forward_batch(Tape(), params, cfg, batch,
+                                                  np.random.default_rng(0), training=False)
+    return float(loss.value), l_time, l_rec
+
+
+def _xent(scores, targets):
+    probs = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    return -np.mean(np.log(probs[np.arange(len(targets)), targets]))
+
+
 class TestConfig:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             _cfg(item_embedding_dim=0)
-        with pytest.raises(ValueError, match="must match"):
-            _cfg(hidden_dim_inter=4, hidden_dim_intra=8)
+        with pytest.raises(ValueError, match="positive"):
+            _cfg(hidden_dim=0)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError, match="alpha_exp"):
@@ -105,30 +141,44 @@ class TestForward:
     def test_cold_start_zero_state(self):
         cfg = _cfg()
         params = _rand_params(cfg)
-        rng = np.random.default_rng(0)
-        ex = _example(rng, cfg, n_hist=0, n_items=1)
-        scores, h_j = forward(ex, params, cfg)
-        assert scores.shape == (1, cfg.num_items)
-        assert np.all(h_j == 0.0)
+        sessions = _sessions(np.random.default_rng(0), cfg, [2])
+        _, _, h_before, _ = md._hierarchy_walk(params, cfg, [sessions], [0])
+        assert np.all(h_before[0][0] == 0.0)
+        assert _step_scores(params, cfg, sessions, 0).shape == (1, cfg.num_items)
 
     def test_history_truncated_to_window(self):
         cfg = _cfg(max_session_reps=15)
         params = _rand_params(cfg)
-        rng = np.random.default_rng(1)
-        ex = _example(rng, cfg, n_hist=20, n_items=2)
-        trimmed = TrainingExample(**{**ex.__dict__, "history": ex.history[5:]})
-        full_scores, full_h = forward(ex, params, cfg)
-        trim_scores, trim_h = forward(trimmed, params, cfg)
-        assert np.array_equal(full_h, trim_h)
-        assert np.array_equal(full_scores, trim_scores)
+        sessions = _sessions(np.random.default_rng(1), cfg, [2] * 20 + [3])
+        intra_states, buckets, h_before, _ = md._hierarchy_walk(params, cfg, [sessions], [0])
+
+        def unroll(slots):
+            h = np.zeros((1, cfg.hidden_dim))
+            for t in slots:
+                rep = np.concatenate([intra_states[0][t],
+                                      params.gap_emb.value[buckets[0][t]],
+                                      params.user_emb.value[0]])[None, :]
+                h = gru_cell_np(rep, h, params.inter)
+            return h
+
+        # session 20 conditions on sessions 5..19 only
+        h = unroll(range(5, 20))
+        assert np.array_equal(h_before[0][20], h[0])
+        assert not np.allclose(h_before[0][20], unroll(range(20))[0])
+        want = []
+        for item in sessions[20].items[:-1]:
+            h = gru_cell_np(params.item_emb.value[[item]], h, params.intra)
+            want.append(h[0] @ params.out_w.value + params.out_b.value)
+        assert np.array_equal(_step_scores(params, cfg, sessions, 20), np.array(want))
 
     def test_matches_hand_rolled_trace(self):
-        # step through the documented cell formulas with plain numpy and
-        # compare the complete score trace
+        # step through the documented cell formulas with plain numpy over
+        # two history sessions and compare the complete score trace of the
+        # third
         cfg = _cfg(num_items=2, item_embedding_dim=2)
         params = _rand_params(cfg, seed=3)
-        rng = np.random.default_rng(4)
-        ex = _example(rng, cfg, n_hist=2, n_items=3, user=1)
+        sessions = _sessions(np.random.default_rng(4), cfg, [2, 3, 4])
+        bucket = cfg.bucketizer().bucket
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -139,17 +189,25 @@ class TestForward:
             c = np.tanh(x @ w.w_c.value + (r * h) @ w.u_c.value + w.b_c.value)
             return (1 - z) * h + z * c
 
-        h = np.zeros(cfg.hidden_dim_inter)
-        for rep in ex.history:
-            x = np.concatenate([rep.intra_state,
-                                params.gap_emb.value[rep.gap_bucket],
-                                params.user_emb.value[1]])
-            h = cell(x, h, params.inter)
+        def inter(reps):
+            h = np.zeros(cfg.hidden_dim)
+            for x in reps:
+                h = cell(x, h, params.inter)
+            return h
+
+        reps = []
+        for s in sessions[:2]:
+            h = inter(reps)
+            for item in s.items:
+                h = cell(params.item_emb.value[item], h, params.intra)
+            reps.append(np.concatenate([h, params.gap_emb.value[bucket(s.gap_before)],
+                                        params.user_emb.value[1]]))
+        h = inter(reps)
         expected = []
-        for item in ex.inputs:
+        for item in sessions[2].items[:-1]:
             h = cell(params.item_emb.value[item], h, params.intra)
             expected.append(h @ params.out_w.value + params.out_b.value)
-        scores, _ = forward(ex, params, cfg)
+        scores = _step_scores(params, cfg, sessions, 2, user=1)
         assert np.allclose(scores, np.array(expected), atol=1e-12)
 
 
@@ -159,39 +217,49 @@ class TestJointLoss:
         params = _rand_params(cfg)
         rng = np.random.default_rng(5)
         ex = _example(rng, cfg, n_hist=1, n_items=2, gap=0.8)
-        scores, h_j = forward(ex, params, cfg)
+        rep = ex.history[0]
+        x = np.concatenate([rep.intra_state, params.gap_emb.value[rep.gap_bucket],
+                            params.user_emb.value[ex.user_index]])[None, :]
+        h = gru_cell_np(x, np.zeros((1, cfg.hidden_dim)), params.inter)
+        s = float(h[0] @ params.time_v.value[:, 0] + params.time_b.value[0])
+        l_time = -float(pp.log_density_from_s(s, 0.8 ** cfg.alpha_exp,
+                                              float(params.time_w.value)))
+        scores = []
+        for item in ex.inputs:
+            h = gru_cell_np(params.item_emb.value[[item]], h, params.intra)
+            scores.append(h[0] @ params.out_w.value + params.out_b.value)
+        l_rec = _xent(np.array(scores), ex.targets)
 
-        from thrnn.point_process import TimeLossConfig, time_loss
-        l_time = time_loss(h_j, 0.8, md.time_head(params),
-                           TimeLossConfig(cfg.alpha_exp, cfg.time_unit))
-        probs = np.exp(scores - scores.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
-        l_rec = -np.mean(np.log(probs[np.arange(2), ex.targets]))
-        got = joint_loss(scores, ex.targets, h_j, 0.8, False, params, cfg)
-        assert got == pytest.approx(0.45 * l_time + 0.45 * l_rec, rel=1e-12)
+        loss, got_time, got_rec = _batch_losses(params, cfg, [ex])
+        assert got_time == pytest.approx(l_time, rel=1e-12)
+        assert got_rec == pytest.approx(l_rec, rel=1e-12)
+        assert loss == pytest.approx(0.45 * l_time + 0.45 * l_rec, rel=1e-12)
 
     def test_masked_gap_drops_time_term(self):
         cfg = _cfg()
         params = _rand_params(cfg)
         rng = np.random.default_rng(6)
-        ex = _example(rng, cfg, n_hist=1, n_items=2)
-        scores, h_j = forward(ex, params, cfg)
-        masked = joint_loss(scores, ex.targets, h_j, 0.8, True, params, cfg)
-        rec_only = joint_loss(scores, ex.targets, h_j, 0.8, False,
-                              params, _cfg(loss_weight_time=0.0))
+        ex = _example(rng, cfg, n_hist=1, n_items=2, time_masked=True)
+        masked, l_time, _ = _batch_losses(params, cfg, [ex])
+        unmasked = dataclasses.replace(ex, time_masked=False)
+        rec_only, *_ = _batch_losses(params, _cfg(loss_weight_time=0.0), [unmasked])
+        assert l_time == 0.0
         assert masked == pytest.approx(rec_only)
 
     def test_zero_time_weight_is_pure_recommendation(self):
         cfg = _cfg(loss_weight_time=0.0, loss_weight_rec=1.0)
         params = _rand_params(cfg)
         rng = np.random.default_rng(7)
-        ex = _example(rng, cfg, n_hist=0, n_items=3)
-        scores, h_j = forward(ex, params, cfg)
-        probs = np.exp(scores - scores.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
-        want = -np.mean(np.log(probs[np.arange(3), ex.targets]))
-        assert joint_loss(scores, ex.targets, h_j, 1.0, False, params,
-                          cfg) == pytest.approx(want)
+        ex = _example(rng, cfg, n_hist=0, n_items=3, gap=1.0)
+        h = np.zeros((1, cfg.hidden_dim))
+        scores = []
+        for item in ex.inputs:
+            h = gru_cell_np(params.item_emb.value[[item]], h, params.intra)
+            scores.append(h[0] @ params.out_w.value + params.out_b.value)
+        loss, _, l_rec = _batch_losses(params, cfg, [ex])
+        want = _xent(np.array(scores), ex.targets)
+        assert loss == pytest.approx(want)
+        assert l_rec == pytest.approx(want)
 
 
 class TestGradients:
@@ -264,7 +332,7 @@ class TestAblationEquivalence:
         params = _rand_params(cfg, seed=14)
         params.gap_emb.value[:] = 0.0
         params.user_emb.value[:] = 0.0
-        h_dim = cfg.hidden_dim_intra
+        h_dim = cfg.hidden_dim
 
         rng = np.random.default_rng(15)
         sessions = [Session(items=list(rng.integers(cfg.num_items, size=n)),
@@ -295,17 +363,8 @@ class TestAblationEquivalence:
             reps.append(h)
             plain_scores.append(np.array(per_step[:-1]))
 
-        lists = [sessions]
-        intra_states, buckets, _, _ = md._hierarchy_walk(params, cfg, lists, [0])
-        for j, s in enumerate(sessions):
-            ex = TrainingExample(
-                user_index=0, slot=j,
-                inputs=np.asarray(s.items[:-1], dtype=np.int64),
-                targets=np.asarray(s.items[1:], dtype=np.int64),
-                gap_target=0.0, time_masked=True,
-                history=[SessionRep(intra_states[0][t], buckets[0][t])
-                         for t in range(max(0, j - cfg.max_session_reps), j)])
-            scores, _ = forward(ex, params, cfg)
+        for j in range(len(sessions)):
+            scores = _step_scores(params, cfg, sessions, j)
             assert np.max(np.abs(scores - plain_scores[j])) < 1e-10
 
 
@@ -340,7 +399,7 @@ def _concentrated(v):
 def _train_cfg(split, **kw):
     base = dict(num_items=split.num_items, num_users=split.num_users,
                 item_embedding_dim=8, user_embedding_dim=4, gap_embedding_dim=3,
-                hidden_dim_inter=16, hidden_dim_intra=16, num_gap_buckets=8,
+                hidden_dim=16, num_gap_buckets=8,
                 batch_size=32)
     base.update(kw)
     return ModelConfig(**base)
@@ -442,8 +501,7 @@ class TestTraining:
                             item_transition=_offdiag(8),
                             gap_mixture=[(1.0, 1.0)], context_coupling=states)
         split = sy.generate_corpus(spec, seed=3)
-        cfg = _train_cfg(split, hidden_dim_inter=24, hidden_dim_intra=24,
-                         item_embedding_dim=12, learning_rate_time=0.01)
+        cfg = _train_cfg(split, hidden_dim=24, item_embedding_dim=12, learning_rate_time=0.01)
         params, _, _ = train(split, cfg, epochs=12, seed=0)
         model_mae = evaluate(params, cfg, split).overall_mae_days
         baseline_mae = mean_gap_report(split).overall_mae_days
@@ -521,6 +579,34 @@ class TestPredict:
         with pytest.raises(ValueError, match="k must"):
             predict(split.train[0], params, cfg, k=0)
 
+    def test_return_time_conditions_on_the_last_window(self):
+        # six sessions, window two: the return time reads the inter state
+        # after the last session, unrolled over intra states 4 and 5 only
+        cfg = _cfg(max_session_reps=2)
+        params = _rand_params(cfg, seed=23)
+        sessions = _sessions(np.random.default_rng(24), cfg, [3, 2, 4, 2, 3, 2])
+        intra_states, buckets, _, _ = md._hierarchy_walk(params, cfg, [sessions], [1])
+
+        def sig(v):
+            return 1.0 / (1.0 + np.exp(-v))
+
+        def cell(x, h, w):
+            r = sig(x @ w.w_r.value + h @ w.u_r.value + w.b_r.value)
+            z = sig(x @ w.w_z.value + h @ w.u_z.value + w.b_z.value)
+            c = np.tanh(x @ w.w_c.value + (r * h) @ w.u_c.value + w.b_c.value)
+            return (1 - z) * h + z * c
+
+        h = np.zeros(cfg.hidden_dim)
+        for t in (4, 5):
+            h = cell(np.concatenate([intra_states[0][t],
+                                     params.gap_emb.value[buckets[0][t]],
+                                     params.user_emb.value[1]]), h, params.inter)
+        s = float(h @ params.time_v.value[:, 0] + params.time_b.value[0])
+        want = pp.expected_return_time_from_s(s, float(params.time_w.value),
+                                              cfg.quadrature())[0] * cfg.time_unit
+        got = predict(UserHistory("u", 1, sessions), params, cfg).return_gap_seconds
+        assert got == pytest.approx(want, rel=1e-12)
+
 
 class TestCheckpoint:
     def test_roundtrip_with_optimizer(self, tmp_path):
@@ -573,6 +659,20 @@ class TestCheckpoint:
         raw[8:12] = struct.pack("<I", 99)
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="version 99"):
+            load_checkpoint(str(path))
+
+    def test_rejects_v1_checkpoint(self, tmp_path):
+        # version 1 had separate inter and intra widths; it is refused
+        # before its config is read, so old files fail cleanly
+        import struct
+        from thrnn.checkpoint import load_checkpoint, save_checkpoint
+        cfg = _cfg()
+        path = tmp_path / "v1.ckpt"
+        save_checkpoint(str(path), _rand_params(cfg), cfg)
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = struct.pack("<I", 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
             load_checkpoint(str(path))
 
     def test_rejects_truncation(self, tmp_path):

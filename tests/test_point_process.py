@@ -7,43 +7,58 @@ from hypothesis import given, settings, strategies as st
 
 from thrnn import point_process as pp
 from thrnn.autodiff import Tape, Tensor, fd_gradient, rel_error
+from thrnn.model import ModelConfig
 
 
-def _params(v=None, w=0.0, b=0.0):
-    return pp.TimeHeadParams(v=np.asarray(v if v is not None else [0.0]), w=w, b=b)
+def _intensity(s, g, w, step=1e-5):
+    """The intensity the density implies: d/dg log f(g) = w - lam(g), so
+    lam = w minus a finite-difference slope of log_density_from_s
+    (one-sided at g = 0, where the density is not defined below)."""
+    lo = max(g - step, 0.0)
+    hi = g + step
+    slope = (pp.log_density_from_s(s, hi, w) - pp.log_density_from_s(s, lo, w)) / (hi - lo)
+    return w - float(slope)
+
+
+def _time_nll(s, w, g_alpha, masked=False):
+    """time_nll's value for one row; g_alpha already carries the alpha power."""
+    out = pp.time_nll(Tape(), Tensor([[s]]), Tensor(w), np.array([g_alpha]),
+                      masked=np.array([masked]))
+    return float(out.value)
 
 
 class TestIntensity:
     def test_all_zero_gives_one(self):
-        assert pp.intensity(np.zeros(3), 0.0, _params([0, 0, 0])) == pytest.approx(1.0)
+        # s = v.h + b with v = 0, b = 0; f(0) equals the intensity at 0
+        assert np.exp(pp.log_density_from_s(0.0, 0.0, 0.0)) == pytest.approx(1.0)
+        assert _intensity(0.0, 0.0, 0.0) == pytest.approx(1.0)
 
     def test_constant_when_w_zero(self):
-        p = _params([1.0], w=0.0, b=0.0)
-        h = np.array([np.log(2.0)])
+        s = 1.0 * np.log(2.0) + 0.0  # v = 1, h = log 2, b = 0
         for g in (0.0, 1.0, 17.5):
-            assert pp.intensity(h, g, p) == pytest.approx(2.0)
+            assert _intensity(s, g, 0.0) == pytest.approx(2.0)
 
     def test_closed_form(self):
-        p = _params([1.0], w=0.1, b=0.3)
-        assert pp.intensity(np.array([0.0]), 2.0, p) == pytest.approx(np.exp(0.5))
+        s = 1.0 * 0.0 + 0.3  # v = 1, h = 0, b = 0.3
+        assert _intensity(s, 2.0, 0.1) == pytest.approx(np.exp(0.5))
 
     def test_negative_elapsed_rejected(self):
         with pytest.raises(ValueError):
-            pp.intensity(np.zeros(1), -1.0, _params())
+            pp.log_density_from_s(0.0, -1.0, 0.0)
 
     def test_overflow_detected(self):
         with pytest.raises(pp.ExponentOverflowError, match="diverged"):
-            pp.intensity(np.array([800.0]), 1.0, _params([1.0], w=0.0))
+            pp.log_density_from_s(1.0 * 800.0, 1.0, 0.0)
         with pytest.raises(pp.ExponentOverflowError):
             pp.log_density_from_s(0.0, 100.0, 8.0)
 
 
 class TestLogDensity:
     def test_unit_rate_exponential(self):
-        assert pp.log_density(np.zeros(1), 1.0, _params(w=0.0)) == pytest.approx(-1.0)
+        assert pp.log_density_from_s(0.0, 1.0, 0.0) == pytest.approx(-1.0)
 
     def test_closed_form_w_one(self):
-        got = pp.log_density(np.zeros(1), 1.0, _params(w=1.0))
+        got = pp.log_density_from_s(0.0, 1.0, 1.0)
         assert got == pytest.approx(2.0 - np.e, abs=1e-12)
 
     def test_branch_continuity(self):
@@ -79,28 +94,24 @@ class TestLogDensity:
 
 class TestTimeLoss:
     def test_alpha_one_is_plain_nll(self):
-        p = _params([0.2, -0.1], w=0.4, b=0.1)
-        h = np.array([0.5, 1.0])
-        cfg = pp.TimeLossConfig(alpha_exp=1.0)
-        assert pp.time_loss(h, 3.0, p, cfg) == pytest.approx(-float(pp.log_density(h, 3.0, p)))
+        s = float(np.dot([0.2, -0.1], [0.5, 1.0]) + 0.1)
+        assert _time_nll(s, 0.4, 3.0 ** 1.0) == pytest.approx(
+            -float(pp.log_density_from_s(s, 3.0, 0.4)))
 
     def test_closed_form_alpha_half(self):
         # g = 4 becomes g^0.5 = 2; with s = 0, w = 1 the nll is e^2 - 3
-        cfg = pp.TimeLossConfig(alpha_exp=0.5)
-        got = pp.time_loss(np.zeros(1), 4.0, _params(w=1.0), cfg)
+        got = _time_nll(0.0, 1.0, 4.0 ** 0.5)
         assert got == pytest.approx(np.exp(2.0) - 3.0, abs=1e-12)
 
     def test_masked_is_zero(self):
-        cfg = pp.TimeLossConfig(alpha_exp=0.7)
-        assert pp.time_loss(np.zeros(1), 5.0, _params(w=1.0), cfg, masked=True) == 0.0
+        assert _time_nll(0.0, 1.0, 5.0 ** 0.7, masked=True) == 0.0
 
     def test_shrinking_alpha_shifts_weight_to_short_gaps(self):
         # share of the total loss carried by the short gap grows as the
         # exponent shrinks (the long gap is compressed harder)
         def share(alpha, w):
-            cfg = pp.TimeLossConfig(alpha_exp=alpha)
-            lo = pp.time_loss(np.zeros(1), 0.1, _params(w=w), cfg)
-            hi = pp.time_loss(np.zeros(1), 10.0, _params(w=w), cfg)
+            lo = _time_nll(0.0, w, 0.1 ** alpha)
+            hi = _time_nll(0.0, w, 10.0 ** alpha)
             assert lo > 0 and hi > 0
             return lo / (lo + hi)
 
@@ -108,10 +119,11 @@ class TestTimeLoss:
             assert share(0.3, w) > share(0.5, w) > share(1.0, w)
 
     def test_config_validation(self):
+        # the alpha exponent is a model setting; the quadrature its own
         with pytest.raises(ValueError):
-            pp.TimeLossConfig(alpha_exp=0.0)
+            ModelConfig(num_items=2, num_users=1, alpha_exp=0.0)
         with pytest.raises(ValueError):
-            pp.TimeLossConfig(alpha_exp=1.2)
+            ModelConfig(num_items=2, num_users=1, alpha_exp=1.2)
         with pytest.raises(ValueError):
             pp.QuadratureConfig(cutoff=10, num_points=32)
         with pytest.raises(ValueError):
@@ -129,12 +141,12 @@ def _generous_cutoff(s, w, q=1.0 - 1e-9):
 class TestExpectedReturnTime:
     def test_rate_two_exponential_mean(self):
         q = pp.QuadratureConfig(cutoff=15.0, num_points=4096)
-        got = pp.expected_return_time(np.array([np.log(2.0)]), _params([1.0], w=0.0), q)
+        got = pp.expected_return_time_from_s(np.log(2.0), 0.0, q)[0]
         assert got == pytest.approx(0.5, rel=1e-3)
 
     def test_truncated_exponential_exact(self):
         q = pp.QuadratureConfig(cutoff=10.0, num_points=2048)
-        got = pp.expected_return_time(np.zeros(1), _params(w=0.0), q)
+        got = pp.expected_return_time_from_s(0.0, 0.0, q)[0]
         want = 1.0 - 11.0 * np.exp(-10.0)
         assert got == pytest.approx(want, abs=1e-4)
 
@@ -182,7 +194,7 @@ class TestCdfSampling:
     def test_sampling_defective_density_raises(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="defective"):
-            pp.sample_return_times(np.zeros(1), _params(w=-1.0), rng, 1000)
+            pp.inverse_cdf_from_s(rng.random(1000), 0.0, -1.0)
 
     def test_cdf_monotone_in_t(self):
         t = np.linspace(0, 30, 200)

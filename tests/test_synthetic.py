@@ -7,8 +7,7 @@ from scipy import stats
 
 from thrnn import synthetic as sy
 from thrnn.data import save_split
-from thrnn.point_process import (QuadratureConfig, TimeHeadParams,
-                                 expected_return_time)
+from thrnn.point_process import QuadratureConfig, expected_return_time_from_s
 
 DAY = 86400.0
 
@@ -179,18 +178,17 @@ class TestOracles:
 
 class TestModelDensitySampling:
     def test_exponential_limit_mean(self):
-        p = TimeHeadParams(v=np.zeros(2), w=0.0, b=0.0)
-        draws = sy.sample_gap_from_model_density(np.zeros(2), p, seed=0, n=1_000_000)
+        # v = 0, b = 0: s = v.h + b = 0 for any h
+        draws = sy.sample_gap_from_model_density(0.0, 0.0, seed=0, n=1_000_000)
         assert 0.99 <= float(draws.mean()) <= 1.01
 
     def test_matches_quadrature(self):
-        p = TimeHeadParams(v=np.array([1.0]), w=0.3, b=0.0)
-        h = np.array([-0.5])
-        draws = sy.sample_gap_from_model_density(h, p, seed=1, n=200_000)
-        quad = expected_return_time(h, p, QuadratureConfig(cutoff=30.0, num_points=4096))
+        s = 1.0 * -0.5 + 0.0  # v = 1, h = -0.5, b = 0
+        draws = sy.sample_gap_from_model_density(s, 0.3, seed=1, n=200_000)
+        quad = expected_return_time_from_s(
+            s, 0.3, QuadratureConfig(cutoff=30.0, num_points=4096))[0]
         assert quad == pytest.approx(float(draws.mean()), rel=0.005)
 
     def test_improper_rejected(self):
-        p = TimeHeadParams(v=np.zeros(1), w=-0.8, b=0.0)
         with pytest.raises(ValueError, match="improper"):
-            sy.sample_gap_from_model_density(np.zeros(1), p, seed=0, n=10)
+            sy.sample_gap_from_model_density(0.0, -0.8, seed=0, n=10)
