@@ -1,10 +1,12 @@
 """Minimal reverse-mode autodiff on float64 numpy arrays.
 
 Just enough machinery for the models in this package: dense linear maps,
-a GRU cell, embedding lookups with scatter-add backward, and a masked
+a GRU step, embedding lookups with scatter-add backward, and a masked
 softmax cross-entropy. Operations record themselves on a Tape; the
 backward pass replays the records in reverse order and accumulates
-gradients additively at fan-out.
+gradients additively at fan-out. A GRU step is one fused record with an
+analytic backward, and shares its forward with the tape-free
+gru_cell_np.
 """
 
 from __future__ import annotations
@@ -110,54 +112,11 @@ def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     return tape.record((a, b), out, bwd)
 
 
-def sub(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.value - b.value)
-    ash, bsh = a.value.shape, b.value.shape
-
-    def bwd(g):
-        return _unbroadcast(g, ash), _unbroadcast(-g, bsh)
-
-    return tape.record((a, b), out, bwd)
-
-
-def mul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.value * b.value)
-    av, bv = a.value, b.value
-
-    def bwd(g):
-        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
-
-    return tape.record((a, b), out, bwd)
-
-
 def scale(tape: Tape, a: Tensor, c: float) -> Tensor:
     out = Tensor(a.value * c)
 
     def bwd(g):
         return (g * c,)
-
-    return tape.record((a,), out, bwd)
-
-
-def sigmoid(tape: Tape, a: Tensor) -> Tensor:
-    # stable in both tails
-    v = a.value
-    s = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                 np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
-    out = Tensor(s)
-
-    def bwd(g):
-        return (g * s * (1.0 - s),)
-
-    return tape.record((a,), out, bwd)
-
-
-def tanh(tape: Tape, a: Tensor) -> Tensor:
-    t = np.tanh(a.value)
-    out = Tensor(t)
-
-    def bwd(g):
-        return (g * (1.0 - t * t),)
 
     return tape.record((a,), out, bwd)
 
@@ -216,13 +175,10 @@ def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def masked_softmax_xent(tape: Tape, scores: Tensor, targets: np.ndarray,
-                        masked: np.ndarray | None = None,
-                        reduction: str = "mean") -> Tensor:
-    """Cross-entropy -log softmax(scores)[target] per row, masked rows excluded.
+                        masked: np.ndarray | None = None) -> Tensor:
+    """Sum over rows of -log softmax(scores)[target], masked rows excluded.
 
     `masked` marks rows that contribute 0 to both the loss and the gradient.
-    reduction "mean" divides by the number of unmasked rows only (0 if none);
-    "sum" returns the plain sum over unmasked rows.
     """
     v = scores.value
     n_rows, n_items = v.shape
@@ -232,20 +188,17 @@ def masked_softmax_xent(tape: Tape, scores: Tensor, targets: np.ndarray,
     if tgt.min() < 0 or tgt.max() >= n_items:
         raise IndexError("target index out of range")
     valid = np.ones(n_rows, dtype=bool) if masked is None else ~np.asarray(masked, dtype=bool)
-    count = int(valid.sum())
 
     shifted = v - v.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1))
     nll = logz - shifted[np.arange(n_rows), tgt]
-    total = float(nll[valid].sum())
-    denom = max(count, 1) if reduction == "mean" else 1
-    out = Tensor(total / denom)
+    out = Tensor(float(nll[valid].sum()))
 
     def bwd(g):
         probs = np.exp(shifted - logz[:, None])
         probs[np.arange(n_rows), tgt] -= 1.0
         probs[~valid] = 0.0
-        return (probs * (g / denom),)
+        return (probs * g,)
 
     return tape.record((scores,), out, bwd)
 
@@ -279,36 +232,57 @@ class GRUWeights:
 
 
 def gru_cell(tape: Tape, x: Tensor, h_prev: Tensor, w: GRUWeights,
-             update_mask: Tensor | None = None) -> Tensor:
+             update_mask: np.ndarray | None = None) -> Tensor:
     """One GRU step on a batch; x (B, n), h_prev (B, h) -> (B, h).
 
-    With `update_mask` (B, 1) of 0/1 values, rows with 0 keep h_prev
-    unchanged (and receive no gradient through this step's candidate).
+    The step is a single tape record with an analytic backward. With
+    `update_mask` (B, 1), rows where it is 0 keep h_prev unchanged and
+    pass their gradient straight through to h_prev.
     """
     if x.value.shape[1] != w.w_r.value.shape[0]:
         raise ValueError(f"gru_cell: input width {x.value.shape[1]} != {w.w_r.value.shape[0]}")
     if h_prev.value.shape[1] != w.u_r.value.shape[0]:
         raise ValueError("gru_cell: hidden width mismatch")
-    r = sigmoid(tape, add(tape, add(tape, matmul(tape, x, w.w_r), matmul(tape, h_prev, w.u_r)), w.b_r))
-    z = sigmoid(tape, add(tape, add(tape, matmul(tape, x, w.w_z), matmul(tape, h_prev, w.u_z)), w.b_z))
-    rh = mul(tape, r, h_prev)
-    c = tanh(tape, add(tape, add(tape, matmul(tape, x, w.w_c), matmul(tape, rh, w.u_c)), w.b_c))
-    # h' = h + z*(c - h)  ==  (1-z)*h + z*c
-    h_new = add(tape, h_prev, mul(tape, z, sub(tape, c, h_prev)))
-    if update_mask is not None:
-        h_new = add(tape, h_prev, mul(tape, update_mask, sub(tape, h_new, h_prev)))
-    return h_new
+    xv, hv = x.value, h_prev.value
+    r, z, rh, c, h_new = _gru_step(xv, hv, w)
+    keep = None if update_mask is None else np.asarray(update_mask) == 0
+    out = Tensor(h_new if keep is None else np.where(keep, hv, h_new))
+
+    def bwd(g):
+        g_new = g if keep is None else np.where(keep, 0.0, g)
+        d_ac = g_new * z * (1.0 - c * c)
+        d_rh = d_ac @ w.u_c.value.T
+        d_ar = d_rh * hv * r * (1.0 - r)
+        d_az = g_new * (c - hv) * z * (1.0 - z)
+        d_x = d_ar @ w.w_r.value.T + d_az @ w.w_z.value.T + d_ac @ w.w_c.value.T
+        d_h = (g_new * (1.0 - z) + d_rh * r
+               + d_ar @ w.u_r.value.T + d_az @ w.u_z.value.T)
+        if keep is not None:
+            d_h += g - g_new
+        return (d_x, d_h,
+                xv.T @ d_ar, hv.T @ d_ar, d_ar.sum(axis=0),
+                xv.T @ d_az, hv.T @ d_az, d_az.sum(axis=0),
+                xv.T @ d_ac, rh.T @ d_ac, d_ac.sum(axis=0))
+
+    return tape.record((x, h_prev, *w.tensors()), out, bwd)
 
 
 def gru_cell_np(x: np.ndarray, h_prev: np.ndarray, w: GRUWeights) -> np.ndarray:
-    """Tape-free GRU step for inference; same formula as gru_cell."""
+    """Tape-free GRU step for inference; the same forward as gru_cell."""
+    return _gru_step(x, h_prev, w)[-1]
+
+
+def _gru_step(x: np.ndarray, h_prev: np.ndarray, w: GRUWeights):
+    """The GRU formula of GRUWeights; returns (r, z, r∘h, c, h')."""
     r = _sigmoid_np(x @ w.w_r.value + h_prev @ w.u_r.value + w.b_r.value)
     z = _sigmoid_np(x @ w.w_z.value + h_prev @ w.u_z.value + w.b_z.value)
-    c = np.tanh(x @ w.w_c.value + (r * h_prev) @ w.u_c.value + w.b_c.value)
-    return (1.0 - z) * h_prev + z * c
+    rh = r * h_prev
+    c = np.tanh(x @ w.w_c.value + rh @ w.u_c.value + w.b_c.value)
+    return r, z, rh, c, (1.0 - z) * h_prev + z * c
 
 
 def _sigmoid_np(v: np.ndarray) -> np.ndarray:
+    # stable in both tails
     e = np.exp(-np.abs(v))
     return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 

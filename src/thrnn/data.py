@@ -404,23 +404,36 @@ def load_split(path: str) -> DatasetSplit:
                                      [_session_from(o) for o in rec["train"]]))
             test.append(UserHistory(rec["user_id"], rec["user_index"],
                                     [_session_from(o) for o in rec["test"]]))
+    if len(train) != header["num_users"]:
+        raise IngestError(f"{path}: header field 'num_users' is {header['num_users']}, "
+                          f"but the file holds {len(train)} user records")
     return DatasetSplit(train=train, test=test, item_vocabulary=vocab,
                         num_items=header["num_items"], num_users=header["num_users"])
 
 
 def _check_user_record(rec: dict, row: int, num_items: int, path: str) -> None:
-    """Reject indices the model would misread: numpy takes item -1 as the
-    last embedding row, and users are looked up by user_index."""
+    """Reject records the model would misread: numpy takes item -1 as the
+    last embedding row, users are looked up by user_index, gaps are
+    bucketed and the recursion assumes one timeline from train into test."""
     who = f"{path}: user {rec['user_id']!r}"
     if rec["user_index"] != row:
         raise IngestError(f"{who}: field 'user_index' is {rec['user_index']}, "
                           f"but the record is row {row}")
+    prev_start = -math.inf
     for part in ("train", "test"):
-        for o in rec[part]:
+        for k, o in enumerate(rec[part]):
             bad = [i for i in o["items"] if not 0 <= i < num_items]
             if bad:
                 raise IngestError(f"{who}: field 'items' of a {part} session holds "
                                   f"{bad[0]}, outside [0, {num_items})")
+            if o["gap"] < 0:
+                raise IngestError(f"{who}: field 'gap' of {part} session {k} is "
+                                  f"{o['gap']}, negative")
+            if o["start"] < prev_start:
+                raise IngestError(f"{who}: field 'start' of {part} session {k} is "
+                                  f"{o['start']}, before the previous session's "
+                                  f"start {prev_start}")
+            prev_start = o["start"]
 
 
 def _session_obj(s: Session) -> dict:

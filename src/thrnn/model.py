@@ -307,12 +307,11 @@ def _refresh_histories(examples: list[TrainingExample], split: DatasetSplit,
 # taped forward
 
 def _forward_batch(tape: Tape, params: ModelParams, cfg: ModelConfig,
-                   batch: list[TrainingExample], rng, training: bool):
-    """Batched taped pass; returns (joint loss tensor, time nll value,
-    rec nll value, unmasked time rows, rec steps)."""
+                   batch: list[TrainingExample], rng):
+    """Batched taped training pass; returns (joint loss tensor, time nll
+    value, rec nll value, unmasked time rows, rec steps)."""
     n = len(batch)
     h_dim = cfg.hidden_dim
-    rate = cfg.dropout_rate if training else 0.0
     users = np.array([ex.user_index for ex in batch], dtype=np.int64)
 
     # inter level over right-aligned histories; front padding is frozen
@@ -322,20 +321,19 @@ def _forward_batch(tape: Tape, params: ModelParams, cfg: ModelConfig,
     if window:
         segs = np.zeros((n, window, h_dim))
         gaps = np.zeros((n, window), dtype=np.int64)
-        live = np.zeros((n, window, 1))
+        live = np.zeros((n, window, 1), dtype=bool)
         for i, ex in enumerate(batch):
             k = len(ex.history)
             for t, rep in enumerate(ex.history):
                 segs[i, window - k + t] = rep.intra_state
                 gaps[i, window - k + t] = rep.gap_bucket
-                live[i, window - k + t, 0] = 1.0
+                live[i, window - k + t, 0] = True
         for t in range(window):
             rep = concat(tape, [constant(segs[:, t]),
                                 embedding(tape, params.gap_emb, gaps[:, t]),
                                 embedding(tape, params.user_emb, users)])
-            rep = dropout(tape, rep, rate, rng)
-            h = gru_cell(tape, rep, h, params.inter,
-                         update_mask=constant(live[:, t]))
+            rep = dropout(tape, rep, cfg.dropout_rate, rng)
+            h = gru_cell(tape, rep, h, params.inter, update_mask=live[:, t])
     h_j = h
 
     time_masked = np.array([ex.time_masked for ex in batch])
@@ -347,23 +345,22 @@ def _forward_batch(tape: Tape, params: ModelParams, cfg: ModelConfig,
     width = max((len(ex.inputs) for ex in batch), default=0)
     rec_steps = int(sum(len(ex.inputs) for ex in batch))
     if width:
+        # padded tail rows run on past their session's end; the loss masks
+        # them out and their states are never read
         ids = np.zeros((n, width), dtype=np.int64)
         tgt = np.zeros((n, width), dtype=np.int64)
-        alive = np.zeros((n, width))
+        lens = np.array([len(ex.inputs) for ex in batch])
         for i, ex in enumerate(batch):
-            m = len(ex.inputs)
-            ids[i, :m] = ex.inputs
-            tgt[i, :m] = ex.targets
-            alive[i, :m] = 1.0
+            ids[i, :lens[i]] = ex.inputs
+            tgt[i, :lens[i]] = ex.targets
         hh = h_j
         total = None
         for t in range(width):
-            x = dropout(tape, embedding(tape, params.item_emb, ids[:, t]), rate, rng)
-            hh = gru_cell(tape, x, hh, params.intra,
-                          update_mask=constant(alive[:, t:t + 1]))
+            x = dropout(tape, embedding(tape, params.item_emb, ids[:, t]),
+                        cfg.dropout_rate, rng)
+            hh = gru_cell(tape, x, hh, params.intra)
             sc = linear(tape, hh, params.out_w, params.out_b)
-            piece = masked_softmax_xent(tape, sc, tgt[:, t],
-                                        masked=alive[:, t] < 0.5, reduction="sum")
+            piece = masked_softmax_xent(tape, sc, tgt[:, t], masked=lens <= t)
             total = piece if total is None else add(tape, total, piece)
         l_rec = scale(tape, total, 1.0 / max(rec_steps, 1))
     else:
@@ -429,7 +426,7 @@ def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
             tape = Tape()
             try:
                 loss, lt, lr_, nt, nr = _forward_batch(tape, params, cfg, batch,
-                                                       drop_rng, training=True)
+                                                       drop_rng)
             except ExponentOverflowError as err:
                 raise TrainingDivergedError(
                     f"forward diverged at epoch {epoch}, batch {batch_no}: {err}") from err

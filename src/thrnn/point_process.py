@@ -137,8 +137,8 @@ def density_mass_from_s(s, w: float, q: QuadratureConfig) -> np.ndarray:
 
 
 def time_nll(tape: Tape, s: Tensor, w: Tensor, g_alpha: np.ndarray,
-             masked: np.ndarray | None = None, reduction: str = "mean") -> Tensor:
-    """Mean (or sum) of -log f(g_alpha) over unmasked rows, on the tape.
+             masked: np.ndarray | None = None) -> Tensor:
+    """Mean of -log f(g_alpha) over unmasked rows (0 if none), on the tape.
 
     s is the (B, 1) linear part v.h + b built from taped ops, so its
     gradient flows back into v, b and the hidden states; w is the scalar
@@ -180,7 +180,7 @@ def time_nll(tape: Tape, s: Tensor, w: Tensor, g_alpha: np.ndarray,
         d_s = -1.0 + es * e_wg / wv
         d_w = -g + (np.exp(sv + wg) * (wg - 1.0) + es) / (wv * wv)
 
-    denom = max(count, 1) if reduction == "mean" else 1
+    denom = max(count, 1)
     out = Tensor(float(nll[valid].sum()) / denom)
 
     def bwd(gout):

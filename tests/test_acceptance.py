@@ -82,12 +82,12 @@ def test_criterion_1_gradients_match_finite_differences():
     def loss_value():
         tape = Tape()
         loss, *_ = md._forward_batch(tape, params, cfg, batch,
-                                     np.random.default_rng(0), training=True)
+                                     np.random.default_rng(0))
         return float(loss.value)
 
     tape = Tape()
     loss, *_ = md._forward_batch(tape, params, cfg, batch,
-                                 np.random.default_rng(0), training=True)
+                                 np.random.default_rng(0))
     for t in params.named().values():
         t.zero_grad()
     tape.backward(loss)

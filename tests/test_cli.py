@@ -371,6 +371,17 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert f"user {rec['user_id']!r}: field 'items'" in err and "-1" in err
 
+    def test_truncated_split_rejected(self, ws, tmp_path, capsys):
+        lines = (ws / "corpus.split").read_text().splitlines()
+        (tmp_path / "cut.split").write_text("\n".join(lines[:-1]) + "\n")
+        rc = main(["evaluate", "--checkpoint", str(ws / "m2.ckpt"),
+                   "--split", str(tmp_path / "cut.split"),
+                   "--out-dir", str(tmp_path / "r")])
+        assert rc == 2
+        n_users = json.loads(lines[0])["num_users"]
+        assert (f"'num_users' is {n_users}, but the file holds {n_users - 1} user records"
+                in capsys.readouterr().err)
+
 
 class TestPredict:
     @staticmethod

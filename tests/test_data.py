@@ -300,6 +300,31 @@ class TestSplitFile:
                                                 r"'user_index' is 0, but the record is row 1"):
             D.load_split(path)
 
+    def test_truncated_split_rejected(self, tmp_path):
+        p = tmp_path / "cut.jsonl"
+        D.save_split(self._split(), str(p))
+        lines = p.read_text().splitlines()
+        p.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(D.IngestError, match=r"cut\.jsonl: header field 'num_users' "
+                                                r"is 2, but the file holds 1 user records"):
+            D.load_split(str(p))
+
+    def test_negative_gap_rejected(self, tmp_path):
+        path = self._tampered(tmp_path, lambda rec: rec["train"][1].update(gap=-5.0))
+        with pytest.raises(D.IngestError, match=r"bad\.jsonl: user 'u2': field 'gap' "
+                                                r"of train session 1 is -5\.0, negative"):
+            D.load_split(path)
+
+    def test_session_starting_before_its_predecessor_rejected(self, tmp_path):
+        # the first test session moved before the last train session's start
+        def edit(rec):
+            rec["test"][0]["start"] = rec["train"][-1]["start"] - 1.0
+        path = self._tampered(tmp_path, edit)
+        with pytest.raises(D.IngestError, match=r"bad\.jsonl: user 'u2': field 'start' "
+                                                r"of test session 0 is .*, before the "
+                                                r"previous session's start"):
+            D.load_split(path)
+
 
 def test_raw_interaction_validation():
     with pytest.raises(ValueError):

@@ -72,7 +72,7 @@ def _step_scores(params, cfg, sessions, j, user=0):
 def _batch_losses(params, cfg, batch):
     """(joint loss, time nll, rec nll) as _forward_batch reports them."""
     loss, l_time, l_rec, _, _ = md._forward_batch(Tape(), params, cfg, batch,
-                                                  np.random.default_rng(0), training=False)
+                                                  np.random.default_rng(0))
     return float(loss.value), l_time, l_rec
 
 
@@ -277,12 +277,12 @@ class TestGradients:
         def loss_value():
             tape = Tape()
             loss, *_ = md._forward_batch(tape, params, cfg, batch,
-                                         np.random.default_rng(0), training=True)
+                                         np.random.default_rng(0))
             return float(loss.value)
 
         tape = Tape()
         loss, *_ = md._forward_batch(tape, params, cfg, batch,
-                                     np.random.default_rng(0), training=True)
+                                     np.random.default_rng(0))
         for t in params.named().values():
             t.zero_grad()
         tape.backward(loss)
@@ -297,7 +297,7 @@ class TestGradients:
         rng = np.random.default_rng(11)
         tape = Tape()
         loss, *_ = md._forward_batch(tape, params, cfg, self._batch(cfg, rng),
-                                     np.random.default_rng(0), training=True)
+                                     np.random.default_rng(0))
         for t in params.named().values():
             t.zero_grad()
         tape.backward(loss)
@@ -314,7 +314,7 @@ class TestGradients:
                  _example(rng, cfg, n_hist=1, n_items=3, time_masked=True)]
         tape = Tape()
         loss, *_ = md._forward_batch(tape, params, cfg, batch,
-                                     np.random.default_rng(0), training=True)
+                                     np.random.default_rng(0))
         for t in params.named().values():
             t.zero_grad()
         tape.backward(loss)

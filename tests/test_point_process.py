@@ -204,20 +204,20 @@ class TestCdfSampling:
 
 
 class TestTimeNllOp:
-    def _loss(self, s_val, w_val, g, masked=None, reduction="mean"):
+    def _loss(self, s_val, w_val, g, masked=None):
         tape = Tape()
         s = Tensor(np.asarray(s_val, dtype=float).reshape(-1, 1))
         w = Tensor(np.asarray(w_val, dtype=float))
         out = pp.time_nll(tape, s, w, np.asarray(g, dtype=float),
-                          masked=masked, reduction=reduction)
+                          masked=masked)
         return tape, s, w, out
 
     def test_value_matches_log_density(self):
         s_val = [0.3, -0.8]
         g = [1.5, 0.4]
-        _, _, _, out = self._loss(s_val, 0.6, g, reduction="sum")
+        _, _, _, out = self._loss(s_val, 0.6, g)
         want = -sum(float(pp.log_density_from_s(s, gg, 0.6)) for s, gg in zip(s_val, g))
-        assert float(out.value) == pytest.approx(want, rel=1e-12)
+        assert 2 * float(out.value) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("w_val", [0.7, -0.3, 0.0, 1e-7])
     def test_gradients_match_fd(self, w_val):
@@ -240,7 +240,7 @@ class TestTimeNllOp:
         # with c1 = e^s and c2 = e^s / w^2
         s_val, w_val = 0.4, 0.8
         g = np.array([2.5])
-        tape, s, w, out = self._loss([s_val], w_val, g, reduction="sum")
+        tape, s, w, out = self._loss([s_val], w_val, g)  # one row: mean = sum
         tape.backward(out)
         c1 = np.exp(s_val)
         c2 = np.exp(s_val) / w_val ** 2
@@ -250,7 +250,7 @@ class TestTimeNllOp:
 
     def test_masked_rows_contribute_nothing(self):
         tape, s, w, out = self._loss([0.2, 50.0], 0.5, [1.0, 1e6],
-                                     masked=np.array([False, True]), reduction="sum")
+                                     masked=np.array([False, True]))  # one live row: mean = sum
         tape.backward(out)
         assert float(out.value) == pytest.approx(
             -float(pp.log_density_from_s(0.2, 1.0, 0.5)))
