@@ -4,9 +4,10 @@ Just enough machinery for the models in this package: dense linear maps,
 a GRU step, embedding lookups with scatter-add backward, and a masked
 softmax cross-entropy. Operations record themselves on a Tape; the
 backward pass replays the records in reverse order and accumulates
-gradients additively at fan-out. A GRU step is one fused record with an
-analytic backward, and shares its forward with the tape-free
-gru_cell_np.
+gradients additively at fan-out. A GRU cell is three packed tensors
+(input, recurrent and bias weights, gate blocks in r, z, c order); a
+GRU step is one fused record with an analytic backward, and shares its
+three-matmul forward with the tape-free gru_cell_np.
 """
 
 from __future__ import annotations
@@ -209,26 +210,22 @@ def masked_softmax_xent(tape: Tape, scores: Tensor, targets: np.ndarray,
 
 @dataclass
 class GRUWeights:
-    """One GRU cell: r = σ(x·w_r + h·u_r + b_r), z likewise,
+    """One GRU cell, its gates packed in r, z, c order along the last axis:
+    w (n_in, 3h), u (h, 3h), b (3h,). With w_r = w[:, :h], w_z =
+    w[:, h:2h], w_c = w[:, 2h:] and u, b sliced alike,
+    r = σ(x·w_r + h·u_r + b_r), z likewise,
     c = tanh(x·w_c + (r∘h)·u_c + b_c), h' = (1−z)∘h + z∘c.
 
     The update gate z gates the candidate; this convention is fixed so
     that checkpoints are unambiguous.
     """
 
-    w_r: Tensor
-    u_r: Tensor
-    b_r: Tensor
-    w_z: Tensor
-    u_z: Tensor
-    b_z: Tensor
-    w_c: Tensor
-    u_c: Tensor
-    b_c: Tensor
+    w: Tensor
+    u: Tensor
+    b: Tensor
 
     def tensors(self) -> list[Tensor]:
-        return [self.w_r, self.u_r, self.b_r, self.w_z, self.u_z, self.b_z,
-                self.w_c, self.u_c, self.b_c]
+        return [self.w, self.u, self.b]
 
 
 def gru_cell(tape: Tape, x: Tensor, h_prev: Tensor, w: GRUWeights,
@@ -239,30 +236,28 @@ def gru_cell(tape: Tape, x: Tensor, h_prev: Tensor, w: GRUWeights,
     `update_mask` (B, 1), rows where it is 0 keep h_prev unchanged and
     pass their gradient straight through to h_prev.
     """
-    if x.value.shape[1] != w.w_r.value.shape[0]:
-        raise ValueError(f"gru_cell: input width {x.value.shape[1]} != {w.w_r.value.shape[0]}")
-    if h_prev.value.shape[1] != w.u_r.value.shape[0]:
+    if x.value.shape[1] != w.w.value.shape[0]:
+        raise ValueError(f"gru_cell: input width {x.value.shape[1]} != {w.w.value.shape[0]}")
+    if h_prev.value.shape[1] != w.u.value.shape[0]:
         raise ValueError("gru_cell: hidden width mismatch")
-    xv, hv = x.value, h_prev.value
-    r, z, rh, c, h_new = _gru_step(xv, hv, w)
+    xv, hv, u = x.value, h_prev.value, w.u.value
+    n = hv.shape[1]
+    rz, rh, c, h_new = _gru_step(xv, hv, w)
     keep = None if update_mask is None else np.asarray(update_mask) == 0
     out = Tensor(h_new if keep is None else np.where(keep, hv, h_new))
 
     def bwd(g):
         g_new = g if keep is None else np.where(keep, 0.0, g)
-        d_ac = g_new * z * (1.0 - c * c)
-        d_rh = d_ac @ w.u_c.value.T
-        d_ar = d_rh * hv * r * (1.0 - r)
-        d_az = g_new * (c - hv) * z * (1.0 - z)
-        d_x = d_ar @ w.w_r.value.T + d_az @ w.w_z.value.T + d_ac @ w.w_c.value.T
-        d_h = (g_new * (1.0 - z) + d_rh * r
-               + d_ar @ w.u_r.value.T + d_az @ w.u_z.value.T)
+        # gradients of the pre-activations: d_rz of [r|z], d_c of c
+        d_c = g_new * rz[:, n:] * (1.0 - c * c)
+        d_rh = d_c @ u[:, 2 * n:].T
+        d_rz = np.concatenate([d_rh * hv, g_new * (c - hv)], axis=1) * rz * (1.0 - rz)
+        d_h = g_new * (1.0 - rz[:, n:]) + d_rh * rz[:, :n] + d_rz @ u[:, :2 * n].T
         if keep is not None:
             d_h += g - g_new
-        return (d_x, d_h,
-                xv.T @ d_ar, hv.T @ d_ar, d_ar.sum(axis=0),
-                xv.T @ d_az, hv.T @ d_az, d_az.sum(axis=0),
-                xv.T @ d_ac, rh.T @ d_ac, d_ac.sum(axis=0))
+        d_a = np.concatenate([d_rz, d_c], axis=1)
+        d_u = np.concatenate([hv.T @ d_rz, rh.T @ d_c], axis=1)
+        return d_a @ w.w.value.T, d_h, xv.T @ d_a, d_u, d_a.sum(axis=0)
 
     return tape.record((x, h_prev, *w.tensors()), out, bwd)
 
@@ -273,12 +268,17 @@ def gru_cell_np(x: np.ndarray, h_prev: np.ndarray, w: GRUWeights) -> np.ndarray:
 
 
 def _gru_step(x: np.ndarray, h_prev: np.ndarray, w: GRUWeights):
-    """The GRU formula of GRUWeights; returns (r, z, r∘h, c, h')."""
-    r = _sigmoid_np(x @ w.w_r.value + h_prev @ w.u_r.value + w.b_r.value)
-    z = _sigmoid_np(x @ w.w_z.value + h_prev @ w.u_z.value + w.b_z.value)
-    rh = r * h_prev
-    c = np.tanh(x @ w.w_c.value + rh @ w.u_c.value + w.b_c.value)
-    return r, z, rh, c, (1.0 - z) * h_prev + z * c
+    """The GRU formula of GRUWeights in three matmuls; returns
+    ([r|z], r∘h, c, h'). The candidate block needs r∘h, so it cannot
+    share the recurrent matmul of the gates."""
+    n = h_prev.shape[1]
+    u, b = w.u.value, w.b.value
+    xw = x @ w.w.value
+    rz = _sigmoid_np(xw[:, :2 * n] + h_prev @ u[:, :2 * n] + b[:2 * n])
+    z = rz[:, n:]
+    rh = rz[:, :n] * h_prev
+    c = np.tanh(xw[:, 2 * n:] + rh @ u[:, 2 * n:] + b[2 * n:])
+    return rz, rh, c, (1.0 - z) * h_prev + z * c
 
 
 def _sigmoid_np(v: np.ndarray) -> np.ndarray:

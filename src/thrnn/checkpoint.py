@@ -26,7 +26,7 @@ import numpy as np
 from .model import ModelConfig, ModelParams
 
 MAGIC = b"THRNCKPT"
-FORMAT_VERSION = 2  # 2: one hidden_dim for both GRU levels
+FORMAT_VERSION = 3  # 3: packed [r|z|c] GRU weights (2: nine per-gate tensors)
 
 
 def _array_bytes(a: np.ndarray) -> bytes:
@@ -81,7 +81,14 @@ def load_checkpoint(path: str) -> tuple[ModelParams, ModelConfig,
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         (hlen,) = struct.unpack("<Q", fh.read(8))
         header = json.loads(fh.read(hlen).decode("utf-8"))
-        cfg = ModelConfig(**header["config"])
+        config = header["config"]
+        unknown = sorted(set(config) - {f.name for f in dataclasses.fields(ModelConfig)})
+        if unknown:
+            raise ValueError(f"{path}: unknown config field {unknown[0]!r}")
+        try:
+            cfg = ModelConfig(**config)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{path}: bad config: {err}") from err
 
         params = ModelParams.init(cfg, seed=0)
         named = params.named()

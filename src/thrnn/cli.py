@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -314,13 +315,18 @@ def _history_from_file(path: str) -> UserHistory:
         try:
             items = [int(x) for x in rec["items"]]
             start, end = float(rec["start"]), float(rec["end"])
+            gap = float(rec.get("gap", 0.0 if prev_end is None else start - prev_end))
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"{path}: session {i} is malformed: {err}") from err
+        for name, v in (("start", start), ("end", end), ("gap", gap)):
+            if not math.isfinite(v):
+                raise ValueError(f"{path}: session {i} field {name!r} is not finite: {v}")
         if end < start:
             raise ValueError(f"{path}: session {i} ends before it starts")
         if prev_end is not None and start < prev_end:
             raise ValueError(f"{path}: session {i} overlaps the previous one")
-        gap = float(rec.get("gap", 0.0 if prev_end is None else start - prev_end))
+        if gap < 0:
+            raise ValueError(f"{path}: session {i} field 'gap' is negative: {gap}")
         sessions.append(Session(items=items, start_time=start, end_time=end,
                                 gap_before=gap,
                                 gap_masked=bool(rec.get("masked", i == 0))))

@@ -67,26 +67,22 @@ class ModelConfig:
     gap_bucket_scheme: str = "uniform"
 
     def __post_init__(self):
-        dims = (self.item_embedding_dim, self.user_embedding_dim,
-                self.gap_embedding_dim, self.hidden_dim)
-        if any(d < 1 for d in dims):
-            raise ValueError("all dimensions must be positive")
-        if self.num_items < 2 or self.num_users < 1:
-            raise ValueError("need >= 2 items and >= 1 user")
-        if self.max_session_reps < 1:
-            raise ValueError("max_session_reps must be >= 1")
-        if self.loss_weight_time < 0 or self.loss_weight_rec < 0:
-            raise ValueError("loss weights must be non-negative")
-        if not 0.0 < self.alpha_exp <= 1.0:
-            raise ValueError(f"alpha_exp must lie in (0, 1], got {self.alpha_exp}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.time_unit <= 0 or self.gap_bucket_bound <= 0:
-            raise ValueError("time_unit and gap_bucket_bound must be positive")
-        if self.num_gap_buckets < 1:
-            raise ValueError("need at least one gap bucket")
+        # every message names its field: a checkpoint's config is checked here
+        def need(ok: bool, name: str, rule: str) -> None:
+            if not ok:
+                raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
+
+        for name in ("item_embedding_dim", "user_embedding_dim", "gap_embedding_dim",
+                     "hidden_dim", "num_users", "max_session_reps", "batch_size",
+                     "num_gap_buckets", "time_unit", "gap_bucket_bound"):
+            need(getattr(self, name) > 0, name, "must be positive")
+        need(self.num_items >= 2, "num_items", "must be >= 2")
+        for name in ("loss_weight_time", "loss_weight_rec"):
+            need(getattr(self, name) >= 0, name, "must be non-negative")
+        need(0.0 < self.alpha_exp <= 1.0, "alpha_exp", "must lie in (0, 1]")
+        need(0.0 <= self.dropout_rate < 1.0, "dropout_rate", "must lie in [0, 1)")
+        need(self.gap_bucket_scheme in ("uniform", "log"), "gap_bucket_scheme",
+             "must be 'uniform' or 'log'")
 
     @property
     def rep_dim(self) -> int:
@@ -104,24 +100,17 @@ class ModelConfig:
 # ---------------------------------------------------------------------------
 # parameters
 
-GRU_FIELDS = ("w_r", "u_r", "b_r", "w_z", "u_z", "b_z", "w_c", "u_c", "b_c")
-
-
 def _glorot(rng, rows: int, cols: int) -> np.ndarray:
     a = math.sqrt(6.0 / (rows + cols))
     return rng.uniform(-a, a, size=(rows, cols))
 
 
 def _gru_init(rng, n_in: int, n_hidden: int, prefix: str) -> GRUWeights:
-    def w(r, c, nm):
-        return Tensor(_glorot(rng, r, c), name=f"{prefix}.{nm}")
-
-    def b(nm):
-        return Tensor(np.zeros(n_hidden), name=f"{prefix}.{nm}")
-
-    return GRUWeights(w(n_in, n_hidden, "w_r"), w(n_hidden, n_hidden, "u_r"), b("b_r"),
-                      w(n_in, n_hidden, "w_z"), w(n_hidden, n_hidden, "u_z"), b("b_z"),
-                      w(n_in, n_hidden, "w_c"), w(n_hidden, n_hidden, "u_c"), b("b_c"))
+    # per-gate Glorot blocks drawn w_r, u_r, w_z, u_z, w_c, u_c, then packed
+    blocks = [_glorot(rng, rows, n_hidden) for _ in "rzc" for rows in (n_in, n_hidden)]
+    return GRUWeights(Tensor(np.hstack(blocks[0::2]), name=f"{prefix}.w"),
+                      Tensor(np.hstack(blocks[1::2]), name=f"{prefix}.u"),
+                      Tensor(np.zeros(3 * n_hidden), name=f"{prefix}.b"))
 
 
 @dataclass
@@ -161,13 +150,7 @@ class ModelParams:
         )
 
     def named(self) -> dict[str, Tensor]:
-        out = {"item_emb": self.item_emb, "user_emb": self.user_emb,
-               "gap_emb": self.gap_emb, "out_w": self.out_w, "out_b": self.out_b,
-               "time_v": self.time_v, "time_b": self.time_b, "time_w": self.time_w}
-        for prefix, cell in (("inter", self.inter), ("intra", self.intra)):
-            for f in GRU_FIELDS:
-                out[f"{prefix}.{f}"] = getattr(cell, f)
-        return out
+        return {t.name: t for t in self.main_tensors() + self.time_tensors()}
 
     def main_tensors(self) -> list[Tensor]:
         return ([self.item_emb, self.user_emb, self.gap_emb]

@@ -337,9 +337,11 @@ def test_criterion_8_ablation_trace_equality_and_joint_parity(markov_runs):
         return 1.0 / (1.0 + np.exp(-v))
 
     def cell_sliced(x, h, w, rows):
-        r = sig(x @ w.w_r.value[:rows] + h @ w.u_r.value + w.b_r.value)
-        z = sig(x @ w.w_z.value[:rows] + h @ w.u_z.value + w.b_z.value)
-        c = np.tanh(x @ w.w_c.value[:rows] + (r * h) @ w.u_c.value + w.b_c.value)
+        (w_r, w_z, w_c), (u_r, u_z, u_c), (b_r, b_z, b_c) = (
+            np.split(t.value, 3, axis=-1) for t in w.tensors())
+        r = sig(x @ w_r[:rows] + h @ u_r + b_r)
+        z = sig(x @ w_z[:rows] + h @ u_z + b_z)
+        c = np.tanh(x @ w_c[:rows] + (r * h) @ u_c + b_c)
         return (1 - z) * h + z * c
 
     reps, plain_scores = [], []

@@ -140,11 +140,11 @@ class TestSoftmaxXent:
 
 
 def _random_gru(rng, n_in, n_h):
-    def t(*shape):
-        return ad.Tensor(rng.normal(scale=0.5, size=shape))
-    return ad.GRUWeights(w_r=t(n_in, n_h), u_r=t(n_h, n_h), b_r=t(n_h),
-                         w_z=t(n_in, n_h), u_z=t(n_h, n_h), b_z=t(n_h),
-                         w_c=t(n_in, n_h), u_c=t(n_h, n_h), b_c=t(n_h))
+    # per-gate blocks drawn r, z, c (w, u, b each), packed [r|z|c]
+    gates = [[rng.normal(scale=0.5, size=shape) for shape in ((n_in, n_h), (n_h, n_h), (n_h,))]
+             for _ in "rzc"]
+    return ad.GRUWeights(*(ad.Tensor(np.concatenate(blocks, axis=-1))
+                           for blocks in zip(*gates)))
 
 
 class TestGRUCell:
@@ -203,7 +203,7 @@ class TestGRUCell:
         # huge negative z bias -> z ~ 0 -> h_new ~ h_prev
         rng = np.random.default_rng(6)
         w = _random_gru(rng, 3, 4)
-        w.b_z.value[:] = -50.0
+        w.b.value[4:8] = -50.0  # the z block of b
         x = ad.Tensor(rng.normal(size=(2, 3)))
         h0 = ad.Tensor(rng.normal(size=(2, 4)))
         out = ad.gru_cell(ad.Tape(), x, h0, w)
@@ -212,7 +212,7 @@ class TestGRUCell:
     def test_update_gate_one_takes_candidate(self):
         rng = np.random.default_rng(7)
         w = _random_gru(rng, 3, 4)
-        w.b_z.value[:] = 50.0
+        w.b.value[4:8] = 50.0
         x = ad.Tensor(rng.normal(size=(2, 3)))
         h0 = ad.Tensor(rng.normal(size=(2, 4)))
         out = ad.gru_cell(ad.Tape(), x, h0, w)

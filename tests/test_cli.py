@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from thrnn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from thrnn.cli import main
+from thrnn.cli import _history_from_file, main
 from thrnn.data import load_split
 from thrnn.evaluation import load_report
 
@@ -437,6 +437,43 @@ class TestPredict:
                    "--history", str(tmp_path / "h.json")])
         assert rc == 2
         assert "overlaps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("session, message", [
+        ({"start": float("nan"), "end": 600.0}, "session 1 field 'start' is not finite: nan"),
+        ({"start": 90000.0, "end": float("inf")}, "session 1 field 'end' is not finite: inf"),
+        ({"start": 90000.0, "end": 90600.0, "gap": -5.0},
+         "session 1 field 'gap' is negative: -5.0"),
+        ({"start": 90000.0, "end": 90600.0, "gap": float("inf")},
+         "session 1 field 'gap' is not finite: inf"),
+    ])
+    def test_bad_session_field_rejected_at_load(self, tmp_path, session, message):
+        (tmp_path / "h.json").write_text(json.dumps({"user_index": 0, "sessions": [
+            {"items": [1], "start": 0.0, "end": 500.0}, {"items": [2], **session}]}))
+        with pytest.raises(ValueError, match=f"h.json: {message}"):
+            _history_from_file(str(tmp_path / "h.json"))
+
+    def test_bad_session_field_exits_2(self, ws, tmp_path, capsys):
+        (tmp_path / "h.json").write_text(json.dumps({"user_index": 0, "sessions": [
+            {"items": [1], "start": 0.0, "end": 500.0},
+            {"items": [2], "start": 900.0, "end": 1000.0, "gap": -5.0}]}))
+        rc = main(["predict", "--checkpoint", str(ws / "m2.ckpt"),
+                   "--history", str(tmp_path / "h.json")])
+        assert rc == 2
+        assert "session 1 field 'gap' is negative" in capsys.readouterr().err
+
+    def test_checkpoint_with_unknown_config_field_exits_2(self, ws, tmp_path, capsys):
+        raw = (ws / "m2.ckpt").read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[12:20])
+        header = json.loads(raw[20:20 + hlen])
+        header["config"]["bogus"] = 1
+        blob = json.dumps(header).encode()
+        (tmp_path / "bogus.ckpt").write_bytes(
+            raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + hlen:])
+        self._history(tmp_path / "h.json")
+        rc = main(["predict", "--checkpoint", str(tmp_path / "bogus.ckpt"),
+                   "--history", str(tmp_path / "h.json")])
+        assert rc == 2
+        assert "bogus.ckpt: unknown config field 'bogus'" in capsys.readouterr().err
 
     def test_usage_error_exits_nonzero(self):
         with pytest.raises(SystemExit):

@@ -184,9 +184,11 @@ class TestForward:
             return 1.0 / (1.0 + np.exp(-v))
 
         def cell(x, h, w):
-            r = sig(x @ w.w_r.value + h @ w.u_r.value + w.b_r.value)
-            z = sig(x @ w.w_z.value + h @ w.u_z.value + w.b_z.value)
-            c = np.tanh(x @ w.w_c.value + (r * h) @ w.u_c.value + w.b_c.value)
+            (w_r, w_z, w_c), (u_r, u_z, u_c), (b_r, b_z, b_c) = (
+                np.split(t.value, 3, axis=-1) for t in w.tensors())
+            r = sig(x @ w_r + h @ u_r + b_r)
+            z = sig(x @ w_z + h @ u_z + b_z)
+            c = np.tanh(x @ w_c + (r * h) @ u_c + b_c)
             return (1 - z) * h + z * c
 
         def inter(reps):
@@ -344,9 +346,11 @@ class TestAblationEquivalence:
             return 1.0 / (1.0 + np.exp(-v))
 
         def cell_sliced(x, h, w, rows):
-            r = sig(x @ w.w_r.value[:rows] + h @ w.u_r.value + w.b_r.value)
-            z = sig(x @ w.w_z.value[:rows] + h @ w.u_z.value + w.b_z.value)
-            c = np.tanh(x @ w.w_c.value[:rows] + (r * h) @ w.u_c.value + w.b_c.value)
+            (w_r, w_z, w_c), (u_r, u_z, u_c), (b_r, b_z, b_c) = (
+                np.split(t.value, 3, axis=-1) for t in w.tensors())
+            r = sig(x @ w_r[:rows] + h @ u_r + b_r)
+            z = sig(x @ w_z[:rows] + h @ u_z + b_z)
+            c = np.tanh(x @ w_c[:rows] + (r * h) @ u_c + b_c)
             return (1 - z) * h + z * c
 
         reps = []
@@ -591,9 +595,11 @@ class TestPredict:
             return 1.0 / (1.0 + np.exp(-v))
 
         def cell(x, h, w):
-            r = sig(x @ w.w_r.value + h @ w.u_r.value + w.b_r.value)
-            z = sig(x @ w.w_z.value + h @ w.u_z.value + w.b_z.value)
-            c = np.tanh(x @ w.w_c.value + (r * h) @ w.u_c.value + w.b_c.value)
+            (w_r, w_z, w_c), (u_r, u_z, u_c), (b_r, b_z, b_c) = (
+                np.split(t.value, 3, axis=-1) for t in w.tensors())
+            r = sig(x @ w_r + h @ u_r + b_r)
+            z = sig(x @ w_z + h @ u_z + b_z)
+            c = np.tanh(x @ w_c + (r * h) @ u_c + b_c)
             return (1 - z) * h + z * c
 
         h = np.zeros(cfg.hidden_dim)
@@ -661,18 +667,43 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version 99"):
             load_checkpoint(str(path))
 
-    def test_rejects_v1_checkpoint(self, tmp_path):
-        # version 1 had separate inter and intra widths; it is refused
-        # before its config is read, so old files fail cleanly
+    def test_rejects_v1_and_v2_checkpoints(self, tmp_path):
+        # version 1 had separate inter and intra widths, version 2 nine
+        # tensors per GRU cell; both are refused before their config is
+        # read, so old files fail cleanly
         import struct
         from thrnn.checkpoint import load_checkpoint, save_checkpoint
         cfg = _cfg()
-        path = tmp_path / "v1.ckpt"
+        path = tmp_path / "old.ckpt"
         save_checkpoint(str(path), _rand_params(cfg), cfg)
         raw = bytearray(path.read_bytes())
-        raw[8:12] = struct.pack("<I", 1)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+        for version in (1, 2):
+            raw[8:12] = struct.pack("<I", version)
+            path.write_bytes(bytes(raw))
+            with pytest.raises(ValueError,
+                               match=f"unsupported checkpoint version {version}"):
+                load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"bogus": 1}, "unknown config field 'bogus'"),
+        ({"hidden_dim": 0}, "bad config: hidden_dim must be positive, got 0"),
+        ({"gap_bucket_scheme": "cubic"}, "bad config: gap_bucket_scheme must be"),
+    ])
+    def test_rejects_bad_config_naming_the_field(self, tmp_path, edit, message):
+        import json
+        import struct
+        from thrnn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+        cfg = _cfg()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), _rand_params(cfg), cfg)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[12:20])
+        header = json.loads(raw[20:20 + hlen])
+        header["config"].update(edit)
+        blob = json.dumps(header).encode()
+        path.write_bytes(MAGIC + raw[8:12] + struct.pack("<Q", len(blob)) + blob
+                         + raw[20 + hlen:])
+        with pytest.raises(ValueError, match=f"m.ckpt: {message}"):
             load_checkpoint(str(path))
 
     def test_rejects_truncation(self, tmp_path):
