@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -236,10 +235,8 @@ def cmd_train(args) -> int:
     params, _, opt_state = model.train(
         split, cfg, epochs=args.epochs, seed=seed, log=print,
         params=params, opt_state=opt_state, start_epoch=start_epoch)
-    ckpt.save_checkpoint(args.out, params, cfg, optimizer_state=opt_state,
-                         meta={"epochs_completed": args.epochs, "seed": seed})
-    with open(args.out, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    digest = ckpt.save_checkpoint(args.out, params, cfg, optimizer_state=opt_state,
+                                  meta={"epochs_completed": args.epochs, "seed": seed})
     _emit({"kind": "checkpoint", "path": args.out,
            "epochs_completed": args.epochs, "seed": seed, "sha256": digest})
     return 0
@@ -263,9 +260,6 @@ def _model_report(name: str, params, cfg, split) -> evaluation.EvalReport:
 
 
 def cmd_evaluate(args) -> int:
-    params, cfg, _, _ = ckpt.load_checkpoint(args.checkpoint)
-    split = data.load_split(args.split)
-    _check_split_matches(split, cfg, args.split)
     names = [n.strip() for n in args.models.split(",") if n.strip()]
     known = ("thrnn",) + _BASELINE_MODELS
     bad = [n for n in names if n not in known]
@@ -273,6 +267,9 @@ def cmd_evaluate(args) -> int:
         raise ValueError(f"unknown models {bad}; pick from {list(known)}")
     if not names:
         raise ValueError("--models named nothing to evaluate")
+    params, cfg, _, _ = ckpt.load_checkpoint(args.checkpoint, optimizer=False)
+    split = data.load_split(args.split)
+    _check_split_matches(split, cfg, args.split)
     os.makedirs(args.out_dir, exist_ok=True)
     for name in names:
         rep = _model_report(name, params, cfg, split)
@@ -296,12 +293,16 @@ def cmd_evaluate(args) -> int:
 # predict
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _history_from_file(path: str) -> UserHistory:
     """One user's timeline as JSON: {"user_index": int, "sessions": [...]}.
 
-    Each session needs "items" (vocabulary indices) and "start"/"end"
-    timestamps in seconds; "gap" (seconds since the previous session
-    ended) and "masked" are filled in when omitted.
+    Each session needs "items" (integer vocabulary indices) and
+    "start"/"end" timestamps in seconds; "gap" (seconds since the
+    previous session ended) and "masked" are filled in when omitted.
     """
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -309,15 +310,24 @@ def _history_from_file(path: str) -> UserHistory:
             or "sessions" not in obj:
         raise ValueError(f"{path}: expected an object with user_index "
                          "and sessions")
+    if not _is_int(obj["user_index"]):
+        raise ValueError(f"{path}: field 'user_index' must be an integer, "
+                         f"got {obj['user_index']!r}")
+    if not isinstance(obj["sessions"], list):
+        raise ValueError(f"{path}: field 'sessions' must be a list, "
+                         f"got {obj['sessions']!r}")
     sessions = []
     prev_end = None
     for i, rec in enumerate(obj["sessions"]):
         try:
-            items = [int(x) for x in rec["items"]]
+            items = rec["items"]
             start, end = float(rec["start"]), float(rec["end"])
             gap = float(rec.get("gap", 0.0 if prev_end is None else start - prev_end))
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"{path}: session {i} is malformed: {err}") from err
+        if not isinstance(items, list) or not all(map(_is_int, items)):
+            raise ValueError(f"{path}: session {i} field 'items' must be a list "
+                             f"of integers, got {items!r}")
         for name, v in (("start", start), ("end", end), ("gap", gap)):
             if not math.isfinite(v):
                 raise ValueError(f"{path}: session {i} field {name!r} is not finite: {v}")
@@ -333,13 +343,15 @@ def _history_from_file(path: str) -> UserHistory:
         prev_end = end
     if not sessions:
         raise ValueError(f"{path}: history holds no sessions")
-    user_index = int(obj["user_index"])
+    user_index = obj["user_index"]
     return UserHistory(user_id=str(obj.get("user_id", f"u{user_index}")),
                        user_index=user_index, sessions=sessions)
 
 
 def cmd_predict(args) -> int:
-    params, cfg, _, _ = ckpt.load_checkpoint(args.checkpoint)
+    if args.k < 1:
+        raise ValueError(f"-k must be at least 1, got {args.k}")
+    params, cfg, _, _ = ckpt.load_checkpoint(args.checkpoint, optimizer=False)
     history = _history_from_file(args.history)
     pred = model.predict(history, params, cfg, k=args.k)
     _emit({"kind": "prediction",

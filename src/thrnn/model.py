@@ -105,14 +105,6 @@ def _glorot(rng, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-a, a, size=(rows, cols))
 
 
-def _gru_init(rng, n_in: int, n_hidden: int, prefix: str) -> GRUWeights:
-    # per-gate Glorot blocks drawn w_r, u_r, w_z, u_z, w_c, u_c, then packed
-    blocks = [_glorot(rng, rows, n_hidden) for _ in "rzc" for rows in (n_in, n_hidden)]
-    return GRUWeights(Tensor(np.hstack(blocks[0::2]), name=f"{prefix}.w"),
-                      Tensor(np.hstack(blocks[1::2]), name=f"{prefix}.u"),
-                      Tensor(np.zeros(3 * n_hidden), name=f"{prefix}.b"))
-
-
 @dataclass
 class ModelParams:
     item_emb: Tensor
@@ -127,27 +119,42 @@ class ModelParams:
     time_w: Tensor
 
     @staticmethod
+    def shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+        """Each parameter's shape by name: `init` and the checkpoint loader follow it."""
+        h, n_items, e = cfg.hidden_dim, cfg.num_items, cfg.item_embedding_dim
+        gru = {f"{level}.{k}": shape
+               for level, n_in in (("inter", cfg.rep_dim), ("intra", e))
+               for k, shape in (("w", (n_in, 3 * h)), ("u", (h, 3 * h)), ("b", (3 * h,)))}
+        return {"item_emb": (n_items, e), "user_emb": (cfg.num_users, cfg.user_embedding_dim),
+                "gap_emb": (cfg.num_gap_buckets, cfg.gap_embedding_dim), **gru,
+                "out_w": (h, n_items), "out_b": (n_items,), "time_v": (h, 1), "time_b": (1,),
+                "time_w": ()}
+
+    @staticmethod
+    def from_arrays(arrays: dict[str, np.ndarray]) -> "ModelParams":
+        """Wrap arrays keyed as in `shapes`, taking them as they are."""
+        t = {name: Tensor(a, name=name) for name, a in arrays.items()}
+        for level in ("inter", "intra"):
+            t[level] = GRUWeights(*(t.pop(f"{level}.{k}") for k in "wub"))
+        return ModelParams(**t)
+
+    @staticmethod
     def init(cfg: ModelConfig, seed: int) -> "ModelParams":
+        # all but the embeddings and weight matrices start at zero: the time head as a
+        # unit-rate exponential (v = w = b = 0), a tame origin for its volatile gradients
         rng = np.random.default_rng([seed, 0])
-        h = cfg.hidden_dim
-
-        def emb(rows, dim, nm):
-            return Tensor(rng.uniform(-0.1, 0.1, size=(rows, dim)), name=nm)
-
-        return ModelParams(
-            item_emb=emb(cfg.num_items, cfg.item_embedding_dim, "item_emb"),
-            user_emb=emb(cfg.num_users, cfg.user_embedding_dim, "user_emb"),
-            gap_emb=emb(cfg.num_gap_buckets, cfg.gap_embedding_dim, "gap_emb"),
-            inter=_gru_init(rng, cfg.rep_dim, h, "inter"),
-            intra=_gru_init(rng, cfg.item_embedding_dim, h, "intra"),
-            out_w=Tensor(_glorot(rng, h, cfg.num_items), name="out_w"),
-            out_b=Tensor(np.zeros(cfg.num_items), name="out_b"),
-            # the time head starts as a unit-rate exponential (v = 0, w = 0,
-            # b = 0): a tame deterministic origin for its volatile gradients
-            time_v=Tensor(np.zeros((h, 1)), name="time_v"),
-            time_b=Tensor(np.zeros(1), name="time_b"),
-            time_w=Tensor(np.zeros(()), name="time_w"),
-        )
+        shapes, h = ModelParams.shapes(cfg), cfg.hidden_dim
+        arrays = {name: np.zeros(shape) for name, shape in shapes.items()}
+        for name in ("item_emb", "user_emb", "gap_emb"):
+            arrays[name] = rng.uniform(-0.1, 0.1, size=shapes[name])
+        for level in ("inter", "intra"):
+            # per-gate Glorot blocks drawn w_r, u_r, w_z, u_z, w_c, u_c, then packed
+            blocks = [_glorot(rng, rows, h) for _ in "rzc"
+                      for rows in (shapes[f"{level}.w"][0], h)]
+            arrays[f"{level}.w"] = np.hstack(blocks[0::2])
+            arrays[f"{level}.u"] = np.hstack(blocks[1::2])
+        arrays["out_w"] = _glorot(rng, *shapes["out_w"])
+        return ModelParams.from_arrays(arrays)
 
     def named(self) -> dict[str, Tensor]:
         return {t.name: t for t in self.main_tensors() + self.time_tensors()}
@@ -508,7 +515,11 @@ def predict(history: UserHistory, params: ModelParams, cfg: ModelConfig,
     intra_states, _, h_before, _ = _hierarchy_walk(
         params, cfg, [list(history.sessions)], [history.user_index])
     scores = intra_states[0][-1] @ params.out_w.value + params.out_b.value
-    order = np.argsort(-scores, kind="stable")[:k]
+    # the stable argsort's top k without a full sort: every index scoring at
+    # least the k-th best, lower index first among ties (NaN sorts last)
+    neg = -scores
+    cand = np.flatnonzero(~(neg > np.partition(neg, k - 1)[k - 1]))
+    order = cand[np.argsort(neg[cand], kind="stable")][:k]
 
     # the next gap conditions on the session that just ended
     s = float(h_before[0][-1] @ params.time_v.value[:, 0] + params.time_b.value[0])

@@ -21,3 +21,29 @@ def test_span_tracer_installs():
                           timeout=120)
     assert "AttributeError" not in proc.stderr, proc.stderr
     assert proc.returncode == 0, proc.stderr
+
+
+PREDICT = ("import sys; sys.path[:0] = [{src!r}, {bench!r}]; import spans; "
+           "from thrnn import cli; tracer = spans.Tracer(); spans.install(tracer); "
+           "root = tracer.open('cli.predict'); "
+           "rc = cli.main(['predict', '--checkpoint', {ckpt!r}, '--history', {hist!r}]); "
+           "tracer.close(root); print(rc, tracer.names.count('checkpoint.load'))")
+
+
+def test_predict_opens_one_checkpoint_load_span(tmp_path):
+    # the tracer patches load_checkpoint by name: a loader it misses would
+    # leave checkpoint.load_s reading 0 without failing the traced run
+    from thrnn.checkpoint import save_checkpoint
+    from thrnn.model import ModelConfig, ModelParams
+    cfg = ModelConfig(num_items=6, num_users=2, item_embedding_dim=3, user_embedding_dim=2,
+                      gap_embedding_dim=2, hidden_dim=4, num_gap_buckets=3)
+    ckpt, hist = str(tmp_path / "m.ckpt"), str(tmp_path / "h.json")
+    save_checkpoint(ckpt, ModelParams.init(cfg, seed=0), cfg)
+    with open(hist, "w", encoding="utf-8") as fh:
+        fh.write('{"user_index": 1, "sessions": [{"items": [0, 2], "start": 0.0, "end": 60.0}]}')
+    code = PREDICT.format(src=os.path.join(ROOT, "src"), bench=os.path.join(ROOT, "bench"),
+                          ckpt=ckpt, hist=hist)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 1", proc.stdout + proc.stderr

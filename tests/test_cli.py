@@ -337,6 +337,23 @@ class TestEvaluate:
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_unknown_model_rejected_before_reading_files(self, tmp_path, capsys):
+        rc = main(["evaluate", "--checkpoint", str(tmp_path / "no_such.ckpt"),
+                   "--split", str(tmp_path / "no_such.split"),
+                   "--out-dir", str(tmp_path / "r"), "--models", "thrnn,bogus"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err and "no_such" not in err
+
+    def test_checkpoint_cut_inside_optimizer_section_exits_2(self, ws, tmp_path, capsys):
+        raw = (ws / "m2.ckpt").read_bytes()
+        (tmp_path / "cut.ckpt").write_bytes(raw[:-8])
+        rc = main(["evaluate", "--checkpoint", str(tmp_path / "cut.ckpt"),
+                   "--split", str(ws / "corpus.split"),
+                   "--out-dir", str(tmp_path / "r"), "--models", "thrnn"])
+        assert rc == 2
+        assert "cut.ckpt: truncated" in capsys.readouterr().err
+
     def test_vocabulary_mismatch_rejected(self, ws, tmp_path, capsys):
         _write_spec(tmp_path / "spec.json", num_items=7, num_users=8)
         assert main(["synth", "--spec", str(tmp_path / "spec.json"),
@@ -460,6 +477,55 @@ class TestPredict:
                    "--history", str(tmp_path / "h.json")])
         assert rc == 2
         assert "session 1 field 'gap' is negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"user_index": 1.7}, "field 'user_index' must be an integer, got 1.7"),
+        ({"user_index": None}, "field 'user_index' must be an integer, got None"),
+        ({"user_index": [1]}, r"field 'user_index' must be an integer, got \[1\]"),
+        ({"user_index": True}, "field 'user_index' must be an integer, got True"),
+        ({"sessions": {"items": [1]}}, "field 'sessions' must be a list"),
+        ({"sessions": "abc"}, "field 'sessions' must be a list, got 'abc'"),
+        ({"sessions": [{"items": [1, 3.9], "start": 0.0, "end": 5.0}]},
+         r"session 0 field 'items' must be a list of integers, got \[1, 3.9\]"),
+        ({"sessions": [{"items": "12", "start": 0.0, "end": 5.0}]},
+         "session 0 field 'items' must be a list of integers, got '12'"),
+    ])
+    def test_mistyped_field_rejected_at_load(self, tmp_path, edit, message):
+        obj = {"user_index": 0, "sessions": [{"items": [1], "start": 0.0, "end": 5.0}]}
+        (tmp_path / "h.json").write_text(json.dumps({**obj, **edit}))
+        with pytest.raises(ValueError, match=f"h.json: {message}"):
+            _history_from_file(str(tmp_path / "h.json"))
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"user_index": 1.7}, "field 'user_index' must be an integer"),
+        ({"user_index": None}, "field 'user_index' must be an integer"),
+        ({"sessions": {"items": [1]}}, "field 'sessions' must be a list"),
+        ({"sessions": [{"items": [3.9], "start": 0.0, "end": 5.0}]},
+         "session 0 field 'items' must be a list of integers"),
+    ])
+    def test_mistyped_field_exits_2(self, ws, tmp_path, capsys, edit, message):
+        obj = {"user_index": 1, "sessions": [{"items": [1], "start": 0.0, "end": 5.0}]}
+        (tmp_path / "h.json").write_text(json.dumps({**obj, **edit}))
+        rc = main(["predict", "--checkpoint", str(ws / "m2.ckpt"),
+                   "--history", str(tmp_path / "h.json")])
+        assert rc == 2
+        assert f"h.json: {message}" in capsys.readouterr().err
+
+    def test_k_below_one_rejected_before_reading_files(self, tmp_path, capsys):
+        rc = main(["predict", "--checkpoint", str(tmp_path / "no_such.ckpt"),
+                   "--history", str(tmp_path / "no_such.json"), "-k", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "-k must be at least 1, got 0" in err and "no_such" not in err
+
+    def test_checkpoint_cut_inside_optimizer_section_exits_2(self, ws, tmp_path, capsys):
+        raw = (ws / "m2.ckpt").read_bytes()
+        (tmp_path / "cut.ckpt").write_bytes(raw[:-8])
+        self._history(tmp_path / "h.json")
+        rc = main(["predict", "--checkpoint", str(tmp_path / "cut.ckpt"),
+                   "--history", str(tmp_path / "h.json")])
+        assert rc == 2
+        assert "cut.ckpt: truncated" in capsys.readouterr().err
 
     def test_checkpoint_with_unknown_config_field_exits_2(self, ws, tmp_path, capsys):
         raw = (ws / "m2.ckpt").read_bytes()

@@ -556,6 +556,23 @@ class TestPredict:
         pred = predict(split.train[0], params, cfg, k=4)
         assert pred.items.tolist() == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("scores", [
+        [0.5, 2.0, 2.0, 1.0, 2.0, 1.0, 1.0, -3.0, 2.0, 1.0],  # ties straddle k
+        [1.0] * 10,
+        [3.0, -1.0, 7.5, 0.0, -0.0, 7.5, 2.0, 2.0, -1.0, 9.0],
+        [1.0, np.nan, 2.0, 2.0, np.nan, 0.0, 1.0, 1.0, np.nan, 5.0],
+    ])
+    def test_top_k_matches_full_stable_argsort(self, scores):
+        split, cfg, params = self._setup()
+        scores = np.resize(np.asarray(scores), cfg.num_items)
+        params.out_w.value[:] = 0.0
+        params.out_b.value[:] = scores
+        for k in range(1, cfg.num_items + 1):
+            pred = predict(split.train[0], params, cfg, k=k)
+            want = np.argsort(-scores, kind="stable")[:k]
+            assert pred.items.tolist() == want.tolist(), k
+            assert np.array_equal(pred.scores, scores[want], equal_nan=True)
+
     def test_score_shift_leaves_ranking_alone(self):
         split, cfg, params = self._setup()
         before = predict(split.train[1], params, cfg, k=6).items
@@ -614,7 +631,58 @@ class TestPredict:
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def _opt_state(params):
+    from thrnn.optim import Adam, ParamGroup
+    opt = Adam([ParamGroup("main", params.main_tensors(), lr=1e-3),
+                ParamGroup("time", params.time_tensors(), lr=1e-4)])
+    for t in params.main_tensors() + params.time_tensors():
+        t.grad = np.full_like(t.value, 0.01)
+    opt.step()
+    return opt.state_arrays()
+
+
+def _edit_header(path, edit):
+    import json
+    import struct
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[12:20])
+    header = json.loads(raw[20:20 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + hlen:])
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("kw", [{}, {"num_items": 40, "hidden_dim": 7, "user_embedding_dim": 5}])
+    def test_shapes_helper_matches_init(self, kw):
+        cfg = _cfg(**kw)
+        params = ModelParams.init(cfg, seed=0)
+        assert {n: t.value.shape for n, t in params.named().items()} == ModelParams.shapes(cfg)
+
+    def test_load_without_optimizer_reads_only_the_model(self, tmp_path):
+        from thrnn.checkpoint import load_checkpoint, save_checkpoint
+        cfg = _cfg()
+        params = _rand_params(cfg, seed=31)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, params, cfg, optimizer_state=_opt_state(params),
+                        meta={"seed": 1})
+        loaded, cfg2, opt_state, meta = load_checkpoint(path, optimizer=False)
+        assert (cfg2, opt_state, meta) == (cfg, None, {"seed": 1})
+        for name, tensor in params.named().items():
+            value = loaded.named()[name].value
+            assert np.array_equal(tensor.value, value), name
+            # Adam updates values in place: each must be its own writeable float64 array
+            assert value.dtype == np.float64 and value.flags.writeable and value.flags.owndata
+
+    def test_save_returns_digest_of_written_bytes(self, tmp_path):
+        import hashlib
+        from thrnn.checkpoint import save_checkpoint
+        cfg = _cfg()
+        params = _rand_params(cfg)
+        path = tmp_path / "m.ckpt"
+        digest = save_checkpoint(str(path), params, cfg, optimizer_state=_opt_state(params))
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_roundtrip_with_optimizer(self, tmp_path):
         from thrnn.checkpoint import load_checkpoint, save_checkpoint
         from thrnn.optim import Adam, ParamGroup
@@ -714,4 +782,57 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("optimizer", [True, False])
+    def test_rejects_truncation_inside_optimizer_section(self, tmp_path, optimizer):
+        from thrnn.checkpoint import load_checkpoint, save_checkpoint
+        cfg = _cfg()
+        params = _rand_params(cfg)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), params, cfg, optimizer_state=_opt_state(params))
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(ValueError, match="m.ckpt: truncated"):
+            load_checkpoint(str(path), optimizer=optimizer)
+
+    @pytest.mark.parametrize("with_optimizer", [True, False])
+    @pytest.mark.parametrize("optimizer", [True, False])
+    def test_rejects_trailing_bytes(self, tmp_path, with_optimizer, optimizer):
+        from thrnn.checkpoint import load_checkpoint, save_checkpoint
+        cfg = _cfg()
+        params = _rand_params(cfg)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), params, cfg,
+                        optimizer_state=_opt_state(params) if with_optimizer else None)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(ValueError, match="m.ckpt: trailing bytes"):
+            load_checkpoint(str(path), optimizer=optimizer)
+
+    def test_rejects_wrong_shape_naming_the_array(self, tmp_path):
+        from thrnn.checkpoint import load_checkpoint, save_checkpoint
+        cfg = _cfg()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), _rand_params(cfg), cfg)
+
+        def reshape(header):
+            rec = next(r for r in header["params"] if r["name"] == "inter.u")
+            rec["shape"] = [8, 6]  # same element count, so the payload still fits
+
+        _edit_header(path, reshape)
+        with pytest.raises(ValueError, match=r"m.ckpt: array 'inter.u' has shape \(8, 6\), "
+                                             r"config implies \(4, 12\)"):
+            load_checkpoint(str(path), optimizer=False)
+
+    def test_rejects_parameter_set_mismatch(self, tmp_path):
+        from thrnn.checkpoint import load_checkpoint, save_checkpoint
+        cfg = _cfg()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), _rand_params(cfg), cfg)
+
+        def rename(header):
+            next(r for r in header["params"] if r["name"] == "time_w")["name"] = "time_x"
+
+        _edit_header(path, rename)
+        with pytest.raises(ValueError, match=r"parameter set mismatch \(missing \['time_w'\], "
+                                             r"unexpected \['time_x'\]\)"):
             load_checkpoint(str(path))
