@@ -1,12 +1,15 @@
 """Minimal reverse-mode autodiff on float64 numpy arrays.
 
-Just enough machinery for the models in this package: dense linear maps,
-a GRU step, embedding lookups with scatter-add backward, and a masked
-softmax cross-entropy. Operations record themselves on a Tape; the
-backward pass replays the records in reverse order and accumulates
-gradients additively at fan-out. A GRU cell is three packed tensors
-(input, recurrent and bias weights, gate blocks in r, z, c order); a
-GRU step is one fused record with an analytic backward, and shares its
+Just enough machinery for the models in this package: dense linear maps
+(`matmul` adds an optional bias in place), a GRU step, embedding lookups,
+a row gather, and a masked softmax cross-entropy. Operations record
+themselves on a Tape; the backward pass replays the records in reverse
+order and accumulates gradients additively at fan-out. A tensor keeps
+its first gradient uncopied when a backward allocated it fresh for that
+input alone, and copies a view or an array also handed elsewhere;
+embedding lookups scatter-add straight into the table's `.grad`. A GRU
+cell is three packed tensors (gate blocks in r, z, c order); a GRU step
+is one fused record with an analytic backward, and shares its
 three-matmul forward with the tape-free gru_cell_np.
 """
 
@@ -24,7 +27,8 @@ class Tensor:
     __slots__ = ("value", "grad", "name")
 
     def __init__(self, value, name: str | None = None):
-        self.value = np.asarray(value, dtype=np.float64)
+        # C order: Adam updates values in place through flat views
+        self.value = np.asarray(value, dtype=np.float64, order="C")
         self.grad: np.ndarray | None = None
         self.name = name
 
@@ -35,9 +39,10 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate(self, g: np.ndarray) -> None:
+    def accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add g into .grad; an `owned` g (no one else holds it) is kept as is."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
+            self.grad = g if owned else np.array(g, dtype=np.float64, copy=True)
         else:
             self.grad += g
 
@@ -70,9 +75,12 @@ class Tape:
         for inputs, node, bwd in reversed(self._records):
             if node.grad is None:
                 continue
-            for tensor, g in zip(inputs, bwd(node.grad)):
+            grads = list(bwd(node.grad))
+            for tensor, g in zip(inputs, grads):
                 if g is not None:
-                    tensor.accumulate(g)
+                    owned = (isinstance(g, np.ndarray) and g.base is None
+                             and g is not node.grad and sum(x is g for x in grads) == 1)
+                    tensor.accumulate(g, owned)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -93,14 +101,18 @@ def constant(value) -> Tensor:
     return Tensor(value)
 
 
-def matmul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.value @ b.value)
+def matmul(tape: Tape, a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b, plus `bias` broadcast over the rows when given."""
     av, bv = a.value, b.value
+    out = Tensor(av @ bv)
+    if bias is not None:
+        out.value += bias.value
 
     def bwd(g):
-        return g @ bv.T, av.T @ g
+        grads = (g @ bv.T, av.T @ g)
+        return grads if bias is None else (*grads, _unbroadcast(g, bias.value.shape))
 
-    return tape.record((a, b), out, bwd)
+    return tape.record((a, b) if bias is None else (a, b, bias), out, bwd)
 
 
 def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
@@ -137,8 +149,26 @@ def concat(tape: Tape, parts: Sequence[Tensor]) -> Tensor:
     return tape.record(tuple(parts), out, bwd)
 
 
+def gather_rows(tape: Tape, parts: Sequence[Tensor], which: np.ndarray,
+                rows: np.ndarray) -> Tensor:
+    """Stack row rows[i] of parts[which[i]] for a non-decreasing `which`
+    (rows distinct within a part); the backward scatters back to the parts."""
+    used, first = np.unique(which, return_index=True)
+    spans = [rows[lo:hi] for lo, hi in zip(first, [*first[1:], len(rows)])]
+    out = Tensor(np.concatenate([parts[k].value[r] for k, r in zip(used, spans)]))
+
+    def bwd(g):
+        grads = [np.zeros_like(parts[k].value) for k in used]
+        for gp, r, g_part in zip(grads, spans, np.split(g, first[1:])):
+            gp[r] = g_part
+        return grads
+
+    return tape.record(tuple(parts[k] for k in used), out, bwd)
+
+
 def embedding(tape: Tape, table: Tensor, indices: np.ndarray) -> Tensor:
-    """Row lookup; backward scatter-adds into the looked-up rows only."""
+    """Row lookup; backward scatter-adds into the looked-up rows of the
+    table's .grad, which the first lookup to reach it allocates."""
     idx = np.asarray(indices)
     rows = table.value.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
@@ -147,9 +177,10 @@ def embedding(tape: Tape, table: Tensor, indices: np.ndarray) -> Tensor:
     out = Tensor(table.value[idx])
 
     def bwd(g):
-        gt = np.zeros_like(table.value)
-        np.add.at(gt, idx, g)
-        return (gt,)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.value)
+        np.add.at(table.grad, idx, g)
+        return (None,)
 
     return tape.record((table,), out, bwd)
 
@@ -172,7 +203,7 @@ def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """scores = x @ w + b with x (B, n), w (n, m), b (m,)."""
     if x.value.shape[-1] != w.value.shape[0]:
         raise ValueError(f"linear: x has {x.value.shape[-1]} features, w expects {w.value.shape[0]}")
-    return add(tape, matmul(tape, x, w), b)
+    return matmul(tape, x, w, b)
 
 
 def masked_softmax_xent(tape: Tape, scores: Tensor, targets: np.ndarray,
@@ -191,15 +222,17 @@ def masked_softmax_xent(tape: Tape, scores: Tensor, targets: np.ndarray,
     valid = np.ones(n_rows, dtype=bool) if masked is None else ~np.asarray(masked, dtype=bool)
 
     shifted = v - v.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
-    nll = logz - shifted[np.arange(n_rows), tgt]
-    out = Tensor(float(nll[valid].sum()))
+    picked = shifted[np.arange(n_rows), tgt]
+    e = np.exp(shifted, out=shifted)
+    z = e.sum(axis=1)
+    out = Tensor(float((np.log(z) - picked)[valid].sum()))
 
     def bwd(g):
-        probs = np.exp(shifted - logz[:, None])
-        probs[np.arange(n_rows), tgt] -= 1.0
-        probs[~valid] = 0.0
-        return (probs * g,)
+        # the forward's exp becomes the gradient, normalised in place
+        np.divide(e, z[:, None], out=e)
+        e[np.arange(n_rows), tgt] -= 1.0
+        e[~valid] = 0.0
+        return (np.multiply(e, g, out=e),)
 
     return tape.record((scores,), out, bwd)
 

@@ -14,7 +14,8 @@ The header carries the full model config, an optional metadata dict
 shape, so a checkpoint can be rebuilt with no other inputs. Writing
 the same params twice produces identical bytes.
 
-A load checks the manifest against the config's shapes, and the file
+A load checks that each manifest shape is a list of non-negative
+integers, the model manifest against the config's shapes, and the file
 length against both manifests, before it reads any payload; each array
 is read once, into the buffer the model keeps. `optimizer=False` skips
 the Adam moments, two thirds of a trained file, for predict and evaluate.
@@ -85,6 +86,12 @@ def load_checkpoint(path: str, *, optimizer: bool = True
         except (TypeError, ValueError) as err:
             raise ValueError(f"{path}: bad config: {err}") from err
 
+        opt_recs = header["optimizer"] or []
+        for rec in header["params"] + opt_recs:
+            if not isinstance(rec["shape"], list) or any(
+                    type(d) is not int or d < 0 for d in rec["shape"]):
+                raise ValueError(f"{path}: array {rec['name']!r} has shape {rec['shape']!r}, "
+                                 "not a list of non-negative integers")
         expected = ModelParams.shapes(cfg)
         listed = [rec["name"] for rec in header["params"]]
         if sorted(listed) != sorted(expected):
@@ -95,7 +102,6 @@ def load_checkpoint(path: str, *, optimizer: bool = True
             if tuple(rec["shape"]) != expected[rec["name"]]:
                 raise ValueError(f"{path}: array {rec['name']!r} has shape {tuple(rec['shape'])}"
                                  f", config implies {expected[rec['name']]}")
-        opt_recs = header["optimizer"] or []
         want = 20 + hlen + 8 * sum(math.prod(r["shape"]) for r in header["params"] + opt_recs)
         size = os.fstat(fh.fileno()).st_size
         if size != want:

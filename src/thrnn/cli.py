@@ -303,6 +303,7 @@ def _history_from_file(path: str) -> UserHistory:
     Each session needs "items" (integer vocabulary indices) and
     "start"/"end" timestamps in seconds; "gap" (seconds since the
     previous session ended) and "masked" are filled in when omitted.
+    Times are JSON numbers and "masked" a JSON bool; strings are refused.
     """
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -318,19 +319,26 @@ def _history_from_file(path: str) -> UserHistory:
                          f"got {obj['sessions']!r}")
     sessions = []
     prev_end = None
+    def number(i: int, name: str, v) -> float:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{path}: session {i} field {name!r} must be a number, got {v!r}")
+        if not math.isfinite(v):
+            raise ValueError(f"{path}: session {i} field {name!r} is not finite: {v}")
+        return float(v)
+
     for i, rec in enumerate(obj["sessions"]):
         try:
-            items = rec["items"]
-            start, end = float(rec["start"]), float(rec["end"])
-            gap = float(rec.get("gap", 0.0 if prev_end is None else start - prev_end))
-        except (KeyError, TypeError, ValueError) as err:
+            items, masked = rec["items"], rec.get("masked", i == 0)
+            start, end = number(i, "start", rec["start"]), number(i, "end", rec["end"])
+            gap = number(i, "gap", rec.get("gap", 0.0 if prev_end is None else start - prev_end))
+        except (KeyError, TypeError) as err:
             raise ValueError(f"{path}: session {i} is malformed: {err}") from err
         if not isinstance(items, list) or not all(map(_is_int, items)):
             raise ValueError(f"{path}: session {i} field 'items' must be a list "
                              f"of integers, got {items!r}")
-        for name, v in (("start", start), ("end", end), ("gap", gap)):
-            if not math.isfinite(v):
-                raise ValueError(f"{path}: session {i} field {name!r} is not finite: {v}")
+        if not isinstance(masked, bool):
+            raise ValueError(f"{path}: session {i} field 'masked' must be true or false, "
+                             f"got {masked!r}")
         if end < start:
             raise ValueError(f"{path}: session {i} ends before it starts")
         if prev_end is not None and start < prev_end:
@@ -338,8 +346,7 @@ def _history_from_file(path: str) -> UserHistory:
         if gap < 0:
             raise ValueError(f"{path}: session {i} field 'gap' is negative: {gap}")
         sessions.append(Session(items=items, start_time=start, end_time=end,
-                                gap_before=gap,
-                                gap_masked=bool(rec.get("masked", i == 0))))
+                                gap_before=gap, gap_masked=masked))
         prev_end = end
     if not sessions:
         raise ValueError(f"{path}: history holds no sessions")

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import point_process as pp
 from .autodiff import (GRUWeights, Tape, Tensor, add, concat, constant, dropout,
-                       embedding, gru_cell, gru_cell_np, linear,
+                       embedding, gather_rows, gru_cell, gru_cell_np, linear,
                        masked_softmax_xent, scale)
 from .data import DatasetSplit, GapBucketizer, UserHistory
 from .evaluation import EvalReport, build_report, rank_of_target
@@ -335,22 +335,29 @@ def _forward_batch(tape: Tape, params: ModelParams, cfg: ModelConfig,
     width = max((len(ex.inputs) for ex in batch), default=0)
     rec_steps = int(sum(len(ex.inputs) for ex in batch))
     if width:
-        # padded tail rows run on past their session's end; the loss masks
-        # them out and their states are never read
+        # padded tail rows run on past their session's end; their states
+        # are never read
         ids = np.zeros((n, width), dtype=np.int64)
         tgt = np.zeros((n, width), dtype=np.int64)
         lens = np.array([len(ex.inputs) for ex in batch])
         for i, ex in enumerate(batch):
             ids[i, :lens[i]] = ex.inputs
             tgt[i, :lens[i]] = ex.targets
-        hh = h_j
-        total = None
+        hh, states = h_j, []
         for t in range(width):
             x = dropout(tape, embedding(tape, params.item_emb, ids[:, t]),
                         cfg.dropout_rate, rng)
             hh = gru_cell(tape, x, hh, params.intra)
-            sc = linear(tape, hh, params.out_w, params.out_b)
-            piece = masked_softmax_xent(tape, sc, tgt[:, t], masked=lens <= t)
+            states.append(hh)
+        # only live (step, row) states are scored, step-major, in chunks of
+        # at most batch_size rows: no block outgrows one step's (n, items)
+        steps, rows = np.nonzero(np.arange(width)[:, None] < lens)
+        total = None
+        for lo in range(0, rec_steps, cfg.batch_size):
+            part = slice(lo, lo + cfg.batch_size)
+            live = gather_rows(tape, states, steps[part], rows[part])
+            sc = linear(tape, live, params.out_w, params.out_b)
+            piece = masked_softmax_xent(tape, sc, tgt[rows[part], steps[part]])
             total = piece if total is None else add(tape, total, piece)
         l_rec = scale(tape, total, 1.0 / max(rec_steps, 1))
     else:

@@ -61,6 +61,54 @@ class TestCoreOps:
         np.testing.assert_allclose(x.grad, ones @ x.value.T + x.value.T @ ones + 2.0,
                                    rtol=1e-12)
 
+    def test_matmul_with_bias_is_one_record(self):
+        rng = np.random.default_rng(5)
+        x, w, b = (ad.Tensor(rng.normal(size=s)) for s in ((3, 4), (4, 5), (5,)))
+        tape = ad.Tape()
+        out = ad.linear(tape, x, w, b)
+        assert len(tape) == 1
+        np.testing.assert_array_equal(out.value, x.value @ w.value + b.value)
+
+    def test_gather_rows(self):
+        which, rows = np.array([0, 0, 1, 2, 2]), np.array([1, 0, 2, 2, 0])
+        _gradcheck(lambda tp, ts: _total(tp, ad.gather_rows(tp, ts, which, rows)),
+                   [(3, 2), (3, 2), (3, 2)])
+        parts = [ad.Tensor(np.arange(6.0).reshape(3, 2) + 10 * k) for k in range(3)]
+        out = ad.gather_rows(ad.Tape(), parts, which, rows)
+        np.testing.assert_array_equal(
+            out.value, np.stack([parts[k].value[r] for k, r in zip(which, rows)]))
+
+    def test_no_gradient_aliases_another(self):
+        # x feeds two matmuls; add hands the one g it receives to both of
+        # them, and the embedding table is looked up twice
+        rng = np.random.default_rng(6)
+        x, w1, w2, table = (ad.Tensor(rng.normal(size=s))
+                            for s in ((3, 4), (4, 2), (4, 2), (5, 3)))
+        tape = ad.Tape()
+        a, b = ad.matmul(tape, x, w1), ad.matmul(tape, x, w2)
+        c = ad.add(tape, a, b)
+        e = ad.concat(tape, [ad.embedding(tape, table, np.array([0, 2, 0])),
+                             ad.embedding(tape, table, np.array([2, 4, 1]))])
+        out = _total(tape, ad.concat(tape, [c, e]))
+        tape.backward(out)
+        ones = np.ones((3, 2))
+        np.testing.assert_allclose(x.grad, ones @ w1.value.T + ones @ w2.value.T, rtol=1e-12)
+        np.testing.assert_array_equal(a.grad, ones)
+        np.testing.assert_array_equal(table.grad[:, 0], [2.0, 1.0, 2.0, 0.0, 1.0])
+        # a backward that returns one fresh array for two inputs
+        def same_for_both(g):
+            d = 2.0 * g
+            return d, d
+
+        p, q = ad.Tensor(np.ones(2)), ad.Tensor(np.ones(2))
+        tape = ad.Tape()
+        twice = tape.record((p, q), ad.Tensor(p.value + q.value), same_for_both)
+        tape.backward(twice)
+        tensors = [x, w1, w2, table, a, b, c, e, out, p, q, twice]
+        for i, t in enumerate(tensors):
+            for u in tensors[i + 1:]:
+                assert not np.shares_memory(t.grad, u.grad), (t, u)
+
 
 class TestEmbedding:
     def test_lookup_and_scatter(self):

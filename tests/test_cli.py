@@ -462,6 +462,16 @@ class TestPredict:
          "session 1 field 'gap' is negative: -5.0"),
         ({"start": 90000.0, "end": 90600.0, "gap": float("inf")},
          "session 1 field 'gap' is not finite: inf"),
+        ({"start": "0", "end": 90600.0}, "session 1 field 'start' must be a number, got '0'"),
+        ({"start": 90000.0, "end": True}, "session 1 field 'end' must be a number, got True"),
+        ({"start": 90000.0, "end": 90600.0, "gap": "5"},
+         "session 1 field 'gap' must be a number, got '5'"),
+        ({"start": 90000.0, "end": 90600.0, "gap": None},
+         "session 1 field 'gap' must be a number, got None"),
+        ({"start": 90000.0, "end": 90600.0, "masked": "false"},
+         "session 1 field 'masked' must be true or false, got 'false'"),
+        ({"start": 90000.0, "end": 90600.0, "masked": 0},
+         "session 1 field 'masked' must be true or false, got 0"),
     ])
     def test_bad_session_field_rejected_at_load(self, tmp_path, session, message):
         (tmp_path / "h.json").write_text(json.dumps({"user_index": 0, "sessions": [
@@ -526,6 +536,32 @@ class TestPredict:
                    "--history", str(tmp_path / "h.json")])
         assert rc == 2
         assert "cut.ckpt: truncated" in capsys.readouterr().err
+
+    def test_session_field_of_wrong_type_exits_2(self, ws, tmp_path, capsys):
+        (tmp_path / "h.json").write_text(json.dumps({"user_index": 0, "sessions": [
+            {"items": [1], "start": 0.0, "end": 500.0, "masked": "false"}]}))
+        rc = main(["predict", "--checkpoint", str(ws / "m2.ckpt"),
+                   "--history", str(tmp_path / "h.json")])
+        assert rc == 2
+        assert "session 0 field 'masked' must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["params", "optimizer"])
+    def test_checkpoint_with_mistyped_manifest_shape_exits_2(self, ws, tmp_path, capsys,
+                                                              section):
+        raw = (ws / "m2.ckpt").read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[12:20])
+        header = json.loads(raw[20:20 + hlen])
+        rec = next(r for r in header[section] if len(r["shape"]) == 1)
+        rec["shape"] = [float(rec["shape"][0])]
+        blob = json.dumps(header).encode()
+        (tmp_path / "float.ckpt").write_bytes(
+            raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + hlen:])
+        self._history(tmp_path / "h.json")
+        rc = main(["predict", "--checkpoint", str(tmp_path / "float.ckpt"),
+                   "--history", str(tmp_path / "h.json")])
+        assert rc == 2
+        assert (f"float.ckpt: array {rec['name']!r} has shape {rec['shape']!r}, not a list"
+                in capsys.readouterr().err)
 
     def test_checkpoint_with_unknown_config_field_exits_2(self, ws, tmp_path, capsys):
         raw = (ws / "m2.ckpt").read_bytes()

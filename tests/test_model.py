@@ -324,6 +324,72 @@ class TestGradients:
         assert np.all(params.time_w.grad == 0.0)
         assert np.all(params.time_b.grad == 0.0)
 
+    def test_live_row_projection_matches_per_step_reference(self):
+        # 9 live rows over 5 steps with padded rows, batch_size 4: the live
+        # rows cross two chunk boundaries, and dropout draws per step
+        cfg = _cfg(batch_size=4, dropout_rate=0.3)
+        params = _rand_params(cfg, seed=14)
+        rng = np.random.default_rng(15)
+        batch = [_example(rng, cfg, n_hist=2, n_items=5, gap=1.7, user=0),
+                 _example(rng, cfg, n_hist=0, n_items=1, time_masked=True, user=1),
+                 _example(rng, cfg, n_hist=1, n_items=3, gap=0.4, user=2),
+                 _example(rng, cfg, n_hist=3, n_items=0, gap=2.2, user=1)]
+        grads = []
+        for forward in (md._forward_batch, _per_step_forward):
+            tape = Tape()
+            loss, *_ = forward(tape, params, cfg, batch, np.random.default_rng(16))
+            for t in params.named().values():
+                t.zero_grad()
+            tape.backward(loss)
+            grads.append((float(loss.value), {n: t.grad.copy()
+                                              for n, t in params.named().items()}))
+        (got_loss, got), (want_loss, want) = grads
+        assert got_loss == pytest.approx(want_loss, rel=1e-12)
+        for name, g in want.items():
+            err = np.abs(got[name] - g).max() / max(np.abs(g).max(), 1e-300)
+            assert err <= 1e-12, (name, err)
+
+
+def _per_step_forward(tape, params, cfg, batch, rng):
+    """Reference joint loss: the intra level projects and scores every
+    row at every step, padded rows masked out of the softmax."""
+    from thrnn import autodiff as ad
+    n = len(batch)
+    users = np.array([ex.user_index for ex in batch])
+    window = max(len(ex.history) for ex in batch)
+    h = ad.constant(np.zeros((n, cfg.hidden_dim)))
+    for t in range(window):
+        segs = np.zeros((n, cfg.hidden_dim))
+        gaps = np.zeros(n, dtype=np.int64)
+        live = np.zeros((n, 1), dtype=bool)
+        for i, ex in enumerate(batch):
+            k = t - (window - len(ex.history))
+            if k >= 0:
+                segs[i], gaps[i], live[i] = ex.history[k].intra_state, ex.history[k].gap_bucket, True
+        rep = ad.concat(tape, [ad.constant(segs), ad.embedding(tape, params.gap_emb, gaps),
+                               ad.embedding(tape, params.user_emb, users)])
+        rep = ad.dropout(tape, rep, cfg.dropout_rate, rng)
+        h = ad.gru_cell(tape, rep, h, params.inter, update_mask=live)
+    time_masked = np.array([ex.time_masked for ex in batch])
+    g_alpha = np.array([0.0 if ex.time_masked else ex.gap_target ** cfg.alpha_exp
+                        for ex in batch])
+    s = ad.add(tape, ad.matmul(tape, h, params.time_v), params.time_b)
+    l_time = pp.time_nll(tape, s, params.time_w, g_alpha, masked=time_masked)
+    lens = np.array([len(ex.inputs) for ex in batch])
+    total = None
+    for t in range(lens.max()):
+        ids = np.array([ex.inputs[t] if t < len(ex.inputs) else 0 for ex in batch])
+        tgt = np.array([ex.targets[t] if t < len(ex.targets) else 0 for ex in batch])
+        x = ad.dropout(tape, ad.embedding(tape, params.item_emb, ids), cfg.dropout_rate, rng)
+        h = ad.gru_cell(tape, x, h, params.intra)
+        sc = ad.add(tape, ad.matmul(tape, h, params.out_w), params.out_b)
+        piece = ad.masked_softmax_xent(tape, sc, tgt, masked=lens <= t)
+        total = piece if total is None else ad.add(tape, total, piece)
+    l_rec = ad.scale(tape, total, 1.0 / lens.sum())
+    loss = ad.add(tape, ad.scale(tape, l_time, cfg.loss_weight_time),
+                  ad.scale(tape, l_rec, cfg.loss_weight_rec))
+    return loss, float(l_time.value), float(l_rec.value)
+
 
 class TestAblationEquivalence:
     def test_zeroed_context_equals_plain_hierarchical_gru(self):
@@ -821,6 +887,24 @@ class TestCheckpoint:
         _edit_header(path, reshape)
         with pytest.raises(ValueError, match=r"m.ckpt: array 'inter.u' has shape \(8, 6\), "
                                              r"config implies \(4, 12\)"):
+            load_checkpoint(str(path), optimizer=False)
+
+    @pytest.mark.parametrize("section", ["params", "optimizer"])
+    @pytest.mark.parametrize("shape", [[6.0], ["6"], [True], [-1]])
+    def test_rejects_mistyped_manifest_shape(self, tmp_path, section, shape):
+        from thrnn.checkpoint import load_checkpoint, save_checkpoint
+        cfg = _cfg()
+        params = _rand_params(cfg)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), params, cfg, optimizer_state=_opt_state(params))
+        name = "out_b" if section == "params" else "adam_m_main_10"  # both (6,)
+
+        def edit(header):
+            next(r for r in header[section] if r["name"] == name)["shape"] = shape
+
+        _edit_header(path, edit)
+        with pytest.raises(ValueError, match=rf"m.ckpt: array '{name}' has shape "
+                                             r"\[.*\], not a list of non-negative integers"):
             load_checkpoint(str(path), optimizer=False)
 
     def test_rejects_parameter_set_mismatch(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from thrnn.autodiff import Tensor
-from thrnn.optim import Adam, ParamGroup
+from thrnn.optim import BLOCK, Adam, ParamGroup
 
 
 def _fresh(lr_a=0.1, lr_b=0.01, clip=None):
@@ -94,3 +94,58 @@ def test_duplicate_group_names_rejected():
     with pytest.raises(ValueError):
         Adam([ParamGroup("x", [Tensor(np.zeros(1))], lr=0.1),
               ParamGroup("x", [Tensor(np.zeros(1))], lr=0.1)])
+
+
+def _textbook_adam(values, grads, lrs, clips, b1=0.9, b2=0.999, eps=1e-8):
+    """Whole-array Adam over groups of arrays; a step with a non-finite
+    gradient anywhere is skipped."""
+    values = [[v.copy() for v in group] for group in values]
+    m = [[np.zeros_like(v) for v in group] for group in values]
+    v2 = [[np.zeros_like(v) for v in group] for group in values]
+    t = 0
+    for step in grads:
+        if not all(np.all(np.isfinite(g)) for group in step for g in group):
+            continue
+        t += 1
+        for gi, group in enumerate(step):
+            norm = np.sqrt(sum(float(np.sum(g * g)) for g in group))
+            if clips[gi] is not None and norm > clips[gi]:
+                group = [g * (clips[gi] / (norm + 1e-12)) for g in group]
+            for pi, g in enumerate(group):
+                m[gi][pi] = b1 * m[gi][pi] + (1 - b1) * g
+                v2[gi][pi] = b2 * v2[gi][pi] + (1 - b2) * g * g
+                m_hat = m[gi][pi] / (1 - b1 ** t)
+                v_hat = v2[gi][pi] / (1 - b2 ** t)
+                values[gi][pi] = values[gi][pi] - lrs[gi] * m_hat / (np.sqrt(v_hat) + eps)
+    return values, m, v2, t
+
+
+def test_blocked_update_equals_textbook_adam_bit_for_bit():
+    # the main group spans block edges; the time group has a 0-d array and
+    # is clipped on every step; step 3 carries a NaN and must be skipped
+    rng = np.random.default_rng(7)
+    shapes = [[(3, BLOCK + 5), (BLOCK,), (7,)], [(100, 1), (1,), ()]]
+    values = [[rng.normal(size=s) for s in group] for group in shapes]
+    grads = [[[rng.normal(size=s) * (1.0 if gi == 0 else 40.0) for s in group]
+              for gi, group in enumerate(shapes)] for _ in range(6)]
+    grads[2][0][1][17] = np.nan
+    tensors = [[Tensor(v.copy()) for v in group] for group in values]
+    opt = Adam([ParamGroup("main", tensors[0], lr=1e-2),
+                ParamGroup("time", tensors[1], lr=1e-3, clip_norm=5.0)])
+    reports = []
+    for step in grads:
+        for group, gs in zip(tensors, step):
+            for t, g in zip(group, gs):
+                t.grad = g
+        reports.append(opt.step())
+    assert [r.applied for r in reports] == [True, True, False, True, True, True]
+    assert all(r.grad_norms["time"] > 5.0 for r in reports if r.applied)
+
+    want, m, v, t = _textbook_adam(values, grads, [1e-2, 1e-3], [None, 5.0])
+    assert opt.t == t == 5
+    state = opt.state_arrays()
+    for gi, name in enumerate(("main", "time")):
+        for pi, tensor in enumerate(tensors[gi]):
+            assert np.array_equal(tensor.value, want[gi][pi]), (name, pi)
+            assert np.array_equal(state[f"adam_m_{name}_{pi}"], m[gi][pi]), (name, pi)
+            assert np.array_equal(state[f"adam_v_{name}_{pi}"], v[gi][pi]), (name, pi)
