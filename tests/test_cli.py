@@ -4,11 +4,15 @@ through main() the way a shell would, and stdout is parsed as JSON."""
 from __future__ import annotations
 
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import thrnn
 from thrnn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from thrnn.cli import _history_from_file, main
 from thrnn.data import load_split
@@ -537,6 +541,24 @@ class TestPredict:
         assert rc == 2
         assert "cut.ckpt: truncated" in capsys.readouterr().err
 
+    def test_session_without_items_rejected_at_load(self, tmp_path):
+        (tmp_path / "h.json").write_text(json.dumps({"user_index": 0, "sessions": [
+            {"items": [1], "start": 0.0, "end": 500.0},
+            {"items": [], "start": 900.0, "end": 1000.0}]}))
+        with pytest.raises(ValueError, match="h.json: session 1 field 'items' is empty"):
+            _history_from_file(str(tmp_path / "h.json"))
+
+    def test_last_session_without_items_exits_2(self, ws, tmp_path, capsys):
+        # with no items there is no intra state to rank from
+        (tmp_path / "h.json").write_text(json.dumps({"user_index": 0, "sessions": [
+            {"items": [1, 2], "start": 0.0, "end": 500.0},
+            {"items": [], "start": 900.0, "end": 1000.0}]}))
+        rc = main(["predict", "--checkpoint", str(ws / "m2.ckpt"),
+                   "--history", str(tmp_path / "h.json")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "h.json: session 1 field 'items' is empty" in captured.err
+
     def test_session_field_of_wrong_type_exits_2(self, ws, tmp_path, capsys):
         (tmp_path / "h.json").write_text(json.dumps({"user_index": 0, "sessions": [
             {"items": [1], "start": 0.0, "end": 500.0, "masked": "false"}]}))
@@ -580,3 +602,45 @@ class TestPredict:
     def test_usage_error_exits_nonzero(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestRepeatedMain:
+    """main() builds its parser once per process; a reused parser must give
+    every call what a fresh process would."""
+
+    @staticmethod
+    def _in_process(argv, capsys):
+        try:
+            rc = main(argv)
+        except SystemExit as err:  # argparse usage errors exit from inside main
+            rc = err.code
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    @staticmethod
+    def _fresh_process(argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(thrnn.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "thrnn.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    def test_calls_in_one_process_match_fresh_processes(self, ws, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal
+        TestPredict._history(tmp_path / "h.json")
+        predict = ["predict", "--checkpoint", str(ws / "m2.ckpt"),
+                   "--history", str(tmp_path / "h.json")]
+        calls = [
+            predict[:3],  # usage error: --history missing
+            predict + ["-k", "0"],  # handled error
+            predict + ["-k", "3"],
+            ["synth", "--spec", str(ws / "spec.json"),
+             "--output", str(tmp_path / "c.split"), "--seed", "4"],
+            predict,
+        ]
+        got = [self._in_process(argv, capsys) for argv in calls]
+        assert [rc for rc, _, _ in got] == [2, 2, 0, 0, 0]
+        for argv, result in zip(calls, got):
+            assert result == self._fresh_process(argv), argv

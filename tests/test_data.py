@@ -294,6 +294,12 @@ class TestSplitFile:
                                                 r"of a test session holds -1"):
             D.load_split(path)
 
+    def test_session_without_items_rejected(self, tmp_path):
+        path = self._tampered(tmp_path, lambda rec: rec["train"][1].update(items=[]))
+        with pytest.raises(D.IngestError, match=r"bad\.jsonl: user 'u2': field 'items' "
+                                                r"of train session 1 is empty"):
+            D.load_split(path)
+
     def test_user_index_off_its_row_rejected(self, tmp_path):
         path = self._tampered(tmp_path, lambda rec: rec.update(user_index=0))
         with pytest.raises(D.IngestError, match=r"bad\.jsonl: user 'u2': field "

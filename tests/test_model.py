@@ -163,13 +163,15 @@ class TestForward:
 
         # session 20 conditions on sessions 5..19 only
         h = unroll(range(5, 20))
-        assert np.array_equal(h_before[0][20], h[0])
+        np.testing.assert_allclose(h_before[0][20], h[0], rtol=0, atol=1e-12)
         assert not np.allclose(h_before[0][20], unroll(range(20))[0])
+        assert np.max(np.abs(h_before[0][20] - unroll(range(20))[0])) > 1e-6
         want = []
         for item in sessions[20].items[:-1]:
             h = gru_cell_np(params.item_emb.value[[item]], h, params.intra)
             want.append(h[0] @ params.out_w.value + params.out_b.value)
-        assert np.array_equal(_step_scores(params, cfg, sessions, 20), np.array(want))
+        np.testing.assert_allclose(_step_scores(params, cfg, sessions, 20), np.array(want),
+                                   rtol=0, atol=1e-12)
 
     def test_matches_hand_rolled_trace(self):
         # step through the documented cell formulas with plain numpy over
@@ -211,6 +213,63 @@ class TestForward:
             expected.append(h @ params.out_w.value + params.out_b.value)
         scores = _step_scores(params, cfg, sessions, 2, user=1)
         assert np.allclose(scores, np.array(expected), atol=1e-12)
+
+    @pytest.mark.parametrize("reps", [1, 3, 40])
+    def test_ring_walk_matches_window_unrolls(self, reps, monkeypatch):
+        # every window unrolled from scratch one row at a time, against the
+        # walk that steps all in-flight windows together in row blocks
+        cfg = _cfg(num_users=5, max_session_reps=reps, batch_size=4)
+        params = _rand_params(cfg, seed=6)
+        rng = np.random.default_rng(7)
+        counts = [0, 1, 7, 12, 4]
+        lists = [_sessions(rng, cfg, rng.integers(1, 5, size=n)) for n in counts]
+        bucket = cfg.bucketizer().bucket
+        refs = []
+        for u, sessions in enumerate(lists):
+            ref_h, ref_intra, reps_seen = [], [], []
+            for j in range(len(sessions) + 1):
+                h = np.zeros((1, cfg.hidden_dim))
+                for x in reps_seen[max(0, j - reps):]:
+                    h = gru_cell_np(x[None, :], h, params.inter)
+                ref_h.append(h[0])
+                if j == len(sessions):
+                    break
+                for item in sessions[j].items:
+                    h = gru_cell_np(params.item_emb.value[[item]], h, params.intra)
+                ref_intra.append(h[0])
+                reps_seen.append(np.concatenate([
+                    h[0], params.gap_emb.value[bucket(sessions[j].gap_before)],
+                    params.user_emb.value[u]]))
+            refs.append((ref_h, ref_intra))
+
+        calls = []
+
+        def counted(x, h, w):
+            calls.append((w is params.inter, x.shape[0]))
+            return gru_cell_np(x, h, w)
+
+        monkeypatch.setattr(md, "gru_cell_np", counted)
+        intra_states, _, h_before, _ = md._hierarchy_walk(params, cfg, lists, list(range(5)))
+        for u, (ref_h, ref_intra) in enumerate(refs):
+            assert len(h_before[u]) == len(ref_h) and len(intra_states[u]) == len(ref_intra)
+            for got, want in zip(h_before[u] + intra_states[u], ref_h + ref_intra):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+        # each (window, rep) pair once, in blocks of at most batch_size rows
+        inter_rows = [n for is_inter, n in calls if is_inter]
+        assert sum(inter_rows) == sum(min(j, reps) for n in counts for j in range(n + 1))
+        assert max(inter_rows) <= cfg.batch_size
+        padded_intra = sum(
+            len([n for n in counts if n > j])
+            * max(len(sl[j].items) for sl in lists if len(sl) > j)
+            for j in range(max(counts)))
+        assert sum(n for is_inter, n in calls if not is_inter) == padded_intra
+
+        # one user: one inter step per slot once a block holds every window
+        calls.clear()
+        one = dataclasses.replace(cfg, batch_size=reps)
+        md._hierarchy_walk(params, one, [lists[3]], [3])
+        assert sum(is_inter for is_inter, _ in calls) <= len(lists[3])
 
 
 class TestJointLoss:
