@@ -381,7 +381,9 @@ def cmd_predict(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: building it costs about
-    30 times what parsing one command line does, so each main() call reuses it."""
+    30 times what parsing one command line does. Only a caller that runs
+    main() more than once in one process saves anything; a shell command
+    builds it once either way."""
     p = argparse.ArgumentParser(
         prog="thrnn",
         description="session-aware recommendation with return-time prediction")

@@ -223,7 +223,7 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
     across users.
 
     The inter level keeps a ring of in-flight windows per user:
-    windows[u, m % ring] is the state of the inter GRU over the reps of
+    windows[u, m % R] is the state of the inter GRU over the reps of
     slots max(0, m - R) .. m - 1 read so far (R = max_session_reps), the
     window that ends before slot m. At slot j, window j is complete and
     becomes h_before; its ring entry is zeroed to start window j + R, and
@@ -250,13 +250,10 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
 
     item_t, gap_t, user_t = (params.item_emb.value, params.gap_emb.value,
                              params.user_emb.value)
-    max_n = max(n_slots, default=-1)
-    # no more windows are ever in flight at once than there are slots
-    ring = min(reach_max, max_n + 1)
-    windows = np.zeros((n_users, ring, h_dim))
-    for j in range(max_n + 1):
+    windows = np.zeros((n_users, reach_max, h_dim))
+    for j in range(max(n_slots, default=-1) + 1):
         active = [u for u in range(n_users) if n_slots[u] >= j]
-        h = windows[active, j % ring]
+        h = windows[active, j % reach_max]
         for row, u in enumerate(active):
             h_before[u][j] = h[row]
         rows = [row for row, u in enumerate(active) if n_slots[u] > j]
@@ -288,11 +285,11 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
         # slot j's reps enter windows j + 1 .. min(j + R, n_u) of their user
         rep = np.concatenate([hh, gap_t[[buckets[u][j] for u in active]],
                               user_t[[user_indices[u] for u in active]]], axis=1)
-        windows[active, j % ring] = 0.0
+        windows[active, j % reach_max] = 0.0
         reach = np.minimum([n_slots[u] - j for u in active], reach_max)
         src = np.repeat(np.arange(len(active)), reach)
         first = np.repeat(np.cumsum(reach) - reach, reach)
-        who, at = np.asarray(active)[src], (j + 1 + np.arange(len(src)) - first) % ring
+        who, at = np.asarray(active)[src], (j + 1 + np.arange(len(src)) - first) % reach_max
         for lo in range(0, len(src), cfg.batch_size):
             b = slice(lo, lo + cfg.batch_size)
             windows[who[b], at[b]] = gru_cell_np(rep[src[b]], windows[who[b], at[b]],
