@@ -295,18 +295,20 @@ def gru_cell(tape: Tape, x: Tensor, h_prev: Tensor, w: GRUWeights,
     return tape.record((x, h_prev, *w.tensors()), out, bwd)
 
 
-def gru_cell_np(x: np.ndarray, h_prev: np.ndarray, w: GRUWeights) -> np.ndarray:
-    """Tape-free GRU step for inference; the same forward as gru_cell."""
-    return _gru_step(x, h_prev, w)[-1]
+def gru_cell_np(x: np.ndarray, h_prev: np.ndarray, w: GRUWeights,
+                xw: np.ndarray | None = None) -> np.ndarray:
+    """Tape-free gru_cell forward for inference; `xw`, if given, is x @ w.w."""
+    return _gru_step(x, h_prev, w, xw)[-1]
 
 
-def _gru_step(x: np.ndarray, h_prev: np.ndarray, w: GRUWeights):
+def _gru_step(x: np.ndarray, h_prev: np.ndarray, w: GRUWeights,
+              xw: np.ndarray | None = None):
     """The GRU formula of GRUWeights in three matmuls; returns
     ([r|z], r∘h, c, h'). The candidate block needs r∘h, so it cannot
     share the recurrent matmul of the gates."""
     n = h_prev.shape[1]
     u, b = w.u.value, w.b.value
-    xw = x @ w.w.value
+    xw = x @ w.w.value if xw is None else xw
     rz = _sigmoid_np(xw[:, :2 * n] + h_prev @ u[:, :2 * n] + b[:2 * n])
     z = rz[:, n:]
     rh = rz[:, :n] * h_prev
@@ -315,9 +317,9 @@ def _gru_step(x: np.ndarray, h_prev: np.ndarray, w: GRUWeights):
 
 
 def _sigmoid_np(v: np.ndarray) -> np.ndarray:
-    # stable in both tails
+    # stable in both tails: the numerator is 1 where v >= 0, else e (NaN stays NaN)
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.maximum(e, v >= 0) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,12 @@ REPORT_FORMAT_VERSION = 1
 SECONDS_PER_DAY = 86400.0
 
 
-def rank_of_target(scores: np.ndarray, target: int) -> int:
-    """1 + number of strictly greater scores: ties never push the target down."""
-    return 1 + int(np.sum(scores > scores[target]))
+def rank_of_target(scores: np.ndarray, target):
+    """1 + number of strictly greater scores: ties never push the target down.
+    A (rows, items) block with one target per row gives a vector of ranks."""
+    own = np.take_along_axis(scores, np.asarray(target)[..., None], axis=-1)
+    ahead = np.count_nonzero(scores > own, axis=-1)
+    return 1 + (int(ahead) if scores.ndim == 1 else ahead)
 
 
 def recall_at_k(ranks, k: int) -> float:
@@ -206,16 +209,11 @@ def mean_gap_report(split: DatasetSplit, bucket_edges_days=None) -> EvalReport:
 
 def popularity_report(split: DatasetSplit, ks=(5, 10, 20)) -> EvalReport:
     """Static ranking by train-set frequency, scored on every test step."""
-    counts = np.zeros(split.num_items)
-    for u in split.train:
-        for s in u.sessions:
-            for it in s.items:
-                counts[it] += 1
-    ranks = []
-    for u in split.test:
-        for s in u.sessions:
-            for target in s.items[1:]:
-                ranks.append(rank_of_target(counts, target))
+    counts = np.bincount(np.array([it for u in split.train for s in u.sessions for it in s.items],
+                                  dtype=np.int64), minlength=split.num_items)
+    targets = [it for u in split.test for s in u.sessions for it in s.items[1:]]
+    # rank_of_target's rule for every target at once: 1 + the count of larger counts
+    ranks = 1 + counts.size - np.searchsorted(np.sort(counts), counts[targets], side="right")
     return build_report("popularity", ranks, [], [], ks=ks)
 
 

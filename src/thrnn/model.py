@@ -231,22 +231,38 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
     user in one batched GRU step, cut into blocks of at most batch_size
     rows so the step's temporaries stay small. Each (window, rep) pair is
     computed once, as a from-scratch unroll of every window would, but in
-    about one call per slot instead of min(j, R).
+    about one call per slot instead of min(j, R); each rep's projection
+    rep @ w_inter is computed once for all its windows. Within a slot the
+    sessions go longest first, so intra step t steps only the live prefix.
 
-    Returns per-user lists (intra_states, gap_buckets, h_before) and, when
-    `ranked_from` marks each user's first scored slot, the rank of every
-    within-session target from that slot on, teacher-forced. A user with
-    n sessions gets n + 1 inter states: h_before[u][n] follows the last
-    session and is the state the next return time conditions on.
+    Returns per-user lists (intra_states, gap_buckets, h_before) and rank
+    arrays: when `ranked_from` marks each user's first scored slot, the
+    rank of every within-session target from that slot on, teacher-forced.
+    Rank rows queue up as the intra steps make them and are scored
+    batch_size at a time, so no scores block exceeds (batch_size, items).
+    A user with n sessions gets n + 1 inter states: h_before[u][n] follows
+    the last session and is the state the next return time conditions on.
     """
     n_users = len(session_lists)
-    h_dim, reach_max = cfg.hidden_dim, cfg.max_session_reps
+    h_dim, reach_max, bs = cfg.hidden_dim, cfg.max_session_reps, cfg.batch_size
     bucketizer = cfg.bucketizer()
     n_slots = [len(sl) for sl in session_lists]
     intra_states = [[None] * n for n in n_slots]
     buckets = [[bucketizer.bucket(s.gap_before) for s in sl] for sl in session_lists]
     h_before = [[None] * (n + 1) for n in n_slots]
-    ranks = [[] for _ in range(n_users)] if ranked_from is not None else None
+    first = ranked_from or [math.inf] * n_users
+    empty = np.zeros(0, dtype=np.int64)
+    # (states, targets, users) waiting to be ranked; (ranks, users) per ranked block
+    queue, done = [(np.zeros((0, h_dim)), empty, empty)], [(empty, empty)]
+
+    def rank_queue(final: bool = False) -> None:
+        states, targets, users = (np.concatenate(q) for q in zip(*queue))
+        rows = len(targets) if final else len(targets) - len(targets) % bs
+        for lo in range(0, rows, bs):
+            sc = states[lo:lo + bs] @ params.out_w.value
+            sc += params.out_b.value
+            done.append((rank_of_target(sc, targets[lo:lo + bs]), users[lo:lo + bs]))
+        queue[:] = [(states[rows:], targets[rows:], users[rows:])]
 
     item_t, gap_t, user_t = (params.item_emb.value, params.gap_emb.value,
                              params.user_emb.value)
@@ -256,45 +272,46 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
         h = windows[active, j % reach_max]
         for row, u in enumerate(active):
             h_before[u][j] = h[row]
-        rows = [row for row, u in enumerate(active) if n_slots[u] > j]
-        if not rows:
+        active = sorted((u for u in active if n_slots[u] > j),
+                        key=lambda u: -len(session_lists[u][j].items))
+        if not active:
             continue
-        active, h = [active[row] for row in rows], h[rows]
 
-        sessions = [session_lists[u][j] for u in active]
-        lens = np.array([len(s.items) for s in sessions])
-        width = int(lens.max())
-        ids = np.zeros((len(active), width), dtype=np.int64)
-        for row, s in enumerate(sessions):
-            ids[row, :len(s.items)] = s.items
-        hh = h
-        for t in range(width):
-            h_new = gru_cell_np(item_t[ids[:, t]], hh, params.intra)
-            hh = np.where((lens > t)[:, None], h_new, hh)
-            if ranks is not None:
-                need = [row for row, u in enumerate(active)
-                        if j >= ranked_from[u] and t + 1 < lens[row]]
-                if need:
-                    sc = h_new[need] @ params.out_w.value + params.out_b.value
-                    for srow, row in enumerate(need):
-                        ranks[active[row]].append(
-                            rank_of_target(sc[srow], int(ids[row, t + 1])))
+        lens = [len(session_lists[u][j].items) for u in active]
+        ids = np.zeros((len(active), lens[0]), dtype=np.int64)
+        for row, u in enumerate(active):
+            ids[row, :lens[row]] = session_lists[u][j].items
+        ranked = [row for row, u in enumerate(active) if j >= first[u]]
+        hh, live = windows[active, j % reach_max], len(active)
+        for t in range(lens[0]):
+            hh[:live] = gru_cell_np(item_t[ids[:live, t]], hh[:live], params.intra)
+            while live and lens[live - 1] <= t + 1:
+                live -= 1  # rows [:live] have an item t + 1, the target of this state
+            need = [row for row in ranked if row < live]
+            if need:
+                queue.append((hh[need], ids[need, t + 1], np.asarray(active)[need]))
+                rank_queue()
         for row, u in enumerate(active):
             intra_states[u][j] = hh[row]
 
         # slot j's reps enter windows j + 1 .. min(j + R, n_u) of their user
         rep = np.concatenate([hh, gap_t[[buckets[u][j] for u in active]],
                               user_t[[user_indices[u] for u in active]]], axis=1)
+        proj = rep @ params.inter.w.value
         windows[active, j % reach_max] = 0.0
         reach = np.minimum([n_slots[u] - j for u in active], reach_max)
         src = np.repeat(np.arange(len(active)), reach)
-        first = np.repeat(np.cumsum(reach) - reach, reach)
-        who, at = np.asarray(active)[src], (j + 1 + np.arange(len(src)) - first) % reach_max
-        for lo in range(0, len(src), cfg.batch_size):
-            b = slice(lo, lo + cfg.batch_size)
+        start = np.repeat(np.cumsum(reach) - reach, reach)
+        who, at = np.asarray(active)[src], (j + 1 + np.arange(len(src)) - start) % reach_max
+        for lo in range(0, len(src), bs):
+            b = slice(lo, lo + bs)
             windows[who[b], at[b]] = gru_cell_np(rep[src[b]], windows[who[b], at[b]],
-                                                 params.inter)
-    return intra_states, buckets, h_before, ranks
+                                                 params.inter, proj[src[b]])
+
+    rank_queue(final=True)
+    ranks, users = (np.concatenate(d) for d in zip(*done))
+    order, per_user = np.argsort(users, kind="stable"), np.bincount(users, minlength=n_users)
+    return intra_states, buckets, h_before, np.split(ranks[order], np.cumsum(per_user)[:-1])
 
 
 def _refresh_histories(examples: list[TrainingExample], split: DatasetSplit,
@@ -496,7 +513,6 @@ def evaluate(params: ModelParams, cfg: ModelConfig, split: DatasetSplit,
         first_test.append(len(tr.sessions))
     _, _, h_before, ranks = _hierarchy_walk(params, cfg, lists, uidx,
                                             ranked_from=first_test)
-    all_ranks = [r for per_user in ranks for r in per_user]
 
     rows, targets = [], []
     for u, te in enumerate(split.test):
@@ -510,7 +526,8 @@ def evaluate(params: ModelParams, cfg: ModelConfig, split: DatasetSplit,
             s_vec, float(params.time_w.value), quad) * cfg.time_unit
     else:
         preds = np.zeros(0)
-    return build_report(model_name, all_ranks, preds, np.asarray(targets, dtype=np.float64),
+    return build_report(model_name, np.concatenate(ranks), preds,
+                        np.asarray(targets, dtype=np.float64),
                         ks=ks, bucket_edges_days=bucket_edges_days)
 
 
@@ -527,6 +544,9 @@ def predict(history: UserHistory, params: ModelParams, cfg: ModelConfig,
     expected gap until the user's next session (in seconds)."""
     if not history.sessions:
         raise ValueError("need at least one session to predict from")
+    empty = [i for i, s in enumerate(history.sessions) if len(s.items) == 0]
+    if empty:
+        raise ValueError(f"session {empty[0]} field 'items' is empty")
     if not 0 <= history.user_index < cfg.num_users:
         raise ValueError(f"user index {history.user_index} outside [0, {cfg.num_users})")
     if not 1 <= k <= cfg.num_items:

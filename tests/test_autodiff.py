@@ -335,6 +335,17 @@ def test_sigmoid_tanh_bounded_any_input(seed):
     assert all(np.all(np.isfinite(t.grad)) for t in w.tensors() + [x, h0])
 
 
+def test_sigmoid_matches_where_form_bit_for_bit():
+    v = np.concatenate([[0.0, -0.0, 745.0, -745.0, 746.0, -746.0, np.inf, -np.inf, np.nan],
+                        np.linspace(-800.0, 800.0, 4001), np.geomspace(1e-320, 1e3, 500),
+                        -np.geomspace(1e-320, 1e3, 500)])
+    e = np.exp(-np.abs(v))
+    with np.errstate(invalid="ignore"):
+        want = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    got = ad._sigmoid_np(v)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_rel_error_metric():
     assert ad.rel_error(np.array([1.0]), np.array([1.0])) == 0.0
     # small absolute error on small values uses the 1.0 floor

@@ -43,6 +43,14 @@ class TestRankMetrics:
         assert ev.rank_of_target(scores, 2) == 1
         assert ev.rank_of_target(scores, 0) == 3
         assert ev.rank_of_target(scores, 3) == 4
+        # a (rows, items) block ranks each row's own target by the same rule
+        block = np.array([[2.0, 5.0, 5.0, 1.0], [0.0, -0.0, 0.0, -1.0],
+                          [-0.0, 0.0, 3.0, 3.0], [2.0, 5.0, 5.0, 1.0],
+                          [2.0 + 7.5, 5.0 + 7.5, 5.0 + 7.5, 1.0 + 7.5]])
+        targets = np.array([2, 1, 0, 3, 2])
+        got = ev.rank_of_target(block, targets)
+        assert got.tolist() == [ev.rank_of_target(row, t) for row, t in zip(block, targets)]
+        assert got.tolist() == [1, 1, 3, 4, 1]  # the shifted copy ranks as row 0
 
     def test_rank_invariant_under_monotone_shift(self):
         rng = np.random.default_rng(0)

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from thrnn import evaluation as ev
 from thrnn import model as md
 from thrnn import point_process as pp
 from thrnn import synthetic as sy
@@ -244,9 +245,9 @@ class TestForward:
 
         calls = []
 
-        def counted(x, h, w):
+        def counted(x, h, w, xw=None):
             calls.append((w is params.inter, x.shape[0]))
-            return gru_cell_np(x, h, w)
+            return gru_cell_np(x, h, w, xw)
 
         monkeypatch.setattr(md, "gru_cell_np", counted)
         intra_states, _, h_before, _ = md._hierarchy_walk(params, cfg, lists, list(range(5)))
@@ -260,7 +261,7 @@ class TestForward:
         assert sum(inter_rows) == sum(min(j, reps) for n in counts for j in range(n + 1))
         assert max(inter_rows) <= cfg.batch_size
         live_items = sum(len(s.items) for sl in lists for s in sl)
-        assert sum(n for is_inter, n in calls if not is_inter) >= live_items
+        assert sum(n for is_inter, n in calls if not is_inter) == live_items
 
         # one user: one inter step per slot once a block holds every window
         calls.clear()
@@ -647,6 +648,38 @@ class TestEvaluate:
         assert 0.0 <= report.recall[5] <= 1.0
         assert report.overall_mae_days > 0
 
+    def test_ranks_match_per_step_predict_scores(self):
+        # users end at different slots and their sessions differ in length;
+        # with batch_size 3 the walk's rank blocks span steps, slots and users
+        cfg = _cfg(num_items=9, num_users=4, batch_size=3, max_session_reps=2)
+        params = _rand_params(cfg, seed=25)
+        rng = np.random.default_rng(26)
+        lists = [_sessions(rng, cfg, n) for n in ([3, 1, 4, 2, 5], [2, 6], [],
+                                                  [1, 3, 2, 4, 1, 3, 2])]
+        first = [1, 0, 0, 3]
+        _, _, _, ranks = md._hierarchy_walk(params, cfg, lists, list(range(4)),
+                                            ranked_from=first)
+        for u, sessions in enumerate(lists):
+            want = [ev.rank_of_target(row, sessions[j].items[t + 1])
+                    for j in range(first[u], len(sessions))
+                    for t, row in enumerate(_step_scores(params, cfg, sessions, j, user=u))]
+            assert list(ranks[u]) == want, u
+
+    def test_popularity_ranks_match_per_event_reference(self, monkeypatch):
+        split = _tiny_corpus(users=10, sessions=6, vocab=12)
+        counts = np.zeros(split.num_items)
+        for u in split.train:
+            for s in u.sessions:
+                for it in s.items:
+                    counts[it] += 1
+        want = [ev.rank_of_target(counts, t)
+                for u in split.test for s in u.sessions for t in s.items[1:]]
+        seen = []
+        monkeypatch.setattr(ev, "build_report",
+                            lambda model, ranks, *a, **kw: seen.append(list(ranks)))
+        ev.popularity_report(split)
+        assert seen == [want]
+
     def test_inference_is_deterministic_with_dropout_configured(self):
         split = _tiny_corpus(users=6, sessions=5)
         cfg = _train_cfg(split, dropout_rate=0.5)
@@ -721,6 +754,13 @@ class TestPredict:
             predict(UserHistory("u", 99, split.train[0].sessions), params, cfg)
         with pytest.raises(ValueError, match="k must"):
             predict(split.train[0], params, cfg, k=0)
+
+    def test_session_without_items_rejected(self):
+        split, cfg, params = self._setup()
+        sessions = list(split.train[0].sessions)
+        sessions[1] = dataclasses.replace(sessions[1], items=[])
+        with pytest.raises(ValueError, match="session 1 field 'items' is empty"):
+            predict(UserHistory("u", 0, sessions), params, cfg)
 
     def test_return_time_conditions_on_the_last_window(self):
         # six sessions, window two: the return time reads the inter state
