@@ -5,7 +5,9 @@ Byte layout (all integers little-endian):
     bytes 0..7    magic b"THRNCKPT"
     bytes 8..11   format version, uint32
     bytes 12..19  header length in bytes, uint64
-    header        UTF-8 JSON, keys sorted, no whitespace
+    header        UTF-8 JSON, keys sorted, no whitespace inside; trailing
+                  spaces pad it so that the payload starts at a multiple
+                  of 64 bytes
     payload       raw float64 little-endian C-order arrays, concatenated
                   in header order: model params first, optimizer second
 
@@ -16,9 +18,19 @@ the same params twice produces identical bytes.
 
 A load checks that each manifest shape is a list of non-negative
 integers, the model manifest against the config's shapes, and the file
-length against both manifests, before it reads any payload; each array
-is read once, into the buffer the model keeps. `optimizer=False` skips
-the Adam moments, two thirds of a trained file, for predict and evaluate.
+length against both manifests, before it maps the file. The file is
+mapped once, copy-on-write: each array is a writeable view of the
+mapping, so predict and evaluate read weights straight from the page
+cache, and an in-place update (Adam on resume) lands in private pages
+and never reaches the file. An array whose view is not 8-byte aligned,
+as in a file written before the header was padded, is copied instead.
+`optimizer=False` skips the Adam moments, two thirds of a trained file,
+for predict and evaluate.
+
+A save writes a temporary file beside the target and renames it over the
+target, so a failed save leaves the old file as it was, and a process
+still mapping the old file keeps its values. Overwriting a checkpoint in
+place by other means while a process maps it is unsupported.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import mmap
 import os
 import struct
 
@@ -36,6 +49,7 @@ from .model import ModelConfig, ModelParams
 
 MAGIC = b"THRNCKPT"
 FORMAT_VERSION = 3  # 3: packed [r|z|c] GRU weights (2: nine per-gate tensors)
+PAYLOAD_ALIGN = 64
 
 
 def save_checkpoint(path: str, params: ModelParams, cfg: ModelConfig,
@@ -48,21 +62,22 @@ def save_checkpoint(path: str, params: ModelParams, cfg: ModelConfig,
     header = {"version": FORMAT_VERSION, "config": dataclasses.asdict(cfg), "meta": meta,
               "params": params_list, "optimizer": None if optimizer_state is None else opt_list}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob += b" " * (-(20 + len(blob)) % PAYLOAD_ALIGN)
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for buf in [MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob] + [
-                memoryview(np.ascontiguousarray(arrays[n], dtype="<f8")).cast("B")
-                for arrays in sections for n in sorted(arrays)]:
-            digest.update(buf)
-            fh.write(buf)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for buf in [MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob] + [
+                    memoryview(np.ascontiguousarray(arrays[n], dtype="<f8")).cast("B")
+                    for arrays in sections for n in sorted(arrays)]:
+                digest.update(buf)
+                fh.write(buf)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     return digest.hexdigest()
-
-
-def _read_array(fh, shape: list[int], path: str) -> np.ndarray:
-    arr = np.empty(shape, dtype="<f8")
-    if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
-        raise ValueError(f"{path}: truncated while reading")
-    return arr
 
 
 def load_checkpoint(path: str, *, optimizer: bool = True
@@ -107,8 +122,15 @@ def load_checkpoint(path: str, *, optimizer: bool = True
         if size != want:
             raise ValueError(f"{path}: {'truncated' if size < want else 'trailing bytes'}: "
                              f"{size} bytes where the manifest implies {want}")
-        params = ModelParams.from_arrays({rec["name"]: _read_array(fh, rec["shape"], path)
-                                          for rec in header["params"]})
-        opt_state = None if not optimizer or header["optimizer"] is None else {
-            rec["name"]: _read_array(fh, rec["shape"], path) for rec in opt_recs}
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+
+    named, offset = [], 20 + hlen
+    for rec in header["params"] + (opt_recs if optimizer else []):
+        count = math.prod(rec["shape"])
+        view = np.frombuffer(mapped, dtype="<f8", count=count, offset=offset).reshape(rec["shape"])
+        named.append((rec["name"], view if view.flags.aligned else view.copy()))
+        offset += 8 * count
+    n_params = len(header["params"])
+    params = ModelParams.from_arrays(dict(named[:n_params]))
+    opt_state = None if not optimizer or header["optimizer"] is None else dict(named[n_params:])
     return params, cfg, opt_state, header.get("meta")

@@ -271,9 +271,10 @@ def cmd_evaluate(args) -> int:
     params, cfg, _, _ = ckpt.load_checkpoint(args.checkpoint, optimizer=False)
     split = data.load_split(args.split)
     _check_split_matches(split, cfg, args.split)
+    # every report is made before any is written, so a failed model leaves no files
+    reports = [(name, _model_report(name, params, cfg, split)) for name in names]
     os.makedirs(args.out_dir, exist_ok=True)
-    for name in names:
-        rep = _model_report(name, params, cfg, split)
+    for name, rep in reports:
         report_path = os.path.join(args.out_dir, f"{name}.report.jsonl")
         plot_path = os.path.join(args.out_dir, f"{name}.plot.dat")
         evaluation.save_report(rep, report_path)

@@ -504,7 +504,11 @@ def evaluate(params: ModelParams, cfg: ModelConfig, split: DatasetSplit,
              model_name: str = "thrnn") -> EvalReport:
     """Teacher-forced walk over each user's full timeline: every test-step
     target is ranked, and every unmasked test gap gets a return-time
-    prediction conditioned on everything before that session."""
+    prediction conditioned on everything before that session. A parameter
+    holding NaN or inf is refused by name: its ranks would read perfect."""
+    for name, tensor in params.named().items():
+        if not np.isfinite(tensor.value).all():
+            raise ValueError(f"parameter {name!r} holds non-finite values")
     quad = quad or cfg.quadrature()
     lists, uidx, first_test = [], [], []
     for tr, te in zip(split.train, split.test):
@@ -541,7 +545,8 @@ class Prediction:
 def predict(history: UserHistory, params: ModelParams, cfg: ModelConfig,
             k: int = 5, quad: QuadratureConfig | None = None) -> Prediction:
     """Continuation ranking after the last consumed item, plus the
-    expected gap until the user's next session (in seconds)."""
+    expected gap until the user's next session (in seconds). Non-finite
+    scores or a non-finite gap raise ValueError."""
     if not history.sessions:
         raise ValueError("need at least one session to predict from")
     empty = [i for i, s in enumerate(history.sessions) if len(s.items) == 0]
@@ -560,8 +565,10 @@ def predict(history: UserHistory, params: ModelParams, cfg: ModelConfig,
     intra_states, _, h_before, _ = _hierarchy_walk(
         params, cfg, [list(history.sessions)], [history.user_index])
     scores = intra_states[0][-1] @ params.out_w.value + params.out_b.value
+    if not np.isfinite(scores).all():
+        raise ValueError("the model's item scores are not finite")
     # the stable argsort's top k without a full sort: every index scoring at
-    # least the k-th best, lower index first among ties (NaN sorts last)
+    # least the k-th best, lower index first among ties
     neg = -scores
     cand = np.flatnonzero(~(neg > np.partition(neg, k - 1)[k - 1]))
     order = cand[np.argsort(neg[cand], kind="stable")][:k]
@@ -569,5 +576,7 @@ def predict(history: UserHistory, params: ModelParams, cfg: ModelConfig,
     # the next gap conditions on the session that just ended
     s = float(h_before[0][-1] @ params.time_v.value[:, 0] + params.time_b.value[0])
     gap = float(pp.expected_return_time_from_s(s, float(params.time_w.value), quad)[0])
+    if not math.isfinite(gap):
+        raise ValueError(f"the model's expected return time is not finite: {gap}")
     return Prediction(items=order, scores=scores[order],
                       return_gap_seconds=gap * cfg.time_unit)

@@ -186,12 +186,16 @@ class TestTrain:
         assert digests[0] != digests[2]
 
     def test_resume_continues_epoch_numbering(self, ws, tmp_path, capsys):
+        import hashlib
+        source = hashlib.sha256((ws / "m2.ckpt").read_bytes()).hexdigest()
         rc = main(["train", "--split", str(ws / "corpus.split"),
                    "--out", str(tmp_path / "m4.ckpt"), "--epochs", "4",
                    "--resume", str(ws / "m2.ckpt")])
         assert rc == 0
         recs = _records(capsys)
         assert [r["epoch"] for r in recs if r["kind"] == "epoch"] == [3, 4]
+        # training updates the mapped weights in place; none of it reaches the source
+        assert hashlib.sha256((ws / "m2.ckpt").read_bytes()).hexdigest() == source
 
         # and the resumed run must be indistinguishable from a straight one
         assert main(["train", "--split", str(ws / "corpus.split"),
@@ -199,8 +203,15 @@ class TestTrain:
                      "--epochs", "4", "--seed", "1", *TINY_FLAGS]) == 0
         straight = _records(capsys)[-1]["sha256"]
         resumed = (tmp_path / "m4.ckpt").read_bytes()
-        import hashlib
         assert hashlib.sha256(resumed).hexdigest() == straight
+
+        # resuming onto the file being resumed from gives the same bytes
+        in_place = tmp_path / "in_place.ckpt"
+        in_place.write_bytes((ws / "m2.ckpt").read_bytes())
+        assert main(["train", "--split", str(ws / "corpus.split"), "--out", str(in_place),
+                     "--epochs", "4", "--resume", str(in_place)]) == 0
+        assert _records(capsys)[-1]["sha256"] == straight
+        assert in_place.read_bytes() == resumed
 
     def test_resume_rejects_config_overrides(self, ws, tmp_path, capsys):
         rc = main(["train", "--split", str(ws / "corpus.split"),
@@ -404,6 +415,21 @@ class TestEvaluate:
                 in capsys.readouterr().err)
 
 
+    def test_non_finite_model_exits_2_and_writes_nothing(self, ws, tmp_path, capsys):
+        # NaN scores are never ahead of the target: unchecked, this model
+        # would report recall@5 = MRR@5 = 1.0
+        params, cfg, _, _ = load_checkpoint(str(ws / "m2.ckpt"), optimizer=False)
+        params.out_b.value[:] = np.nan
+        save_checkpoint(str(tmp_path / "nan.ckpt"), params, cfg)
+        rc = main(["evaluate", "--checkpoint", str(tmp_path / "nan.ckpt"),
+                   "--split", str(ws / "corpus.split"), "--out-dir", str(tmp_path / "r"),
+                   "--models", "popularity,thrnn"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "parameter 'out_b' holds non-finite values" in err
+        assert not (tmp_path / "r").exists()
+
+
 class TestPredict:
     @staticmethod
     def _history(path, items=((0, 4, 7), (3, 1))):
@@ -424,6 +450,17 @@ class TestPredict:
         assert rec["scores"] == sorted(rec["scores"], reverse=True)
         assert rec["return_seconds"] > 0
         assert rec["return_days"] == pytest.approx(rec["return_seconds"] / 86400.0)
+
+    def test_non_finite_model_exits_2(self, ws, tmp_path, capsys):
+        params, cfg, _, _ = load_checkpoint(str(ws / "m2.ckpt"), optimizer=False)
+        params.out_b.value[:] = np.nan
+        save_checkpoint(str(tmp_path / "nan.ckpt"), params, cfg)
+        self._history(tmp_path / "h.json")
+        rc = main(["predict", "--checkpoint", str(tmp_path / "nan.ckpt"),
+                   "--history", str(tmp_path / "h.json")])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "item scores are not finite" in err
 
     def test_repeat_prediction_identical(self, ws, tmp_path, capsys):
         self._history(tmp_path / "h.json")

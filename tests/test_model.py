@@ -680,6 +680,18 @@ class TestEvaluate:
         ev.popularity_report(split)
         assert seen == [want]
 
+    @pytest.mark.parametrize("name, bad", [("out_b", np.nan), ("intra.u", np.inf),
+                                           ("time_w", -np.inf)])
+    def test_non_finite_parameter_refused_by_name(self, name, bad):
+        # a NaN score is never ahead of the target, so a NaN model would
+        # otherwise report recall@5 = MRR@5 = 1.0
+        split = _tiny_corpus(users=6, sessions=5)
+        cfg = _train_cfg(split)
+        params = _rand_params(cfg, seed=23)
+        params.named()[name].value.reshape(-1)[-1] = bad
+        with pytest.raises(ValueError, match=f"parameter '{name}' holds non-finite values"):
+            evaluate(params, cfg, split)
+
     def test_inference_is_deterministic_with_dropout_configured(self):
         split = _tiny_corpus(users=6, sessions=5)
         cfg = _train_cfg(split, dropout_rate=0.5)
@@ -715,7 +727,6 @@ class TestPredict:
         [0.5, 2.0, 2.0, 1.0, 2.0, 1.0, 1.0, -3.0, 2.0, 1.0],  # ties straddle k
         [1.0] * 10,
         [3.0, -1.0, 7.5, 0.0, -0.0, 7.5, 2.0, 2.0, -1.0, 9.0],
-        [1.0, np.nan, 2.0, 2.0, np.nan, 0.0, 1.0, 1.0, np.nan, 5.0],
     ])
     def test_top_k_matches_full_stable_argsort(self, scores):
         split, cfg, params = self._setup()
@@ -726,7 +737,7 @@ class TestPredict:
             pred = predict(split.train[0], params, cfg, k=k)
             want = np.argsort(-scores, kind="stable")[:k]
             assert pred.items.tolist() == want.tolist(), k
-            assert np.array_equal(pred.scores, scores[want], equal_nan=True)
+            assert np.array_equal(pred.scores, scores[want])
 
     def test_score_shift_leaves_ranking_alone(self):
         split, cfg, params = self._setup()
@@ -734,6 +745,15 @@ class TestPredict:
         params.out_b.value += 11.0
         after = predict(split.train[1], params, cfg, k=6).items
         assert before.tolist() == after.tolist()
+
+    @pytest.mark.parametrize("name, message", [("out_b", "item scores are not finite"),
+                                               ("time_v", "expected return time is not finite")])
+    def test_non_finite_model_refused(self, name, message):
+        # one NaN among finite values is enough, even where it would not reach the top k
+        split, cfg, params = self._setup()
+        params.named()[name].value.reshape(-1)[1] = np.nan
+        with pytest.raises(ValueError, match=message):
+            predict(split.train[0], params, cfg, k=1)
 
     def test_two_calls_identical(self):
         split, cfg, params = self._setup(dropout_rate=0.4)
@@ -830,11 +850,110 @@ class TestCheckpoint:
                         meta={"seed": 1})
         loaded, cfg2, opt_state, meta = load_checkpoint(path, optimizer=False)
         assert (cfg2, opt_state, meta) == (cfg, None, {"seed": 1})
+        values = []
         for name, tensor in params.named().items():
             value = loaded.named()[name].value
             assert np.array_equal(tensor.value, value), name
-            # Adam updates values in place: each must be its own writeable float64 array
-            assert value.dtype == np.float64 and value.flags.writeable and value.flags.owndata
+            # an aligned view of the file's mapping, not a copy, and writeable for Adam
+            assert value.dtype == np.float64 and value.flags.writeable, name
+            assert value.flags.aligned and not value.flags.owndata, name
+            values.append(value)
+        # Adam updates values in place: no two arrays may share memory
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(values)
+                       for b in values[i + 1:])
+
+    def test_payload_starts_64_byte_aligned(self, tmp_path):
+        import json
+        import struct
+        from thrnn.checkpoint import save_checkpoint
+        cfg = _cfg()
+        path = tmp_path / "m.ckpt"
+        for meta in (None, {"seed": 1}, {"seed": 12345, "epochs_completed": 7}):
+            save_checkpoint(str(path), _rand_params(cfg), cfg, meta=meta)
+            raw = path.read_bytes()
+            (hlen,) = struct.unpack("<Q", raw[12:20])
+            assert (20 + hlen) % 64 == 0
+            assert json.loads(raw[20:20 + hlen])["meta"] == meta  # the padding is JSON whitespace
+
+    def test_loaded_model_and_its_file_stay_apart(self, tmp_path):
+        import hashlib
+        from thrnn.checkpoint import load_checkpoint, save_checkpoint
+        cfg = _cfg()
+        params = _rand_params(cfg, seed=32)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), params, cfg, optimizer_state=_opt_state(params))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        loaded, _, opt_state, _ = load_checkpoint(str(path))
+        # writes to the loaded arrays, as Adam makes on resume, never reach the file
+        for value in [t.value for t in loaded.named().values()] + list(opt_state.values()):
+            value += 1.0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        # and a save over the path leaves an already loaded model as it was
+        kept, _, _, _ = load_checkpoint(str(path), optimizer=False)
+        save_checkpoint(str(path), _rand_params(cfg, seed=33), cfg)
+        for name, tensor in params.named().items():
+            assert np.array_equal(kept.named()[name].value, tensor.value), name
+
+    def test_failed_save_leaves_old_file(self, tmp_path, monkeypatch):
+        from thrnn import checkpoint
+        cfg = _cfg()
+        path = tmp_path / "m.ckpt"
+        checkpoint.save_checkpoint(str(path), _rand_params(cfg, seed=34), cfg)
+        old = path.read_bytes()
+
+        class DiskFullAfterHeader:
+            # the header is written, then the first array fails
+            def __init__(self):
+                self.calls = 0
+
+            def update(self, buf):
+                self.calls += 1
+                if self.calls == 2:
+                    raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(checkpoint.hashlib, "sha256", DiskFullAfterHeader)
+        with pytest.raises(OSError, match="No space left"):
+            checkpoint.save_checkpoint(str(path), _rand_params(cfg, seed=35), cfg)
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_unpadded_header_gives_identical_outputs(self, tmp_path):
+        # files written before the header was padded have an unaligned
+        # payload; their arrays are copied, and every output is the same
+        import struct
+        from thrnn.checkpoint import load_checkpoint, save_checkpoint
+        from thrnn.evaluation import save_plot_data, save_report
+        split = _tiny_corpus(users=6, sessions=5)
+        cfg = _train_cfg(split)
+        padded, unpadded = tmp_path / "padded.ckpt", tmp_path / "unpadded.ckpt"
+        save_checkpoint(str(padded), _rand_params(cfg, seed=36), cfg)
+        unpadded.write_bytes(padded.read_bytes())
+        _edit_header(unpadded, lambda header: None)
+        (hlen,) = struct.unpack("<Q", unpadded.read_bytes()[12:20])
+        assert (20 + hlen) % 8 != 0
+
+        outputs = []
+        for path in (padded, unpadded):
+            params, cfg2, _, _ = load_checkpoint(str(path), optimizer=False)
+            assert cfg2 == cfg
+            assert all(t.value.flags.aligned for t in params.named().values())
+            preds = [predict(u, params, cfg, k=3) for u in split.train]
+            report = evaluate(params, cfg, split)
+            save_report(report, str(path) + ".report")
+            save_plot_data(report, str(path) + ".plot")
+            outputs.append(([(p.items.tobytes(), p.scores.tobytes(), p.return_gap_seconds)
+                             for p in preds],
+                            (tmp_path / (path.name + ".report")).read_bytes(),
+                            (tmp_path / (path.name + ".plot")).read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_rejects_empty_file(self, tmp_path):
+        from thrnn.checkpoint import load_checkpoint
+        path = tmp_path / "empty.ckpt"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="empty.ckpt: not a checkpoint file"):
+            load_checkpoint(str(path))
 
     def test_save_returns_digest_of_written_bytes(self, tmp_path):
         import hashlib
