@@ -28,7 +28,8 @@ as in a file written before the header was padded, is copied instead.
 for predict and evaluate.
 
 A save writes a temporary file beside the target and renames it over the
-target, so a failed save leaves the old file as it was, and a process
+target (through a symlink; a target that is not a regular file is
+refused), so a failed save leaves the old file as it was, and a process
 still mapping the old file keeps its values. Overwriting a checkpoint in
 place by other means while a process maps it is unsupported.
 """
@@ -64,7 +65,10 @@ def save_checkpoint(path: str, params: ModelParams, cfg: ModelConfig,
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     blob += b" " * (-(20 + len(blob)) % PAYLOAD_ALIGN)
     digest = hashlib.sha256()
-    tmp = f"{path}.{os.getpid()}.tmp"
+    target = os.path.realpath(path)  # through a symlink, as writing in place did
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise ValueError(f"{path}: not a regular file, so it cannot be replaced")
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             for buf in [MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob] + [
@@ -72,7 +76,7 @@ def save_checkpoint(path: str, params: ModelParams, cfg: ModelConfig,
                     for arrays in sections for n in sorted(arrays)]:
                 digest.update(buf)
                 fh.write(buf)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -918,6 +918,24 @@ class TestCheckpoint:
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
+    def test_save_replaces_through_a_symlink_and_refuses_a_fifo(self, tmp_path):
+        import os
+        from thrnn.checkpoint import load_checkpoint, save_checkpoint
+        cfg = _cfg()
+        params = _rand_params(cfg, seed=37)
+        (tmp_path / "real.ckpt").write_bytes(b"old")
+        os.symlink("real.ckpt", tmp_path / "link.ckpt")
+        save_checkpoint(str(tmp_path / "link.ckpt"), params, cfg)
+        assert (tmp_path / "link.ckpt").is_symlink()
+        loaded, _, _, _ = load_checkpoint(str(tmp_path / "real.ckpt"))
+        assert np.array_equal(loaded.out_w.value, params.out_w.value)
+        # replacing a device or a pipe would put a regular file in its place
+        os.mkfifo(tmp_path / "pipe")
+        with pytest.raises(ValueError, match="pipe: not a regular file"):
+            save_checkpoint(str(tmp_path / "pipe"), params, cfg)
+        assert (tmp_path / "pipe").is_fifo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.ckpt", "pipe", "real.ckpt"]
+
     def test_unpadded_header_gives_identical_outputs(self, tmp_path):
         # files written before the header was padded have an unaligned
         # payload; their arrays are copied, and every output is the same
