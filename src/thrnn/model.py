@@ -17,6 +17,9 @@ Two details of the training scheme deserve calling out:
   lookups. Item embeddings therefore learn only from the recommendation
   loss of the session being predicted, never through the history
   pathway; gap and user embeddings keep learning through both losses.
+  The refresh is one tape-free walk that fills a flat table, one row of
+  intra state and gap bucket per train session in user-major slot order;
+  an example's history is the rows just before its own.
 * The time head gets its own optimizer group with a smaller learning
   rate and a gradient-norm clip. Its loss is exponential in s + w*g, so
   shared step sizes reliably blow it up.
@@ -24,9 +27,11 @@ Two details of the training scheme deserve calling out:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,13 +77,25 @@ class ModelConfig:
             if not ok:
                 raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
 
+        # types first, so that the range checks below compare numbers
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if f.type == "int":
+                need(isinstance(v, numbers.Integral) and not isinstance(v, bool),
+                     f.name, "must be an integer")
+            elif f.type.startswith("float") and v is not None:
+                need(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                     and math.isfinite(v), f.name, "must be a finite real number")
         for name in ("item_embedding_dim", "user_embedding_dim", "gap_embedding_dim",
                      "hidden_dim", "num_users", "max_session_reps", "batch_size",
                      "num_gap_buckets", "time_unit", "gap_bucket_bound"):
             need(getattr(self, name) > 0, name, "must be positive")
         need(self.num_items >= 2, "num_items", "must be >= 2")
-        for name in ("loss_weight_time", "loss_weight_rec"):
+        for name in ("loss_weight_time", "loss_weight_rec", "learning_rate",
+                     "learning_rate_time"):
             need(getattr(self, name) >= 0, name, "must be non-negative")
+        need(self.time_clip_norm is None or self.time_clip_norm > 0, "time_clip_norm",
+             "must be None or positive")
         need(0.0 < self.alpha_exp <= 1.0, "alpha_exp", "must lie in (0, 1]")
         need(0.0 <= self.dropout_rate < 1.0, "dropout_rate", "must lie in [0, 1)")
         need(self.gap_bucket_scheme in ("uniform", "log"), "gap_bucket_scheme",
@@ -171,30 +188,22 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 # examples
 
-@dataclass(frozen=True)
-class SessionRep:
-    """One history entry: a detached intra summary plus the bucket id of
-    the gap that preceded the session (the user id is example-level)."""
-
-    intra_state: np.ndarray
-    gap_bucket: int
-
-
 @dataclass
 class TrainingExample:
     user_index: int
     slot: int  # position in the user's train timeline
+    row: int  # its session's row in the history table; history is the rows before
     inputs: np.ndarray  # items[:-1], consumed step by step
     targets: np.ndarray  # items[1:], one label per consumed step
     gap_target: float  # model time units (seconds / time_unit)
     time_masked: bool
-    history: list[SessionRep] = field(default_factory=list)
 
 
 def build_examples(split: DatasetSplit, cfg: ModelConfig) -> list[TrainingExample]:
-    """One example per train session; histories get filled in later from
-    the representation cache."""
-    examples = []
+    """One example per usable train session. Its history window is the
+    table rows row - min(slot, max_session_reps) .. row - 1, which the
+    per-epoch refresh fills."""
+    examples, row = [], 0
     for hist in split.train:
         for j, s in enumerate(hist.sessions):
             # no predecessor (slot 0) and split-session halves carry a
@@ -203,18 +212,19 @@ def build_examples(split: DatasetSplit, cfg: ModelConfig) -> list[TrainingExampl
             if time_masked and len(s.items) < 2:
                 continue  # neither loss has a target here
             examples.append(TrainingExample(
-                user_index=hist.user_index, slot=j,
+                user_index=hist.user_index, slot=j, row=row + j,
                 inputs=np.asarray(s.items[:-1], dtype=np.int64),
                 targets=np.asarray(s.items[1:], dtype=np.int64),
                 gap_target=s.gap_before / cfg.time_unit,
                 time_masked=time_masked))
+        row += len(hist.sessions)
     if not examples:
         raise ValueError("train split yields no usable examples")
     return examples
 
 
 # ---------------------------------------------------------------------------
-# tape-free hierarchy walk (representation cache, evaluation, prediction)
+# tape-free hierarchy walk (history table, evaluation, prediction)
 
 def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
                     session_lists: list[list], user_indices: list[int],
@@ -235,21 +245,27 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
     rep @ w_inter is computed once for all its windows. Within a slot the
     sessions go longest first, so intra step t steps only the live prefix.
 
-    Returns per-user lists (intra_states, gap_buckets, h_before) and rank
-    arrays: when `ranked_from` marks each user's first scored slot, the
-    rank of every within-session target from that slot on, teacher-forced.
-    Rank rows queue up as the intra steps make them and are scored
-    batch_size at a time, so no scores block exceeds (batch_size, items).
-    A user with n sessions gets n + 1 inter states: h_before[u][n] follows
-    the last session and is the state the next return time conditions on.
+    Returns flat arrays in user-major slot order plus per-user rank
+    arrays. With base[u] the number of sessions of the users before u,
+    user u's slot j is row base[u] + j of intra_states (sessions, hidden)
+    and gap_buckets (sessions,) int64, and row base[u] + u + j of h_before
+    (sessions + users, hidden): a user with n sessions gets n + 1 inter
+    states, and the last one follows the last session and is the state the
+    next return time conditions on. When `ranked_from` marks each user's
+    first scored slot, the ranks are those of every within-session target
+    from that slot on, teacher-forced. Rank rows queue up as the intra
+    steps make them and are scored batch_size at a time, so no scores
+    block exceeds (batch_size, items).
     """
     n_users = len(session_lists)
     h_dim, reach_max, bs = cfg.hidden_dim, cfg.max_session_reps, cfg.batch_size
     bucketizer = cfg.bucketizer()
     n_slots = [len(sl) for sl in session_lists]
-    intra_states = [[None] * n for n in n_slots]
-    buckets = [[bucketizer.bucket(s.gap_before) for s in sl] for sl in session_lists]
-    h_before = [[None] * (n + 1) for n in n_slots]
+    base = np.cumsum([0] + n_slots).tolist()
+    intra_states = np.zeros((base[-1], h_dim))
+    buckets = np.array([bucketizer.bucket(s.gap_before) for sl in session_lists for s in sl],
+                       dtype=np.int64)
+    h_before = np.zeros((base[-1] + n_users, h_dim))
     first = ranked_from or [math.inf] * n_users
     empty = np.zeros(0, dtype=np.int64)
     # (states, targets, users) waiting to be ranked; (ranks, users) per ranked block
@@ -269,9 +285,7 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
     windows = np.zeros((n_users, reach_max, h_dim))
     for j in range(max(n_slots, default=-1) + 1):
         active = [u for u in range(n_users) if n_slots[u] >= j]
-        h = windows[active, j % reach_max]
-        for row, u in enumerate(active):
-            h_before[u][j] = h[row]
+        h_before[[base[u] + u + j for u in active]] = windows[active, j % reach_max]
         active = sorted((u for u in active if n_slots[u] > j),
                         key=lambda u: -len(session_lists[u][j].items))
         if not active:
@@ -291,11 +305,11 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
             if need:
                 queue.append((hh[need], ids[need, t + 1], np.asarray(active)[need]))
                 rank_queue()
-        for row, u in enumerate(active):
-            intra_states[u][j] = hh[row]
+        rows = [base[u] + j for u in active]
+        intra_states[rows] = hh
 
         # slot j's reps enter windows j + 1 .. min(j + R, n_u) of their user
-        rep = np.concatenate([hh, gap_t[[buckets[u][j] for u in active]],
+        rep = np.concatenate([hh, gap_t[buckets[rows]],
                               user_t[[user_indices[u] for u in active]]], axis=1)
         proj = rep @ params.inter.w.value
         windows[active, j % reach_max] = 0.0
@@ -314,51 +328,45 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
     return intra_states, buckets, h_before, np.split(ranks[order], np.cumsum(per_user)[:-1])
 
 
-def _refresh_histories(examples: list[TrainingExample], split: DatasetSplit,
-                       params: ModelParams, cfg: ModelConfig) -> None:
-    """Recompute the detached history entries of every example from the
-    current weights (once per epoch; within an epoch they go stale)."""
-    lists = [h.sessions for h in split.train]
-    uidx = [h.user_index for h in split.train]
-    intra_states, buckets, _, _ = _hierarchy_walk(params, cfg, lists, uidx)
-    by_user = {h.user_index: i for i, h in enumerate(split.train)}
-    for ex in examples:
-        u = by_user[ex.user_index]
-        ex.history = [SessionRep(intra_states[u][t], buckets[u][t])
-                      for t in range(max(0, ex.slot - cfg.max_session_reps), ex.slot)]
+def _refresh_histories(split: DatasetSplit, params: ModelParams,
+                       cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The history table from the current weights: intra states and gap
+    buckets, one row per train session as `TrainingExample.row` counts
+    them (once per epoch; within an epoch they go stale)."""
+    return _hierarchy_walk(params, cfg, [h.sessions for h in split.train],
+                           [h.user_index for h in split.train])[:2]
 
 
 # ---------------------------------------------------------------------------
 # taped forward
 
 def _forward_batch(tape: Tape, params: ModelParams, cfg: ModelConfig,
-                   batch: list[TrainingExample], rng):
-    """Batched taped training pass; returns (joint loss tensor, time nll
-    value, rec nll value, unmasked time rows, rec steps)."""
+                   batch: list[TrainingExample], rng, table):
+    """Batched taped training pass over the (states, buckets) history
+    table; returns (joint loss tensor, time nll value, rec nll value,
+    unmasked time rows, rec steps)."""
     n = len(batch)
     h_dim = cfg.hidden_dim
     users = np.array([ex.user_index for ex in batch], dtype=np.int64)
 
-    # inter level over right-aligned histories; front padding is frozen
-    # out via the update mask so cold rows keep the zero state
-    window = max(len(ex.history) for ex in batch)
+    # inter level over right-aligned histories: entry t of row i is table row
+    # ex.row - window + t, live for its last min(slot, R) entries; the front
+    # padding keeps the zero state and bucket 0, and the update mask freezes it
+    reach = np.array([min(ex.slot, cfg.max_session_reps) for ex in batch])
+    window = int(reach.max())
     h = constant(np.zeros((n, h_dim)))
     if window:
+        live = np.arange(window) >= window - reach[:, None]
+        at = (np.array([ex.row for ex in batch])[:, None] - window + np.arange(window))[live]
         segs = np.zeros((n, window, h_dim))
         gaps = np.zeros((n, window), dtype=np.int64)
-        live = np.zeros((n, window, 1), dtype=bool)
-        for i, ex in enumerate(batch):
-            k = len(ex.history)
-            for t, rep in enumerate(ex.history):
-                segs[i, window - k + t] = rep.intra_state
-                gaps[i, window - k + t] = rep.gap_bucket
-                live[i, window - k + t, 0] = True
+        segs[live], gaps[live] = table[0][at], table[1][at]
         for t in range(window):
             rep = concat(tape, [constant(segs[:, t]),
                                 embedding(tape, params.gap_emb, gaps[:, t]),
                                 embedding(tape, params.user_emb, users)])
             rep = dropout(tape, rep, cfg.dropout_rate, rng)
-            h = gru_cell(tape, rep, h, params.inter, update_mask=live[:, t])
+            h = gru_cell(tape, rep, h, params.inter, update_mask=live[:, t, None])
     h_j = h
 
     time_masked = np.array([ex.time_masked for ex in batch])
@@ -412,8 +420,6 @@ class EpochStats:
     train_loss: float
     time_nll: float
     rec_nll: float
-    recall5: float | None
-    mae_days: float | None
 
 
 def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
@@ -427,8 +433,9 @@ def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
     seeded stream, and the shuffle/dropout streams are re-derived per
     epoch, so training straight through or stopping at any epoch and
     resuming with the saved params and optimizer state produces identical
-    parameters. `log` (if given) receives one JSON line per epoch. The
-    returned dict is the final optimizer state, suitable for resuming.
+    parameters. `log` (if given) receives one JSON line of losses per
+    epoch; training never reads the test split. The returned dict is the
+    final optimizer state, suitable for resuming.
     """
     if start_epoch < 1:
         raise ValueError("start_epoch must be >= 1")
@@ -449,7 +456,7 @@ def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
     for epoch in range(start_epoch, epochs + 1):
         shuffle_rng = np.random.default_rng([seed, 1, epoch])
         drop_rng = np.random.default_rng([seed, 2, epoch])
-        _refresh_histories(examples, split, params, cfg)
+        table = _refresh_histories(split, params, cfg)
         order = shuffle_rng.permutation(len(examples))
         loss_sum = time_sum = rec_sum = 0.0
         time_rows = rec_rows = 0
@@ -458,7 +465,7 @@ def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
             tape = Tape()
             try:
                 loss, lt, lr_, nt, nr = _forward_batch(tape, params, cfg, batch,
-                                                       drop_rng)
+                                                       drop_rng, table)
             except ExponentOverflowError as err:
                 raise TrainingDivergedError(
                     f"forward diverged at epoch {epoch}, batch {batch_no}: {err}") from err
@@ -478,20 +485,14 @@ def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
             time_rows += nt
             rec_rows += nr
 
-        held_out = evaluate(params, cfg, split, ks=(5,))
         stats.append(EpochStats(
             epoch=epoch,
             train_loss=loss_sum / len(examples),
             time_nll=time_sum / max(time_rows, 1),
-            rec_nll=rec_sum / max(rec_rows, 1),
-            recall5=held_out.recall.get(5),
-            mae_days=held_out.overall_mae_days))
+            rec_nll=rec_sum / max(rec_rows, 1)))
         if log is not None:
-            rec = stats[-1]
-            log(json.dumps({"kind": "epoch", "epoch": rec.epoch,
-                            "train_loss": rec.train_loss, "time_nll": rec.time_nll,
-                            "rec_nll": rec.rec_nll, "recall5": rec.recall5,
-                            "mae_days": rec.mae_days}, sort_keys=True))
+            log(json.dumps({"kind": "epoch", **dataclasses.asdict(stats[-1])},
+                           sort_keys=True))
     return params, stats, opt.state_arrays()
 
 
@@ -499,8 +500,6 @@ def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
 # evaluation and prediction
 
 def evaluate(params: ModelParams, cfg: ModelConfig, split: DatasetSplit,
-             ks=(5, 10, 20), bucket_edges_days=None,
-             quad: QuadratureConfig | None = None,
              model_name: str = "thrnn") -> EvalReport:
     """Teacher-forced walk over each user's full timeline: every test-step
     target is ranked, and every unmasked test gap gets a return-time
@@ -509,7 +508,6 @@ def evaluate(params: ModelParams, cfg: ModelConfig, split: DatasetSplit,
     for name, tensor in params.named().items():
         if not np.isfinite(tensor.value).all():
             raise ValueError(f"parameter {name!r} holds non-finite values")
-    quad = quad or cfg.quadrature()
     lists, uidx, first_test = [], [], []
     for tr, te in zip(split.train, split.test):
         lists.append(tr.sessions + te.sessions)
@@ -518,21 +516,22 @@ def evaluate(params: ModelParams, cfg: ModelConfig, split: DatasetSplit,
     _, _, h_before, ranks = _hierarchy_walk(params, cfg, lists, uidx,
                                             ranked_from=first_test)
 
-    rows, targets = [], []
+    # h_before holds n + 1 rows per user; a test gap reads its session's row
+    rows, targets, base = [], [], 0
     for u, te in enumerate(split.test):
-        for k, s in enumerate(te.sessions):
+        for row, s in enumerate(te.sessions, start=base + first_test[u]):
             if not s.gap_masked:
-                rows.append(h_before[u][first_test[u] + k])
+                rows.append(row)
                 targets.append(s.gap_before)
+        base += len(lists[u]) + 1
     if rows:
-        s_vec = np.stack(rows) @ params.time_v.value[:, 0] + params.time_b.value[0]
+        s_vec = h_before[rows] @ params.time_v.value[:, 0] + params.time_b.value[0]
         preds = pp.expected_return_time_from_s(
-            s_vec, float(params.time_w.value), quad) * cfg.time_unit
+            s_vec, float(params.time_w.value), cfg.quadrature()) * cfg.time_unit
     else:
         preds = np.zeros(0)
     return build_report(model_name, np.concatenate(ranks), preds,
-                        np.asarray(targets, dtype=np.float64),
-                        ks=ks, bucket_edges_days=bucket_edges_days)
+                        np.asarray(targets, dtype=np.float64))
 
 
 @dataclass
@@ -543,7 +542,7 @@ class Prediction:
 
 
 def predict(history: UserHistory, params: ModelParams, cfg: ModelConfig,
-            k: int = 5, quad: QuadratureConfig | None = None) -> Prediction:
+            k: int = 5) -> Prediction:
     """Continuation ranking after the last consumed item, plus the
     expected gap until the user's next session (in seconds). Non-finite
     scores or a non-finite gap raise ValueError."""
@@ -560,11 +559,10 @@ def predict(history: UserHistory, params: ModelParams, cfg: ModelConfig,
                   if not 0 <= int(i) < cfg.num_items})
     if bad:
         raise IndexError(f"unknown item indices: {bad}")
-    quad = quad or cfg.quadrature()
 
     intra_states, _, h_before, _ = _hierarchy_walk(
         params, cfg, [list(history.sessions)], [history.user_index])
-    scores = intra_states[0][-1] @ params.out_w.value + params.out_b.value
+    scores = intra_states[-1] @ params.out_w.value + params.out_b.value
     if not np.isfinite(scores).all():
         raise ValueError("the model's item scores are not finite")
     # the stable argsort's top k without a full sort: every index scoring at
@@ -574,8 +572,9 @@ def predict(history: UserHistory, params: ModelParams, cfg: ModelConfig,
     order = cand[np.argsort(neg[cand], kind="stable")][:k]
 
     # the next gap conditions on the session that just ended
-    s = float(h_before[0][-1] @ params.time_v.value[:, 0] + params.time_b.value[0])
-    gap = float(pp.expected_return_time_from_s(s, float(params.time_w.value), quad)[0])
+    s = float(h_before[-1] @ params.time_v.value[:, 0] + params.time_b.value[0])
+    gap = float(pp.expected_return_time_from_s(s, float(params.time_w.value),
+                                               cfg.quadrature())[0])
     if not math.isfinite(gap):
         raise ValueError(f"the model's expected return time is not finite: {gap}")
     return Prediction(items=order, scores=scores[order],

@@ -26,8 +26,8 @@ from thrnn.evaluation import (hawkes_report, mean_gap_report,
                               popularity_report, recall_at_k)
 from thrnn.hawkes import (FitConfig, HawkesParams, fit, hawkes_predict_next,
                           sample_next_gaps, simulate_thinning)
-from thrnn.model import (ModelConfig, ModelParams, SessionRep,
-                         TrainingExample, evaluate, predict, train)
+from thrnn.model import (ModelConfig, ModelParams, TrainingExample,
+                         evaluate, predict, train)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -44,15 +44,19 @@ def _rand_params(cfg: ModelConfig, seed: int) -> ModelParams:
     return p
 
 
-def _example(rng, cfg, n_hist, n_items, gap, user):
-    hist = [SessionRep(intra_state=rng.normal(0, 0.5, cfg.hidden_dim),
-                       gap_bucket=int(rng.integers(cfg.num_gap_buckets)))
-            for _ in range(n_hist)]
+def _example(rng, cfg, rows, n_hist, n_items, gap, user):
+    """An example whose history is appended to `rows`, a pair of lists
+    (intra states, gap buckets), followed by its own row, which nothing reads."""
+    for _ in range(n_hist):
+        rows[0].append(rng.normal(0, 0.5, cfg.hidden_dim))
+        rows[1].append(int(rng.integers(cfg.num_gap_buckets)))
+    rows[0].append(np.zeros(cfg.hidden_dim))
+    rows[1].append(0)
     items = rng.integers(cfg.num_items, size=n_items + 1)
-    return TrainingExample(user_index=user, slot=n_hist,
+    return TrainingExample(user_index=user, slot=n_hist, row=len(rows[0]) - 1,
                            inputs=items[:-1].astype(np.int64),
                            targets=items[1:].astype(np.int64),
-                           gap_target=gap, time_masked=False, history=hist)
+                           gap_target=gap, time_masked=False)
 
 
 def _bucket_mae(report, lo_days, hi_days):
@@ -76,18 +80,20 @@ def test_criterion_1_gradients_match_finite_differences():
                       hidden_dim=4, num_gap_buckets=3, batch_size=2)
     params = _rand_params(cfg, seed=8)
     rng = np.random.default_rng(9)
-    batch = [_example(rng, cfg, n_hist=2, n_items=3, gap=1.7, user=0),
-             _example(rng, cfg, n_hist=2, n_items=2, gap=0.6, user=1)]
+    rows = ([], [])
+    batch = [_example(rng, cfg, rows, n_hist=2, n_items=3, gap=1.7, user=0),
+             _example(rng, cfg, rows, n_hist=2, n_items=2, gap=0.6, user=1)]
+    table = (np.array(rows[0]), np.array(rows[1], dtype=np.int64))
 
     def loss_value():
         tape = Tape()
         loss, *_ = md._forward_batch(tape, params, cfg, batch,
-                                     np.random.default_rng(0))
+                                     np.random.default_rng(0), table)
         return float(loss.value)
 
     tape = Tape()
     loss, *_ = md._forward_batch(tape, params, cfg, batch,
-                                 np.random.default_rng(0))
+                                 np.random.default_rng(0), table)
     for t in params.named().values():
         t.zero_grad()
     tape.backward(loss)

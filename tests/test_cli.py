@@ -253,6 +253,26 @@ class TestTrain:
         assert rc == 2
         assert "hiden_dim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", -0.01), ("learning_rate", float("nan")), ("time_clip_norm", -1),
+        ("batch_size", "100"), ("hidden_dim", 4.5)])
+    def test_config_value_that_breaks_training_exits_2(self, ws, tmp_path, capsys, field, value):
+        (tmp_path / "cfg.json").write_text(json.dumps({field: value}))
+        rc = main(["train", "--split", str(ws / "corpus.split"),
+                   "--out", str(tmp_path / "x.ckpt"), "--epochs", "1",
+                   "--config", str(tmp_path / "cfg.json")])
+        assert rc == 2
+        assert f"error: {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_negative_learning_rate_flag_exits_2(self, ws, tmp_path, capsys):
+        # gradient ascent: the loss would rise while the run exits 0
+        rc = main(["train", "--split", str(ws / "corpus.split"),
+                   "--out", str(tmp_path / "x.ckpt"), "--epochs", "1",
+                   "--learning-rate", "-0.01", *TINY_FLAGS])
+        assert rc == 2
+        assert "learning_rate must be non-negative" in capsys.readouterr().err
+
     def test_flags_override_config_file(self, ws, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps(
             {"hidden_dim": 16, "item_embedding_dim": 6, "user_embedding_dim": 3,

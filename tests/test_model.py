@@ -2,6 +2,7 @@
 training behavior, and prediction contracts."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -13,10 +14,23 @@ from thrnn import synthetic as sy
 from thrnn.autodiff import Tape, fd_gradient, gru_cell_np, rel_error
 from thrnn.data import DatasetSplit, Session, UserHistory
 from thrnn.evaluation import mean_gap_report
-from thrnn.model import (ModelConfig, ModelParams, SessionRep, TrainingDivergedError,
+from thrnn.model import (ModelConfig, ModelParams, TrainingDivergedError,
                          TrainingExample, build_examples, evaluate, predict, train)
 
 DAY = 86400.0
+
+
+# (field, value, rule): values that would train wrongly or raise a TypeError
+BAD_CONFIGS = [
+    ("learning_rate", -0.01, "must be non-negative"),
+    ("learning_rate", float("nan"), "must be a finite real number"),
+    ("learning_rate_time", float("inf"), "must be a finite real number"),
+    ("time_clip_norm", -1, "must be None or positive"),
+    ("batch_size", "100", "must be an integer"),
+    ("hidden_dim", 4.5, "must be an integer"),
+    ("max_session_reps", True, "must be an integer"),
+    ("dropout_rate", "0.1", "must be a finite real number"),
+]
 
 
 def _cfg(**kw):
@@ -38,14 +52,25 @@ def _rand_params(cfg, seed=0, with_time=True):
 
 
 def _example(rng, cfg, n_hist, n_items, time_masked=False, gap=1.3, user=0):
-    hist = [SessionRep(intra_state=rng.normal(0, 0.5, cfg.hidden_dim),
-                       gap_bucket=int(rng.integers(cfg.num_gap_buckets)))
+    """An example and its history as (intra state, gap bucket) pairs."""
+    hist = [(rng.normal(0, 0.5, cfg.hidden_dim), int(rng.integers(cfg.num_gap_buckets)))
             for _ in range(n_hist)]
     items = rng.integers(cfg.num_items, size=n_items + 1)
-    return TrainingExample(user_index=user, slot=n_hist,
+    return TrainingExample(user_index=user, slot=n_hist, row=n_hist,
                            inputs=items[:-1].astype(np.int64),
                            targets=items[1:].astype(np.int64),
-                           gap_target=gap, time_masked=time_masked, history=hist)
+                           gap_target=gap, time_masked=time_masked), hist
+
+
+def _stack(cfg, parts):
+    """(batch, history table) for (example, history) parts: each example's
+    history rows, then its own row, which nothing reads."""
+    batch, states, buckets = [], [], []
+    for ex, hist in parts:
+        states += [st for st, _ in hist] + [np.zeros(cfg.hidden_dim)]
+        buckets += [b for _, b in hist] + [0]
+        batch.append(dataclasses.replace(ex, row=len(states) - 1))
+    return batch, (np.array(states), np.array(buckets, dtype=np.int64))
 
 
 def _sessions(rng, cfg, lengths, gap=5000.0):
@@ -70,10 +95,11 @@ def _step_scores(params, cfg, sessions, j, user=0):
     return np.array(rows)
 
 
-def _batch_losses(params, cfg, batch):
+def _batch_losses(params, cfg, parts):
     """(joint loss, time nll, rec nll) as _forward_batch reports them."""
+    batch, table = _stack(cfg, parts)
     loss, l_time, l_rec, _, _ = md._forward_batch(Tape(), params, cfg, batch,
-                                                  np.random.default_rng(0))
+                                                  np.random.default_rng(0), table)
     return float(loss.value), l_time, l_rec
 
 
@@ -102,6 +128,16 @@ class TestConfig:
 
     def test_rep_dim(self):
         assert _cfg().rep_dim == 4 + 2 + 2
+
+    @pytest.mark.parametrize("field, value, rule", BAD_CONFIGS)
+    def test_rejects_values_that_break_training_by_name(self, field, value, rule):
+        with pytest.raises(ValueError, match=f"^{field} {rule}, got"):
+            _cfg(**{field: value})
+
+    def test_accepts_numpy_integers_zero_rates_and_no_clip(self):
+        cfg = _cfg(hidden_dim=np.int64(5), batch_size=np.int32(3), learning_rate=0.0,
+                   learning_rate_time=0, time_clip_norm=None, time_unit=3600)
+        assert cfg.hidden_dim == 5 and cfg.time_clip_norm is None
 
 
 class TestBuildExamples:
@@ -144,7 +180,7 @@ class TestForward:
         params = _rand_params(cfg)
         sessions = _sessions(np.random.default_rng(0), cfg, [2])
         _, _, h_before, _ = md._hierarchy_walk(params, cfg, [sessions], [0])
-        assert np.all(h_before[0][0] == 0.0)
+        assert np.all(h_before[0] == 0.0)
         assert _step_scores(params, cfg, sessions, 0).shape == (1, cfg.num_items)
 
     def test_history_truncated_to_window(self):
@@ -156,19 +192,19 @@ class TestForward:
         def unroll(slots):
             h = np.zeros((1, cfg.hidden_dim))
             for t in slots:
-                rep = np.concatenate([intra_states[0][t],
-                                      params.gap_emb.value[buckets[0][t]],
+                rep = np.concatenate([intra_states[t],
+                                      params.gap_emb.value[buckets[t]],
                                       params.user_emb.value[0]])[None, :]
                 h = gru_cell_np(rep, h, params.inter)
             return h
 
         # session 20 conditions on sessions 5..19 only
         h = unroll(range(5, 20))
-        np.testing.assert_allclose(h_before[0][20], h[0], rtol=0, atol=1e-12)
-        assert not np.allclose(h_before[0][20], unroll(range(20))[0])
-        assert np.max(np.abs(h_before[0][20] - unroll(range(20))[0])) > 1e-6
+        np.testing.assert_allclose(h_before[20], h[0], rtol=0, atol=1e-12)
+        assert not np.allclose(h_before[20], unroll(range(20))[0])
+        assert np.max(np.abs(h_before[20] - unroll(range(20))[0])) > 1e-6
         want = []
-        h = h_before[0][20][None, :]
+        h = h_before[20][None, :]
         for item in sessions[20].items[:-1]:
             h = gru_cell_np(params.item_emb.value[[item]], h, params.intra)
             want.append(h[0] @ params.out_w.value + params.out_b.value)
@@ -251,10 +287,14 @@ class TestForward:
 
         monkeypatch.setattr(md, "gru_cell_np", counted)
         intra_states, _, h_before, _ = md._hierarchy_walk(params, cfg, lists, list(range(5)))
+        # user u's slots are intra rows base[u] .. and h_before rows base[u] + u ..
+        assert len(intra_states) == sum(counts) and len(h_before) == sum(counts) + len(counts)
+        base = np.cumsum([0] + counts)
         for u, (ref_h, ref_intra) in enumerate(refs):
-            assert len(h_before[u]) == len(ref_h) and len(intra_states[u]) == len(ref_intra)
-            for got, want in zip(h_before[u] + intra_states[u], ref_h + ref_intra):
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            got = (list(h_before[base[u] + u:base[u + 1] + u + 1])
+                   + list(intra_states[base[u]:base[u + 1]]))
+            for g, want in zip(got, ref_h + ref_intra, strict=True):
+                np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
 
         # each (window, rep) pair once, in blocks of at most batch_size rows
         inter_rows = [n for is_inter, n in calls if is_inter]
@@ -275,9 +315,9 @@ class TestJointLoss:
         cfg = _cfg(loss_weight_time=0.45, loss_weight_rec=0.45)
         params = _rand_params(cfg)
         rng = np.random.default_rng(5)
-        ex = _example(rng, cfg, n_hist=1, n_items=2, gap=0.8)
-        rep = ex.history[0]
-        x = np.concatenate([rep.intra_state, params.gap_emb.value[rep.gap_bucket],
+        ex, hist = _example(rng, cfg, n_hist=1, n_items=2, gap=0.8)
+        ((state, bucket),) = hist
+        x = np.concatenate([state, params.gap_emb.value[bucket],
                             params.user_emb.value[ex.user_index]])[None, :]
         h = gru_cell_np(x, np.zeros((1, cfg.hidden_dim)), params.inter)
         s = float(h[0] @ params.time_v.value[:, 0] + params.time_b.value[0])
@@ -289,7 +329,7 @@ class TestJointLoss:
             scores.append(h[0] @ params.out_w.value + params.out_b.value)
         l_rec = _xent(np.array(scores), ex.targets)
 
-        loss, got_time, got_rec = _batch_losses(params, cfg, [ex])
+        loss, got_time, got_rec = _batch_losses(params, cfg, [(ex, hist)])
         assert got_time == pytest.approx(l_time, rel=1e-12)
         assert got_rec == pytest.approx(l_rec, rel=1e-12)
         assert loss == pytest.approx(0.45 * l_time + 0.45 * l_rec, rel=1e-12)
@@ -298,10 +338,10 @@ class TestJointLoss:
         cfg = _cfg()
         params = _rand_params(cfg)
         rng = np.random.default_rng(6)
-        ex = _example(rng, cfg, n_hist=1, n_items=2, time_masked=True)
-        masked, l_time, _ = _batch_losses(params, cfg, [ex])
+        ex, hist = _example(rng, cfg, n_hist=1, n_items=2, time_masked=True)
+        masked, l_time, _ = _batch_losses(params, cfg, [(ex, hist)])
         unmasked = dataclasses.replace(ex, time_masked=False)
-        rec_only, *_ = _batch_losses(params, _cfg(loss_weight_time=0.0), [unmasked])
+        rec_only, *_ = _batch_losses(params, _cfg(loss_weight_time=0.0), [(unmasked, hist)])
         assert l_time == 0.0
         assert masked == pytest.approx(rec_only)
 
@@ -309,13 +349,13 @@ class TestJointLoss:
         cfg = _cfg(loss_weight_time=0.0, loss_weight_rec=1.0)
         params = _rand_params(cfg)
         rng = np.random.default_rng(7)
-        ex = _example(rng, cfg, n_hist=0, n_items=3, gap=1.0)
+        ex, hist = _example(rng, cfg, n_hist=0, n_items=3, gap=1.0)
         h = np.zeros((1, cfg.hidden_dim))
         scores = []
         for item in ex.inputs:
             h = gru_cell_np(params.item_emb.value[[item]], h, params.intra)
             scores.append(h[0] @ params.out_w.value + params.out_b.value)
-        loss, _, l_rec = _batch_losses(params, cfg, [ex])
+        loss, _, l_rec = _batch_losses(params, cfg, [(ex, hist)])
         want = _xent(np.array(scores), ex.targets)
         assert loss == pytest.approx(want)
         assert l_rec == pytest.approx(want)
@@ -323,25 +363,25 @@ class TestJointLoss:
 
 class TestGradients:
     def _batch(self, cfg, rng):
-        return [_example(rng, cfg, n_hist=2, n_items=3, gap=1.7, user=0),
-                _example(rng, cfg, n_hist=0, n_items=1, time_masked=True, user=1),
-                _example(rng, cfg, n_hist=1, n_items=0, gap=0.4, user=2)]
+        return _stack(cfg, [_example(rng, cfg, n_hist=2, n_items=3, gap=1.7, user=0),
+                            _example(rng, cfg, n_hist=0, n_items=1, time_masked=True, user=1),
+                            _example(rng, cfg, n_hist=1, n_items=0, gap=0.4, user=2)])
 
     def test_end_to_end_against_finite_differences(self):
         cfg = _cfg()
         params = _rand_params(cfg, seed=8)
         rng = np.random.default_rng(9)
-        batch = self._batch(cfg, rng)
+        batch, table = self._batch(cfg, rng)
 
         def loss_value():
             tape = Tape()
             loss, *_ = md._forward_batch(tape, params, cfg, batch,
-                                         np.random.default_rng(0))
+                                         np.random.default_rng(0), table)
             return float(loss.value)
 
         tape = Tape()
         loss, *_ = md._forward_batch(tape, params, cfg, batch,
-                                     np.random.default_rng(0))
+                                     np.random.default_rng(0), table)
         for t in params.named().values():
             t.zero_grad()
         tape.backward(loss)
@@ -354,9 +394,10 @@ class TestGradients:
         cfg = _cfg(loss_weight_rec=0.0, loss_weight_time=0.45)
         params = _rand_params(cfg, seed=10)
         rng = np.random.default_rng(11)
+        batch, table = self._batch(cfg, rng)
         tape = Tape()
-        loss, *_ = md._forward_batch(tape, params, cfg, self._batch(cfg, rng),
-                                     np.random.default_rng(0))
+        loss, *_ = md._forward_batch(tape, params, cfg, batch,
+                                     np.random.default_rng(0), table)
         for t in params.named().values():
             t.zero_grad()
         tape.backward(loss)
@@ -369,11 +410,11 @@ class TestGradients:
         cfg = _cfg()
         params = _rand_params(cfg, seed=12)
         rng = np.random.default_rng(13)
-        batch = [_example(rng, cfg, n_hist=2, n_items=2, time_masked=True),
-                 _example(rng, cfg, n_hist=1, n_items=3, time_masked=True)]
+        batch, table = _stack(cfg, [_example(rng, cfg, n_hist=2, n_items=2, time_masked=True),
+                                    _example(rng, cfg, n_hist=1, n_items=3, time_masked=True)])
         tape = Tape()
         loss, *_ = md._forward_batch(tape, params, cfg, batch,
-                                     np.random.default_rng(0))
+                                     np.random.default_rng(0), table)
         for t in params.named().values():
             t.zero_grad()
         tape.backward(loss)
@@ -387,14 +428,15 @@ class TestGradients:
         cfg = _cfg(batch_size=4, dropout_rate=0.3)
         params = _rand_params(cfg, seed=14)
         rng = np.random.default_rng(15)
-        batch = [_example(rng, cfg, n_hist=2, n_items=5, gap=1.7, user=0),
-                 _example(rng, cfg, n_hist=0, n_items=1, time_masked=True, user=1),
-                 _example(rng, cfg, n_hist=1, n_items=3, gap=0.4, user=2),
-                 _example(rng, cfg, n_hist=3, n_items=0, gap=2.2, user=1)]
+        batch, table = _stack(cfg, [
+            _example(rng, cfg, n_hist=2, n_items=5, gap=1.7, user=0),
+            _example(rng, cfg, n_hist=0, n_items=1, time_masked=True, user=1),
+            _example(rng, cfg, n_hist=1, n_items=3, gap=0.4, user=2),
+            _example(rng, cfg, n_hist=3, n_items=0, gap=2.2, user=1)])
         grads = []
         for forward in (md._forward_batch, _per_step_forward):
             tape = Tape()
-            loss, *_ = forward(tape, params, cfg, batch, np.random.default_rng(16))
+            loss, *_ = forward(tape, params, cfg, batch, np.random.default_rng(16), table)
             for t in params.named().values():
                 t.zero_grad()
             tape.backward(loss)
@@ -407,22 +449,24 @@ class TestGradients:
             assert err <= 1e-12, (name, err)
 
 
-def _per_step_forward(tape, params, cfg, batch, rng):
+def _per_step_forward(tape, params, cfg, batch, rng, table):
     """Reference joint loss: the intra level projects and scores every
     row at every step, padded rows masked out of the softmax."""
     from thrnn import autodiff as ad
     n = len(batch)
     users = np.array([ex.user_index for ex in batch])
-    window = max(len(ex.history) for ex in batch)
+    reach = [min(ex.slot, cfg.max_session_reps) for ex in batch]
+    window = max(reach)
     h = ad.constant(np.zeros((n, cfg.hidden_dim)))
     for t in range(window):
         segs = np.zeros((n, cfg.hidden_dim))
         gaps = np.zeros(n, dtype=np.int64)
         live = np.zeros((n, 1), dtype=bool)
         for i, ex in enumerate(batch):
-            k = t - (window - len(ex.history))
+            k = t - (window - reach[i])
             if k >= 0:
-                segs[i], gaps[i], live[i] = ex.history[k].intra_state, ex.history[k].gap_bucket, True
+                row = ex.row - reach[i] + k
+                segs[i], gaps[i], live[i] = table[0][row], table[1][row], True
         rep = ad.concat(tape, [ad.constant(segs), ad.embedding(tape, params.gap_emb, gaps),
                                ad.embedding(tape, params.user_emb, users)])
         rep = ad.dropout(tape, rep, cfg.dropout_rate, rng)
@@ -571,6 +615,74 @@ class TestTraining:
         for name, t in straight.named().items():
             assert np.array_equal(t.value, resumed.named()[name].value), name
 
+    def test_training_never_reads_the_test_split(self, tmp_path):
+        # the same train sessions with other test items: every epoch record and
+        # the checkpoint bytes must match
+        from thrnn.checkpoint import save_checkpoint
+        split = _tiny_corpus(users=8, sessions=6)
+        other = dataclasses.replace(split, test=[
+            dataclasses.replace(u, sessions=[
+                dataclasses.replace(s, items=[(i + 1) % split.num_items for i in s.items])
+                for s in u.sessions])
+            for u in split.test])
+        assert any(u.sessions for u in split.test)
+        cfg = _train_cfg(split)
+        runs = []
+        for name, sp in (("a.ckpt", split), ("b.ckpt", other)):
+            lines = []
+            params, _, opt_state = train(sp, cfg, epochs=2, seed=4, log=lines.append)
+            save_checkpoint(str(tmp_path / name), params, cfg, optimizer_state=opt_state)
+            runs.append((lines, (tmp_path / name).read_bytes()))
+        assert runs[0] == runs[1]
+        assert set(json.loads(runs[0][0][0])) == {"kind", "epoch", "train_loss", "time_nll",
+                                                  "rec_nll"}
+
+    def test_history_windows_stay_inside_their_user(self, monkeypatch):
+        # users with 1, 4 and 20 sessions in one batch, window 3: each example's
+        # inter steps read its own user's slots slot - 3 .. slot - 1 and nothing
+        # before them, whatever rows sit there in the table
+        cfg = _cfg(num_users=3, max_session_reps=3, num_gap_buckets=6)
+        params = _rand_params(cfg, seed=40)
+        rng = np.random.default_rng(41)
+        lists = [[dataclasses.replace(s, gap_before=float(rng.uniform(0, 30 * DAY)) if j else 0.0)
+                  for j, s in enumerate(_sessions(rng, cfg, rng.integers(2, 5, size=n)))]
+                 for n in (1, 4, 20)]
+        split = DatasetSplit(train=[UserHistory(f"u{u}", u, sl) for u, sl in enumerate(lists)],
+                             test=[UserHistory(f"u{u}", u, []) for u in range(3)],
+                             item_vocabulary={str(i): i for i in range(cfg.num_items)},
+                             num_items=cfg.num_items, num_users=3)
+        examples = build_examples(split, cfg)
+        assert [ex.slot for ex in examples] == [0, 0, 1, 2, 3] + list(range(20))
+        table = md._refresh_histories(split, params, cfg)
+
+        seen = []  # (inter input, update mask) per inter step
+        gru_cell = md.gru_cell
+
+        def spy(tape, x, h, w, update_mask=None):
+            if w is params.inter:
+                seen.append((x.value.copy(), update_mask[:, 0].copy()))
+            return gru_cell(tape, x, h, w, update_mask=update_mask)
+
+        monkeypatch.setattr(md, "gru_cell", spy)
+        md._forward_batch(Tape(), params, cfg, examples, np.random.default_rng(0), table)
+        h_dim, gap_dim = cfg.hidden_dim, cfg.gap_embedding_dim
+        for i, ex in enumerate(examples):
+            own_states, own_buckets, _, _ = md._hierarchy_walk(
+                params, cfg, [lists[ex.user_index]], [ex.user_index])
+            want = range(max(0, ex.slot - 3), ex.slot)
+            read = [x[i] for x, live in seen if live[i]]
+            assert len(read) == len(want), i
+            for x, t in zip(read, want):
+                np.testing.assert_allclose(x[:h_dim], own_states[t], rtol=0, atol=1e-12)
+                assert np.array_equal(x[h_dim:h_dim + gap_dim],
+                                      params.gap_emb.value[own_buckets[t]]), (i, t)
+            # padding is the zero state and bucket 0
+            for x, live in seen:
+                if not live[i]:
+                    assert np.all(x[i, :h_dim] == 0.0)
+                    assert np.array_equal(x[i, h_dim:h_dim + gap_dim], params.gap_emb.value[0])
+        assert len({int(b) for b in table[1]}) > 1
+
     def test_divergence_aborts_with_location(self):
         split = _tiny_corpus()
         cfg = _train_cfg(split, learning_rate_time=1e9)
@@ -595,7 +707,6 @@ class TestTraining:
             train(split, cfg, epochs=1, seed=0, params=params)
 
     def test_epoch_log_lines_parse(self):
-        import json
         split = _tiny_corpus(users=8, sessions=6)
         cfg = _train_cfg(split)
         lines = []
@@ -803,8 +914,8 @@ class TestPredict:
 
         h = np.zeros(cfg.hidden_dim)
         for t in (4, 5):
-            h = cell(np.concatenate([intra_states[0][t],
-                                     params.gap_emb.value[buckets[0][t]],
+            h = cell(np.concatenate([intra_states[t],
+                                     params.gap_emb.value[buckets[t]],
                                      params.user_emb.value[1]]), h, params.inter)
         s = float(h @ params.time_v.value[:, 0] + params.time_b.value[0])
         want = pp.expected_return_time_from_s(s, float(params.time_w.value),
@@ -1072,6 +1183,16 @@ class TestCheckpoint:
                          + raw[20 + hlen:])
         with pytest.raises(ValueError, match=f"m.ckpt: {message}"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("field, value, rule", BAD_CONFIGS)
+    def test_rejects_config_values_that_break_training(self, tmp_path, field, value, rule):
+        from thrnn.checkpoint import load_checkpoint, save_checkpoint
+        cfg = _cfg()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), _rand_params(cfg), cfg)
+        _edit_header(path, lambda header: header["config"].update({field: value}))
+        with pytest.raises(ValueError, match=f"m.ckpt: bad config: {field} {rule}"):
+            load_checkpoint(str(path), optimizer=False)
 
     def test_rejects_truncation(self, tmp_path):
         from thrnn.checkpoint import load_checkpoint, save_checkpoint
