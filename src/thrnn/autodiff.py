@@ -97,10 +97,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # primitive ops
 
 
-def constant(value) -> Tensor:
-    return Tensor(value)
-
-
 def matmul(tape: Tape, a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """a @ b, plus `bias` broadcast over the rows when given."""
     av, bv = a.value, b.value
@@ -197,13 +193,6 @@ def dropout(tape: Tape, a: Tensor, rate: float, rng: np.random.Generator) -> Ten
         return (g * mask,)
 
     return tape.record((a,), out, bwd)
-
-
-def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """scores = x @ w + b with x (B, n), w (n, m), b (m,)."""
-    if x.value.shape[-1] != w.value.shape[0]:
-        raise ValueError(f"linear: x has {x.value.shape[-1]} features, w expects {w.value.shape[0]}")
-    return matmul(tape, x, w, b)
 
 
 def masked_softmax_xent(tape: Tape, scores: Tensor, targets: np.ndarray,
@@ -320,33 +309,3 @@ def _sigmoid_np(v: np.ndarray) -> np.ndarray:
     # stable in both tails: the numerator is 1 where v >= 0, else e (NaN stays NaN)
     e = np.exp(-np.abs(v))
     return np.maximum(e, v >= 0) / (1.0 + e)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-def fd_gradient(f: Callable[[], float], arr: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Central finite differences of scalar f() w.r.t. every entry of arr.
-
-    Perturbs arr in place and restores it; f must re-read arr each call.
-    """
-    g = np.zeros_like(arr)
-    it = np.nditer(arr, flags=["multi_index"])
-    for _ in it:
-        i = it.multi_index
-        orig = arr[i]
-        arr[i] = orig + eps
-        fp = f()
-        arr[i] = orig - eps
-        fm = f()
-        arr[i] = orig
-        g[i] = (fp - fm) / (2.0 * eps)
-    return g
-
-
-def rel_error(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a-b| / max(1, |a|, |b|), elementwise then reduced."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0

@@ -27,11 +27,9 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import data, evaluation, model, synthetic
-from .data import IngestError, Session, UserHistory
+from .data import SECONDS_PER_DAY, IngestError, Session, UserHistory, _is_int
 from .hawkes import FitConfig
 from .model import TrainingDivergedError
-
-SECONDS_PER_DAY = 86400.0
 
 # model-config fields that map one-to-one onto a flag of the same name
 _FLAG_FIELDS = [
@@ -128,8 +126,6 @@ _DEFAULT_GAP_THRESHOLD = {"lastfm": 3600.0, "reddit": 1800.0}
 
 
 def cmd_preprocess(args) -> int:
-    if args.dataset == "synthetic-spec":
-        return _generate_from_spec(args.input, args.output, args.seed)
     gap = (args.gap_threshold if args.gap_threshold is not None
            else _DEFAULT_GAP_THRESHOLD[args.dataset])
     pcfg = data.PreprocessConfig(gap_threshold=gap,
@@ -188,17 +184,12 @@ def _spec_from_file(path: str) -> synthetic.SynthSpec:
     return synthetic.SynthSpec(**kwargs)
 
 
-def _generate_from_spec(spec_path: str, out_path: str, seed: int) -> int:
-    spec = _spec_from_file(spec_path)
-    split = synthetic.generate_corpus(spec, seed=seed)
-    data.save_split(split, out_path)
-    _emit({"kind": "split-stats", "path": out_path, "seed": seed,
+def cmd_synth(args) -> int:
+    split = synthetic.generate_corpus(_spec_from_file(args.spec), seed=args.seed)
+    data.save_split(split, args.output)
+    _emit({"kind": "split-stats", "path": args.output, "seed": args.seed,
            **split.stats()})
     return 0
-
-
-def cmd_synth(args) -> int:
-    return _generate_from_spec(args.spec, args.output, args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +286,6 @@ def cmd_evaluate(args) -> int:
 # predict
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _history_from_file(path: str) -> UserHistory:
     """One user's timeline as JSON: {"user_index": int, "sessions": [...]}.
 
@@ -392,10 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "preprocess", help="turn a raw interaction log into a split file")
-    sp.add_argument("--dataset", required=True,
-                    choices=("lastfm", "reddit", "synthetic-spec"))
-    sp.add_argument("--input", required=True,
-                    help="raw log path, or the spec file for synthetic-spec")
+    sp.add_argument("--dataset", required=True, choices=("lastfm", "reddit"))
+    sp.add_argument("--input", required=True, help="raw log path")
     sp.add_argument("--output", required=True, help="split file to write")
     sp.add_argument("--gap-threshold", type=float, default=None,
                     help="idle seconds that close a session "
@@ -403,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-session-length", type=int, default=20)
     sp.add_argument("--train-fraction", type=float, default=0.8)
     sp.add_argument("--min-sessions", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0,
-                    help="generator seed (synthetic-spec only)")
     sp.set_defaults(func=cmd_preprocess)
 
     sp = sub.add_parser(

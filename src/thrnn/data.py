@@ -19,6 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 SPLIT_FORMAT_VERSION = 1
+SECONDS_PER_DAY = 86400.0
 
 
 class IngestError(RuntimeError):
@@ -413,22 +414,36 @@ def load_split(path: str) -> DatasetSplit:
 
 def _check_user_record(rec: dict, row: int, num_items: int, path: str) -> None:
     """Reject records the model would misread: a session with no items
-    has no intra state, numpy takes item -1 as the last embedding row,
-    users are looked up by user_index, gaps are bucketed and the recursion
-    assumes one timeline from train into test."""
+    has no intra state, numpy takes item -1 as the last embedding row and
+    an int64 array holds item 1.5 as 1, users are looked up by user_index,
+    gaps are bucketed, masked picks the gaps the time loss skips, and the
+    recursion assumes one timeline from train into test. Each field must
+    have its JSON type: indices are integers (a bool is not one), masked
+    is a bool, and start, end and gap are finite numbers."""
     who = f"{path}: user {rec['user_id']!r}"
-    if rec["user_index"] != row:
-        raise IngestError(f"{who}: field 'user_index' is {rec['user_index']}, "
+    if not _is_int(rec["user_index"]) or rec["user_index"] != row:
+        raise IngestError(f"{who}: field 'user_index' is {rec['user_index']!r}, "
                           f"but the record is row {row}")
     prev_start = -math.inf
     for part in ("train", "test"):
         for k, o in enumerate(rec[part]):
+            if not isinstance(o["items"], list):
+                raise IngestError(f"{who}: field 'items' of {part} session {k} is "
+                                  f"{o['items']!r}, not a list")
             if not o["items"]:
                 raise IngestError(f"{who}: field 'items' of {part} session {k} is empty")
-            bad = [i for i in o["items"] if not 0 <= i < num_items]
+            bad = [i for i in o["items"] if not _is_int(i) or not 0 <= i < num_items]
             if bad:
+                why = f"outside [0, {num_items})" if _is_int(bad[0]) else "not an integer"
                 raise IngestError(f"{who}: field 'items' of a {part} session holds "
-                                  f"{bad[0]}, outside [0, {num_items})")
+                                  f"{bad[0]!r}, {why}")
+            if type(o["masked"]) is not bool:
+                raise IngestError(f"{who}: field 'masked' of {part} session {k} is "
+                                  f"{o['masked']!r}, not true or false")
+            for name in ("start", "end", "gap"):
+                if type(o[name]) not in (int, float) or not math.isfinite(o[name]):
+                    raise IngestError(f"{who}: field {name!r} of {part} session {k} is "
+                                      f"{o[name]!r}, not a finite number")
             if o["gap"] < 0:
                 raise IngestError(f"{who}: field 'gap' of {part} session {k} is "
                                   f"{o['gap']}, negative")
@@ -437,6 +452,11 @@ def _check_user_record(rec: dict, row: int, num_items: int, path: str) -> None:
                                   f"{o['start']}, before the previous session's "
                                   f"start {prev_start}")
             prev_start = o["start"]
+
+
+def _is_int(v) -> bool:
+    """A JSON integer: an int, and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _session_obj(s: Session) -> dict:

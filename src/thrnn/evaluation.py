@@ -7,17 +7,18 @@ baselines all report through the identical code path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DatasetSplit
+from .data import SECONDS_PER_DAY, DatasetSplit, _jline
 from .hawkes import FitConfig, fit, hawkes_predict_next
 from .point_process import QuadratureConfig
 
 REPORT_FORMAT_VERSION = 1
-SECONDS_PER_DAY = 86400.0
+RANK_CUTOFFS = (5, 10, 20)  # the k of every Recall@k and MRR@k
+# MAE buckets by true gap, one day wide; the last, from 29 days on, is open-ended
+BUCKET_EDGES_DAYS = np.arange(0.0, 31.0)
 
 
 def rank_of_target(scores: np.ndarray, target):
@@ -99,21 +100,18 @@ class EvalReport:
     num_gap_events: int = 0
 
 
-def build_report(model: str, ranks, pred_seconds, target_seconds,
-                 ks=(5, 10, 20), bucket_edges_days=None) -> EvalReport:
+def build_report(model: str, ranks, pred_seconds, target_seconds) -> EvalReport:
     """Assemble the full report; either metric family may be absent."""
     report = EvalReport(model=model)
     ranks = np.asarray(ranks)
     if ranks.size:
-        for k in ks:
+        for k in RANK_CUTOFFS:
             report.recall[k] = recall_at_k(ranks, k)
             report.mrr[k] = mrr_at_k(ranks, k)
         report.num_rank_events = int(ranks.size)
     pred_seconds = np.asarray(pred_seconds, dtype=np.float64)
     if pred_seconds.size:
-        if bucket_edges_days is None:
-            bucket_edges_days = np.arange(0.0, 31.0)
-        rows, overall = mae_by_bucket(pred_seconds, target_seconds, bucket_edges_days)
+        rows, overall = mae_by_bucket(pred_seconds, target_seconds, BUCKET_EDGES_DAYS)
         report.mae_buckets = rows
         report.overall_mae_days = overall
         report.num_gap_events = int(pred_seconds.size)
@@ -135,29 +133,6 @@ def save_report(report: EvalReport, path: str) -> None:
             fh.write(_jline({"kind": "mae-bucket", "low_days": row.low_days,
                              "high_days": row.high_days if np.isfinite(row.high_days) else None,
                              "mae_days": row.mae_days, "count": row.count}))
-
-
-def load_report(path: str) -> EvalReport:
-    with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("kind") != "report-header":
-            raise ValueError(f"{path}: not a report file")
-        if header["version"] != REPORT_FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported report version {header['version']}")
-        report = EvalReport(model=header["model"],
-                            overall_mae_days=header["overall_mae_days"],
-                            num_rank_events=header["num_rank_events"],
-                            num_gap_events=header["num_gap_events"])
-        for line in fh:
-            rec = json.loads(line)
-            if rec["kind"] == "ranking":
-                report.recall[rec["k"]] = rec["recall"]
-                report.mrr[rec["k"]] = rec["mrr"]
-            else:
-                high = rec["high_days"] if rec["high_days"] is not None else np.inf
-                report.mae_buckets.append(BucketRow(rec["low_days"], high,
-                                                    rec["mae_days"], rec["count"]))
-    return report
 
 
 def save_plot_data(report: EvalReport, path: str) -> None:
@@ -194,7 +169,7 @@ def _train_events(tr) -> tuple[list[float], list[float]]:
     return [s.start_time for s in tr.sessions if not s.gap_masked], gaps
 
 
-def mean_gap_report(split: DatasetSplit, bucket_edges_days=None) -> EvalReport:
+def mean_gap_report(split: DatasetSplit) -> EvalReport:
     """Constant predictor: each user's mean train gap (global mean fallback)."""
     all_train = [s.gap_before for u in split.train
                  for s in u.sessions[1:] if not s.gap_masked]
@@ -203,23 +178,21 @@ def mean_gap_report(split: DatasetSplit, bucket_edges_days=None) -> EvalReport:
     for _, gap, _, train_gaps in iter_test_gaps(split):
         preds.append(float(np.mean(train_gaps)) if train_gaps else global_mean)
         targets.append(gap)
-    return build_report("mean_gap", [], preds, targets,
-                        bucket_edges_days=bucket_edges_days)
+    return build_report("mean_gap", [], preds, targets)
 
 
-def popularity_report(split: DatasetSplit, ks=(5, 10, 20)) -> EvalReport:
+def popularity_report(split: DatasetSplit) -> EvalReport:
     """Static ranking by train-set frequency, scored on every test step."""
     counts = np.bincount(np.array([it for u in split.train for s in u.sessions for it in s.items],
                                   dtype=np.int64), minlength=split.num_items)
     targets = [it for u in split.test for s in u.sessions for it in s.items[1:]]
     # rank_of_target's rule for every target at once: 1 + the count of larger counts
     ranks = 1 + counts.size - np.searchsorted(np.sort(counts), counts[targets], side="right")
-    return build_report("popularity", ranks, [], [], ks=ks)
+    return build_report("popularity", ranks, [], [])
 
 
 def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig,
-                  time_unit: float = SECONDS_PER_DAY,
-                  bucket_edges_days=None) -> EvalReport:
+                  time_unit: float = SECONDS_PER_DAY) -> EvalReport:
     """Hawkes fits on the train events of every user with a test gap, all in
     one batched call; predictions teacher-forced over the test walk."""
     all_train = [s.gap_before for u in split.train
@@ -240,8 +213,4 @@ def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig,
         preds.append(hawkes_predict_next(history, params_by_user[user], q) * time_unit)
         targets.append(gap)
     name = "hawkes_short" if cfg.window == "last_k" else "hawkes_long"
-    return build_report(name, [], preds, targets, bucket_edges_days=bucket_edges_days)
-
-
-def _jline(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return build_report(name, [], preds, targets)

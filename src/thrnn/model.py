@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import point_process as pp
-from .autodiff import (GRUWeights, Tape, Tensor, add, concat, constant, dropout,
-                       embedding, gather_rows, gru_cell, gru_cell_np, linear,
-                       masked_softmax_xent, scale)
+from .autodiff import (GRUWeights, Tape, Tensor, add, concat, dropout, embedding,
+                       gather_rows, gru_cell, gru_cell_np, masked_softmax_xent,
+                       matmul, scale)
 from .data import DatasetSplit, GapBucketizer, UserHistory
 from .evaluation import EvalReport, build_report, rank_of_target
 from .optim import Adam, ParamGroup
@@ -354,7 +354,7 @@ def _forward_batch(tape: Tape, params: ModelParams, cfg: ModelConfig,
     # padding keeps the zero state and bucket 0, and the update mask freezes it
     reach = np.array([min(ex.slot, cfg.max_session_reps) for ex in batch])
     window = int(reach.max())
-    h = constant(np.zeros((n, h_dim)))
+    h = Tensor(np.zeros((n, h_dim)))
     if window:
         live = np.arange(window) >= window - reach[:, None]
         at = (np.array([ex.row for ex in batch])[:, None] - window + np.arange(window))[live]
@@ -362,7 +362,7 @@ def _forward_batch(tape: Tape, params: ModelParams, cfg: ModelConfig,
         gaps = np.zeros((n, window), dtype=np.int64)
         segs[live], gaps[live] = table[0][at], table[1][at]
         for t in range(window):
-            rep = concat(tape, [constant(segs[:, t]),
+            rep = concat(tape, [Tensor(segs[:, t]),
                                 embedding(tape, params.gap_emb, gaps[:, t]),
                                 embedding(tape, params.user_emb, users)])
             rep = dropout(tape, rep, cfg.dropout_rate, rng)
@@ -372,7 +372,7 @@ def _forward_batch(tape: Tape, params: ModelParams, cfg: ModelConfig,
     time_masked = np.array([ex.time_masked for ex in batch])
     g_alpha = np.array([0.0 if ex.time_masked else ex.gap_target ** cfg.alpha_exp
                         for ex in batch])
-    s = linear(tape, h_j, params.time_v, params.time_b)
+    s = matmul(tape, h_j, params.time_v, params.time_b)
     l_time = pp.time_nll(tape, s, params.time_w, g_alpha, masked=time_masked)
 
     width = max((len(ex.inputs) for ex in batch), default=0)
@@ -399,12 +399,12 @@ def _forward_batch(tape: Tape, params: ModelParams, cfg: ModelConfig,
         for lo in range(0, rec_steps, cfg.batch_size):
             part = slice(lo, lo + cfg.batch_size)
             live = gather_rows(tape, states, steps[part], rows[part])
-            sc = linear(tape, live, params.out_w, params.out_b)
+            sc = matmul(tape, live, params.out_w, params.out_b)
             piece = masked_softmax_xent(tape, sc, tgt[rows[part], steps[part]])
             total = piece if total is None else add(tape, total, piece)
         l_rec = scale(tape, total, 1.0 / max(rec_steps, 1))
     else:
-        l_rec = constant(np.zeros(()))
+        l_rec = Tensor(np.zeros(()))
 
     loss = add(tape, scale(tape, l_time, cfg.loss_weight_time),
                scale(tape, l_rec, cfg.loss_weight_rec))

@@ -18,6 +18,7 @@ import numpy as np
 from .autodiff import Tensor
 
 BLOCK = 1 << 14  # elements per slice: five 128 KiB streams fit in a core's L2
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the textbook Adam defaults
 
 
 def _blocks(flat: np.ndarray):
@@ -42,13 +43,11 @@ class StepReport:
 
 
 class Adam:
-    def __init__(self, groups: list[ParamGroup], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, groups: list[ParamGroup]):
         names = [g.name for g in groups]
         if len(set(names)) != len(names):
             raise ValueError("parameter group names must be unique")
         self.groups = groups
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._m = [[np.zeros_like(p.value) for p in g.params] for g in groups]
         self._v = [[np.zeros_like(p.value) for p in g.params] for g in groups]
@@ -83,9 +82,8 @@ class Adam:
             grads.append((gs, group.clip_norm / (norm + 1e-12) if clipped else None))
 
         self.t += 1
-        b1, b2, eps = self.beta1, self.beta2, self.eps
-        b1t = 1.0 - b1 ** self.t
-        b2t = 1.0 - b2 ** self.t
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
         for gi, (group, (gs, scale)) in enumerate(zip(self.groups, grads)):
             for pi, p in enumerate(group.params):
                 # views: Tensor values and the moments are C-contiguous
@@ -95,13 +93,13 @@ class Adam:
                     s1, s2 = self._s1[:pb.size], self._s2[:pb.size]
                     if scale is not None:
                         g = np.multiply(g, scale, out=s1)
-                    m *= b1
-                    m += np.multiply(1.0 - b1, g, out=s2)
-                    v *= b2
-                    v += np.multiply(np.multiply(1.0 - b2, g, out=s2), g, out=s2)
+                    m *= BETA1
+                    m += np.multiply(1.0 - BETA1, g, out=s2)
+                    v *= BETA2
+                    v += np.multiply(np.multiply(1.0 - BETA2, g, out=s2), g, out=s2)
                     # lr * (m / b1t) / (sqrt(v / b2t) + eps)
                     np.multiply(group.lr, np.divide(m, b1t, out=s1), out=s1)
-                    np.add(np.sqrt(np.divide(v, b2t, out=s2), out=s2), eps, out=s2)
+                    np.add(np.sqrt(np.divide(v, b2t, out=s2), out=s2), EPS, out=s2)
                     pb -= np.divide(s1, s2, out=s1)
         report.applied = True
         return report

@@ -1,10 +1,12 @@
-"""Synthetic corpora with known structure, plus exact oracles for them.
+"""Synthetic corpora with known structure.
 
 Items follow a first-order Markov chain (conditioned on not repeating
 the previous item, matching the pipeline's collapsed-repeat invariant).
 Gaps come from an exponential mixture, or, with context coupling, from
 a per-session latent state that also restricts the item vocabulary, so
-that session content genuinely predicts the following gap.
+that session content genuinely predicts the following gap. The
+Bayes-optimal ranking the tests hold a trained model against is in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -13,11 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetSplit, Session, UserHistory, split_train_test
-from .evaluation import rank_of_target
-from .point_process import cdf_from_s, inverse_cdf_from_s
+from .data import SECONDS_PER_DAY, DatasetSplit, Session, UserHistory, split_train_test
 
-SECONDS_PER_DAY = 86400.0
 ITEM_SPACING_SECONDS = 30.0
 
 
@@ -136,44 +135,3 @@ def generate_corpus(spec: SynthSpec, seed: int) -> DatasetSplit:
             t = end + pending_gap
         histories.append(UserHistory(f"u{u:05d}", -1, sessions))
     return split_train_test(histories, spec.train_fraction, min_sessions=3)
-
-
-def dense_transition(spec: SynthSpec, split: DatasetSplit) -> np.ndarray:
-    """The generator's transition matrix re-indexed to the split's dense
-    vocabulary (items that never occurred are absent from the split)."""
-    present = [(orig, split.item_vocabulary[item_id(orig)])
-               for orig in range(spec.num_items)
-               if item_id(orig) in split.item_vocabulary]
-    dense = np.zeros((split.num_items, split.num_items))
-    for orig_i, di in present:
-        for orig_j, dj in present:
-            dense[di, dj] = spec.item_transition[orig_i, orig_j]
-    return dense
-
-
-def bayes_optimal_ranks(split: DatasetSplit, spec: SynthSpec) -> np.ndarray:
-    """Rank every test-step target under the true conditional next-item
-    distribution: the ceiling any learned recommender can approach."""
-    trans = dense_transition(spec, split)
-    ranks = []
-    for user in split.test:
-        for s in user.sessions:
-            for prev, target in zip(s.items, s.items[1:]):
-                row = trans[prev].copy()
-                row[prev] = 0.0
-                total = row.sum()
-                scores = row / total if total > 0 else row
-                ranks.append(rank_of_target(scores, target))
-    return np.asarray(ranks)
-
-
-def sample_gap_from_model_density(s: float, w: float, seed: int, n: int = 1,
-                                  cutoff: float = 30.0) -> np.ndarray:
-    """Inverse-CDF gaps from the neural time density at s = v.h + b, for
-    planting known time structure. Refuses configurations whose truncated
-    mass at the cutoff exceeds 1e-3 (defective or too-heavy tails)."""
-    mass = float(cdf_from_s(cutoff, s, w))
-    if mass < 1.0 - 1e-3:
-        raise ValueError(f"improper density: mass within cutoff {cutoff} is "
-                         f"{mass:.6f} < 0.999")
-    return inverse_cdf_from_s(np.random.default_rng(seed).random(n), s, w)

@@ -19,15 +19,16 @@ import pytest
 from thrnn import model as md
 from thrnn import point_process as pp
 from thrnn import synthetic as sy
-from thrnn.autodiff import Tape, fd_gradient, rel_error
+from thrnn.autodiff import Tape
 from thrnn.data import (PreprocessConfig, Session, UserHistory, preprocess,
                         read_reddit_csv)
 from thrnn.evaluation import (hawkes_report, mean_gap_report,
                               popularity_report, recall_at_k)
-from thrnn.hawkes import (FitConfig, HawkesParams, fit, hawkes_predict_next,
-                          sample_next_gaps, simulate_thinning)
+from thrnn.hawkes import FitConfig, HawkesParams, fit, hawkes_predict_next
 from thrnn.model import (ModelConfig, ModelParams, TrainingExample,
                          evaluate, predict, train)
+
+import oracles
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -99,10 +100,10 @@ def test_criterion_1_gradients_match_finite_differences():
     tape.backward(loss)
     worst, worst_name = 0.0, "-"
     for name, tensor in params.named().items():
-        fd = fd_gradient(loss_value, tensor.value)
+        fd = oracles.fd_gradient(loss_value, tensor.value)
         got = (tensor.grad if tensor.grad is not None
                else np.zeros_like(tensor.value))
-        err = rel_error(got, fd)
+        err = oracles.rel_error(got, fd)
         if err > worst:
             worst, worst_name = err, name
     elapsed = time.time() - t0
@@ -126,9 +127,9 @@ def test_criterion_2_density_normalizes_and_branches_agree():
         # window integral near 1 is only meaningful for draws whose
         # analytic mass actually reaches the window; condition on that
         # and let the check measure quadrature accuracy alone
-        if float(pp.cdf_from_s(q.cutoff, s, w)) < 0.995:
+        if float(oracles.cdf_from_s(q.cutoff, s, w)) < 0.995:
             continue
-        masses.append(float(pp.density_mass_from_s(np.array([s]), w, q)[0]))
+        masses.append(float(oracles.density_mass_from_s(np.array([s]), w, q)[0]))
     masses = np.asarray(masses)
     ok_mass = bool(np.all((masses >= 0.99) & (masses <= 1.001)))
 
@@ -136,7 +137,7 @@ def test_criterion_2_density_normalizes_and_branches_agree():
     u = np.linspace(0.01, 0.95, 40)
     gap = 0.0
     for s in np.linspace(-2, 2, 21):
-        g = pp.inverse_cdf_from_s(u, s, 0.0)
+        g = oracles.inverse_cdf_from_s(u, s, 0.0)
         lim = pp.log_density_from_s(s, g, 0.0)
         exact = pp.log_density_from_s(s, g, 1e-7, branch="exact")
         gap = max(gap, float(np.max(np.abs(lim - exact))))
@@ -155,7 +156,7 @@ def test_criterion_3_expectation_matches_monte_carlo_and_closed_form():
     q = pp.QuadratureConfig(cutoff=30.0, num_points=8192)
     s, w = 0.2, 0.5
     expect = float(pp.expected_return_time_from_s(np.array([s]), w, q)[0])
-    draws = pp.inverse_cdf_from_s(np.random.default_rng(0).random(1_000_000),
+    draws = oracles.inverse_cdf_from_s(np.random.default_rng(0).random(1_000_000),
                                   s, w)
     mc = float(np.mean(draws * (draws <= q.cutoff)))
     rel_mc = abs(expect - mc) / mc
@@ -179,7 +180,7 @@ def test_criterion_3_expectation_matches_monte_carlo_and_closed_form():
 def test_criterion_4_hawkes_fit_recovers_planted_parameters():
     t0 = time.time()
     true = HawkesParams(gamma0=0.5, excitation=0.8, decay=2.0)
-    events = simulate_thinning(true, 5000, np.random.default_rng(0))
+    events = oracles.simulate_thinning(true, 5000, np.random.default_rng(0))
     fitted = fit([events], FitConfig(window="full"))[0]
     rels = {f: abs(getattr(fitted, f) - getattr(true, f)) / getattr(true, f)
             for f in ("gamma0", "excitation", "decay")}
@@ -188,7 +189,7 @@ def test_criterion_4_hawkes_fit_recovers_planted_parameters():
     history = events[:50]
     q = pp.QuadratureConfig(cutoff=30.0, num_points=4096)
     pred = hawkes_predict_next(history, true, q)
-    sim = float(np.mean(sample_next_gaps(history, true,
+    sim = float(np.mean(oracles.sample_next_gaps(history, true,
                                          np.random.default_rng(1),
                                          n=200_000)))
     rel_pred = abs(pred - sim) / sim
@@ -292,7 +293,7 @@ def markov_runs():
     t0 = time.time()
     for seed in (0, 1, 2):
         split = sy.generate_corpus(spec, seed=seed)
-        ranks = np.asarray(sy.bayes_optimal_ranks(split, spec))
+        ranks = np.asarray(oracles.bayes_optimal_ranks(split, spec))
         out["bayes"].append(recall_at_k(ranks, 5))
         out["popularity"].append(popularity_report(split).recall[5])
         base = dict(num_items=split.num_items, num_users=split.num_users,

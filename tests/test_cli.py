@@ -16,7 +16,8 @@ import thrnn
 from thrnn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from thrnn.cli import _history_from_file, main
 from thrnn.data import load_split
-from thrnn.evaluation import load_report
+
+from oracles import load_report
 
 TINY_FLAGS = ["--hidden-dim", "12", "--item-embedding-dim", "6",
               "--user-embedding-dim", "3", "--gap-embedding-dim", "2",
@@ -149,21 +150,16 @@ class TestPreprocess:
         assert rc == 2
         assert "train_fraction" in capsys.readouterr().err
 
-    def test_synthetic_spec_dataset_route(self, tmp_path, capsys):
-        # the generator is reachable from preprocess too, and its output
-        # matches the synth subcommand byte for byte
+    def test_synthetic_spec_dataset_refused(self, tmp_path, capsys):
+        # the generator is reached through `synth` only
         _write_spec(tmp_path / "spec.json", num_users=6, sessions=5)
-        assert main(["preprocess", "--dataset", "synthetic-spec",
-                     "--input", str(tmp_path / "spec.json"),
-                     "--output", str(tmp_path / "a.split"),
-                     "--seed", "4"]) == 0
-        (rec,) = _records(capsys)
-        assert rec["num_users"] == 6 and rec["num_sessions"] == 30
-        assert main(["synth", "--spec", str(tmp_path / "spec.json"),
-                     "--output", str(tmp_path / "b.split"),
-                     "--seed", "4"]) == 0
-        assert (tmp_path / "a.split").read_bytes() == \
-            (tmp_path / "b.split").read_bytes()
+        with pytest.raises(SystemExit) as exit_:
+            main(["preprocess", "--dataset", "synthetic-spec",
+                  "--input", str(tmp_path / "spec.json"),
+                  "--output", str(tmp_path / "a.split")])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'synthetic-spec'" in capsys.readouterr().err
+        assert not (tmp_path / "a.split").exists()
 
 
 class TestTrain:
@@ -285,6 +281,20 @@ class TestTrain:
         _, cfg, _, _ = load_checkpoint(str(tmp_path / "x.ckpt"))
         assert cfg.hidden_dim == 8
         assert cfg.item_embedding_dim == 6
+
+    def test_mistyped_split_field_exits_2(self, ws, tmp_path, capsys):
+        # item 1.5 would be truncated to item 1 by the embedding lookup
+        lines = (ws / "corpus.split").read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["train"][0]["items"][0] = 1.5
+        lines[2] = json.dumps(rec)
+        (tmp_path / "bad.split").write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--split", str(tmp_path / "bad.split"),
+                   "--out", str(tmp_path / "x.ckpt"), "--epochs", "1", *TINY_FLAGS])
+        assert rc == 2
+        assert "field 'items' of a train session holds 1.5, not an integer" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
 
     def test_rec_only_ablation_trains(self, ws, tmp_path, capsys):
         rc = main(["train", "--split", str(ws / "corpus.split"),

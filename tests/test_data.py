@@ -306,6 +306,32 @@ class TestSplitFile:
                                                 r"'user_index' is 0, but the record is row 1"):
             D.load_split(path)
 
+    @pytest.mark.parametrize("value", [1.0, True])
+    def test_user_index_not_an_integer_rejected(self, tmp_path, value):
+        # both compare equal to row 1
+        path = self._tampered(tmp_path, lambda rec: rec.update(user_index=value))
+        with pytest.raises(D.IngestError, match=rf"bad\.jsonl: user 'u2': field "
+                                                rf"'user_index' is {value}, but the record is row 1"):
+            D.load_split(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("items", [1.5], r"'items' of a train session holds 1\.5, not an integer"),
+        ("items", ["1"], r"'items' of a train session holds '1', not an integer"),
+        ("items", [True], r"'items' of a train session holds True, not an integer"),
+        ("items", 3, r"'items' of train session 1 is 3, not a list"),
+        ("masked", "no", r"'masked' of train session 1 is 'no', not true or false"),
+        ("masked", 0, r"'masked' of train session 1 is 0, not true or false"),
+        ("gap", "5", r"'gap' of train session 1 is '5', not a finite number"),
+        ("gap", float("nan"), r"'gap' of train session 1 is nan, not a finite number"),
+        ("start", None, r"'start' of train session 1 is None, not a finite number"),
+        ("start", True, r"'start' of train session 1 is True, not a finite number"),
+        ("end", float("inf"), r"'end' of train session 1 is inf, not a finite number"),
+    ])
+    def test_mistyped_session_field_rejected(self, tmp_path, field, value, message):
+        path = self._tampered(tmp_path, lambda rec: rec["train"][1].update({field: value}))
+        with pytest.raises(D.IngestError, match=r"bad\.jsonl: user 'u2': field " + message):
+            D.load_split(path)
+
     def test_truncated_split_rejected(self, tmp_path):
         p = tmp_path / "cut.jsonl"
         D.save_split(self._split(), str(p))

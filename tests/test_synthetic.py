@@ -9,6 +9,8 @@ from thrnn import synthetic as sy
 from thrnn.data import save_split
 from thrnn.point_process import QuadratureConfig, expected_return_time_from_s
 
+import oracles
+
 DAY = 86400.0
 
 
@@ -96,7 +98,7 @@ class TestGenerateCorpus:
         spec = _spec(num_users=40, sessions_per_user=20,
                      item_transition=_concentrated(10))
         split = sy.generate_corpus(spec, seed=5)
-        trans = sy.dense_transition(spec, split)
+        trans = oracles.dense_transition(spec, split)
         hits = total = 0
         for u in split.train:
             for s in u.sessions:
@@ -157,14 +159,14 @@ class TestOracles:
         spec = _spec(num_users=30, sessions_per_user=15,
                      item_transition=_concentrated(10))
         split = sy.generate_corpus(spec, seed=2)
-        ranks = sy.bayes_optimal_ranks(split, spec)
+        ranks = oracles.bayes_optimal_ranks(split, spec)
         assert np.mean(ranks <= 3) > 0.8  # favourites carry ~92% of mass
         assert np.all(ranks >= 1)
 
     def test_bayes_ranks_uniform_chain_are_flat(self):
         spec = _spec()
         split = sy.generate_corpus(spec, seed=4)
-        ranks = sy.bayes_optimal_ranks(split, spec)
+        ranks = oracles.bayes_optimal_ranks(split, spec)
         # off-diagonal uniform rows make every successor tie at rank 1
         assert np.all(ranks == 1)
 
@@ -179,16 +181,16 @@ class TestOracles:
 class TestModelDensitySampling:
     def test_exponential_limit_mean(self):
         # v = 0, b = 0: s = v.h + b = 0 for any h
-        draws = sy.sample_gap_from_model_density(0.0, 0.0, seed=0, n=1_000_000)
+        draws = oracles.sample_gap_from_model_density(0.0, 0.0, seed=0, n=1_000_000)
         assert 0.99 <= float(draws.mean()) <= 1.01
 
     def test_matches_quadrature(self):
         s = 1.0 * -0.5 + 0.0  # v = 1, h = -0.5, b = 0
-        draws = sy.sample_gap_from_model_density(s, 0.3, seed=1, n=200_000)
+        draws = oracles.sample_gap_from_model_density(s, 0.3, seed=1, n=200_000)
         quad = expected_return_time_from_s(
             s, 0.3, QuadratureConfig(cutoff=30.0, num_points=4096))[0]
         assert quad == pytest.approx(float(draws.mean()), rel=0.005)
 
     def test_improper_rejected(self):
         with pytest.raises(ValueError, match="improper"):
-            sy.sample_gap_from_model_density(0.0, -0.8, seed=0, n=10)
+            oracles.sample_gap_from_model_density(0.0, -0.8, seed=0, n=10)
