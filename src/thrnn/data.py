@@ -1,11 +1,18 @@
 """Interaction logs -> sessionized per-user histories -> train/test split.
 
-The pipeline per user: sessionize on an inactivity threshold, collapse
-consecutive repeats, enforce the maximum session length (splitting
-once-too-long sessions and dropping absurd ones), compute inter-session
-gaps, then split each user's timeline into earliest-train / latest-test.
-
-All functions here are pure and per-user; nothing mutates shared state.
+A reader turns a log file into an InteractionLog: three columns (user
+id, item id, float64 seconds), one entry per good row. A row whose time
+is negative, NaN or infinite, or whose user or item is empty, counts as
+malformed. preprocess then runs the per-user chain over the whole log
+as array operations: a stable sort by (user, time), so equal times keep
+their file order; a new session wherever the user changes or the time
+exceeds the previous one by more than the inactivity threshold; repeats
+collapsed to the first of each run; the length cap (sessions of length
+(L, 2L] split in two, longer ones dropped); and each session's gap from
+the previous kept one. build_split, shared with the synthetic
+generator, drops users with too few sessions, builds the sorted
+vocabulary and cuts each timeline into earliest-train / latest-test.
+Session objects are made once, there.
 """
 
 from __future__ import annotations
@@ -13,8 +20,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -26,30 +34,32 @@ class IngestError(RuntimeError):
     """Raised when an input file cannot be trusted (too many bad rows, etc.)."""
 
 
-@dataclass(frozen=True)
-class RawInteraction:
-    user_id: str
-    item_id: str
-    timestamp: float  # seconds since epoch
+@dataclass
+class InteractionLog:
+    """A log as columns, one entry per good row, in file order."""
+
+    users: list[str]
+    items: list[str]
+    times: np.ndarray  # float64 seconds since epoch
 
     def __post_init__(self):
-        if not self.user_id or not self.item_id:
-            raise ValueError("user_id and item_id must be non-empty")
-        if self.timestamp < 0:
-            raise ValueError(f"negative timestamp {self.timestamp}")
+        self.times = np.asarray(self.times, dtype=np.float64)
+        if not len(self.users) == len(self.items) == len(self.times):
+            raise ValueError("log columns differ in length")
+
+    def __len__(self):
+        return len(self.times)
 
 
 @dataclass
 class Session:
-    """One sitting. `items` are dense indices after the split is built,
-    raw ids while still inside the pipeline.
+    """One sitting; `items` are dense indices into the split vocabulary.
 
     gap_before is the seconds between the previous session's end and this
     one's start; 0.0 both for a user's first session and for the second
     half of a length-split session. gap_masked marks only the latter:
     an artificial boundary whose "gap" must not train or score the time
-    model. item_times carries per-item timestamps between pipeline stages
-    and is dropped from persisted output.
+    model.
     """
 
     items: list
@@ -57,7 +67,6 @@ class Session:
     end_time: float
     gap_before: float = 0.0
     gap_masked: bool = False
-    item_times: list[float] | None = None
 
     def __len__(self):
         return len(self.items)
@@ -138,152 +147,116 @@ class PreprocessConfig:
 
 
 # ---------------------------------------------------------------------------
-# pipeline stages
+# pipeline
 
 
-def sessionize(interactions: list[RawInteraction], gap_threshold: float) -> list[Session]:
-    """Group one user's time-sorted interactions into sessions.
+@dataclass
+class SessionTable:
+    """Sessions as columns, each user's in time order. User and item are
+    integer codes; the items of all sessions are concatenated in `items`,
+    `lengths[k]` of them for session k."""
 
-    Consecutive interactions stay in one session while the gap between
-    them is at most gap_threshold; a larger gap starts a new session.
-    """
-    if gap_threshold <= 0:
-        raise ValueError("gap_threshold must be positive")
-    for a, b in zip(interactions, interactions[1:]):
-        if b.timestamp < a.timestamp:
-            raise ValueError(f"interactions not time-sorted at t={b.timestamp}")
-    sessions: list[Session] = []
-    run: list[RawInteraction] = []
-    for inter in interactions:
-        if run and inter.timestamp > run[-1].timestamp + gap_threshold:
-            sessions.append(_close(run))
-            run = []
-        run.append(inter)
-    if run:
-        sessions.append(_close(run))
-    return sessions
+    user: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    gap: np.ndarray
+    masked: np.ndarray
+    lengths: np.ndarray
+    items: np.ndarray
 
 
-def _close(run: list[RawInteraction]) -> Session:
-    return Session(items=[r.item_id for r in run],
-                   start_time=run[0].timestamp,
-                   end_time=run[-1].timestamp,
-                   item_times=[r.timestamp for r in run])
+def sessionize(user: np.ndarray, item: np.ndarray, time: np.ndarray,
+               config: PreprocessConfig) -> SessionTable:
+    """Sessionize, collapse repeats, cap lengths and measure gaps for
+    every user of a log at once; rows may come in any order."""
+    order = np.lexsort((time, user))  # stable: equal times keep their order
+    user, item, time = user[order], item[order], time[order]
+    new = np.ones(len(time), dtype=bool)
+    new[1:] = (user[1:] != user[:-1]) | (time[1:] > time[:-1] + config.gap_threshold)
+    first = np.flatnonzero(new)
+    last = np.ones(len(time), dtype=bool)
+    last[:-1] = new[1:]
+    raw_end = time[last]
+    keep = new.copy()  # a repeat of its predecessor collapses into it
+    keep[1:] |= item[1:] != item[:-1]
+    lengths = np.bincount(np.cumsum(new)[keep] - 1, minlength=len(first))
+    item, time = item[keep], time[keep]
+
+    # length in (L, 2L] splits at L into two pieces, the second masked;
+    # longer sessions are dropped. An unsplit session keeps its
+    # pre-collapse end; split halves end at their last kept item.
+    cap = config.max_session_length
+    pieces = np.where(lengths <= cap, 1, np.where(lengths <= 2 * cap, 2, 0))
+    src = np.repeat(np.arange(len(first)), pieces)
+    masked = np.zeros(len(src), dtype=bool)
+    masked[1:] = src[1:] == src[:-1]
+    whole = pieces[src] == 1
+    n = np.where(whole, lengths[src], np.where(masked, lengths[src] - cap, cap))
+    at = np.cumsum(lengths)[src] - lengths[src] + masked * cap
+    start = time[at]
+    end = np.where(whole, raw_end[src], time[at + n - 1])
+    owner = user[first][src]
+    gap = np.zeros(len(src))
+    follows = np.flatnonzero(~masked[1:] & (owner[1:] == owner[:-1])) + 1
+    gap[follows] = start[follows] - end[follows - 1]
+    return SessionTable(user=owner, start=start, end=end, gap=gap, masked=masked,
+                        lengths=n, items=item[np.repeat(pieces > 0, lengths)])
 
 
-def collapse_repeats(session: Session) -> Session:
-    """Reduce each run of equal consecutive items to its first occurrence."""
-    items, times = [], []
-    for pos, it in enumerate(session.items):
-        if items and items[-1] == it:
-            continue
-        items.append(it)
-        if session.item_times is not None:
-            times.append(session.item_times[pos])
-    return replace(session, items=items,
-                   item_times=times if session.item_times is not None else None)
-
-
-def enforce_length(sessions: list[Session], l_max: int) -> list[Session]:
-    """Cap session length at l_max.
-
-    Length in (l_max, 2*l_max] splits into two sessions at position l_max;
-    the second half is an artificial continuation (gap_before 0, gap_masked).
-    Anything longer than 2*l_max is dropped as degenerate logging noise.
-    """
-    out: list[Session] = []
-    for s in sessions:
-        n = len(s)
-        if n <= l_max:
-            out.append(s)
-        elif n <= 2 * l_max:
-            first, second = _split_at(s, l_max)
-            out.append(first)
-            out.append(second)
-    return out
-
-
-def _split_at(s: Session, pos: int) -> tuple[Session, Session]:
-    if s.item_times is not None:
-        t = s.item_times
-        first = Session(items=s.items[:pos], start_time=t[0], end_time=t[pos - 1],
-                        gap_before=s.gap_before, gap_masked=s.gap_masked,
-                        item_times=t[:pos])
-        second = Session(items=s.items[pos:], start_time=t[pos], end_time=t[-1],
-                         gap_before=0.0, gap_masked=True, item_times=t[pos:])
-    else:
-        # without per-item times, pin the cut to the session start so
-        # chronological order and the successor's gap stay intact
-        first = Session(items=s.items[:pos], start_time=s.start_time,
-                        end_time=s.start_time, gap_before=s.gap_before,
-                        gap_masked=s.gap_masked)
-        second = Session(items=s.items[pos:], start_time=s.start_time,
-                         end_time=s.end_time, gap_before=0.0, gap_masked=True)
-    return first, second
-
-
-def assign_gaps(sessions: list[Session]) -> list[Session]:
-    """Fill gap_before from neighbouring timestamps; first session gets 0."""
-    out = []
-    for i, s in enumerate(sessions):
-        if s.gap_masked or i == 0:
-            out.append(replace(s, gap_before=0.0))
-        else:
-            out.append(replace(s, gap_before=s.start_time - sessions[i - 1].end_time))
-    return out
-
-
-def build_history(user_id: str, interactions: list[RawInteraction],
-                  config: PreprocessConfig) -> list[Session]:
-    """Run the full per-user chain; sessions still carry raw item ids."""
-    inters = sorted(interactions, key=lambda r: r.timestamp)
-    sessions = sessionize(inters, config.gap_threshold)
-    sessions = [collapse_repeats(s) for s in sessions]
-    sessions = enforce_length(sessions, config.max_session_length)
-    return assign_gaps(sessions)
-
-
-def split_train_test(histories: list[UserHistory], train_fraction: float,
-                     min_sessions: int = 3) -> DatasetSplit:
+def build_split(table: SessionTable, user_ids: list[str], item_ids: list[str],
+                train_fraction: float, min_sessions: int) -> DatasetSplit:
     """Per-user earliest-fraction split plus dense vocabulary construction.
 
-    Input histories hold raw item ids; the output sessions hold dense
-    indices. Users with fewer than min_sessions sessions are dropped.
+    `user_ids` and `item_ids` name the table's codes. Users with fewer
+    than min_sessions sessions are dropped; users and vocabulary are the
+    sorted ids of the kept users and their items.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie in (0, 1)")
-    kept = [h for h in histories if len(h.sessions) >= min_sessions]
-    if not kept:
+    counts = np.bincount(table.user, minlength=len(user_ids))
+    kept = counts >= min_sessions
+    if not kept.any():
         raise ValueError("no users left after the minimum-session filter")
-    kept.sort(key=lambda h: h.user_id)
+    used = np.zeros(len(item_ids), dtype=bool)
+    used[table.items[np.repeat(kept[table.user], table.lengths)]] = True
+    vocab_codes = sorted(np.flatnonzero(used).tolist(), key=item_ids.__getitem__)
+    dense = np.zeros(len(item_ids), dtype=np.int64)
+    dense[vocab_codes] = np.arange(len(vocab_codes))
+    vocab = {item_ids[c]: i for i, c in enumerate(vocab_codes)}
 
-    vocab_ids = sorted({it for h in kept for s in h.sessions for it in s.items})
-    vocab = {item_id: i for i, item_id in enumerate(vocab_ids)}
-
+    items = dense[table.items].tolist()
+    bounds = np.concatenate(([0], np.cumsum(table.lengths))).tolist()
+    start, end = table.start.tolist(), table.end.tolist()
+    gap, masked = table.gap.tolist(), table.masked.tolist()
+    by_user = np.argsort(table.user, kind="stable").tolist()
+    first = np.concatenate(([0], np.cumsum(counts))).tolist()
     train, test = [], []
-    for idx, h in enumerate(kept):
-        sessions = [replace(s, items=[vocab[it] for it in s.items], item_times=None)
-                    for s in h.sessions]
+    for idx, u in enumerate(sorted(np.flatnonzero(kept).tolist(), key=user_ids.__getitem__)):
+        sessions = [Session(items[bounds[k]:bounds[k + 1]], start[k], end[k], gap[k], masked[k])
+                    for k in by_user[first[u]:first[u + 1]]]
         n_train = int(train_fraction * len(sessions))
-        train.append(UserHistory(h.user_id, idx, sessions[:n_train]))
-        test.append(UserHistory(h.user_id, idx, sessions[n_train:]))
+        train.append(UserHistory(user_ids[u], idx, sessions[:n_train]))
+        test.append(UserHistory(user_ids[u], idx, sessions[n_train:]))
     return DatasetSplit(train=train, test=test, item_vocabulary=vocab,
-                        num_items=len(vocab), num_users=len(kept))
+                        num_items=len(vocab), num_users=len(train))
 
 
-def preprocess(interactions: list[RawInteraction], config: PreprocessConfig) -> DatasetSplit:
-    """Whole pipeline: group by user, sessionize, filter, split."""
-    if not interactions:
+def preprocess(log: InteractionLog, config: PreprocessConfig) -> DatasetSplit:
+    """Whole pipeline: sessionize every user's rows, filter, split."""
+    if not len(log):
         raise ValueError("empty corpus: zero interaction rows")
-    by_user: dict[str, list[RawInteraction]] = {}
-    for r in interactions:
-        by_user.setdefault(r.user_id, []).append(r)
-    histories = []
-    for uid in sorted(by_user):
-        sessions = build_history(uid, by_user[uid], config)
-        if sessions:
-            histories.append(UserHistory(uid, -1, sessions))
-    return split_train_test(histories, config.train_fraction, config.min_sessions)
+    user, user_ids = _codes(log.users)
+    item, item_ids = _codes(log.items)
+    table = sessionize(user, item, log.times, config)
+    return build_split(table, user_ids, item_ids, config.train_fraction,
+                       config.min_sessions)
+
+
+def _codes(ids: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Integer code of each id, numbered by first appearance, and the ids."""
+    index: dict[str, int] = {}
+    codes = [index.setdefault(i, len(index)) for i in ids]
+    return np.array(codes, dtype=np.int64), list(index)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +283,11 @@ class IngestReport:
             self.bad_examples.append(line.strip()[:120])
 
 
-def read_lastfm_tsv(path: str) -> tuple[list[RawInteraction], IngestReport]:
+def read_lastfm_tsv(path: str) -> tuple[InteractionLog, IngestReport]:
     """Listening log: user \\t iso-timestamp \\t artist-id \\t artist-name \\t
     track-id \\t track-name. The artist id is the item; tracks are ignored.
     """
-    rows: list[RawInteraction] = []
+    users, items, times = [], [], []
     report = IngestReport()
     with open(path, encoding="utf-8", errors="replace") as fh:
         for line in fh:
@@ -326,32 +299,46 @@ def read_lastfm_tsv(path: str) -> tuple[list[RawInteraction], IngestReport]:
                 ts = datetime.fromisoformat(parts[1].replace("Z", "+00:00"))
                 if ts.tzinfo is None:
                     ts = ts.replace(tzinfo=timezone.utc)
-                rows.append(RawInteraction(parts[0], parts[2], ts.timestamp()))
+                user, item, t = parts[0], parts[2], ts.timestamp()
             except (IndexError, ValueError):
+                user = ""
+            if user and item and 0.0 <= t:
+                users.append(user)
+                items.append(item)
+                times.append(t)
+            else:
                 report.note_bad(line)
     report.check(path)
-    return rows, report
+    return InteractionLog(users, items, times), report
 
 
-def read_reddit_csv(path: str) -> tuple[list[RawInteraction], IngestReport]:
-    """Comment log: user, subreddit, unix-seconds columns, optional header."""
-    rows: list[RawInteraction] = []
+def read_reddit_csv(path: str) -> tuple[InteractionLog, IngestReport]:
+    """Comment log: user, subreddit, unix-seconds columns, optional header.
+
+    A row without three columns, with an empty user or subreddit, or with
+    a time that is not a finite number >= 0 is malformed.
+    """
+    users, items, times = [], [], []
     report = IngestReport()
     with open(path, encoding="utf-8", errors="replace", newline="") as fh:
         reader = csv.reader(fh)
-        for i, parts in enumerate(reader):
-            if not parts or not any(p.strip() for p in parts):
-                continue
-            if i == 0 and not _looks_numeric(parts[-1]):
-                continue  # header
-            report.rows_total += 1
+        head = next(reader, [])
+        if any(p.strip() for p in head) and not _looks_numeric(head[-1]):
+            head = []  # header
+        for parts in chain([head], reader):
             try:
-                rows.append(RawInteraction(parts[0].strip(), parts[1].strip(),
-                                           float(parts[2])))
+                user, item, t = parts[0].strip(), parts[1].strip(), float(parts[2])
             except (IndexError, ValueError):
+                user = ""
+            if user and item and 0.0 <= t < math.inf:  # NaN fails both
+                users.append(user)
+                items.append(item)
+                times.append(t)
+            elif any(p.strip() for p in parts):  # blank rows are no rows
                 report.note_bad(",".join(parts))
+    report.rows_total = len(times) + report.rows_bad
     report.check(path)
-    return rows, report
+    return InteractionLog(users, items, times), report
 
 
 def _looks_numeric(s: str) -> bool:
@@ -412,6 +399,9 @@ def load_split(path: str) -> DatasetSplit:
                         num_items=header["num_items"], num_users=header["num_users"])
 
 
+_USER_FIELDS = {"user_id", "user_index", "train", "test"}
+
+
 def _check_user_record(rec: dict, row: int, num_items: int, path: str) -> None:
     """Reject records the model would misread: a session with no items
     has no intra state, numpy takes item -1 as the last embedding row and
@@ -419,39 +409,46 @@ def _check_user_record(rec: dict, row: int, num_items: int, path: str) -> None:
     gaps are bucketed, masked picks the gaps the time loss skips, and the
     recursion assumes one timeline from train into test. Each field must
     have its JSON type: indices are integers (a bool is not one), masked
-    is a bool, and start, end and gap are finite numbers."""
+    is a bool, and start, end and gap are finite numbers. A missing
+    field is named."""
+    if not _USER_FIELDS <= rec.keys():
+        raise IngestError(f"{path}: user record {row} has no field "
+                          f"{min(_USER_FIELDS - rec.keys())!r}")
     who = f"{path}: user {rec['user_id']!r}"
     if not _is_int(rec["user_index"]) or rec["user_index"] != row:
         raise IngestError(f"{who}: field 'user_index' is {rec['user_index']!r}, "
                           f"but the record is row {row}")
     prev_start = -math.inf
-    for part in ("train", "test"):
-        for k, o in enumerate(rec[part]):
-            if not isinstance(o["items"], list):
-                raise IngestError(f"{who}: field 'items' of {part} session {k} is "
-                                  f"{o['items']!r}, not a list")
-            if not o["items"]:
-                raise IngestError(f"{who}: field 'items' of {part} session {k} is empty")
-            bad = [i for i in o["items"] if not _is_int(i) or not 0 <= i < num_items]
-            if bad:
-                why = f"outside [0, {num_items})" if _is_int(bad[0]) else "not an integer"
-                raise IngestError(f"{who}: field 'items' of a {part} session holds "
-                                  f"{bad[0]!r}, {why}")
-            if type(o["masked"]) is not bool:
-                raise IngestError(f"{who}: field 'masked' of {part} session {k} is "
-                                  f"{o['masked']!r}, not true or false")
-            for name in ("start", "end", "gap"):
-                if type(o[name]) not in (int, float) or not math.isfinite(o[name]):
-                    raise IngestError(f"{who}: field {name!r} of {part} session {k} is "
-                                      f"{o[name]!r}, not a finite number")
-            if o["gap"] < 0:
-                raise IngestError(f"{who}: field 'gap' of {part} session {k} is "
-                                  f"{o['gap']}, negative")
-            if o["start"] < prev_start:
-                raise IngestError(f"{who}: field 'start' of {part} session {k} is "
-                                  f"{o['start']}, before the previous session's "
-                                  f"start {prev_start}")
-            prev_start = o["start"]
+    try:
+        for part in ("train", "test"):
+            for k, o in enumerate(rec[part]):
+                if not isinstance(o["items"], list):
+                    raise IngestError(f"{who}: field 'items' of {part} session {k} is "
+                                      f"{o['items']!r}, not a list")
+                if not o["items"]:
+                    raise IngestError(f"{who}: field 'items' of {part} session {k} is empty")
+                bad = [i for i in o["items"] if not _is_int(i) or not 0 <= i < num_items]
+                if bad:
+                    why = f"outside [0, {num_items})" if _is_int(bad[0]) else "not an integer"
+                    raise IngestError(f"{who}: field 'items' of a {part} session holds "
+                                      f"{bad[0]!r}, {why}")
+                if type(o["masked"]) is not bool:
+                    raise IngestError(f"{who}: field 'masked' of {part} session {k} is "
+                                      f"{o['masked']!r}, not true or false")
+                for name in ("start", "end", "gap"):
+                    if type(o[name]) not in (int, float) or not math.isfinite(o[name]):
+                        raise IngestError(f"{who}: field {name!r} of {part} session {k} is "
+                                          f"{o[name]!r}, not a finite number")
+                if o["gap"] < 0:
+                    raise IngestError(f"{who}: field 'gap' of {part} session {k} is "
+                                      f"{o['gap']}, negative")
+                if o["start"] < prev_start:
+                    raise IngestError(f"{who}: field 'start' of {part} session {k} is "
+                                      f"{o['start']}, before the previous session's "
+                                      f"start {prev_start}")
+                prev_start = o["start"]
+    except KeyError as err:  # every session field is read above
+        raise IngestError(f"{who}: {part} session {k} has no field {err.args[0]!r}") from None
 
 
 def _is_int(v) -> bool:

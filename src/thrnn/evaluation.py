@@ -55,11 +55,6 @@ class BucketRow:
     mae_days: float | None  # None when the bucket is empty
     count: int
 
-    @property
-    def label(self) -> str:
-        hi = "inf" if np.isinf(self.high_days) else f"{self.high_days:g}"
-        return f"[{self.low_days:g},{hi})"
-
 
 def mae_by_bucket(pred_seconds, target_seconds, bucket_edges_days) -> tuple[list[BucketRow], float]:
     """Per-bucket and overall mean absolute error, reported in days.

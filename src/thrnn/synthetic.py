@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SECONDS_PER_DAY, DatasetSplit, Session, UserHistory, split_train_test
+from .data import SECONDS_PER_DAY, DatasetSplit, SessionTable, build_split
 
 ITEM_SPACING_SECONDS = 30.0
 
@@ -114,24 +114,31 @@ def generate_corpus(spec: SynthSpec, seed: int) -> DatasetSplit:
     Each user gets an independent generator derived from (seed, user),
     so per-user streams are order-independent and parallelizable.
     """
-    histories = []
+    starts, ends, gaps, lengths, items = [], [], [], [], []
     for u in range(spec.num_users):
         rng = np.random.default_rng([seed, u])
-        sessions = []
         t = 0.0
         pending_gap = 0.0
         for j in range(spec.sessions_per_user):
             state = None
             if spec.context_coupling:
                 state = spec.context_coupling[int(rng.integers(len(spec.context_coupling)))]
-            items = _draw_session_items(rng, spec, state)
+            session = _draw_session_items(rng, spec, state)
             start = t
-            end = start + (len(items) - 1) * ITEM_SPACING_SECONDS
-            sessions.append(Session(items=[item_id(i) for i in items],
-                                    start_time=start, end_time=end,
-                                    gap_before=pending_gap, gap_masked=False))
+            end = start + (len(session) - 1) * ITEM_SPACING_SECONDS
+            starts.append(start)
+            ends.append(end)
+            gaps.append(pending_gap)
+            lengths.append(len(session))
+            items += session
             gap_days = _draw_gap_days(rng, spec, state)
             pending_gap = gap_days * SECONDS_PER_DAY
             t = end + pending_gap
-        histories.append(UserHistory(f"u{u:05d}", -1, sessions))
-    return split_train_test(histories, spec.train_fraction, min_sessions=3)
+    table = SessionTable(user=np.repeat(np.arange(spec.num_users), spec.sessions_per_user),
+                         start=np.array(starts), end=np.array(ends), gap=np.array(gaps),
+                         masked=np.zeros(len(starts), dtype=bool),
+                         lengths=np.array(lengths, dtype=np.int64),
+                         items=np.array(items, dtype=np.int64))
+    return build_split(table, [f"u{u:05d}" for u in range(spec.num_users)],
+                       [item_id(i) for i in range(spec.num_items)],
+                       spec.train_fraction, min_sessions=3)

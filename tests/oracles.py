@@ -3,18 +3,21 @@
 Nothing in the package calls these: finite-difference gradients, exact
 Hawkes intensity, likelihood and thinning draws, the closed-form CDF and
 quantile function of the time head, a trapezoid normalization check, the
-Bayes-optimal ranking of a synthetic corpus, and a report reader.
+Bayes-optimal ranking of a synthetic corpus, a report reader and bucket
+label, and the per-row preprocessing chain that the columnar pipeline in
+thrnn.data must reproduce byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from thrnn.data import DatasetSplit
+from thrnn.data import DatasetSplit, PreprocessConfig, Session, UserHistory
 from thrnn.evaluation import REPORT_FORMAT_VERSION, BucketRow, EvalReport, rank_of_target
 from thrnn.hawkes import HawkesParams, _nll_and_grads, excitation_state
 from thrnn.point_process import (W_LIMIT, QuadratureConfig, _check_exponent,
@@ -253,3 +256,188 @@ def load_report(path: str) -> EvalReport:
                 report.mae_buckets.append(BucketRow(rec["low_days"], high,
                                                     rec["mae_days"], rec["count"]))
     return report
+
+
+def bucket_label(row: BucketRow) -> str:
+    hi = "inf" if np.isinf(row.high_days) else f"{row.high_days:g}"
+    return f"[{row.low_days:g},{hi})"
+
+
+# ---------------------------------------------------------------------------
+# the per-row preprocessing chain: one object per row, one user at a time.
+# RowSession is thrnn.data.Session plus the per-item times the stages pass
+# along; split_train_test drops them.
+
+
+@dataclass(frozen=True)
+class RawInteraction:
+    user_id: str
+    item_id: str
+    timestamp: float  # seconds since epoch
+
+    def __post_init__(self):
+        if not self.user_id or not self.item_id:
+            raise ValueError("user_id and item_id must be non-empty")
+        if self.timestamp < 0:
+            raise ValueError(f"negative timestamp {self.timestamp}")
+
+
+@dataclass
+class RowSession:
+    items: list
+    start_time: float
+    end_time: float
+    gap_before: float = 0.0
+    gap_masked: bool = False
+    item_times: list[float] | None = None
+
+    def __len__(self):
+        return len(self.items)
+
+
+def sessionize(interactions: list[RawInteraction], gap_threshold: float) -> list[RowSession]:
+    """Group one user's time-sorted interactions into sessions.
+
+    Consecutive interactions stay in one session while the gap between
+    them is at most gap_threshold; a larger gap starts a new session.
+    """
+    if gap_threshold <= 0:
+        raise ValueError("gap_threshold must be positive")
+    for a, b in zip(interactions, interactions[1:]):
+        if b.timestamp < a.timestamp:
+            raise ValueError(f"interactions not time-sorted at t={b.timestamp}")
+    sessions: list[RowSession] = []
+    run: list[RawInteraction] = []
+    for inter in interactions:
+        if run and inter.timestamp > run[-1].timestamp + gap_threshold:
+            sessions.append(_close(run))
+            run = []
+        run.append(inter)
+    if run:
+        sessions.append(_close(run))
+    return sessions
+
+
+def _close(run: list[RawInteraction]) -> RowSession:
+    return RowSession(items=[r.item_id for r in run],
+                      start_time=run[0].timestamp,
+                      end_time=run[-1].timestamp,
+                      item_times=[r.timestamp for r in run])
+
+
+def collapse_repeats(session: RowSession) -> RowSession:
+    """Reduce each run of equal consecutive items to its first occurrence."""
+    items, times = [], []
+    for pos, it in enumerate(session.items):
+        if items and items[-1] == it:
+            continue
+        items.append(it)
+        if session.item_times is not None:
+            times.append(session.item_times[pos])
+    return replace(session, items=items,
+                   item_times=times if session.item_times is not None else None)
+
+
+def enforce_length(sessions: list[RowSession], l_max: int) -> list[RowSession]:
+    """Cap session length at l_max.
+
+    Length in (l_max, 2*l_max] splits into two sessions at position l_max;
+    the second half is an artificial continuation (gap_before 0, gap_masked).
+    Anything longer than 2*l_max is dropped as degenerate logging noise.
+    """
+    out: list[RowSession] = []
+    for s in sessions:
+        n = len(s)
+        if n <= l_max:
+            out.append(s)
+        elif n <= 2 * l_max:
+            first, second = _split_at(s, l_max)
+            out.append(first)
+            out.append(second)
+    return out
+
+
+def _split_at(s: RowSession, pos: int) -> tuple[RowSession, RowSession]:
+    if s.item_times is not None:
+        t = s.item_times
+        first = RowSession(items=s.items[:pos], start_time=t[0], end_time=t[pos - 1],
+                           gap_before=s.gap_before, gap_masked=s.gap_masked,
+                           item_times=t[:pos])
+        second = RowSession(items=s.items[pos:], start_time=t[pos], end_time=t[-1],
+                            gap_before=0.0, gap_masked=True, item_times=t[pos:])
+    else:
+        # without per-item times, pin the cut to the session start so
+        # chronological order and the successor's gap stay intact
+        first = RowSession(items=s.items[:pos], start_time=s.start_time,
+                           end_time=s.start_time, gap_before=s.gap_before,
+                           gap_masked=s.gap_masked)
+        second = RowSession(items=s.items[pos:], start_time=s.start_time,
+                            end_time=s.end_time, gap_before=0.0, gap_masked=True)
+    return first, second
+
+
+def assign_gaps(sessions: list[RowSession]) -> list[RowSession]:
+    """Fill gap_before from neighbouring timestamps; first session gets 0."""
+    out = []
+    for i, s in enumerate(sessions):
+        if s.gap_masked or i == 0:
+            out.append(replace(s, gap_before=0.0))
+        else:
+            out.append(replace(s, gap_before=s.start_time - sessions[i - 1].end_time))
+    return out
+
+
+def build_history(user_id: str, interactions: list[RawInteraction],
+                  config: PreprocessConfig) -> list[RowSession]:
+    """Run the full per-user chain; sessions still carry raw item ids."""
+    inters = sorted(interactions, key=lambda r: r.timestamp)
+    sessions = sessionize(inters, config.gap_threshold)
+    sessions = [collapse_repeats(s) for s in sessions]
+    sessions = enforce_length(sessions, config.max_session_length)
+    return assign_gaps(sessions)
+
+
+def split_train_test(histories: list[UserHistory], train_fraction: float,
+                     min_sessions: int = 3) -> DatasetSplit:
+    """Per-user earliest-fraction split plus dense vocabulary construction.
+
+    Input histories hold raw item ids; the output sessions hold dense
+    indices. Users with fewer than min_sessions sessions are dropped.
+    """
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must lie in (0, 1)")
+    kept = [h for h in histories if len(h.sessions) >= min_sessions]
+    if not kept:
+        raise ValueError("no users left after the minimum-session filter")
+    kept.sort(key=lambda h: h.user_id)
+
+    vocab_ids = sorted({it for h in kept for s in h.sessions for it in s.items})
+    vocab = {item_id: i for i, item_id in enumerate(vocab_ids)}
+
+    train, test = [], []
+    for idx, h in enumerate(kept):
+        sessions = [Session(items=[vocab[it] for it in s.items], start_time=s.start_time,
+                            end_time=s.end_time, gap_before=s.gap_before,
+                            gap_masked=s.gap_masked)
+                    for s in h.sessions]
+        n_train = int(train_fraction * len(sessions))
+        train.append(UserHistory(h.user_id, idx, sessions[:n_train]))
+        test.append(UserHistory(h.user_id, idx, sessions[n_train:]))
+    return DatasetSplit(train=train, test=test, item_vocabulary=vocab,
+                        num_items=len(vocab), num_users=len(kept))
+
+
+def preprocess_rows(interactions: list[RawInteraction],
+                    config: PreprocessConfig) -> DatasetSplit:
+    """Whole pipeline: group by user, sessionize, filter, split."""
+    if not interactions:
+        raise ValueError("empty corpus: zero interaction rows")
+    by_user: dict[str, list[RawInteraction]] = {}
+    for r in interactions:
+        by_user.setdefault(r.user_id, []).append(r)
+    histories = []
+    for uid in sorted(by_user):
+        sessions = build_history(uid, by_user[uid], config)
+        if sessions:
+            histories.append(UserHistory(uid, -1, sessions))
+    return split_train_test(histories, config.train_fraction, config.min_sessions)

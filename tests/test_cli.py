@@ -126,6 +126,23 @@ class TestPreprocess:
         assert split.num_users == 3
         assert rec["num_sessions"] == 12
 
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+    def test_reddit_non_finite_time_counted_bad(self, tmp_path, capsys, time):
+        lines = ["author,subreddit,created_utc"]
+        for u in range(4):
+            for k in range(30):
+                lines.append(f"user{u},sub{(u + k) % 7},{1400000000 + u * 7 + k * 4000}")
+        lines.insert(40, f"user1,sub3,{time}")
+        (tmp_path / "c.csv").write_text("\n".join(lines) + "\n")
+        rc = main(["preprocess", "--dataset", "reddit", "--input", str(tmp_path / "c.csv"),
+                   "--output", str(tmp_path / "c.split")])
+        assert rc == 0
+        (rec,) = _records(capsys)
+        assert (rec["rows_read"], rec["rows_bad"]) == (121, 1)
+        text = (tmp_path / "c.split").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        assert load_split(str(tmp_path / "c.split")).num_users == 4
+
     def test_too_many_malformed_rows_fail(self, tmp_path, capsys):
         self._write_lastfm(tmp_path / "log.tsv", bad_rows=5)
         rc = main(["preprocess", "--dataset", "lastfm",
@@ -293,6 +310,19 @@ class TestTrain:
                    "--out", str(tmp_path / "x.ckpt"), "--epochs", "1", *TINY_FLAGS])
         assert rc == 2
         assert "field 'items' of a train session holds 1.5, not an integer" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_missing_split_field_exits_2(self, ws, tmp_path, capsys):
+        lines = (ws / "corpus.split").read_text().splitlines()
+        rec = json.loads(lines[2])
+        del rec["train"][1]["masked"]
+        lines[2] = json.dumps(rec)
+        (tmp_path / "bad.split").write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--split", str(tmp_path / "bad.split"),
+                   "--out", str(tmp_path / "x.ckpt"), "--epochs", "1", *TINY_FLAGS])
+        assert rc == 2
+        assert f"user {rec['user_id']!r}: train session 1 has no field 'masked'" \
             in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
 

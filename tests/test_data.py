@@ -1,7 +1,10 @@
 """Pipeline stage contracts: sessionization, collapsing, length caps,
-splitting, bucketing, adapters, and the split file round trip."""
+splitting, bucketing, adapters, the split file round trip, and the
+columnar pipeline against the per-row chain in oracles."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,34 +12,40 @@ from hypothesis import given, settings, strategies as st
 
 from thrnn import data as D
 
-
-def _inter(ts, user="u", item="x"):
-    return D.RawInteraction(user, item, float(ts))
+import oracles
 
 
-def _inters(timestamps, items=None, user="u"):
-    items = items or ["x"] * len(timestamps)
-    return [D.RawInteraction(user, it, float(t)) for t, it in zip(timestamps, items)]
+def _sessions(times, items=None, users=None, **config):
+    """sessionize one log given as columns; returns the table's sessions
+    as Session objects holding raw item ids. Items and users default to a
+    single id each."""
+    items = items if items is not None else ["x"] * len(times)
+    users = users if users is not None else ["u"] * len(times)
+    user, _ = D._codes(users)
+    item, item_ids = D._codes(items)
+    t = D.sessionize(user, item, np.asarray(times, dtype=np.float64),
+                     D.PreprocessConfig(**config))
+    bounds = np.concatenate(([0], np.cumsum(t.lengths)))
+    return [D.Session(items=[item_ids[i] for i in t.items[lo:hi]],
+                      start_time=float(t.start[k]), end_time=float(t.end[k]),
+                      gap_before=float(t.gap[k]), gap_masked=bool(t.masked[k]))
+            for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
 
 class TestSessionize:
     def test_threshold_boundary(self):
-        s = D.sessionize(_inters([0, 100, 4000]), gap_threshold=3600)
+        s = _sessions([0, 100, 4000], items=list("abc"), gap_threshold=3600)
         assert [list(map(int, (x.start_time, x.end_time))) for x in s] == [[0, 100], [4000, 4000]]
         # exactly at the threshold still shares the session
-        s2 = D.sessionize(_inters([0, 3600]), gap_threshold=3600)
+        s2 = _sessions([0, 3600], items=list("ab"), gap_threshold=3600)
         assert len(s2) == 1
 
     def test_single_interaction(self):
-        (s,) = D.sessionize(_inters([42]), gap_threshold=10)
+        (s,) = _sessions([42], gap_threshold=10)
         assert s.start_time == s.end_time == 42 and len(s) == 1
 
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError, match="not time-sorted"):
-            D.sessionize(_inters([5, 3]), gap_threshold=10)
-
     def test_empty_ok(self):
-        assert D.sessionize([], gap_threshold=10) == []
+        assert _sessions([], gap_threshold=10) == []
 
     @given(st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1, max_size=60),
            st.integers(min_value=1, max_value=5000))
@@ -44,15 +53,17 @@ class TestSessionize:
     def test_partition_property(self, ts, threshold):
         ts = sorted(ts)
         items = [f"i{k}" for k in range(len(ts))]
-        sessions = D.sessionize(_inters(ts, items), gap_threshold=threshold)
+        sessions = _sessions(ts, items, gap_threshold=threshold, max_session_length=60)
         # concatenation reproduces the input sequence
         assert [it for s in sessions for it in s.items] == items
         # boundaries are exactly the gaps above the threshold
         for a, b in zip(sessions, sessions[1:]):
             assert b.start_time - a.end_time > threshold
+        pos = 0
         for s in sessions:
-            diffs = np.diff(s.item_times)
+            diffs = np.diff(ts[pos:pos + len(s)])
             assert np.all(diffs <= threshold)
+            pos += len(s)
 
 
 class TestCollapseRepeats:
@@ -62,30 +73,32 @@ class TestCollapseRepeats:
         (list("AAAA"), list("A")),
     ])
     def test_examples(self, items, want):
-        s = D.Session(items=items, start_time=0, end_time=3,
-                      item_times=list(range(len(items))))
-        out = D.collapse_repeats(s)
+        (out,) = _sessions(list(range(len(items))), items, gap_threshold=10)
         assert out.items == want
-        # kept timestamps are those of each run's first element
-        assert len(out.item_times) == len(want)
+        assert len(out) == len(want)
+        # the session keeps its pre-collapse end
+        assert (out.start_time, out.end_time) == (0, len(items) - 1)
 
     def test_keeps_first_occurrence_time(self):
-        s = D.Session(items=list("AAB"), start_time=0, end_time=2, item_times=[0, 1, 2])
-        assert D.collapse_repeats(s).item_times == [0, 2]
+        # split at length 1, each half shows the time its item kept: [0, 2]
+        out = _sessions([0, 1, 2], list("AAB"), gap_threshold=10, max_session_length=1)
+        assert [(s.start_time, s.end_time) for s in out] == [(0, 0), (2, 2)]
 
 
 class TestEnforceLength:
-    def _session(self, n, t0=0.0):
-        return D.Session(items=[f"i{k}" for k in range(n)], start_time=t0,
-                         end_time=t0 + n - 1, gap_before=77.0,
-                         item_times=[t0 + k for k in range(n)])
+    def _sessions(self, n, l_max=20):
+        """A one-item session 77 s before an n-item one at times 0..n-1;
+        returns the sessions after the first."""
+        times = [-77.0] + [float(k) for k in range(n)]
+        items = ["p"] + [f"i{k}" for k in range(n)]
+        return _sessions(times, items, gap_threshold=10, max_session_length=l_max)[1:]
 
     def test_at_max_unchanged(self):
-        out = D.enforce_length([self._session(20)], l_max=20)
+        out = self._sessions(20)
         assert len(out) == 1 and len(out[0]) == 20
 
     def test_split_in_two(self):
-        out = D.enforce_length([self._session(25)], l_max=20)
+        out = self._sessions(25)
         assert [len(s) for s in out] == [20, 5]
         first, second = out
         assert first.gap_before == 77.0 and not first.gap_masked
@@ -94,73 +107,160 @@ class TestEnforceLength:
         assert first.end_time == 19.0 and second.start_time == 20.0 and second.end_time == 24.0
 
     def test_too_long_removed(self):
-        out = D.enforce_length([self._session(41)], l_max=20)
+        out = self._sessions(41)
         assert out == []
-        out2 = D.enforce_length([self._session(40)], l_max=20)
+        out2 = self._sessions(40)
         assert [len(s) for s in out2] == [20, 20]
 
-    def test_split_without_item_times(self):
-        s = D.Session(items=list(range(25)), start_time=100.0, end_time=200.0)
-        first, second = D.enforce_length([s], l_max=20)
-        assert first.start_time <= first.end_time <= second.start_time <= second.end_time
-        assert second.end_time == 200.0  # successor gaps stay correct
+    def test_split_halves_end_at_kept_items(self):
+        # a trailing repeat at t=9: the unsplit session ends at 9, the
+        # split second half at its last kept item, t=8
+        whole = _sessions([0, 8, 9], list("abb"), gap_threshold=10, max_session_length=2)
+        assert [(s.start_time, s.end_time) for s in whole] == [(0, 9)]
+        halves = _sessions([0, 1, 8, 9], list("abcc"), gap_threshold=10,
+                           max_session_length=2)
+        assert [(s.start_time, s.end_time) for s in halves] == [(0, 1), (8, 8)]
 
 
 class TestGapsAndHistories:
     def test_assign_gaps(self):
-        sessions = D.sessionize(_inters([0, 100, 5000, 20000]), gap_threshold=3600)
-        out = D.assign_gaps(sessions)
+        out = _sessions([0, 100, 5000, 20000], gap_threshold=3600)
         assert [s.gap_before for s in out] == [0.0, 4900.0, 15000.0]
         assert not any(s.gap_masked for s in out)
 
     def test_masked_gap_stays_zero(self):
-        cfg = D.PreprocessConfig(gap_threshold=100, max_session_length=3)
         # one sitting of 5 distinct items -> split 3 + 2, then a later session
-        inters = _inters([0, 1, 2, 3, 4, 1000], items=list("ABCDEA"))
-        sessions = D.build_history("u", inters, cfg)
+        sessions = _sessions([0, 1, 2, 3, 4, 1000], list("ABCDEA"),
+                             gap_threshold=100, max_session_length=3)
         assert [len(s) for s in sessions] == [3, 2, 1]
         assert sessions[1].gap_masked and sessions[1].gap_before == 0.0
         assert sessions[2].gap_before == 1000.0 - 4.0
 
     def test_pipeline_composition_order(self):
         # repeats collapse before the length cap: 6 raw -> 4 distinct <= 5
-        cfg = D.PreprocessConfig(gap_threshold=100, max_session_length=5)
-        inters = _inters([0, 1, 2, 3, 4, 5], items=list("AABBCD"))
-        sessions = D.build_history("u", inters, cfg)
+        sessions = _sessions([0, 1, 2, 3, 4, 5], list("AABBCD"),
+                             gap_threshold=100, max_session_length=5)
         assert len(sessions) == 1 and sessions[0].items == list("ABCD")
+
+    def test_gap_runs_from_previous_kept_session(self):
+        # the 3-item session at t=100 is dropped (> 2 * 1 items); the
+        # next gap runs from the first session's end, and each user's
+        # first session has gap 0
+        out = _sessions([0, 100, 101, 102, 500, 7], list("aabcda"),
+                        users=list("uuuuuv"), gap_threshold=10, max_session_length=1)
+        assert [(s.start_time, s.gap_before) for s in out] == [(0, 0.0), (500, 500.0), (7, 0.0)]
 
 
 class TestSplitTrainTest:
-    def _history(self, uid, n, items=("a", "b")):
-        sessions = [D.Session(items=list(items), start_time=1000.0 * k,
-                              end_time=1000.0 * k + 10, gap_before=0.0 if k == 0 else 990.0)
-                    for k in range(n)]
-        return D.UserHistory(uid, -1, sessions)
+    def _split(self, users, train_fraction=0.8, min_sessions=3):
+        """users: (user id, session count, items per session) each."""
+        item_ids = sorted({it for _, _, items in users for it in items})
+        rows = [(code, k, items) for code, (_, n, items) in enumerate(users) for k in range(n)]
+        table = D.SessionTable(
+            user=np.array([code for code, _, _ in rows], dtype=np.int64),
+            start=np.array([1000.0 * k for _, k, _ in rows]),
+            end=np.array([1000.0 * k + 10 for _, k, _ in rows]),
+            gap=np.array([0.0 if k == 0 else 990.0 for _, k, _ in rows]),
+            masked=np.zeros(len(rows), dtype=bool),
+            lengths=np.array([len(items) for _, _, items in rows], dtype=np.int64),
+            items=np.array([item_ids.index(it) for _, _, items in rows for it in items],
+                           dtype=np.int64))
+        return D.build_split(table, [u for u, _, _ in users], item_ids,
+                             train_fraction, min_sessions)
 
     def test_eighty_twenty(self):
-        split = D.split_train_test([self._history("u", 10)], 0.8)
+        split = self._split([("u", 10, "ab")])
         assert len(split.train[0].sessions) == 8
         assert len(split.test[0].sessions) == 2
 
     def test_min_sessions_filter(self):
-        hs = [self._history("a", 2), self._history("b", 5)]
-        split = D.split_train_test(hs, 0.8, min_sessions=3)
+        split = self._split([("a", 2, "ab"), ("b", 5, "ab")], min_sessions=3)
         assert split.num_users == 1 and split.train[0].user_id == "b"
         with pytest.raises(ValueError, match="no users left"):
-            D.split_train_test([self._history("a", 2)], 0.8, min_sessions=3)
+            self._split([("a", 2, "ab")], min_sessions=3)
 
     def test_chronology_and_alignment(self):
-        split = D.split_train_test([self._history("u", 7), self._history("v", 4)], 0.8)
+        split = self._split([("u", 7, "ab"), ("v", 4, "ab")])
         for tr, te in zip(split.train, split.test):
             assert tr.user_id == te.user_id and tr.user_index == te.user_index
             assert max(s.start_time for s in tr.sessions) <= min(s.start_time for s in te.sessions)
             assert len(tr.sessions) + len(te.sessions) in (7, 4)
 
     def test_vocabulary_dense_and_applied(self):
-        split = D.split_train_test([self._history("u", 4, items=("q", "z", "q"))], 0.8)
+        split = self._split([("u", 4, "qzq")])
         assert set(split.item_vocabulary.values()) == set(range(split.num_items))
         for s in split.train[0].sessions + split.test[0].sessions:
             assert all(isinstance(i, int) and 0 <= i < split.num_items for i in s.items)
+
+    def test_users_and_vocabulary_sorted_by_id_of_kept_users(self):
+        # codes number ids out of order; "w" and its item "c" fall under min_sessions
+        split = self._split([("v", 3, "zb"), ("w", 1, "c"), ("u", 3, "a")])
+        assert [u.user_id for u in split.train] == ["u", "v"]
+        assert split.item_vocabulary == {"a": 0, "b": 1, "z": 2}
+        assert split.test[1].sessions[0].items == [2, 1]
+
+
+@st.composite
+def _logs(draw):
+    """A small log in random file order: few users and items so that
+    time ties, repeats and runs of long sessions are common; integer
+    times hit the threshold exactly, fractional ones test its rounding."""
+    base = draw(st.sampled_from([0.0, 1.3e9]))
+    step = draw(st.sampled_from([1.0, 0.1, 7.3]))
+    n = draw(st.integers(min_value=1, max_value=150))
+    users = draw(st.lists(st.sampled_from(["bo", "al", "cy", "b"]), min_size=n, max_size=n))
+    items = draw(st.lists(st.sampled_from(["x", "y", "z", "q", "xa"]), min_size=n, max_size=n))
+    ticks = draw(st.lists(st.integers(min_value=0, max_value=300), min_size=n, max_size=n))
+    times = [base + step * k for k in ticks]
+    config = D.PreprocessConfig(
+        gap_threshold=draw(st.sampled_from([1.0, 2.0, 7.3, 25.0, 0.3])),
+        max_session_length=draw(st.integers(min_value=1, max_value=6)),
+        train_fraction=draw(st.sampled_from([0.5, 0.8])),
+        min_sessions=draw(st.integers(min_value=2, max_value=5)))
+    return users, items, times, config
+
+
+def _split_bytes(run):
+    """save_split's bytes of run(), or the ValueError it raised."""
+    try:
+        split = run()
+    except ValueError as err:
+        return str(err)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.split")
+        D.save_split(split, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+class TestColumnarMatchesRowChain:
+    @given(_logs())
+    @settings(max_examples=300, deadline=None)
+    def test_same_split_bytes_as_row_chain(self, log):
+        users, items, times, config = log
+        rows = [oracles.RawInteraction(u, i, t) for u, i, t in zip(users, items, times)]
+        want = _split_bytes(lambda: oracles.preprocess_rows(rows, config))
+        got = _split_bytes(lambda: D.preprocess(D.InteractionLog(users, items, times), config))
+        assert got == want
+
+    def test_benchmark_shaped_log(self, tmp_path):
+        # 896 sessions at the benchmark's threshold: 196 split at L = 4,
+        # 91 dropped above 2L, and 391 repeated rows collapsed
+        rng = np.random.default_rng(5)
+        n = 4000
+        users = [f"user{k}" for k in rng.integers(0, 4, n)]
+        items = [f"r{k}" for k in rng.integers(0, 8, n)]
+        times = (1.3e9 + np.cumsum(rng.exponential(300.0, n))).round()
+        config = D.PreprocessConfig(gap_threshold=1800.0, max_session_length=4)
+        rows = [oracles.RawInteraction(u, i, float(t)) for u, i, t in zip(users, items, times)]
+        want = _split_bytes(lambda: oracles.preprocess_rows(rows, config))
+        assert isinstance(want, bytes)
+        assert _split_bytes(lambda: D.preprocess(D.InteractionLog(users, items, times),
+                                                 config)) == want
+
+    def test_empty_log_refused(self):
+        with pytest.raises(ValueError, match="empty corpus"):
+            D.preprocess(D.InteractionLog([], [], []), D.PreprocessConfig())
 
 
 class TestGapBucketizer:
@@ -204,8 +304,8 @@ class TestAdapters:
             "user_000001\t2009-05-04T23:12:00Z\tart-2\tOther\ttr-2\tSong B\n")
         rows, rep = D.read_lastfm_tsv(str(p))
         assert rep.rows_bad == 0 and len(rows) == 2
-        assert rows[0].item_id == "art-1"
-        assert rows[1].timestamp - rows[0].timestamp == pytest.approx(183.0)
+        assert rows.items[0] == "art-1"
+        assert rows.times[1] - rows.times[0] == pytest.approx(183.0)
 
     def test_reddit_with_header(self, tmp_path):
         p = tmp_path / "reddit.csv"
@@ -213,7 +313,7 @@ class TestAdapters:
                      "bob,funny,1400000100\n")
         rows, rep = D.read_reddit_csv(str(p))
         assert len(rows) == 2 and rep.rows_total == 2
-        assert rows[0].item_id == "askscience"
+        assert rows.items[0] == "askscience"
 
     def test_malformed_over_one_percent_fails(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -231,6 +331,23 @@ class TestAdapters:
         rows, rep = D.read_reddit_csv(str(p))
         assert len(rows) == 200 and rep.rows_bad == 1
 
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf", "NaN", "-5"])
+    def test_non_finite_or_negative_time_is_malformed(self, tmp_path, time):
+        p = tmp_path / "times.csv"
+        lines = ["user,subreddit,utc"] + ["u%d,sub,%d" % (i, 1400000000 + i) for i in range(150)]
+        lines.insert(70, f"u70,sub,{time}")
+        p.write_text("\n".join(lines) + "\n")
+        rows, rep = D.read_reddit_csv(str(p))
+        assert (len(rows), rep.rows_bad, rep.rows_total) == (150, 1, 151)
+        assert rep.bad_examples == [f"u70,sub,{time}"]
+        assert np.all(np.isfinite(rows.times))
+
+    def test_blank_rows_are_not_rows(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text("\n , \nalice,askscience,1400000000\n\n,,\nbob,funny,1400000100\n")
+        rows, rep = D.read_reddit_csv(str(p))
+        assert (len(rows), rep.rows_total, rep.rows_bad) == (2, 2, 0)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
@@ -240,14 +357,16 @@ class TestAdapters:
 
 class TestSplitFile:
     def _split(self):
-        inters = []
+        users, items, times = [], [], []
         for u in ("u1", "u2"):
             base = 0 if u == "u1" else 50
             for k in range(6):
                 for j in range(3):
-                    inters.append(D.RawInteraction(u, f"item{(base + k + j) % 7}",
-                                                   100000.0 * k + 10.0 * j))
-        return D.preprocess(inters, D.PreprocessConfig(gap_threshold=3600))
+                    users.append(u)
+                    items.append(f"item{(base + k + j) % 7}")
+                    times.append(100000.0 * k + 10.0 * j)
+        return D.preprocess(D.InteractionLog(users, items, times),
+                            D.PreprocessConfig(gap_threshold=3600))
 
     def test_roundtrip(self, tmp_path):
         split = self._split()
@@ -332,6 +451,20 @@ class TestSplitFile:
         with pytest.raises(D.IngestError, match=r"bad\.jsonl: user 'u2': field " + message):
             D.load_split(path)
 
+    @pytest.mark.parametrize("field", ["items", "start", "end", "gap", "masked"])
+    def test_session_field_missing_rejected(self, tmp_path, field):
+        path = self._tampered(tmp_path, lambda rec: rec["train"][1].pop(field))
+        with pytest.raises(D.IngestError, match=rf"bad\.jsonl: user 'u2': train session 1 "
+                                                rf"has no field '{field}'"):
+            D.load_split(path)
+
+    @pytest.mark.parametrize("field", ["user_id", "user_index", "train", "test"])
+    def test_user_field_missing_rejected(self, tmp_path, field):
+        path = self._tampered(tmp_path, lambda rec: rec.pop(field))
+        with pytest.raises(D.IngestError, match=rf"bad\.jsonl: user record 1 has no "
+                                                rf"field '{field}'"):
+            D.load_split(path)
+
     def test_truncated_split_rejected(self, tmp_path):
         p = tmp_path / "cut.jsonl"
         D.save_split(self._split(), str(p))
@@ -358,8 +491,12 @@ class TestSplitFile:
             D.load_split(path)
 
 
-def test_raw_interaction_validation():
-    with pytest.raises(ValueError):
-        D.RawInteraction("", "i", 0.0)
-    with pytest.raises(ValueError):
-        D.RawInteraction("u", "i", -5.0)
+def test_raw_interaction_validation(tmp_path):
+    # an empty user or item, or a negative time, makes a row malformed
+    p = tmp_path / "rows.csv"
+    good = ["u%d,sub,%d" % (i, 1400000000 + i) for i in range(300)]
+    p.write_text("\n".join(good[:100] + [",i,0"] + good[100:200] + ["u,,0"]
+                           + good[200:] + ["u,i,-5.0"]) + "\n")
+    rows, rep = D.read_reddit_csv(str(p))
+    assert (len(rows), rep.rows_bad) == (300, 3)
+    assert rep.bad_examples == [",i,0", "u,,0", "u,i,-5.0"]

@@ -100,7 +100,7 @@ class TestMaeByBucket:
 
     def test_last_bucket_open_ended(self):
         rows, _ = ev.mae_by_bucket([50 * DAY], [45 * DAY], [0, 1, 2])
-        assert rows[-1].count == 1 and rows[-1].label == "[1,inf)"
+        assert rows[-1].count == 1 and oracles.bucket_label(rows[-1]) == "[1,inf)"
 
     def test_constant_predictor_on_bimodal_gaps(self):
         # mixture 0.7 * 0.2d + 0.3 * 5d; the constant mean predictor's
