@@ -97,14 +97,6 @@ def _config_values(args) -> dict:
     return values
 
 
-def _has_config_flags(args) -> bool:
-    if args.config or args.time_clip_norm is not None \
-            or args.gap_bucket_days is not None \
-            or args.gap_bucket_scheme is not None:
-        return True
-    return any(getattr(args, name) is not None for name, _ in _FLAG_FIELDS)
-
-
 def _check_split_matches(split: data.DatasetSplit, cfg: model.ModelConfig,
                          path: str) -> None:
     if (split.num_items, split.num_users) != (cfg.num_items, cfg.num_users):
@@ -198,7 +190,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     if args.resume:
-        if _has_config_flags(args) or args.seed is not None:
+        if args.config or _config_values(args) or args.seed is not None:
             raise ValueError("--resume reads config and seed from the "
                              "checkpoint; drop the config and seed flags")
         params, cfg, opt_state, meta = ckpt.load_checkpoint(args.resume)

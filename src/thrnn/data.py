@@ -315,17 +315,20 @@ def read_lastfm_tsv(path: str) -> tuple[InteractionLog, IngestReport]:
 def read_reddit_csv(path: str) -> tuple[InteractionLog, IngestReport]:
     """Comment log: user, subreddit, unix-seconds columns, optional header.
 
-    A row without three columns, with an empty user or subreddit, or with
-    a time that is not a finite number >= 0 is malformed.
+    A row without three columns, with an empty user or subreddit, with
+    a time that is not a finite number >= 0, or that csv cannot parse is
+    malformed.
     """
     users, items, times = [], [], []
     report = IngestReport()
     with open(path, encoding="utf-8", errors="replace", newline="") as fh:
-        reader = csv.reader(fh)
-        head = next(reader, [])
-        if any(p.strip() for p in head) and not _looks_numeric(head[-1]):
-            head = []  # header
-        for parts in chain([head], reader):
+        rows = _csv_rows(csv.reader(fh), report)
+        head = next(rows, [])
+        try:
+            float(head[-1])
+        except (IndexError, ValueError):
+            head = []  # a header, or a blank row
+        for parts in chain([head], rows):
             try:
                 user, item, t = parts[0].strip(), parts[1].strip(), float(parts[2])
             except (IndexError, ValueError):
@@ -341,12 +344,16 @@ def read_reddit_csv(path: str) -> tuple[InteractionLog, IngestReport]:
     return InteractionLog(users, items, times), report
 
 
-def _looks_numeric(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
+def _csv_rows(reader, report: IngestReport):
+    """The reader's rows. One that csv cannot parse (a field over
+    csv.field_size_limit(), say) counts as bad, and reading resumes after it."""
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as err:
+            report.note_bad(f"line {reader.line_num}: {err}")
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +384,17 @@ def save_split(split: DatasetSplit, path: str) -> None:
 def load_split(path: str) -> DatasetSplit:
     with open(path, encoding="utf-8") as fh:
         header = json.loads(fh.readline())
-        if header.get("kind") != "header":
+        if not isinstance(header, dict) or header.get("kind") != "header":
             raise IngestError(f"{path}: not a split file")
+        _require(header, ("version", "num_items", "num_users"), f"{path}: header")
         if header["version"] != SPLIT_FORMAT_VERSION:
             raise IngestError(f"{path}: split format version {header['version']} "
                               f"!= supported {SPLIT_FORMAT_VERSION}")
         vocab_line = json.loads(fh.readline())
+        _require(vocab_line, ("items",), f"{path}: vocabulary line")
+        if not isinstance(vocab_line["items"], list):
+            raise IngestError(f"{path}: field 'items' of the vocabulary line is "
+                              f"{vocab_line['items']!r:.80}, not a list")
         vocab = {item_id: i for i, item_id in enumerate(vocab_line["items"])}
         train, test = [], []
         for row, line in enumerate(fh):
@@ -399,7 +411,13 @@ def load_split(path: str) -> DatasetSplit:
                         num_items=header["num_items"], num_users=header["num_users"])
 
 
-_USER_FIELDS = {"user_id", "user_index", "train", "test"}
+def _require(obj, fields, what: str) -> None:
+    """Refuse anything but a JSON object that holds every one of fields."""
+    if not isinstance(obj, dict):
+        raise IngestError(f"{what} is {obj!r:.80}, not an object")
+    missing = [f for f in fields if f not in obj]
+    if missing:
+        raise IngestError(f"{what} has no field {missing[0]!r}")
 
 
 def _check_user_record(rec: dict, row: int, num_items: int, path: str) -> None:
@@ -408,47 +426,45 @@ def _check_user_record(rec: dict, row: int, num_items: int, path: str) -> None:
     an int64 array holds item 1.5 as 1, users are looked up by user_index,
     gaps are bucketed, masked picks the gaps the time loss skips, and the
     recursion assumes one timeline from train into test. Each field must
-    have its JSON type: indices are integers (a bool is not one), masked
-    is a bool, and start, end and gap are finite numbers. A missing
-    field is named."""
-    if not _USER_FIELDS <= rec.keys():
-        raise IngestError(f"{path}: user record {row} has no field "
-                          f"{min(_USER_FIELDS - rec.keys())!r}")
+    have its JSON type: records and sessions are objects, indices are
+    integers (a bool is not one), masked is a bool, and start, end and
+    gap are finite numbers. A missing field is named."""
+    _require(rec, ("user_id", "user_index", "train", "test"), f"{path}: user record {row}")
     who = f"{path}: user {rec['user_id']!r}"
     if not _is_int(rec["user_index"]) or rec["user_index"] != row:
         raise IngestError(f"{who}: field 'user_index' is {rec['user_index']!r}, "
                           f"but the record is row {row}")
     prev_start = -math.inf
-    try:
-        for part in ("train", "test"):
-            for k, o in enumerate(rec[part]):
-                if not isinstance(o["items"], list):
-                    raise IngestError(f"{who}: field 'items' of {part} session {k} is "
-                                      f"{o['items']!r}, not a list")
-                if not o["items"]:
-                    raise IngestError(f"{who}: field 'items' of {part} session {k} is empty")
-                bad = [i for i in o["items"] if not _is_int(i) or not 0 <= i < num_items]
-                if bad:
-                    why = f"outside [0, {num_items})" if _is_int(bad[0]) else "not an integer"
-                    raise IngestError(f"{who}: field 'items' of a {part} session holds "
-                                      f"{bad[0]!r}, {why}")
-                if type(o["masked"]) is not bool:
-                    raise IngestError(f"{who}: field 'masked' of {part} session {k} is "
-                                      f"{o['masked']!r}, not true or false")
-                for name in ("start", "end", "gap"):
-                    if type(o[name]) not in (int, float) or not math.isfinite(o[name]):
-                        raise IngestError(f"{who}: field {name!r} of {part} session {k} is "
-                                          f"{o[name]!r}, not a finite number")
-                if o["gap"] < 0:
-                    raise IngestError(f"{who}: field 'gap' of {part} session {k} is "
-                                      f"{o['gap']}, negative")
-                if o["start"] < prev_start:
-                    raise IngestError(f"{who}: field 'start' of {part} session {k} is "
-                                      f"{o['start']}, before the previous session's "
-                                      f"start {prev_start}")
-                prev_start = o["start"]
-    except KeyError as err:  # every session field is read above
-        raise IngestError(f"{who}: {part} session {k} has no field {err.args[0]!r}") from None
+    for part in ("train", "test"):
+        if not isinstance(rec[part], list):
+            raise IngestError(f"{who}: field {part!r} is {rec[part]!r:.80}, not a list")
+        for k, o in enumerate(rec[part]):
+            _require(o, ("items", "masked", "start", "end", "gap"), f"{who}: {part} session {k}")
+            if not isinstance(o["items"], list):
+                raise IngestError(f"{who}: field 'items' of {part} session {k} is "
+                                  f"{o['items']!r}, not a list")
+            if not o["items"]:
+                raise IngestError(f"{who}: field 'items' of {part} session {k} is empty")
+            bad = [i for i in o["items"] if not _is_int(i) or not 0 <= i < num_items]
+            if bad:
+                why = f"outside [0, {num_items})" if _is_int(bad[0]) else "not an integer"
+                raise IngestError(f"{who}: field 'items' of a {part} session holds "
+                                  f"{bad[0]!r}, {why}")
+            if type(o["masked"]) is not bool:
+                raise IngestError(f"{who}: field 'masked' of {part} session {k} is "
+                                  f"{o['masked']!r}, not true or false")
+            for name in ("start", "end", "gap"):
+                if type(o[name]) not in (int, float) or not math.isfinite(o[name]):
+                    raise IngestError(f"{who}: field {name!r} of {part} session {k} is "
+                                      f"{o[name]!r}, not a finite number")
+            if o["gap"] < 0:
+                raise IngestError(f"{who}: field 'gap' of {part} session {k} is "
+                                  f"{o['gap']}, negative")
+            if o["start"] < prev_start:
+                raise IngestError(f"{who}: field 'start' of {part} session {k} is "
+                                  f"{o['start']}, before the previous session's "
+                                  f"start {prev_start}")
+            prev_start = o["start"]
 
 
 def _is_int(v) -> bool:

@@ -8,8 +8,8 @@ excitation/decay capped at 0.99 for stability. All users are fitted in
 lockstep: each iteration evaluates the NLL, its gradient and its 3x3
 Hessian for every user at once, from padded (users x events) arrays, with
 the Ozaki (1979) exponential-kernel recursion carried to second order in
-the decay. Prediction integrates t * density of the next gap by
-trapezoid quadrature, with the compensator in closed form.
+the decay. Prediction hands the next gap's closed-form compensator to
+point_process.truncated_mean, the rule the neural time head uses.
 
 All times are in model units (the same normalization the neural time
 head uses, days by default), so MAE numbers are directly comparable.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .point_process import QuadratureConfig
+from .point_process import QuadratureConfig, truncated_mean
 
 
 @dataclass(frozen=True)
@@ -361,18 +361,10 @@ def fit(histories, cfg: FitConfig, fallback_rates=None) -> list[HawkesParams]:
 
 def hawkes_predict_next(history: np.ndarray, p: HawkesParams,
                         q: QuadratureConfig) -> float:
-    """Expected gap to the next event given everything observed so far.
-
-    Next-gap density: g(tau) = lam(t_n + tau) * exp(-Lam(tau)) with
-    Lam(tau) = gamma0*tau + (S*excitation/decay) * (1 - exp(-decay*tau)),
-    S the excitation state at the last event. Trapezoid on [0, cutoff].
-    """
-    events = np.asarray(history, dtype=np.float64)
-    s = excitation_state(events, p.decay)
-    tau = np.linspace(0.0, q.cutoff, q.num_points)
-    decayed = np.exp(-p.decay * tau)
-    lam = p.gamma0 + p.excitation * s * decayed
-    compensator = p.gamma0 * tau + (p.excitation / p.decay) * s * (1.0 - decayed)
-    y = tau * lam * np.exp(-compensator)
-    dt = q.cutoff / (q.num_points - 1)
-    return float(dt * (y.sum() - 0.5 * (y[0] + y[-1])))
+    """Expected gap to the next event given everything observed so far,
+    truncated at the cutoff. The next gap's compensator is
+    Lam(tau) = gamma0*tau - K*expm1(-decay*tau), K = S*excitation/decay,
+    with S the excitation state at the last event."""
+    k = excitation_state(np.asarray(history, dtype=np.float64), p.decay) * p.excitation / p.decay
+    return float(truncated_mean(lambda tau: p.gamma0 * tau - k * np.expm1(-p.decay * tau),
+                                q.cutoff))

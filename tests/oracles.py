@@ -1,10 +1,10 @@
 """Reference implementations the tests check the program against.
 
 Nothing in the package calls these: finite-difference gradients, exact
-Hawkes intensity, likelihood and thinning draws, the closed-form CDF and
-quantile function of the time head, a trapezoid normalization check, the
-Bayes-optimal ranking of a synthetic corpus, a report reader and bucket
-label, and the per-row preprocessing chain that the columnar pipeline in
+Hawkes intensity, likelihood and thinning draws, the log density,
+closed-form CDF and quantile function of the time head, a trapezoid
+normalization check, the Bayes-optimal ranking of a synthetic corpus, a
+report reader and bucket label, and the per-row preprocessing chain that the columnar pipeline in
 thrnn.data must reproduce byte for byte.
 """
 
@@ -20,8 +20,7 @@ import numpy as np
 from thrnn.data import DatasetSplit, PreprocessConfig, Session, UserHistory
 from thrnn.evaluation import REPORT_FORMAT_VERSION, BucketRow, EvalReport, rank_of_target
 from thrnn.hawkes import HawkesParams, _nll_and_grads, excitation_state
-from thrnn.point_process import (W_LIMIT, QuadratureConfig, _check_exponent,
-                                 log_density_from_s)
+from thrnn.point_process import W_LIMIT, _check_exponent
 from thrnn.synthetic import SynthSpec, item_id
 
 # ---------------------------------------------------------------------------
@@ -141,6 +140,25 @@ def sample_next_gaps(history: np.ndarray, p: HawkesParams,
 # time head distribution
 
 
+def log_density_from_s(s, g, w: float, branch: str = "auto"):
+    """log f(g) for precomputed s = v.h + b; vectorized over s and g.
+
+    branch "auto" switches to the exponential limit below |w| = 1e-6;
+    "exact" and "limit" force one side (used to verify continuity).
+    """
+    s = np.asarray(s, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if np.any(g < 0):
+        raise ValueError("elapsed time must be non-negative")
+    _check_exponent(s)
+    use_limit = abs(w) < W_LIMIT if branch == "auto" else branch == "limit"
+    if use_limit:
+        return s - g * np.exp(s)
+    wg = w * g
+    _check_exponent(s + wg)
+    return (s + wg) - np.exp(s) * np.expm1(wg) / w
+
+
 def cdf_from_s(t, s, w: float):
     """P(gap <= t); vectorized. Approaches 1 - exp(exp(s)/w) < 1 for w < 0."""
     t = np.asarray(t, dtype=np.float64)
@@ -177,12 +195,13 @@ def inverse_cdf_from_s(u, s: float, w: float):
     return np.log1p(w * neg_l * np.exp(-s)) / w
 
 
-def density_mass_from_s(s, w: float, q: QuadratureConfig) -> np.ndarray:
-    """Trapezoid integral of f itself over [0, cutoff]; normalization oracle."""
+def density_mass_from_s(s, w: float, cutoff: float, num_points: int = 2048) -> np.ndarray:
+    """Trapezoid integral of f itself over [0, cutoff] on num_points uniform
+    nodes; normalization oracle."""
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-    ts = np.linspace(0.0, q.cutoff, q.num_points)
+    ts = np.linspace(0.0, cutoff, num_points)
     y = np.exp(log_density_from_s(s[:, None], ts[None, :], w))
-    dt = q.cutoff / (q.num_points - 1)
+    dt = cutoff / (num_points - 1)
     return dt * (y.sum(axis=1) - 0.5 * (y[:, 0] + y[:, -1]))
 
 

@@ -143,6 +143,19 @@ class TestPreprocess:
         assert "NaN" not in text and "Infinity" not in text
         assert load_split(str(tmp_path / "c.split")).num_users == 4
 
+    def test_reddit_field_over_csv_limit_counted_bad(self, tmp_path, capsys):
+        lines = ["author,subreddit,created_utc"]
+        for k in range(120):
+            lines.append(f"user{k % 4},sub{k % 7},{1400000000 + 4000 * k}")
+        lines.insert(40, 'user1,"' + "x" * 140_000 + '",1400000000')
+        (tmp_path / "c.csv").write_text("\n".join(lines) + "\n")
+        rc = main(["preprocess", "--dataset", "reddit", "--input", str(tmp_path / "c.csv"),
+                   "--output", str(tmp_path / "c.split")])
+        assert rc == 0
+        (rec,) = _records(capsys)
+        assert (rec["rows_read"], rec["rows_bad"]) == (121, 1)
+        assert load_split(str(tmp_path / "c.split")).num_users == 4
+
     def test_too_many_malformed_rows_fail(self, tmp_path, capsys):
         self._write_lastfm(tmp_path / "log.tsv", bad_rows=5)
         rc = main(["preprocess", "--dataset", "lastfm",
@@ -249,6 +262,22 @@ class TestTrain:
                    "--resume", str(ws / "m2.ckpt")])
         assert rc == 2
         assert "adds nothing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, edit, message", [
+        (0, lambda o: {k: v for k, v in o.items() if k != "num_items"},
+         "header has no field 'num_items'"),
+        (2, lambda o: {**o, "train": [5] + o["train"][1:]}, "train session 0 is 5, not an object"),
+        (2, lambda o: 5, "user record 0 is 5, not an object"),
+    ])
+    def test_malformed_split_line_exits_2(self, ws, tmp_path, capsys, line, edit, message):
+        lines = (ws / "corpus.split").read_text().splitlines()
+        lines[line] = json.dumps(edit(json.loads(lines[line])))
+        (tmp_path / "bad.split").write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--split", str(tmp_path / "bad.split"),
+                   "--out", str(tmp_path / "x.ckpt"), "--epochs", "1", *TINY_FLAGS])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
 
     def test_invalid_config_fails_before_reading_split(self, tmp_path, capsys):
         rc = main(["train", "--split", str(tmp_path / "no_such.split"),

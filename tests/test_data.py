@@ -2,6 +2,7 @@
 splitting, bucketing, adapters, the split file round trip, and the
 columnar pipeline against the per-row chain in oracles."""
 
+import csv
 import json
 import os
 import tempfile
@@ -354,6 +355,18 @@ class TestAdapters:
         with pytest.raises(D.IngestError, match="zero rows"):
             D.read_reddit_csv(str(p))
 
+    def test_field_over_csv_limit_is_malformed(self, tmp_path):
+        # csv.Error on one row; the reader goes on from the next line
+        p = tmp_path / "long.csv"
+        lines = ["user,subreddit,utc"] + ["u%d,sub,%d" % (i, 1400000000 + i) for i in range(150)]
+        lines.insert(60, 'u60,"' + "x" * (csv.field_size_limit() + 1) + '",1400000060')
+        p.write_text("\n".join(lines) + "\n")
+        rows, rep = D.read_reddit_csv(str(p))
+        assert (len(rows), rep.rows_bad, rep.rows_total) == (150, 1, 151)
+        assert rep.bad_examples == [f"line 61: field larger than field limit "
+                                    f"({csv.field_size_limit()})"]
+        assert rows.users[59:61] == ["u59", "u60"]
+
 
 class TestSplitFile:
     def _split(self):
@@ -464,6 +477,39 @@ class TestSplitFile:
         with pytest.raises(D.IngestError, match=rf"bad\.jsonl: user record 1 has no "
                                                 rf"field '{field}'"):
             D.load_split(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rec: rec["train"].__setitem__(1, 5), r"train session 1 is 5, not an object"),
+        (lambda rec: rec["test"].__setitem__(0, "s"), r"test session 0 is 's', not an object"),
+        (lambda rec: rec.update(train=5), r"field 'train' is 5, not a list"),
+    ])
+    def test_session_not_an_object_rejected(self, tmp_path, edit, message):
+        path = self._tampered(tmp_path, edit)
+        with pytest.raises(D.IngestError, match=r"bad\.jsonl: user 'u2': " + message):
+            D.load_split(path)
+
+    @pytest.mark.parametrize("line, edit, message", [
+        (0, lambda o: {k: v for k, v in o.items() if k != "num_items"},
+         r"header has no field 'num_items'"),
+        (1, lambda o: {"kind": "vocabulary"}, r"vocabulary line has no field 'items'"),
+        (1, lambda o: {**o, "items": 5}, r"field 'items' of the vocabulary line is 5, not a list"),
+        (3, lambda o: 5, r"user record 1 is 5, not an object"),
+    ])
+    def test_line_not_an_object_or_short_of_a_field_rejected(self, tmp_path, line, edit,
+                                                             message):
+        p = tmp_path / "bad.jsonl"
+        D.save_split(self._split(), str(p))
+        lines = p.read_text().splitlines()
+        lines[line] = json.dumps(edit(json.loads(lines[line])))
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(D.IngestError, match=r"bad\.jsonl: " + message):
+            D.load_split(str(p))
+
+    def test_header_not_an_object_rejected(self, tmp_path):
+        p = tmp_path / "bad.jsonl"
+        p.write_text("[1, 2]\n")
+        with pytest.raises(D.IngestError, match=r"bad\.jsonl: not a split file"):
+            D.load_split(str(p))
 
     def test_truncated_split_rejected(self, tmp_path):
         p = tmp_path / "cut.jsonl"

@@ -215,7 +215,7 @@ class TestBaselines:
     def test_hawkes_report_runs(self):
         split = _mk_split([((1.0, 1.0, 2.0, 1.5), (1.0, 2.0)),
                            ((5.0, 4.0, 6.0), (5.0,))])
-        q = QuadratureConfig(cutoff=60.0, num_points=512)
+        q = QuadratureConfig(cutoff=60.0)
         short = ev.hawkes_report(split, FitConfig(window="last_k", last_k=15), q)
         long_ = ev.hawkes_report(split, FitConfig(), q)
         assert short.model == "hawkes_short" and long_.model == "hawkes_long"
@@ -224,7 +224,7 @@ class TestBaselines:
 
     def test_hawkes_fallback_single_train_session(self):
         split = _mk_split([((), (2.0, 2.0))])  # one train session only
-        q = QuadratureConfig(cutoff=60.0, num_points=512)
+        q = QuadratureConfig(cutoff=60.0)
         report = ev.hawkes_report(split, FitConfig(), q)
         assert report.num_gap_events == 2
         assert np.isfinite(report.overall_mae_days)

@@ -294,12 +294,12 @@ class TestFit:
 class TestPredictNext:
     def test_poisson_mean_empty_history(self):
         p = hk.HawkesParams(0.5, 0.3, 1.0)
-        got = hk.hawkes_predict_next(np.array([]), p, QuadratureConfig(60.0, 4096))
+        got = hk.hawkes_predict_next(np.array([]), p, QuadratureConfig(60.0))
         assert got == pytest.approx(2.0, rel=1e-3)
 
     def test_no_excitation_ignores_history(self):
         p = hk.HawkesParams(2.0, 0.0, 1.0)
-        q = QuadratureConfig(20.0, 4096)
+        q = QuadratureConfig(20.0)
         a = hk.hawkes_predict_next(np.array([]), p, q)
         b = hk.hawkes_predict_next(np.array([0.0, 1.0, 2.0]), p, q)
         assert a == pytest.approx(0.5, rel=1e-3)
@@ -308,13 +308,13 @@ class TestPredictNext:
     def test_matches_simulated_next_gap(self):
         p = hk.HawkesParams(0.5, 0.8, 2.0)
         history = oracles.simulate_thinning(p, 50, np.random.default_rng(11))
-        quad = hk.hawkes_predict_next(history, p, QuadratureConfig(40.0, 4096))
+        quad = hk.hawkes_predict_next(history, p, QuadratureConfig(40.0))
         draws = oracles.sample_next_gaps(history, p, np.random.default_rng(12), 20000)
         assert quad == pytest.approx(float(draws.mean()), rel=0.03)
 
     def test_excited_history_shortens_wait(self):
         p = hk.HawkesParams(0.5, 0.8, 2.0)
-        q = QuadratureConfig(40.0, 2048)
+        q = QuadratureConfig(40.0)
         recent = np.array([0.0, 0.1, 0.2, 0.3])
         cold = hk.hawkes_predict_next(np.array([]), p, q)
         hot = hk.hawkes_predict_next(recent, p, q)

@@ -17,7 +17,7 @@ from thrnn.evaluation import mean_gap_report
 from thrnn.model import (ModelConfig, ModelParams, TrainingDivergedError,
                          TrainingExample, build_examples, evaluate, predict, train)
 
-from oracles import fd_gradient, rel_error
+from oracles import fd_gradient, log_density_from_s, rel_error
 
 DAY = 86400.0
 
@@ -323,8 +323,8 @@ class TestJointLoss:
                             params.user_emb.value[ex.user_index]])[None, :]
         h = gru_cell_np(x, np.zeros((1, cfg.hidden_dim)), params.inter)
         s = float(h[0] @ params.time_v.value[:, 0] + params.time_b.value[0])
-        l_time = -float(pp.log_density_from_s(s, 0.8 ** cfg.alpha_exp,
-                                              float(params.time_w.value)))
+        l_time = -float(log_density_from_s(s, 0.8 ** cfg.alpha_exp,
+                                           float(params.time_w.value)))
         scores = []
         for item in ex.inputs:
             h = gru_cell_np(params.item_emb.value[[item]], h, params.intra)

@@ -1,5 +1,8 @@
-"""Time-model checks: closed-form values, branch continuity, quadrature
-against analytic and Monte Carlo oracles, and tape gradients."""
+"""Time-model checks: closed-form values, branch continuity, the return-time
+rule against closed-form, quantile and Monte Carlo oracles across rates,
+and tape gradients."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from thrnn import point_process as pp
 from thrnn.autodiff import Tape, Tensor
+from thrnn.hawkes import HawkesParams, hawkes_predict_next
 from thrnn.model import ModelConfig
 
 import oracles
@@ -14,11 +18,12 @@ import oracles
 
 def _intensity(s, g, w, step=1e-5):
     """The intensity the density implies: d/dg log f(g) = w - lam(g), so
-    lam = w minus a finite-difference slope of log_density_from_s
+    lam = w minus a finite-difference slope of oracles.log_density_from_s
     (one-sided at g = 0, where the density is not defined below)."""
     lo = max(g - step, 0.0)
     hi = g + step
-    slope = (pp.log_density_from_s(s, hi, w) - pp.log_density_from_s(s, lo, w)) / (hi - lo)
+    slope = (oracles.log_density_from_s(s, hi, w)
+             - oracles.log_density_from_s(s, lo, w)) / (hi - lo)
     return w - float(slope)
 
 
@@ -32,7 +37,7 @@ def _time_nll(s, w, g_alpha, masked=False):
 class TestIntensity:
     def test_all_zero_gives_one(self):
         # s = v.h + b with v = 0, b = 0; f(0) equals the intensity at 0
-        assert np.exp(pp.log_density_from_s(0.0, 0.0, 0.0)) == pytest.approx(1.0)
+        assert np.exp(oracles.log_density_from_s(0.0, 0.0, 0.0)) == pytest.approx(1.0)
         assert _intensity(0.0, 0.0, 0.0) == pytest.approx(1.0)
 
     def test_constant_when_w_zero(self):
@@ -46,21 +51,21 @@ class TestIntensity:
 
     def test_negative_elapsed_rejected(self):
         with pytest.raises(ValueError):
-            pp.log_density_from_s(0.0, -1.0, 0.0)
+            oracles.log_density_from_s(0.0, -1.0, 0.0)
 
     def test_overflow_detected(self):
         with pytest.raises(pp.ExponentOverflowError, match="diverged"):
-            pp.log_density_from_s(1.0 * 800.0, 1.0, 0.0)
+            oracles.log_density_from_s(1.0 * 800.0, 1.0, 0.0)
         with pytest.raises(pp.ExponentOverflowError):
-            pp.log_density_from_s(0.0, 100.0, 8.0)
+            oracles.log_density_from_s(0.0, 100.0, 8.0)
 
 
 class TestLogDensity:
     def test_unit_rate_exponential(self):
-        assert pp.log_density_from_s(0.0, 1.0, 0.0) == pytest.approx(-1.0)
+        assert oracles.log_density_from_s(0.0, 1.0, 0.0) == pytest.approx(-1.0)
 
     def test_closed_form_w_one(self):
-        got = pp.log_density_from_s(0.0, 1.0, 1.0)
+        got = oracles.log_density_from_s(0.0, 1.0, 1.0)
         assert got == pytest.approx(2.0 - np.e, abs=1e-12)
 
     def test_branch_continuity(self):
@@ -68,13 +73,14 @@ class TestLogDensity:
         # O(w * g^2 * e^s / 2), comfortably below 1e-5 on this grid
         g = np.linspace(0.0, 5.0, 101)
         for s in (-1.0, 0.0, 1.0):
-            exact = pp.log_density_from_s(s, g, 1e-7, branch="exact")
-            limit = pp.log_density_from_s(s, g, 1e-7, branch="limit")
+            exact = oracles.log_density_from_s(s, g, 1e-7, branch="exact")
+            limit = oracles.log_density_from_s(s, g, 1e-7, branch="limit")
             assert np.max(np.abs(exact - limit)) < 1e-5
 
     def test_auto_branch_switches(self):
-        lo = pp.log_density_from_s(0.3, 2.0, 1e-8)
-        assert lo == pytest.approx(float(pp.log_density_from_s(0.3, 2.0, 0.0, branch="limit")))
+        lo = oracles.log_density_from_s(0.3, 2.0, 1e-8)
+        assert lo == pytest.approx(
+            float(oracles.log_density_from_s(0.3, 2.0, 0.0, branch="limit")))
 
     @given(st.floats(min_value=-2, max_value=2), st.floats(min_value=-1, max_value=1))
     @settings(max_examples=60, deadline=None)
@@ -84,21 +90,21 @@ class TestLogDensity:
         if oracles.total_mass(s, w) < 0.9999:
             return
         cutoff = _generous_cutoff(s, w)
-        mass = oracles.density_mass_from_s(s, w, pp.QuadratureConfig(cutoff, 4096))[0]
+        mass = oracles.density_mass_from_s(s, w, cutoff, 4096)[0]
         assert 0.99 <= mass <= 1.001
 
     def test_density_positive(self):
-        logf = pp.log_density_from_s(-0.5, np.linspace(0, 10, 50), 0.7)
+        logf = oracles.log_density_from_s(-0.5, np.linspace(0, 10, 50), 0.7)
         assert np.all(np.isfinite(logf))
         # strictly positive wherever float64 can still represent it
-        assert np.all(np.exp(pp.log_density_from_s(-0.5, np.linspace(0, 5, 50), 0.7)) > 0)
+        assert np.all(np.exp(oracles.log_density_from_s(-0.5, np.linspace(0, 5, 50), 0.7)) > 0)
 
 
 class TestTimeLoss:
     def test_alpha_one_is_plain_nll(self):
         s = float(np.dot([0.2, -0.1], [0.5, 1.0]) + 0.1)
         assert _time_nll(s, 0.4, 3.0 ** 1.0) == pytest.approx(
-            -float(pp.log_density_from_s(s, 3.0, 0.4)))
+            -float(oracles.log_density_from_s(s, 3.0, 0.4)))
 
     def test_closed_form_alpha_half(self):
         # g = 4 becomes g^0.5 = 2; with s = 0, w = 1 the nll is e^2 - 3
@@ -127,8 +133,6 @@ class TestTimeLoss:
         with pytest.raises(ValueError):
             ModelConfig(num_items=2, num_users=1, alpha_exp=1.2)
         with pytest.raises(ValueError):
-            pp.QuadratureConfig(cutoff=10, num_points=32)
-        with pytest.raises(ValueError):
             pp.QuadratureConfig(cutoff=-1)
 
 
@@ -136,43 +140,128 @@ def _generous_cutoff(s, w, q=1.0 - 1e-9):
     """Cutoff holding all but 1e-9 of the reachable mass, >= 20 means."""
     mass = oracles.total_mass(s, w)
     t_hi = float(oracles.inverse_cdf_from_s(min(q, mass - 1e-12), s, w))
-    rough = pp.expected_return_time_from_s(s, w, pp.QuadratureConfig(t_hi, 2048))[0]
+    rough = pp.expected_return_time_from_s(s, w, pp.QuadratureConfig(t_hi))[0]
     return max(t_hi, 20.0 * rough)
 
 
 class TestExpectedReturnTime:
     def test_rate_two_exponential_mean(self):
-        q = pp.QuadratureConfig(cutoff=15.0, num_points=4096)
+        q = pp.QuadratureConfig(cutoff=15.0)
         got = pp.expected_return_time_from_s(np.log(2.0), 0.0, q)[0]
         assert got == pytest.approx(0.5, rel=1e-3)
 
     def test_truncated_exponential_exact(self):
-        q = pp.QuadratureConfig(cutoff=10.0, num_points=2048)
+        q = pp.QuadratureConfig(cutoff=10.0)
         got = pp.expected_return_time_from_s(0.0, 0.0, q)[0]
         want = 1.0 - 11.0 * np.exp(-10.0)
         assert got == pytest.approx(want, abs=1e-4)
-
-    def test_doubling_nodes_converged(self):
-        s, w = -0.5, 0.3
-        cutoff = _generous_cutoff(s, w)
-        a = pp.expected_return_time_from_s(s, w, pp.QuadratureConfig(cutoff, 2048))[0]
-        b = pp.expected_return_time_from_s(s, w, pp.QuadratureConfig(cutoff, 4096))[0]
-        assert abs(b - a) / abs(b) < 1e-3
 
     def test_monte_carlo_cross_check(self):
         s, w = -0.5, 0.3
         rng = np.random.default_rng(7)
         draws = oracles.inverse_cdf_from_s(rng.random(100_000), s, w)
-        quad = pp.expected_return_time_from_s(s, w, pp.QuadratureConfig(_generous_cutoff(s, w), 4096))[0]
+        quad = pp.expected_return_time_from_s(s, w, pp.QuadratureConfig(_generous_cutoff(s, w)))[0]
         assert quad == pytest.approx(float(draws.mean()), rel=0.01)
 
     def test_batched_rows_match_scalar(self):
-        q = pp.QuadratureConfig(cutoff=20.0, num_points=512)
+        q = pp.QuadratureConfig(cutoff=20.0)
         ss = np.array([-0.5, 0.0, 0.8])
         batch = pp.expected_return_time_from_s(ss, 0.2, q)
         for i, s in enumerate(ss):
             assert batch[i] == pytest.approx(
                 pp.expected_return_time_from_s(s, 0.2, q)[0], rel=1e-12)
+
+    def test_overflow_detected(self):
+        with pytest.raises(pp.ExponentOverflowError, match="diverged"):
+            pp.expected_return_time_from_s(800.0, 0.0, pp.QuadratureConfig(30.0))
+        with pytest.raises(pp.ExponentOverflowError):
+            pp.expected_return_time_from_s(0.0, 8.0, pp.QuadratureConfig(100.0))
+
+
+# Return rates from one a month to one every 30 s, against a 30-day cutoff
+RATES_PER_DAY = [0.03, 0.3, 1.0, 10.0, 100.0, 1000.0, 3000.0]
+
+
+def _truncated_exponential_mean(rate, cutoff):
+    """E[T; T < c] for T ~ Exp(rate): (1 - exp(-rc)(1 + rc)) / r."""
+    rc = rate * cutoff
+    return -(np.expm1(-rc) + rc * np.exp(-rc)) / rate
+
+
+def _quantile_reference(s, w, cutoff, n=2_000_000):
+    """E[T; T < c] = int_0^F(c) Q(u) du by the midpoint rule on the oracle
+    quantile function: no compensator and no quadrature in t."""
+    top = float(oracles.cdf_from_s(cutoff, s, w))
+    u = (np.arange(n) + 0.5) * (top / n)
+    return float(oracles.inverse_cdf_from_s(u, s, w).mean()) * top
+
+
+class TestTruncatedMean:
+    CUTOFF = 30.0
+
+    @pytest.mark.parametrize("rate", RATES_PER_DAY)
+    def test_head_rate_sweep_matches_closed_form(self, rate):
+        got = pp.expected_return_time_from_s(np.log(rate), 0.0,
+                                             pp.QuadratureConfig(self.CUTOFF))[0]
+        want = _truncated_exponential_mean(rate, self.CUTOFF)
+        assert abs(got - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("rate", RATES_PER_DAY)
+    def test_poisson_hawkes_rate_sweep_matches_closed_form(self, rate):
+        p = HawkesParams(gamma0=rate, excitation=0.0, decay=1.0)
+        got = hawkes_predict_next(np.array([0.0, 0.5, 0.9]), p,
+                                  pp.QuadratureConfig(self.CUTOFF))
+        want = _truncated_exponential_mean(rate, self.CUTOFF)
+        assert abs(got - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("rate, w", [
+        (2.0, 0.3), (2.0, -0.3), (50.0, -0.05), (0.05, 0.1), (0.05, -0.01),
+        (300.0, 0.02), (3000.0, -5.0), (0.5, -1.0),
+    ])
+    def test_decay_matches_quantile_reference(self, rate, w):
+        # for w < 0 the density is defective: the mean covers the mass
+        # that returns before the cutoff and nothing else
+        s = np.log(rate)
+        got = pp.expected_return_time_from_s(s, w, pp.QuadratureConfig(self.CUTOFF))[0]
+        want = _quantile_reference(s, w, self.CUTOFF)
+        assert got == pytest.approx(want, rel=1e-6)
+
+    def test_excited_hawkes_matches_thinning_draws(self):
+        p = HawkesParams(gamma0=2.0, excitation=30.0, decay=40.0)
+        history = np.array([0.0, 0.3, 0.31, 0.315])
+        got = hawkes_predict_next(history, p, pp.QuadratureConfig(self.CUTOFF))
+        draws = oracles.sample_next_gaps(history, p, np.random.default_rng(4), 100_000)
+        # every draw lands inside the cutoff, so the two means agree to
+        # sampling error; allow four standard errors
+        assert draws.max() < self.CUTOFF
+        assert abs(got - draws.mean()) <= 4.0 * draws.std() / np.sqrt(draws.size)
+        poisson = hawkes_predict_next(history, HawkesParams(2.0, 0.0, 40.0),
+                                      pp.QuadratureConfig(self.CUTOFF))
+        assert got < 0.5 * poisson
+
+    @pytest.mark.parametrize("s", [-700.0, -300.0, -50.0, -10.0, 0.0, 5.0, 8.0])
+    @pytest.mark.parametrize("w", [0.0, 1e-7, 0.3, -0.3, -5.0])
+    def test_finite_and_non_negative_wherever_the_guard_admits(self, s, w):
+        # at s = -700 both terms of int exp(-Lam) - c exp(-Lam(c)) are c to
+        # rounding; the mean itself is about exp(s) c^2 / 2
+        got = pp.expected_return_time_from_s(s, w, pp.QuadratureConfig(self.CUTOFF))[0]
+        assert np.isfinite(got) and 0.0 <= got <= self.CUTOFF
+        if s <= -50.0 and w == 0.0:
+            assert got == pytest.approx(np.exp(s) * self.CUTOFF ** 2 / 2.0, rel=1e-9)
+
+    def test_batch_axes_kept(self):
+        lam = np.array([[1.0], [4.0]])
+        got = pp.truncated_mean(lambda t: lam * t, 3.0)
+        assert got.shape == (2,)
+        want = [_truncated_exponential_mean(r, 3.0) for r in (1.0, 4.0)]
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_node_count_is_the_rule(self):
+        calls = []
+        pp.truncated_mean(lambda t: calls.append(t.size) or t, 1.0)
+        assert calls == [pp.QuadratureConfig.num_points + 1]  # the nodes and c
+        assert pp.QuadratureConfig.num_points == 192
+        assert [f.name for f in dataclasses.fields(pp.QuadratureConfig)] == ["cutoff"]
 
 
 class TestCdfSampling:
@@ -218,7 +307,7 @@ class TestTimeNllOp:
         s_val = [0.3, -0.8]
         g = [1.5, 0.4]
         _, _, _, out = self._loss(s_val, 0.6, g)
-        want = -sum(float(pp.log_density_from_s(s, gg, 0.6)) for s, gg in zip(s_val, g))
+        want = -sum(float(oracles.log_density_from_s(s, gg, 0.6)) for s, gg in zip(s_val, g))
         assert 2 * float(out.value) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("w_val", [0.7, -0.3, 0.0, 1e-7])
@@ -255,7 +344,7 @@ class TestTimeNllOp:
                                      masked=np.array([False, True]))  # one live row: mean = sum
         tape.backward(out)
         assert float(out.value) == pytest.approx(
-            -float(pp.log_density_from_s(0.2, 1.0, 0.5)))
+            -float(oracles.log_density_from_s(0.2, 1.0, 0.5)))
         assert s.grad[1, 0] == 0.0
         assert np.all(np.isfinite(w.grad))
 

@@ -188,7 +188,7 @@ class TestModelDensitySampling:
         s = 1.0 * -0.5 + 0.0  # v = 1, h = -0.5, b = 0
         draws = oracles.sample_gap_from_model_density(s, 0.3, seed=1, n=200_000)
         quad = expected_return_time_from_s(
-            s, 0.3, QuadratureConfig(cutoff=30.0, num_points=4096))[0]
+            s, 0.3, QuadratureConfig(cutoff=30.0))[0]
         assert quad == pytest.approx(float(draws.mean()), rel=0.005)
 
     def test_improper_rejected(self):
