@@ -151,28 +151,41 @@ def _spec_from_file(path: str) -> synthetic.SynthSpec:
     missing = sorted(_SPEC_REQUIRED - set(obj))
     if missing:
         raise ValueError(f"{path}: missing spec keys {missing}")
+
+    def field(name, convert):
+        try:
+            return convert(obj[name])
+        except (TypeError, ValueError, KeyError) as err:
+            raise ValueError(f"{path}: spec field {name!r} is malformed: {err}") from err
+
+    def number(x) -> float:
+        if type(x) not in (int, float):
+            raise TypeError(f"{x!r} is not a number")
+        return float(x)
+
+    def coupling_state(k, st) -> synthetic.CouplingState:
+        extra = sorted(set(st) - {"items", "gap_mean_days"})
+        if extra:
+            raise ValueError(f"state {k} has unknown keys {extra}")
+        bad = [x for x in st["items"] if not _is_int(x)]
+        if bad:
+            raise ValueError(f"state {k} holds item {bad[0]!r}, not an integer")
+        return synthetic.CouplingState(items=tuple(st["items"]),
+                                       gap_mean_days=number(st["gap_mean_days"]))
+
     kwargs = {
-        "num_users": int(obj["num_users"]),
-        "sessions_per_user": int(obj["sessions_per_user"]),
-        "item_transition": np.asarray(obj["item_transition"], dtype=np.float64),
-        "gap_mixture": [(float(w), float(m)) for w, m in obj["gap_mixture"]],
+        "num_users": obj["num_users"],
+        "sessions_per_user": obj["sessions_per_user"],
+        "item_transition": field("item_transition", lambda v: np.asarray(v, dtype=np.float64)),
+        "gap_mixture": field("gap_mixture", lambda v: [(number(w), number(m)) for w, m in v]),
     }
     if obj.get("context_coupling") is not None:
-        states = []
-        for i, st in enumerate(obj["context_coupling"]):
-            extra = sorted(set(st) - {"items", "gap_mean_days"})
-            if extra:
-                raise ValueError(
-                    f"{path}: coupling state {i} has unknown keys {extra}")
-            states.append(synthetic.CouplingState(
-                items=tuple(int(x) for x in st["items"]),
-                gap_mean_days=float(st["gap_mean_days"])))
-        kwargs["context_coupling"] = states
+        kwargs["context_coupling"] = field("context_coupling",
+                                           lambda v: [coupling_state(k, st) for k, st in enumerate(v)])
     if "session_length" in obj:
-        lo, hi = obj["session_length"]
-        kwargs["session_length"] = (int(lo), int(hi))
+        kwargs["session_length"] = obj["session_length"]
     if "train_fraction" in obj:
-        kwargs["train_fraction"] = float(obj["train_fraction"])
+        kwargs["train_fraction"] = field("train_fraction", number)
     return synthetic.SynthSpec(**kwargs)
 
 

@@ -228,7 +228,7 @@ def build_examples(split: DatasetSplit, cfg: ModelConfig) -> list[TrainingExampl
 
 def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
                     session_lists: list[list], user_indices: list[int],
-                    ranked_from: list[int] | None = None):
+                    ranked_from: list[int] | None = None, inter_states: bool = True):
     """Run the full two-level recursion without a tape, slot-synchronously
     across users.
 
@@ -251,7 +251,8 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
     and gap_buckets (sessions,) int64, and row base[u] + u + j of h_before
     (sessions + users, hidden): a user with n sessions gets n + 1 inter
     states, and the last one follows the last session and is the state the
-    next return time conditions on. When `ranked_from` marks each user's
+    next return time conditions on; without `inter_states`, h_before is
+    None and never allocated. When `ranked_from` marks each user's
     first scored slot, the ranks are those of every within-session target
     from that slot on, teacher-forced. Rank rows queue up as the intra
     steps make them and are scored batch_size at a time, so no scores
@@ -265,7 +266,7 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
     intra_states = np.zeros((base[-1], h_dim))
     buckets = np.array([bucketizer.bucket(s.gap_before) for sl in session_lists for s in sl],
                        dtype=np.int64)
-    h_before = np.zeros((base[-1] + n_users, h_dim))
+    h_before = np.zeros((base[-1] + n_users, h_dim)) if inter_states else None
     first = ranked_from or [math.inf] * n_users
     empty = np.zeros(0, dtype=np.int64)
     # (states, targets, users) waiting to be ranked; (ranks, users) per ranked block
@@ -285,7 +286,8 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
     windows = np.zeros((n_users, reach_max, h_dim))
     for j in range(max(n_slots, default=-1) + 1):
         active = [u for u in range(n_users) if n_slots[u] >= j]
-        h_before[[base[u] + u + j for u in active]] = windows[active, j % reach_max]
+        if inter_states:
+            h_before[[base[u] + u + j for u in active]] = windows[active, j % reach_max]
         active = sorted((u for u in active if n_slots[u] > j),
                         key=lambda u: -len(session_lists[u][j].items))
         if not active:
@@ -334,7 +336,7 @@ def _refresh_histories(split: DatasetSplit, params: ModelParams,
     buckets, one row per train session as `TrainingExample.row` counts
     them (once per epoch; within an epoch they go stale)."""
     return _hierarchy_walk(params, cfg, [h.sessions for h in split.train],
-                           [h.user_index for h in split.train])[:2]
+                           [h.user_index for h in split.train], inter_states=False)[:2]
 
 
 # ---------------------------------------------------------------------------

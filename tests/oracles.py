@@ -3,8 +3,10 @@
 Nothing in the package calls these: finite-difference gradients, exact
 Hawkes intensity, likelihood and thinning draws, the log density,
 closed-form CDF and quantile function of the time head, a trapezoid
-normalization check, the Bayes-optimal ranking of a synthetic corpus, a
-report reader and bucket label, and the per-row preprocessing chain that the columnar pipeline in
+normalization check, the Bayes-optimal ranking of a synthetic corpus, the
+per-draw synthetic generator that the cached-row sampler in
+thrnn.synthetic must reproduce byte for byte, a report reader and bucket
+label, and the per-row preprocessing chain that the columnar pipeline in
 thrnn.data must reproduce byte for byte.
 """
 
@@ -17,11 +19,13 @@ from typing import Callable
 
 import numpy as np
 
-from thrnn.data import DatasetSplit, PreprocessConfig, Session, UserHistory
+from thrnn.data import (SECONDS_PER_DAY, DatasetSplit, PreprocessConfig, Session,
+                        SessionTable, UserHistory, build_split)
 from thrnn.evaluation import REPORT_FORMAT_VERSION, BucketRow, EvalReport, rank_of_target
 from thrnn.hawkes import HawkesParams, _nll_and_grads, excitation_state
 from thrnn.point_process import W_LIMIT, _check_exponent
-from thrnn.synthetic import SynthSpec, item_id
+from thrnn.synthetic import (ITEM_SPACING_SECONDS, CouplingState, SynthSpec,
+                             conditioned_row, item_id)
 
 # ---------------------------------------------------------------------------
 # gradient checking
@@ -248,6 +252,61 @@ def sample_gap_from_model_density(s: float, w: float, seed: int, n: int = 1,
         raise ValueError(f"improper density: mass within cutoff {cutoff} is "
                          f"{mass:.6f} < 0.999")
     return inverse_cdf_from_s(np.random.default_rng(seed).random(n), s, w)
+
+
+def _draw_session_items(rng, spec: SynthSpec, state: CouplingState | None) -> list[int]:
+    allowed = np.asarray(state.items) if state is not None else None
+    lo, hi = spec.session_length
+    m = int(rng.integers(lo, hi + 1))
+    first_pool = allowed if allowed is not None else np.arange(spec.num_items)
+    items = [int(rng.choice(first_pool))]
+    for _ in range(m - 1):
+        probs = conditioned_row(spec.item_transition, items[-1], allowed)
+        items.append(int(rng.choice(spec.num_items, p=probs)))
+    return items
+
+
+def _draw_gap_days(rng, spec: SynthSpec, state: CouplingState | None) -> float:
+    if state is not None:
+        return float(rng.exponential(state.gap_mean_days))
+    weights = np.array([w for w, _ in spec.gap_mixture])
+    means = np.array([m for _, m in spec.gap_mixture])
+    comp = int(rng.choice(len(weights), p=weights))
+    return float(rng.exponential(means[comp]))
+
+
+def generate_corpus_per_draw(spec: SynthSpec, seed: int) -> DatasetSplit:
+    """thrnn.synthetic.generate_corpus as one Generator.choice call per
+    item and per mixture component, each with a fresh conditioned row:
+    the reference the cached-row sampler must match byte for byte."""
+    starts, ends, gaps, lengths, items = [], [], [], [], []
+    for u in range(spec.num_users):
+        rng = np.random.default_rng([seed, u])
+        t = 0.0
+        pending_gap = 0.0
+        for j in range(spec.sessions_per_user):
+            state = None
+            if spec.context_coupling:
+                state = spec.context_coupling[int(rng.integers(len(spec.context_coupling)))]
+            session = _draw_session_items(rng, spec, state)
+            start = t
+            end = start + (len(session) - 1) * ITEM_SPACING_SECONDS
+            starts.append(start)
+            ends.append(end)
+            gaps.append(pending_gap)
+            lengths.append(len(session))
+            items += session
+            gap_days = _draw_gap_days(rng, spec, state)
+            pending_gap = gap_days * SECONDS_PER_DAY
+            t = end + pending_gap
+    table = SessionTable(user=np.repeat(np.arange(spec.num_users), spec.sessions_per_user),
+                         start=np.array(starts), end=np.array(ends), gap=np.array(gaps),
+                         masked=np.zeros(len(starts), dtype=bool),
+                         lengths=np.array(lengths, dtype=np.int64),
+                         items=np.array(items, dtype=np.int64))
+    return build_split(table, [f"u{u:05d}" for u in range(spec.num_users)],
+                       [item_id(i) for i in range(spec.num_items)],
+                       spec.train_fraction, min_sessions=3)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,53 @@ class TestSynth:
         assert "missing spec keys" in capsys.readouterr().err
 
 
+# each malformed spec: (edit of the base spec, field the message must name)
+_BAD_SPECS = {
+    "nan-entry": ({"item_transition": [[0.0, float("nan"), 0.5], [0.5, 0.0, 0.5],
+                                       [0.5, 0.5, 0.0]]}, "item_transition"),
+    "negative-entry": ({"item_transition": [[0.0, 1.5, -0.5], [0.5, 0.0, 0.5],
+                                            [0.5, 0.5, 0.0]]}, "item_transition"),
+    "no-successor": ({"item_transition": [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5],
+                                          [0.5, 0.5, 0.0]]}, "item_transition"),
+    "negative-weight": ({"gap_mixture": [[1.5, 1.0], [-0.5, 2.0]]}, "gap_mixture"),
+    "empty-mixture": ({"gap_mixture": []}, "gap_mixture"),
+    "coupling-item-range": ({"context_coupling": [{"items": [0, 5], "gap_mean_days": 1.0}]},
+                            "context_coupling"),
+    "coupling-no-successor": ({"context_coupling": [{"items": [0], "gap_mean_days": 1.0}]},
+                              "context_coupling"),
+    "fractional-users": ({"num_users": 2.7}, "num_users"),
+    "negative-users": ({"num_users": -1}, "num_users"),
+    "zero-sessions": ({"sessions_per_user": 0}, "sessions_per_user"),
+    "boolean-sessions": ({"sessions_per_user": True}, "sessions_per_user"),
+    "length-triple": ({"session_length": [2, 3, 4]}, "session_length"),
+    "length-scalar": ({"session_length": 3}, "session_length"),
+    "ragged-matrix": ({"item_transition": [[0.5, 0.5], [1.0]]}, "item_transition"),
+    "null-weight": ({"gap_mixture": [[None, 1.0]]}, "gap_mixture"),
+    "mixture-single": ({"gap_mixture": [[1.0]]}, "gap_mixture"),
+    "coupling-no-items": ({"context_coupling": [{"gap_mean_days": 1.0}]}, "context_coupling"),
+    "coupling-fractional-item": ({"context_coupling": [{"items": [0, 1.7], "gap_mean_days": 1.0}]},
+                                 "context_coupling"),
+    "boolean-weight": ({"gap_mixture": [[True, 1.0]]}, "gap_mixture"),
+    "coupling-extra-key": ({"context_coupling": [{"items": [0, 1], "gap_mean_days": 1.0,
+                                                  "weight": 2}]}, "context_coupling"),
+}
+
+
+class TestSynthSpecRefused:
+    @pytest.mark.parametrize("case", sorted(_BAD_SPECS))
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, case):
+        edit, field = _BAD_SPECS[case]
+        spec = {"num_users": 4, "sessions_per_user": 4,
+                "item_transition": [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]],
+                "gap_mixture": [[1.0, 1.0]], "session_length": [2, 4], **edit}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        rc = main(["synth", "--spec", str(tmp_path / "spec.json"),
+                   "--output", str(tmp_path / "c.split")])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "c.split").exists()
+
+
 class TestPreprocess:
     @staticmethod
     def _write_lastfm(path, bad_rows=0):

@@ -305,6 +305,10 @@ class TestForward:
         live_items = sum(len(s.items) for sl in lists for s in sl)
         assert sum(n for is_inter, n in calls if not is_inter) == live_items
 
+        # the history refresh's form: the same states, no inter states kept
+        lean = md._hierarchy_walk(params, cfg, lists, list(range(5)), inter_states=False)
+        assert lean[2] is None and np.array_equal(lean[0], intra_states)
+
         # one user: one inter step per slot once a block holds every window
         calls.clear()
         one = dataclasses.replace(cfg, batch_size=reps)
@@ -655,7 +659,16 @@ class TestTraining:
                              num_items=cfg.num_items, num_users=3)
         examples = build_examples(split, cfg)
         assert [ex.slot for ex in examples] == [0, 0, 1, 2, 3] + list(range(20))
+        walk, inter = md._hierarchy_walk, []
+
+        def spy(*a, **k):
+            out = walk(*a, **k)
+            inter.append(out[2])
+            return out
+
+        monkeypatch.setattr(md, "_hierarchy_walk", spy)
         table = md._refresh_histories(split, params, cfg)
+        assert inter == [None]  # the table never reads the inter states
 
         seen = []  # (inter input, update mask) per inter step
         gru_cell = md.gru_cell

@@ -63,6 +63,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             sy.CouplingState(items=(1,), gap_mean_days=0.0)
 
+    def test_no_successor_allowed_for_one_item_sessions(self):
+        # with session_length (1, 1) no successor is ever drawn
+        spec = _spec(item_transition=np.eye(3), session_length=(1, 1))
+        assert sy.generate_corpus(spec, seed=0).num_users == 12
+        single = [sy.CouplingState(items=(k,), gap_mean_days=1.0) for k in range(3)]
+        spec = _spec(item_transition=_uniform_offdiag(3), session_length=(1, 1),
+                     context_coupling=single, gap_mixture=[])
+        assert sy.generate_corpus(spec, seed=0).num_users == 12
+
 
 class TestGenerateCorpus:
     def test_deterministic_bytes(self, tmp_path):
@@ -152,6 +161,55 @@ class TestGenerateCorpus:
             for s in u.sessions:
                 inside = sum(i in lo for i in s.items)
                 assert inside in (0, len(s.items))  # never mixes clusters
+
+
+def _coupled_spec(**kw):
+    """Criterion-6 style: two latent states over disjoint halves of 12 items."""
+    states = [sy.CouplingState(items=tuple(range(6)), gap_mean_days=0.25),
+              sy.CouplingState(items=tuple(range(6, 12)), gap_mean_days=2.5)]
+    transition = np.random.default_rng(2000).dirichlet(np.full(12, 0.4), size=12)
+    return _spec(num_users=20, item_transition=transition, context_coupling=states, **kw)
+
+
+def _dirichlet_spec(v=20, **kw):
+    transition = np.random.default_rng(1000).dirichlet(np.full(v, 0.5), size=v)
+    return _spec(num_users=20, item_transition=transition, **kw)
+
+
+SAMPLER_SPECS = {
+    "plain": lambda: _dirichlet_spec(),
+    "coupled": lambda: _coupled_spec(),
+    "coupled-no-mixture": lambda: _coupled_spec(gap_mixture=[]),
+    "length-1": lambda: _dirichlet_spec(session_length=(1, 1)),
+    "length-1-6": lambda: _dirichlet_spec(v=3, session_length=(1, 6)),
+    "mixture-3": lambda: _dirichlet_spec(
+        v=50, gap_mixture=[(0.2, 0.05), (0.5, 1.0), (0.3, 6.0)]),
+}
+
+
+class TestSamplerMatchesPerDrawChain:
+    """The cached-row sampler against one Generator.choice per draw."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("name", sorted(SAMPLER_SPECS))
+    def test_split_bytes_identical(self, tmp_path, name, seed):
+        spec = SAMPLER_SPECS[name]()
+        save_split(sy.generate_corpus(spec, seed), str(tmp_path / "new.split"))
+        save_split(oracles.generate_corpus_per_draw(spec, seed), str(tmp_path / "ref.split"))
+        assert (tmp_path / "new.split").read_bytes() == (tmp_path / "ref.split").read_bytes()
+
+    @pytest.mark.parametrize("name", ["plain", "coupled"])
+    def test_each_row_built_once(self, monkeypatch, name):
+        # a count, not a time: per-draw row building fails this on any host
+        calls, original = [], sy.conditioned_row
+
+        def counted(transition, prev, allowed=None):
+            calls.append((prev, None if allowed is None else tuple(np.asarray(allowed))))
+            return original(transition, prev, allowed)
+
+        monkeypatch.setattr(sy, "conditioned_row", counted)
+        sy.generate_corpus(SAMPLER_SPECS[name](), seed=0)
+        assert calls and len(calls) == len(set(calls))
 
 
 class TestOracles:
