@@ -11,8 +11,9 @@ collapsed to the first of each run; the length cap (sessions of length
 (L, 2L] split in two, longer ones dropped); and each session's gap from
 the previous kept one. build_split, shared with the synthetic
 generator, drops users with too few sessions, builds the sorted
-vocabulary and cuts each timeline into earliest-train / latest-test.
-Session objects are made once, there.
+vocabulary and orders the SessionTable user by user, each user's
+earliest sessions train. Training, evaluation and the split file read
+that table's columns; Session objects describe only a single history.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain
@@ -53,23 +55,14 @@ class InteractionLog:
 
 @dataclass
 class Session:
-    """One sitting; `items` are dense indices into the split vocabulary.
-
-    gap_before is the seconds between the previous session's end and this
-    one's start; 0.0 both for a user's first session and for the second
-    half of a length-split session. gap_masked marks only the latter:
-    an artificial boundary whose "gap" must not train or score the time
-    model.
-    """
+    """One sitting of a single history, a row of a SessionTable: `items`
+    are dense indices into the split vocabulary."""
 
     items: list
     start_time: float
     end_time: float
     gap_before: float = 0.0
     gap_masked: bool = False
-
-    def __len__(self):
-        return len(self.items)
 
 
 @dataclass
@@ -78,54 +71,17 @@ class UserHistory:
     user_index: int
     sessions: list[Session]
 
-
-@dataclass(frozen=True)
-class GapBucketizer:
-    """Monotone discretization of gap seconds into [0, num_buckets)."""
-
-    upper_bound: float
-    num_buckets: int
-    scheme: str = "uniform"
-
-    def __post_init__(self):
-        if self.upper_bound <= 0 or self.num_buckets < 1:
-            raise ValueError("need upper_bound > 0 and num_buckets >= 1")
-        if self.scheme not in ("uniform", "log"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-
-    def bucket(self, gap: float) -> int:
-        if gap < 0:
-            raise ValueError(f"negative gap {gap}")
-        g = min(gap, self.upper_bound)
-        if self.scheme == "uniform":
-            frac = g / self.upper_bound
-        else:
-            frac = math.log1p(g) / math.log1p(self.upper_bound)
-        return min(self.num_buckets - 1, int(frac * self.num_buckets))
-
-
-@dataclass
-class DatasetSplit:
-    """Aligned per-user train/test histories plus the shared vocabulary."""
-
-    train: list[UserHistory]
-    test: list[UserHistory]
-    item_vocabulary: dict[str, int]
-    num_items: int
-    num_users: int
-
-    def stats(self) -> dict:
-        n_train = sum(len(u.sessions) for u in self.train)
-        n_test = sum(len(u.sessions) for u in self.test)
-        lengths = [len(s) for u in self.train + self.test for s in u.sessions]
-        return {
-            "num_users": self.num_users,
-            "num_items": self.num_items,
-            "num_sessions": n_train + n_test,
-            "num_train_sessions": n_train,
-            "num_test_sessions": n_test,
-            "avg_session_length": float(np.mean(lengths)) if lengths else 0.0,
-        }
+    def table(self) -> "SessionTable":
+        """The history as a one-user session table."""
+        s = self.sessions
+        return SessionTable(
+            user=np.full(len(s), self.user_index, dtype=np.int64),
+            start=np.array([x.start_time for x in s], dtype=np.float64),
+            end=np.array([x.end_time for x in s], dtype=np.float64),
+            gap=np.array([x.gap_before for x in s], dtype=np.float64),
+            masked=np.array([x.gap_masked for x in s], dtype=bool),
+            lengths=np.array([len(x.items) for x in s], dtype=np.int64),
+            items=np.array([i for x in s for i in x.items], dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -152,9 +108,12 @@ class PreprocessConfig:
 
 @dataclass
 class SessionTable:
-    """Sessions as columns, each user's in time order. User and item are
-    integer codes; the items of all sessions are concatenated in `items`,
-    `lengths[k]` of them for session k."""
+    """Sessions as columns, each user's together and in time order. User
+    and item are integer codes; the items of all sessions are
+    concatenated in `items`, `lengths[k]` of them for session k. `gap`
+    is the seconds from the end of the user's previous session to this
+    one's start: 0.0 both for a user's first session and for the second
+    half of a length-split session, which `masked` marks."""
 
     user: np.ndarray
     start: np.ndarray
@@ -163,6 +122,74 @@ class SessionTable:
     masked: np.ndarray
     lengths: np.ndarray
     items: np.ndarray
+
+    def __len__(self):
+        return len(self.user)
+
+    def offsets(self) -> np.ndarray:
+        """Where each session's items begin in `items`, then their total."""
+        return np.concatenate(([0], np.cumsum(self.lengths)))
+
+    def take(self, rows: np.ndarray) -> "SessionTable":
+        """The sessions at the row indices `rows`, in that order."""
+        n = self.lengths[rows]
+        at = np.repeat(self.offsets()[rows] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        return SessionTable(user=self.user[rows], start=self.start[rows], end=self.end[rows],
+                            gap=self.gap[rows], masked=self.masked[rows], lengths=n,
+                            items=self.items[at])
+
+    def first(self) -> np.ndarray:
+        """Whether each session is the first of its user's in the table."""
+        first = np.ones(len(self), dtype=bool)
+        first[1:] = self.user[1:] != self.user[:-1]
+        return first
+
+    def gap_events(self) -> np.ndarray:
+        """The sessions whose gap is a return time to train or score: not
+        a user's first session, which has no predecessor, nor a masked one."""
+        return ~self.masked & ~self.first()
+
+
+@dataclass
+class DatasetSplit:
+    """One session table, users in index order; the first
+    train_counts[u] sessions of user u are train, the rest test."""
+
+    sessions: SessionTable
+    train_counts: np.ndarray
+    user_ids: list[str]
+    item_ids: list[str]  # the vocabulary: item index -> id
+
+    @property
+    def num_items(self) -> int:
+        return len(self.item_ids)
+
+    @property
+    def num_users(self) -> int:
+        return len(self.user_ids)
+
+    def user_offsets(self) -> np.ndarray:
+        """Each user's first row in the table, then the row count."""
+        counts = np.bincount(self.sessions.user, minlength=self.num_users)
+        return np.concatenate(([0], np.cumsum(counts)))
+
+    def is_train(self) -> np.ndarray:
+        """Whether each row of the table is a train session."""
+        user = self.sessions.user
+        slot = np.arange(len(user)) - self.user_offsets()[user]
+        return slot < self.train_counts[user]
+
+    def stats(self) -> dict:
+        n_train = int(self.train_counts.sum())
+        lengths = self.sessions.lengths
+        return {
+            "num_users": self.num_users,
+            "num_items": self.num_items,
+            "num_sessions": len(lengths),
+            "num_train_sessions": n_train,
+            "num_test_sessions": len(lengths) - n_train,
+            "avg_session_length": float(np.mean(lengths)) if len(lengths) else 0.0,
+        }
 
 
 def sessionize(user: np.ndarray, item: np.ndarray, time: np.ndarray,
@@ -209,7 +236,8 @@ def build_split(table: SessionTable, user_ids: list[str], item_ids: list[str],
 
     `user_ids` and `item_ids` name the table's codes. Users with fewer
     than min_sessions sessions are dropped; users and vocabulary are the
-    sorted ids of the kept users and their items.
+    sorted ids of the kept users and their items. The table comes back
+    reordered user by user, with dense user and item indices.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie in (0, 1)")
@@ -222,23 +250,17 @@ def build_split(table: SessionTable, user_ids: list[str], item_ids: list[str],
     vocab_codes = sorted(np.flatnonzero(used).tolist(), key=item_ids.__getitem__)
     dense = np.zeros(len(item_ids), dtype=np.int64)
     dense[vocab_codes] = np.arange(len(vocab_codes))
-    vocab = {item_ids[c]: i for i, c in enumerate(vocab_codes)}
 
-    items = dense[table.items].tolist()
-    bounds = np.concatenate(([0], np.cumsum(table.lengths))).tolist()
-    start, end = table.start.tolist(), table.end.tolist()
-    gap, masked = table.gap.tolist(), table.masked.tolist()
-    by_user = np.argsort(table.user, kind="stable").tolist()
-    first = np.concatenate(([0], np.cumsum(counts))).tolist()
-    train, test = [], []
-    for idx, u in enumerate(sorted(np.flatnonzero(kept).tolist(), key=user_ids.__getitem__)):
-        sessions = [Session(items[bounds[k]:bounds[k + 1]], start[k], end[k], gap[k], masked[k])
-                    for k in by_user[first[u]:first[u + 1]]]
-        n_train = int(train_fraction * len(sessions))
-        train.append(UserHistory(user_ids[u], idx, sessions[:n_train]))
-        test.append(UserHistory(user_ids[u], idx, sessions[n_train:]))
-    return DatasetSplit(train=train, test=test, item_vocabulary=vocab,
-                        num_items=len(vocab), num_users=len(train))
+    users = sorted(np.flatnonzero(kept).tolist(), key=user_ids.__getitem__)
+    index = np.zeros(len(user_ids), dtype=np.int64)
+    index[users] = np.arange(len(users))
+    rows = np.flatnonzero(kept[table.user])
+    out = table.take(rows[np.argsort(index[table.user[rows]], kind="stable")])
+    out.user, out.items = index[out.user], dense[out.items]
+    return DatasetSplit(sessions=out,
+                        train_counts=(train_fraction * counts[users]).astype(np.int64),
+                        user_ids=[user_ids[u] for u in users],
+                        item_ids=[item_ids[c] for c in vocab_codes])
 
 
 def preprocess(log: InteractionLog, config: PreprocessConfig) -> DatasetSplit:
@@ -366,49 +388,95 @@ def save_split(split: DatasetSplit, path: str) -> None:
     Key order and float formatting are fixed so identical splits produce
     byte-identical files.
     """
-    vocab_ids = [None] * split.num_items
-    for item_id, idx in split.item_vocabulary.items():
-        vocab_ids[idx] = item_id
+    t = split.sessions
+    items, bounds = t.items.tolist(), t.offsets().tolist()
+    start, end, gap, masked = t.start.tolist(), t.end.tolist(), t.gap.tolist(), t.masked.tolist()
+    first, n_train = split.user_offsets().tolist(), split.train_counts.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_jline({"kind": "header", "version": SPLIT_FORMAT_VERSION,
                          "num_items": split.num_items, "num_users": split.num_users}))
-        fh.write(_jline({"kind": "vocabulary", "items": vocab_ids}))
-        for tr, te in zip(split.train, split.test):
-            fh.write(_jline({
-                "kind": "user", "user_id": tr.user_id, "user_index": tr.user_index,
-                "train": [_session_obj(s) for s in tr.sessions],
-                "test": [_session_obj(s) for s in te.sessions],
-            }))
+        fh.write(_jline({"kind": "vocabulary", "items": split.item_ids}))
+        for u, user_id in enumerate(split.user_ids):
+            lo, hi = first[u], first[u + 1]
+            sessions = [{"items": items[a:b], "start": s, "end": e, "gap": g, "masked": m}
+                        for a, b, s, e, g, m in zip(bounds[lo:hi], bounds[lo + 1:hi + 1],
+                                                    start[lo:hi], end[lo:hi], gap[lo:hi],
+                                                    masked[lo:hi])]
+            fh.write(_jline({"kind": "user", "user_id": user_id, "user_index": u,
+                             "train": sessions[:n_train[u]],
+                             "test": sessions[n_train[u]:]}))
 
 
 def load_split(path: str) -> DatasetSplit:
+    """Read a split file straight into columns, refusing, by field, a
+    record that save_split would not have written."""
     with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
+        header = _json_line(fh.readline(), path, 1)
         if not isinstance(header, dict) or header.get("kind") != "header":
             raise IngestError(f"{path}: not a split file")
         _require(header, ("version", "num_items", "num_users"), f"{path}: header")
         if header["version"] != SPLIT_FORMAT_VERSION:
             raise IngestError(f"{path}: split format version {header['version']} "
                               f"!= supported {SPLIT_FORMAT_VERSION}")
-        vocab_line = json.loads(fh.readline())
+        for name in ("num_items", "num_users"):
+            if not _is_int(header[name]) or header[name] < 1:
+                raise IngestError(f"{path}: header field {name!r} is {header[name]!r:.80}, "
+                                  f"not a positive integer")
+        num_items = header["num_items"]
+        vocab_line = _json_line(fh.readline(), path, 2)
         _require(vocab_line, ("items",), f"{path}: vocabulary line")
-        if not isinstance(vocab_line["items"], list):
-            raise IngestError(f"{path}: field 'items' of the vocabulary line is "
-                              f"{vocab_line['items']!r:.80}, not a list")
-        vocab = {item_id: i for i, item_id in enumerate(vocab_line["items"])}
-        train, test = [], []
+        item_ids = vocab_line["items"]
+        _check_vocabulary(item_ids, num_items, path)
+        user_ids, n_train, n_sessions = [], [], []
+        items, lengths = array("q"), array("q")
+        # typed buffers, 8 bytes a number, in place of lists of Python objects
+        cols = {"start": array("d"), "end": array("d"), "gap": array("d"), "masked": array("b")}
         for row, line in enumerate(fh):
-            rec = json.loads(line)
-            _check_user_record(rec, row, header["num_items"], path)
-            train.append(UserHistory(rec["user_id"], rec["user_index"],
-                                     [_session_from(o) for o in rec["train"]]))
-            test.append(UserHistory(rec["user_id"], rec["user_index"],
-                                    [_session_from(o) for o in rec["test"]]))
-    if len(train) != header["num_users"]:
+            rec = _json_line(line, path, row + 3)
+            _check_user_record(rec, row, num_items, path)
+            sessions = rec["train"] + rec["test"]
+            for o in sessions:
+                items.extend(o["items"])
+            lengths.extend([len(o["items"]) for o in sessions])
+            for name, col in cols.items():
+                col.extend([o[name] for o in sessions])
+            user_ids.append(rec["user_id"])
+            n_train.append(len(rec["train"]))
+            n_sessions.append(len(sessions))
+    if len(user_ids) != header["num_users"]:
         raise IngestError(f"{path}: header field 'num_users' is {header['num_users']}, "
-                          f"but the file holds {len(train)} user records")
-    return DatasetSplit(train=train, test=test, item_vocabulary=vocab,
-                        num_items=header["num_items"], num_users=header["num_users"])
+                          f"but the file holds {len(user_ids)} user records")
+    table = SessionTable(user=np.repeat(np.arange(len(user_ids)), n_sessions),
+                         lengths=np.frombuffer(lengths, dtype=np.int64),
+                         items=np.frombuffer(items, dtype=np.int64),
+                         **{name: np.frombuffer(col, dtype=bool if name == "masked" else np.float64)
+                            for name, col in cols.items()})
+    return DatasetSplit(sessions=table, train_counts=np.array(n_train, dtype=np.int64),
+                        user_ids=user_ids, item_ids=item_ids)
+
+
+def _json_line(line: str, path: str, number: int):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as err:
+        raise IngestError(f"{path}: line {number} is not JSON: {err.msg}") from None
+
+
+def _check_vocabulary(item_ids, num_items: int, path: str) -> None:
+    """The vocabulary line must name num_items distinct string ids."""
+    what = f"{path}: field 'items' of the vocabulary line"
+    if not isinstance(item_ids, list):
+        raise IngestError(f"{what} is {item_ids!r:.80}, not a list")
+    if len(item_ids) != num_items:
+        raise IngestError(f"{what} holds {len(item_ids)} ids, but header field "
+                          f"'num_items' is {num_items}")
+    bad = [i for i in item_ids if not isinstance(i, str)]
+    if bad:
+        raise IngestError(f"{what} holds {bad[0]!r:.80}, not a string")
+    if len(set(item_ids)) != num_items:
+        seen: set[str] = set()
+        dup = next(i for i in item_ids if i in seen or seen.add(i))
+        raise IngestError(f"{what} holds {dup!r:.80} twice")
 
 
 def _require(obj, fields, what: str) -> None:
@@ -445,8 +513,9 @@ def _check_user_record(rec: dict, row: int, num_items: int, path: str) -> None:
                                   f"{o['items']!r}, not a list")
             if not o["items"]:
                 raise IngestError(f"{who}: field 'items' of {part} session {k} is empty")
-            bad = [i for i in o["items"] if not _is_int(i) or not 0 <= i < num_items]
-            if bad:
+            if set(map(type, o["items"])) != {int} or min(o["items"]) < 0 \
+                    or max(o["items"]) >= num_items:
+                bad = [i for i in o["items"] if not _is_int(i) or not 0 <= i < num_items]
                 why = f"outside [0, {num_items})" if _is_int(bad[0]) else "not an integer"
                 raise IngestError(f"{who}: field 'items' of a {part} session holds "
                                   f"{bad[0]!r}, {why}")
@@ -470,16 +539,6 @@ def _check_user_record(rec: dict, row: int, num_items: int, path: str) -> None:
 def _is_int(v) -> bool:
     """A JSON integer: an int, and not a bool."""
     return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _session_obj(s: Session) -> dict:
-    return {"items": list(s.items), "start": s.start_time, "end": s.end_time,
-            "gap": s.gap_before, "masked": s.gap_masked}
-
-
-def _session_from(o: dict) -> Session:
-    return Session(items=o["items"], start_time=o["start"], end_time=o["end"],
-                   gap_before=o["gap"], gap_masked=o["masked"])
 
 
 def _jline(obj) -> str:

@@ -140,72 +140,69 @@ def save_plot_data(report: EvalReport, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# evaluation walks shared by the simple baselines
-
-def iter_test_gaps(split: DatasetSplit):
-    """Yield (user_index, target gap seconds, prior event times seconds,
-    train gaps seconds) for every unmasked test-session gap, teacher-forced:
-    history grows with each test session consumed.
-
-    Event times are session starts of real sittings; the second half of a
-    length-split session is the same sitting, so it never becomes an event.
-    """
-    for tr, te in zip(split.train, split.test):
-        events, train_gaps = _train_events(tr)
-        for s in te.sessions:
-            if not s.gap_masked:
-                yield tr.user_index, s.gap_before, list(events), train_gaps
-                events.append(s.start_time)
+# the non-neural baselines, read from the split's columns. Like the neural
+# model they score every test gap event (SessionTable.gap_events),
+# teacher-forced: the history of a gap is every session before it.
 
 
-def _train_events(tr) -> tuple[list[float], list[float]]:
-    """One user's train event times and the gaps between them, in seconds."""
-    gaps = [s.gap_before for s in tr.sessions[1:] if not s.gap_masked]
-    return [s.start_time for s in tr.sessions if not s.gap_masked], gaps
+def _gap_events(split: DatasetSplit):
+    """The test rows whose gaps are scored; each user's mean train gap in
+    seconds (NaN for a user without one); the mean over every train gap
+    (None without any)."""
+    t, train = split.sessions, split.is_train()
+    events = t.gap_events()
+    gaps, owner = t.gap[train & events], t.user[train & events]
+    bounds = np.searchsorted(owner, np.arange(split.num_users + 1))
+    means = np.array([np.mean(gaps[lo:hi]) if hi > lo else np.nan
+                      for lo, hi in zip(bounds[:-1], bounds[1:])])
+    return ~train & events, means, float(np.mean(gaps)) if len(gaps) else None
 
 
 def mean_gap_report(split: DatasetSplit) -> EvalReport:
     """Constant predictor: each user's mean train gap (global mean fallback)."""
-    all_train = [s.gap_before for u in split.train
-                 for s in u.sessions[1:] if not s.gap_masked]
-    global_mean = float(np.mean(all_train)) if all_train else 0.0
-    preds, targets = [], []
-    for _, gap, _, train_gaps in iter_test_gaps(split):
-        preds.append(float(np.mean(train_gaps)) if train_gaps else global_mean)
-        targets.append(gap)
-    return build_report("mean_gap", [], preds, targets)
+    t = split.sessions
+    scored, means, overall = _gap_events(split)
+    preds = np.where(np.isnan(means), 0.0 if overall is None else overall, means)
+    return build_report("mean_gap", [], preds[t.user[scored]], t.gap[scored])
 
 
 def popularity_report(split: DatasetSplit) -> EvalReport:
     """Static ranking by train-set frequency, scored on every test step."""
-    counts = np.bincount(np.array([it for u in split.train for s in u.sessions for it in s.items],
-                                  dtype=np.int64), minlength=split.num_items)
-    targets = [it for u in split.test for s in u.sessions for it in s.items[1:]]
+    t = split.sessions
+    train = np.repeat(split.is_train(), t.lengths)
+    counts = np.bincount(t.items[train], minlength=split.num_items)
+    target = ~train
+    target[t.offsets()[:-1]] = False  # a session's first item is no target
     # rank_of_target's rule for every target at once: 1 + the count of larger counts
-    ranks = 1 + counts.size - np.searchsorted(np.sort(counts), counts[targets], side="right")
+    ranks = 1 + counts.size - np.searchsorted(np.sort(counts), counts[t.items[target]],
+                                              side="right")
     return build_report("popularity", ranks, [], [])
 
 
 def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig,
                   time_unit: float = SECONDS_PER_DAY) -> EvalReport:
     """Hawkes fits on the train events of every user with a test gap, all in
-    one batched call; predictions teacher-forced over the test walk."""
-    all_train = [s.gap_before for u in split.train
-                 for s in u.sessions[1:] if not s.gap_masked]
-    global_rate = time_unit / float(np.mean(all_train)) if all_train else 1.0
-    users, histories, rates = [], [], []
-    for tr, te in zip(split.train, split.test):
-        if any(not s.gap_masked for s in te.sessions):
-            events, train_gaps = _train_events(tr)
-            users.append(tr.user_index)
-            histories.append(np.asarray(events, dtype=np.float64) / time_unit)
-            rates.append(time_unit / float(np.mean(train_gaps)) if train_gaps
-                         else global_rate)
-    params_by_user = dict(zip(users, fit(histories, cfg, rates)))
-    preds, targets = [], []
-    for user, gap, events, _ in iter_test_gaps(split):
-        history = np.asarray(events, dtype=np.float64) / time_unit
-        preds.append(hawkes_predict_next(history, params_by_user[user], q) * time_unit)
-        targets.append(gap)
+    one batched call; predictions teacher-forced over the test walk.
+
+    Event times are session starts of real sittings; the second half of a
+    length-split session is the same sitting, so it never becomes an event.
+    """
+    t = split.sessions
+    scored, means, overall = _gap_events(split)
+    global_rate = 1.0 if overall is None else time_unit / overall
+    users, bounds = np.unique(t.user[scored]).tolist(), split.user_offsets()
+    times, histories, rates = [], [], []
+    for u in users:
+        lo, cut, hi = bounds[u], bounds[u] + split.train_counts[u], bounds[u + 1]
+        sitting = ~t.masked[lo:hi]
+        times.append(t.start[lo:hi][sitting] / time_unit)
+        histories.append(times[-1][:np.count_nonzero(sitting[:cut - lo])])
+        rates.append(global_rate if np.isnan(means[u]) else time_unit / float(means[u]))
+    preds = []
+    for u, params, ts in zip(users, fit(histories, cfg, rates), times):
+        lo, hi = bounds[u], bounds[u + 1]
+        before = (np.cumsum(~t.masked[lo:hi]) - 1).tolist()  # sittings before each session
+        for k in np.flatnonzero(scored[lo:hi]).tolist():
+            preds.append(hawkes_predict_next(ts[:before[k]], params, q) * time_unit)
     name = "hawkes_short" if cfg.window == "last_k" else "hawkes_long"
-    return build_report(name, [], preds, targets)
+    return build_report(name, [], preds, t.gap[scored])

@@ -39,7 +39,7 @@ from . import point_process as pp
 from .autodiff import (GRUWeights, Tape, Tensor, add, concat, dropout, embedding,
                        gather_rows, gru_cell, gru_cell_np, masked_softmax_xent,
                        matmul, scale)
-from .data import DatasetSplit, GapBucketizer, UserHistory
+from .data import DatasetSplit, SessionTable, UserHistory
 from .evaluation import EvalReport, build_report, rank_of_target
 from .optim import Adam, ParamGroup
 from .point_process import ExponentOverflowError, QuadratureConfig
@@ -105,10 +105,17 @@ class ModelConfig:
     def rep_dim(self) -> int:
         return self.hidden_dim + self.gap_embedding_dim + self.user_embedding_dim
 
-    def bucketizer(self) -> GapBucketizer:
-        return GapBucketizer(upper_bound=self.gap_bucket_bound,
-                             num_buckets=self.num_gap_buckets,
-                             scheme=self.gap_bucket_scheme)
+    def gap_buckets(self, gaps) -> np.ndarray:
+        """Monotone discretization of gap seconds into [0, num_gap_buckets)."""
+        g = np.asarray(gaps, dtype=np.float64)
+        if np.any(g < 0):
+            raise ValueError(f"negative gap {g.min()}")
+        g = np.minimum(g, self.gap_bucket_bound)
+        if self.gap_bucket_scheme == "uniform":
+            frac = g / self.gap_bucket_bound
+        else:
+            frac = np.log1p(g) / math.log1p(self.gap_bucket_bound)
+        return np.minimum(self.num_gap_buckets - 1, (frac * self.num_gap_buckets).astype(np.int64))
 
     def quadrature(self) -> QuadratureConfig:
         return QuadratureConfig(cutoff=self.gap_bucket_bound / self.time_unit)
@@ -189,48 +196,51 @@ class ModelParams:
 # examples
 
 @dataclass
-class TrainingExample:
-    user_index: int
-    slot: int  # position in the user's train timeline
-    row: int  # its session's row in the history table; history is the rows before
-    inputs: np.ndarray  # items[:-1], consumed step by step
-    targets: np.ndarray  # items[1:], one label per consumed step
-    gap_target: float  # model time units (seconds / time_unit)
-    time_masked: bool
+class Examples:
+    """One entry per usable train session, as columns. Example i's inputs
+    are items[offset[i] : offset[i] + length[i] - 1], consumed step by
+    step, and its targets the same span shifted by one; `items` is the
+    split's own item column, not a copy."""
+
+    row: np.ndarray  # its session's row in the history table; history is the rows before
+    slot: np.ndarray  # position in the user's train timeline
+    user: np.ndarray
+    offset: np.ndarray
+    length: np.ndarray
+    gap: np.ndarray  # gap target in model time units (seconds / time_unit)
+    time_masked: np.ndarray
+    items: np.ndarray
+
+    def __len__(self):
+        return len(self.row)
 
 
-def build_examples(split: DatasetSplit, cfg: ModelConfig) -> list[TrainingExample]:
+def build_examples(split: DatasetSplit, cfg: ModelConfig) -> Examples:
     """One example per usable train session. Its history window is the
     table rows row - min(slot, max_session_reps) .. row - 1, which the
     per-epoch refresh fills."""
-    examples, row = [], 0
-    for hist in split.train:
-        for j, s in enumerate(hist.sessions):
-            # no predecessor (slot 0) and split-session halves carry a
-            # meaningless zero gap: mask the time loss for both
-            time_masked = s.gap_masked or j == 0
-            if time_masked and len(s.items) < 2:
-                continue  # neither loss has a target here
-            examples.append(TrainingExample(
-                user_index=hist.user_index, slot=j, row=row + j,
-                inputs=np.asarray(s.items[:-1], dtype=np.int64),
-                targets=np.asarray(s.items[1:], dtype=np.int64),
-                gap_target=s.gap_before / cfg.time_unit,
-                time_masked=time_masked))
-        row += len(hist.sessions)
-    if not examples:
+    t, train = split.sessions, split.is_train()
+    # no predecessor (slot 0) and split-session halves carry a
+    # meaningless zero gap: mask the time loss for both
+    time_masked = ~t.gap_events()
+    keep = train & ~(time_masked & (t.lengths < 2))  # else neither loss has a target
+    if not keep.any():
         raise ValueError("train split yields no usable examples")
-    return examples
+    rows = np.flatnonzero(keep)
+    return Examples(row=np.cumsum(train)[rows] - 1,
+                    slot=rows - split.user_offsets()[t.user[rows]], user=t.user[rows],
+                    offset=t.offsets()[rows], length=t.lengths[rows],
+                    gap=t.gap[rows] / cfg.time_unit, time_masked=time_masked[rows],
+                    items=t.items)
 
 
 # ---------------------------------------------------------------------------
 # tape-free hierarchy walk (history table, evaluation, prediction)
 
-def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
-                    session_lists: list[list], user_indices: list[int],
-                    ranked_from: list[int] | None = None, inter_states: bool = True):
-    """Run the full two-level recursion without a tape, slot-synchronously
-    across users.
+def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
+                    ranked: np.ndarray | None = None, inter_states: bool = True):
+    """Run the full two-level recursion over a session table without a
+    tape, slot-synchronously across its users.
 
     The inter level keeps a ring of in-flight windows per user:
     windows[u, m % R] is the state of the inter GRU over the reps of
@@ -245,29 +255,33 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
     rep @ w_inter is computed once for all its windows. Within a slot the
     sessions go longest first, so intra step t steps only the live prefix.
 
-    Returns flat arrays in user-major slot order plus per-user rank
-    arrays. With base[u] the number of sessions of the users before u,
-    user u's slot j is row base[u] + j of intra_states (sessions, hidden)
-    and gap_buckets (sessions,) int64, and row base[u] + u + j of h_before
-    (sessions + users, hidden): a user with n sessions gets n + 1 inter
-    states, and the last one follows the last session and is the state the
-    next return time conditions on; without `inter_states`, h_before is
-    None and never allocated. When `ranked_from` marks each user's
-    first scored slot, the ranks are those of every within-session target
-    from that slot on, teacher-forced. Rank rows queue up as the intra
-    steps make them and are scored batch_size at a time, so no scores
-    block exceeds (batch_size, items).
+    Returns flat arrays plus per-user rank arrays, users counted in table
+    order. Row k of the table, of user u, is row k of intra_states
+    (sessions, hidden) and gap_buckets (sessions,) int64, and row k + u
+    of h_before (sessions + users, hidden): a user with n sessions gets
+    n + 1 inter states, and the last one follows the last session and is
+    the state the next return time conditions on; without `inter_states`,
+    h_before is None and never allocated. Where `ranked` marks a row, the
+    ranks of every within-session target of that session are returned,
+    teacher-forced. Rank rows queue up as the intra steps make them and
+    are scored batch_size at a time, so no scores block exceeds
+    (batch_size, items).
     """
-    n_users = len(session_lists)
     h_dim, reach_max, bs = cfg.hidden_dim, cfg.max_session_reps, cfg.batch_size
-    bucketizer = cfg.bucketizer()
-    n_slots = [len(sl) for sl in session_lists]
-    base = np.cumsum([0] + n_slots).tolist()
-    intra_states = np.zeros((base[-1], h_dim))
-    buckets = np.array([bucketizer.bucket(s.gap_before) for sl in session_lists for s in sl],
-                       dtype=np.int64)
-    h_before = np.zeros((base[-1] + n_users, h_dim)) if inter_states else None
-    first = ranked_from or [math.inf] * n_users
+    first = table.first()
+    base = np.flatnonzero(first)
+    n_users, n_slots = len(base), np.diff(np.append(base, len(table)))
+    block = np.cumsum(first) - 1
+    slot = np.arange(len(table)) - base[block]
+    # rows slot by slot, longest session first, ties in user order, so
+    # that intra step t steps only a live prefix
+    by_slot = np.lexsort((-table.lengths, slot))
+    bounds = np.searchsorted(slot[by_slot], np.arange(n_slots.max(initial=0) + 1)).tolist()
+    blocks, lengths = block[by_slot], table.lengths[by_slot]
+    starts, last_item = table.offsets()[by_slot], len(table.items) - 1
+    intra_states = np.zeros((len(table), h_dim))
+    buckets = cfg.gap_buckets(table.gap)
+    h_before = np.zeros((len(table) + n_users, h_dim)) if inter_states else None
     empty = np.zeros(0, dtype=np.int64)
     # (states, targets, users) waiting to be ranked; (ranks, users) per ranked block
     queue, done = [(np.zeros((0, h_dim)), empty, empty)], [(empty, empty)]
@@ -284,45 +298,41 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
     item_t, gap_t, user_t = (params.item_emb.value, params.gap_emb.value,
                              params.user_emb.value)
     windows = np.zeros((n_users, reach_max, h_dim))
-    for j in range(max(n_slots, default=-1) + 1):
-        active = [u for u in range(n_users) if n_slots[u] >= j]
+    for j in range(len(bounds) - 1):
+        seg = slice(bounds[j], bounds[j + 1])
+        rows, active, lens = by_slot[seg], blocks[seg], lengths[seg]
         if inter_states:
-            h_before[[base[u] + u + j for u in active]] = windows[active, j % reach_max]
-        active = sorted((u for u in active if n_slots[u] > j),
-                        key=lambda u: -len(session_lists[u][j].items))
-        if not active:
-            continue
+            h_before[rows + active] = windows[active, j % reach_max]
 
-        lens = [len(session_lists[u][j].items) for u in active]
-        ids = np.zeros((len(active), lens[0]), dtype=np.int64)
-        for row, u in enumerate(active):
-            ids[row, :lens[row]] = session_lists[u][j].items
-        ranked = [row for row, u in enumerate(active) if j >= first[u]]
+        # padding past a session's end holds whatever follows it; no step reads it
+        ids = table.items[np.minimum(starts[seg, None] + np.arange(lens[0]), last_item)]
+        ranked_rows = [] if ranked is None else np.flatnonzero(ranked[rows]).tolist()
         hh, live = windows[active, j % reach_max], len(active)
         for t in range(lens[0]):
             hh[:live] = gru_cell_np(item_t[ids[:live, t]], hh[:live], params.intra)
             while live and lens[live - 1] <= t + 1:
                 live -= 1  # rows [:live] have an item t + 1, the target of this state
-            need = [row for row in ranked if row < live]
+            need = [row for row in ranked_rows if row < live]
             if need:
-                queue.append((hh[need], ids[need, t + 1], np.asarray(active)[need]))
+                queue.append((hh[need], ids[need, t + 1], active[need]))
                 rank_queue()
-        rows = [base[u] + j for u in active]
         intra_states[rows] = hh
 
         # slot j's reps enter windows j + 1 .. min(j + R, n_u) of their user
-        rep = np.concatenate([hh, gap_t[buckets[rows]],
-                              user_t[[user_indices[u] for u in active]]], axis=1)
+        rep = np.concatenate([hh, gap_t[buckets[rows]], user_t[table.user[rows]]], axis=1)
         proj = rep @ params.inter.w.value
         windows[active, j % reach_max] = 0.0
-        reach = np.minimum([n_slots[u] - j for u in active], reach_max)
+        reach = np.minimum(n_slots[active] - j, reach_max)
         src = np.repeat(np.arange(len(active)), reach)
         start = np.repeat(np.cumsum(reach) - reach, reach)
-        who, at = np.asarray(active)[src], (j + 1 + np.arange(len(src)) - start) % reach_max
+        who, at = active[src], (j + 1 + np.arange(len(src)) - start) % reach_max
         for lo in range(0, len(src), bs):
             b = slice(lo, lo + bs)
             windows[who[b], at[b]] = gru_cell_np(rep[src[b]], windows[who[b], at[b]],
                                                  params.inter, proj[src[b]])
+    if inter_states:  # each user's state after its last session
+        users = np.arange(n_users)
+        h_before[base + n_slots + users] = windows[users, n_slots % reach_max]
 
     rank_queue(final=True)
     ranks, users = (np.concatenate(d) for d in zip(*done))
@@ -333,33 +343,33 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig,
 def _refresh_histories(split: DatasetSplit, params: ModelParams,
                        cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """The history table from the current weights: intra states and gap
-    buckets, one row per train session as `TrainingExample.row` counts
-    them (once per epoch; within an epoch they go stale)."""
-    return _hierarchy_walk(params, cfg, [h.sessions for h in split.train],
-                           [h.user_index for h in split.train], inter_states=False)[:2]
+    buckets, one row per train session as `Examples.row` counts them
+    (once per epoch; within an epoch they go stale)."""
+    train = split.sessions.take(np.flatnonzero(split.is_train()))
+    return _hierarchy_walk(params, cfg, train, inter_states=False)[:2]
 
 
 # ---------------------------------------------------------------------------
 # taped forward
 
 def _forward_batch(tape: Tape, params: ModelParams, cfg: ModelConfig,
-                   batch: list[TrainingExample], rng, table):
-    """Batched taped training pass over the (states, buckets) history
-    table; returns (joint loss tensor, time nll value, rec nll value,
-    unmasked time rows, rec steps)."""
+                   examples: Examples, batch: np.ndarray, rng, table):
+    """Batched taped training pass over the examples at the indices
+    `batch` and the (states, buckets) history table; returns (joint loss
+    tensor, time nll value, rec nll value, unmasked time rows, rec steps)."""
     n = len(batch)
     h_dim = cfg.hidden_dim
-    users = np.array([ex.user_index for ex in batch], dtype=np.int64)
+    users = examples.user[batch]
 
     # inter level over right-aligned histories: entry t of row i is table row
-    # ex.row - window + t, live for its last min(slot, R) entries; the front
+    # row - window + t, live for its last min(slot, R) entries; the front
     # padding keeps the zero state and bucket 0, and the update mask freezes it
-    reach = np.array([min(ex.slot, cfg.max_session_reps) for ex in batch])
+    reach = np.minimum(examples.slot[batch], cfg.max_session_reps)
     window = int(reach.max())
     h = Tensor(np.zeros((n, h_dim)))
     if window:
         live = np.arange(window) >= window - reach[:, None]
-        at = (np.array([ex.row for ex in batch])[:, None] - window + np.arange(window))[live]
+        at = (examples.row[batch][:, None] - window + np.arange(window))[live]
         segs = np.zeros((n, window, h_dim))
         gaps = np.zeros((n, window), dtype=np.int64)
         segs[live], gaps[live] = table[0][at], table[1][at]
@@ -371,23 +381,22 @@ def _forward_batch(tape: Tape, params: ModelParams, cfg: ModelConfig,
             h = gru_cell(tape, rep, h, params.inter, update_mask=live[:, t, None])
     h_j = h
 
-    time_masked = np.array([ex.time_masked for ex in batch])
-    g_alpha = np.array([0.0 if ex.time_masked else ex.gap_target ** cfg.alpha_exp
-                        for ex in batch])
+    time_masked = examples.time_masked[batch]
+    g_alpha = np.array([0.0 if masked else g ** cfg.alpha_exp
+                        for g, masked in zip(examples.gap[batch].tolist(), time_masked.tolist())])
     s = matmul(tape, h_j, params.time_v, params.time_b)
     l_time = pp.time_nll(tape, s, params.time_w, g_alpha, masked=time_masked)
 
-    width = max((len(ex.inputs) for ex in batch), default=0)
-    rec_steps = int(sum(len(ex.inputs) for ex in batch))
+    lens = examples.length[batch] - 1  # inputs: every item but the last
+    width, rec_steps = int(lens.max()), int(lens.sum())
     if width:
         # padded tail rows run on past their session's end; their states
         # are never read
+        real = np.arange(width) < lens[:, None]
+        at = (examples.offset[batch][:, None] + np.arange(width))[real]
         ids = np.zeros((n, width), dtype=np.int64)
         tgt = np.zeros((n, width), dtype=np.int64)
-        lens = np.array([len(ex.inputs) for ex in batch])
-        for i, ex in enumerate(batch):
-            ids[i, :lens[i]] = ex.inputs
-            tgt[i, :lens[i]] = ex.targets
+        ids[real], tgt[real] = examples.items[at], examples.items[at + 1]
         hh, states = h_j, []
         for t in range(width):
             x = dropout(tape, embedding(tape, params.item_emb, ids[:, t]),
@@ -443,8 +452,6 @@ def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
         raise ValueError("start_epoch must be >= 1")
     if epochs < start_epoch:
         raise ValueError(f"epochs ({epochs}) must be >= start_epoch ({start_epoch})")
-    if not any(h.sessions for h in split.train):
-        raise ValueError("empty train split")
     if params is None:
         params = ModelParams.init(cfg, seed)
     examples = build_examples(split, cfg)
@@ -463,10 +470,10 @@ def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
         loss_sum = time_sum = rec_sum = 0.0
         time_rows = rec_rows = 0
         for batch_no, lo in enumerate(range(0, len(order), cfg.batch_size), start=1):
-            batch = [examples[i] for i in order[lo:lo + cfg.batch_size]]
+            batch = order[lo:lo + cfg.batch_size]
             tape = Tape()
             try:
-                loss, lt, lr_, nt, nr = _forward_batch(tape, params, cfg, batch,
+                loss, lt, lr_, nt, nr = _forward_batch(tape, params, cfg, examples, batch,
                                                        drop_rng, table)
             except ExponentOverflowError as err:
                 raise TrainingDivergedError(
@@ -504,36 +511,26 @@ def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
 def evaluate(params: ModelParams, cfg: ModelConfig, split: DatasetSplit,
              model_name: str = "thrnn") -> EvalReport:
     """Teacher-forced walk over each user's full timeline: every test-step
-    target is ranked, and every unmasked test gap gets a return-time
-    prediction conditioned on everything before that session. A parameter
+    target is ranked, and every test gap event (SessionTable.gap_events)
+    gets a return-time prediction conditioned on everything before it. A parameter
     holding NaN or inf is refused by name: its ranks would read perfect."""
     for name, tensor in params.named().items():
         if not np.isfinite(tensor.value).all():
             raise ValueError(f"parameter {name!r} holds non-finite values")
-    lists, uidx, first_test = [], [], []
-    for tr, te in zip(split.train, split.test):
-        lists.append(tr.sessions + te.sessions)
-        uidx.append(tr.user_index)
-        first_test.append(len(tr.sessions))
-    _, _, h_before, ranks = _hierarchy_walk(params, cfg, lists, uidx,
-                                            ranked_from=first_test)
+    t, test = split.sessions, ~split.is_train()
+    _, _, h_before, ranks = _hierarchy_walk(params, cfg, t, ranked=test)
 
     # h_before holds n + 1 rows per user; a test gap reads its session's row
-    rows, targets, base = [], [], 0
-    for u, te in enumerate(split.test):
-        for row, s in enumerate(te.sessions, start=base + first_test[u]):
-            if not s.gap_masked:
-                rows.append(row)
-                targets.append(s.gap_before)
-        base += len(lists[u]) + 1
-    if rows:
+    rows = np.flatnonzero(test & t.gap_events())
+    targets = t.gap[rows]
+    rows = rows + (np.cumsum(t.first()) - 1)[rows]
+    if len(rows):
         s_vec = h_before[rows] @ params.time_v.value[:, 0] + params.time_b.value[0]
         preds = pp.expected_return_time_from_s(
             s_vec, float(params.time_w.value), cfg.quadrature()) * cfg.time_unit
     else:
         preds = np.zeros(0)
-    return build_report(model_name, np.concatenate(ranks), preds,
-                        np.asarray(targets, dtype=np.float64))
+    return build_report(model_name, np.concatenate(ranks), preds, targets)
 
 
 @dataclass
@@ -562,8 +559,7 @@ def predict(history: UserHistory, params: ModelParams, cfg: ModelConfig,
     if bad:
         raise IndexError(f"unknown item indices: {bad}")
 
-    intra_states, _, h_before, _ = _hierarchy_walk(
-        params, cfg, [list(history.sessions)], [history.user_index])
+    intra_states, _, h_before, _ = _hierarchy_walk(params, cfg, history.table())
     scores = intra_states[-1] @ params.out_w.value + params.out_b.value
     if not np.isfinite(scores).all():
         raise ValueError("the model's item scores are not finite")

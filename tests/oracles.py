@@ -21,8 +21,12 @@ import numpy as np
 
 from thrnn.data import (SECONDS_PER_DAY, DatasetSplit, PreprocessConfig, Session,
                         SessionTable, UserHistory, build_split)
-from thrnn.evaluation import REPORT_FORMAT_VERSION, BucketRow, EvalReport, rank_of_target
-from thrnn.hawkes import HawkesParams, _nll_and_grads, excitation_state
+from thrnn.evaluation import (REPORT_FORMAT_VERSION, BucketRow, EvalReport, build_report,
+                              rank_of_target)
+from thrnn.model import Examples
+from thrnn.hawkes import (FitConfig, HawkesParams, _nll_and_grads, excitation_state, fit,
+                          hawkes_predict_next)
+from thrnn.point_process import QuadratureConfig
 from thrnn.point_process import W_LIMIT, _check_exponent
 from thrnn.synthetic import (ITEM_SPACING_SECONDS, CouplingState, SynthSpec,
                              conditioned_row, item_id)
@@ -216,9 +220,9 @@ def density_mass_from_s(s, w: float, cutoff: float, num_points: int = 2048) -> n
 def dense_transition(spec: SynthSpec, split: DatasetSplit) -> np.ndarray:
     """The generator's transition matrix re-indexed to the split's dense
     vocabulary (items that never occurred are absent from the split)."""
-    present = [(orig, split.item_vocabulary[item_id(orig)])
-               for orig in range(spec.num_items)
-               if item_id(orig) in split.item_vocabulary]
+    vocab = {i: k for k, i in enumerate(split.item_ids)}
+    present = [(orig, vocab[item_id(orig)]) for orig in range(spec.num_items)
+               if item_id(orig) in vocab]
     dense = np.zeros((split.num_items, split.num_items))
     for orig_i, di in present:
         for orig_j, dj in present:
@@ -231,7 +235,7 @@ def bayes_optimal_ranks(split: DatasetSplit, spec: SynthSpec) -> np.ndarray:
     distribution: the ceiling any learned recommender can approach."""
     trans = dense_transition(spec, split)
     ranks = []
-    for user in split.test:
+    for user in histories(split)[1]:
         for s in user.sessions:
             for prev, target in zip(s.items, s.items[1:]):
                 row = trans[prev].copy()
@@ -501,8 +505,7 @@ def split_train_test(histories: list[UserHistory], train_fraction: float,
         n_train = int(train_fraction * len(sessions))
         train.append(UserHistory(h.user_id, idx, sessions[:n_train]))
         test.append(UserHistory(h.user_id, idx, sessions[n_train:]))
-    return DatasetSplit(train=train, test=test, item_vocabulary=vocab,
-                        num_items=len(vocab), num_users=len(kept))
+    return split_from_histories(train, test, vocab_ids)
 
 
 def preprocess_rows(interactions: list[RawInteraction],
@@ -519,3 +522,216 @@ def preprocess_rows(interactions: list[RawInteraction],
         if sessions:
             histories.append(UserHistory(uid, -1, sessions))
     return split_train_test(histories, config.train_fraction, config.min_sessions)
+
+
+# ---------------------------------------------------------------------------
+# a split as per-session objects: one UserHistory per user and part
+
+
+def session_table(session_lists, user_indices) -> SessionTable:
+    """One table of the timelines session_lists[k] of users user_indices[k]."""
+    tables = [UserHistory("", u, list(sl)).table() for sl, u in zip(session_lists, user_indices)]
+    return SessionTable(*(np.concatenate([getattr(t, f) for t in tables])
+                          for f in ("user", "start", "end", "gap", "masked", "lengths",
+                                    "items")))
+
+
+def split_from_histories(train: list[UserHistory], test: list[UserHistory],
+                         item_ids) -> DatasetSplit:
+    """The split whose user u has the sessions train[u] then test[u];
+    `item_ids` is the vocabulary, or its size for ids "0", "1", ..."""
+    if isinstance(item_ids, int):
+        item_ids = [str(i) for i in range(item_ids)]
+    table = session_table([tr.sessions + te.sessions for tr, te in zip(train, test)],
+                          range(len(train)))
+    return DatasetSplit(sessions=table,
+                        train_counts=np.array([len(tr.sessions) for tr in train],
+                                              dtype=np.int64),
+                        user_ids=[tr.user_id for tr in train], item_ids=list(item_ids))
+
+
+def histories(split: DatasetSplit) -> tuple[list[UserHistory], list[UserHistory]]:
+    """The split's train and test parts as one UserHistory per user each."""
+    t = split.sessions
+    bounds, first = t.offsets().tolist(), split.user_offsets().tolist()
+    sessions = [Session(items=t.items[bounds[k]:bounds[k + 1]].tolist(),
+                        start_time=float(t.start[k]), end_time=float(t.end[k]),
+                        gap_before=float(t.gap[k]), gap_masked=bool(t.masked[k]))
+                for k in range(len(t))]
+    train, test = [], []
+    for u, user_id in enumerate(split.user_ids):
+        cut = first[u] + int(split.train_counts[u])
+        train.append(UserHistory(user_id, u, sessions[first[u]:cut]))
+        test.append(UserHistory(user_id, u, sessions[cut:first[u + 1]]))
+    return train, test
+
+
+def random_split(rng, num_items: int = 7) -> DatasetSplit:
+    """A small split of odd shapes: users whose first session is a test
+    session, masked split halves, single-item sessions, and a user whose
+    test part holds no unmasked gap."""
+    train, test = [], []
+    for u in range(int(rng.integers(4, 8))):
+        n = int(rng.integers(1, 9))
+        sessions, t = [], 0.0
+        for j in range(n):
+            masked = bool(j and rng.random() < 0.25)
+            gap = 0.0 if masked or not j else float(rng.exponential(2 * SECONDS_PER_DAY))
+            length = int(rng.integers(1, 5))
+            start = t + gap
+            sessions.append(Session(items=rng.integers(num_items, size=length).tolist(),
+                                    start_time=start, end_time=start + 60.0 * (length - 1),
+                                    gap_before=gap, gap_masked=masked))
+            t = sessions[-1].end_time
+        cut = 0 if u == 0 else n - 1 if u == 1 else int(rng.integers(0, n + 1))
+        if u == 1:  # a test part without an unmasked gap
+            sessions[-1].gap_masked, sessions[-1].gap_before = n > 1, 0.0
+        if u == 2:  # a single-item session
+            sessions[0].items = sessions[0].items[:1]
+        train.append(UserHistory(f"u{u}", u, sessions[:cut]))
+        test.append(UserHistory(f"u{u}", u, sessions[cut:]))
+    return split_from_histories(train, test, num_items)
+
+
+# The example builder and the baselines as they read per-session objects,
+# before the split became one table. They differ from that code in one
+# rule only: a user's first session is never a return-time event, which
+# test_part_starts_a_timeline in test_evaluation pins.
+
+
+@dataclass
+class TrainingExample:
+    user_index: int
+    slot: int  # position in the user's train timeline
+    row: int  # its session's row in the history table; history is the rows before
+    inputs: np.ndarray  # items[:-1], consumed step by step
+    targets: np.ndarray  # items[1:], one label per consumed step
+    gap_target: float  # model time units (seconds / time_unit)
+    time_masked: bool
+
+
+def build_examples(split: DatasetSplit, cfg) -> list[TrainingExample]:
+    """One example per usable train session. Its history window is the
+    table rows row - min(slot, max_session_reps) .. row - 1, which the
+    per-epoch refresh fills."""
+    examples, row = [], 0
+    for hist in histories(split)[0]:
+        for j, s in enumerate(hist.sessions):
+            # no predecessor (slot 0) and split-session halves carry a
+            # meaningless zero gap: mask the time loss for both
+            time_masked = s.gap_masked or j == 0
+            if time_masked and len(s.items) < 2:
+                continue  # neither loss has a target here
+            examples.append(TrainingExample(
+                user_index=hist.user_index, slot=j, row=row + j,
+                inputs=np.asarray(s.items[:-1], dtype=np.int64),
+                targets=np.asarray(s.items[1:], dtype=np.int64),
+                gap_target=s.gap_before / cfg.time_unit,
+                time_masked=time_masked))
+        row += len(hist.sessions)
+    if not examples:
+        raise ValueError("train split yields no usable examples")
+    return examples
+
+
+def examples_of(examples: list[TrainingExample]) -> Examples:
+    """The column form of object examples. A session without inputs
+    has one item, which nothing reads; it becomes item 0."""
+    items, offset = [], []
+    for ex in examples:
+        offset.append(len(items))
+        items += [*ex.inputs, ex.targets[-1]] if len(ex.inputs) else [0]
+    return Examples(
+        row=np.array([ex.row for ex in examples], dtype=np.int64),
+        slot=np.array([ex.slot for ex in examples], dtype=np.int64),
+        user=np.array([ex.user_index for ex in examples], dtype=np.int64),
+        offset=np.array(offset, dtype=np.int64),
+        length=np.array([len(ex.inputs) + 1 for ex in examples], dtype=np.int64),
+        gap=np.array([ex.gap_target for ex in examples], dtype=np.float64),
+        time_masked=np.array([ex.time_masked for ex in examples], dtype=bool),
+        items=np.array(items, dtype=np.int64))
+
+
+def example_objects(examples: Examples, index=None) -> list[TrainingExample]:
+    """The examples at `index` (default all) as objects."""
+    out = []
+    for i in range(len(examples)) if index is None else index:
+        lo, n = examples.offset[i], examples.length[i]
+        out.append(TrainingExample(
+            user_index=int(examples.user[i]), slot=int(examples.slot[i]),
+            row=int(examples.row[i]), inputs=examples.items[lo:lo + n - 1],
+            targets=examples.items[lo + 1:lo + n], gap_target=float(examples.gap[i]),
+            time_masked=bool(examples.time_masked[i])))
+    return out
+
+
+def iter_test_gaps(split: DatasetSplit):
+    """Yield (user_index, target gap seconds, prior event times seconds,
+    train gaps seconds) for every unmasked test-session gap, teacher-forced:
+    history grows with each test session consumed.
+
+    Event times are session starts of real sittings; the second half of a
+    length-split session is the same sitting, so it never becomes an event.
+    """
+    for tr, te in zip(*histories(split)):
+        events, train_gaps = _train_events(tr)
+        for i, s in enumerate(te.sessions):
+            if not s.gap_masked:
+                if tr.sessions or i:  # a user's first session has no gap
+                    yield tr.user_index, s.gap_before, list(events), train_gaps
+                events.append(s.start_time)
+
+
+def _train_events(tr) -> tuple[list[float], list[float]]:
+    """One user's train event times and the gaps between them, in seconds."""
+    gaps = [s.gap_before for s in tr.sessions[1:] if not s.gap_masked]
+    return [s.start_time for s in tr.sessions if not s.gap_masked], gaps
+
+
+def mean_gap_report(split: DatasetSplit) -> EvalReport:
+    """Constant predictor: each user's mean train gap (global mean fallback)."""
+    all_train = [s.gap_before for u in histories(split)[0]
+                 for s in u.sessions[1:] if not s.gap_masked]
+    global_mean = float(np.mean(all_train)) if all_train else 0.0
+    preds, targets = [], []
+    for _, gap, _, train_gaps in iter_test_gaps(split):
+        preds.append(float(np.mean(train_gaps)) if train_gaps else global_mean)
+        targets.append(gap)
+    return build_report("mean_gap", [], preds, targets)
+
+
+def popularity_report(split: DatasetSplit) -> EvalReport:
+    """Static ranking by train-set frequency, scored on every test step."""
+    train, test = histories(split)
+    counts = np.bincount(np.array([it for u in train for s in u.sessions for it in s.items],
+                                  dtype=np.int64), minlength=split.num_items)
+    targets = [it for u in test for s in u.sessions for it in s.items[1:]]
+    # rank_of_target's rule for every target at once: 1 + the count of larger counts
+    ranks = 1 + counts.size - np.searchsorted(np.sort(counts), counts[targets], side="right")
+    return build_report("popularity", ranks, [], [])
+
+
+def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig,
+                  time_unit: float = SECONDS_PER_DAY) -> EvalReport:
+    """Hawkes fits on the train events of every user with a test gap, all in
+    one batched call; predictions teacher-forced over the test walk."""
+    all_train = [s.gap_before for u in histories(split)[0]
+                 for s in u.sessions[1:] if not s.gap_masked]
+    global_rate = time_unit / float(np.mean(all_train)) if all_train else 1.0
+    gaps = list(iter_test_gaps(split))
+    users, histories_, rates = [], [], []
+    for tr, te in zip(*histories(split)):
+        if any(row[0] == tr.user_index for row in gaps):
+            events, train_gaps = _train_events(tr)
+            users.append(tr.user_index)
+            histories_.append(np.asarray(events, dtype=np.float64) / time_unit)
+            rates.append(time_unit / float(np.mean(train_gaps)) if train_gaps
+                         else global_rate)
+    params_by_user = dict(zip(users, fit(histories_, cfg, rates)))
+    preds, targets = [], []
+    for user, gap, events, _ in gaps:
+        history = np.asarray(events, dtype=np.float64) / time_unit
+        preds.append(hawkes_predict_next(history, params_by_user[user], q) * time_unit)
+        targets.append(gap)
+    name = "hawkes_short" if cfg.window == "last_k" else "hawkes_long"
+    return build_report(name, [], preds, targets)

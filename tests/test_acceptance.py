@@ -25,8 +25,7 @@ from thrnn.data import (PreprocessConfig, Session, UserHistory, preprocess,
 from thrnn.evaluation import (hawkes_report, mean_gap_report,
                               popularity_report, recall_at_k)
 from thrnn.hawkes import FitConfig, HawkesParams, fit, hawkes_predict_next
-from thrnn.model import (ModelConfig, ModelParams, TrainingExample,
-                         evaluate, predict, train)
+from thrnn.model import ModelConfig, ModelParams, evaluate, predict, train
 
 import oracles
 
@@ -54,7 +53,7 @@ def _example(rng, cfg, rows, n_hist, n_items, gap, user):
     rows[0].append(np.zeros(cfg.hidden_dim))
     rows[1].append(0)
     items = rng.integers(cfg.num_items, size=n_items + 1)
-    return TrainingExample(user_index=user, slot=n_hist, row=len(rows[0]) - 1,
+    return oracles.TrainingExample(user_index=user, slot=n_hist, row=len(rows[0]) - 1,
                            inputs=items[:-1].astype(np.int64),
                            targets=items[1:].astype(np.int64),
                            gap_target=gap, time_masked=False)
@@ -82,18 +81,19 @@ def test_criterion_1_gradients_match_finite_differences():
     params = _rand_params(cfg, seed=8)
     rng = np.random.default_rng(9)
     rows = ([], [])
-    batch = [_example(rng, cfg, rows, n_hist=2, n_items=3, gap=1.7, user=0),
-             _example(rng, cfg, rows, n_hist=2, n_items=2, gap=0.6, user=1)]
+    batch = (oracles.examples_of([
+        _example(rng, cfg, rows, n_hist=2, n_items=3, gap=1.7, user=0),
+        _example(rng, cfg, rows, n_hist=2, n_items=2, gap=0.6, user=1)]), np.arange(2))
     table = (np.array(rows[0]), np.array(rows[1], dtype=np.int64))
 
     def loss_value():
         tape = Tape()
-        loss, *_ = md._forward_batch(tape, params, cfg, batch,
+        loss, *_ = md._forward_batch(tape, params, cfg, *batch,
                                      np.random.default_rng(0), table)
         return float(loss.value)
 
     tape = Tape()
-    loss, *_ = md._forward_batch(tape, params, cfg, batch,
+    loss, *_ = md._forward_batch(tape, params, cfg, *batch,
                                  np.random.default_rng(0), table)
     for t in params.named().values():
         t.zero_grad()

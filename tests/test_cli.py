@@ -17,7 +17,7 @@ from thrnn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from thrnn.cli import _history_from_file, main
 from thrnn.data import load_split
 
-from oracles import load_report
+from oracles import histories, load_report
 
 TINY_FLAGS = ["--hidden-dim", "12", "--item-embedding-dim", "6",
               "--user-embedding-dim", "3", "--gap-embedding-dim", "2",
@@ -315,15 +315,25 @@ class TestTrain:
          "header has no field 'num_items'"),
         (2, lambda o: {**o, "train": [5] + o["train"][1:]}, "train session 0 is 5, not an object"),
         (2, lambda o: 5, "user record 0 is 5, not an object"),
+        # a string once reached the item range check and crashed with a TypeError
+        (0, lambda o: {**o, "num_items": str(o["num_items"])},
+         "header field 'num_items' is '10', not a positive integer"),
+        (1, lambda o: {**o, "items": o["items"][:4]},
+         "field 'items' of the vocabulary line holds 4 ids, but header field 'num_items' is 10"),
+        (1, lambda o: {**o, "items": [o["items"][1]] + o["items"][1:]},
+         "field 'items' of the vocabulary line holds 'i0001' twice"),
+        (3, lambda o: "{", "line 4 is not JSON"),
     ])
     def test_malformed_split_line_exits_2(self, ws, tmp_path, capsys, line, edit, message):
         lines = (ws / "corpus.split").read_text().splitlines()
-        lines[line] = json.dumps(edit(json.loads(lines[line])))
+        new = edit(json.loads(lines[line]))
+        lines[line] = new if isinstance(new, str) else json.dumps(new)
         (tmp_path / "bad.split").write_text("\n".join(lines) + "\n")
         rc = main(["train", "--split", str(tmp_path / "bad.split"),
                    "--out", str(tmp_path / "x.ckpt"), "--epochs", "1", *TINY_FLAGS])
         assert rc == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not (tmp_path / "x.ckpt").exists()
 
     def test_invalid_config_fails_before_reading_split(self, tmp_path, capsys):
@@ -440,11 +450,11 @@ class TestEvaluate:
         assert (out_dir / "mean_gap.plot.dat").read_text().startswith("#")
 
     def test_mean_gap_mae_matches_hand_computation(self, ws, tmp_path, capsys):
-        split = load_split(str(ws / "corpus.split"))
-        all_train = [s.gap_before for u in split.train
+        train, test = histories(load_split(str(ws / "corpus.split")))
+        all_train = [s.gap_before for u in train
                      for s in u.sessions[1:] if not s.gap_masked]
         preds, targets = [], []
-        for tr, te in zip(split.train, split.test):
+        for tr, te in zip(train, test):
             gaps = [s.gap_before for s in tr.sessions[1:] if not s.gap_masked]
             pred = float(np.mean(gaps)) if gaps else float(np.mean(all_train))
             for s in te.sessions:

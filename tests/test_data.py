@@ -3,6 +3,7 @@ splitting, bucketing, adapters, the split file round trip, and the
 columnar pipeline against the per-row chain in oracles."""
 
 import csv
+import hashlib
 import json
 import os
 import tempfile
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thrnn import data as D
+from thrnn import synthetic as sy
+from thrnn.model import ModelConfig
 
 import oracles
 
@@ -43,7 +46,7 @@ class TestSessionize:
 
     def test_single_interaction(self):
         (s,) = _sessions([42], gap_threshold=10)
-        assert s.start_time == s.end_time == 42 and len(s) == 1
+        assert s.start_time == s.end_time == 42 and len(s.items) == 1
 
     def test_empty_ok(self):
         assert _sessions([], gap_threshold=10) == []
@@ -62,9 +65,9 @@ class TestSessionize:
             assert b.start_time - a.end_time > threshold
         pos = 0
         for s in sessions:
-            diffs = np.diff(ts[pos:pos + len(s)])
+            diffs = np.diff(ts[pos:pos + len(s.items)])
             assert np.all(diffs <= threshold)
-            pos += len(s)
+            pos += len(s.items)
 
 
 class TestCollapseRepeats:
@@ -76,7 +79,7 @@ class TestCollapseRepeats:
     def test_examples(self, items, want):
         (out,) = _sessions(list(range(len(items))), items, gap_threshold=10)
         assert out.items == want
-        assert len(out) == len(want)
+        assert len(out.items) == len(want)
         # the session keeps its pre-collapse end
         assert (out.start_time, out.end_time) == (0, len(items) - 1)
 
@@ -96,11 +99,11 @@ class TestEnforceLength:
 
     def test_at_max_unchanged(self):
         out = self._sessions(20)
-        assert len(out) == 1 and len(out[0]) == 20
+        assert len(out) == 1 and len(out[0].items) == 20
 
     def test_split_in_two(self):
         out = self._sessions(25)
-        assert [len(s) for s in out] == [20, 5]
+        assert [len(s.items) for s in out] == [20, 5]
         first, second = out
         assert first.gap_before == 77.0 and not first.gap_masked
         assert second.gap_before == 0.0 and second.gap_masked
@@ -111,7 +114,7 @@ class TestEnforceLength:
         out = self._sessions(41)
         assert out == []
         out2 = self._sessions(40)
-        assert [len(s) for s in out2] == [20, 20]
+        assert [len(s.items) for s in out2] == [20, 20]
 
     def test_split_halves_end_at_kept_items(self):
         # a trailing repeat at t=9: the unsplit session ends at 9, the
@@ -133,7 +136,7 @@ class TestGapsAndHistories:
         # one sitting of 5 distinct items -> split 3 + 2, then a later session
         sessions = _sessions([0, 1, 2, 3, 4, 1000], list("ABCDEA"),
                              gap_threshold=100, max_session_length=3)
-        assert [len(s) for s in sessions] == [3, 2, 1]
+        assert [len(s.items) for s in sessions] == [3, 2, 1]
         assert sessions[1].gap_masked and sessions[1].gap_before == 0.0
         assert sessions[2].gap_before == 1000.0 - 4.0
 
@@ -170,35 +173,37 @@ class TestSplitTrainTest:
                              train_fraction, min_sessions)
 
     def test_eighty_twenty(self):
-        split = self._split([("u", 10, "ab")])
-        assert len(split.train[0].sessions) == 8
-        assert len(split.test[0].sessions) == 2
+        train, test = oracles.histories(self._split([("u", 10, "ab")]))
+        assert len(train[0].sessions) == 8
+        assert len(test[0].sessions) == 2
 
     def test_min_sessions_filter(self):
         split = self._split([("a", 2, "ab"), ("b", 5, "ab")], min_sessions=3)
-        assert split.num_users == 1 and split.train[0].user_id == "b"
+        assert split.num_users == 1 and oracles.histories(split)[0][0].user_id == "b"
         with pytest.raises(ValueError, match="no users left"):
             self._split([("a", 2, "ab")], min_sessions=3)
 
     def test_chronology_and_alignment(self):
         split = self._split([("u", 7, "ab"), ("v", 4, "ab")])
-        for tr, te in zip(split.train, split.test):
+        for tr, te in zip(*oracles.histories(split)):
             assert tr.user_id == te.user_id and tr.user_index == te.user_index
             assert max(s.start_time for s in tr.sessions) <= min(s.start_time for s in te.sessions)
             assert len(tr.sessions) + len(te.sessions) in (7, 4)
 
     def test_vocabulary_dense_and_applied(self):
         split = self._split([("u", 4, "qzq")])
-        assert set(split.item_vocabulary.values()) == set(range(split.num_items))
-        for s in split.train[0].sessions + split.test[0].sessions:
+        assert len(set(split.item_ids)) == split.num_items
+        train, test = oracles.histories(split)
+        for s in train[0].sessions + test[0].sessions:
             assert all(isinstance(i, int) and 0 <= i < split.num_items for i in s.items)
 
     def test_users_and_vocabulary_sorted_by_id_of_kept_users(self):
         # codes number ids out of order; "w" and its item "c" fall under min_sessions
         split = self._split([("v", 3, "zb"), ("w", 1, "c"), ("u", 3, "a")])
-        assert [u.user_id for u in split.train] == ["u", "v"]
-        assert split.item_vocabulary == {"a": 0, "b": 1, "z": 2}
-        assert split.test[1].sessions[0].items == [2, 1]
+        train, test = oracles.histories(split)
+        assert [u.user_id for u in train] == ["u", "v"]
+        assert split.item_ids == ["a", "b", "z"]
+        assert test[1].sessions[0].items == [2, 1]
 
 
 @st.composite
@@ -264,37 +269,42 @@ class TestColumnarMatchesRowChain:
             D.preprocess(D.InteractionLog([], [], []), D.PreprocessConfig())
 
 
-class TestGapBucketizer:
+class TestGapBuckets:
+    def _cfg(self, bound=86400, buckets=24, scheme="uniform"):
+        return ModelConfig(num_items=2, num_users=1, gap_bucket_bound=bound,
+                           num_gap_buckets=buckets, gap_bucket_scheme=scheme)
+
     def test_frozen_examples(self):
-        b = D.GapBucketizer(upper_bound=86400, num_buckets=24)
-        assert b.bucket(19800) == 5
-        assert b.bucket(200000) == 23
-        assert b.bucket(0) == 0
+        cfg = self._cfg()
+        assert cfg.gap_buckets(19800) == 5
+        assert cfg.gap_buckets(200000) == 23
+        assert cfg.gap_buckets(0) == 0
+        assert cfg.gap_buckets([0, 19800, 200000]).tolist() == [0, 5, 23]
 
     def test_log_scheme(self):
-        b = D.GapBucketizer(upper_bound=86400, num_buckets=10, scheme="log")
-        assert b.bucket(0) == 0
-        assert b.bucket(86400) == 9
+        b = self._cfg(buckets=10, scheme="log")
+        assert b.gap_buckets(0) == 0
+        assert b.gap_buckets(86400) == 9
         # log scheme spreads small gaps across more buckets than uniform
-        u = D.GapBucketizer(upper_bound=86400, num_buckets=10)
-        assert b.bucket(600) > u.bucket(600)
+        u = self._cfg(buckets=10)
+        assert b.gap_buckets(600) > u.gap_buckets(600)
 
     @given(st.floats(min_value=0, max_value=1e7), st.floats(min_value=0, max_value=1e7),
            st.sampled_from(["uniform", "log"]))
     @settings(max_examples=200, deadline=None)
     def test_monotone(self, g1, g2, scheme):
-        b = D.GapBucketizer(upper_bound=86400, num_buckets=17, scheme=scheme)
+        b = self._cfg(buckets=17, scheme=scheme)
         lo, hi = sorted((g1, g2))
-        assert b.bucket(lo) <= b.bucket(hi)
-        assert 0 <= b.bucket(lo) < 17
+        assert b.gap_buckets(lo) <= b.gap_buckets(hi)
+        assert 0 <= b.gap_buckets(lo) < 17
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            D.GapBucketizer(upper_bound=0, num_buckets=4)
+            self._cfg(bound=0)
         with pytest.raises(ValueError):
-            D.GapBucketizer(upper_bound=10, num_buckets=4, scheme="quadratic")
+            self._cfg(scheme="quadratic")
         with pytest.raises(ValueError):
-            D.GapBucketizer(upper_bound=10, num_buckets=4).bucket(-1.0)
+            self._cfg().gap_buckets(-1.0)
 
 
 class TestAdapters:
@@ -387,8 +397,8 @@ class TestSplitFile:
         D.save_split(split, str(p))
         back = D.load_split(str(p))
         assert back.num_items == split.num_items and back.num_users == split.num_users
-        assert back.item_vocabulary == split.item_vocabulary
-        for a, b in zip(split.train + split.test, back.train + back.test):
+        assert back.item_ids == split.item_ids
+        for a, b in zip(sum(oracles.histories(split), []), sum(oracles.histories(back), [])):
             assert a.user_id == b.user_id and a.user_index == b.user_index
             for sa, sb in zip(a.sessions, b.sessions):
                 assert sa.items == sb.items and sa.gap_before == sb.gap_before
@@ -505,6 +515,38 @@ class TestSplitFile:
         with pytest.raises(D.IngestError, match=r"bad\.jsonl: " + message):
             D.load_split(str(p))
 
+    @pytest.mark.parametrize("line, edit, message", [
+        (0, lambda o: {**o, "num_items": str(o["num_items"])},
+         r"header field 'num_items' is '\d+', not a positive integer"),
+        (0, lambda o: {**o, "num_items": True}, r"header field 'num_items' is True, not a"),
+        (0, lambda o: {**o, "num_users": 0}, r"header field 'num_users' is 0, not a positive"),
+        (1, lambda o: {**o, "items": o["items"][:3]},
+         r"field 'items' of the vocabulary line holds 3 ids, but header field 'num_items' "
+         r"is \d+"),
+        (1, lambda o: {**o, "items": o["items"][:1] + o["items"][:-1]},
+         r"field 'items' of the vocabulary line holds 'item\d' twice"),
+        (1, lambda o: {**o, "items": [5] + o["items"][1:]},
+         r"field 'items' of the vocabulary line holds 5, not a string"),
+    ])
+    def test_malformed_header_or_vocabulary_rejected(self, tmp_path, line, edit, message):
+        p = tmp_path / "bad.jsonl"
+        D.save_split(self._split(), str(p))
+        lines = p.read_text().splitlines()
+        lines[line] = json.dumps(edit(json.loads(lines[line])))
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(D.IngestError, match=r"bad\.jsonl: " + message):
+            D.load_split(str(p))
+
+    @pytest.mark.parametrize("line", [0, 1, 3])
+    def test_line_not_json_rejected_with_its_number(self, tmp_path, line):
+        p = tmp_path / "bad.jsonl"
+        D.save_split(self._split(), str(p))
+        lines = p.read_text().splitlines()
+        lines[line] = lines[line][:-1]
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(D.IngestError, match=rf"bad\.jsonl: line {line + 1} is not JSON"):
+            D.load_split(str(p))
+
     def test_header_not_an_object_rejected(self, tmp_path):
         p = tmp_path / "bad.jsonl"
         p.write_text("[1, 2]\n")
@@ -546,3 +588,37 @@ def test_raw_interaction_validation(tmp_path):
     rows, rep = D.read_reddit_csv(str(p))
     assert (len(rows), rep.rows_bad) == (300, 3)
     assert rep.bad_examples == [",i,0", "u,,0", "u,i,-5.0"]
+
+
+class TestSplitBytesPinned:
+    """save_split's bytes, pinned at the digests the per-session object
+    code wrote for the same inputs."""
+
+    def _digest(self, split, tmp_path):
+        D.save_split(split, str(tmp_path / "pinned.split"))
+        return hashlib.sha256((tmp_path / "pinned.split").read_bytes()).hexdigest()
+
+    def test_synth_spec(self, tmp_path):
+        # the spec of the installed-CLI check in CI
+        spec = sy.SynthSpec(num_users=6, sessions_per_user=6,
+                            item_transition=np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5],
+                                                      [0.5, 0.5, 0.0]]),
+                            gap_mixture=[(1.0, 1.0)], session_length=(2, 4))
+        assert self._digest(sy.generate_corpus(spec, seed=0), tmp_path) == (
+            "b5ab0bf9c140457a41d11d4cdae7ccfbecc411680b9b2236e350416ffc9f3f57")
+
+    def test_reddit_csv(self, tmp_path):
+        # seven users over 400 comments, plus one sitting of six with a
+        # repeat that the length cap of 3 splits into two halves
+        rows = ["author,subreddit,created_utc\n"]
+        rows += [f"user{k % 7},sub{(k * k) % 13},{1_400_000_000 + 500 * k + (k % 11) * 3000}\n"
+                 for k in range(400)]
+        rows += [f"user2,sub{k // 2 if k < 2 else k},{1_399_000_000 + 10 * k}\n"
+                 for k in range(6)]
+        (tmp_path / "c.csv").write_text("".join(rows))
+        log, _ = D.read_reddit_csv(str(tmp_path / "c.csv"))
+        split = D.preprocess(log, D.PreprocessConfig(gap_threshold=1800, max_session_length=3,
+                                                     train_fraction=0.5, min_sessions=3))
+        assert split.sessions.masked.any()
+        assert self._digest(split, tmp_path) == (
+            "10f905ed821272b5be017ba3d7e56cc03f519b568eb0d377052b7b35a0bcbc0f")

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thrnn import evaluation as ev
-from thrnn.data import DatasetSplit, Session, UserHistory
+from thrnn import model as md
+from thrnn import synthetic as sy
+from thrnn.data import Session, UserHistory
 from thrnn.hawkes import FitConfig
 from thrnn.point_process import QuadratureConfig
 
@@ -158,7 +160,7 @@ def _history(uid, idx, gaps_days, items=(0, 1, 2), t0=0.0):
     return sessions
 
 
-def _mk_split(user_specs):
+def _mk_histories(user_specs):
     """user_specs: list of (train_gaps_days, test_gaps_days)."""
     train, test = [], []
     for i, (tr_gaps, te_gaps) in enumerate(user_specs):
@@ -166,10 +168,11 @@ def _mk_split(user_specs):
         n_train = len(tr_gaps) + 1
         train.append(UserHistory(f"u{i}", i, sessions[:n_train]))
         test.append(UserHistory(f"u{i}", i, sessions[n_train:]))
-    n_items = 3
-    return DatasetSplit(train=train, test=test,
-                        item_vocabulary={f"i{k}": k for k in range(n_items)},
-                        num_items=n_items, num_users=len(user_specs))
+    return train, test
+
+
+def _mk_split(user_specs):
+    return oracles.split_from_histories(*_mk_histories(user_specs), [f"i{k}" for k in range(3)])
 
 
 class TestBaselines:
@@ -186,9 +189,10 @@ class TestBaselines:
         assert report.overall_mae_days == pytest.approx(0.5)  # (1 + 0) / 2
 
     def test_popularity_ranks(self):
-        split = _mk_split([((1.0,), (1.0,))])
+        train, test = _mk_histories([((1.0,), (1.0,))])
         # train items per session are (0,1,2) twice -> equal counts; make 1 dominant
-        split.train[0].sessions[0].items = [1, 0, 1, 2, 1]
+        train[0].sessions[0].items = [1, 0, 1, 2, 1]
+        split = oracles.split_from_histories(train, test, 3)
         report = ev.popularity_report(split)
         # test session (0,1,2): targets 1 then 2; counts are {0: 1, 1: 3, 2: 1},
         # so target 1 ranks first and target 2 ranks second (tie with item 0
@@ -199,18 +203,20 @@ class TestBaselines:
 
     def test_iter_test_gaps_teacher_forcing(self):
         split = _mk_split([((1.0, 2.0), (3.0, 4.0))])
-        rows = list(ev.iter_test_gaps(split))
+        rows = list(oracles.iter_test_gaps(split))
         assert len(rows) == 2
         assert rows[0][1] == pytest.approx(3.0 * DAY)
         assert len(rows[0][2]) == 3  # three train events before first test session
         assert len(rows[1][2]) == 4  # previous test session joined the history
 
     def test_iter_test_gaps_skips_masked(self):
-        split = _mk_split([((1.0, 1.0), (2.0, 3.0))])
-        split.test[0].sessions[1].gap_masked = True
-        split.test[0].sessions[1].gap_before = 0.0
-        rows = list(ev.iter_test_gaps(split))
+        train, test = _mk_histories([((1.0, 1.0), (2.0, 3.0))])
+        test[0].sessions[1].gap_masked = True
+        test[0].sessions[1].gap_before = 0.0
+        split = oracles.split_from_histories(train, test, 3)
+        rows = list(oracles.iter_test_gaps(split))
         assert len(rows) == 1
+        assert ev.mean_gap_report(split).num_gap_events == 1
 
     def test_hawkes_report_runs(self):
         split = _mk_split([((1.0, 1.0, 2.0, 1.5), (1.0, 2.0)),
@@ -228,3 +234,47 @@ class TestBaselines:
         report = ev.hawkes_report(split, FitConfig(), q)
         assert report.num_gap_events == 2
         assert np.isfinite(report.overall_mae_days)
+
+
+class TestColumnsMatchObjects:
+    """The baselines read the split's columns; oracles keeps the versions
+    that walked per-session objects."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_reports_match_object_reference(self, seed):
+        split = oracles.random_split(np.random.default_rng(seed))
+        q = QuadratureConfig(cutoff=60.0)
+        assert ev.mean_gap_report(split) == oracles.mean_gap_report(split)
+        assert ev.popularity_report(split) == oracles.popularity_report(split)
+        for cfg in (FitConfig(window="last_k", last_k=3), FitConfig()):
+            assert ev.hawkes_report(split, cfg, q) == oracles.hawkes_report(split, cfg, q)
+
+    def test_random_splits_hold_the_odd_shapes(self):
+        splits = [oracles.random_split(np.random.default_rng(seed)) for seed in range(12)]
+        for split in splits:
+            train, test = oracles.histories(split)
+            assert not train[0].sessions  # a timeline that starts in test
+            assert all(gap[0] != 1 for gap in oracles.iter_test_gaps(split))  # no test gap
+            assert any(len(s.items) == 1 for s in train[2].sessions + test[2].sessions)
+        # masked split halves in the test part
+        assert sum((split.sessions.masked & ~split.is_train()).any() for split in splits) >= 6
+
+
+class TestFirstSessionIsNoGapEvent:
+    def test_part_starts_a_timeline(self):
+        # train_fraction 0.1 leaves every 5-session user without a train
+        # session: 250 test sessions, of which 50 begin a timeline and have
+        # no gap to predict
+        spec = sy.SynthSpec(num_users=50, sessions_per_user=5,
+                            item_transition=np.full((4, 4), 1 / 3) - np.eye(4) / 3,
+                            gap_mixture=[(1.0, 1.0)], train_fraction=0.1)
+        split = sy.generate_corpus(spec, seed=0)
+        assert not split.train_counts.any()
+        q = QuadratureConfig(cutoff=60.0)
+        assert ev.mean_gap_report(split).num_gap_events == 200
+        assert ev.hawkes_report(split, FitConfig(), q).num_gap_events == 200
+        cfg = md.ModelConfig(num_items=split.num_items, num_users=split.num_users,
+                             hidden_dim=4, item_embedding_dim=3, user_embedding_dim=2,
+                             gap_embedding_dim=2)
+        report = md.evaluate(md.ModelParams.init(cfg, 0), cfg, split)
+        assert report.num_gap_events == 200

@@ -12,12 +12,14 @@ from thrnn import model as md
 from thrnn import point_process as pp
 from thrnn import synthetic as sy
 from thrnn.autodiff import Tape, gru_cell_np
-from thrnn.data import DatasetSplit, Session, UserHistory
+from thrnn.data import Session, UserHistory
 from thrnn.evaluation import mean_gap_report
 from thrnn.model import (ModelConfig, ModelParams, TrainingDivergedError,
-                         TrainingExample, build_examples, evaluate, predict, train)
+                         build_examples, evaluate, predict, train)
 
-from oracles import fd_gradient, log_density_from_s, rel_error
+import oracles
+from oracles import (TrainingExample, fd_gradient, log_density_from_s, rel_error,
+                     session_table)
 
 DAY = 86400.0
 
@@ -65,14 +67,16 @@ def _example(rng, cfg, n_hist, n_items, time_masked=False, gap=1.3, user=0):
 
 
 def _stack(cfg, parts):
-    """(batch, history table) for (example, history) parts: each example's
-    history rows, then its own row, which nothing reads."""
+    """((examples, batch index), history table) for (example, history)
+    parts: each example's history rows, then its own row, which nothing
+    reads."""
     batch, states, buckets = [], [], []
     for ex, hist in parts:
         states += [st for st, _ in hist] + [np.zeros(cfg.hidden_dim)]
         buckets += [b for _, b in hist] + [0]
         batch.append(dataclasses.replace(ex, row=len(states) - 1))
-    return batch, (np.array(states), np.array(buckets, dtype=np.int64))
+    return ((oracles.examples_of(batch), np.arange(len(batch))),
+            (np.array(states), np.array(buckets, dtype=np.int64)))
 
 
 def _sessions(rng, cfg, lengths, gap=5000.0):
@@ -100,7 +104,7 @@ def _step_scores(params, cfg, sessions, j, user=0):
 def _batch_losses(params, cfg, parts):
     """(joint loss, time nll, rec nll) as _forward_batch reports them."""
     batch, table = _stack(cfg, parts)
-    loss, l_time, l_rec, _, _ = md._forward_batch(Tape(), params, cfg, batch,
+    loss, l_time, l_rec, _, _ = md._forward_batch(Tape(), params, cfg, *batch,
                                                   np.random.default_rng(0), table)
     return float(loss.value), l_time, l_rec
 
@@ -155,23 +159,39 @@ class TestBuildExamples:
         ]
         test = [Session(items=[1, 0], start_time=300000.0, end_time=300030.0,
                         gap_before=DAY)]
-        return DatasetSplit(train=[UserHistory("u0", 0, sessions)],
-                            test=[UserHistory("u0", 0, test)],
-                            item_vocabulary={"a": 0, "b": 1, "c": 2},
-                            num_items=3, num_users=1)
+        return [UserHistory("u0", 0, sessions)], [UserHistory("u0", 0, test)]
 
     def test_masking_and_targets(self):
         cfg = _cfg(num_items=3, num_users=1)
-        exs = build_examples(self._split(), cfg)
+        exs = oracles.example_objects(build_examples(
+            oracles.split_from_histories(*self._split(), ["a", "b", "c"]), cfg))
         assert [e.slot for e in exs] == [0, 1, 2]  # masked single-item session dropped
         assert exs[0].time_masked  # no predecessor
         assert not exs[1].time_masked and exs[1].gap_target == pytest.approx(1.0)
         assert list(exs[1].inputs) == [1, 2] and list(exs[1].targets) == [2, 0]
         assert len(exs[2].inputs) == 0  # single item: return-time signal only
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_columns_match_object_reference(self, seed):
+        split = oracles.random_split(np.random.default_rng(seed))
+        cfg = _cfg(num_items=split.num_items, num_users=split.num_users, time_unit=3600.0)
+        try:
+            want = oracles.build_examples(split, cfg)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)):
+                build_examples(split, cfg)
+            return
+        got = oracles.example_objects(build_examples(split, cfg))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.user_index, g.slot, g.row, g.gap_target, g.time_masked) == \
+                (w.user_index, w.slot, w.row, w.gap_target, w.time_masked)
+            assert np.array_equal(g.inputs, w.inputs) and np.array_equal(g.targets, w.targets)
+
     def test_empty_split_rejected(self):
-        split = self._split()
-        split.train[0].sessions = [Session(items=[0], start_time=0, end_time=0)]
+        train, test = self._split()
+        train[0].sessions = [Session(items=[0], start_time=0, end_time=0)]
+        split = oracles.split_from_histories(train, test, ["a", "b", "c"])
         with pytest.raises(ValueError, match="usable"):
             build_examples(split, _cfg(num_items=3, num_users=1))
 
@@ -181,7 +201,7 @@ class TestForward:
         cfg = _cfg()
         params = _rand_params(cfg)
         sessions = _sessions(np.random.default_rng(0), cfg, [2])
-        _, _, h_before, _ = md._hierarchy_walk(params, cfg, [sessions], [0])
+        _, _, h_before, _ = md._hierarchy_walk(params, cfg, session_table([sessions], [0]))
         assert np.all(h_before[0] == 0.0)
         assert _step_scores(params, cfg, sessions, 0).shape == (1, cfg.num_items)
 
@@ -189,7 +209,8 @@ class TestForward:
         cfg = _cfg(max_session_reps=15)
         params = _rand_params(cfg)
         sessions = _sessions(np.random.default_rng(1), cfg, [2] * 20 + [3])
-        intra_states, buckets, h_before, _ = md._hierarchy_walk(params, cfg, [sessions], [0])
+        intra_states, buckets, h_before, _ = md._hierarchy_walk(
+            params, cfg, session_table([sessions], [0]))
 
         def unroll(slots):
             h = np.zeros((1, cfg.hidden_dim))
@@ -219,7 +240,7 @@ class TestForward:
         cfg = _cfg(num_items=2, item_embedding_dim=2)
         params = _rand_params(cfg, seed=3)
         sessions = _sessions(np.random.default_rng(4), cfg, [2, 3, 4])
-        bucket = cfg.bucketizer().bucket
+        bucket = cfg.gap_buckets
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -262,7 +283,7 @@ class TestForward:
         rng = np.random.default_rng(7)
         counts = [0, 1, 7, 12, 4]
         lists = [_sessions(rng, cfg, rng.integers(1, 5, size=n)) for n in counts]
-        bucket = cfg.bucketizer().bucket
+        bucket = cfg.gap_buckets
         refs = []
         for u, sessions in enumerate(lists):
             ref_h, ref_intra, reps_seen = [], [], []
@@ -288,12 +309,18 @@ class TestForward:
             return gru_cell_np(x, h, w, xw)
 
         monkeypatch.setattr(md, "gru_cell_np", counted)
-        intra_states, _, h_before, _ = md._hierarchy_walk(params, cfg, lists, list(range(5)))
-        # user u's slots are intra rows base[u] .. and h_before rows base[u] + u ..
-        assert len(intra_states) == sum(counts) and len(h_before) == sum(counts) + len(counts)
+        table = session_table(lists, range(5))
+        intra_states, _, h_before, _ = md._hierarchy_walk(params, cfg, table)
+        # user u, the b-th with sessions, has intra rows base[u] .. and
+        # h_before rows base[u] + b ..; a user without sessions has neither
+        b = np.cumsum(np.array(counts) > 0) - 1
+        assert len(intra_states) == sum(counts)
+        assert len(h_before) == sum(counts) + np.count_nonzero(counts)
         base = np.cumsum([0] + counts)
         for u, (ref_h, ref_intra) in enumerate(refs):
-            got = (list(h_before[base[u] + u:base[u + 1] + u + 1])
+            if not counts[u]:
+                continue
+            got = (list(h_before[base[u] + b[u]:base[u + 1] + b[u] + 1])
                    + list(intra_states[base[u]:base[u + 1]]))
             for g, want in zip(got, ref_h + ref_intra, strict=True):
                 np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
@@ -306,13 +333,13 @@ class TestForward:
         assert sum(n for is_inter, n in calls if not is_inter) == live_items
 
         # the history refresh's form: the same states, no inter states kept
-        lean = md._hierarchy_walk(params, cfg, lists, list(range(5)), inter_states=False)
+        lean = md._hierarchy_walk(params, cfg, table, inter_states=False)
         assert lean[2] is None and np.array_equal(lean[0], intra_states)
 
         # one user: one inter step per slot once a block holds every window
         calls.clear()
         one = dataclasses.replace(cfg, batch_size=reps)
-        md._hierarchy_walk(params, one, [lists[3]], [3])
+        md._hierarchy_walk(params, one, session_table([lists[3]], [3]))
         assert sum(is_inter for is_inter, _ in calls) <= len(lists[3])
 
 
@@ -381,12 +408,12 @@ class TestGradients:
 
         def loss_value():
             tape = Tape()
-            loss, *_ = md._forward_batch(tape, params, cfg, batch,
+            loss, *_ = md._forward_batch(tape, params, cfg, *batch,
                                          np.random.default_rng(0), table)
             return float(loss.value)
 
         tape = Tape()
-        loss, *_ = md._forward_batch(tape, params, cfg, batch,
+        loss, *_ = md._forward_batch(tape, params, cfg, *batch,
                                      np.random.default_rng(0), table)
         for t in params.named().values():
             t.zero_grad()
@@ -402,7 +429,7 @@ class TestGradients:
         rng = np.random.default_rng(11)
         batch, table = self._batch(cfg, rng)
         tape = Tape()
-        loss, *_ = md._forward_batch(tape, params, cfg, batch,
+        loss, *_ = md._forward_batch(tape, params, cfg, *batch,
                                      np.random.default_rng(0), table)
         for t in params.named().values():
             t.zero_grad()
@@ -419,7 +446,7 @@ class TestGradients:
         batch, table = _stack(cfg, [_example(rng, cfg, n_hist=2, n_items=2, time_masked=True),
                                     _example(rng, cfg, n_hist=1, n_items=3, time_masked=True)])
         tape = Tape()
-        loss, *_ = md._forward_batch(tape, params, cfg, batch,
+        loss, *_ = md._forward_batch(tape, params, cfg, *batch,
                                      np.random.default_rng(0), table)
         for t in params.named().values():
             t.zero_grad()
@@ -442,7 +469,7 @@ class TestGradients:
         grads = []
         for forward in (md._forward_batch, _per_step_forward):
             tape = Tape()
-            loss, *_ = forward(tape, params, cfg, batch, np.random.default_rng(16), table)
+            loss, *_ = forward(tape, params, cfg, *batch, np.random.default_rng(16), table)
             for t in params.named().values():
                 t.zero_grad()
             tape.backward(loss)
@@ -455,10 +482,11 @@ class TestGradients:
             assert err <= 1e-12, (name, err)
 
 
-def _per_step_forward(tape, params, cfg, batch, rng, table):
+def _per_step_forward(tape, params, cfg, examples, index, rng, table):
     """Reference joint loss: the intra level projects and scores every
     row at every step, padded rows masked out of the softmax."""
     from thrnn import autodiff as ad
+    batch = oracles.example_objects(examples, index)
     n = len(batch)
     users = np.array([ex.user_index for ex in batch])
     reach = [min(ex.slot, cfg.max_session_reps) for ex in batch]
@@ -626,12 +654,13 @@ class TestTraining:
         # the checkpoint bytes must match
         from thrnn.checkpoint import save_checkpoint
         split = _tiny_corpus(users=8, sessions=6)
-        other = dataclasses.replace(split, test=[
+        train_part, test_part = oracles.histories(split)
+        other = oracles.split_from_histories(train_part, [
             dataclasses.replace(u, sessions=[
                 dataclasses.replace(s, items=[(i + 1) % split.num_items for i in s.items])
                 for s in u.sessions])
-            for u in split.test])
-        assert any(u.sessions for u in split.test)
+            for u in test_part], split.item_ids)
+        assert any(u.sessions for u in test_part)
         cfg = _train_cfg(split)
         runs = []
         for name, sp in (("a.ckpt", split), ("b.ckpt", other)):
@@ -653,12 +682,11 @@ class TestTraining:
         lists = [[dataclasses.replace(s, gap_before=float(rng.uniform(0, 30 * DAY)) if j else 0.0)
                   for j, s in enumerate(_sessions(rng, cfg, rng.integers(2, 5, size=n)))]
                  for n in (1, 4, 20)]
-        split = DatasetSplit(train=[UserHistory(f"u{u}", u, sl) for u, sl in enumerate(lists)],
-                             test=[UserHistory(f"u{u}", u, []) for u in range(3)],
-                             item_vocabulary={str(i): i for i in range(cfg.num_items)},
-                             num_items=cfg.num_items, num_users=3)
+        split = oracles.split_from_histories(
+            [UserHistory(f"u{u}", u, sl) for u, sl in enumerate(lists)],
+            [UserHistory(f"u{u}", u, []) for u in range(3)], cfg.num_items)
         examples = build_examples(split, cfg)
-        assert [ex.slot for ex in examples] == [0, 0, 1, 2, 3] + list(range(20))
+        assert examples.slot.tolist() == [0, 0, 1, 2, 3] + list(range(20))
         walk, inter = md._hierarchy_walk, []
 
         def spy(*a, **k):
@@ -679,11 +707,12 @@ class TestTraining:
             return gru_cell(tape, x, h, w, update_mask=update_mask)
 
         monkeypatch.setattr(md, "gru_cell", spy)
-        md._forward_batch(Tape(), params, cfg, examples, np.random.default_rng(0), table)
+        md._forward_batch(Tape(), params, cfg, examples, np.arange(len(examples)),
+                          np.random.default_rng(0), table)
         h_dim, gap_dim = cfg.hidden_dim, cfg.gap_embedding_dim
-        for i, ex in enumerate(examples):
+        for i, ex in enumerate(oracles.example_objects(examples)):
             own_states, own_buckets, _, _ = md._hierarchy_walk(
-                params, cfg, [lists[ex.user_index]], [ex.user_index])
+                params, cfg, session_table([lists[ex.user_index]], [ex.user_index]))
             want = range(max(0, ex.slot - 3), ex.slot)
             read = [x[i] for x, live in seen if live[i]]
             assert len(read) == len(want), i
@@ -742,7 +771,7 @@ class TestTraining:
                          learning_rate_time=0.005)
         params, _, _ = train(split, cfg, epochs=25, seed=0)
         preds = []
-        for tr, te in zip(split.train, split.test):
+        for tr, te in zip(*oracles.histories(split)):
             hist = UserHistory(tr.user_id, tr.user_index, tr.sessions + te.sessions)
             preds.append(predict(hist, params, cfg).return_gap_seconds / DAY)
         assert 0.45 <= float(np.mean(preds)) <= 0.55, preds
@@ -767,8 +796,9 @@ class TestEvaluate:
         cfg = _train_cfg(split)
         params = _rand_params(cfg, seed=20)
         report = evaluate(params, cfg, split)
-        want_ranks = sum(len(s.items) - 1 for u in split.test for s in u.sessions)
-        want_gaps = sum(1 for u in split.test for s in u.sessions if not s.gap_masked)
+        test = oracles.histories(split)[1]
+        want_ranks = sum(len(s.items) - 1 for u in test for s in u.sessions)
+        want_gaps = sum(1 for u in test for s in u.sessions if not s.gap_masked)
         assert report.num_rank_events == want_ranks
         assert report.num_gap_events == want_gaps
         assert 0.0 <= report.recall[5] <= 1.0
@@ -783,23 +813,27 @@ class TestEvaluate:
         lists = [_sessions(rng, cfg, n) for n in ([3, 1, 4, 2, 5], [2, 6], [],
                                                   [1, 3, 2, 4, 1, 3, 2])]
         first = [1, 0, 0, 3]
-        _, _, _, ranks = md._hierarchy_walk(params, cfg, lists, list(range(4)),
-                                            ranked_from=first)
+        ranked = np.concatenate([np.arange(len(sl)) >= f for sl, f in zip(lists, first)])
+        _, _, _, ranks = md._hierarchy_walk(params, cfg, session_table(lists, range(4)),
+                                            ranked=ranked)
+        # ranks come per user with sessions; user 2 has none
+        ranks = dict(zip([u for u, sl in enumerate(lists) if sl], ranks))
         for u, sessions in enumerate(lists):
             want = [ev.rank_of_target(row, sessions[j].items[t + 1])
                     for j in range(first[u], len(sessions))
                     for t, row in enumerate(_step_scores(params, cfg, sessions, j, user=u))]
-            assert list(ranks[u]) == want, u
+            assert list(ranks.get(u, [])) == want, u
 
     def test_popularity_ranks_match_per_event_reference(self, monkeypatch):
         split = _tiny_corpus(users=10, sessions=6, vocab=12)
         counts = np.zeros(split.num_items)
-        for u in split.train:
+        train, test = oracles.histories(split)
+        for u in train:
             for s in u.sessions:
                 for it in s.items:
                     counts[it] += 1
         want = [ev.rank_of_target(counts, t)
-                for u in split.test for s in u.sessions for t in s.items[1:]]
+                for u in test for s in u.sessions for t in s.items[1:]]
         seen = []
         monkeypatch.setattr(ev, "build_report",
                             lambda model, ranks, *a, **kw: seen.append(list(ranks)))
@@ -832,21 +866,21 @@ class TestPredict:
     def _setup(self, **kw):
         split = _tiny_corpus(users=6, sessions=5)
         cfg = _train_cfg(split, **kw)
-        return split, cfg, _rand_params(cfg, seed=22)
+        return oracles.histories(split)[0], cfg, _rand_params(cfg, seed=22)
 
     def test_top_k_shape_and_order(self):
-        split, cfg, params = self._setup()
-        hist = split.train[0]
+        train, cfg, params = self._setup()
+        hist = train[0]
         pred = predict(hist, params, cfg, k=5)
         assert len(pred.items) == 5 and len(set(pred.items.tolist())) == 5
         assert np.all(np.diff(pred.scores) <= 0)
         assert np.isfinite(pred.return_gap_seconds) and pred.return_gap_seconds > 0
 
     def test_ties_break_toward_lower_index(self):
-        split, cfg, params = self._setup()
+        train, cfg, params = self._setup()
         params.out_w.value[:] = 0.0
         params.out_b.value[:] = 0.0
-        pred = predict(split.train[0], params, cfg, k=4)
+        pred = predict(train[0], params, cfg, k=4)
         assert pred.items.tolist() == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("scores", [
@@ -855,41 +889,41 @@ class TestPredict:
         [3.0, -1.0, 7.5, 0.0, -0.0, 7.5, 2.0, 2.0, -1.0, 9.0],
     ])
     def test_top_k_matches_full_stable_argsort(self, scores):
-        split, cfg, params = self._setup()
+        train, cfg, params = self._setup()
         scores = np.resize(np.asarray(scores), cfg.num_items)
         params.out_w.value[:] = 0.0
         params.out_b.value[:] = scores
         for k in range(1, cfg.num_items + 1):
-            pred = predict(split.train[0], params, cfg, k=k)
+            pred = predict(train[0], params, cfg, k=k)
             want = np.argsort(-scores, kind="stable")[:k]
             assert pred.items.tolist() == want.tolist(), k
             assert np.array_equal(pred.scores, scores[want])
 
     def test_score_shift_leaves_ranking_alone(self):
-        split, cfg, params = self._setup()
-        before = predict(split.train[1], params, cfg, k=6).items
+        train, cfg, params = self._setup()
+        before = predict(train[1], params, cfg, k=6).items
         params.out_b.value += 11.0
-        after = predict(split.train[1], params, cfg, k=6).items
+        after = predict(train[1], params, cfg, k=6).items
         assert before.tolist() == after.tolist()
 
     @pytest.mark.parametrize("name, message", [("out_b", "item scores are not finite"),
                                                ("time_v", "expected return time is not finite")])
     def test_non_finite_model_refused(self, name, message):
         # one NaN among finite values is enough, even where it would not reach the top k
-        split, cfg, params = self._setup()
+        train, cfg, params = self._setup()
         params.named()[name].value.reshape(-1)[1] = np.nan
         with pytest.raises(ValueError, match=message):
-            predict(split.train[0], params, cfg, k=1)
+            predict(train[0], params, cfg, k=1)
 
     def test_two_calls_identical(self):
-        split, cfg, params = self._setup(dropout_rate=0.4)
-        a = predict(split.train[2], params, cfg, k=5)
-        b = predict(split.train[2], params, cfg, k=5)
+        train, cfg, params = self._setup(dropout_rate=0.4)
+        a = predict(train[2], params, cfg, k=5)
+        b = predict(train[2], params, cfg, k=5)
         assert a.items.tolist() == b.items.tolist()
         assert a.return_gap_seconds == b.return_gap_seconds
 
     def test_input_validation(self):
-        split, cfg, params = self._setup()
+        train, cfg, params = self._setup()
         with pytest.raises(ValueError, match="session"):
             predict(UserHistory("u", 0, []), params, cfg)
         with pytest.raises(IndexError, match="unknown item"):
@@ -897,13 +931,13 @@ class TestPredict:
                                                end_time=30.0)])
             predict(bad, params, cfg)
         with pytest.raises(ValueError, match="user index"):
-            predict(UserHistory("u", 99, split.train[0].sessions), params, cfg)
+            predict(UserHistory("u", 99, train[0].sessions), params, cfg)
         with pytest.raises(ValueError, match="k must"):
-            predict(split.train[0], params, cfg, k=0)
+            predict(train[0], params, cfg, k=0)
 
     def test_session_without_items_rejected(self):
-        split, cfg, params = self._setup()
-        sessions = list(split.train[0].sessions)
+        train, cfg, params = self._setup()
+        sessions = list(train[0].sessions)
         sessions[1] = dataclasses.replace(sessions[1], items=[])
         with pytest.raises(ValueError, match="session 1 field 'items' is empty"):
             predict(UserHistory("u", 0, sessions), params, cfg)
@@ -914,7 +948,8 @@ class TestPredict:
         cfg = _cfg(max_session_reps=2)
         params = _rand_params(cfg, seed=23)
         sessions = _sessions(np.random.default_rng(24), cfg, [3, 2, 4, 2, 3, 2])
-        intra_states, buckets, _, _ = md._hierarchy_walk(params, cfg, [sessions], [1])
+        intra_states, buckets, _, _ = md._hierarchy_walk(
+            params, cfg, session_table([sessions], [1]))
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -1082,7 +1117,7 @@ class TestCheckpoint:
             params, cfg2, _, _ = load_checkpoint(str(path), optimizer=False)
             assert cfg2 == cfg
             assert all(t.value.flags.aligned for t in params.named().values())
-            preds = [predict(u, params, cfg, k=3) for u in split.train]
+            preds = [predict(u, params, cfg, k=3) for u in oracles.histories(split)[0]]
             report = evaluate(params, cfg, split)
             save_report(report, str(path) + ".report")
             save_plot_data(report, str(path) + ".plot")

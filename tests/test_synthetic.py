@@ -87,11 +87,11 @@ class TestGenerateCorpus:
     def test_pipeline_invariants(self):
         split = sy.generate_corpus(_spec(), seed=1)
         assert split.num_users == 12
-        for tr, te in zip(split.train, split.test):
+        for tr, te in zip(*oracles.histories(split)):
             sessions = tr.sessions + te.sessions
             assert len(tr.sessions) == 8 and len(te.sessions) == 2
             for i, s in enumerate(sessions):
-                assert 1 <= len(s) <= 20
+                assert 1 <= len(s.items) <= 20
                 assert all(a != b for a, b in zip(s.items, s.items[1:]))
                 assert s.end_time >= s.start_time
                 if i > 0:
@@ -109,7 +109,7 @@ class TestGenerateCorpus:
         split = sy.generate_corpus(spec, seed=5)
         trans = oracles.dense_transition(spec, split)
         hits = total = 0
-        for u in split.train:
+        for u in oracles.histories(split)[0]:
             for s in u.sessions:
                 for a, b in zip(s.items, s.items[1:]):
                     top3 = np.argsort(-trans[a])[:3]
@@ -123,7 +123,7 @@ class TestGenerateCorpus:
                      gap_mixture=[(0.5, 0.2), (0.5, 5.0)])
         split = sy.generate_corpus(spec, seed=11)
         gaps = np.array([s.gap_before / DAY
-                         for tr, te in zip(split.train, split.test)
+                         for tr, te in zip(*oracles.histories(split))
                          for s in (tr.sessions + te.sessions)[1:]])
         assert len(gaps) > 10_000
 
@@ -139,10 +139,10 @@ class TestGenerateCorpus:
         spec = _spec(num_users=100, sessions_per_user=30,
                      context_coupling=states)
         split = sy.generate_corpus(spec, seed=3)
-        vocab = split.item_vocabulary
+        vocab = {item: k for k, item in enumerate(split.item_ids)}
         lo_items = {vocab[sy.item_id(i)] for i in range(4) if sy.item_id(i) in vocab}
         short_gaps, long_gaps = [], []
-        for tr, te in zip(split.train, split.test):
+        for tr, te in zip(*oracles.histories(split)):
             sessions = tr.sessions + te.sessions
             for s, nxt in zip(sessions, sessions[1:]):
                 (short_gaps if s.items[0] in lo_items else long_gaps).append(
@@ -155,9 +155,9 @@ class TestGenerateCorpus:
         states = [sy.CouplingState(items=tuple(range(4)), gap_mean_days=1.0),
                   sy.CouplingState(items=tuple(range(4, 8)), gap_mean_days=1.0)]
         split = sy.generate_corpus(_spec(context_coupling=states), seed=7)
-        vocab = split.item_vocabulary
+        vocab = {item: k for k, item in enumerate(split.item_ids)}
         lo = {vocab[sy.item_id(i)] for i in range(4) if sy.item_id(i) in vocab}
-        for u in split.train:
+        for u in oracles.histories(split)[0]:
             for s in u.sessions:
                 inside = sum(i in lo for i in s.items)
                 assert inside in (0, len(s.items))  # never mixes clusters
