@@ -1,16 +1,17 @@
 """Minimal reverse-mode autodiff on float64 numpy arrays.
 
 Just enough machinery for the models in this package: dense linear maps
-(`matmul` adds an optional bias in place), a GRU step, embedding lookups,
-a row gather, and a masked softmax cross-entropy. Operations record
-themselves on a Tape; the backward pass replays the records in reverse
-order and accumulates gradients additively at fan-out. A tensor keeps
-its first gradient uncopied when a backward allocated it fresh for that
-input alone, and copies a view or an array also handed elsewhere;
+(`matmul` adds an optional bias in place), a GRU unroll, embedding
+lookups, a row gather, and a masked softmax cross-entropy. Operations
+record themselves on a Tape; the backward pass replays the records in
+reverse order and accumulates gradients additively at fan-out. A tensor
+keeps its first gradient uncopied when a backward allocated it fresh for
+that input alone, and copies a view or an array also handed elsewhere;
 embedding lookups scatter-add straight into the table's `.grad`. A GRU
-cell is three packed tensors (gate blocks in r, z, c order); a GRU step
-is one fused record with an analytic backward, and shares its
-three-matmul forward with the tape-free gru_cell_np.
+cell is three packed tensors (gate blocks in r, z, c order). A whole
+unroll over packed, step-major rows, each step on a live-row prefix, is
+one record with an analytic backward; its steps share the three-matmul
+formula of the tape-free gru_cell_np.
 """
 
 from __future__ import annotations
@@ -181,12 +182,15 @@ def embedding(tape: Tape, table: Tensor, indices: np.ndarray) -> Tensor:
     return tape.record((table,), out, bwd)
 
 
-def dropout(tape: Tape, a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; call only during training (identity when rate == 0)."""
+def dropout(tape: Tape, a: Tensor, rate: float, rng: np.random.Generator,
+            draw: Callable[[np.random.Generator], np.ndarray] | None = None) -> Tensor:
+    """Inverted dropout; call only during training (identity when rate == 0).
+    An entry survives where its uniform draw is below 1 - rate; `draw(rng)`
+    makes the draws in a's shape (by default rng.random of that shape)."""
     if rate <= 0.0:
         return a
     keep = 1.0 - rate
-    mask = (rng.random(a.value.shape) < keep) / keep
+    mask = ((rng.random(a.value.shape) if draw is None else draw(rng)) < keep) / keep
     out = Tensor(a.value * mask)
 
     def bwd(g):
@@ -250,38 +254,74 @@ class GRUWeights:
         return [self.w, self.u, self.b]
 
 
-def gru_cell(tape: Tape, x: Tensor, h_prev: Tensor, w: GRUWeights,
-             update_mask: np.ndarray | None = None) -> Tensor:
-    """One GRU step on a batch; x (B, n), h_prev (B, h) -> (B, h).
+def gru_cell(tape: Tape, x: Tensor, h0: Tensor, w: GRUWeights, live,
+             last: bool = False) -> Tensor:
+    """A GRU unrolled over packed, step-major rows, as one tape record.
 
-    The step is a single tape record with an analytic backward. With
-    `update_mask` (B, 1), rows where it is 0 keep h_prev unchanged and
-    pass their gradient straight through to h_prev.
+    Step t reads the next live[t] rows of x (packed, sum(live) by n) and
+    updates rows [:live[t]] of the running state, which starts at h0
+    (B, h); rows past live[t] pass through unchanged. Returns the packed
+    states, row for row with x, or with `last` each row's state after
+    the final step (B, h). The input projection x @ w and, backward, the
+    weight gradients and dx are one matmul each over all steps; the
+    reverse loop carries only the state gradient.
     """
     if x.value.shape[1] != w.w.value.shape[0]:
         raise ValueError(f"gru_cell: input width {x.value.shape[1]} != {w.w.value.shape[0]}")
-    if h_prev.value.shape[1] != w.u.value.shape[0]:
+    if h0.value.shape[1] != w.u.value.shape[0]:
         raise ValueError("gru_cell: hidden width mismatch")
-    xv, hv, u = x.value, h_prev.value, w.u.value
-    n = hv.shape[1]
-    rz, rh, c, h_new = _gru_step(xv, hv, w)
-    keep = None if update_mask is None else np.asarray(update_mask) == 0
-    out = Tensor(h_new if keep is None else np.where(keep, hv, h_new))
+    live = [int(k) for k in live]
+    if sum(live) != len(x.value) or not 0 <= min(live, default=0) <= max(live, default=0) \
+            <= len(h0.value):
+        raise ValueError(f"gru_cell: live counts {live} do not pack {len(x.value)} rows "
+                         f"over {len(h0.value)}")
+    xv, u = x.value, w.u.value
+    n = h0.value.shape[1]
+    ends = np.cumsum(live).tolist()
+    spans = list(zip([0, *ends[:-1]], ends))
+    xw = xv @ w.w.value
+    # per packed row: the state it reads, [r|z], r∘h, c and the state it writes
+    hp, rz, rh, c, states = (np.empty((len(xv), k * n)) for k in (1, 2, 1, 1, 1))
+    h = h0.value.copy()
+    for lo, hi in spans:
+        hp[lo:hi] = h[:hi - lo]
+        rz[lo:hi], rh[lo:hi], c[lo:hi], states[lo:hi] = _gru_step(None, hp[lo:hi], w,
+                                                                  xw[lo:hi])
+        h[:hi - lo] = states[lo:hi]
+    out = Tensor(h if last else states)
 
     def bwd(g):
-        g_new = g if keep is None else np.where(keep, 0.0, g)
-        # gradients of the pre-activations: d_rz of [r|z], d_c of c
-        d_c = g_new * rz[:, n:] * (1.0 - c * c)
-        d_rh = d_c @ u[:, 2 * n:].T
-        d_rz = np.concatenate([d_rh * hv, g_new * (c - hv)], axis=1) * rz * (1.0 - rz)
-        d_h = g_new * (1.0 - rz[:, n:]) + d_rh * rz[:, :n] + d_rz @ u[:, :2 * n].T
-        if keep is not None:
-            d_h += g - g_new
-        d_a = np.concatenate([d_rz, d_c], axis=1)
-        d_u = np.concatenate([hv.T @ d_rz, rh.T @ d_c], axis=1)
+        r, z = rz[:, :n], rz[:, n:]
+        # the gate terms that do not depend on the incoming gradient,
+        # z(1 - c²), hr(1 - r) and (c - h)z(1 - z), formed mostly in place:
+        # at these sizes each fresh array costs page faults
+        keep = 1.0 - z
+        a_c = np.multiply(c, c)
+        np.subtract(1.0, a_c, out=a_c)
+        a_c *= z
+        a_r = hp * r
+        a_r *= 1.0 - r
+        a_z = c - hp
+        a_z *= z
+        a_z *= keep
+        u_rz, u_c = u[:, :2 * n].T, u[:, 2 * n:].T
+        d_a = np.empty((len(xv), 3 * n))  # pre-activation gradients [r|z|c]
+        d_h = g.copy() if last else np.zeros_like(h)
+        for lo, hi in reversed(spans):
+            dh = d_h[:hi - lo]
+            if not last:
+                dh += g[lo:hi]
+            d_c = np.multiply(dh, a_c[lo:hi], out=d_a[lo:hi, 2 * n:])
+            d_rh = d_c @ u_c
+            np.multiply(d_rh, a_r[lo:hi], out=d_a[lo:hi, :n])
+            np.multiply(dh, a_z[lo:hi], out=d_a[lo:hi, n:2 * n])
+            dh *= keep[lo:hi]
+            dh += d_rh * r[lo:hi]
+            dh += d_a[lo:hi, :2 * n] @ u_rz
+        d_u = np.concatenate([hp.T @ d_a[:, :2 * n], rh.T @ d_a[:, 2 * n:]], axis=1)
         return d_a @ w.w.value.T, d_h, xv.T @ d_a, d_u, d_a.sum(axis=0)
 
-    return tape.record((x, h_prev, *w.tensors()), out, bwd)
+    return tape.record((x, h0, *w.tensors()), out, bwd)
 
 
 def gru_cell_np(x: np.ndarray, h_prev: np.ndarray, w: GRUWeights,

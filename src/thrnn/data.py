@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -433,16 +434,14 @@ def load_split(path: str) -> DatasetSplit:
         cols = {"start": array("d"), "end": array("d"), "gap": array("d"), "masked": array("b")}
         for row, line in enumerate(fh):
             rec = _json_line(line, path, row + 3)
-            _check_user_record(rec, row, num_items, path)
-            sessions = rec["train"] + rec["test"]
-            for o in sessions:
-                items.extend(o["items"])
-            lengths.extend([len(o["items"]) for o in sessions])
+            user_items, user_lengths, user_cols = _user_columns(rec, row, num_items, path)
+            items.extend(user_items)
+            lengths.extend(user_lengths)
             for name, col in cols.items():
-                col.extend([o[name] for o in sessions])
+                col.extend(user_cols[name])
             user_ids.append(rec["user_id"])
             n_train.append(len(rec["train"]))
-            n_sessions.append(len(sessions))
+            n_sessions.append(len(user_lengths))
     if len(user_ids) != header["num_users"]:
         raise IngestError(f"{path}: header field 'num_users' is {header['num_users']}, "
                           f"but the file holds {len(user_ids)} user records")
@@ -488,20 +487,58 @@ def _require(obj, fields, what: str) -> None:
         raise IngestError(f"{what} has no field {missing[0]!r}")
 
 
-def _check_user_record(rec: dict, row: int, num_items: int, path: str) -> None:
-    """Reject records the model would misread: a session with no items
+def _user_columns(rec, row: int, num_items: int, path: str):
+    """A user record's sessions, train then test, as flat lists: the items,
+    the lengths and a list per field of start, end, gap and masked.
+
+    Reject records the model would misread: a session with no items
     has no intra state, numpy takes item -1 as the last embedding row and
     an int64 array holds item 1.5 as 1, users are looked up by user_index,
     gaps are bucketed, masked picks the gaps the time loss skips, and the
     recursion assumes one timeline from train into test. Each field must
     have its JSON type: records and sessions are objects, indices are
     integers (a bool is not one), masked is a bool, and start, end and
-    gap are finite numbers. A missing field is named."""
+    gap are finite numbers. A missing field is named. The sessions are
+    checked all at once over the lists; only a user that fails is walked
+    session by session, so that the error names the first bad field."""
     _require(rec, ("user_id", "user_index", "train", "test"), f"{path}: user record {row}")
     who = f"{path}: user {rec['user_id']!r}"
     if not _is_int(rec["user_index"]) or rec["user_index"] != row:
         raise IngestError(f"{who}: field 'user_index' is {rec['user_index']!r}, "
                           f"but the record is row {row}")
+    columns = None
+    if isinstance(rec["train"], list) and isinstance(rec["test"], list):
+        try:
+            columns = _session_columns(rec["train"] + rec["test"], num_items)
+        except (KeyError, TypeError, OverflowError):  # a session not an object, say
+            pass
+    if columns is None:
+        _check_sessions(rec, num_items, who)  # refuses the first bad field by name
+        raise IngestError(f"{who}: a session is malformed")  # in case the walk did not
+    return columns
+
+
+def _session_columns(sessions: list, num_items: int):
+    """(items, lengths, {field: values}) of the sessions, or None if one of
+    them breaks a rule of _user_columns."""
+    item_lists = [o["items"] for o in sessions]
+    items = list(chain.from_iterable(item_lists))
+    lengths = list(map(len, item_lists))
+    cols = {name: [o[name] for o in sessions] for name in ("start", "end", "gap", "masked")}
+    start, gap = cols["start"], cols["gap"]
+    ok = (set(map(type, item_lists)) <= {list} and min(lengths, default=1) > 0
+          and set(map(type, items)) <= {int}
+          and (not items or (min(items) >= 0 and max(items) < num_items))
+          and set(map(type, cols["masked"])) <= {bool}
+          and all(set(map(type, cols[name])) <= {int, float} and all(map(math.isfinite, cols[name]))
+                  for name in ("start", "end", "gap"))
+          and min(gap, default=0.0) >= 0
+          and all(map(operator.le, start, start[1:])))
+    return (items, lengths, cols) if ok else None
+
+
+def _check_sessions(rec: dict, num_items: int, who: str) -> None:
+    """Walk the sessions of a record one by one and refuse the first bad field."""
     prev_start = -math.inf
     for part in ("train", "test"):
         if not isinstance(rec[part], list):

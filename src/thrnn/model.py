@@ -23,6 +23,11 @@ Two details of the training scheme deserve calling out:
 * The time head gets its own optimizer group with a smaller learning
   rate and a gradient-norm clip. Its loss is exponential in s + w*g, so
   shared step sizes reliably blow it up.
+
+The taped training pass steps live rows only: each GRU level of a batch
+is one packed unroll, the inter level over the batch sorted by history
+reach and the intra level over it sorted by session length, longest
+first, so that the rows live at a step are a prefix.
 """
 
 from __future__ import annotations
@@ -356,62 +361,60 @@ def _forward_batch(tape: Tape, params: ModelParams, cfg: ModelConfig,
                    examples: Examples, batch: np.ndarray, rng, table):
     """Batched taped training pass over the examples at the indices
     `batch` and the (states, buckets) history table; returns (joint loss
-    tensor, time nll value, rec nll value, unmasked time rows, rec steps)."""
-    n = len(batch)
-    h_dim = cfg.hidden_dim
-    users = examples.user[batch]
+    tensor, time nll value, rec nll value, unmasked time rows, rec steps).
 
-    # inter level over right-aligned histories: entry t of row i is table row
-    # row - window + t, live for its last min(slot, R) entries; the front
-    # padding keeps the zero state and bucket 0, and the update mask freezes it
+    Each GRU level is one packed unroll over live rows only. Dropout
+    draws the stream a per-step unroll over all rows would: one
+    (rows, width) draw per step, the inter steps of a history window
+    right-aligned, then the intra steps."""
+    n, rate = len(batch), cfg.dropout_rate
+    # longest history first: each row runs its reach reps from the zero
+    # state, and the live rows at step k are a prefix
     reach = np.minimum(examples.slot[batch], cfg.max_session_reps)
+    by_reach = np.argsort(-reach, kind="stable")
     window = int(reach.max())
-    h = Tensor(np.zeros((n, h_dim)))
+    h_j = Tensor(np.zeros((n, cfg.hidden_dim)))
     if window:
-        live = np.arange(window) >= window - reach[:, None]
-        at = (examples.row[batch][:, None] - window + np.arange(window))[live]
-        segs = np.zeros((n, window, h_dim))
-        gaps = np.zeros((n, window), dtype=np.int64)
-        segs[live], gaps[live] = table[0][at], table[1][at]
-        for t in range(window):
-            rep = concat(tape, [Tensor(segs[:, t]),
-                                embedding(tape, params.gap_emb, gaps[:, t]),
-                                embedding(tape, params.user_emb, users)])
-            rep = dropout(tape, rep, cfg.dropout_rate, rng)
-            h = gru_cell(tape, rep, h, params.inter, update_mask=live[:, t, None])
-    h_j = h
+        steps, rows = np.nonzero(np.arange(window)[:, None] < reach[by_reach])  # step-major
+        who = by_reach[rows]  # the batch row of each packed row
+        at = examples.row[batch][who] - reach[who] + steps
+        rep = concat(tape, [Tensor(table[0][at]),
+                            embedding(tape, params.gap_emb, table[1][at]),
+                            embedding(tape, params.user_emb, examples.user[batch][who])])
+        rep = dropout(tape, rep, rate, rng, lambda gen: gen.random((window, n, cfg.rep_dim))[
+            window - reach[who] + steps, who])
+        h_j = gru_cell(tape, rep, h_j, params.inter, np.bincount(steps), last=True)
+        # back to batch order, so that the time loss sums its rows in that
+        # order: Adam's normalised step turns a reordered sum's rounding in
+        # the time head's small gradients into 1e-9 drifts within epochs
+        h_j = gather_rows(tape, [h_j], np.zeros(n, dtype=np.int64), np.argsort(by_reach))
 
     time_masked = examples.time_masked[batch]
-    g_alpha = np.array([0.0 if masked else g ** cfg.alpha_exp
-                        for g, masked in zip(examples.gap[batch].tolist(), time_masked.tolist())])
+    g_alpha = np.where(time_masked, 0.0, examples.gap[batch] ** cfg.alpha_exp)
     s = matmul(tape, h_j, params.time_v, params.time_b)
     l_time = pp.time_nll(tape, s, params.time_w, g_alpha, masked=time_masked)
 
     lens = examples.length[batch] - 1  # inputs: every item but the last
     width, rec_steps = int(lens.max()), int(lens.sum())
     if width:
-        # padded tail rows run on past their session's end; their states
-        # are never read
-        real = np.arange(width) < lens[:, None]
-        at = (examples.offset[batch][:, None] + np.arange(width))[real]
-        ids = np.zeros((n, width), dtype=np.int64)
-        tgt = np.zeros((n, width), dtype=np.int64)
-        ids[real], tgt[real] = examples.items[at], examples.items[at + 1]
-        hh, states = h_j, []
-        for t in range(width):
-            x = dropout(tape, embedding(tape, params.item_emb, ids[:, t]),
-                        cfg.dropout_rate, rng)
-            hh = gru_cell(tape, x, hh, params.intra)
-            states.append(hh)
-        # only live (step, row) states are scored, step-major, in chunks of
-        # at most batch_size rows: no block outgrows one step's (n, items)
-        steps, rows = np.nonzero(np.arange(width)[:, None] < lens)
+        # longest session first: the live intra rows at step t are a prefix,
+        # and the packed states are exactly the (step, row) states scored
+        by_len = np.argsort(-lens, kind="stable")
+        steps, rows = np.nonzero(np.arange(width)[:, None] < lens[by_len])
+        who = by_len[rows]
+        at = examples.offset[batch][who] + steps
+        x = dropout(tape, embedding(tape, params.item_emb, examples.items[at]), rate, rng,
+                    lambda gen: gen.random((width, n, cfg.item_embedding_dim))[steps, who])
+        h0 = gather_rows(tape, [h_j], np.zeros(n, dtype=np.int64), by_len)
+        states = gru_cell(tape, x, h0, params.intra, np.bincount(steps))
+        # scored in chunks of at most batch_size rows: no block outgrows
+        # one step's (n, items)
         total = None
         for lo in range(0, rec_steps, cfg.batch_size):
-            part = slice(lo, lo + cfg.batch_size)
-            live = gather_rows(tape, states, steps[part], rows[part])
+            part = np.arange(lo, min(lo + cfg.batch_size, rec_steps))
+            live = gather_rows(tape, [states], np.zeros(len(part), dtype=np.int64), part)
             sc = matmul(tape, live, params.out_w, params.out_b)
-            piece = masked_softmax_xent(tape, sc, tgt[rows[part], steps[part]])
+            piece = masked_softmax_xent(tape, sc, examples.items[at[part] + 1])
             total = piece if total is None else add(tape, total, piece)
         l_rec = scale(tape, total, 1.0 / max(rec_steps, 1))
     else:

@@ -1,6 +1,7 @@
 """Reference implementations the tests check the program against.
 
-Nothing in the package calls these: finite-difference gradients, exact
+Nothing in the package calls these: finite-difference gradients, the
+per-step taped GRU cell that the packed unroll replaced, exact
 Hawkes intensity, likelihood and thinning draws, the log density,
 closed-form CDF and quantile function of the time head, a trapezoid
 normalization check, the Bayes-optimal ranking of a synthetic corpus, the
@@ -19,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from thrnn.autodiff import GRUWeights, Tape, Tensor, _gru_step
 from thrnn.data import (SECONDS_PER_DAY, DatasetSplit, PreprocessConfig, Session,
                         SessionTable, UserHistory, build_split)
 from thrnn.evaluation import (REPORT_FORMAT_VERSION, BucketRow, EvalReport, build_report,
@@ -60,6 +62,44 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+# ---------------------------------------------------------------------------
+# per-step GRU
+
+
+def gru_cell(tape: Tape, x: Tensor, h_prev: Tensor, w: GRUWeights,
+             update_mask: np.ndarray | None = None) -> Tensor:
+    """One GRU step on a batch; x (B, n), h_prev (B, h) -> (B, h).
+
+    The step is a single tape record with an analytic backward. With
+    `update_mask` (B, 1), rows where it is 0 keep h_prev unchanged and
+    pass their gradient straight through to h_prev.
+    """
+    if x.value.shape[1] != w.w.value.shape[0]:
+        raise ValueError(f"gru_cell: input width {x.value.shape[1]} != {w.w.value.shape[0]}")
+    if h_prev.value.shape[1] != w.u.value.shape[0]:
+        raise ValueError("gru_cell: hidden width mismatch")
+    xv, hv, u = x.value, h_prev.value, w.u.value
+    n = hv.shape[1]
+    rz, rh, c, h_new = _gru_step(xv, hv, w)
+    keep = None if update_mask is None else np.asarray(update_mask) == 0
+    out = Tensor(h_new if keep is None else np.where(keep, hv, h_new))
+
+    def bwd(g):
+        g_new = g if keep is None else np.where(keep, 0.0, g)
+        # gradients of the pre-activations: d_rz of [r|z], d_c of c
+        d_c = g_new * rz[:, n:] * (1.0 - c * c)
+        d_rh = d_c @ u[:, 2 * n:].T
+        d_rz = np.concatenate([d_rh * hv, g_new * (c - hv)], axis=1) * rz * (1.0 - rz)
+        d_h = g_new * (1.0 - rz[:, n:]) + d_rh * rz[:, :n] + d_rz @ u[:, :2 * n].T
+        if keep is not None:
+            d_h += g - g_new
+        d_a = np.concatenate([d_rz, d_c], axis=1)
+        d_u = np.concatenate([hv.T @ d_rz, rh.T @ d_c], axis=1)
+        return d_a @ w.w.value.T, d_h, xv.T @ d_a, d_u, d_a.sum(axis=0)
+
+    return tape.record((x, h_prev, *w.tensors()), out, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -198,16 +198,15 @@ def _random_gru(rng, n_in, n_h):
 
 
 class TestGRUCell:
-    def test_one_tape_record_per_step(self):
+    def test_one_tape_record_per_unroll(self):
         rng = np.random.default_rng(4)
         w = _random_gru(rng, 3, 4)
         tape = ad.Tape()
         ad.gru_cell(tape, ad.Tensor(rng.normal(size=(2, 3))),
-                    ad.Tensor(rng.normal(size=(2, 4))), w)
+                    ad.Tensor(rng.normal(size=(2, 4))), w, [2])
         assert len(tape) == 1
-        ad.gru_cell(tape, ad.Tensor(rng.normal(size=(2, 3))),
-                    ad.Tensor(rng.normal(size=(2, 4))), w,
-                    update_mask=np.array([[True], [False]]))
+        ad.gru_cell(tape, ad.Tensor(rng.normal(size=(6, 3))),
+                    ad.Tensor(rng.normal(size=(3, 4))), w, [3, 2, 1], last=True)
         assert len(tape) == 2
 
     def test_gradcheck_all_weights(self):
@@ -219,35 +218,73 @@ class TestGRUCell:
 
         def run():
             tp = ad.Tape()
-            return float(np.sum(_total(tp, ad.gru_cell(tp, x, h0, w)).value))
+            return float(np.sum(_total(tp, ad.gru_cell(tp, x, h0, w, [2])).value))
 
         tape = ad.Tape()
-        out = _total(tape, ad.gru_cell(tape, x, h0, w))
+        out = _total(tape, ad.gru_cell(tape, x, h0, w, [2]))
         tape.backward(out)
         for p in params:
             fd = oracles.fd_gradient(run, p.value)
             assert oracles.rel_error(p.grad, fd) < TOL
 
-    def test_gradcheck_with_frozen_rows(self):
-        # two chained steps so the frozen rows' pass-through grad reaches
-        # h0 through a second record; a weighted sum so every row counts
+    @pytest.mark.parametrize("live, last", [
+        ([4, 3, 3, 1], False),  # row 4 takes no step
+        ([4, 2, 2, 1], True),
+        ([], True),  # a history window of 0
+        ([], False),  # a batch with no rec steps
+    ])
+    def test_gradcheck_ragged_live_rows(self, live, last):
+        # a weighted sum so that every row and step counts; rows past a
+        # step's live count pass their state and its gradient through
         rng = np.random.default_rng(12)
         w = _random_gru(rng, 3, 4)
-        x = ad.Tensor(rng.normal(size=(4, 3)))
-        h0 = ad.Tensor(rng.normal(size=(4, 4)))
-        mask = np.array([[True], [False], [True], [False]])
+        x = ad.Tensor(rng.normal(size=(sum(live), 3)))
+        h0 = ad.Tensor(rng.normal(size=(5, 4)))
         weights = ad.Tensor(rng.normal(size=(4, 4)))
 
         def build(tp):
-            h1 = ad.gru_cell(tp, x, h0, w, update_mask=mask)
-            h2 = ad.gru_cell(tp, x, h1, w, update_mask=~mask)
-            return _total(tp, ad.matmul(tp, h2, weights))
+            out = ad.gru_cell(tp, x, h0, w, live, last=last)
+            assert out.value.shape == ((5, 4) if last else (sum(live), 4))
+            return _total(tp, ad.matmul(tp, out, weights))
 
         tape = ad.Tape()
         tape.backward(build(tape))
-        for p in w.tensors() + [x, h0]:
+        for p in w.tensors() + ([x] if live else []) + [h0]:
             fd = oracles.fd_gradient(lambda: float(build(ad.Tape()).value.sum()), p.value)
-            assert oracles.rel_error(p.grad, fd) < TOL
+            got = np.zeros_like(p.value) if p.grad is None else p.grad
+            assert oracles.rel_error(got, fd) < TOL
+
+    def test_matches_per_step_oracle(self):
+        # the packed unroll against oracles.gru_cell stepping all rows with
+        # an update mask: same states and gradients up to rounding
+        rng = np.random.default_rng(13)
+        w = _random_gru(rng, 3, 4)
+        live = [5, 4, 4, 2, 1]
+        x = ad.Tensor(rng.normal(size=(sum(live), 3)))
+        h0 = ad.Tensor(rng.normal(size=(6, 4)))
+        weights = ad.Tensor(rng.normal(size=(4, 4)))
+        grads = []
+        for packed in (True, False):
+            tape = ad.Tape()
+            if packed:
+                out = ad.gru_cell(tape, x, h0, w, live, last=True)
+            else:
+                out, lo = h0, 0
+                for k in live:
+                    xs = np.zeros((6, 3))
+                    xs[:k] = x.value[lo:lo + k]
+                    step = ad.Tensor(xs)
+                    out = oracles.gru_cell(tape, step, out, w,
+                                           update_mask=(np.arange(6) < k)[:, None])
+                    lo += k
+            tape.backward(_total(tape, ad.matmul(tape, out, weights)))
+            grads.append((out.value.copy(), [p.grad.copy() for p in w.tensors() + [h0]]))
+            for p in w.tensors() + [x, h0]:
+                p.zero_grad()
+        (got, got_g), (want, want_g) = grads
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        for g, wg in zip(got_g, want_g):
+            assert oracles.rel_error(g, wg) < 1e-13
 
     def test_update_gate_zero_keeps_state(self):
         # huge negative z bias -> z ~ 0 -> h_new ~ h_prev
@@ -256,7 +293,7 @@ class TestGRUCell:
         w.b.value[4:8] = -50.0  # the z block of b
         x = ad.Tensor(rng.normal(size=(2, 3)))
         h0 = ad.Tensor(rng.normal(size=(2, 4)))
-        out = ad.gru_cell(ad.Tape(), x, h0, w)
+        out = ad.gru_cell(ad.Tape(), x, h0, w, [2])
         np.testing.assert_allclose(out.value, h0.value, atol=1e-12)
 
     def test_update_gate_one_takes_candidate(self):
@@ -265,36 +302,50 @@ class TestGRUCell:
         w.b.value[4:8] = 50.0
         x = ad.Tensor(rng.normal(size=(2, 3)))
         h0 = ad.Tensor(rng.normal(size=(2, 4)))
-        out = ad.gru_cell(ad.Tape(), x, h0, w)
+        out = ad.gru_cell(ad.Tape(), x, h0, w, [2])
         # with z ~ 1 the output is the candidate, which is bounded by tanh
         assert np.all(np.abs(out.value) <= 1.0)
         assert not np.allclose(out.value, h0.value)
 
-    def test_update_mask_freezes_rows(self):
+    def test_rows_past_live_pass_through(self):
         rng = np.random.default_rng(8)
         w = _random_gru(rng, 3, 4)
-        x = ad.Tensor(rng.normal(size=(3, 3)))
+        x = ad.Tensor(rng.normal(size=(2, 3)))
         h0 = ad.Tensor(rng.normal(size=(3, 4)))
-        m = np.array([[1.0], [0.0], [1.0]])
         tape = ad.Tape()
-        out = ad.gru_cell(tape, x, h0, w, update_mask=m)
-        free = ad.gru_cell(ad.Tape(), x, h0, w)
-        np.testing.assert_array_equal(out.value[1], h0.value[1])
-        np.testing.assert_allclose(out.value[[0, 2]], free.value[[0, 2]], rtol=1e-12)
-        # frozen row passes gradient straight through to h_prev
-        tape.backward(_total_rows(tape, out, row=1))
-        np.testing.assert_allclose(h0.grad[1], np.ones(4), rtol=1e-12)
+        out = ad.gru_cell(tape, x, h0, w, [2], last=True)
+        free = ad.gru_cell(ad.Tape(), x, ad.Tensor(h0.value[:2]), w, [2])
+        np.testing.assert_array_equal(out.value[2], h0.value[2])
+        np.testing.assert_array_equal(out.value[:2], free.value)
+        # the row past the live count passes gradient straight through to h0
+        tape.backward(_total_rows(tape, out, row=2))
+        np.testing.assert_allclose(h0.grad[2], np.ones(4), rtol=1e-12)
         for wt in w.tensors():
             assert wt.grad is None or np.allclose(wt.grad, 0.0)
 
+    def test_rejects_live_counts_that_do_not_pack(self):
+        rng = np.random.default_rng(14)
+        w = _random_gru(rng, 3, 4)
+        x = ad.Tensor(rng.normal(size=(4, 3)))
+        for h_rows, live in ((3, [2, 1]), (3, [4]), (3, [5, -1])):
+            with pytest.raises(ValueError, match="live counts"):
+                ad.gru_cell(ad.Tape(), x, ad.Tensor(np.zeros((h_rows, 4))), w, live)
+
     def test_np_twin_matches_taped(self):
+        # one formula: the unroll's states are gru_cell_np's, bit for bit,
+        # given the same input projection
         rng = np.random.default_rng(9)
         w = _random_gru(rng, 5, 6)
-        x = rng.normal(size=(4, 5))
-        h0 = rng.normal(size=(4, 6))
-        taped = ad.gru_cell(ad.Tape(), ad.Tensor(x), ad.Tensor(h0), w).value
-        plain = ad.gru_cell_np(x, h0, w)
-        np.testing.assert_array_equal(taped, plain)
+        live = [4, 3, 1]
+        x = rng.normal(size=(sum(live), 5))
+        h = rng.normal(size=(4, 6))
+        taped = ad.gru_cell(ad.Tape(), ad.Tensor(x), ad.Tensor(h), w, live).value
+        xw, lo, plain = x @ w.w.value, 0, []
+        for k in live:
+            h[:k] = ad.gru_cell_np(x[lo:lo + k], h[:k], w, xw[lo:lo + k])
+            plain.append(h[:k].copy())
+            lo += k
+        np.testing.assert_array_equal(taped, np.concatenate(plain))
 
 
 class TestDropout:
@@ -330,7 +381,7 @@ def test_sigmoid_tanh_bounded_any_input(seed):
     x = ad.Tensor(rng.normal(scale=200.0, size=(4, 4)))
     h0 = ad.Tensor(rng.uniform(-1.0, 1.0, size=(4, 4)))
     tape = ad.Tape()
-    out = ad.gru_cell(tape, x, h0, w)
+    out = ad.gru_cell(tape, x, h0, w, [4])
     assert np.all(np.isfinite(out.value))
     assert np.all(np.abs(out.value) <= 1.0)
     tape.backward(_total(tape, out))

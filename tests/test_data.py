@@ -492,6 +492,9 @@ class TestSplitFile:
         (lambda rec: rec["train"].__setitem__(1, 5), r"train session 1 is 5, not an object"),
         (lambda rec: rec["test"].__setitem__(0, "s"), r"test session 0 is 's', not an object"),
         (lambda rec: rec.update(train=5), r"field 'train' is 5, not a list"),
+        # a bad train session is named before a test part that is no list
+        (lambda rec: rec["train"].__setitem__(1, 5) or rec.update(test=""),
+         r"train session 1 is 5, not an object"),
     ])
     def test_session_not_an_object_rejected(self, tmp_path, edit, message):
         path = self._tampered(tmp_path, edit)
@@ -577,6 +580,40 @@ class TestSplitFile:
                                                 r"of test session 0 is .*, before the "
                                                 r"previous session's start"):
             D.load_split(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda rec: None,
+        lambda rec: rec["train"][1].update(items=[]),
+        lambda rec: rec["train"][1].update(items="ab"),
+        lambda rec: rec["train"][1].update(items={"1": 2}),
+        lambda rec: rec["train"][1].update(items=None),
+        lambda rec: rec["test"][0]["items"].append(7),  # the vocabulary holds 7
+        lambda rec: rec["test"][0]["items"].append(10 ** 30),
+        lambda rec: rec["train"][0].update(start=rec["train"][1]["start"]),  # ties are fine
+        lambda rec: rec["train"][0].update(start=-1e300, end=2, gap=0),  # ints and floats
+        lambda rec: rec["train"][1].update(masked=None),
+        lambda rec: rec["train"][1].update(gap=-0.0),
+        lambda rec: rec["train"][1].update(end=[1.0]),
+        lambda rec: rec["test"].append([]),
+        lambda rec: rec.update(train=[], test=[]),
+    ])
+    def test_column_check_agrees_with_session_walk(self, tmp_path, edit):
+        # a user's sessions pass the check over their columns exactly when
+        # the per-session walk finds nothing to refuse
+        with open(self._tampered(tmp_path, edit), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        num_items, rec = json.loads(lines[0])["num_items"], json.loads(lines[3])
+        assert num_items == 7
+        try:
+            D._check_sessions(rec, num_items, "u")
+            walk_ok = True
+        except D.IngestError:
+            walk_ok = False
+        try:
+            columns = D._session_columns(rec["train"] + rec["test"], num_items)
+        except (KeyError, TypeError, OverflowError):
+            columns = None
+        assert (columns is not None) == walk_ok
 
 
 def test_raw_interaction_validation(tmp_path):

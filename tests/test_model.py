@@ -504,7 +504,7 @@ def _per_step_forward(tape, params, cfg, examples, index, rng, table):
         rep = ad.concat(tape, [ad.Tensor(segs), ad.embedding(tape, params.gap_emb, gaps),
                                ad.embedding(tape, params.user_emb, users)])
         rep = ad.dropout(tape, rep, cfg.dropout_rate, rng)
-        h = ad.gru_cell(tape, rep, h, params.inter, update_mask=live)
+        h = oracles.gru_cell(tape, rep, h, params.inter, update_mask=live)
     time_masked = np.array([ex.time_masked for ex in batch])
     g_alpha = np.array([0.0 if ex.time_masked else ex.gap_target ** cfg.alpha_exp
                         for ex in batch])
@@ -516,7 +516,7 @@ def _per_step_forward(tape, params, cfg, examples, index, rng, table):
         ids = np.array([ex.inputs[t] if t < len(ex.inputs) else 0 for ex in batch])
         tgt = np.array([ex.targets[t] if t < len(ex.targets) else 0 for ex in batch])
         x = ad.dropout(tape, ad.embedding(tape, params.item_emb, ids), cfg.dropout_rate, rng)
-        h = ad.gru_cell(tape, x, h, params.intra)
+        h = oracles.gru_cell(tape, x, h, params.intra)
         sc = ad.add(tape, ad.matmul(tape, h, params.out_w), params.out_b)
         piece = ad.masked_softmax_xent(tape, sc, tgt, masked=lens <= t)
         total = piece if total is None else ad.add(tape, total, piece)
@@ -610,6 +610,27 @@ def _train_cfg(split, **kw):
     return ModelConfig(**base)
 
 
+def _check_resume(tmp_path, make_cfg):
+    """Training 4 epochs straight and 2 + 2 through a checkpoint must give
+    the same parameters, bit for bit."""
+    from thrnn.checkpoint import load_checkpoint, save_checkpoint
+    split = _tiny_corpus(users=12, sessions=6)
+    cfg = make_cfg(split)
+    straight, _, _ = train(split, cfg, epochs=4, seed=5)
+
+    half, _, opt_state = train(split, cfg, epochs=2, seed=5)
+    path = str(tmp_path / "half.ckpt")
+    save_checkpoint(path, half, cfg, optimizer_state=opt_state,
+                    meta={"epochs_completed": 2, "seed": 5})
+    loaded, cfg2, opt2, meta = load_checkpoint(path)
+    resumed, stats, _ = train(split, cfg2, epochs=4, seed=meta["seed"],
+                              params=loaded, opt_state=opt2,
+                              start_epoch=meta["epochs_completed"] + 1)
+    assert [s.epoch for s in stats] == [3, 4]
+    for name, t in straight.named().items():
+        assert np.array_equal(t.value, resumed.named()[name].value), name
+
+
 class TestTraining:
     def test_loss_descends(self):
         split = _tiny_corpus(users=200)
@@ -632,22 +653,65 @@ class TestTraining:
     def test_resume_matches_straight_run(self, tmp_path):
         # stopping after epoch 2, checkpointing, and resuming must land on
         # exactly the same parameters as training 4 epochs in one go
-        from thrnn.checkpoint import load_checkpoint, save_checkpoint
-        split = _tiny_corpus(users=12, sessions=6)
-        cfg = _train_cfg(split)
-        straight, _, _ = train(split, cfg, epochs=4, seed=5)
+        _check_resume(tmp_path, _train_cfg)
 
-        half, _, opt_state = train(split, cfg, epochs=2, seed=5)
-        path = str(tmp_path / "half.ckpt")
-        save_checkpoint(path, half, cfg, optimizer_state=opt_state,
-                        meta={"epochs_completed": 2, "seed": 5})
-        loaded, cfg2, opt2, meta = load_checkpoint(path)
-        resumed, stats, _ = train(split, cfg2, epochs=4, seed=meta["seed"],
-                                  params=loaded, opt_state=opt2,
-                                  start_epoch=meta["epochs_completed"] + 1)
-        assert [s.epoch for s in stats] == [3, 4]
-        for name, t in straight.named().items():
-            assert np.array_equal(t.value, resumed.named()[name].value), name
+    def test_resume_matches_straight_run_with_dropout(self, tmp_path):
+        _check_resume(tmp_path, lambda split: _train_cfg(split, dropout_rate=0.3))
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_shuffled_batches_match_per_step_reference(self, rate):
+        # whole shuffled batches of a synthetic corpus, ragged reaches and
+        # lengths: the packed pass against the per-step masked oracle
+        split = _tiny_corpus(users=12, sessions=8, session_length=(1, 4))
+        cfg = _train_cfg(split, max_session_reps=3, batch_size=16, dropout_rate=rate)
+        params = _rand_params(cfg, seed=3)
+        examples = md.build_examples(split, cfg)
+        table = md._refresh_histories(split, params, cfg)
+        order = np.random.default_rng(4).permutation(len(examples))
+        for lo in range(0, len(order), cfg.batch_size):
+            grads = []
+            for forward in (md._forward_batch, _per_step_forward):
+                tape = Tape()
+                loss, *_ = forward(tape, params, cfg, examples, order[lo:lo + cfg.batch_size],
+                                   np.random.default_rng([5, lo]), table)
+                for t in params.named().values():
+                    t.zero_grad()
+                tape.backward(loss)
+                grads.append((float(loss.value), {n: t.grad.copy()
+                                                  for n, t in params.named().items()}))
+            (got_loss, got), (want_loss, want) = grads
+            assert got_loss == pytest.approx(want_loss, rel=1e-12), lo
+            for name, g in want.items():
+                err = np.abs(got[name] - g).max() / max(np.abs(g).max(), 1e-300)
+                assert err <= 1e-12, (lo, name, err)
+
+    def test_taped_gru_steps_only_live_rows(self, monkeypatch):
+        # per batch, the taped GRU steps sum(reach) + sum(length - 1) rows,
+        # none of them padding, in at most two gru_cell calls
+        split = _tiny_corpus(users=12, sessions=8, session_length=(1, 4))
+        cfg = _train_cfg(split, max_session_reps=3, batch_size=16)
+        params = ModelParams.init(cfg, 0)
+        examples = md.build_examples(split, cfg)
+        table = md._refresh_histories(split, params, cfg)
+        stepped = []  # rows per gru_cell call, per batch
+        gru_cell = md.gru_cell
+
+        def spy(tape, x, *args, **kw):
+            stepped[-1].append(len(x.value))
+            return gru_cell(tape, x, *args, **kw)
+
+        monkeypatch.setattr(md, "gru_cell", spy)
+        order = np.random.default_rng(3).permutation(len(examples))
+        reach = np.minimum(examples.slot, cfg.max_session_reps)
+        assert set(reach.tolist()) == {0, 1, 2, 3}
+        assert (examples.length == 1).any()
+        for lo in range(0, len(order), cfg.batch_size):
+            batch = order[lo:lo + cfg.batch_size]
+            stepped.append([])
+            md._forward_batch(Tape(), params, cfg, examples, batch,
+                              np.random.default_rng(0), table)
+            assert len(stepped[-1]) <= 2
+            assert sum(stepped[-1]) == reach[batch].sum() + (examples.length[batch] - 1).sum()
 
     def test_training_never_reads_the_test_split(self, tmp_path):
         # the same train sessions with other test items: every epoch record and
@@ -698,33 +762,38 @@ class TestTraining:
         table = md._refresh_histories(split, params, cfg)
         assert inter == [None]  # the table never reads the inter states
 
-        seen = []  # (inter input, update mask) per inter step
+        seen = []  # (packed inter inputs, live counts) per inter unroll
         gru_cell = md.gru_cell
 
-        def spy(tape, x, h, w, update_mask=None):
+        def spy(tape, x, h0, w, live, **kw):
             if w is params.inter:
-                seen.append((x.value.copy(), update_mask[:, 0].copy()))
-            return gru_cell(tape, x, h, w, update_mask=update_mask)
+                seen.append((x.value.copy(), np.asarray(live)))
+            return gru_cell(tape, x, h0, w, live, **kw)
 
         monkeypatch.setattr(md, "gru_cell", spy)
         md._forward_batch(Tape(), params, cfg, examples, np.arange(len(examples)),
                           np.random.default_rng(0), table)
+        (x, live), = seen
+        # the batch runs longest history first, ties in batch order: its j-th
+        # row reads packed row j of every step that has more than j live rows
+        reach = np.minimum(examples.slot, cfg.max_session_reps)
+        assert len(x) == reach.sum()  # no padded row is stepped
+        starts = np.cumsum(live) - live
         h_dim, gap_dim = cfg.hidden_dim, cfg.gap_embedding_dim
-        for i, ex in enumerate(oracles.example_objects(examples)):
+        objs = oracles.example_objects(examples)
+        for j, i in enumerate(np.argsort(-reach, kind="stable")):
+            ex = objs[i]
             own_states, own_buckets, _, _ = md._hierarchy_walk(
                 params, cfg, session_table([lists[ex.user_index]], [ex.user_index]))
             want = range(max(0, ex.slot - 3), ex.slot)
-            read = [x[i] for x, live in seen if live[i]]
+            read = [x[lo + j] for lo, k in zip(starts, live) if j < k]
             assert len(read) == len(want), i
-            for x, t in zip(read, want):
-                np.testing.assert_allclose(x[:h_dim], own_states[t], rtol=0, atol=1e-12)
-                assert np.array_equal(x[h_dim:h_dim + gap_dim],
+            for r, t in zip(read, want):
+                np.testing.assert_allclose(r[:h_dim], own_states[t], rtol=0, atol=1e-12)
+                assert np.array_equal(r[h_dim:h_dim + gap_dim],
                                       params.gap_emb.value[own_buckets[t]]), (i, t)
-            # padding is the zero state and bucket 0
-            for x, live in seen:
-                if not live[i]:
-                    assert np.all(x[i, :h_dim] == 0.0)
-                    assert np.array_equal(x[i, h_dim:h_dim + gap_dim], params.gap_emb.value[0])
+                assert np.array_equal(r[h_dim + gap_dim:],
+                                      params.user_emb.value[ex.user_index]), (i, t)
         assert len({int(b) for b in table[1]}) > 1
 
     def test_divergence_aborts_with_location(self):
