@@ -11,6 +11,8 @@ Five subcommands cover the whole workflow:
 Every command writes machine-parseable JSON lines to stdout (each record
 carries a "kind" field) and returns exit code 0 on success, 2 on any
 recognized error. Configuration is validated before any data is read.
+Sessions, from a split file or a predict history file, are checked by
+one function, data.session_columns; this module checks none itself.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 
@@ -291,71 +292,50 @@ def cmd_evaluate(args) -> int:
 # predict
 
 
-def _history_from_file(path: str) -> UserHistory:
+def _history_from_file(path: str, num_items: int) -> UserHistory:
     """One user's timeline as JSON: {"user_index": int, "sessions": [...]}.
 
-    Each session needs "items" (a non-empty list of vocabulary indices) and
-    "start"/"end" timestamps in seconds; "gap" (seconds since the
-    previous session ended) and "masked" are filled in when omitted.
-    Times are JSON numbers and "masked" a JSON bool; strings are refused.
+    Sessions hold a split file's session fields, but "gap" (seconds since
+    the previous session ended, 0 for the first) and "masked" (true for the
+    first session only) may be omitted. The sessions then pass the split
+    file's own check, data.session_columns, with items in [0, num_items).
     """
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict) or "user_index" not in obj \
-            or "sessions" not in obj:
-        raise ValueError(f"{path}: expected an object with user_index "
-                         "and sessions")
+        obj = data._json_line(fh.read(), path, 1)
+    data._require(obj, ("user_index", "sessions"), path)
     if not _is_int(obj["user_index"]):
-        raise ValueError(f"{path}: field 'user_index' must be an integer, "
-                         f"got {obj['user_index']!r}")
-    if not isinstance(obj["sessions"], list):
-        raise ValueError(f"{path}: field 'sessions' must be a list, "
-                         f"got {obj['sessions']!r}")
-    sessions = []
+        raise IngestError(f"{path}: field 'user_index' is {obj['user_index']!r:.80}, "
+                          f"not an integer")
+    sessions = obj["sessions"]
+    if not isinstance(sessions, list) or not sessions:
+        raise IngestError(f"{path}: field 'sessions' is {sessions!r:.80}, "
+                          f"not a non-empty list")
     prev_end = None
-    def number(i: int, name: str, v) -> float:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"{path}: session {i} field {name!r} must be a number, got {v!r}")
-        if not math.isfinite(v):
-            raise ValueError(f"{path}: session {i} field {name!r} is not finite: {v}")
-        return float(v)
-
-    for i, rec in enumerate(obj["sessions"]):
-        try:
-            items, masked = rec["items"], rec.get("masked", i == 0)
-            start, end = number(i, "start", rec["start"]), number(i, "end", rec["end"])
-            gap = number(i, "gap", rec.get("gap", 0.0 if prev_end is None else start - prev_end))
-        except (KeyError, TypeError) as err:
-            raise ValueError(f"{path}: session {i} is malformed: {err}") from err
-        if not isinstance(items, list) or not all(map(_is_int, items)):
-            raise ValueError(f"{path}: session {i} field 'items' must be a list "
-                             f"of integers, got {items!r}")
-        if not items:
-            raise ValueError(f"{path}: session {i} field 'items' is empty")
-        if not isinstance(masked, bool):
-            raise ValueError(f"{path}: session {i} field 'masked' must be true or false, "
-                             f"got {masked!r}")
-        if end < start:
-            raise ValueError(f"{path}: session {i} ends before it starts")
-        if prev_end is not None and start < prev_end:
-            raise ValueError(f"{path}: session {i} overlaps the previous one")
-        if gap < 0:
-            raise ValueError(f"{path}: session {i} field 'gap' is negative: {gap}")
-        sessions.append(Session(items=items, start_time=start, end_time=end,
-                                gap_before=gap, gap_masked=masked))
-        prev_end = end
-    if not sessions:
-        raise ValueError(f"{path}: history holds no sessions")
+    for k, o in enumerate(sessions):
+        if isinstance(o, dict):
+            o.setdefault("masked", k == 0)
+            if "gap" not in o:
+                try:
+                    o["gap"] = 0.0 if prev_end is None else o["start"] - prev_end
+                except (KeyError, TypeError, OverflowError):
+                    o["gap"] = 0.0  # a placeholder: the check names the bad start or end
+            prev_end = o.get("end")
+    items, lengths, cols = data.session_columns({"": sessions}, num_items, path)
+    cuts = np.cumsum([0, *lengths]).tolist()
     user_index = obj["user_index"]
-    return UserHistory(user_id=str(obj.get("user_id", f"u{user_index}")),
-                       user_index=user_index, sessions=sessions)
+    return UserHistory(
+        user_id=str(obj.get("user_id", f"u{user_index}")), user_index=user_index,
+        sessions=[Session(items=items[a:b], start_time=float(s), end_time=float(e),
+                          gap_before=float(g), gap_masked=m)
+                  for a, b, s, e, g, m in zip(cuts, cuts[1:], cols["start"], cols["end"],
+                                              cols["gap"], cols["masked"])])
 
 
 def cmd_predict(args) -> int:
     if args.k < 1:
         raise ValueError(f"-k must be at least 1, got {args.k}")
     params, cfg, _, _ = ckpt.load_checkpoint(args.checkpoint, optimizer=False)
-    history = _history_from_file(args.history)
+    history = _history_from_file(args.history, cfg.num_items)
     pred = model.predict(history, params, cfg, k=args.k)
     _emit({"kind": "prediction",
            "user_id": history.user_id,

@@ -454,11 +454,13 @@ def load_split(path: str) -> DatasetSplit:
                         user_ids=user_ids, item_ids=item_ids)
 
 
-def _json_line(line: str, path: str, number: int):
+def _json_line(text: str, path: str, number: int):
+    """The JSON value of text, which starts at line `number` of the file."""
     try:
-        return json.loads(line)
+        return json.loads(text.rstrip())
     except json.JSONDecodeError as err:
-        raise IngestError(f"{path}: line {number} is not JSON: {err.msg}") from None
+        raise IngestError(f"{path}: line {number + err.lineno - 1} is not JSON: "
+                          f"{err.msg}") from None
 
 
 def _check_vocabulary(item_ids, num_items: int, path: str) -> None:
@@ -488,89 +490,103 @@ def _require(obj, fields, what: str) -> None:
 
 
 def _user_columns(rec, row: int, num_items: int, path: str):
-    """A user record's sessions, train then test, as flat lists: the items,
-    the lengths and a list per field of start, end, gap and masked.
-
-    Reject records the model would misread: a session with no items
-    has no intra state, numpy takes item -1 as the last embedding row and
-    an int64 array holds item 1.5 as 1, users are looked up by user_index,
-    gaps are bucketed, masked picks the gaps the time loss skips, and the
-    recursion assumes one timeline from train into test. Each field must
-    have its JSON type: records and sessions are objects, indices are
-    integers (a bool is not one), masked is a bool, and start, end and
-    gap are finite numbers. A missing field is named. The sessions are
-    checked all at once over the lists; only a user that fails is walked
-    session by session, so that the error names the first bad field."""
+    """A user record's sessions, train then test, as session_columns gives
+    them. Users are looked up by user_index, so it must be the row."""
     _require(rec, ("user_id", "user_index", "train", "test"), f"{path}: user record {row}")
     who = f"{path}: user {rec['user_id']!r}"
     if not _is_int(rec["user_index"]) or rec["user_index"] != row:
         raise IngestError(f"{who}: field 'user_index' is {rec['user_index']!r}, "
                           f"but the record is row {row}")
-    columns = None
-    if isinstance(rec["train"], list) and isinstance(rec["test"], list):
-        try:
-            columns = _session_columns(rec["train"] + rec["test"], num_items)
-        except (KeyError, TypeError, OverflowError):  # a session not an object, say
-            pass
+    return session_columns({"train": rec["train"], "test": rec["test"]}, num_items, who)
+
+
+def session_columns(parts: dict, num_items: int, who: str):
+    """The sessions of parts, {part name: list of sessions}, one timeline in
+    order, as flat lists: the items, the lengths and a list per field of
+    start, end, gap and masked. A split's user record passes its train and
+    test parts; a history file passes one part named "" ("session k").
+
+    Reject sessions the model would misread: a session with no items has
+    no intra state, numpy takes item -1 as the last embedding row and an
+    int64 array holds item 1.5 as 1, gaps are bucketed, masked picks the
+    gaps the time loss skips, and the recursion assumes one timeline, each
+    session ending no earlier than it starts and starting no earlier than
+    the previous one ends. Sessions are objects with every field, items
+    integers in [0, num_items) (a bool is not one), masked a bool, and
+    start, end and gap finite numbers, gap >= 0. The sessions are checked
+    all at once over the lists; only a timeline that fails is walked
+    session by session, so that the error names the first bad field."""
+    try:
+        columns = _columns_if_valid(parts, num_items)
+    except (KeyError, TypeError, OverflowError):  # a session not an object, say
+        columns = None
     if columns is None:
-        _check_sessions(rec, num_items, who)  # refuses the first bad field by name
+        _check_sessions(parts, num_items, who)  # refuses the first bad field by name
         raise IngestError(f"{who}: a session is malformed")  # in case the walk did not
     return columns
 
 
-def _session_columns(sessions: list, num_items: int):
-    """(items, lengths, {field: values}) of the sessions, or None if one of
-    them breaks a rule of _user_columns."""
+def _columns_if_valid(parts: dict, num_items: int):
+    """session_columns' lists, or None if a session breaks one of its rules."""
+    sessions = list(chain.from_iterable(parts.values()))
     item_lists = [o["items"] for o in sessions]
     items = list(chain.from_iterable(item_lists))
     lengths = list(map(len, item_lists))
     cols = {name: [o[name] for o in sessions] for name in ("start", "end", "gap", "masked")}
-    start, gap = cols["start"], cols["gap"]
-    ok = (set(map(type, item_lists)) <= {list} and min(lengths, default=1) > 0
-          and set(map(type, items)) <= {int}
+    start, end = cols["start"], cols["end"]
+    ok = (set(map(type, parts.values())) <= {list} and set(map(type, item_lists)) <= {list}
+          and min(lengths, default=1) > 0 and set(map(type, items)) <= {int}
           and (not items or (min(items) >= 0 and max(items) < num_items))
           and set(map(type, cols["masked"])) <= {bool}
           and all(set(map(type, cols[name])) <= {int, float} and all(map(math.isfinite, cols[name]))
                   for name in ("start", "end", "gap"))
-          and min(gap, default=0.0) >= 0
-          and all(map(operator.le, start, start[1:])))
+          and min(cols["gap"], default=0.0) >= 0
+          and all(map(operator.le, start, end)) and all(map(operator.le, end, start[1:])))
     return (items, lengths, cols) if ok else None
 
 
-def _check_sessions(rec: dict, num_items: int, who: str) -> None:
-    """Walk the sessions of a record one by one and refuse the first bad field."""
-    prev_start = -math.inf
-    for part in ("train", "test"):
-        if not isinstance(rec[part], list):
-            raise IngestError(f"{who}: field {part!r} is {rec[part]!r:.80}, not a list")
-        for k, o in enumerate(rec[part]):
-            _require(o, ("items", "masked", "start", "end", "gap"), f"{who}: {part} session {k}")
+def _check_sessions(parts: dict, num_items: int, who: str) -> None:
+    """Walk the sessions one by one and refuse the first bad field."""
+    prev_end = -math.inf
+    for part, sessions in parts.items():
+        if not isinstance(sessions, list):
+            raise IngestError(f"{who}: field {part!r} is {sessions!r:.80}, not a list")
+        for k, o in enumerate(sessions):
+            where = f"{part} session {k}".lstrip()
+            _require(o, ("items", "masked", "start", "end", "gap"), f"{who}: {where}")
             if not isinstance(o["items"], list):
-                raise IngestError(f"{who}: field 'items' of {part} session {k} is "
-                                  f"{o['items']!r}, not a list")
+                raise IngestError(f"{who}: field 'items' of {where} is "
+                                  f"{o['items']!r:.80}, not a list")
             if not o["items"]:
-                raise IngestError(f"{who}: field 'items' of {part} session {k} is empty")
-            if set(map(type, o["items"])) != {int} or min(o["items"]) < 0 \
-                    or max(o["items"]) >= num_items:
-                bad = [i for i in o["items"] if not _is_int(i) or not 0 <= i < num_items]
+                raise IngestError(f"{who}: field 'items' of {where} is empty")
+            bad = [i for i in o["items"] if not _is_int(i) or not 0 <= i < num_items]
+            if bad:
                 why = f"outside [0, {num_items})" if _is_int(bad[0]) else "not an integer"
-                raise IngestError(f"{who}: field 'items' of a {part} session holds "
-                                  f"{bad[0]!r}, {why}")
+                raise IngestError(f"{who}: field 'items' of {where} holds {bad[0]!r:.80}, {why}")
             if type(o["masked"]) is not bool:
-                raise IngestError(f"{who}: field 'masked' of {part} session {k} is "
-                                  f"{o['masked']!r}, not true or false")
+                raise IngestError(f"{who}: field 'masked' of {where} is "
+                                  f"{o['masked']!r:.80}, not true or false")
             for name in ("start", "end", "gap"):
-                if type(o[name]) not in (int, float) or not math.isfinite(o[name]):
-                    raise IngestError(f"{who}: field {name!r} of {part} session {k} is "
-                                      f"{o[name]!r}, not a finite number")
+                if not _is_finite(o[name]):
+                    raise IngestError(f"{who}: field {name!r} of {where} is "
+                                      f"{o[name]!r:.80}, not a finite number")
+            if o["end"] < o["start"]:
+                raise IngestError(f"{who}: field 'end' of {where} is {o['end']}, "
+                                  f"before its start {o['start']}")
+            if o["start"] < prev_end:
+                raise IngestError(f"{who}: field 'start' of {where} is {o['start']}, "
+                                  f"before the previous session's end {prev_end}")
             if o["gap"] < 0:
-                raise IngestError(f"{who}: field 'gap' of {part} session {k} is "
-                                  f"{o['gap']}, negative")
-            if o["start"] < prev_start:
-                raise IngestError(f"{who}: field 'start' of {part} session {k} is "
-                                  f"{o['start']}, before the previous session's "
-                                  f"start {prev_start}")
-            prev_start = o["start"]
+                raise IngestError(f"{who}: field 'gap' of {where} is {o['gap']}, negative")
+            prev_end = o["end"]
+
+
+def _is_finite(v) -> bool:
+    """An int or float, not a bool, that float64 holds as a finite number."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _is_int(v) -> bool:

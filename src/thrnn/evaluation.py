@@ -182,7 +182,8 @@ def popularity_report(split: DatasetSplit) -> EvalReport:
 def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig,
                   time_unit: float = SECONDS_PER_DAY) -> EvalReport:
     """Hawkes fits on the train events of every user with a test gap, all in
-    one batched call; predictions teacher-forced over the test walk.
+    one batched call; predictions teacher-forced over the test walk, one
+    pass over each user's timeline.
 
     Event times are session starts of real sittings; the second half of a
     length-split session is the same sitting, so it never becomes an event.
@@ -201,8 +202,7 @@ def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig,
     preds = []
     for u, params, ts in zip(users, fit(histories, cfg, rates), times):
         lo, hi = bounds[u], bounds[u + 1]
-        before = (np.cumsum(~t.masked[lo:hi]) - 1).tolist()  # sittings before each session
-        for k in np.flatnonzero(scored[lo:hi]).tolist():
-            preds.append(hawkes_predict_next(ts[:before[k]], params, q) * time_unit)
+        before = np.cumsum(~t.masked[lo:hi]) - 1  # sittings before each session
+        preds.append(hawkes_predict_next(ts, params, q)[before[scored[lo:hi]]] * time_unit)
     name = "hawkes_short" if cfg.window == "last_k" else "hawkes_long"
-    return build_report(name, [], preds, t.gap[scored])
+    return build_report(name, [], np.concatenate(preds) if preds else [], t.gap[scored])

@@ -8,8 +8,10 @@ excitation/decay capped at 0.99 for stability. All users are fitted in
 lockstep: each iteration evaluates the NLL, its gradient and its 3x3
 Hessian for every user at once, from padded (users x events) arrays, with
 the Ozaki (1979) exponential-kernel recursion carried to second order in
-the decay. Prediction hands the next gap's closed-form compensator to
-point_process.truncated_mean, the rule the neural time head uses.
+the decay. Prediction walks a user's timeline once, carrying the
+excitation state, and hands the next gap's closed-form compensator after
+every prefix to one point_process.truncated_mean call, the rule the
+neural time head uses.
 
 All times are in model units (the same normalization the neural time
 head uses, days by default), so MAE numbers are directly comparable.
@@ -50,15 +52,14 @@ class FitConfig:
             raise ValueError("last_k must be >= 2")
 
 
-def excitation_state(history: np.ndarray, decay: float) -> float:
-    """S = sum_j exp(-decay * (t_n - t_j)) over all events including the last.
-
-    O(n) once; callers hold on to the result for O(1) extrapolation.
-    """
-    s = 0.0
-    for dt in np.diff(history):
-        s = (s + 1.0) * math.exp(-decay * dt)
-    return s + 1.0 if len(history) else 0.0
+def excitation_state(history: np.ndarray, decay: float) -> np.ndarray:
+    """S[k] = sum_{j<k} exp(-decay * (t_{k-1} - t_j)), the excitation just
+    after each of the first k events, for k = 0..n (S[0] = 0): one O(n)
+    pass of S <- S * exp(-decay * dt) + 1."""
+    s = [0.0, 1.0][:len(history) + 1]
+    for dt in np.diff(history).tolist():
+        s.append(s[-1] * math.exp(-decay * dt) + 1.0)
+    return np.array(s)
 
 
 # Nothing in the program calls this one-user likelihood any more; it stays
@@ -360,11 +361,12 @@ def fit(histories, cfg: FitConfig, fallback_rates=None) -> list[HawkesParams]:
 
 
 def hawkes_predict_next(history: np.ndarray, p: HawkesParams,
-                        q: QuadratureConfig) -> float:
-    """Expected gap to the next event given everything observed so far,
-    truncated at the cutoff. The next gap's compensator is
+                        q: QuadratureConfig) -> np.ndarray:
+    """Expected gap to the next event after each prefix of the history, the
+    empty one first (n + 1 values), truncated at the cutoff, all in one
+    pass. The next gap's compensator is
     Lam(tau) = gamma0*tau - K*expm1(-decay*tau), K = S*excitation/decay,
-    with S the excitation state at the last event."""
+    with S the excitation state at the prefix's last event."""
     k = excitation_state(np.asarray(history, dtype=np.float64), p.decay) * p.excitation / p.decay
-    return float(truncated_mean(lambda tau: p.gamma0 * tau - k * np.expm1(-p.decay * tau),
-                                q.cutoff))
+    return truncated_mean(lambda tau: p.gamma0 * tau - k[:, None] * np.expm1(-p.decay * tau),
+                          q.cutoff)

@@ -117,7 +117,7 @@ def hawkes_intensity(t: float, history: np.ndarray, p: HawkesParams) -> float:
         return p.gamma0
     if t < history[-1]:
         raise ValueError("t must not precede the last history event")
-    s = excitation_state(history, p.decay)
+    s = excitation_state(history, p.decay)[-1]
     return p.gamma0 + p.excitation * s * math.exp(-p.decay * (t - history[-1]))
 
 
@@ -167,7 +167,7 @@ def sample_next_gaps(history: np.ndarray, p: HawkesParams,
                      rng: np.random.Generator, n: int = 1) -> np.ndarray:
     """n independent thinning draws of the gap to the next event after
     the given history (the excitation state is computed once)."""
-    s0 = excitation_state(np.asarray(history, dtype=np.float64), p.decay)
+    s0 = excitation_state(np.asarray(history, dtype=np.float64), p.decay)[-1]
     g0, a, beta = p.gamma0, p.excitation, p.decay
     out = np.empty(n)
     for i in range(n):
@@ -771,7 +771,7 @@ def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig,
     preds, targets = [], []
     for user, gap, events, _ in gaps:
         history = np.asarray(events, dtype=np.float64) / time_unit
-        preds.append(hawkes_predict_next(history, params_by_user[user], q) * time_unit)
+        preds.append(hawkes_predict_next(history, params_by_user[user], q)[-1] * time_unit)
         targets.append(gap)
     name = "hawkes_short" if cfg.window == "last_k" else "hawkes_long"
     return build_report(name, [], preds, targets)

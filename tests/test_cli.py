@@ -15,7 +15,7 @@ import pytest
 import thrnn
 from thrnn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from thrnn.cli import _history_from_file, main
-from thrnn.data import load_split
+from thrnn.data import IngestError, load_split
 
 from oracles import histories, load_report
 
@@ -395,7 +395,7 @@ class TestTrain:
         rc = main(["train", "--split", str(tmp_path / "bad.split"),
                    "--out", str(tmp_path / "x.ckpt"), "--epochs", "1", *TINY_FLAGS])
         assert rc == 2
-        assert "field 'items' of a train session holds 1.5, not an integer" \
+        assert "field 'items' of train session 0 holds 1.5, not an integer" \
             in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
 
@@ -622,7 +622,8 @@ class TestPredict:
         rc = main(["predict", "--checkpoint", str(ws / "m2.ckpt"),
                    "--history", str(tmp_path / "h.json")])
         assert rc == 2
-        assert "[99]" in capsys.readouterr().err
+        assert ("h.json: field 'items' of session 0 holds 99, outside [0, 10)"
+                in capsys.readouterr().err)
 
     def test_malformed_session_rejected(self, ws, tmp_path, capsys):
         (tmp_path / "h.json").write_text(json.dumps(
@@ -630,7 +631,7 @@ class TestPredict:
         rc = main(["predict", "--checkpoint", str(ws / "m2.ckpt"),
                    "--history", str(tmp_path / "h.json")])
         assert rc == 2
-        assert "session 0 is malformed" in capsys.readouterr().err
+        assert "h.json: session 0 has no field 'start'" in capsys.readouterr().err
 
     def test_overlapping_sessions_rejected(self, ws, tmp_path, capsys):
         (tmp_path / "h.json").write_text(json.dumps(
@@ -640,31 +641,34 @@ class TestPredict:
         rc = main(["predict", "--checkpoint", str(ws / "m2.ckpt"),
                    "--history", str(tmp_path / "h.json")])
         assert rc == 2
-        assert "overlaps" in capsys.readouterr().err
+        assert ("h.json: field 'start' of session 1 is 100.0, before the previous "
+                "session's end 500.0" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("session, message", [
-        ({"start": float("nan"), "end": 600.0}, "session 1 field 'start' is not finite: nan"),
-        ({"start": 90000.0, "end": float("inf")}, "session 1 field 'end' is not finite: inf"),
+        ({"start": float("nan"), "end": 600.0}, "field 'start' of session 1 is nan, not a "
+                                                "finite number"),
+        ({"start": 90000.0, "end": float("inf")}, "field 'end' of session 1 is inf, not a "
+                                                  "finite number"),
         ({"start": 90000.0, "end": 90600.0, "gap": -5.0},
-         "session 1 field 'gap' is negative: -5.0"),
+         r"field 'gap' of session 1 is -5\.0, negative"),
         ({"start": 90000.0, "end": 90600.0, "gap": float("inf")},
-         "session 1 field 'gap' is not finite: inf"),
-        ({"start": "0", "end": 90600.0}, "session 1 field 'start' must be a number, got '0'"),
-        ({"start": 90000.0, "end": True}, "session 1 field 'end' must be a number, got True"),
+         "field 'gap' of session 1 is inf, not a finite number"),
+        ({"start": "0", "end": 90600.0}, "field 'start' of session 1 is '0', not a finite number"),
+        ({"start": 90000.0, "end": True}, "field 'end' of session 1 is True, not a finite number"),
         ({"start": 90000.0, "end": 90600.0, "gap": "5"},
-         "session 1 field 'gap' must be a number, got '5'"),
+         "field 'gap' of session 1 is '5', not a finite number"),
         ({"start": 90000.0, "end": 90600.0, "gap": None},
-         "session 1 field 'gap' must be a number, got None"),
+         "field 'gap' of session 1 is None, not a finite number"),
         ({"start": 90000.0, "end": 90600.0, "masked": "false"},
-         "session 1 field 'masked' must be true or false, got 'false'"),
+         "field 'masked' of session 1 is 'false', not true or false"),
         ({"start": 90000.0, "end": 90600.0, "masked": 0},
-         "session 1 field 'masked' must be true or false, got 0"),
+         "field 'masked' of session 1 is 0, not true or false"),
     ])
     def test_bad_session_field_rejected_at_load(self, tmp_path, session, message):
         (tmp_path / "h.json").write_text(json.dumps({"user_index": 0, "sessions": [
             {"items": [1], "start": 0.0, "end": 500.0}, {"items": [2], **session}]}))
-        with pytest.raises(ValueError, match=f"h.json: {message}"):
-            _history_from_file(str(tmp_path / "h.json"))
+        with pytest.raises(IngestError, match=f"h.json: {message}"):
+            _history_from_file(str(tmp_path / "h.json"), 10)
 
     def test_bad_session_field_exits_2(self, ws, tmp_path, capsys):
         (tmp_path / "h.json").write_text(json.dumps({"user_index": 0, "sessions": [
@@ -673,32 +677,34 @@ class TestPredict:
         rc = main(["predict", "--checkpoint", str(ws / "m2.ckpt"),
                    "--history", str(tmp_path / "h.json")])
         assert rc == 2
-        assert "session 1 field 'gap' is negative" in capsys.readouterr().err
+        assert "h.json: field 'gap' of session 1 is -5.0, negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
-        ({"user_index": 1.7}, "field 'user_index' must be an integer, got 1.7"),
-        ({"user_index": None}, "field 'user_index' must be an integer, got None"),
-        ({"user_index": [1]}, r"field 'user_index' must be an integer, got \[1\]"),
-        ({"user_index": True}, "field 'user_index' must be an integer, got True"),
-        ({"sessions": {"items": [1]}}, "field 'sessions' must be a list"),
-        ({"sessions": "abc"}, "field 'sessions' must be a list, got 'abc'"),
+        ({"user_index": 1.7}, "field 'user_index' is 1.7, not an integer"),
+        ({"user_index": None}, "field 'user_index' is None, not an integer"),
+        ({"user_index": [1]}, r"field 'user_index' is \[1\], not an integer"),
+        ({"user_index": True}, "field 'user_index' is True, not an integer"),
+        ({"sessions": {"items": [1]}},
+         r"field 'sessions' is \{'items': \[1\]\}, not a non-empty list"),
+        ({"sessions": "abc"}, "field 'sessions' is 'abc', not a non-empty list"),
+        ({"sessions": []}, r"field 'sessions' is \[\], not a non-empty list"),
         ({"sessions": [{"items": [1, 3.9], "start": 0.0, "end": 5.0}]},
-         r"session 0 field 'items' must be a list of integers, got \[1, 3.9\]"),
+         r"field 'items' of session 0 holds 3\.9, not an integer"),
         ({"sessions": [{"items": "12", "start": 0.0, "end": 5.0}]},
-         "session 0 field 'items' must be a list of integers, got '12'"),
+         "field 'items' of session 0 is '12', not a list"),
     ])
     def test_mistyped_field_rejected_at_load(self, tmp_path, edit, message):
         obj = {"user_index": 0, "sessions": [{"items": [1], "start": 0.0, "end": 5.0}]}
         (tmp_path / "h.json").write_text(json.dumps({**obj, **edit}))
-        with pytest.raises(ValueError, match=f"h.json: {message}"):
-            _history_from_file(str(tmp_path / "h.json"))
+        with pytest.raises(IngestError, match=f"h.json: {message}"):
+            _history_from_file(str(tmp_path / "h.json"), 10)
 
     @pytest.mark.parametrize("edit, message", [
-        ({"user_index": 1.7}, "field 'user_index' must be an integer"),
-        ({"user_index": None}, "field 'user_index' must be an integer"),
-        ({"sessions": {"items": [1]}}, "field 'sessions' must be a list"),
+        ({"user_index": 1.7}, "field 'user_index' is 1.7, not an integer"),
+        ({"user_index": None}, "field 'user_index' is None, not an integer"),
+        ({"sessions": {"items": [1]}}, "field 'sessions' is {'items': [1]}, not a non-empty list"),
         ({"sessions": [{"items": [3.9], "start": 0.0, "end": 5.0}]},
-         "session 0 field 'items' must be a list of integers"),
+         "field 'items' of session 0 holds 3.9, not an integer"),
     ])
     def test_mistyped_field_exits_2(self, ws, tmp_path, capsys, edit, message):
         obj = {"user_index": 1, "sessions": [{"items": [1], "start": 0.0, "end": 5.0}]}
@@ -728,8 +734,8 @@ class TestPredict:
         (tmp_path / "h.json").write_text(json.dumps({"user_index": 0, "sessions": [
             {"items": [1], "start": 0.0, "end": 500.0},
             {"items": [], "start": 900.0, "end": 1000.0}]}))
-        with pytest.raises(ValueError, match="h.json: session 1 field 'items' is empty"):
-            _history_from_file(str(tmp_path / "h.json"))
+        with pytest.raises(IngestError, match="h.json: field 'items' of session 1 is empty"):
+            _history_from_file(str(tmp_path / "h.json"), 10)
 
     def test_last_session_without_items_exits_2(self, ws, tmp_path, capsys):
         # with no items there is no intra state to rank from
@@ -740,7 +746,7 @@ class TestPredict:
                    "--history", str(tmp_path / "h.json")])
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
-        assert "h.json: session 1 field 'items' is empty" in captured.err
+        assert "h.json: field 'items' of session 1 is empty" in captured.err
 
     def test_session_field_of_wrong_type_exits_2(self, ws, tmp_path, capsys):
         (tmp_path / "h.json").write_text(json.dumps({"user_index": 0, "sessions": [
@@ -748,7 +754,8 @@ class TestPredict:
         rc = main(["predict", "--checkpoint", str(ws / "m2.ckpt"),
                    "--history", str(tmp_path / "h.json")])
         assert rc == 2
-        assert "session 0 field 'masked' must be true or false" in capsys.readouterr().err
+        assert ("h.json: field 'masked' of session 0 is 'false', not true or false"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("section", ["params", "optimizer"])
     def test_checkpoint_with_mistyped_manifest_shape_exits_2(self, ws, tmp_path, capsys,
@@ -785,6 +792,78 @@ class TestPredict:
     def test_usage_error_exits_nonzero(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+def _set(field, value):
+    return lambda sessions, k: sessions[k].update({field: value})
+
+
+class TestOneSessionCheck:
+    """A split file and a predict history file go through one session
+    check: the same malformed session is refused with the same field and
+    session named, exit 2 and no traceback, through either reader."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda sessions, k: sessions.__setitem__(k, 5), "{where} is 5, not an object"),
+        (lambda sessions, k: sessions[k].pop("end"), "{where} has no field 'end'"),
+        (_set("items", [True]), "field 'items' of {where} holds True, not an integer"),
+        (_set("items", [1, 10]), "field 'items' of {where} holds 10, outside [0, 10)"),
+        (_set("start", float("nan")), "field 'start' of {where} is nan, not a finite number"),
+        (_set("gap", -5.0), "field 'gap' of {where} is -5.0, negative"),
+        (lambda sessions, k: sessions[k].update(end=sessions[k]["start"] - 1.0),
+         "field 'end' of {where} is "),
+        (lambda sessions, k: sessions[k].update(start=sessions[k - 1]["end"] - 1.0),
+         "field 'start' of {where} is "),
+    ])
+    def test_split_and_history_refuse_alike(self, ws, tmp_path, capsys, edit, message):
+        lines = (ws / "corpus.split").read_text().splitlines()
+        rec = json.loads(lines[2])
+        assert len(rec["train"]) >= 2
+        history = {"user_index": 0, "sessions": json.loads(json.dumps(rec["train"] + rec["test"]))}
+        edit(rec["train"], 1)
+        lines[2] = json.dumps(rec)
+        (tmp_path / "bad.split").write_text("\n".join(lines) + "\n")
+        edit(history["sessions"], 1)
+        (tmp_path / "h.json").write_text(json.dumps(history))
+
+        rc = main(["train", "--split", str(tmp_path / "bad.split"),
+                   "--out", str(tmp_path / "x.ckpt"), "--epochs", "1", *TINY_FLAGS])
+        err = capsys.readouterr().err
+        assert rc == 2 and "Traceback" not in err
+        assert (f"bad.split: user {rec['user_id']!r}: "
+                + message.format(where="train session 1")) in err
+        rc = main(["predict", "--checkpoint", str(ws / "m2.ckpt"),
+                   "--history", str(tmp_path / "h.json")])
+        err = capsys.readouterr().err
+        assert rc == 2 and "Traceback" not in err
+        assert "h.json: " + message.format(where="session 1") in err
+
+    def test_history_not_json_names_the_file_and_line(self, ws, tmp_path, capsys):
+        (tmp_path / "h.json").write_text('{"user_index": 0,\n "sessions": [}\n')
+        rc = main(["predict", "--checkpoint", str(ws / "m2.ckpt"),
+                   "--history", str(tmp_path / "h.json")])
+        err = capsys.readouterr().err
+        assert rc == 2 and "h.json: line 2 is not JSON: Expecting value" in err
+
+    def test_history_session_not_an_object(self, ws, tmp_path, capsys):
+        (tmp_path / "h.json").write_text(json.dumps({"user_index": 0, "sessions": [
+            {"items": [1], "start": 0.0, "end": 5.0}, 7]}))
+        rc = main(["predict", "--checkpoint", str(ws / "m2.ckpt"),
+                   "--history", str(tmp_path / "h.json")])
+        err = capsys.readouterr().err
+        assert rc == 2 and "h.json: session 1 is 7, not an object" in err
+
+    def test_history_defaults_fill_gap_and_masked(self, tmp_path):
+        (tmp_path / "h.json").write_text(json.dumps({"user_index": 3, "sessions": [
+            {"items": [1], "start": 10, "end": 20},
+            {"items": [2, 3], "start": 50.0, "end": 60.0},
+            {"items": [4], "start": 60.0, "end": 70.0, "gap": 1.5, "masked": True}]}))
+        history = _history_from_file(str(tmp_path / "h.json"), 10)
+        assert (history.user_id, history.user_index) == ("u3", 3)
+        assert [(s.items, s.start_time, s.end_time, s.gap_before, s.gap_masked)
+                for s in history.sessions] == [([1], 10.0, 20.0, 0.0, True),
+                                               ([2, 3], 50.0, 60.0, 30.0, False),
+                                               ([4], 60.0, 70.0, 1.5, True)]
 
 
 class TestRepeatedMain:

@@ -433,7 +433,7 @@ class TestSplitFile:
         # -1 would otherwise index the last embedding row without a word
         path = self._tampered(tmp_path, lambda rec: rec["test"][0]["items"].__setitem__(0, -1))
         with pytest.raises(D.IngestError, match=r"bad\.jsonl: user 'u2': field 'items' "
-                                                r"of a test session holds -1"):
+                                                r"of test session 0 holds -1, outside \[0, 7\)"):
             D.load_split(path)
 
     def test_session_without_items_rejected(self, tmp_path):
@@ -457,9 +457,9 @@ class TestSplitFile:
             D.load_split(path)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("items", [1.5], r"'items' of a train session holds 1\.5, not an integer"),
-        ("items", ["1"], r"'items' of a train session holds '1', not an integer"),
-        ("items", [True], r"'items' of a train session holds True, not an integer"),
+        ("items", [1.5], r"'items' of train session 1 holds 1\.5, not an integer"),
+        ("items", ["1"], r"'items' of train session 1 holds '1', not an integer"),
+        ("items", [True], r"'items' of train session 1 holds True, not an integer"),
         ("items", 3, r"'items' of train session 1 is 3, not a list"),
         ("masked", "no", r"'masked' of train session 1 is 'no', not true or false"),
         ("masked", 0, r"'masked' of train session 1 is 0, not true or false"),
@@ -468,6 +468,8 @@ class TestSplitFile:
         ("start", None, r"'start' of train session 1 is None, not a finite number"),
         ("start", True, r"'start' of train session 1 is True, not a finite number"),
         ("end", float("inf"), r"'end' of train session 1 is inf, not a finite number"),
+        # an int beyond float64's range once escaped as an OverflowError
+        ("end", 10 ** 400, r"'end' of train session 1 is 10{79}, not a finite number"),
     ])
     def test_mistyped_session_field_rejected(self, tmp_path, field, value, message):
         path = self._tampered(tmp_path, lambda rec: rec["train"][1].update({field: value}))
@@ -578,7 +580,7 @@ class TestSplitFile:
         path = self._tampered(tmp_path, edit)
         with pytest.raises(D.IngestError, match=r"bad\.jsonl: user 'u2': field 'start' "
                                                 r"of test session 0 is .*, before the "
-                                                r"previous session's start"):
+                                                r"previous session's end"):
             D.load_split(path)
 
     @pytest.mark.parametrize("edit", [
@@ -589,13 +591,18 @@ class TestSplitFile:
         lambda rec: rec["train"][1].update(items=None),
         lambda rec: rec["test"][0]["items"].append(7),  # the vocabulary holds 7
         lambda rec: rec["test"][0]["items"].append(10 ** 30),
-        lambda rec: rec["train"][0].update(start=rec["train"][1]["start"]),  # ties are fine
+        lambda rec: rec["train"][1].update(start=rec["train"][0]["end"]),  # ties are fine
+        lambda rec: rec["train"][0].update(start=rec["train"][0]["end"]),
         lambda rec: rec["train"][0].update(start=-1e300, end=2, gap=0),  # ints and floats
+        lambda rec: rec["train"][0].update(end=rec["train"][0]["start"] - 1),
+        lambda rec: rec["train"][1].update(start=rec["train"][0]["end"] - 1),
+        lambda rec: rec["train"][1].update(end=10 ** 400),
         lambda rec: rec["train"][1].update(masked=None),
         lambda rec: rec["train"][1].update(gap=-0.0),
         lambda rec: rec["train"][1].update(end=[1.0]),
         lambda rec: rec["test"].append([]),
         lambda rec: rec.update(train=[], test=[]),
+        lambda rec: rec.update(test=""),
     ])
     def test_column_check_agrees_with_session_walk(self, tmp_path, edit):
         # a user's sessions pass the check over their columns exactly when
@@ -604,16 +611,50 @@ class TestSplitFile:
             lines = fh.read().splitlines()
         num_items, rec = json.loads(lines[0])["num_items"], json.loads(lines[3])
         assert num_items == 7
+        parts = {"train": rec["train"], "test": rec["test"]}
         try:
-            D._check_sessions(rec, num_items, "u")
+            D._check_sessions(parts, num_items, "u")
             walk_ok = True
         except D.IngestError:
             walk_ok = False
         try:
-            columns = D._session_columns(rec["train"] + rec["test"], num_items)
+            columns = D._columns_if_valid(parts, num_items)
         except (KeyError, TypeError, OverflowError):
             columns = None
         assert (columns is not None) == walk_ok
+
+
+class TestWrittenSplitsLoad:
+    """The session check refuses a session that ends before it starts or
+    starts before the previous one ends; no split the program writes
+    breaks either rule."""
+
+    @staticmethod
+    def _reloads(split) -> bool:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.split")
+            D.save_split(split, path)
+            with open(path, "rb") as fh:
+                written = fh.read()
+            D.save_split(D.load_split(path), path)
+            with open(path, "rb") as fh:
+                return fh.read() == written
+
+    @given(_logs())
+    @settings(max_examples=300, deadline=None)
+    def test_preprocessed_splits_load(self, log):
+        users, items, times, config = log
+        try:
+            split = D.preprocess(D.InteractionLog(users, items, times), config)
+        except ValueError:  # every user under min_sessions
+            return
+        assert self._reloads(split)
+
+    def test_synthetic_split_loads(self):
+        spec = sy.SynthSpec(num_users=20, sessions_per_user=8,
+                            item_transition=np.full((5, 5), 0.25) - np.eye(5) / 4,
+                            gap_mixture=[(0.7, 0.01), (0.3, 3.0)], session_length=(1, 6))
+        assert self._reloads(sy.generate_corpus(spec, seed=2))
 
 
 def test_raw_interaction_validation(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thrnn import evaluation as ev
+from thrnn import hawkes as hk
 from thrnn import model as md
 from thrnn import synthetic as sy
 from thrnn.data import Session, UserHistory
@@ -236,18 +237,47 @@ class TestBaselines:
         assert np.isfinite(report.overall_mae_days)
 
 
+def _scored(monkeypatch, module, report):
+    """The (predicted, target) seconds that report() hands to
+    module.build_report, and the report."""
+    seen = []
+    real = module.build_report
+
+    def spy(name, ranks, pred_seconds, target_seconds):
+        seen.append((np.asarray(pred_seconds, dtype=np.float64),
+                     np.asarray(target_seconds, dtype=np.float64)))
+        return real(name, ranks, pred_seconds, target_seconds)
+
+    monkeypatch.setattr(module, "build_report", spy)
+    out = report()
+    monkeypatch.setattr(module, "build_report", real)
+    return seen[0], out
+
+
+def _assert_hawkes_matches_oracle(monkeypatch, split, cfg, q):
+    """hawkes_report predicts every gap of the per-gap object walk in
+    oracles to 1e-12 relative: the one-pass walk sums each prefix's
+    quadrature in another order."""
+    (pred, target), got = _scored(monkeypatch, ev, lambda: ev.hawkes_report(split, cfg, q))
+    (want, want_target), ref = _scored(monkeypatch, oracles,
+                                       lambda: oracles.hawkes_report(split, cfg, q))
+    assert (got.model, got.num_gap_events) == (ref.model, ref.num_gap_events)
+    np.testing.assert_array_equal(target, want_target)
+    np.testing.assert_allclose(pred, want, rtol=1e-12, atol=0.0)
+
+
 class TestColumnsMatchObjects:
     """The baselines read the split's columns; oracles keeps the versions
     that walked per-session objects."""
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_reports_match_object_reference(self, seed):
+    def test_reports_match_object_reference(self, seed, monkeypatch):
         split = oracles.random_split(np.random.default_rng(seed))
         q = QuadratureConfig(cutoff=60.0)
         assert ev.mean_gap_report(split) == oracles.mean_gap_report(split)
         assert ev.popularity_report(split) == oracles.popularity_report(split)
         for cfg in (FitConfig(window="last_k", last_k=3), FitConfig()):
-            assert ev.hawkes_report(split, cfg, q) == oracles.hawkes_report(split, cfg, q)
+            _assert_hawkes_matches_oracle(monkeypatch, split, cfg, q)
 
     def test_random_splits_hold_the_odd_shapes(self):
         splits = [oracles.random_split(np.random.default_rng(seed)) for seed in range(12)]
@@ -278,3 +308,30 @@ class TestFirstSessionIsNoGapEvent:
                              gap_embedding_dim=2)
         report = md.evaluate(md.ModelParams.init(cfg, 0), cfg, split)
         assert report.num_gap_events == 200
+
+
+class TestHawkesWalkIsLinear:
+    """hawkes_report walks each user's timeline once, so the excitation
+    events it visits grow linearly with the timeline; a walk per test gap
+    over everything before it grows with the square."""
+
+    def test_excitation_events_grow_linearly(self, monkeypatch):
+        visited = {}
+        real = hk.excitation_state
+
+        def counted(history, decay):
+            visited[n] += len(history)
+            return real(history, decay)
+
+        q = QuadratureConfig(cutoff=60.0)
+        cfg = FitConfig(window="last_k", last_k=15)
+        for n in (50, 500, 2000):
+            gaps = np.random.default_rng(n).exponential(1.0, n - 1)
+            split = _mk_split([(gaps[:int(0.8 * n) - 1], gaps[int(0.8 * n) - 1:])])
+            visited[n] = 0
+            monkeypatch.setattr(hk, "excitation_state", counted)
+            ev.hawkes_report(split, cfg, q)
+            monkeypatch.setattr(hk, "excitation_state", real)
+            assert visited[n] <= n
+            _assert_hawkes_matches_oracle(monkeypatch, split, cfg, q)
+        assert visited[2000] / visited[50] <= 2000 / 50

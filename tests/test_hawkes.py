@@ -294,21 +294,21 @@ class TestFit:
 class TestPredictNext:
     def test_poisson_mean_empty_history(self):
         p = hk.HawkesParams(0.5, 0.3, 1.0)
-        got = hk.hawkes_predict_next(np.array([]), p, QuadratureConfig(60.0))
+        got = hk.hawkes_predict_next(np.array([]), p, QuadratureConfig(60.0))[-1]
         assert got == pytest.approx(2.0, rel=1e-3)
 
     def test_no_excitation_ignores_history(self):
         p = hk.HawkesParams(2.0, 0.0, 1.0)
         q = QuadratureConfig(20.0)
-        a = hk.hawkes_predict_next(np.array([]), p, q)
-        b = hk.hawkes_predict_next(np.array([0.0, 1.0, 2.0]), p, q)
+        a = hk.hawkes_predict_next(np.array([]), p, q)[-1]
+        b = hk.hawkes_predict_next(np.array([0.0, 1.0, 2.0]), p, q)[-1]
         assert a == pytest.approx(0.5, rel=1e-3)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_matches_simulated_next_gap(self):
         p = hk.HawkesParams(0.5, 0.8, 2.0)
         history = oracles.simulate_thinning(p, 50, np.random.default_rng(11))
-        quad = hk.hawkes_predict_next(history, p, QuadratureConfig(40.0))
+        quad = hk.hawkes_predict_next(history, p, QuadratureConfig(40.0))[-1]
         draws = oracles.sample_next_gaps(history, p, np.random.default_rng(12), 20000)
         assert quad == pytest.approx(float(draws.mean()), rel=0.03)
 
@@ -316,6 +316,6 @@ class TestPredictNext:
         p = hk.HawkesParams(0.5, 0.8, 2.0)
         q = QuadratureConfig(40.0)
         recent = np.array([0.0, 0.1, 0.2, 0.3])
-        cold = hk.hawkes_predict_next(np.array([]), p, q)
-        hot = hk.hawkes_predict_next(recent, p, q)
+        cold = hk.hawkes_predict_next(np.array([]), p, q)[-1]
+        hot = hk.hawkes_predict_next(recent, p, q)[-1]
         assert hot < cold
