@@ -2,16 +2,17 @@
 
 Just enough machinery for the models in this package: dense linear maps
 (`matmul` adds an optional bias in place), a GRU unroll, embedding
-lookups, a row gather, and a masked softmax cross-entropy. Operations
-record themselves on a Tape; the backward pass replays the records in
-reverse order and accumulates gradients additively at fan-out. A tensor
-keeps its first gradient uncopied when a backward allocated it fresh for
-that input alone, and copies a view or an array also handed elsewhere;
-embedding lookups scatter-add straight into the table's `.grad`. A GRU
-cell is three packed tensors (gate blocks in r, z, c order). A whole
-unroll over packed, step-major rows, each step on a live-row prefix, is
-one record with an analytic backward; its steps share the three-matmul
-formula of the tape-free gru_cell_np.
+lookups, a row gather, and the output projection fused with its softmax
+cross-entropy, streamed in row blocks that form their gradients in the
+forward pass. Operations record themselves on a Tape; the backward pass
+replays the records in reverse order and accumulates gradients additively
+at fan-out. A tensor keeps its first gradient uncopied when a backward
+allocated it fresh for that input alone, and copies a view or an array
+also handed elsewhere; embedding lookups scatter-add straight into the
+table's `.grad`. A GRU cell is three packed tensors (gate blocks in r, z,
+c order). A whole unroll over packed, step-major rows, each step on a
+live-row prefix, is one record with an analytic backward; its steps share
+the three-matmul formula of the tape-free gru_cell_np.
 """
 
 from __future__ import annotations
@@ -146,21 +147,16 @@ def concat(tape: Tape, parts: Sequence[Tensor]) -> Tensor:
     return tape.record(tuple(parts), out, bwd)
 
 
-def gather_rows(tape: Tape, parts: Sequence[Tensor], which: np.ndarray,
-                rows: np.ndarray) -> Tensor:
-    """Stack row rows[i] of parts[which[i]] for a non-decreasing `which`
-    (rows distinct within a part); the backward scatters back to the parts."""
-    used, first = np.unique(which, return_index=True)
-    spans = [rows[lo:hi] for lo, hi in zip(first, [*first[1:], len(rows)])]
-    out = Tensor(np.concatenate([parts[k].value[r] for k, r in zip(used, spans)]))
+def gather_rows(tape: Tape, a: Tensor, rows: np.ndarray) -> Tensor:
+    """The distinct rows `rows` of a; the backward scatters back to them."""
+    out = Tensor(a.value[rows])
 
     def bwd(g):
-        grads = [np.zeros_like(parts[k].value) for k in used]
-        for gp, r, g_part in zip(grads, spans, np.split(g, first[1:])):
-            gp[r] = g_part
-        return grads
+        grad = np.zeros_like(a.value)
+        grad[rows] = g
+        return (grad,)
 
-    return tape.record(tuple(parts[k] for k in used), out, bwd)
+    return tape.record((a,), out, bwd)
 
 
 def embedding(tape: Tape, table: Tensor, indices: np.ndarray) -> Tensor:
@@ -199,35 +195,44 @@ def dropout(tape: Tape, a: Tensor, rate: float, rng: np.random.Generator,
     return tape.record((a,), out, bwd)
 
 
-def masked_softmax_xent(tape: Tape, scores: Tensor, targets: np.ndarray,
-                        masked: np.ndarray | None = None) -> Tensor:
-    """Sum over rows of -log softmax(scores)[target], masked rows excluded.
+def masked_softmax_xent(tape: Tape, x: Tensor, w: Tensor, b: Tensor, targets: np.ndarray,
+                        block: int) -> Tensor:
+    """Sum over rows of -log softmax(x @ w + b)[target], as one record.
 
-    `masked` marks rows that contribute 0 to both the loss and the gradient.
+    The rows are scored `block` at a time in one reused (block, items)
+    buffer, which then turns into that block's softmax - onehot and its
+    gradients, so no score array outlives its block. The backward only
+    scales the stored dx, dw and db by the incoming gradient.
     """
-    v = scores.value
-    n_rows, n_items = v.shape
-    if n_items < 2:
-        raise ValueError("need at least 2 items to score")
+    xv, wv = x.value, w.value
     tgt = np.asarray(targets)
-    if tgt.min() < 0 or tgt.max() >= n_items:
+    if tgt.min() < 0 or tgt.max() >= wv.shape[1]:
         raise IndexError("target index out of range")
-    valid = np.ones(n_rows, dtype=bool) if masked is None else ~np.asarray(masked, dtype=bool)
+    buf = np.empty((min(block, len(xv)), wv.shape[1]))
+    dx, dw, dw_part, db = np.empty_like(xv), np.empty_like(wv), None, np.zeros_like(b.value)
+    total = 0.0
+    for lo in range(0, len(xv), block):
+        xb, tb = xv[lo:lo + block], tgt[lo:lo + block]
+        rows = np.arange(len(xb))
+        e = np.matmul(xb, wv, out=buf[:len(xb)])
+        e += b.value
+        e -= e.max(axis=1, keepdims=True)
+        picked = e[rows, tb]
+        z = np.exp(e, out=e).sum(axis=1)
+        total += float((np.log(z) - picked).sum())
+        e /= z[:, None]  # the buffer turns into softmax - onehot
+        e[rows, tb] -= 1.0
+        np.matmul(e, wv.T, out=dx[lo:lo + block])
+        if lo:  # later blocks add through one reused buffer
+            dw += (dw_part := np.matmul(xb.T, e, out=dw_part))
+        else:
+            np.matmul(xb.T, e, out=dw)
+        db += e.sum(axis=0)
 
-    shifted = v - v.max(axis=1, keepdims=True)
-    picked = shifted[np.arange(n_rows), tgt]
-    e = np.exp(shifted, out=shifted)
-    z = e.sum(axis=1)
-    out = Tensor(float((np.log(z) - picked)[valid].sum()))
+    def bwd(g):  # scaled in place, the three stay owned: .grad takes them uncopied
+        return [np.multiply(grad, g, out=grad) for grad in (dx, dw, db)]
 
-    def bwd(g):
-        # the forward's exp becomes the gradient, normalised in place
-        np.divide(e, z[:, None], out=e)
-        e[np.arange(n_rows), tgt] -= 1.0
-        e[~valid] = 0.0
-        return (np.multiply(e, g, out=e),)
-
-    return tape.record((scores,), out, bwd)
+    return tape.record((x, w, b), Tensor(total), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def _config_values(args) -> dict:
     values: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            loaded = data._json_line(fh.read(), args.config, 1)
         if not isinstance(loaded, dict):
             raise ValueError(f"{args.config}: expected a JSON object")
         allowed = ({f.name for f in dataclasses.fields(model.ModelConfig)}
@@ -143,7 +143,7 @@ _SPEC_OPTIONAL = {"context_coupling", "session_length", "train_fraction"}
 
 def _spec_from_file(path: str) -> synthetic.SynthSpec:
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = data._json_line(fh.read(), path, 1)
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object")
     unknown = sorted(set(obj) - _SPEC_REQUIRED - _SPEC_OPTIONAL)
@@ -156,7 +156,7 @@ def _spec_from_file(path: str) -> synthetic.SynthSpec:
     def field(name, convert):
         try:
             return convert(obj[name])
-        except (TypeError, ValueError, KeyError) as err:
+        except (TypeError, ValueError, KeyError, OverflowError) as err:
             raise ValueError(f"{path}: spec field {name!r} is malformed: {err}") from err
 
     def number(x) -> float:

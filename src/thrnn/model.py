@@ -27,7 +27,8 @@ Two details of the training scheme deserve calling out:
 The taped training pass steps live rows only: each GRU level of a batch
 is one packed unroll, the inter level over the batch sorted by history
 reach and the intra level over it sorted by session length, longest
-first, so that the rows live at a step are a prefix.
+first, so that the rows live at a step are a prefix. The packed intra
+states are scored by one fused projection and softmax record per batch.
 """
 
 from __future__ import annotations
@@ -387,7 +388,7 @@ def _forward_batch(tape: Tape, params: ModelParams, cfg: ModelConfig,
         # back to batch order, so that the time loss sums its rows in that
         # order: Adam's normalised step turns a reordered sum's rounding in
         # the time head's small gradients into 1e-9 drifts within epochs
-        h_j = gather_rows(tape, [h_j], np.zeros(n, dtype=np.int64), np.argsort(by_reach))
+        h_j = gather_rows(tape, h_j, np.argsort(by_reach))
 
     time_masked = examples.time_masked[batch]
     g_alpha = np.where(time_masked, 0.0, examples.gap[batch] ** cfg.alpha_exp)
@@ -405,17 +406,11 @@ def _forward_batch(tape: Tape, params: ModelParams, cfg: ModelConfig,
         at = examples.offset[batch][who] + steps
         x = dropout(tape, embedding(tape, params.item_emb, examples.items[at]), rate, rng,
                     lambda gen: gen.random((width, n, cfg.item_embedding_dim))[steps, who])
-        h0 = gather_rows(tape, [h_j], np.zeros(n, dtype=np.int64), by_len)
+        h0 = gather_rows(tape, h_j, by_len)
         states = gru_cell(tape, x, h0, params.intra, np.bincount(steps))
-        # scored in chunks of at most batch_size rows: no block outgrows
-        # one step's (n, items)
-        total = None
-        for lo in range(0, rec_steps, cfg.batch_size):
-            part = np.arange(lo, min(lo + cfg.batch_size, rec_steps))
-            live = gather_rows(tape, [states], np.zeros(len(part), dtype=np.int64), part)
-            sc = matmul(tape, live, params.out_w, params.out_b)
-            piece = masked_softmax_xent(tape, sc, examples.items[at[part] + 1])
-            total = piece if total is None else add(tape, total, piece)
+        # one record, streamed in blocks no larger than one step's (n, items) scores
+        total = masked_softmax_xent(tape, states, params.out_w, params.out_b,
+                                    examples.items[at + 1], cfg.batch_size)
         l_rec = scale(tape, total, 1.0 / max(rec_steps, 1))
     else:
         l_rec = Tensor(np.zeros(()))

@@ -1,11 +1,12 @@
 """Reference implementations the tests check the program against.
 
 Nothing in the package calls these: finite-difference gradients, the
-per-step taped GRU cell that the packed unroll replaced, exact
-Hawkes intensity, likelihood and thinning draws, the log density,
-closed-form CDF and quantile function of the time head, a trapezoid
-normalization check, the Bayes-optimal ranking of a synthetic corpus, the
-per-draw synthetic generator that the cached-row sampler in
+per-step taped GRU cell that the packed unroll replaced, the score-taking
+softmax cross-entropy and the chunked chain around it that the fused
+output op replaced, exact Hawkes intensity, likelihood and thinning draws,
+the log density, closed-form CDF and quantile function of the time head, a
+trapezoid normalization check, the Bayes-optimal ranking of a synthetic
+corpus, the per-draw synthetic generator that the cached-row sampler in
 thrnn.synthetic must reproduce byte for byte, a report reader and bucket
 label, and the per-row preprocessing chain that the columnar pipeline in
 thrnn.data must reproduce byte for byte.
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from thrnn.autodiff import GRUWeights, Tape, Tensor, _gru_step
+from thrnn.autodiff import GRUWeights, Tape, Tensor, _gru_step, add, gather_rows, matmul
 from thrnn.data import (SECONDS_PER_DAY, DatasetSplit, PreprocessConfig, Session,
                         SessionTable, UserHistory, build_split)
 from thrnn.evaluation import (REPORT_FORMAT_VERSION, BucketRow, EvalReport, build_report,
@@ -100,6 +101,54 @@ def gru_cell(tape: Tape, x: Tensor, h_prev: Tensor, w: GRUWeights,
         return d_a @ w.w.value.T, d_h, xv.T @ d_a, d_u, d_a.sum(axis=0)
 
     return tape.record((x, h_prev, *w.tensors()), out, bwd)
+
+
+# ---------------------------------------------------------------------------
+# softmax cross-entropy over taken scores
+
+
+def masked_softmax_xent(tape: Tape, scores: Tensor, targets: np.ndarray,
+                        masked: np.ndarray | None = None) -> Tensor:
+    """Sum over rows of -log softmax(scores)[target], masked rows excluded.
+
+    `masked` marks rows that contribute 0 to both the loss and the gradient.
+    """
+    v = scores.value
+    n_rows, n_items = v.shape
+    if n_items < 2:
+        raise ValueError("need at least 2 items to score")
+    tgt = np.asarray(targets)
+    if tgt.min() < 0 or tgt.max() >= n_items:
+        raise IndexError("target index out of range")
+    valid = np.ones(n_rows, dtype=bool) if masked is None else ~np.asarray(masked, dtype=bool)
+
+    shifted = v - v.max(axis=1, keepdims=True)
+    picked = shifted[np.arange(n_rows), tgt]
+    e = np.exp(shifted, out=shifted)
+    z = e.sum(axis=1)
+    out = Tensor(float((np.log(z) - picked)[valid].sum()))
+
+    def bwd(g):
+        # the forward's exp becomes the gradient, normalised in place
+        np.divide(e, z[:, None], out=e)
+        e[np.arange(n_rows), tgt] -= 1.0
+        e[~valid] = 0.0
+        return (np.multiply(e, g, out=e),)
+
+    return tape.record((scores,), out, bwd)
+
+
+def chunked_softmax_xent(tape: Tape, x: Tensor, w: Tensor, b: Tensor, targets: np.ndarray,
+                         block: int) -> Tensor:
+    """The fused op's loss as a chain of records: chunks of `block` rows,
+    each gathered, projected, scored and added to the running total."""
+    total = None
+    for lo in range(0, len(x.value), block):
+        part = np.arange(lo, min(lo + block, len(x.value)))
+        live = gather_rows(tape, x, part)
+        piece = masked_softmax_xent(tape, matmul(tape, live, w, b), targets[part])
+        total = piece if total is None else add(tape, total, piece)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ Every op is checked against central finite differences at random
 points with the relative-error metric |a - f| / max(1, |a|, |f|).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,13 +74,10 @@ class TestCoreOps:
         np.testing.assert_array_equal(out.value, x.value @ w.value + b.value)
 
     def test_gather_rows(self):
-        which, rows = np.array([0, 0, 1, 2, 2]), np.array([1, 0, 2, 2, 0])
-        _gradcheck(lambda tp, ts: _total(tp, ad.gather_rows(tp, ts, which, rows)),
-                   [(3, 2), (3, 2), (3, 2)])
-        parts = [ad.Tensor(np.arange(6.0).reshape(3, 2) + 10 * k) for k in range(3)]
-        out = ad.gather_rows(ad.Tape(), parts, which, rows)
-        np.testing.assert_array_equal(
-            out.value, np.stack([parts[k].value[r] for k, r in zip(which, rows)]))
+        rows = np.array([3, 0, 4])  # distinct, out of order, row 1 and 2 left out
+        _gradcheck(lambda tp, ts: _total(tp, ad.gather_rows(tp, ts[0], rows)), [(5, 2)])
+        a = ad.Tensor(np.arange(10.0).reshape(5, 2))
+        np.testing.assert_array_equal(ad.gather_rows(ad.Tape(), a, rows).value, a.value[rows])
 
     def test_no_gradient_aliases_another(self):
         # x feeds two matmuls; add hands the one g it receives to both of
@@ -143,7 +142,7 @@ class TestSoftmaxXent:
         v = rng.normal(size=(4, 6))
         tgt = np.array([0, 5, 2, 2])
         tape = ad.Tape()
-        loss = ad.masked_softmax_xent(tape, ad.Tensor(v), tgt)
+        loss = oracles.masked_softmax_xent(tape, ad.Tensor(v), tgt)
         probs = np.exp(v) / np.exp(v).sum(axis=1, keepdims=True)
         want = -np.mean(np.log(probs[np.arange(4), tgt]))
         assert loss.value == pytest.approx(4 * want, rel=1e-12)
@@ -152,8 +151,8 @@ class TestSoftmaxXent:
         rng = np.random.default_rng(3)
         v = rng.normal(size=(3, 5))
         tgt = np.array([1, 0, 4])
-        a = ad.masked_softmax_xent(ad.Tape(), ad.Tensor(v), tgt).value
-        b = ad.masked_softmax_xent(ad.Tape(), ad.Tensor(v + 1000.0), tgt).value
+        a = oracles.masked_softmax_xent(ad.Tape(), ad.Tensor(v), tgt).value
+        b = oracles.masked_softmax_xent(ad.Tape(), ad.Tensor(v + 1000.0), tgt).value
         assert abs(float(a) - float(b)) < 1e-10
 
     def test_masked_rows_no_loss_no_grad(self):
@@ -164,29 +163,93 @@ class TestSoftmaxXent:
 
         scores = ad.Tensor(v)
         tape = ad.Tape()
-        loss = ad.masked_softmax_xent(tape, scores, tgt, masked=masked)
+        loss = oracles.masked_softmax_xent(tape, scores, tgt, masked=masked)
         tape.backward(loss)
         assert np.all(scores.grad[masked] == 0.0)
         assert np.any(scores.grad[~masked] != 0.0)
 
-        only = ad.masked_softmax_xent(ad.Tape(), ad.Tensor(v[~masked]), tgt[~masked]).value
+        only = oracles.masked_softmax_xent(ad.Tape(), ad.Tensor(v[~masked]), tgt[~masked]).value
         assert float(loss.value) == pytest.approx(float(only), rel=1e-12)
 
     def test_all_masked_mean_is_zero(self):
         v = np.zeros((2, 3))
-        loss = ad.masked_softmax_xent(ad.Tape(), ad.Tensor(v), np.array([0, 1]),
+        loss = oracles.masked_softmax_xent(ad.Tape(), ad.Tensor(v), np.array([0, 1]),
                                       masked=np.array([True, True]))
         assert float(loss.value) == 0.0
 
     def test_gradcheck(self):
         tgt = np.array([1, 3, 0])
         masked = np.array([False, True, False])
-        _gradcheck(lambda tp, ts: ad.masked_softmax_xent(tp, ts[0], tgt, masked=masked),
+        _gradcheck(lambda tp, ts: oracles.masked_softmax_xent(tp, ts[0], tgt, masked=masked),
                    [(3, 5)])
 
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
-            ad.masked_softmax_xent(ad.Tape(), ad.Tensor(np.zeros((1, 3))), np.array([3]))
+            oracles.masked_softmax_xent(ad.Tape(), ad.Tensor(np.zeros((1, 3))), np.array([3]))
+
+
+class TestFusedSoftmaxXent:
+    """The fused projection and softmax against oracles.chunked_softmax_xent,
+    the gather, matmul, score op and add chain it replaced."""
+
+    @staticmethod
+    def _inputs(rows, items=7, h=4, seed=5):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=(rows, h)), rng.normal(size=(h, items)),
+                rng.normal(size=items), rng.integers(items, size=rows))
+
+    @staticmethod
+    def _loss_and_grads(op, x, w, b, tgt, block):
+        ts = [ad.Tensor(a.copy()) for a in (x, w, b)]
+        tape = ad.Tape()
+        # a non-unit incoming gradient, so that the backward's scaling counts
+        loss = ad.scale(tape, op(tape, *ts, tgt, block), 0.37)
+        tape.backward(loss)
+        return float(loss.value), [t.grad for t in ts], len(tape)
+
+    @pytest.mark.parametrize("rows", [3, 5, 16])  # < block, = block, 3 * block + 1
+    def test_matches_chunked_chain(self, rows):
+        args = self._inputs(rows)
+        got_loss, got, records = self._loss_and_grads(ad.masked_softmax_xent, *args, 5)
+        want_loss, want, _ = self._loss_and_grads(oracles.chunked_softmax_xent, *args, 5)
+        assert records == 2  # the fused op and the scale
+        assert got_loss == pytest.approx(want_loss, rel=1e-12)
+        for name, a, b in zip(("dx", "dw", "db"), got, want):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+    def test_gradcheck(self):
+        tgt = np.array([1, 3, 0, 3, 2])
+        _gradcheck(lambda tp, ts: ad.masked_softmax_xent(tp, *ts, tgt, 2),
+                   [(5, 3), (3, 4), (4,)])
+
+    def test_bias_shift_invariance(self):
+        x, w, b, tgt = self._inputs(7)
+        a = ad.masked_softmax_xent(ad.Tape(), ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), tgt, 3)
+        c = ad.masked_softmax_xent(ad.Tape(), ad.Tensor(x), ad.Tensor(w),
+                                   ad.Tensor(b + 1000.0), tgt, 3)
+        assert abs(float(a.value) - float(c.value)) < 1e-10
+
+    @pytest.mark.parametrize("bad", [7, -1])
+    def test_target_out_of_range(self, bad):
+        x, w, b, tgt = self._inputs(4)
+        tgt[2] = bad
+        with pytest.raises(IndexError):
+            ad.masked_softmax_xent(ad.Tape(), ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), tgt, 3)
+
+    def test_peak_memory_is_one_block(self):
+        """No scores array outlives its block: the peak is one (block, items)
+        buffer and three (h, items) arrays, far below all rows' scores."""
+        rows, items, h, block = 300, 20_000, 8, 50
+        x, w, b, tgt = self._inputs(rows, items, h)
+        x, w, b = ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)
+        tracemalloc.start()
+        try:
+            tape = ad.Tape()
+            tape.backward(ad.masked_softmax_xent(tape, x, w, b, tgt, block))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block * items * 8 + 3 * h * items * 8 + 2**20
 
 
 def _random_gru(rng, n_in, n_h):

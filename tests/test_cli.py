@@ -83,6 +83,13 @@ class TestSynth:
         assert rc == 2
         assert "sesion_length" in capsys.readouterr().err
 
+    def test_spec_that_is_not_json_names_file_and_line(self, tmp_path, capsys):
+        (tmp_path / "spec.json").write_text('{"num_users": 4,\n "sessions_per_user": 4,\n oops}')
+        rc = main(["synth", "--spec", str(tmp_path / "spec.json"),
+                   "--output", str(tmp_path / "c.split")])
+        assert rc == 2
+        assert f"{tmp_path / 'spec.json'}: line 3 is not JSON" in capsys.readouterr().err
+
     def test_missing_spec_key_rejected(self, tmp_path, capsys):
         (tmp_path / "spec.json").write_text(json.dumps({"num_users": 4}))
         rc = main(["synth", "--spec", str(tmp_path / "spec.json"),
@@ -120,6 +127,10 @@ _BAD_SPECS = {
     "boolean-weight": ({"gap_mixture": [[True, 1.0]]}, "gap_mixture"),
     "coupling-extra-key": ({"context_coupling": [{"items": [0, 1], "gap_mean_days": 1.0,
                                                   "weight": 2}]}, "context_coupling"),
+    # integers too large for a float: an OverflowError, not a traceback
+    "huge-mean": ({"gap_mixture": [[1.0, 10**400]]}, "gap_mixture"),
+    "coupling-huge-mean": ({"context_coupling": [{"items": [0, 1], "gap_mean_days": 10**400}]},
+                           "context_coupling"),
 }
 
 
@@ -351,6 +362,14 @@ class TestTrain:
                    "--config", str(tmp_path / "cfg.json")])
         assert rc == 2
         assert "hiden_dim" in capsys.readouterr().err
+
+    def test_config_file_that_is_not_json_names_file_and_line(self, ws, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text('{"hidden_dim": 8,\n')
+        rc = main(["train", "--split", str(ws / "corpus.split"),
+                   "--out", str(tmp_path / "x.ckpt"), "--epochs", "1",
+                   "--config", str(tmp_path / "cfg.json")])
+        assert rc == 2
+        assert f"{tmp_path / 'cfg.json'}: line 1 is not JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", -0.01), ("learning_rate", float("nan")), ("time_clip_norm", -1),

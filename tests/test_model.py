@@ -518,7 +518,7 @@ def _per_step_forward(tape, params, cfg, examples, index, rng, table):
         x = ad.dropout(tape, ad.embedding(tape, params.item_emb, ids), cfg.dropout_rate, rng)
         h = oracles.gru_cell(tape, x, h, params.intra)
         sc = ad.add(tape, ad.matmul(tape, h, params.out_w), params.out_b)
-        piece = ad.masked_softmax_xent(tape, sc, tgt, masked=lens <= t)
+        piece = oracles.masked_softmax_xent(tape, sc, tgt, masked=lens <= t)
         total = piece if total is None else ad.add(tape, total, piece)
     l_rec = ad.scale(tape, total, 1.0 / lens.sum())
     loss = ad.add(tape, ad.scale(tape, l_time, cfg.loss_weight_time),
