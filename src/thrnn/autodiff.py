@@ -11,8 +11,9 @@ allocated it fresh for that input alone, and copies a view or an array
 also handed elsewhere; embedding lookups scatter-add straight into the
 table's `.grad`. A GRU cell is three packed tensors (gate blocks in r, z,
 c order). A whole unroll over packed, step-major rows, each step on a
-live-row prefix, is one record with an analytic backward; its steps share
-the three-matmul formula of the tape-free gru_cell_np.
+live-row prefix, is one record with an analytic backward. Its steps and
+the tape-free gru_cell_np run one in-place step kernel: three matmuls,
+gates σ(v) = 0.5·tanh(0.5·v) + 0.5 and the blend h + z∘(c − h).
 """
 
 from __future__ import annotations
@@ -248,7 +249,8 @@ class GRUWeights:
     c = tanh(x·w_c + (r∘h)·u_c + b_c), h' = (1−z)∘h + z∘c.
 
     The update gate z gates the candidate; this convention is fixed so
-    that checkpoints are unambiguous.
+    that checkpoints are unambiguous. The step kernel computes σ(v) as
+    0.5·tanh(0.5·v) + 0.5 and h' as h + z∘(c − h), equal up to rounding.
     """
 
     w: Tensor
@@ -265,11 +267,12 @@ def gru_cell(tape: Tape, x: Tensor, h0: Tensor, w: GRUWeights, live,
 
     Step t reads the next live[t] rows of x (packed, sum(live) by n) and
     updates rows [:live[t]] of the running state, which starts at h0
-    (B, h); rows past live[t] pass through unchanged. Returns the packed
-    states, row for row with x, or with `last` each row's state after
-    the final step (B, h). The input projection x @ w and, backward, the
-    weight gradients and dx are one matmul each over all steps; the
-    reverse loop carries only the state gradient.
+    (B, h); live never grows, and rows past live[t] pass through
+    unchanged. Returns the packed states, row for row with x, or with
+    `last` each row's state after the final step (B, h). The input
+    projection x @ w and, backward, the weight gradients and dx are one
+    matmul each over all steps; the reverse loop carries only the state
+    gradient.
     """
     if x.value.shape[1] != w.w.value.shape[0]:
         raise ValueError(f"gru_cell: input width {x.value.shape[1]} != {w.w.value.shape[0]}")
@@ -277,41 +280,45 @@ def gru_cell(tape: Tape, x: Tensor, h0: Tensor, w: GRUWeights, live,
         raise ValueError("gru_cell: hidden width mismatch")
     live = [int(k) for k in live]
     if sum(live) != len(x.value) or not 0 <= min(live, default=0) <= max(live, default=0) \
-            <= len(h0.value):
+            <= len(h0.value) or any(a < b for a, b in zip(live, live[1:])):
         raise ValueError(f"gru_cell: live counts {live} do not pack {len(x.value)} rows "
                          f"over {len(h0.value)}")
     xv, u = x.value, w.u.value
-    n = h0.value.shape[1]
-    ends = np.cumsum(live).tolist()
-    spans = list(zip([0, *ends[:-1]], ends))
+    n, k0, live = h0.value.shape[1], live[0] if live else 0, np.array(live, dtype=np.int64)
+    starts = np.cumsum(live) - live
+    spans = list(zip(starts.tolist(), (starts + live).tolist()))
     xw = xv @ w.w.value
-    # per packed row: the state it reads, [r|z], r∘h, c and the state it writes
-    hp, rz, rh, c, states = (np.empty((len(xv), k * n)) for k in (1, 2, 1, 1, 1))
-    h = h0.value.copy()
-    for lo, hi in spans:
-        hp[lo:hi] = h[:hi - lo]
-        rz[lo:hi], rh[lo:hi], c[lo:hi], states[lo:hi] = _gru_step(None, hp[lo:hi], w,
-                                                                  xw[lo:hi])
-        h[:hi - lo] = states[lo:hi]
+    # per packed row: [r|z], r∘h, c, c − h and the state it writes; packed
+    # row p of step t reads row p of h0 at step 0, else row p − live[t − 1]
+    rz, rh, c, ch, states = (np.empty((len(xv), k * n)) for k in (2, 1, 1, 1, 1))
+    read = h0.value
+    for (lo, hi), back in zip(spans, [0, *live.tolist()]):
+        _gru_step(read[lo - back:hi - back], xw[lo:hi], w, rz[lo:hi], rh[lo:hi], c[lo:hi],
+                  ch[lo:hi], states[lo:hi])
+        read = states
+    if last:  # row i's final state is at its last step, the last t with live[t] > i
+        h, i = h0.value.copy(), np.arange(k0)
+        h[:k0] = states[starts[np.searchsorted(-live, -i) - 1] + i]
     out = Tensor(h if last else states)
 
     def bwd(g):
         r, z = rz[:, :n], rz[:, n:]
-        # the gate terms that do not depend on the incoming gradient,
-        # z(1 - c²), hr(1 - r) and (c - h)z(1 - z), formed mostly in place:
+        hp = states[np.arange(len(xv)) - np.repeat(np.append(0, live)[:-1], live)]
+        hp[:k0] = h0.value[:k0]  # the state each packed row read
+        # the gate terms free of the incoming gradient, z(1 - c²), (r∘h)(1 - r),
+        # (c - h)z(1 - z) and 1 - z, formed mostly over the forward's arrays:
         # at these sizes each fresh array costs page faults
-        keep = 1.0 - z
-        a_c = np.multiply(c, c)
+        a_c = np.multiply(c, c, out=c)
         np.subtract(1.0, a_c, out=a_c)
         a_c *= z
-        a_r = hp * r
-        a_r *= 1.0 - r
-        a_z = c - hp
-        a_z *= z
+        a_r = np.subtract(1.0, r)
+        a_r *= rh
+        a_z = np.multiply(ch, z, out=ch)
+        keep = np.subtract(1.0, z, out=z)
         a_z *= keep
         u_rz, u_c = u[:, :2 * n].T, u[:, 2 * n:].T
         d_a = np.empty((len(xv), 3 * n))  # pre-activation gradients [r|z|c]
-        d_h = g.copy() if last else np.zeros_like(h)
+        d_h = g.copy() if last else np.zeros_like(h0.value)
         for lo, hi in reversed(spans):
             dh = d_h[:hi - lo]
             if not last:
@@ -331,26 +338,30 @@ def gru_cell(tape: Tape, x: Tensor, h0: Tensor, w: GRUWeights, live,
 
 def gru_cell_np(x: np.ndarray, h_prev: np.ndarray, w: GRUWeights,
                 xw: np.ndarray | None = None) -> np.ndarray:
-    """Tape-free gru_cell forward for inference; `xw`, if given, is x @ w.w."""
-    return _gru_step(x, h_prev, w, xw)[-1]
+    """Tape-free gru_cell forward into a fresh h'; `xw`, if given, is x @ w.w."""
+    return _gru_step(h_prev, x @ w.w.value if xw is None else xw, w)
 
 
-def _gru_step(x: np.ndarray, h_prev: np.ndarray, w: GRUWeights,
-              xw: np.ndarray | None = None):
-    """The GRU formula of GRUWeights in three matmuls; returns
-    ([r|z], r∘h, c, h'). The candidate block needs r∘h, so it cannot
-    share the recurrent matmul of the gates."""
-    n = h_prev.shape[1]
+def _gru_step(h: np.ndarray, xw: np.ndarray, w: GRUWeights, rz=None, rh=None, c=None,
+              ch=None, out=None) -> np.ndarray:
+    """The GRUWeights step from state h and input projection xw, written
+    into [r|z], r∘h, c, c − h and h' (each allocated where not given);
+    returns h'. The candidate needs r∘h, so it has a matmul of its own."""
+    n = h.shape[1]
     u, b = w.u.value, w.b.value
-    xw = x @ w.w.value if xw is None else xw
-    rz = _sigmoid_np(xw[:, :2 * n] + h_prev @ u[:, :2 * n] + b[:2 * n])
-    z = rz[:, n:]
-    rh = rz[:, :n] * h_prev
-    c = np.tanh(xw[:, 2 * n:] + rh @ u[:, 2 * n:] + b[2 * n:])
-    return rz, rh, c, (1.0 - z) * h_prev + z * c
-
-
-def _sigmoid_np(v: np.ndarray) -> np.ndarray:
-    # stable in both tails: the numerator is 1 where v >= 0, else e (NaN stays NaN)
-    e = np.exp(-np.abs(v))
-    return np.maximum(e, v >= 0) / (1.0 + e)
+    rz = np.matmul(h, u[:, :2 * n], out=rz)
+    rz += xw[:, :2 * n]  # (xw + h·u) + b bit for bit: one addition commutes exactly
+    rz += b[:2 * n]
+    rz *= 0.5  # σ(v) = 0.5·tanh(0.5·v) + 0.5: in [0, 1], no overflow branch
+    np.tanh(rz, out=rz)
+    rz *= 0.5
+    rz += 0.5
+    rh = np.multiply(rz[:, :n], h, out=rh)
+    c = np.matmul(rh, u[:, 2 * n:], out=c)
+    c += xw[:, 2 * n:]
+    c += b[2 * n:]
+    np.tanh(c, out=c)
+    ch = np.subtract(c, h, out=ch)
+    out = np.multiply(ch, rz[:, n:], out=ch if out is None else out)
+    out += h  # h' = h + z∘(c − h)
+    return out

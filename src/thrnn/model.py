@@ -248,18 +248,21 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
     """Run the full two-level recursion over a session table without a
     tape, slot-synchronously across its users.
 
-    The inter level keeps a ring of in-flight windows per user:
-    windows[u, m % R] is the state of the inter GRU over the reps of
-    slots max(0, m - R) .. m - 1 read so far (R = max_session_reps), the
-    window that ends before slot m. At slot j, window j is complete and
-    becomes h_before; its ring entry is zeroed to start window j + R, and
-    slot j's reps step every window m in [j + 1, min(j + R, n_u)] of their
-    user in one batched GRU step, cut into blocks of at most batch_size
-    rows so the step's temporaries stay small. Each (window, rep) pair is
-    computed once, as a from-scratch unroll of every window would, but in
-    about one call per slot instead of min(j, R); each rep's projection
-    rep @ w_inter is computed once for all its windows. Within a slot the
-    sessions go longest first, so intra step t steps only the live prefix.
+    The inter level keeps a ring of in-flight windows per user, one flat
+    (users·R, hidden) array: ring[u·R + m % R] is the state of the inter
+    GRU over the reps of slots max(0, m - R) .. m - 1 read so far (R =
+    max_session_reps), the window that ends before slot m. At slot j,
+    window j is complete and becomes h_before; its ring entry is zeroed to
+    start window j + R, and slot j's reps step every window m in
+    [j + 1, min(j + R, n_u)] of their user in one batched GRU step, cut
+    into blocks of at most batch_size rows so the step's temporaries stay
+    small. Each (window, rep) pair is computed once, as a from-scratch
+    unroll of every window would, but in about one call per slot instead
+    of min(j, R); each rep's projection rep @ w_inter is computed once for
+    all its windows. Within a slot the sessions go longest first, so intra
+    step t steps only the live prefix. What the slots index (ring entries,
+    rep tails, live-row counts, step-major items, (rep row, ring entry)
+    pairs) is built once before the slot loop, as flat arrays they slice.
 
     Returns flat arrays plus per-user rank arrays, users counted in table
     order. Row k of the table, of user u, is row k of intra_states
@@ -282,9 +285,8 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
     # rows slot by slot, longest session first, ties in user order, so
     # that intra step t steps only a live prefix
     by_slot = np.lexsort((-table.lengths, slot))
-    bounds = np.searchsorted(slot[by_slot], np.arange(n_slots.max(initial=0) + 1)).tolist()
-    blocks, lengths = block[by_slot], table.lengths[by_slot]
-    starts, last_item = table.offsets()[by_slot], len(table.items) - 1
+    slot, blocks, lengths = slot[by_slot], block[by_slot], table.lengths[by_slot]
+    bounds = np.searchsorted(slot, np.arange(n_slots.max(initial=0) + 1))
     intra_states = np.zeros((len(table), h_dim))
     buckets = cfg.gap_buckets(table.gap)
     h_before = np.zeros((len(table) + n_users, h_dim)) if inter_states else None
@@ -301,44 +303,61 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
             done.append((rank_of_target(sc, targets[lo:lo + bs]), users[lo:lo + bs]))
         queue[:] = [(states[rows:], targets[rows:], users[rows:])]
 
-    item_t, gap_t, user_t = (params.item_emb.value, params.gap_emb.value,
-                             params.user_emb.value)
-    windows = np.zeros((n_users, reach_max, h_dim))
-    for j in range(len(bounds) - 1):
-        seg = slice(bounds[j], bounds[j + 1])
-        rows, active, lens = by_slot[seg], blocks[seg], lengths[seg]
+    # per row: its ring entry, h_before row, place in its slot and rep tail
+    ring_at, before_at = blocks * reach_max + slot % reach_max, by_slot + blocks
+    place = np.arange(len(table)) - bounds[slot]
+    tail = np.concatenate([params.gap_emb.value[buckets[by_slot]],
+                           params.user_emb.value[table.user[by_slot]]], axis=1)
+    # intra step t of slot j steps the live[at[j] + t] rows with more than t
+    # items, read from items[firsts[at[j] + t]:], each row's at its place
+    at = np.append(0, np.cumsum(lengths[bounds[:-1]]))
+    item_no = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    step = np.repeat(at[slot], lengths) + item_no
+    live = np.bincount(step, minlength=at[-1])
+    firsts, items = np.append(0, np.cumsum(live)), np.empty_like(table.items)
+    items[firsts[step] + np.repeat(place, lengths)] = table.items[
+        np.repeat(table.offsets()[by_slot], lengths) + item_no]
+    del item_no, step  # one int64 per item each: not held through the slot loop
+    # a row's rep enters windows slot + 1 .. min(slot + R, n_u) of its user: pairs[j]
+    # .. pairs[j + 1] of (place, ring entry) are slot j's, int32, as R per row
+    reach = np.minimum(n_slots[blocks] - slot, reach_max)
+    pairs = np.append(0, np.cumsum(reach))
+    src, ring_to = (np.repeat(a.astype(np.int32), reach) for a in (place, slot + 1 - pairs[:-1]))
+    ring_to += np.arange(pairs[-1], dtype=np.int32)
+    ring_to %= reach_max
+    ring_to += np.repeat((blocks * reach_max).astype(np.int32), reach)
+    bounds, pairs, live = bounds.tolist(), pairs[bounds].tolist(), live.tolist()
+    firsts, at = firsts[at].tolist(), at.tolist()
+    ring = np.zeros((n_users * reach_max, h_dim))
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        steps, entries = live[at[j]:at[j + 1]], ring_at[lo:hi]
+        hh = ring[entries]
         if inter_states:
-            h_before[rows + active] = windows[active, j % reach_max]
+            h_before[before_at[lo:hi]] = hh
 
-        # padding past a session's end holds whatever follows it; no step reads it
-        ids = table.items[np.minimum(starts[seg, None] + np.arange(lens[0]), last_item)]
-        ranked_rows = [] if ranked is None else np.flatnonzero(ranked[rows]).tolist()
-        hh, live = windows[active, j % reach_max], len(active)
-        for t in range(lens[0]):
-            hh[:live] = gru_cell_np(item_t[ids[:live, t]], hh[:live], params.intra)
-            while live and lens[live - 1] <= t + 1:
-                live -= 1  # rows [:live] have an item t + 1, the target of this state
-            need = [row for row in ranked_rows if row < live]
+        ids = items[firsts[j]:firsts[j + 1]]
+        x, p = params.item_emb.value[ids], 0
+        ranked_rows = [] if ranked is None else np.flatnonzero(ranked[by_slot[lo:hi]]).tolist()
+        for k, after in zip(steps, steps[1:] + [0]):
+            hh[:k] = gru_cell_np(x[p:p + k], hh[:k], params.intra)
+            p += k
+            # rows [:after] have a next item, the target of this state
+            need = [row for row in ranked_rows if row < after]
             if need:
-                queue.append((hh[need], ids[need, t + 1], active[need]))
+                queue.append((hh[need], ids[p:][need], blocks[lo:hi][need]))
                 rank_queue()
-        intra_states[rows] = hh
+        intra_states[by_slot[lo:hi]] = hh
 
-        # slot j's reps enter windows j + 1 .. min(j + R, n_u) of their user
-        rep = np.concatenate([hh, gap_t[buckets[rows]], user_t[table.user[rows]]], axis=1)
+        rep = np.concatenate([hh, tail[lo:hi]], axis=1)
         proj = rep @ params.inter.w.value
-        windows[active, j % reach_max] = 0.0
-        reach = np.minimum(n_slots[active] - j, reach_max)
-        src = np.repeat(np.arange(len(active)), reach)
-        start = np.repeat(np.cumsum(reach) - reach, reach)
-        who, at = active[src], (j + 1 + np.arange(len(src)) - start) % reach_max
-        for lo in range(0, len(src), bs):
-            b = slice(lo, lo + bs)
-            windows[who[b], at[b]] = gru_cell_np(rep[src[b]], windows[who[b], at[b]],
-                                                 params.inter, proj[src[b]])
+        ring[entries] = 0.0
+        for q in range(pairs[j], pairs[j + 1], bs):
+            b = src[q:min(q + bs, pairs[j + 1])]
+            to = ring_to[q:q + len(b)]
+            ring[to] = gru_cell_np(rep[b], ring[to], params.inter, proj[b])
     if inter_states:  # each user's state after its last session
         users = np.arange(n_users)
-        h_before[base + n_slots + users] = windows[users, n_slots % reach_max]
+        h_before[base + n_slots + users] = ring[users * reach_max + n_slots % reach_max]
 
     rank_queue(final=True)
     ranks, users = (np.concatenate(d) for d in zip(*done))

@@ -1,15 +1,17 @@
 """Reference implementations the tests check the program against.
 
 Nothing in the package calls these: finite-difference gradients, the
-per-step taped GRU cell that the packed unroll replaced, the score-taking
-softmax cross-entropy and the chunked chain around it that the fused
-output op replaced, exact Hawkes intensity, likelihood and thinning draws,
-the log density, closed-form CDF and quantile function of the time head, a
-trapezoid normalization check, the Bayes-optimal ranking of a synthetic
-corpus, the per-draw synthetic generator that the cached-row sampler in
-thrnn.synthetic must reproduce byte for byte, a report reader and bucket
-label, and the per-row preprocessing chain that the columnar pipeline in
-thrnn.data must reproduce byte for byte.
+where-form sigmoid and the per-step taped GRU cell that the packed unroll
+replaced (a textbook forward that shares no code with the package's
+step kernel), the score-taking softmax cross-entropy and the chunked
+chain around it that the fused output op replaced, exact Hawkes
+intensity, likelihood and thinning draws, the log density, closed-form
+CDF and quantile function of the time head, a trapezoid normalization
+check, the Bayes-optimal ranking of a synthetic corpus, the per-draw
+synthetic generator that the cached-row sampler in thrnn.synthetic must
+reproduce byte for byte, a report reader and bucket label, and the
+per-row preprocessing chain that the columnar pipeline in thrnn.data
+must reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from thrnn.autodiff import GRUWeights, Tape, Tensor, _gru_step, add, gather_rows, matmul
+from thrnn.autodiff import GRUWeights, Tape, Tensor, add, gather_rows, matmul
 from thrnn.data import (SECONDS_PER_DAY, DatasetSplit, PreprocessConfig, Session,
                         SessionTable, UserHistory, build_split)
 from thrnn.evaluation import (REPORT_FORMAT_VERSION, BucketRow, EvalReport, build_report,
@@ -69,11 +71,20 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
 # per-step GRU
 
 
+def sigmoid(v: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(−v)) in the where form, stable in both tails; NaN stays NaN."""
+    e = np.exp(-np.abs(v))
+    with np.errstate(invalid="ignore"):
+        return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def gru_cell(tape: Tape, x: Tensor, h_prev: Tensor, w: GRUWeights,
              update_mask: np.ndarray | None = None) -> Tensor:
     """One GRU step on a batch; x (B, n), h_prev (B, h) -> (B, h).
 
-    The step is a single tape record with an analytic backward. With
+    The step is a single tape record with an analytic backward. Its
+    forward is the textbook one, written apart from the package's step
+    kernel: the where-form sigmoid, then (1 − z)∘h + z∘c. With
     `update_mask` (B, 1), rows where it is 0 keep h_prev unchanged and
     pass their gradient straight through to h_prev.
     """
@@ -81,9 +92,13 @@ def gru_cell(tape: Tape, x: Tensor, h_prev: Tensor, w: GRUWeights,
         raise ValueError(f"gru_cell: input width {x.value.shape[1]} != {w.w.value.shape[0]}")
     if h_prev.value.shape[1] != w.u.value.shape[0]:
         raise ValueError("gru_cell: hidden width mismatch")
-    xv, hv, u = x.value, h_prev.value, w.u.value
+    xv, hv, u, b = x.value, h_prev.value, w.u.value, w.b.value
     n = hv.shape[1]
-    rz, rh, c, h_new = _gru_step(xv, hv, w)
+    xw = xv @ w.w.value
+    rz = sigmoid(xw[:, :2 * n] + hv @ u[:, :2 * n] + b[:2 * n])
+    rh = rz[:, :n] * hv
+    c = np.tanh(xw[:, 2 * n:] + rh @ u[:, 2 * n:] + b[2 * n:])
+    h_new = (1.0 - rz[:, n:]) * hv + rz[:, n:] * c
     keep = None if update_mask is None else np.asarray(update_mask) == 0
     out = Tensor(h_new if keep is None else np.where(keep, hv, h_new))
 

@@ -390,7 +390,8 @@ class TestGRUCell:
         rng = np.random.default_rng(14)
         w = _random_gru(rng, 3, 4)
         x = ad.Tensor(rng.normal(size=(4, 3)))
-        for h_rows, live in ((3, [2, 1]), (3, [4]), (3, [5, -1])):
+        # counts that miss the row total, exceed h0's rows, go negative or grow
+        for h_rows, live in ((3, [2, 1]), (3, [4]), (3, [5, -1]), (3, [1, 3])):
             with pytest.raises(ValueError, match="live counts"):
                 ad.gru_cell(ad.Tape(), x, ad.Tensor(np.zeros((h_rows, 4))), w, live)
 
@@ -451,15 +452,63 @@ def test_sigmoid_tanh_bounded_any_input(seed):
     assert all(np.all(np.isfinite(t.grad)) for t in w.tensors() + [x, h0])
 
 
-def test_sigmoid_matches_where_form_bit_for_bit():
+def _gate(v, n=5):
+    """The step kernel's r and z gates at pre-activations v: with h = 0,
+    u = 0 and b = 0 the pre-activation is the input projection itself."""
+    rows = -(-len(v) // n)
+    pre = np.zeros(rows * n)
+    pre[:len(v)] = v
+    pre = pre.reshape(rows, n)
+    xw = np.concatenate([pre, pre, np.zeros((rows, n))], axis=1)
+    w = ad.GRUWeights(ad.Tensor(np.zeros((1, 3 * n))), ad.Tensor(np.zeros((n, 3 * n))),
+                      ad.Tensor(np.zeros(3 * n)))
+    rz = np.empty((rows, 2 * n))
+    with np.errstate(invalid="ignore"):
+        ad._gru_step(np.zeros((rows, n)), xw, w, rz=rz)
+    r, z = rz[:, :n].ravel()[:len(v)], rz[:, n:].ravel()[:len(v)]
+    assert np.array_equal(r, z, equal_nan=True)
+    return r
+
+
+def test_gate_is_the_where_form_sigmoid_to_rounding():
+    # σ(v) = 0.5·tanh(0.5·v) + 0.5 against the where form on its old grid:
+    # exact at 0 and the infinities, NaN kept, never outside [0, 1]
     v = np.concatenate([[0.0, -0.0, 745.0, -745.0, 746.0, -746.0, np.inf, -np.inf, np.nan],
                         np.linspace(-800.0, 800.0, 4001), np.geomspace(1e-320, 1e3, 500),
-                        -np.geomspace(1e-320, 1e3, 500)])
-    e = np.exp(-np.abs(v))
-    with np.errstate(invalid="ignore"):
-        want = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    got = ad._sigmoid_np(v)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                        -np.geomspace(1e-320, 1e3, 500),
+                        np.random.default_rng(0).normal(scale=20.0, size=2000)])
+    got = _gate(v)
+    assert got[0] == 0.5 and got[1] == 0.5
+    assert got[6] == 1.0 and got[7] == 0.0
+    assert np.isnan(got[8]) and not np.isnan(np.delete(got, 8)).any()
+    assert np.all((0.0 <= np.delete(got, 8)) & (np.delete(got, 8) <= 1.0))
+    want = oracles.sigmoid(v)
+    err = np.abs(np.delete(got - want, 8))
+    assert err.max() <= 2.3e-16, err.max()
+
+
+def test_gru_steps_leave_their_inputs_unmodified():
+    # the walk hands gru_cell_np a prefix view of its running states
+    rng = np.random.default_rng(16)
+    w = _random_gru(rng, 3, 4)
+    big = rng.normal(size=(7, 4))
+    x = rng.normal(size=(3, 3))
+    xw = x @ w.w.value
+    h_prev = big[2:5]
+    before = [a.copy() for a in (big, x, xw, *(t.value for t in w.tensors()))]
+    for given in (None, xw):
+        ad.gru_cell_np(x, h_prev, w, given)
+    h0 = ad.Tensor(big[1:6])
+    assert np.shares_memory(h0.value, big)
+    xt = ad.Tensor(rng.normal(size=(9, 3)))
+    x_before = xt.value.copy()
+    for last in (False, True):
+        tape = ad.Tape()
+        out = ad.gru_cell(tape, xt, h0, w, [4, 3, 2], last=last)
+        tape.backward(_total(tape, out))
+    np.testing.assert_array_equal(xt.value, x_before)
+    for a, b in zip((big, x, xw, *(t.value for t in w.tensors())), before):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_rel_error_metric():
