@@ -63,6 +63,7 @@ class Tape:
 
     def __init__(self):
         self._records: list[tuple[tuple[Tensor, ...], Tensor, Callable]] = []
+        self._spent = False
 
     def __len__(self):
         return len(self._records)
@@ -73,7 +74,12 @@ class Tape:
         return out
 
     def backward(self, out: Tensor) -> None:
-        """Seed d(out)/d(out) = 1 and accumulate gradients into every input."""
+        """Seed d(out)/d(out) = 1 and accumulate gradients into every input.
+        Runs once per tape: records scale their stored arrays in place and
+        intermediate gradients keep the first pass, so a second call raises."""
+        if self._spent:
+            raise RuntimeError("Tape.backward already ran on this tape; record a new one")
+        self._spent = True
         out.grad = np.ones_like(out.value)
         for inputs, node, bwd in reversed(self._records):
             if node.grad is None:
@@ -196,21 +202,27 @@ def dropout(tape: Tape, a: Tensor, rate: float, rng: np.random.Generator,
     return tape.record((a,), out, bwd)
 
 
+STRIP = 4096  # dw columns a later softmax block adds at once: (hidden, STRIP) scratch
+
+
 def masked_softmax_xent(tape: Tape, x: Tensor, w: Tensor, b: Tensor, targets: np.ndarray,
                         block: int) -> Tensor:
     """Sum over rows of -log softmax(x @ w + b)[target], as one record.
 
     The rows are scored `block` at a time in one reused (block, items)
     buffer, which then turns into that block's softmax - onehot and its
-    gradients, so no score array outlives its block. The backward only
-    scales the stored dx, dw and db by the incoming gradient.
+    gradients, so no score array outlives its block. Later blocks add
+    their x_bᵀ·e_b into dw one column strip at a time, so no second
+    dw-sized array exists. The backward only scales the stored dx, dw and
+    db by the incoming gradient.
     """
     xv, wv = x.value, w.value
     tgt = np.asarray(targets)
     if tgt.min() < 0 or tgt.max() >= wv.shape[1]:
         raise IndexError("target index out of range")
     buf = np.empty((min(block, len(xv)), wv.shape[1]))
-    dx, dw, dw_part, db = np.empty_like(xv), np.empty_like(wv), None, np.zeros_like(b.value)
+    dx, dw, db = np.empty_like(xv), np.empty_like(wv), np.zeros_like(b.value)
+    strip = np.empty((wv.shape[0], min(STRIP, wv.shape[1]))) if len(xv) > block else None
     total = 0.0
     for lo in range(0, len(xv), block):
         xb, tb = xv[lo:lo + block], tgt[lo:lo + block]
@@ -224,8 +236,10 @@ def masked_softmax_xent(tape: Tape, x: Tensor, w: Tensor, b: Tensor, targets: np
         e /= z[:, None]  # the buffer turns into softmax - onehot
         e[rows, tb] -= 1.0
         np.matmul(e, wv.T, out=dx[lo:lo + block])
-        if lo:  # later blocks add through one reused buffer
-            dw += (dw_part := np.matmul(xb.T, e, out=dw_part))
+        if lo:  # later blocks add strip by strip through one reused buffer
+            for c0 in range(0, wv.shape[1], STRIP):
+                es = e[:, c0:c0 + STRIP]
+                dw[:, c0:c0 + STRIP] += np.matmul(xb.T, es, out=strip[:, :es.shape[1]])
         else:
             np.matmul(xb.T, e, out=dw)
         db += e.sum(axis=0)

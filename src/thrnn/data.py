@@ -338,9 +338,10 @@ def read_lastfm_tsv(path: str) -> tuple[InteractionLog, IngestReport]:
 def read_reddit_csv(path: str) -> tuple[InteractionLog, IngestReport]:
     """Comment log: user, subreddit, unix-seconds columns, optional header.
 
-    A row without three columns, with an empty user or subreddit, with
-    a time that is not a finite number >= 0, or that csv cannot parse is
-    malformed.
+    Columns past the third are ignored. A row with fewer than three
+    columns, with an empty user or subreddit, with a time that is not a
+    finite number >= 0, or that csv cannot parse is malformed. The first
+    row is a header when its third column is not a number.
     """
     users, items, times = [], [], []
     report = IngestReport()
@@ -348,7 +349,7 @@ def read_reddit_csv(path: str) -> tuple[InteractionLog, IngestReport]:
         rows = _csv_rows(csv.reader(fh), report)
         head = next(rows, [])
         try:
-            float(head[-1])
+            float(head[2])
         except (IndexError, ValueError):
             head = []  # a header, or a blank row
         for parts in chain([head], rows):

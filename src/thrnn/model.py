@@ -244,7 +244,7 @@ def build_examples(split: DatasetSplit, cfg: ModelConfig) -> Examples:
 # tape-free hierarchy walk (history table, evaluation, prediction)
 
 def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
-                    ranked: np.ndarray | None = None, inter_states: bool = True):
+                    ranked: np.ndarray | None = None, intra_rows=None, inter_rows=None):
     """Run the full two-level recursion over a session table without a
     tape, slot-synchronously across its users.
 
@@ -265,16 +265,16 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
     pairs) is built once before the slot loop, as flat arrays they slice.
 
     Returns flat arrays plus per-user rank arrays, users counted in table
-    order. Row k of the table, of user u, is row k of intra_states
-    (sessions, hidden) and gap_buckets (sessions,) int64, and row k + u
-    of h_before (sessions + users, hidden): a user with n sessions gets
-    n + 1 inter states, and the last one follows the last session and is
-    the state the next return time conditions on; without `inter_states`,
-    h_before is None and never allocated. Where `ranked` marks a row, the
-    ranks of every within-session target of that session are returned,
-    teacher-forced. Rank rows queue up as the intra steps make them and
-    are scored batch_size at a time, so no scores block exceeds
-    (batch_size, items).
+    order. Row k of the table, of user u, has gap bucket k (sessions,)
+    int64, intra state k and inter state k + u: a user with n sessions
+    gets n + 1 inter states, and the last one follows the last session and
+    is the state the next return time conditions on. intra_states and
+    h_before hold the states `intra_rows` and `inter_rows` number, in that
+    order (every state where None); only those rows are allocated and
+    written. Where `ranked` marks a row, the ranks of every
+    within-session target of that session are returned, teacher-forced.
+    Rank rows queue up as the intra steps make them and are scored
+    batch_size at a time, so no scores block exceeds (batch_size, items).
     """
     h_dim, reach_max, bs = cfg.hidden_dim, cfg.max_session_reps, cfg.batch_size
     first = table.first()
@@ -287,9 +287,7 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
     by_slot = np.lexsort((-table.lengths, slot))
     slot, blocks, lengths = slot[by_slot], block[by_slot], table.lengths[by_slot]
     bounds = np.searchsorted(slot, np.arange(n_slots.max(initial=0) + 1))
-    intra_states = np.zeros((len(table), h_dim))
     buckets = cfg.gap_buckets(table.gap)
-    h_before = np.zeros((len(table) + n_users, h_dim)) if inter_states else None
     empty = np.zeros(0, dtype=np.int64)
     # (states, targets, users) waiting to be ranked; (ranks, users) per ranked block
     queue, done = [(np.zeros((0, h_dim)), empty, empty)], [(empty, empty)]
@@ -306,6 +304,25 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
     # per row: its ring entry, h_before row, place in its slot and rep tail
     ring_at, before_at = blocks * reach_max + slot % reach_max, by_slot + blocks
     place = np.arange(len(table)) - bounds[slot]
+
+    def keep(rows, n, at):
+        # the output, each of n numbered states' row in it (-1: dropped), and
+        # the plan: slot j writes rows dst[c[j]:c[j + 1]] from places src[...]
+        rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+        to = np.full(n, -1)
+        to[rows] = np.arange(len(rows))
+        dst = to[at]
+        sel = np.flatnonzero(dst >= 0)
+        plan = dst[sel], place[sel], np.searchsorted(sel, bounds).tolist()
+        return np.zeros((len(rows), h_dim)), to, plan
+
+    def write(out, dst, src, c, j, hh):
+        if c[j] < c[j + 1]:
+            out[dst[c[j]:c[j + 1]]] = hh[src[c[j]:c[j + 1]]]
+
+    intra_states, _, intra_plan = keep(intra_rows, len(table), by_slot)
+    h_before, inter_to, inter_plan = keep(inter_rows, len(table) + n_users, before_at)
+    last_to = inter_to[base + n_slots + np.arange(n_users)]  # after each user's last session
     tail = np.concatenate([params.gap_emb.value[buckets[by_slot]],
                            params.user_emb.value[table.user[by_slot]]], axis=1)
     # intra step t of slot j steps the live[at[j] + t] rows with more than t
@@ -332,8 +349,7 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
     for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         steps, entries = live[at[j]:at[j + 1]], ring_at[lo:hi]
         hh = ring[entries]
-        if inter_states:
-            h_before[before_at[lo:hi]] = hh
+        write(h_before, *inter_plan, j, hh)
 
         ids = items[firsts[j]:firsts[j + 1]]
         x, p = params.item_emb.value[ids], 0
@@ -346,7 +362,7 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
             if need:
                 queue.append((hh[need], ids[p:][need], blocks[lo:hi][need]))
                 rank_queue()
-        intra_states[by_slot[lo:hi]] = hh
+        write(intra_states, *intra_plan, j, hh)
 
         rep = np.concatenate([hh, tail[lo:hi]], axis=1)
         proj = rep @ params.inter.w.value
@@ -355,9 +371,8 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
             b = src[q:min(q + bs, pairs[j + 1])]
             to = ring_to[q:q + len(b)]
             ring[to] = gru_cell_np(rep[b], ring[to], params.inter, proj[b])
-    if inter_states:  # each user's state after its last session
-        users = np.arange(n_users)
-        h_before[base + n_slots + users] = ring[users * reach_max + n_slots % reach_max]
+    users = np.flatnonzero(last_to >= 0)
+    h_before[last_to[users]] = ring[users * reach_max + n_slots[users] % reach_max]
 
     rank_queue(final=True)
     ranks, users = (np.concatenate(d) for d in zip(*done))
@@ -371,7 +386,7 @@ def _refresh_histories(split: DatasetSplit, params: ModelParams,
     buckets, one row per train session as `Examples.row` counts them
     (once per epoch; within an epoch they go stale)."""
     train = split.sessions.take(np.flatnonzero(split.is_train()))
-    return _hierarchy_walk(params, cfg, train, inter_states=False)[:2]
+    return _hierarchy_walk(params, cfg, train, inter_rows=[])[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +492,7 @@ def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
                            clip_norm=cfg.time_clip_norm)])
     if opt_state is not None:
         opt.load_state_arrays(opt_state)
+    opt.zero_grad()  # each step then drops its own
 
     stats: list[EpochStats] = []
     for epoch in range(start_epoch, epochs + 1):
@@ -498,9 +514,12 @@ def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
             if not np.isfinite(float(loss.value)):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}")
-            opt.zero_grad()
             tape.backward(loss)
             step = opt.step()
+            # no gradient outlives its step, and the tape goes when the next
+            # one replaces it (dropping both here lets malloc trim the heap,
+            # and the next batch faults its pages back in)
+            opt.zero_grad()
             if not step.applied:
                 raise TrainingDivergedError(
                     f"optimizer step skipped at epoch {epoch}, batch {batch_no}: "
@@ -535,14 +554,13 @@ def evaluate(params: ModelParams, cfg: ModelConfig, split: DatasetSplit,
         if not np.isfinite(tensor.value).all():
             raise ValueError(f"parameter {name!r} holds non-finite values")
     t, test = split.sessions, ~split.is_train()
-    _, _, h_before, ranks = _hierarchy_walk(params, cfg, t, ranked=test)
-
-    # h_before holds n + 1 rows per user; a test gap reads its session's row
+    # a user has n + 1 inter states; a test gap reads its session's one
     rows = np.flatnonzero(test & t.gap_events())
     targets = t.gap[rows]
-    rows = rows + (np.cumsum(t.first()) - 1)[rows]
+    _, _, h_before, ranks = _hierarchy_walk(params, cfg, t, ranked=test, intra_rows=[],
+                                            inter_rows=rows + (np.cumsum(t.first()) - 1)[rows])
     if len(rows):
-        s_vec = h_before[rows] @ params.time_v.value[:, 0] + params.time_b.value[0]
+        s_vec = h_before @ params.time_v.value[:, 0] + params.time_b.value[0]
         preds = pp.expected_return_time_from_s(
             s_vec, float(params.time_w.value), cfg.quadrature()) * cfg.time_unit
     else:
@@ -576,7 +594,8 @@ def predict(history: UserHistory, params: ModelParams, cfg: ModelConfig,
     if bad:
         raise IndexError(f"unknown item indices: {bad}")
 
-    intra_states, _, h_before, _ = _hierarchy_walk(params, cfg, history.table())
+    intra_states, _, h_before, _ = _hierarchy_walk(params, cfg, history.table(),
+                                                   intra_rows=[-1], inter_rows=[-1])
     scores = intra_states[-1] @ params.out_w.value + params.out_b.value
     if not np.isfinite(scores).all():
         raise ValueError("the model's item scores are not finite")

@@ -217,6 +217,17 @@ class TestFusedSoftmaxXent:
         for name, a, b in zip(("dx", "dw", "db"), got, want):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
+    @pytest.mark.parametrize("strip", [1, 3, 7])
+    def test_column_strips_match_chunked_chain(self, strip, monkeypatch):
+        # later blocks add x_bᵀ·e_b into dw in strips of `strip` of the 7 items
+        monkeypatch.setattr(ad, "STRIP", strip)
+        args = self._inputs(16)
+        got_loss, got, _ = self._loss_and_grads(ad.masked_softmax_xent, *args, 5)
+        want_loss, want, _ = self._loss_and_grads(oracles.chunked_softmax_xent, *args, 5)
+        assert got_loss == pytest.approx(want_loss, rel=1e-12)
+        for name, a, b in zip(("dx", "dw", "db"), got, want):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
     def test_gradcheck(self):
         tgt = np.array([1, 3, 0, 3, 2])
         _gradcheck(lambda tp, ts: ad.masked_softmax_xent(tp, *ts, tgt, 2),
@@ -509,6 +520,22 @@ def test_gru_steps_leave_their_inputs_unmodified():
     np.testing.assert_array_equal(xt.value, x_before)
     for a, b in zip((big, x, xw, *(t.value for t in w.tensors())), before):
         np.testing.assert_array_equal(a, b)
+
+
+def test_backward_runs_once_per_tape():
+    # a second pass would add onto the first's intermediate gradients and
+    # rescale the records' stored arrays, so it is refused
+    rng = np.random.default_rng(9)
+    w = _random_gru(rng, 3, 4)
+    tape = ad.Tape()
+    h = ad.gru_cell(tape, ad.Tensor(rng.normal(size=(4, 3))), ad.Tensor(rng.normal(size=(2, 4))),
+                    w, [2, 2], last=True)
+    loss = _total(tape, h)
+    tape.backward(loss)
+    first = w.u.grad.copy()
+    with pytest.raises(RuntimeError, match="already ran on this tape"):
+        tape.backward(loss)
+    assert np.array_equal(w.u.grad, first)
 
 
 def test_rel_error_metric():

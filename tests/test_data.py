@@ -326,6 +326,16 @@ class TestAdapters:
         assert len(rows) == 2 and rep.rows_total == 2
         assert rows.items[0] == "askscience"
 
+    def test_reddit_extra_columns_are_ignored(self, tmp_path):
+        # only a missing column makes a row malformed; a fourth is read past,
+        # also on the first row, which is then no header
+        p = tmp_path / "extra.csv"
+        p.write_text("u1,b,200,extra\nu2,c,300\nu3,d,400,x,y\n")
+        rows, rep = D.read_reddit_csv(str(p))
+        assert (rows.users, rows.items) == (["u1", "u2", "u3"], ["b", "c", "d"])
+        assert rows.times.tolist() == [200.0, 300.0, 400.0]
+        assert (rep.rows_total, rep.rows_bad) == (3, 0)
+
     def test_malformed_over_one_percent_fails(self, tmp_path):
         p = tmp_path / "bad.csv"
         lines = ["u%d,sub,%d" % (i, 1400000000 + i) for i in range(50)]

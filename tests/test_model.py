@@ -3,6 +3,7 @@ training behavior, and prediction contracts."""
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,8 +334,17 @@ class TestForward:
         assert sum(n for is_inter, n in calls if not is_inter) == live_items
 
         # the history refresh's form: the same states, no inter states kept
-        lean = md._hierarchy_walk(params, cfg, table, inter_states=False)
-        assert lean[2] is None and np.array_equal(lean[0], intra_states)
+        lean = md._hierarchy_walk(params, cfg, table, inter_rows=[])
+        assert lean[2].shape == (0, cfg.hidden_dim) and np.array_equal(lean[0], intra_states)
+        # chosen rows, in the order asked for, and nothing else allocated
+        intra_rows, inter_rows = [5, 0, sum(counts) - 1], [len(h_before) - 1, 3, 0, 9]
+        picked = md._hierarchy_walk(params, cfg, table, intra_rows=intra_rows,
+                                    inter_rows=inter_rows)
+        assert np.array_equal(picked[0], intra_states[intra_rows])
+        assert np.array_equal(picked[2], h_before[inter_rows])
+        assert np.array_equal(picked[1], lean[1])
+        last = md._hierarchy_walk(params, cfg, table, intra_rows=[-1], inter_rows=[-1])
+        assert np.array_equal(last[0], intra_states[-1:]) and np.array_equal(last[2], h_before[-1:])
 
         # one user: one inter step per slot once a block holds every window
         calls.clear()
@@ -755,12 +765,12 @@ class TestTraining:
 
         def spy(*a, **k):
             out = walk(*a, **k)
-            inter.append(out[2])
+            inter.append(out[2].shape)
             return out
 
         monkeypatch.setattr(md, "_hierarchy_walk", spy)
         table = md._refresh_histories(split, params, cfg)
-        assert inter == [None]  # the table never reads the inter states
+        assert inter == [(0, cfg.hidden_dim)]  # the table never reads the inter states
 
         seen = []  # (packed inter inputs, live counts) per inter unroll
         gru_cell = md.gru_cell
@@ -1041,6 +1051,56 @@ class TestPredict:
                                               cfg.quadrature())[0] * cfg.time_unit
         got = predict(UserHistory("u", 1, sessions), params, cfg).return_gap_seconds
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _split_of(cfg, lists, n_train):
+    """Each user's first n_train sessions train, the rest test."""
+    return oracles.split_from_histories(
+        [UserHistory(f"u{u}", u, sl[:n_train]) for u, sl in enumerate(lists)],
+        [UserHistory(f"u{u}", u, sl[n_train:]) for u, sl in enumerate(lists)], cfg.num_items)
+
+
+class TestMemory:
+    def test_training_holds_one_step_of_gradients(self):
+        # a wide vocabulary, so that the output layer's arrays dominate: a
+        # step holds the parameters, two Adam moments, one gradient set and
+        # one (batch_size, items) score block; the slack covers the rest
+        # (dw's column strip, Adam's scratch, the history table, the batch)
+        cfg = _cfg(num_items=20_000, num_users=20, item_embedding_dim=8, hidden_dim=16,
+                   batch_size=32)
+        rng = np.random.default_rng(31)
+        split = _split_of(cfg, [_sessions(rng, cfg, rng.integers(2, 7, size=12))
+                                for _ in range(cfg.num_users)], 10)
+        params = sum(t.value.nbytes for t in ModelParams.init(cfg, 0).named().values())
+        block = cfg.batch_size * cfg.num_items * 8
+        peak = _traced_peak(train, split, cfg, 1, 0)
+        assert peak < 4 * params + block + 2**20, (peak, params, block)
+
+    def test_evaluate_grows_by_less_than_an_intra_state_per_train_session(self):
+        # evaluate reads no intra state and only the test gaps' inter
+        # states: doubling the train sessions, with the test sessions fixed,
+        # grows its peak by less than the whole-table intra_states rows of
+        # the added sessions (h = 64 outweighs the schedule's per-session bytes)
+        cfg = _cfg(num_items=20, num_users=30, item_embedding_dim=8, user_embedding_dim=4,
+                   gap_embedding_dim=4, hidden_dim=64, batch_size=16)
+        params = ModelParams.init(cfg, 0)
+        peaks = []
+        for n_train in (20, 40):
+            rng = np.random.default_rng(32)
+            lists = [_sessions(rng, cfg, rng.integers(2, 6, size=n_train + 3))
+                     for _ in range(cfg.num_users)]
+            peaks.append(_traced_peak(evaluate, params, cfg, _split_of(cfg, lists, n_train)))
+        added = cfg.num_users * 20
+        assert peaks[1] - peaks[0] < added * cfg.hidden_dim * 8, peaks
 
 
 def _opt_state(params):
