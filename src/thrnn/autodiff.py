@@ -145,11 +145,7 @@ def concat(tape: Tape, parts: Sequence[Tensor]) -> Tensor:
     widths = [p.value.shape[1] for p in parts]
 
     def bwd(g):
-        grads, off = [], 0
-        for w in widths:
-            grads.append(g[:, off:off + w])
-            off += w
-        return grads
+        return np.split(g, np.cumsum(widths)[:-1], axis=1)
 
     return tape.record(tuple(parts), out, bwd)
 
@@ -185,15 +181,13 @@ def embedding(tape: Tape, table: Tensor, indices: np.ndarray) -> Tensor:
     return tape.record((table,), out, bwd)
 
 
-def dropout(tape: Tape, a: Tensor, rate: float, rng: np.random.Generator,
-            draw: Callable[[np.random.Generator], np.ndarray] | None = None) -> Tensor:
-    """Inverted dropout; call only during training (identity when rate == 0).
-    An entry survives where its uniform draw is below 1 - rate; `draw(rng)`
-    makes the draws in a's shape (by default rng.random of that shape)."""
+def dropout(tape: Tape, a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout for training, the identity at rate 0: an entry
+    survives where its uniform in one rng.random(a.shape) is below 1 - rate."""
     if rate <= 0.0:
         return a
     keep = 1.0 - rate
-    mask = ((rng.random(a.value.shape) if draw is None else draw(rng)) < keep) / keep
+    mask = (rng.random(a.value.shape) < keep) / keep
     out = Tensor(a.value * mask)
 
     def bwd(g):

@@ -16,8 +16,9 @@ The header carries the full model config, an optional metadata dict
 shape, so a checkpoint can be rebuilt with no other inputs. Writing
 the same params twice produces identical bytes.
 
-A load checks that each manifest shape is a list of non-negative
-integers, the model manifest against the config's shapes, and the file
+A load checks the prefix, the header length against the file size, the
+header's fields and array records (each shape a list of non-negative
+integers), the model manifest against the config's shapes, and the file
 length against both manifests, before it maps the file. The file is
 mapped once, copy-on-write: each array is a writeable view of the
 mapping, so predict and evaluate read weights straight from the page
@@ -46,6 +47,7 @@ import struct
 
 import numpy as np
 
+from .data import IngestError, _json_line, _require
 from .model import ModelConfig, ModelParams
 
 MAGIC = b"THRNCKPT"
@@ -89,14 +91,32 @@ def load_checkpoint(path: str, *, optimizer: bool = True
                                dict[str, np.ndarray] | None, dict | None]:
     """The optimizer state is None when absent or when optimizer=False."""
     with open(path, "rb") as fh:
-        if fh.read(8) != MAGIC:
+        size, prefix = os.fstat(fh.fileno()).st_size, fh.read(20)
+        if prefix[:8] != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        if len(prefix) < 20:
+            raise ValueError(f"{path}: truncated: {size} bytes, under the 20-byte prefix")
+        version, hlen = struct.unpack("<IQ", prefix[8:])
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        if hlen > size - 20:
+            raise ValueError(f"{path}: truncated: a {hlen}-byte header in {size} bytes")
+        header = _json_line(fh.read(hlen), path, 1)
+        _require(header, ("config", "params", "optimizer"), f"{path}: header")
         config = header["config"]
+        _require(config, (), f"{path}: field 'config'")
+        opt_recs = [] if header["optimizer"] is None else header["optimizer"]
+        for field, recs in (("params", header["params"]), ("optimizer", opt_recs)):
+            if not isinstance(recs, list):
+                raise IngestError(f"{path}: field {field!r} is {recs!r:.80}, not a list")
+            for k, rec in enumerate(recs):
+                _require(rec, ("name", "shape"), f"{path}: {field} record {k}")
+                if not isinstance(rec["name"], str):
+                    raise IngestError(f"{path}: {field} record {k} has name {rec['name']!r:.80}")
+                if not isinstance(rec["shape"], list) or any(
+                        type(d) is not int or d < 0 for d in rec["shape"]):
+                    raise ValueError(f"{path}: array {rec['name']!r} has shape {rec['shape']!r}, "
+                                     "not a list of non-negative integers")
         unknown = sorted(set(config) - {f.name for f in dataclasses.fields(ModelConfig)})
         if unknown:
             raise ValueError(f"{path}: unknown config field {unknown[0]!r}")
@@ -105,12 +125,6 @@ def load_checkpoint(path: str, *, optimizer: bool = True
         except (TypeError, ValueError) as err:
             raise ValueError(f"{path}: bad config: {err}") from err
 
-        opt_recs = header["optimizer"] or []
-        for rec in header["params"] + opt_recs:
-            if not isinstance(rec["shape"], list) or any(
-                    type(d) is not int or d < 0 for d in rec["shape"]):
-                raise ValueError(f"{path}: array {rec['name']!r} has shape {rec['shape']!r}, "
-                                 "not a list of non-negative integers")
         expected = ModelParams.shapes(cfg)
         listed = [rec["name"] for rec in header["params"]]
         if sorted(listed) != sorted(expected):
@@ -122,7 +136,6 @@ def load_checkpoint(path: str, *, optimizer: bool = True
                 raise ValueError(f"{path}: array {rec['name']!r} has shape {tuple(rec['shape'])}"
                                  f", config implies {expected[rec['name']]}")
         want = 20 + hlen + 8 * sum(math.prod(r["shape"]) for r in header["params"] + opt_recs)
-        size = os.fstat(fh.fileno()).st_size
         if size != want:
             raise ValueError(f"{path}: {'truncated' if size < want else 'trailing bytes'}: "
                              f"{size} bytes where the manifest implies {want}")

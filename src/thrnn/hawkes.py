@@ -48,8 +48,8 @@ class FitConfig:
     def __post_init__(self):
         if self.window not in ("full", "last_k"):
             raise ValueError(f"unknown window {self.window!r}")
-        if self.last_k < 2:
-            raise ValueError("last_k must be >= 2")
+        if self.last_k < 1:  # a 1-event window fits as fit's Poisson fallback
+            raise ValueError("last_k must be >= 1")
 
 
 def excitation_state(history: np.ndarray, decay: float) -> np.ndarray:

@@ -398,31 +398,24 @@ def _forward_batch(tape: Tape, params: ModelParams, cfg: ModelConfig,
     `batch` and the (states, buckets) history table; returns (joint loss
     tensor, time nll value, rec nll value, unmasked time rows, rec steps).
 
-    Each GRU level is one packed unroll over live rows only. Dropout
-    draws the stream a per-step unroll over all rows would: one
-    (rows, width) draw per step, the inter steps of a history window
-    right-aligned, then the intra steps."""
+    The batch is stable-sorted once by descending history reach. Each GRU
+    level is one packed, step-major unroll of live rows: inter step k the
+    sorted rows with reach > k, intra step t those with more than t inputs,
+    longest first (stable). Dropout draws rng.random of each packed input,
+    the inter reps first."""
     n, rate = len(batch), cfg.dropout_rate
-    # longest history first: each row runs its reach reps from the zero
-    # state, and the live rows at step k are a prefix
     reach = np.minimum(examples.slot[batch], cfg.max_session_reps)
     by_reach = np.argsort(-reach, kind="stable")
-    window = int(reach.max())
+    batch, reach = batch[by_reach], reach[by_reach]
     h_j = Tensor(np.zeros((n, cfg.hidden_dim)))
-    if window:
-        steps, rows = np.nonzero(np.arange(window)[:, None] < reach[by_reach])  # step-major
-        who = by_reach[rows]  # the batch row of each packed row
-        at = examples.row[batch][who] - reach[who] + steps
+    if reach[0]:  # each row runs its reach reps from the zero state
+        steps, rows = np.nonzero(np.arange(reach[0])[:, None] < reach)
+        at = (examples.row[batch] - reach)[rows] + steps
         rep = concat(tape, [Tensor(table[0][at]),
                             embedding(tape, params.gap_emb, table[1][at]),
-                            embedding(tape, params.user_emb, examples.user[batch][who])])
-        rep = dropout(tape, rep, rate, rng, lambda gen: gen.random((window, n, cfg.rep_dim))[
-            window - reach[who] + steps, who])
-        h_j = gru_cell(tape, rep, h_j, params.inter, np.bincount(steps), last=True)
-        # back to batch order, so that the time loss sums its rows in that
-        # order: Adam's normalised step turns a reordered sum's rounding in
-        # the time head's small gradients into 1e-9 drifts within epochs
-        h_j = gather_rows(tape, h_j, np.argsort(by_reach))
+                            embedding(tape, params.user_emb, examples.user[batch][rows])])
+        h_j = gru_cell(tape, dropout(tape, rep, rate, rng), h_j, params.inter,
+                       np.bincount(steps), last=True)
 
     time_masked = examples.time_masked[batch]
     g_alpha = np.where(time_masked, 0.0, examples.gap[batch] ** cfg.alpha_exp)
@@ -436,12 +429,10 @@ def _forward_batch(tape: Tape, params: ModelParams, cfg: ModelConfig,
         # and the packed states are exactly the (step, row) states scored
         by_len = np.argsort(-lens, kind="stable")
         steps, rows = np.nonzero(np.arange(width)[:, None] < lens[by_len])
-        who = by_len[rows]
-        at = examples.offset[batch][who] + steps
-        x = dropout(tape, embedding(tape, params.item_emb, examples.items[at]), rate, rng,
-                    lambda gen: gen.random((width, n, cfg.item_embedding_dim))[steps, who])
-        h0 = gather_rows(tape, h_j, by_len)
-        states = gru_cell(tape, x, h0, params.intra, np.bincount(steps))
+        at = examples.offset[batch][by_len[rows]] + steps
+        x = dropout(tape, embedding(tape, params.item_emb, examples.items[at]), rate, rng)
+        states = gru_cell(tape, x, gather_rows(tape, h_j, by_len), params.intra,
+                          np.bincount(steps))
         # one record, streamed in blocks no larger than one step's (n, items) scores
         total = masked_softmax_xent(tape, states, params.out_w, params.out_b,
                                     examples.items[at + 1], cfg.batch_size)
@@ -529,6 +520,7 @@ def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
             rec_sum += lr_ * nr
             time_rows += nt
             rec_rows += nr
+        del table  # the next refresh builds its table beside no old one
 
         stats.append(EpochStats(
             epoch=epoch,

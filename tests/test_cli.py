@@ -490,6 +490,21 @@ class TestEvaluate:
         assert rec["mae_days"] == pytest.approx(expected, rel=1e-12)
         assert rec["num_gap_events"] == len(targets)
 
+    def test_one_session_history_window_evaluates_all_models(self, ws, tmp_path, capsys):
+        # hawkes_short's window is max_session_reps sessions: at 1, every user
+        # gets fit's Poisson fallback instead of a refused config
+        assert main(["train", "--split", str(ws / "corpus.split"),
+                     "--out", str(tmp_path / "r1.ckpt"), "--epochs", "1",
+                     "--max-session-reps", "1", *TINY_FLAGS]) == 0
+        capsys.readouterr()
+        rc = main(["evaluate", "--checkpoint", str(tmp_path / "r1.ckpt"),
+                   "--split", str(ws / "corpus.split"), "--out-dir", str(tmp_path / "r")])
+        assert rc == 0
+        mae = {r["model"]: r["mae_days"] for r in _records(capsys)}
+        assert sorted(mae) == ["hawkes_long", "hawkes_short", "mean_gap", "popularity", "thrnn"]
+        assert all(np.isfinite(mae[m]) for m in ("thrnn", "hawkes_short", "hawkes_long",
+                                                 "mean_gap"))
+
     def test_repeat_evaluation_is_byte_identical(self, ws, tmp_path, capsys):
         blobs = []
         for d in ("r1", "r2"):
@@ -595,6 +610,30 @@ class TestEvaluate:
         assert not (tmp_path / "r").exists()
 
 
+def _edit_header(edit):
+    """A tampering that rewrites a checkpoint's JSON header with `edit`."""
+    def tamper(raw):
+        (hlen,) = struct.unpack("<Q", raw[12:20])
+        header = json.loads(raw[20:20 + hlen])
+        edit(header)
+        blob = json.dumps(header).encode()
+        return raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + hlen:]
+    return tamper
+
+
+# each malformed copy of a trained checkpoint: (tampering, what the message says)
+_BAD_CHECKPOINTS = {
+    "magic-only": (lambda raw: raw[:8], "truncated: 8 bytes, under the 20-byte prefix"),
+    "huge-header-length": (lambda raw: raw[:12] + struct.pack("<Q", 10**12) + raw[20:],
+                           "truncated: a 1000000000000-byte header in"),
+    "no-config": (_edit_header(lambda h: h.pop("config")), "header has no field 'config'"),
+    "params-not-list": (_edit_header(lambda h: h.update(params={"out_w": [1]})),
+                        "field 'params' is {'out_w': [1]}, not a list"),
+    "record-without-shape": (_edit_header(lambda h: h["params"][0].pop("shape")),
+                             "params record 0 has no field 'shape'"),
+}
+
+
 class TestPredict:
     @staticmethod
     def _history(path, items=((0, 4, 7), (3, 1))):
@@ -626,6 +665,17 @@ class TestPredict:
         assert rc == 2
         out, err = capsys.readouterr()
         assert out == "" and "item scores are not finite" in err
+
+    @pytest.mark.parametrize("case", sorted(_BAD_CHECKPOINTS))
+    def test_malformed_checkpoint_refused_by_name(self, ws, tmp_path, capsys, case):
+        tamper, message = _BAD_CHECKPOINTS[case]
+        (tmp_path / "bad.ckpt").write_bytes(tamper((ws / "m2.ckpt").read_bytes()))
+        self._history(tmp_path / "h.json")
+        rc = main(["predict", "--checkpoint", str(tmp_path / "bad.ckpt"),
+                   "--history", str(tmp_path / "h.json")])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert f"bad.ckpt: {message}" in err and "Traceback" not in err
 
     def test_repeat_prediction_identical(self, ws, tmp_path, capsys):
         self._history(tmp_path / "h.json")

@@ -286,7 +286,7 @@ class TestFit:
         with pytest.raises(ValueError):
             hk.FitConfig(window="sliding")
         with pytest.raises(ValueError):
-            hk.FitConfig(last_k=1)
+            hk.FitConfig(last_k=0)
         with pytest.raises(ValueError):
             hk.HawkesParams(0.0, 0.1, 1.0)
 

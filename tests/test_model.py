@@ -4,6 +4,8 @@ training behavior, and prediction contracts."""
 import dataclasses
 import json
 import tracemalloc
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -476,10 +478,10 @@ class TestGradients:
             _example(rng, cfg, n_hist=0, n_items=1, time_masked=True, user=1),
             _example(rng, cfg, n_hist=1, n_items=3, gap=0.4, user=2),
             _example(rng, cfg, n_hist=3, n_items=0, gap=2.2, user=1)])
-        grads = []
-        for forward in (md._forward_batch, _per_step_forward):
+        grads, rec = [], _Recorder(16)
+        for forward, draws in ((md._forward_batch, rec), (_per_step_forward, rec.draws)):
             tape = Tape()
-            loss, *_ = forward(tape, params, cfg, *batch, np.random.default_rng(16), table)
+            loss, *_ = forward(tape, params, cfg, *batch, draws, table)
             for t in params.named().values():
                 t.zero_grad()
             tape.backward(loss)
@@ -492,40 +494,84 @@ class TestGradients:
             assert err <= 1e-12, (name, err)
 
 
-def _per_step_forward(tape, params, cfg, examples, index, rng, table):
+class _Recorder:
+    """A generator that keeps each rng.random draw it hands out."""
+
+    def __init__(self, seed):
+        self._rng, self.draws = np.random.default_rng(seed), []
+
+    def random(self, shape):
+        self.draws.append(self._rng.random(shape))
+        return self.draws[-1]
+
+
+def _packed_at(order, counts, live):
+    """(steps, n): the packed row of example i at step t, for a step-major
+    packing whose step t holds the first counts[t] examples of `order`;
+    -1 where live[t, i] is False."""
+    pos = np.empty(len(order), dtype=np.int64)
+    pos[order] = np.arange(len(order))
+    at = (np.cumsum(counts) - counts)[:, None] + pos[None, :]
+    return np.where(live, at, -1)
+
+
+def _per_step_forward(tape, params, cfg, examples, index, draws, table):
     """Reference joint loss: the intra level projects and scores every
-    row at every step, padded rows masked out of the softmax."""
+    row at every step, padded rows masked out of the softmax. `draws` are
+    the packed pass's dropout uniforms, [inter reps, item embeddings] (a
+    level with no rows draws nothing), each applied to the (step, example)
+    that _forward_batch's docstring packs at that row."""
     from thrnn import autodiff as ad
     batch = oracles.example_objects(examples, index)
     n = len(batch)
     users = np.array([ex.user_index for ex in batch])
-    reach = [min(ex.slot, cfg.max_session_reps) for ex in batch]
-    window = max(reach)
+    reach = np.array([min(ex.slot, cfg.max_session_reps) for ex in batch])
+    lens = np.array([len(ex.inputs) for ex in batch])
+    window = int(reach.max())
+    # the packed order: reach descending, then (intra) inputs descending, both stable
+    by_reach = np.argsort(-reach, kind="stable")
+    by_len = by_reach[np.argsort(-lens[by_reach], kind="stable")]
+    steps = np.arange(max(window, lens.max()))[:, None]
+    inter_at = _packed_at(by_reach, [np.sum(reach > k) for k in range(window)],
+                          steps[:window] < reach)
+    intra_at = _packed_at(by_len, [np.sum(lens > t) for t in range(lens.max())],
+                          steps[:lens.max()] < lens)
+    packed = iter(draws)
+    inter_u = next(packed) if cfg.dropout_rate and window else None
+    intra_u = next(packed) if cfg.dropout_rate and lens.max() else None
+
+    def drop(a, u, at):
+        # the packed uniform of each live row; a padded row keeps its entries
+        full = np.zeros(a.value.shape)
+        if u is not None:
+            full[at >= 0] = u[at[at >= 0]]
+        return ad.dropout(tape, a, cfg.dropout_rate, SimpleNamespace(random=lambda _: full))
+
     h = ad.Tensor(np.zeros((n, cfg.hidden_dim)))
     for t in range(window):
         segs = np.zeros((n, cfg.hidden_dim))
         gaps = np.zeros(n, dtype=np.int64)
         live = np.zeros((n, 1), dtype=bool)
+        at = np.full(n, -1)
         for i, ex in enumerate(batch):
-            k = t - (window - reach[i])
+            k = t - (window - reach[i])  # windows right-aligned: row i starts late
             if k >= 0:
                 row = ex.row - reach[i] + k
                 segs[i], gaps[i], live[i] = table[0][row], table[1][row], True
+                at[i] = inter_at[k, i]
         rep = ad.concat(tape, [ad.Tensor(segs), ad.embedding(tape, params.gap_emb, gaps),
                                ad.embedding(tape, params.user_emb, users)])
-        rep = ad.dropout(tape, rep, cfg.dropout_rate, rng)
-        h = oracles.gru_cell(tape, rep, h, params.inter, update_mask=live)
+        h = oracles.gru_cell(tape, drop(rep, inter_u, at), h, params.inter, update_mask=live)
     time_masked = np.array([ex.time_masked for ex in batch])
     g_alpha = np.array([0.0 if ex.time_masked else ex.gap_target ** cfg.alpha_exp
                         for ex in batch])
     s = ad.add(tape, ad.matmul(tape, h, params.time_v), params.time_b)
     l_time = pp.time_nll(tape, s, params.time_w, g_alpha, masked=time_masked)
-    lens = np.array([len(ex.inputs) for ex in batch])
     total = None
     for t in range(lens.max()):
         ids = np.array([ex.inputs[t] if t < len(ex.inputs) else 0 for ex in batch])
         tgt = np.array([ex.targets[t] if t < len(ex.targets) else 0 for ex in batch])
-        x = ad.dropout(tape, ad.embedding(tape, params.item_emb, ids), cfg.dropout_rate, rng)
+        x = drop(ad.embedding(tape, params.item_emb, ids), intra_u, intra_at[t])
         h = oracles.gru_cell(tape, x, h, params.intra)
         sc = ad.add(tape, ad.matmul(tape, h, params.out_w), params.out_b)
         piece = oracles.masked_softmax_xent(tape, sc, tgt, masked=lens <= t)
@@ -679,11 +725,11 @@ class TestTraining:
         table = md._refresh_histories(split, params, cfg)
         order = np.random.default_rng(4).permutation(len(examples))
         for lo in range(0, len(order), cfg.batch_size):
-            grads = []
-            for forward in (md._forward_batch, _per_step_forward):
+            grads, rec = [], _Recorder([5, lo])
+            for forward, draws in ((md._forward_batch, rec), (_per_step_forward, rec.draws)):
                 tape = Tape()
                 loss, *_ = forward(tape, params, cfg, examples, order[lo:lo + cfg.batch_size],
-                                   np.random.default_rng([5, lo]), table)
+                                   draws, table)
                 for t in params.named().values():
                     t.zero_grad()
                 tape.backward(loss)
@@ -722,6 +768,27 @@ class TestTraining:
                               np.random.default_rng(0), table)
             assert len(stepped[-1]) <= 2
             assert sum(stepped[-1]) == reach[batch].sum() + (examples.length[batch] - 1).sum()
+
+    def test_dropout_draws_only_packed_rows(self):
+        # one uniform per packed entry, inter reps then item embeddings, and no
+        # record beyond the 14 a batch makes without dropout (two more with it)
+        split = _tiny_corpus(users=12, sessions=8, session_length=(1, 4))
+        examples = md.build_examples(split, _train_cfg(split, max_session_reps=3))
+        batch = np.random.default_rng(3).permutation(len(examples))[:16]
+        reach = np.minimum(examples.slot[batch], 3).sum()
+        inputs = (examples.length[batch] - 1).sum()
+        assert reach and inputs
+        for rate, records in ((0.0, 14), (0.3, 16)):
+            cfg = _train_cfg(split, max_session_reps=3, dropout_rate=rate)
+            params = ModelParams.init(cfg, 0)
+            table = md._refresh_histories(split, params, cfg)
+            rng, want = np.random.default_rng(6), np.random.default_rng(6)
+            tape = Tape()
+            md._forward_batch(tape, params, cfg, examples, batch, rng, table)
+            assert len(tape) == records, rate
+            if rate:
+                want.random(reach * cfg.rep_dim + inputs * cfg.item_embedding_dim)
+            assert rng.bit_generator.state == want.bit_generator.state, rate
 
     def test_training_never_reads_the_test_split(self, tmp_path):
         # the same train sessions with other test items: every epoch record and
@@ -1101,6 +1168,22 @@ class TestMemory:
             peaks.append(_traced_peak(evaluate, params, cfg, _split_of(cfg, lists, n_train)))
         added = cfg.num_users * 20
         assert peaks[1] - peaks[0] < added * cfg.hidden_dim * 8, peaks
+
+    def test_next_refresh_runs_beside_no_old_history_table(self, monkeypatch):
+        # the table grows with the train sessions (about 0.9 GB at Reddit
+        # scale), so each epoch's is freed before the next refresh builds its own
+        split = _tiny_corpus(users=12, sessions=6)
+        refresh, tables, alive = md._refresh_histories, [], []
+
+        def spy(*args):
+            alive.append([t() is not None for t in tables])
+            out = refresh(*args)
+            tables.append(weakref.ref(out[0]))
+            return out
+
+        monkeypatch.setattr(md, "_refresh_histories", spy)
+        train(split, _train_cfg(split), epochs=3, seed=0)
+        assert alive == [[], [False], [False, False]]
 
 
 def _opt_state(params):
