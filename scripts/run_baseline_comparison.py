@@ -17,8 +17,7 @@ import time
 import numpy as np
 
 from thrnn import synthetic as sy
-from thrnn.evaluation import hawkes_report, mean_gap_report, popularity_report
-from thrnn.hawkes import FitConfig
+from thrnn.cli import BASELINE_MODELS, model_report
 from thrnn.model import ModelConfig, evaluate, train
 
 
@@ -59,14 +58,10 @@ def main() -> int:
         print(json.dumps({"kind": "trained", "model": name,
                           "seconds": round(time.time() - t0, 1)}))
 
-    quad = ModelConfig(**base).quadrature()
-    reports = [
-        runs["thrnn"], runs["hrnn_ablation"],
-        hawkes_report(split, FitConfig(window="last_k", last_k=15), quad),
-        hawkes_report(split, FitConfig(window="full"), quad),
-        mean_gap_report(split),
-        popularity_report(split),
-    ]
+    # the baselines as `thrnn evaluate` makes them, from the joint model's config
+    joint = ModelConfig(**base)
+    reports = [runs["thrnn"], runs["hrnn_ablation"],
+               *(model_report(name, None, joint, split) for name in BASELINE_MODELS)]
     # the ablation never trains its time head, so its MAE is noise
     reports[1].overall_mae_days = None
 

@@ -32,17 +32,13 @@ from .data import SECONDS_PER_DAY, IngestError, Session, UserHistory, _is_int
 from .hawkes import FitConfig
 from .model import TrainingDivergedError
 
-# model-config fields that map one-to-one onto a flag of the same name
-_FLAG_FIELDS = [
-    ("hidden_dim", int), ("item_embedding_dim", int), ("user_embedding_dim", int),
-    ("gap_embedding_dim", int), ("max_session_reps", int),
-    ("dropout_rate", float), ("loss_weight_time", float),
-    ("loss_weight_rec", float), ("alpha_exp", float), ("batch_size", int),
-    ("learning_rate", float), ("learning_rate_time", float),
-    ("time_unit", float), ("num_gap_buckets", int),
-]
+# ModelConfig's int and float fields, each set by a flag of the same name;
+# the split sets num_items and num_users, --gap-bucket-days gap_bucket_bound
+_FLAG_FIELDS = [(f.name, {"int": int, "float": float}[f.type])
+                for f in dataclasses.fields(model.ModelConfig) if f.type in ("int", "float")
+                and f.name not in ("num_items", "num_users", "gap_bucket_bound")]
 
-_BASELINE_MODELS = ("hawkes_short", "hawkes_long", "mean_gap", "popularity")
+BASELINE_MODELS = ("hawkes_short", "hawkes_long", "mean_gap", "popularity")
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +69,7 @@ def _config_values(args) -> dict:
     """
     values: dict = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, "rb") as fh:
             loaded = data._json_line(fh.read(), args.config, 1)
         if not isinstance(loaded, dict):
             raise ValueError(f"{args.config}: expected a JSON object")
@@ -142,7 +138,7 @@ _SPEC_OPTIONAL = {"context_coupling", "session_length", "train_fraction"}
 
 
 def _spec_from_file(path: str) -> synthetic.SynthSpec:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         obj = data._json_line(fh.read(), path, 1)
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object")
@@ -244,7 +240,8 @@ def cmd_train(args) -> int:
 # evaluate
 
 
-def _model_report(name: str, params, cfg, split) -> evaluation.EvalReport:
+def model_report(name: str, params, cfg, split) -> evaluation.EvalReport:
+    """One `evaluate` model's report; the baselines read cfg but not params."""
     if name == "thrnn":
         return model.evaluate(params, cfg, split)
     if name == "mean_gap":
@@ -259,7 +256,7 @@ def _model_report(name: str, params, cfg, split) -> evaluation.EvalReport:
 
 def cmd_evaluate(args) -> int:
     names = [n.strip() for n in args.models.split(",") if n.strip()]
-    known = ("thrnn",) + _BASELINE_MODELS
+    known = ("thrnn",) + BASELINE_MODELS
     bad = [n for n in names if n not in known]
     if bad:
         raise ValueError(f"unknown models {bad}; pick from {list(known)}")
@@ -269,7 +266,7 @@ def cmd_evaluate(args) -> int:
     split = data.load_split(args.split)
     _check_split_matches(split, cfg, args.split)
     # every report is made before any is written, so a failed model leaves no files
-    reports = [(name, _model_report(name, params, cfg, split)) for name in names]
+    reports = [(name, model_report(name, params, cfg, split)) for name in names]
     os.makedirs(args.out_dir, exist_ok=True)
     for name, rep in reports:
         report_path = os.path.join(args.out_dir, f"{name}.report.jsonl")
@@ -300,7 +297,7 @@ def _history_from_file(path: str, num_items: int) -> UserHistory:
     first session only) may be omitted. The sessions then pass the split
     file's own check, data.session_columns, with items in [0, num_items).
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         obj = data._json_line(fh.read(), path, 1)
     data._require(obj, ("user_index", "sessions"), path)
     if not _is_int(obj["user_index"]):
@@ -403,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-dir", required=True,
                     help="directory for per-model report and plot files")
     sp.add_argument("--models",
-                    default="thrnn," + ",".join(_BASELINE_MODELS),
+                    default="thrnn," + ",".join(BASELINE_MODELS),
                     help="comma-separated model names (default: %(default)s)")
     sp.set_defaults(func=cmd_evaluate)
 

@@ -412,7 +412,7 @@ def save_split(split: DatasetSplit, path: str) -> None:
 def load_split(path: str) -> DatasetSplit:
     """Read a split file straight into columns, refusing, by field, a
     record that save_split would not have written."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         header = _json_line(fh.readline(), path, 1)
         if not isinstance(header, dict) or header.get("kind") != "header":
             raise IngestError(f"{path}: not a split file")
@@ -455,10 +455,15 @@ def load_split(path: str) -> DatasetSplit:
                         user_ids=user_ids, item_ids=item_ids)
 
 
-def _json_line(text: str, path: str, number: int):
-    """The JSON value of text, which starts at line `number` of the file."""
+def _json_line(raw: bytes, path: str, number: int):
+    """The JSON value of raw, bytes from line `number` of the file on. Every JSON
+    input is decoded here: a byte that is not UTF-8 is refused by file and line."""
     try:
-        return json.loads(text.rstrip())
+        return json.loads(raw.rstrip().decode("utf-8"))
+    except UnicodeDecodeError as err:
+        line = number + raw.count(b"\n", 0, err.start)
+        raise IngestError(f"{path}: line {line} is not UTF-8: byte "
+                          f"{raw[err.start]:#04x} ({err.reason})") from None
     except json.JSONDecodeError as err:
         raise IngestError(f"{path}: line {number + err.lineno - 1} is not JSON: "
                           f"{err.msg}") from None

@@ -5,18 +5,18 @@
 Fitting is maximum likelihood by damped, projected Newton in
 log-parameter space (positivity for free), with the branching ratio
 excitation/decay capped at 0.99 for stability. All users are fitted in
-lockstep: each iteration evaluates the NLL, its gradient and its 3x3
-Hessian for every user at once, from padded (users x events) arrays, with
-the Ozaki (1979) exponential-kernel recursion carried to second order in
-the decay. Prediction walks a user's timeline once, carrying the
-excitation state, and hands the next gap's closed-form compensator after
-every prefix to one point_process.truncated_mean call, the rule the
-neural time head uses.
+lockstep: each iteration calls the one likelihood, _nll_and_grads, for the
+NLL, its gradient and its 3x3 Hessian of every user at once, from padded
+(users x events) arrays, with the Ozaki (1979) exponential-kernel
+recursion carried to second order in the decay. Prediction walks a user's
+timeline once, carrying the excitation state, and hands the next gap's
+closed-form compensator after every prefix to one
+point_process.truncated_mean call, the rule the neural time head uses.
 
 All times are in model units (the same normalization the neural time
 head uses, days by default), so MAE numbers are directly comparable.
-The exact intensity, likelihood and thinning sampler that the tests check
-the fit and the predictor against are in tests/oracles.py.
+The exact intensity, the one-user likelihood loop and the thinning sampler
+that the tests check the fit and the predictor against are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -60,51 +60,6 @@ def excitation_state(history: np.ndarray, decay: float) -> np.ndarray:
     for dt in np.diff(history).tolist():
         s.append(s[-1] * math.exp(-decay * dt) + 1.0)
     return np.array(s)
-
-
-# Nothing in the program calls this one-user likelihood any more; it stays
-# because bench/spans.py counts its calls by name (hawkes.nll_evals), and the
-# tests use it as the reference for _nll_grad_hess.
-def _nll_and_grads(events: np.ndarray, gamma0: float, a: float, beta: float,
-                   t_start: float, horizon: float):
-    """One O(n) pass: NLL over [t_start, horizon], plus parameter
-    gradients, via the kernel recursions
-
-        A_i = exp(-beta*d_i) * (1 + A_{i-1})          (excitation at t_i)
-        B_i = exp(-beta*d_i) * (d_i*(1+A_{i-1}) + B_{i-1})  (= -dA_i/dbeta)
-    """
-    n = len(events)
-    log_sum = 0.0
-    d_g0 = 0.0  # d(-sum log lam)/d gamma0 accumulates -1/lam
-    d_a = 0.0
-    d_beta = 0.0
-    a_state = 0.0
-    b_state = 0.0
-    for i in range(n):
-        if i > 0:
-            d = events[i] - events[i - 1]
-            e = math.exp(-beta * d)
-            b_state = e * (d * (1.0 + a_state) + b_state)
-            a_state = e * (1.0 + a_state)
-        lam = gamma0 + a * a_state
-        log_sum += math.log(lam)
-        d_g0 -= 1.0 / lam
-        d_a -= a_state / lam
-        d_beta += a * b_state / lam  # -(-B_i)*a/lam
-
-    # compensator: gamma0*(horizon - t_start)
-    #              + (a/beta) * sum_i (1 - exp(-beta*(horizon - t_i)))
-    span = horizon - t_start
-    tail = horizon - events
-    em = np.exp(-beta * tail)
-    comp_sum = float(np.sum(1.0 - em))
-    comp = gamma0 * span + (a / beta) * comp_sum
-    d_g0 += span
-    d_a += comp_sum / beta
-    d_beta += a * (-comp_sum / beta ** 2 + float(np.sum(tail * em)) / beta)
-
-    nll = -log_sum + comp
-    return nll, np.array([d_g0, d_a, d_beta])
 
 
 # The branching ratio excitation/decay is capped here: at 1 the process
@@ -153,7 +108,7 @@ def _pad(windows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return times, lengths
 
 
-def _nll_grad_hess(times: np.ndarray, lengths: np.ndarray, params: np.ndarray):
+def _nll_and_grads(times: np.ndarray, lengths: np.ndarray, params: np.ndarray):
     """NLL over [first event, last event] of every row of a `_pad` batch,
     with its gradient and Hessian in (gamma0, excitation, decay).
 
@@ -291,7 +246,7 @@ def _newton(windows: list[np.ndarray]) -> np.ndarray:
         if not live.size:
             break
         p = np.exp(trial[live])
-        f_t, g_t, h_t = _nll_grad_hess(times[live], lengths[live], p)
+        f_t, g_t, h_t = _nll_and_grads(times[live], lengths[live], p)
         # chain rule into log space
         g_t = g_t * p
         h_t = h_t * p[:, :, None] * p[:, None, :]

@@ -551,12 +551,9 @@ def evaluate(params: ModelParams, cfg: ModelConfig, split: DatasetSplit,
     targets = t.gap[rows]
     _, _, h_before, ranks = _hierarchy_walk(params, cfg, t, ranked=test, intra_rows=[],
                                             inter_rows=rows + (np.cumsum(t.first()) - 1)[rows])
-    if len(rows):
-        s_vec = h_before @ params.time_v.value[:, 0] + params.time_b.value[0]
-        preds = pp.expected_return_time_from_s(
-            s_vec, float(params.time_w.value), cfg.quadrature()) * cfg.time_unit
-    else:
-        preds = np.zeros(0)
+    s_vec = h_before @ params.time_v.value[:, 0] + params.time_b.value[0]
+    preds = pp.expected_return_time_from_s(
+        s_vec, float(params.time_w.value), cfg.quadrature()) * cfg.time_unit
     return build_report(model_name, np.concatenate(ranks), preds, targets)
 
 

@@ -5,7 +5,8 @@ where-form sigmoid and the per-step taped GRU cell that the packed unroll
 replaced (a textbook forward that shares no code with the package's
 step kernel), the score-taking softmax cross-entropy and the chunked
 chain around it that the fused output op replaced, exact Hawkes
-intensity, likelihood and thinning draws, the log density, closed-form
+intensity, thinning draws and the one-user likelihood loop that the
+batched fit evaluator must match, the log density, closed-form
 CDF and quantile function of the time head, a trapezoid normalization
 check, the Bayes-optimal ranking of a synthetic corpus, the per-draw
 synthetic generator that the cached-row sampler in thrnn.synthetic must
@@ -29,8 +30,7 @@ from thrnn.data import (SECONDS_PER_DAY, DatasetSplit, PreprocessConfig, Session
 from thrnn.evaluation import (REPORT_FORMAT_VERSION, BucketRow, EvalReport, build_report,
                               rank_of_target)
 from thrnn.model import Examples
-from thrnn.hawkes import (FitConfig, HawkesParams, _nll_and_grads, excitation_state, fit,
-                          hawkes_predict_next)
+from thrnn.hawkes import FitConfig, HawkesParams, excitation_state, fit, hawkes_predict_next
 from thrnn.point_process import QuadratureConfig
 from thrnn.point_process import W_LIMIT, _check_exponent
 from thrnn.synthetic import (ITEM_SPACING_SECONDS, CouplingState, SynthSpec,
@@ -185,6 +185,49 @@ def hawkes_intensity(t: float, history: np.ndarray, p: HawkesParams) -> float:
     return p.gamma0 + p.excitation * s * math.exp(-p.decay * (t - history[-1]))
 
 
+def hawkes_nll_and_grads(events: np.ndarray, gamma0: float, a: float, beta: float,
+                         t_start: float, horizon: float):
+    """One user's NLL over [t_start, horizon] and its parameter gradients in
+    one O(n) loop, the reference for the fit's batched
+    thrnn.hawkes._nll_and_grads, via the kernel recursions
+
+        A_i = exp(-beta*d_i) * (1 + A_{i-1})          (excitation at t_i)
+        B_i = exp(-beta*d_i) * (d_i*(1+A_{i-1}) + B_{i-1})  (= -dA_i/dbeta)
+    """
+    n = len(events)
+    log_sum = 0.0
+    d_g0 = 0.0  # d(-sum log lam)/d gamma0 accumulates -1/lam
+    d_a = 0.0
+    d_beta = 0.0
+    a_state = 0.0
+    b_state = 0.0
+    for i in range(n):
+        if i > 0:
+            d = events[i] - events[i - 1]
+            e = math.exp(-beta * d)
+            b_state = e * (d * (1.0 + a_state) + b_state)
+            a_state = e * (1.0 + a_state)
+        lam = gamma0 + a * a_state
+        log_sum += math.log(lam)
+        d_g0 -= 1.0 / lam
+        d_a -= a_state / lam
+        d_beta += a * b_state / lam  # -(-B_i)*a/lam
+
+    # compensator: gamma0*(horizon - t_start)
+    #              + (a/beta) * sum_i (1 - exp(-beta*(horizon - t_i)))
+    span = horizon - t_start
+    tail = horizon - events
+    em = np.exp(-beta * tail)
+    comp_sum = float(np.sum(1.0 - em))
+    comp = gamma0 * span + (a / beta) * comp_sum
+    d_g0 += span
+    d_a += comp_sum / beta
+    d_beta += a * (-comp_sum / beta ** 2 + float(np.sum(tail * em)) / beta)
+
+    nll = -log_sum + comp
+    return nll, np.array([d_g0, d_a, d_beta])
+
+
 def hawkes_nll(history: np.ndarray, p: HawkesParams, horizon: float | None = None) -> float:
     """-sum_i log lam(t_i) + integral of lam over [0, horizon]."""
     events = np.asarray(history, dtype=np.float64)
@@ -198,8 +241,8 @@ def hawkes_nll(history: np.ndarray, p: HawkesParams, horizon: float | None = Non
         horizon = float(events[-1])
     if horizon < events[-1]:
         raise ValueError("horizon precedes the last event")
-    nll, _ = _nll_and_grads(events, p.gamma0, p.excitation, p.decay,
-                            t_start=0.0, horizon=float(horizon))
+    nll, _ = hawkes_nll_and_grads(events, p.gamma0, p.excitation, p.decay,
+                                  t_start=0.0, horizon=float(horizon))
     return float(nll)
 
 

@@ -47,3 +47,34 @@ def test_predict_opens_one_checkpoint_load_span(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 1", proc.stdout + proc.stderr
+
+
+HAWKES = ("import sys; sys.path[:0] = [{src!r}, {bench!r}]; import spans; "
+          "from thrnn import data, evaluation, hawkes; "
+          "from thrnn.point_process import QuadratureConfig; "
+          "tracer = spans.Tracer(); spans.install(tracer); "
+          "root = tracer.open('cli.evaluate'); "
+          "evaluation.hawkes_report(data.load_split({split!r}), hawkes.FitConfig(), "
+          "QuadratureConfig(cutoff=30.0)); tracer.close(root); "
+          "print(tracer.counts['hawkes.nll_evals'], tracer.counts['hawkes.nll_event_steps'])")
+
+
+def test_hawkes_fit_counts_its_likelihood_calls(tmp_path):
+    # the tracer counts hawkes._nll_and_grads by name: a fit that stops
+    # calling it would leave hawkes.nll_evals reading 0 without failing
+    import numpy as np
+    from thrnn.data import save_split
+    from thrnn.synthetic import SynthSpec, generate_corpus
+    m = np.full((6, 6), 0.2)
+    np.fill_diagonal(m, 0.0)
+    spec = SynthSpec(num_users=5, sessions_per_user=8, item_transition=m,
+                     gap_mixture=[(1.0, 1.0)], session_length=(2, 4))
+    split = str(tmp_path / "c.split")
+    save_split(generate_corpus(spec, seed=0), split)
+    code = HAWKES.format(src=os.path.join(ROOT, "src"), bench=os.path.join(ROOT, "bench"),
+                         split=split)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    evals, rows = map(int, proc.stdout.split())
+    assert evals > 0 and rows >= evals, proc.stdout

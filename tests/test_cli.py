@@ -863,6 +863,40 @@ class TestPredict:
             main([])
 
 
+# each JSON input, with one 0xff byte: the command that reads it ({bad} is
+# the file holding the byte) and the line the byte is on
+_NOT_UTF8 = {
+    "split": (["train", "--split", "{bad}", "--out", "{tmp}/x.ckpt", "--epochs", "1"], 3),
+    "history": (["predict", "--checkpoint", "{ws}/m2.ckpt", "--history", "{bad}"], 1),
+    "checkpoint": (["predict", "--checkpoint", "{bad}", "--history", "{tmp}/h.json"], 1),
+    "config": (["train", "--split", "{ws}/corpus.split", "--out", "{tmp}/x.ckpt",
+                "--epochs", "1", "--config", "{bad}"], 2),
+    "spec": (["synth", "--spec", "{bad}", "--output", "{tmp}/c.split"], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_UTF8))
+def test_input_that_is_not_utf8_names_file_and_line(ws, tmp_path, capsys, case):
+    TestPredict._history(tmp_path / "h.json")
+    ckpt = bytearray((ws / "m2.ckpt").read_bytes())
+    (hlen,) = struct.unpack("<Q", ckpt[12:20])
+    ckpt[20 + hlen // 2] = 0xff  # inside the JSON header
+    bad = {
+        "split": (ws / "corpus.split").read_bytes().replace(b'"u00000"', b'"\xff"', 1),
+        "history": (tmp_path / "h.json").read_bytes().replace(
+            b'"sessions"', b'"user_id": "\xff", "sessions"'),
+        "checkpoint": bytes(ckpt),
+        "config": b'{"hidden_dim": 8,\n "time_unit": "\xff"}',
+        "spec": (ws / "spec.json").read_bytes() + b"\n\xff",
+    }[case]
+    (tmp_path / "bad").write_bytes(bad)
+    argv, line = _NOT_UTF8[case]
+    rc = main([a.format(bad=tmp_path / "bad", ws=ws, tmp=tmp_path) for a in argv])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and "Traceback" not in err
+    assert f"{tmp_path / 'bad'}: line {line} is not UTF-8: byte 0xff" in err
+
+
 def _set(field, value):
     return lambda sessions, k: sessions[k].update({field: value})
 

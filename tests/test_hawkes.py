@@ -84,17 +84,17 @@ class TestNll:
         rng = np.random.default_rng(2)
         events = np.sort(rng.uniform(0, 30, size=40))
         theta0 = np.array([0.8, 0.6, 1.4])
-        _, grads = hk._nll_and_grads(events, *theta0, t_start=float(events[0]),
-                                     horizon=float(events[-1]))
+        _, grads = oracles.hawkes_nll_and_grads(events, *theta0, t_start=float(events[0]),
+                                                horizon=float(events[-1]))
         eps = 1e-6
         for k in range(3):
             up, dn = theta0.copy(), theta0.copy()
             up[k] += eps
             dn[k] -= eps
-            f_up, _ = hk._nll_and_grads(events, *up, t_start=float(events[0]),
-                                        horizon=float(events[-1]))
-            f_dn, _ = hk._nll_and_grads(events, *dn, t_start=float(events[0]),
-                                        horizon=float(events[-1]))
+            f_up, _ = oracles.hawkes_nll_and_grads(events, *up, t_start=float(events[0]),
+                                                   horizon=float(events[-1]))
+            f_dn, _ = oracles.hawkes_nll_and_grads(events, *dn, t_start=float(events[0]),
+                                                   horizon=float(events[-1]))
             fd = (f_up - f_dn) / (2 * eps)
             assert grads[k] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
@@ -155,25 +155,25 @@ class TestBatchedEvaluator:
 
     def test_matches_scalar_recursion(self):
         windows, params = _ragged_batch(self.LENGTHS, seed=20)
-        nll, grad, _ = hk._nll_grad_hess(*hk._pad(windows), params)
+        nll, grad, _ = hk._nll_and_grads(*hk._pad(windows), params)
         for w, p, got_nll, got_grad in zip(windows, params, nll, grad):
-            want_nll, want_grad = hk._nll_and_grads(w, *p, t_start=float(w[0]),
-                                                    horizon=float(w[-1]))
+            want_nll, want_grad = oracles.hawkes_nll_and_grads(w, *p, t_start=float(w[0]),
+                                                               horizon=float(w[-1]))
             np.testing.assert_allclose(got_nll, want_nll, rtol=1e-10, atol=0)
             np.testing.assert_allclose(got_grad, want_grad, rtol=1e-10, atol=0)
 
     def test_hessian_matches_central_differences(self):
         windows, params = _ragged_batch(self.LENGTHS, seed=21)
         times, lengths = hk._pad(windows)
-        _, _, hess = hk._nll_grad_hess(times, lengths, params)
+        _, _, hess = hk._nll_and_grads(times, lengths, params)
         eps = 1e-6
         fd = np.empty_like(hess)
         for k in range(3):
             up, dn = params.copy(), params.copy()
             up[:, k] += eps
             dn[:, k] -= eps
-            fd[:, :, k] = (hk._nll_grad_hess(times, lengths, up)[1]
-                           - hk._nll_grad_hess(times, lengths, dn)[1]) / (2 * eps)
+            fd[:, :, k] = (hk._nll_and_grads(times, lengths, up)[1]
+                           - hk._nll_and_grads(times, lengths, dn)[1]) / (2 * eps)
         for h, f in zip(hess, fd):
             np.testing.assert_allclose(h, f, rtol=1e-6, atol=1e-7 * np.abs(h).max())
 
@@ -182,8 +182,9 @@ def _projected_log_grad(events, p):
     """Log-space NLL gradient at p with its outward component on the
     branching-ratio cap removed, and the NLL; asserts the cap's multiplier
     is non-negative where p sits on it."""
-    nll, grad = hk._nll_and_grads(events, p.gamma0, p.excitation, p.decay,
-                                  t_start=float(events[0]), horizon=float(events[-1]))
+    nll, grad = oracles.hawkes_nll_and_grads(events, p.gamma0, p.excitation, p.decay,
+                                             t_start=float(events[0]),
+                                             horizon=float(events[-1]))
     g = grad * np.array([p.gamma0, p.excitation, p.decay])
     if oracles.branching_ratio(p) > hk.MAX_BRANCHING * (1 - 1e-12):
         normal = np.array([0.0, 1.0, -1.0])
@@ -217,9 +218,9 @@ class TestFit:
         ours = hk.fit([events], hk.FitConfig())[0]
 
         def objective(theta):
-            return hk._nll_and_grads(events, *np.exp(theta),
-                                     t_start=float(events[0]),
-                                     horizon=float(events[-1]))[0]
+            return oracles.hawkes_nll_and_grads(events, *np.exp(theta),
+                                                t_start=float(events[0]),
+                                                horizon=float(events[-1]))[0]
 
         ref = minimize(objective, np.log([0.5, 0.2, 1.0]), method="Nelder-Mead",
                        options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000})
