@@ -10,10 +10,12 @@ at fan-out. A tensor keeps its first gradient uncopied when a backward
 allocated it fresh for that input alone, and copies a view or an array
 also handed elsewhere; embedding lookups scatter-add straight into the
 table's `.grad`. A GRU cell is three packed tensors (gate blocks in r, z,
-c order). A whole unroll over packed, step-major rows, each step on a
-live-row prefix, is one record with an analytic backward. Its steps and
-the tape-free gru_cell_np run one in-place step kernel: three matmuls,
-gates σ(v) = 0.5·tanh(0.5·v) + 0.5 and the blend h + z∘(c − h).
+c order). Its input projection x·w + b, bias included, is formed by
+gru_input_projection, over many rows in one product. A whole unroll over
+packed, step-major rows, each step on a live-row prefix, is one record
+with an analytic backward. Its steps and the tape-free gru_cell_np run one
+in-place step kernel on a given projection: two matmuls, h·u_rz and
+(r∘h)·u_c, gates σ(v) = 0.5·tanh(0.5·v) + 0.5 and the blend h + z∘(c − h).
 """
 
 from __future__ import annotations
@@ -278,7 +280,7 @@ def gru_cell(tape: Tape, x: Tensor, h0: Tensor, w: GRUWeights, live,
     (B, h); live never grows, and rows past live[t] pass through
     unchanged. Returns the packed states, row for row with x, or with
     `last` each row's state after the final step (B, h). The input
-    projection x @ w and, backward, the weight gradients and dx are one
+    projection x·w + b and, backward, the weight gradients and dx are one
     matmul each over all steps; the reverse loop carries only the state
     gradient.
     """
@@ -295,7 +297,7 @@ def gru_cell(tape: Tape, x: Tensor, h0: Tensor, w: GRUWeights, live,
     n, k0, live = h0.value.shape[1], live[0] if live else 0, np.array(live, dtype=np.int64)
     starts = np.cumsum(live) - live
     spans = list(zip(starts.tolist(), (starts + live).tolist()))
-    xw = xv @ w.w.value
+    xw = gru_input_projection(xv, w)
     # per packed row: [r|z], r∘h, c, c − h and the state it writes; packed
     # row p of step t reads row p of h0 at step 0, else row p − live[t − 1]
     rz, rh, c, ch, states = (np.empty((len(xv), k * n)) for k in (2, 1, 1, 1, 1))
@@ -344,22 +346,32 @@ def gru_cell(tape: Tape, x: Tensor, h0: Tensor, w: GRUWeights, live,
     return tape.record((x, h0, *w.tensors()), out, bwd)
 
 
+def gru_input_projection(x: np.ndarray, w: GRUWeights) -> np.ndarray:
+    """x·w + b for every row of x, as one product: the input half of each
+    gate's pre-activation, bias included, which the step kernel reads."""
+    xw = x @ w.w.value
+    xw += w.b.value
+    return xw
+
+
 def gru_cell_np(x: np.ndarray, h_prev: np.ndarray, w: GRUWeights,
                 xw: np.ndarray | None = None) -> np.ndarray:
-    """Tape-free gru_cell forward into a fresh h'; `xw`, if given, is x @ w.w."""
-    return _gru_step(h_prev, x @ w.w.value if xw is None else xw, w)
+    """Tape-free gru_cell forward into a fresh h'; `xw`, if given, is x's
+    rows of gru_input_projection, x·w + b, which is then not formed again."""
+    return _gru_step(h_prev, gru_input_projection(x, w) if xw is None else xw, w)
 
 
 def _gru_step(h: np.ndarray, xw: np.ndarray, w: GRUWeights, rz=None, rh=None, c=None,
               ch=None, out=None) -> np.ndarray:
-    """The GRUWeights step from state h and input projection xw, written
-    into [r|z], r∘h, c, c − h and h' (each allocated where not given);
-    returns h'. The candidate needs r∘h, so it has a matmul of its own."""
+    """The GRUWeights step from state h and input projection xw = x·w + b,
+    written into [r|z], r∘h, c, c − h and h' (each allocated where not
+    given); returns h'. Each pre-activation is h·u + (x·w + b), so the bias
+    costs the step nothing. The candidate needs r∘h, so it has a matmul of
+    its own."""
     n = h.shape[1]
-    u, b = w.u.value, w.b.value
+    u = w.u.value
     rz = np.matmul(h, u[:, :2 * n], out=rz)
-    rz += xw[:, :2 * n]  # (xw + h·u) + b bit for bit: one addition commutes exactly
-    rz += b[:2 * n]
+    rz += xw[:, :2 * n]
     rz *= 0.5  # σ(v) = 0.5·tanh(0.5·v) + 0.5: in [0, 1], no overflow branch
     np.tanh(rz, out=rz)
     rz *= 0.5
@@ -367,7 +379,6 @@ def _gru_step(h: np.ndarray, xw: np.ndarray, w: GRUWeights, rz=None, rh=None, c=
     rh = np.multiply(rz[:, :n], h, out=rh)
     c = np.matmul(rh, u[:, 2 * n:], out=c)
     c += xw[:, 2 * n:]
-    c += b[2 * n:]
     np.tanh(c, out=c)
     ch = np.subtract(c, h, out=ch)
     out = np.multiply(ch, rz[:, n:], out=ch if out is None else out)

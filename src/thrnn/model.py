@@ -33,6 +33,7 @@ states are scored by one fused projection and softmax record per batch.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 import math
@@ -43,8 +44,8 @@ import numpy as np
 
 from . import point_process as pp
 from .autodiff import (GRUWeights, Tape, Tensor, add, concat, dropout, embedding,
-                       gather_rows, gru_cell, gru_cell_np, masked_softmax_xent,
-                       matmul, scale)
+                       gather_rows, gru_cell, gru_cell_np, gru_input_projection,
+                       masked_softmax_xent, matmul, scale)
 from .data import DatasetSplit, SessionTable, UserHistory
 from .evaluation import EvalReport, build_report, rank_of_target
 from .optim import Adam, ParamGroup
@@ -258,9 +259,13 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
     into blocks of at most batch_size rows so the step's temporaries stay
     small. Each (window, rep) pair is computed once, as a from-scratch
     unroll of every window would, but in about one call per slot instead
-    of min(j, R); each rep's projection rep @ w_inter is computed once for
-    all its windows. Within a slot the sessions go longest first, so intra
-    step t steps only the live prefix. What the slots index (ring entries,
+    of min(j, R); each rep's projection rep·w_inter + b_inter is computed
+    once for all its windows. Within a slot the sessions go longest first,
+    so intra step t steps only the live prefix, and the intra steps take
+    their rows of x·w_intra + b_intra from one product per block of
+    consecutive steps, at most max(rows of the slot's first step,
+    batch_size) rows: a one-user walk projects a session of up to
+    batch_size items at once. What the slots index (ring entries,
     rep tails, live-row counts, step-major items, (rep row, ring entry)
     pairs) is built once before the slot loop, as flat arrays they slice.
 
@@ -344,28 +349,37 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
     ring_to %= reach_max
     ring_to += np.repeat((blocks * reach_max).astype(np.int32), reach)
     bounds, pairs, live = bounds.tolist(), pairs[bounds].tolist(), live.tolist()
-    firsts, at = firsts[at].tolist(), at.tolist()
+    firsts, at = firsts.tolist(), at.tolist()
     ring = np.zeros((n_users * reach_max, h_dim))
     for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        steps, entries = live[at[j]:at[j + 1]], ring_at[lo:hi]
+        entries = ring_at[lo:hi]
         hh = ring[entries]
         write(h_before, *inter_plan, j, hh)
 
-        ids = items[firsts[j]:firsts[j + 1]]
-        x, p = params.item_emb.value[ids], 0
+        # step s reads packed rows firsts[s] .. firsts[s + 1] - 1, counted
+        # here from the slot's first, o; it takes them from the block
+        # [start, end), projected in one product of at most cap rows
+        o, s_end = firsts[at[j]], at[j + 1]
+        ids = items[o:firsts[s_end]]
+        x, end = params.item_emb.value[ids], 0
         ranked_rows = [] if ranked is None else np.flatnonzero(ranked[by_slot[lo:hi]]).tolist()
-        for k, after in zip(steps, steps[1:] + [0]):
-            hh[:k] = gru_cell_np(x[p:p + k], hh[:k], params.intra)
-            p += k
+        for s in range(at[j], s_end):
+            k, p0, p1 = live[s], firsts[s] - o, firsts[s + 1] - o
+            if p1 > end:  # the next block: every step from s whose rows fit in cap
+                start, cap = p0, max(live[at[j]], bs)
+                end = firsts[bisect.bisect_right(firsts, o + p0 + cap, s + 1, s_end + 1) - 1] - o
+                xw = gru_input_projection(x[start:end], params.intra)
+            hh[:k] = gru_cell_np(x[p0:p1], hh[:k], params.intra, xw[p0 - start:p1 - start])
             # rows [:after] have a next item, the target of this state
+            after = live[s + 1] if s + 1 < s_end else 0
             need = [row for row in ranked_rows if row < after]
             if need:
-                queue.append((hh[need], ids[p:][need], blocks[lo:hi][need]))
+                queue.append((hh[need], ids[p1:][need], blocks[lo:hi][need]))
                 rank_queue()
         write(intra_states, *intra_plan, j, hh)
 
         rep = np.concatenate([hh, tail[lo:hi]], axis=1)
-        proj = rep @ params.inter.w.value
+        proj = gru_input_projection(rep, params.inter)
         ring[entries] = 0.0
         for q in range(pairs[j], pairs[j + 1], bs):
             b = src[q:min(q + bs, pairs[j + 1])]

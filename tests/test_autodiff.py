@@ -408,14 +408,14 @@ class TestGRUCell:
 
     def test_np_twin_matches_taped(self):
         # one formula: the unroll's states are gru_cell_np's, bit for bit,
-        # given the same input projection
+        # given the same input projection, bias included
         rng = np.random.default_rng(9)
         w = _random_gru(rng, 5, 6)
         live = [4, 3, 1]
         x = rng.normal(size=(sum(live), 5))
         h = rng.normal(size=(4, 6))
         taped = ad.gru_cell(ad.Tape(), ad.Tensor(x), ad.Tensor(h), w, live).value
-        xw, lo, plain = x @ w.w.value, 0, []
+        xw, lo, plain = x @ w.w.value + w.b.value, 0, []
         for k in live:
             h[:k] = ad.gru_cell_np(x[lo:lo + k], h[:k], w, xw[lo:lo + k])
             plain.append(h[:k].copy())
@@ -504,7 +504,7 @@ def test_gru_steps_leave_their_inputs_unmodified():
     w = _random_gru(rng, 3, 4)
     big = rng.normal(size=(7, 4))
     x = rng.normal(size=(3, 3))
-    xw = x @ w.w.value
+    xw = ad.gru_input_projection(x, w)
     h_prev = big[2:5]
     before = [a.copy() for a in (big, x, xw, *(t.value for t in w.tensors()))]
     for given in (None, xw):

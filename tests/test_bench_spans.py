@@ -78,3 +78,42 @@ def test_hawkes_fit_counts_its_likelihood_calls(tmp_path):
     assert proc.returncode == 0, proc.stderr
     evals, rows = map(int, proc.stdout.split())
     assert evals > 0 and rows >= evals, proc.stdout
+
+
+WALK = """import sys
+sys.path[:0] = [{src!r}, {bench!r}, {tests!r}]
+import spans
+from thrnn import model
+from thrnn.data import Session
+from oracles import session_table
+tracer = spans.Tracer()
+spans.install(tracer)
+cfg = model.ModelConfig(num_items=7, num_users=4, item_embedding_dim=3, user_embedding_dim=2,
+                        gap_embedding_dim=2, hidden_dim=4, num_gap_buckets=3,
+                        max_session_reps={reps}, batch_size=3)
+lists = [[Session(items=[(u + i) % 7 for i in range(n)], start_time=100.0 * j,
+                  end_time=100.0 * j + 10.0, gap_before=90.0 if j else 0.0)
+          for j, n in enumerate(lengths)] for u, lengths in enumerate({lengths!r})]
+root = tracer.open("cli.predict")
+model._hierarchy_walk(model.ModelParams.init(cfg, 0), cfg, session_table(lists, range(4)))
+tracer.close(root)
+print(tracer.counts["model.walk_gru_rows"])
+"""
+
+
+def test_tracer_counts_the_walks_gru_rows(tmp_path):
+    # the tracer counts the rows of every gru_cell_np call the walk makes by
+    # name: a walk that stepped some other way would leave the count short
+    reps, lengths = 3, [[2, 1, 4], [5], [1, 3, 2, 2, 6, 1, 2], []]
+    script = tmp_path / "walk.py"
+    script.write_text(WALK.format(src=os.path.join(ROOT, "src"),
+                                  bench=os.path.join(ROOT, "bench"),
+                                  tests=os.path.join(ROOT, "tests"), reps=reps,
+                                  lengths=lengths), encoding="utf-8")
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # every item steps the intra level once; session j of n enters the
+    # windows j + 1 .. n, of which it steps at most reps
+    want = sum(sum(ls) + sum(min(reps, len(ls) - j) for j in range(len(ls))) for ls in lengths)
+    assert int(proc.stdout.split()[-1]) == want, proc.stdout

@@ -2,6 +2,7 @@
 training behavior, and prediction contracts."""
 
 import dataclasses
+import itertools
 import json
 import tracemalloc
 import weakref
@@ -14,7 +15,7 @@ from thrnn import evaluation as ev
 from thrnn import model as md
 from thrnn import point_process as pp
 from thrnn import synthetic as sy
-from thrnn.autodiff import Tape, gru_cell_np
+from thrnn.autodiff import Tape, gru_cell_np, gru_input_projection
 from thrnn.data import Session, UserHistory
 from thrnn.evaluation import mean_gap_report
 from thrnn.model import (ModelConfig, ModelParams, TrainingDivergedError,
@@ -229,10 +230,15 @@ class TestForward:
         np.testing.assert_allclose(h_before[20], h[0], rtol=0, atol=1e-12)
         assert not np.allclose(h_before[20], unroll(range(20))[0])
         assert np.max(np.abs(h_before[20] - unroll(range(20))[0])) > 1e-6
+        # predict's walk projects the t items of each prefix in one product
+        # and steps through its rows, as here: BLAS rounds a one-row product
+        # differently from a multi-row one
         want = []
-        h = h_before[20][None, :]
-        for item in sessions[20].items[:-1]:
-            h = gru_cell_np(params.item_emb.value[[item]], h, params.intra)
+        for t in range(1, len(sessions[20].items)):
+            x, h = params.item_emb.value[sessions[20].items[:t]], h_before[20][None, :]
+            xw = gru_input_projection(x, params.intra)
+            for i in range(t):
+                h = gru_cell_np(x[i:i + 1], h, params.intra, xw[i:i + 1])
             want.append(h[0] @ params.out_w.value + params.out_b.value)
         assert np.array_equal(_step_scores(params, cfg, sessions, 20), np.array(want))
 
@@ -353,6 +359,48 @@ class TestForward:
         one = dataclasses.replace(cfg, batch_size=reps)
         md._hierarchy_walk(params, one, session_table([lists[3]], [3]))
         assert sum(is_inter for is_inter, _ in calls) <= len(lists[3])
+
+    def test_walk_projects_intra_steps_in_blocks(self, monkeypatch):
+        # each intra step reads its rows of x·w + b from a block product of
+        # consecutive steps, at most max(first-step rows, batch_size) rows
+        cfg = _cfg(num_users=12, max_session_reps=4, batch_size=3)
+        params = _rand_params(cfg, seed=8)
+        rng = np.random.default_rng(9)
+        lists = [_sessions(rng, cfg, rng.integers(1, 9, size=n))
+                 for n in rng.integers(1, 26, size=cfg.num_users)]
+        calls = []
+
+        def spy(x, h, w, xw=None):
+            calls.append((w is params.intra, x, xw))
+            return gru_cell_np(x, h, w, xw)
+
+        def blocks(table, cfg):
+            # per slot, its distinct projections: a slot's intra steps run
+            # between the inter steps of the slots before and after it
+            calls.clear()
+            md._hierarchy_walk(params, cfg, table)
+            per_slot = []
+            for intra, steps in itertools.groupby(calls, key=lambda call: call[0]):
+                if not intra:
+                    continue
+                steps, bases = list(steps), []
+                cap = max(len(steps[0][1]), cfg.batch_size)
+                for _, x, xw in steps:
+                    assert xw is not None and xw.base is not None and len(xw.base) <= cap
+                    np.testing.assert_allclose(xw, gru_input_projection(x, params.intra),
+                                               rtol=0, atol=1e-15)
+                    if not any(xw.base is b for b in bases):
+                        bases.append(xw.base)
+                per_slot.append(len(bases))
+            return per_slot
+
+        monkeypatch.setattr(md, "gru_cell_np", spy)
+        many = blocks(session_table(lists, range(cfg.num_users)), cfg)
+        assert len(many) == max(len(sl) for sl in lists) and max(many) > 1
+        # one user steps one row at a time: a session of up to batch_size
+        # items is one product
+        one = dataclasses.replace(cfg, batch_size=8)
+        assert blocks(session_table([lists[0]], [0]), one) == [1] * len(lists[0])
 
 
 class TestJointLoss:
