@@ -13,7 +13,7 @@ table's `.grad`. A GRU cell is three packed tensors (gate blocks in r, z,
 c order). Its input projection x·w + b, bias included, is formed by
 gru_input_projection, over many rows in one product. A whole unroll over
 packed, step-major rows, each step on a live-row prefix, is one record
-with an analytic backward. Its steps and the tape-free gru_cell_np run one
+with an analytic backward. Its steps run gru_cell_np, the tape-free,
 in-place step kernel on a given projection: two matmuls, h·u_rz and
 (r∘h)·u_c, gates σ(v) = 0.5·tanh(0.5·v) + 0.5 and the blend h + z∘(c − h).
 """
@@ -303,8 +303,8 @@ def gru_cell(tape: Tape, x: Tensor, h0: Tensor, w: GRUWeights, live,
     rz, rh, c, ch, states = (np.empty((len(xv), k * n)) for k in (2, 1, 1, 1, 1))
     read = h0.value
     for (lo, hi), back in zip(spans, [0, *live.tolist()]):
-        _gru_step(read[lo - back:hi - back], xw[lo:hi], w, rz[lo:hi], rh[lo:hi], c[lo:hi],
-                  ch[lo:hi], states[lo:hi])
+        gru_cell_np(xw[lo:hi], read[lo - back:hi - back], w, rz[lo:hi], rh[lo:hi], c[lo:hi],
+                    ch[lo:hi], states[lo:hi])
         read = states
     if last:  # row i's final state is at its last step, the last t with live[t] > i
         h, i = h0.value.copy(), np.arange(k0)
@@ -354,33 +354,27 @@ def gru_input_projection(x: np.ndarray, w: GRUWeights) -> np.ndarray:
     return xw
 
 
-def gru_cell_np(x: np.ndarray, h_prev: np.ndarray, w: GRUWeights,
-                xw: np.ndarray | None = None) -> np.ndarray:
-    """Tape-free gru_cell forward into a fresh h'; `xw`, if given, is x's
-    rows of gru_input_projection, x·w + b, which is then not formed again."""
-    return _gru_step(h_prev, gru_input_projection(x, w) if xw is None else xw, w)
-
-
-def _gru_step(h: np.ndarray, xw: np.ndarray, w: GRUWeights, rz=None, rh=None, c=None,
-              ch=None, out=None) -> np.ndarray:
-    """The GRUWeights step from state h and input projection xw = x·w + b,
-    written into [r|z], r∘h, c, c − h and h' (each allocated where not
-    given); returns h'. Each pre-activation is h·u + (x·w + b), so the bias
-    costs the step nothing. The candidate needs r∘h, so it has a matmul of
-    its own."""
-    n = h.shape[1]
+def gru_cell_np(xw: np.ndarray, h_prev: np.ndarray, w: GRUWeights, rz=None, rh=None,
+                c=None, ch=None, out=None) -> np.ndarray:
+    """The tape-free GRUWeights step from input projection xw = x·w + b
+    (rows of gru_input_projection) and state h_prev, written into [r|z],
+    r∘h, c, c − h and h' (each allocated where not given: h' is fresh
+    unless `out` is given); returns h'. Each pre-activation is
+    h·u + (x·w + b), so the bias costs the step nothing. The candidate
+    needs r∘h, so it has a matmul of its own."""
+    n = h_prev.shape[1]
     u = w.u.value
-    rz = np.matmul(h, u[:, :2 * n], out=rz)
+    rz = np.matmul(h_prev, u[:, :2 * n], out=rz)
     rz += xw[:, :2 * n]
     rz *= 0.5  # σ(v) = 0.5·tanh(0.5·v) + 0.5: in [0, 1], no overflow branch
     np.tanh(rz, out=rz)
     rz *= 0.5
     rz += 0.5
-    rh = np.multiply(rz[:, :n], h, out=rh)
+    rh = np.multiply(rz[:, :n], h_prev, out=rh)
     c = np.matmul(rh, u[:, 2 * n:], out=c)
     c += xw[:, 2 * n:]
     np.tanh(c, out=c)
-    ch = np.subtract(c, h, out=ch)
+    ch = np.subtract(c, h_prev, out=ch)
     out = np.multiply(ch, rz[:, n:], out=ch if out is None else out)
-    out += h  # h' = h + z∘(c − h)
+    out += h_prev  # h' = h + z∘(c − h)
     return out

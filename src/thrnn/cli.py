@@ -12,7 +12,8 @@ Every command writes machine-parseable JSON lines to stdout (each record
 carries a "kind" field) and returns exit code 0 on success, 2 on any
 recognized error. Configuration is validated before any data is read.
 Sessions, from a split file or a predict history file, are checked by
-one function, data.session_columns; this module checks none itself.
+one function, data.session_columns, and a synth spec by one class,
+synthetic.SynthSpec; this module checks neither itself.
 """
 
 from __future__ import annotations
@@ -132,58 +133,20 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-_SPEC_REQUIRED = {"num_users", "sessions_per_user", "item_transition",
-                  "gap_mixture"}
-_SPEC_OPTIONAL = {"context_coupling", "session_length", "train_fraction"}
-
-
 def _spec_from_file(path: str) -> synthetic.SynthSpec:
+    """The SynthSpec of a JSON object of its fields, which SynthSpec checks."""
     with open(path, "rb") as fh:
         obj = data._json_line(fh.read(), path, 1)
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    unknown = sorted(set(obj) - _SPEC_REQUIRED - _SPEC_OPTIONAL)
+    fields = dataclasses.fields(synthetic.SynthSpec)
+    unknown = sorted(set(obj) - {f.name for f in fields})
     if unknown:
         raise ValueError(f"{path}: unknown spec keys {unknown}")
-    missing = sorted(_SPEC_REQUIRED - set(obj))
+    missing = sorted({f.name for f in fields if f.default is dataclasses.MISSING} - set(obj))
     if missing:
         raise ValueError(f"{path}: missing spec keys {missing}")
-
-    def field(name, convert):
-        try:
-            return convert(obj[name])
-        except (TypeError, ValueError, KeyError, OverflowError) as err:
-            raise ValueError(f"{path}: spec field {name!r} is malformed: {err}") from err
-
-    def number(x) -> float:
-        if type(x) not in (int, float):
-            raise TypeError(f"{x!r} is not a number")
-        return float(x)
-
-    def coupling_state(k, st) -> synthetic.CouplingState:
-        extra = sorted(set(st) - {"items", "gap_mean_days"})
-        if extra:
-            raise ValueError(f"state {k} has unknown keys {extra}")
-        bad = [x for x in st["items"] if not _is_int(x)]
-        if bad:
-            raise ValueError(f"state {k} holds item {bad[0]!r}, not an integer")
-        return synthetic.CouplingState(items=tuple(st["items"]),
-                                       gap_mean_days=number(st["gap_mean_days"]))
-
-    kwargs = {
-        "num_users": obj["num_users"],
-        "sessions_per_user": obj["sessions_per_user"],
-        "item_transition": field("item_transition", lambda v: np.asarray(v, dtype=np.float64)),
-        "gap_mixture": field("gap_mixture", lambda v: [(number(w), number(m)) for w, m in v]),
-    }
-    if obj.get("context_coupling") is not None:
-        kwargs["context_coupling"] = field("context_coupling",
-                                           lambda v: [coupling_state(k, st) for k, st in enumerate(v)])
-    if "session_length" in obj:
-        kwargs["session_length"] = obj["session_length"]
-    if "train_fraction" in obj:
-        kwargs["train_fraction"] = field("train_fraction", number)
-    return synthetic.SynthSpec(**kwargs)
+    return synthetic.SynthSpec(**obj)
 
 
 def cmd_synth(args) -> int:

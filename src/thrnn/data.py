@@ -238,10 +238,9 @@ def build_split(table: SessionTable, user_ids: list[str], item_ids: list[str],
     `user_ids` and `item_ids` name the table's codes. Users with fewer
     than min_sessions sessions are dropped; users and vocabulary are the
     sorted ids of the kept users and their items. The table comes back
-    reordered user by user, with dense user and item indices.
+    reordered user by user, with dense user and item indices. The callers'
+    configs, PreprocessConfig and SynthSpec, hold train_fraction in (0, 1).
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie in (0, 1)")
     counts = np.bincount(table.user, minlength=len(user_ids))
     kept = counts >= min_sessions
     if not kept.any():

@@ -269,17 +269,18 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
     rep tails, live-row counts, step-major items, (rep row, ring entry)
     pairs) is built once before the slot loop, as flat arrays they slice.
 
-    Returns flat arrays plus per-user rank arrays, users counted in table
-    order. Row k of the table, of user u, has gap bucket k (sessions,)
-    int64, intra state k and inter state k + u: a user with n sessions
-    gets n + 1 inter states, and the last one follows the last session and
-    is the state the next return time conditions on. intra_states and
-    h_before hold the states `intra_rows` and `inter_rows` number, in that
-    order (every state where None); only those rows are allocated and
-    written. Where `ranked` marks a row, the ranks of every
-    within-session target of that session are returned, teacher-forced.
-    Rank rows queue up as the intra steps make them and are scored
-    batch_size at a time, so no scores block exceeds (batch_size, items).
+    Returns flat arrays. Row k of the table, of user u, has gap bucket k
+    (sessions,) int64, intra state k and inter state k + u: a user with n
+    sessions gets n + 1 inter states, and the last one follows the last
+    session and is the state the next return time conditions on.
+    intra_states and h_before hold the states `intra_rows` and `inter_rows`
+    number, in that order (every state where None); only those rows are
+    allocated and written. Where `ranked` marks a row, the ranks of every
+    within-session target of that session are returned, teacher-forced,
+    as one array in table order: users in table order, each user's
+    sessions and then steps in order. Rank rows queue up as the intra
+    steps make them and are scored batch_size at a time, so no scores
+    block exceeds (batch_size, items).
     """
     h_dim, reach_max, bs = cfg.hidden_dim, cfg.max_session_reps, cfg.batch_size
     first = table.first()
@@ -369,7 +370,7 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
                 start, cap = p0, max(live[at[j]], bs)
                 end = firsts[bisect.bisect_right(firsts, o + p0 + cap, s + 1, s_end + 1) - 1] - o
                 xw = gru_input_projection(x[start:end], params.intra)
-            hh[:k] = gru_cell_np(x[p0:p1], hh[:k], params.intra, xw[p0 - start:p1 - start])
+            hh[:k] = gru_cell_np(xw[p0 - start:p1 - start], hh[:k], params.intra)
             # rows [:after] have a next item, the target of this state
             after = live[s + 1] if s + 1 < s_end else 0
             need = [row for row in ranked_rows if row < after]
@@ -384,14 +385,13 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
         for q in range(pairs[j], pairs[j + 1], bs):
             b = src[q:min(q + bs, pairs[j + 1])]
             to = ring_to[q:q + len(b)]
-            ring[to] = gru_cell_np(rep[b], ring[to], params.inter, proj[b])
+            ring[to] = gru_cell_np(proj[b], ring[to], params.inter)
     users = np.flatnonzero(last_to >= 0)
     h_before[last_to[users]] = ring[users * reach_max + n_slots[users] % reach_max]
 
     rank_queue(final=True)
     ranks, users = (np.concatenate(d) for d in zip(*done))
-    order, per_user = np.argsort(users, kind="stable"), np.bincount(users, minlength=n_users)
-    return intra_states, buckets, h_before, np.split(ranks[order], np.cumsum(per_user)[:-1])
+    return intra_states, buckets, h_before, ranks[np.argsort(users, kind="stable")]
 
 
 def _refresh_histories(split: DatasetSplit, params: ModelParams,
@@ -568,7 +568,7 @@ def evaluate(params: ModelParams, cfg: ModelConfig, split: DatasetSplit,
     s_vec = h_before @ params.time_v.value[:, 0] + params.time_b.value[0]
     preds = pp.expected_return_time_from_s(
         s_vec, float(params.time_w.value), cfg.quadrature()) * cfg.time_unit
-    return build_report(model_name, np.concatenate(ranks), preds, targets)
+    return build_report(model_name, ranks, preds, targets)
 
 
 @dataclass

@@ -24,13 +24,13 @@ refused then.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SECONDS_PER_DAY, DatasetSplit, SessionTable, _is_int, build_split
+from .data import (SECONDS_PER_DAY, DatasetSplit, SessionTable, _is_finite, _is_int,
+                   build_split)
 
 ITEM_SPACING_SECONDS = 30.0
 
@@ -44,14 +44,21 @@ class CouplingState:
     gap_mean_days: float
 
     def __post_init__(self):
-        if not self.items:
-            raise ValueError("coupling state needs at least one item")
-        if not 0 < self.gap_mean_days < math.inf:
-            raise ValueError("gap mean must be positive and finite")
+        items, mean = self.items, self.gap_mean_days
+        if not (isinstance(items, (list, tuple)) and items and all(map(_is_int, items))):
+            raise ValueError(f"items must be a non-empty list of integers, got {items!r:.80}")
+        if not (_is_finite(mean) and mean > 0):
+            raise ValueError(f"gap_mean_days must be a positive finite number, got {mean!r:.80}")
+        object.__setattr__(self, "items", tuple(items))
+        object.__setattr__(self, "gap_mean_days", float(mean))
 
 
 @dataclass
 class SynthSpec:
+    """A corpus generator's spec, whose every type and value is checked here
+    and nowhere else: a refusal is a ValueError that names the field. A
+    context_coupling state may be a mapping, built as CouplingState(**state)."""
+
     num_users: int
     sessions_per_user: int
     item_transition: np.ndarray  # (V, V), row-stochastic
@@ -64,15 +71,21 @@ class SynthSpec:
         for name in ("num_users", "sessions_per_user"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+                raise ValueError(f"{name} must be a positive integer, got {value!r:.80}")
         sl = self.session_length
         if not (isinstance(sl, (tuple, list)) and len(sl) == 2 and all(map(_is_int, sl))):
-            raise ValueError(f"session_length must be a pair of integers, got {sl!r}")
+            raise ValueError(f"session_length must be a pair of integers, got {sl!r:.80}")
         lo, hi = self.session_length = tuple(sl)
         if not 1 <= lo <= hi <= 20:
             raise ValueError("session_length must lie in [1, 20]")
+        if not (_is_finite(self.train_fraction) and 0 < self.train_fraction < 1):
+            raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction!r:.80}")
+        self.train_fraction = float(self.train_fraction)
 
-        m = np.asarray(self.item_transition, dtype=np.float64)
+        try:
+            m = np.asarray(self.item_transition, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ValueError(f"item_transition is not a matrix of numbers: {err}") from None
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
             raise ValueError("item_transition must be a non-empty square matrix")
         if not np.isfinite(m).all() or np.any(m < 0):
@@ -81,35 +94,47 @@ class SynthSpec:
             raise ValueError("item_transition rows must be stochastic")
         self.item_transition = m
 
-        if not self.gap_mixture and not self.context_coupling:
-            raise ValueError("gap_mixture is empty and no context_coupling draws the gaps")
-        if any(not w >= 0 for w, _ in self.gap_mixture):
-            raise ValueError("gap_mixture weights must be non-negative")
-        if self.gap_mixture and abs(sum(w for w, _ in self.gap_mixture) - 1.0) > 1e-9:
+        mix = self.gap_mixture
+        if not (isinstance(mix, (list, tuple)) and all(
+                isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_finite, p))
+                and p[0] >= 0 and p[1] > 0 for p in mix)):
+            raise ValueError("gap_mixture must be a list of (weight, mean_days) pairs, weights "
+                             f"non-negative and means positive and finite, got {mix!r:.80}")
+        self.gap_mixture = [(float(w), float(mean)) for w, mean in mix]
+        if mix and abs(sum(w for w, _ in self.gap_mixture) - 1.0) > 1e-9:
             raise ValueError("gap_mixture weights must sum to 1")
-        if any(not 0 < mean < math.inf for _, mean in self.gap_mixture):
-            raise ValueError("gap_mixture means must be positive and finite")
+        states = self.context_coupling
+        if states is not None:
+            if not isinstance(states, (list, tuple)):
+                raise ValueError(f"context_coupling must be a list of states, got {states!r:.80}")
+            self.context_coupling = [_coupling_state(k, st) for k, st in enumerate(states)]
+        if not mix and not self.context_coupling:
+            raise ValueError("gap_mixture is empty and no context_coupling draws the gaps")
 
         v = m.shape[0]
-        for k, state in enumerate(self.context_coupling or []):
-            bad = [i for i in state.items if not 0 <= i < v]
-            if bad:
-                raise ValueError(f"context_coupling state {k} holds item {bad[0]}, "
-                                 f"outside [0, {v})")
-        if hi >= 2:  # every item a session can reach then needs a successor
-            pools = ({f"context_coupling state {k}": np.asarray(st.items)
-                      for k, st in enumerate(self.context_coupling or [])}
-                     or {"item_transition": np.arange(v)})
-            off = m - np.diag(np.diag(m))
-            for where, pool in pools.items():
-                stuck = pool[off[np.ix_(pool, pool)].sum(axis=1) <= 0]
-                if len(stuck):
-                    raise ValueError(f"{where}: item {stuck[0]} has no successor, but "
-                                     f"session_length allows {hi} items")
+        off = m - np.diag(np.diag(m))  # a successor is another item
+        pools = ({f"context_coupling state {k}": np.asarray(st.items)
+                  for k, st in enumerate(self.context_coupling or [])}
+                 or {"item_transition": np.arange(v)})
+        for where, pool in pools.items():
+            bad = pool[(pool < 0) | (pool >= v)]
+            if len(bad):
+                raise ValueError(f"{where} holds item {bad[0]}, outside [0, {v})")
+            stuck = pool[off[np.ix_(pool, pool)].sum(axis=1) <= 0]
+            if hi >= 2 and len(stuck):  # every item a session can reach needs one
+                raise ValueError(f"{where}: item {stuck[0]} has no successor, but "
+                                 f"session_length allows {hi} items")
 
     @property
     def num_items(self) -> int:
         return self.item_transition.shape[0]
+
+
+def _coupling_state(k: int, state) -> CouplingState:
+    try:  # a TypeError names a missing or unknown key
+        return state if isinstance(state, CouplingState) else CouplingState(**state)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"context_coupling state {k}: {err}") from None
 
 
 def item_id(index: int) -> str:

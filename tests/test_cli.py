@@ -15,6 +15,7 @@ import pytest
 import thrnn
 from thrnn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from thrnn.cli import _history_from_file, main
+from thrnn import synthetic
 from thrnn.data import IngestError, load_split
 
 from oracles import histories, load_report
@@ -131,6 +132,11 @@ _BAD_SPECS = {
     "huge-mean": ({"gap_mixture": [[1.0, 10**400]]}, "gap_mixture"),
     "coupling-huge-mean": ({"context_coupling": [{"items": [0, 1], "gap_mean_days": 10**400}]},
                            "context_coupling"),
+    # a bool is an int to Python, but not a number of the spec's
+    "coupling-boolean-item": ({"context_coupling": [{"items": [0, True], "gap_mean_days": 1.0}]},
+                              "context_coupling"),
+    "boolean-mean": ({"gap_mixture": [[1.0, True]]}, "gap_mixture"),
+    "train-fraction-above-one": ({"train_fraction": 1.5}, "train_fraction"),
 }
 
 
@@ -147,6 +153,31 @@ class TestSynthSpecRefused:
         assert rc == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "c.split").exists()
+
+    @pytest.mark.parametrize("case", sorted(_BAD_SPECS))
+    def test_synth_spec_refuses_it_without_the_cli(self, case):
+        # the library refuses what `synth` does: SynthSpec holds every rule,
+        # and builds each context_coupling mapping as CouplingState(**state)
+        edit, field = _BAD_SPECS[case]
+        spec = {"num_users": 4, "sessions_per_user": 4,
+                "item_transition": [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]],
+                "gap_mixture": [[1.0, 1.0]], "session_length": [2, 4], **edit}
+        with pytest.raises(ValueError, match=field):
+            synthetic.SynthSpec(**spec)
+
+    def test_train_fraction_refused_before_any_session_is_drawn(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        def drawn(*args, **kwargs):
+            raise AssertionError("generate_corpus called with a refused spec")
+
+        monkeypatch.setattr(synthetic, "generate_corpus", drawn)
+        _write_spec(tmp_path / "spec.json")
+        spec = json.loads((tmp_path / "spec.json").read_text())
+        (tmp_path / "spec.json").write_text(json.dumps({**spec, "train_fraction": 1.5}))
+        rc = main(["synth", "--spec", str(tmp_path / "spec.json"),
+                   "--output", str(tmp_path / "c.split")])
+        assert rc == 2
+        assert "train_fraction" in capsys.readouterr().err
 
 
 class TestPreprocess:

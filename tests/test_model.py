@@ -91,6 +91,11 @@ def _sessions(rng, cfg, lengths, gap=5000.0):
             for j, n in enumerate(lengths)]
 
 
+def _step(x, h, w):
+    """One GRU step of the rows x from h, projecting x first."""
+    return gru_cell_np(gru_input_projection(x, w), h, w)
+
+
 def _step_scores(params, cfg, sessions, j, user=0):
     """Per-step item scores over session j: row t is what predict() scores
     after the first t + 1 items, given the full sessions before j."""
@@ -222,7 +227,7 @@ class TestForward:
                 rep = np.concatenate([intra_states[t],
                                       params.gap_emb.value[buckets[t]],
                                       params.user_emb.value[0]])[None, :]
-                h = gru_cell_np(rep, h, params.inter)
+                h = _step(rep, h, params.inter)
             return h
 
         # session 20 conditions on sessions 5..19 only
@@ -238,7 +243,7 @@ class TestForward:
             x, h = params.item_emb.value[sessions[20].items[:t]], h_before[20][None, :]
             xw = gru_input_projection(x, params.intra)
             for i in range(t):
-                h = gru_cell_np(x[i:i + 1], h, params.intra, xw[i:i + 1])
+                h = gru_cell_np(xw[i:i + 1], h, params.intra)
             want.append(h[0] @ params.out_w.value + params.out_b.value)
         assert np.array_equal(_step_scores(params, cfg, sessions, 20), np.array(want))
 
@@ -299,12 +304,12 @@ class TestForward:
             for j in range(len(sessions) + 1):
                 h = np.zeros((1, cfg.hidden_dim))
                 for x in reps_seen[max(0, j - reps):]:
-                    h = gru_cell_np(x[None, :], h, params.inter)
+                    h = _step(x[None, :], h, params.inter)
                 ref_h.append(h[0])
                 if j == len(sessions):
                     break
                 for item in sessions[j].items:
-                    h = gru_cell_np(params.item_emb.value[[item]], h, params.intra)
+                    h = _step(params.item_emb.value[[item]], h, params.intra)
                 ref_intra.append(h[0])
                 reps_seen.append(np.concatenate([
                     h[0], params.gap_emb.value[bucket(sessions[j].gap_before)],
@@ -313,9 +318,9 @@ class TestForward:
 
         calls = []
 
-        def counted(x, h, w, xw=None):
-            calls.append((w is params.inter, x.shape[0]))
-            return gru_cell_np(x, h, w, xw)
+        def counted(xw, h, w):
+            calls.append((w is params.inter, xw.shape[0]))
+            return gru_cell_np(xw, h, w)
 
         monkeypatch.setattr(md, "gru_cell_np", counted)
         table = session_table(lists, range(5))
@@ -370,9 +375,9 @@ class TestForward:
                  for n in rng.integers(1, 26, size=cfg.num_users)]
         calls = []
 
-        def spy(x, h, w, xw=None):
-            calls.append((w is params.intra, x, xw))
-            return gru_cell_np(x, h, w, xw)
+        def spy(xw, h, w):
+            calls.append((w is params.intra, xw))
+            return gru_cell_np(xw, h, w)
 
         def blocks(table, cfg):
             # per slot, its distinct projections: a slot's intra steps run
@@ -385,10 +390,8 @@ class TestForward:
                     continue
                 steps, bases = list(steps), []
                 cap = max(len(steps[0][1]), cfg.batch_size)
-                for _, x, xw in steps:
-                    assert xw is not None and xw.base is not None and len(xw.base) <= cap
-                    np.testing.assert_allclose(xw, gru_input_projection(x, params.intra),
-                                               rtol=0, atol=1e-15)
+                for _, xw in steps:
+                    assert xw.base is not None and len(xw.base) <= cap
                     if not any(xw.base is b for b in bases):
                         bases.append(xw.base)
                 per_slot.append(len(bases))
@@ -412,13 +415,13 @@ class TestJointLoss:
         ((state, bucket),) = hist
         x = np.concatenate([state, params.gap_emb.value[bucket],
                             params.user_emb.value[ex.user_index]])[None, :]
-        h = gru_cell_np(x, np.zeros((1, cfg.hidden_dim)), params.inter)
+        h = _step(x, np.zeros((1, cfg.hidden_dim)), params.inter)
         s = float(h[0] @ params.time_v.value[:, 0] + params.time_b.value[0])
         l_time = -float(log_density_from_s(s, 0.8 ** cfg.alpha_exp,
                                            float(params.time_w.value)))
         scores = []
         for item in ex.inputs:
-            h = gru_cell_np(params.item_emb.value[[item]], h, params.intra)
+            h = _step(params.item_emb.value[[item]], h, params.intra)
             scores.append(h[0] @ params.out_w.value + params.out_b.value)
         l_rec = _xent(np.array(scores), ex.targets)
 
@@ -446,7 +449,7 @@ class TestJointLoss:
         h = np.zeros((1, cfg.hidden_dim))
         scores = []
         for item in ex.inputs:
-            h = gru_cell_np(params.item_emb.value[[item]], h, params.intra)
+            h = _step(params.item_emb.value[[item]], h, params.intra)
             scores.append(h[0] @ params.out_w.value + params.out_b.value)
         loss, _, l_rec = _batch_losses(params, cfg, [(ex, hist)])
         want = _xent(np.array(scores), ex.targets)
@@ -1010,13 +1013,12 @@ class TestEvaluate:
         ranked = np.concatenate([np.arange(len(sl)) >= f for sl, f in zip(lists, first)])
         _, _, _, ranks = md._hierarchy_walk(params, cfg, session_table(lists, range(4)),
                                             ranked=ranked)
-        # ranks come per user with sessions; user 2 has none
-        ranks = dict(zip([u for u, sl in enumerate(lists) if sl], ranks))
-        for u, sessions in enumerate(lists):
-            want = [ev.rank_of_target(row, sessions[j].items[t + 1])
-                    for j in range(first[u], len(sessions))
-                    for t, row in enumerate(_step_scores(params, cfg, sessions, j, user=u))]
-            assert list(ranks.get(u, [])) == want, u
+        # one array in table order: each user's sessions and then steps, users
+        # in order; user 2 has none
+        want = [ev.rank_of_target(row, sessions[j].items[t + 1])
+                for u, sessions in enumerate(lists) for j in range(first[u], len(sessions))
+                for t, row in enumerate(_step_scores(params, cfg, sessions, j, user=u))]
+        assert ranks.tolist() == want
 
     def test_popularity_ranks_match_per_event_reference(self, monkeypatch):
         split = _tiny_corpus(users=10, sessions=6, vocab=12)
