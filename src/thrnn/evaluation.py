@@ -190,7 +190,8 @@ def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig,
     """
     t = split.sessions
     scored, means, overall = _gap_events(split)
-    global_rate = 1.0 if overall is None else time_unit / overall
+    # a mean gap that is missing or 0 gives no rate: fall back to the split's, then to 1
+    global_rate = time_unit / overall if overall else 1.0
     users, bounds = np.unique(t.user[scored]).tolist(), split.user_offsets()
     times, histories, rates = [], [], []
     for u in users:
@@ -198,7 +199,7 @@ def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig,
         sitting = ~t.masked[lo:hi]
         times.append(t.start[lo:hi][sitting] / time_unit)
         histories.append(times[-1][:np.count_nonzero(sitting[:cut - lo])])
-        rates.append(global_rate if np.isnan(means[u]) else time_unit / float(means[u]))
+        rates.append(time_unit / float(means[u]) if means[u] > 0 else global_rate)
     preds = []
     for u, params, ts in zip(users, fit(histories, cfg, rates), times):
         lo, hi = bounds[u], bounds[u + 1]

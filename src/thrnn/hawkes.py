@@ -8,9 +8,11 @@ excitation/decay capped at 0.99 for stability. All users are fitted in
 lockstep: each iteration calls the one likelihood, _nll_and_grads, for the
 NLL, its gradient and its 3x3 Hessian of every user at once, from padded
 (users x events) arrays, with the Ozaki (1979) exponential-kernel
-recursion carried to second order in the decay. Prediction walks a user's
-timeline once, carrying the excitation state, and hands the next gap's
-closed-form compensator after every prefix to one
+recursion carried to second order in the decay. What the parameters do
+not change (pair distances, masks, compensator lags, spans) is built once
+per fit; as users converge, the rows of the rest are taken from it.
+Prediction walks a user's timeline once, carrying the excitation state,
+and hands the next gap's closed-form compensator after every prefix to one
 point_process.truncated_mean call, the rule the neural time head uses.
 
 All times are in model units (the same normalization the neural time
@@ -108,7 +110,31 @@ def _pad(windows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return times, lengths
 
 
-def _nll_and_grads(times: np.ndarray, lengths: np.ndarray, params: np.ndarray):
+def _geometry(times: np.ndarray, lengths: np.ndarray) -> list:
+    """What _nll_and_grads reads that the parameters do not change: per
+    chunk, its first column, its rows' gaps from the previous chunk's last
+    event, pair distances and mask; then valid, tau, tau^2 and span."""
+    chunks = []
+    for lo in range(0, times.shape[1], CHUNK):
+        t = times[:np.count_nonzero(lengths > lo), lo:lo + CHUNK]
+        tri = _TRI[:t.shape[1], :t.shape[1]]
+        chunks.append((lo, t - times[:len(t), max(lo - 1, 0), None],
+                       np.where(tri, t[:, :, None] - t[:, None, :], 0.0), tri))
+    tau = times[:, -1:] - times
+    return [chunks, np.arange(times.shape[1]) < lengths[:, None], tau, tau * tau,
+            times[:, -1] - times[:, 0]]
+
+
+def _take(geometry: list, rows: np.ndarray) -> list:
+    """A batch's geometry at its rows `rows` (ascending), chunk by chunk."""
+    chunks, *per_row = geometry
+    chunks = [(lo, gap[r], d[r], tri) for lo, gap, d, tri in chunks
+              for r in [rows[:np.searchsorted(rows, len(gap))]] if r.size]
+    return [chunks] + [x[rows] for x in per_row]
+
+
+def _nll_and_grads(times: np.ndarray, lengths: np.ndarray, params: np.ndarray,
+                   geometry=None):
     """NLL over [first event, last event] of every row of a `_pad` batch,
     with its gradient and Hessian in (gamma0, excitation, decay).
 
@@ -124,25 +150,24 @@ def _nll_and_grads(times: np.ndarray, lengths: np.ndarray, params: np.ndarray):
     chunk are summed directly; earlier events enter through the three sums
     at the previous chunk's last event, decayed to each event.
 
+    `geometry` is the batch's `_geometry`, built here when not given; a
+    call forms only what the parameters change.
+
     Returns nll (users,), grad (users, 3) and hess (users, 3, 3).
     """
     users, width = times.shape
+    chunks, valid, tau, tau2, span = geometry or _geometry(times, lengths)
     gamma0, a, beta = params.T
     sums = np.zeros((3, users, width))  # A, B, C at every event
     carry = np.zeros((3, users))  # A + 1, B, C at the previous chunk's last event
-    last = times[:, 0].copy()  # time of that event
-    for lo in range(0, width, CHUNK):
-        rows = int(np.count_nonzero(lengths > lo))
-        t = times[:rows, lo:lo + CHUNK]
+    for lo, gap, d, tri in chunks:
+        rows = len(gap)
         b = beta[:rows, None]
         p0, p1, p2 = carry[:, :rows, None]
-        gap = t - last[:rows, None]
         decayed = np.exp(-b * gap)
         s_a = decayed * p0
         s_b = decayed * (gap * p0 + p1)
         s_c = decayed * (gap * (gap * p0 + 2.0 * p1) + p2)
-        tri = _TRI[:t.shape[1], :t.shape[1]]
-        d = np.where(tri, t[:, :, None] - t[:, None, :], 0.0)
         w = np.exp(-b[:, :, None] * d) * tri
         wd = w * d
         s_a += w.sum(axis=2)
@@ -150,10 +175,8 @@ def _nll_and_grads(times: np.ndarray, lengths: np.ndarray, params: np.ndarray):
         s_c += (wd * d).sum(axis=2)
         sums[:, :rows, lo:lo + CHUNK] = s_a, s_b, s_c
         carry[:, :rows] = s_a[:, -1] + 1.0, s_b[:, -1], s_c[:, -1]
-        last[:rows] = t[:, -1]
 
     big_a, big_b, big_c = sums
-    valid = np.arange(width) < lengths[:, None]
     lam = np.where(valid, gamma0[:, None] + a[:, None] * big_a, 1.0)
     r = valid / lam
     x = np.stack([r, big_a * r, big_b * r])
@@ -162,12 +185,11 @@ def _nll_and_grads(times: np.ndarray, lengths: np.ndarray, params: np.ndarray):
     c_r = (big_c * r).sum(axis=1)
 
     # compensator gamma0*span + (a/beta) * s0, s0 = sum_i (1 - exp(-beta*tau_i))
-    tau = times[:, -1:] - times
-    e = np.exp(-beta[:, None] * tau)
-    s0 = -np.expm1(-beta[:, None] * tau).sum(axis=1)
+    bt = -beta[:, None] * tau
+    e = np.exp(bt)
+    s0 = -np.expm1(bt).sum(axis=1)
     s1 = (tau * e).sum(axis=1)  # ds0/dbeta
-    s2 = (tau * tau * e).sum(axis=1)  # -d2s0/dbeta2
-    span = times[:, -1] - times[:, 0]
+    s2 = (tau2 * e).sum(axis=1)  # -d2s0/dbeta2
     k1 = s1 / beta - s0 / beta ** 2  # d(s0/beta)/dbeta
     k2 = 2.0 * s0 / beta ** 3 - 2.0 * s1 / beta ** 2 - s2 / beta
 
@@ -203,11 +225,14 @@ def _newton_direction(theta: np.ndarray, g: np.ndarray, h: np.ndarray,
     >= 0; the step then stays on the face. Elsewhere the step is the full
     one, which the cap's projection may still clip.
     """
-    on_cap = _LOG_CAP - theta @ _N <= FACE_TOL
-    along = _floored_newton(_Z.T @ h @ _Z, g @ _Z, damping) @ _Z.T
-    model_grad = np.einsum("uij,uj->ui", h, along) + damping[:, None] * along + g
-    face = on_cap & (model_grad @ _N <= 0.0)
-    d = np.where(face[:, None], along, _floored_newton(h, g, damping))
+    face = _LOG_CAP - theta @ _N <= FACE_TOL  # on the cap, for now
+    d = _floored_newton(h, g, damping)
+    if face.any():
+        h, g, damping = h[face], g[face], damping[face]
+        along = _floored_newton(_Z.T @ h @ _Z, g @ _Z, damping) @ _Z.T
+        keep = (np.einsum("uij,uj->ui", h, along) + damping[:, None] * along + g) @ _N <= 0.0
+        d[np.flatnonzero(face)[keep]] = along[keep]
+        face[face] = keep
     d *= (MAX_STEP / np.maximum(np.abs(d).max(axis=1), MAX_STEP))[:, None]
     return d, face
 
@@ -230,8 +255,9 @@ def _newton(windows: list[np.ndarray]) -> np.ndarray:
     start instead of jumping to whichever optimum the start's quadratic
     model points at."""
     times, lengths = _pad(windows)
+    geometry = _geometry(times, lengths)
     users = len(windows)
-    rate = lengths / (times[:, -1] - times[:, 0])
+    rate = lengths / geometry[-1]  # the last entry is each window's span
     # start at the Poisson MLE with a modest self-exciting component
     start = np.log(np.stack([0.8 * rate, 0.2 * rate, np.ones(users)], axis=1))
     face = np.zeros(users, dtype=bool)
@@ -241,12 +267,15 @@ def _newton(windows: list[np.ndarray]) -> np.ndarray:
     grad = np.zeros((users, 3))
     hess = np.zeros((users, 3, 3))
     damping = np.zeros(users)
-    live = np.arange(users)
+    live = taken = np.arange(users)  # taken: the rows times and geometry hold
     for _ in range(MAX_ITERATIONS):
         if not live.size:
             break
+        if live.size < taken.size:
+            rows, taken = np.searchsorted(taken, live), live
+            times, lengths, geometry = times[rows], lengths[rows], _take(geometry, rows)
         p = np.exp(trial[live])
-        f_t, g_t, h_t = _nll_and_grads(times[live], lengths[live], p)
+        f_t, g_t, h_t = _nll_and_grads(times, lengths, p, geometry)
         # chain rule into log space
         g_t = g_t * p
         h_t = h_t * p[:, :, None] * p[:, None, :]
@@ -261,7 +290,8 @@ def _newton(windows: list[np.ndarray]) -> np.ndarray:
         theta[acc], nll[acc], grad[acc], hess[acc] = trial[acc], f_t[ok], g_t[ok], h_t[ok]
         damping[acc] *= DAMPING_DOWN
         starting = acc[first[ok]]
-        damping[starting] = np.abs(np.linalg.eigvalsh(hess[starting])).max(axis=1)
+        if starting.size:  # the damping starts at the first accepted point's scale
+            damping[starting] = np.abs(np.linalg.eigvalsh(hess[starting])).max(axis=1)
         damping[rej] *= DAMPING_UP
 
         done = np.zeros(live.size, dtype=bool)
@@ -271,8 +301,7 @@ def _newton(windows: list[np.ndarray]) -> np.ndarray:
         done[ok] = np.abs(g).max(axis=1) <= GRAD_TOL * (np.abs(nll[acc]) + 1.0)
         # a failed trial that moved the NLL by no more than rounding: no
         # further progress is measurable
-        done[~ok] = (np.abs(f_t[~ok] - nll[rej])
-                     <= NOISE_TOL * (np.abs(nll[rej]) + 1.0))
+        done[~ok] = np.abs(f_t[~ok] - nll[rej]) <= NOISE_TOL * (np.abs(nll[rej]) + 1.0)
 
         live = live[~done]
         d, face[live] = _newton_direction(theta[live], grad[live], hess[live],

@@ -864,7 +864,9 @@ def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig,
     one batched call; predictions teacher-forced over the test walk."""
     all_train = [s.gap_before for u in histories(split)[0]
                  for s in u.sessions[1:] if not s.gap_masked]
-    global_rate = time_unit / float(np.mean(all_train)) if all_train else 1.0
+    # a train gap mean of 0 gives no rate, like no train gap at all
+    overall = float(np.mean(all_train)) if all_train else 0.0
+    global_rate = time_unit / overall if overall > 0 else 1.0
     gaps = list(iter_test_gaps(split))
     users, histories_, rates = [], [], []
     for tr, te in zip(*histories(split)):
@@ -872,8 +874,8 @@ def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig,
             events, train_gaps = _train_events(tr)
             users.append(tr.user_index)
             histories_.append(np.asarray(events, dtype=np.float64) / time_unit)
-            rates.append(time_unit / float(np.mean(train_gaps)) if train_gaps
-                         else global_rate)
+            mean = float(np.mean(train_gaps)) if train_gaps else 0.0
+            rates.append(time_unit / mean if mean > 0 else global_rate)
     params_by_user = dict(zip(users, fit(histories_, cfg, rates)))
     preds, targets = [], []
     for user, gap, events, _ in gaps:

@@ -16,9 +16,9 @@ import thrnn
 from thrnn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from thrnn.cli import _history_from_file, main
 from thrnn import synthetic
-from thrnn.data import IngestError, load_split
+from thrnn.data import IngestError, Session, UserHistory, load_split, save_split
 
-from oracles import histories, load_report
+from oracles import histories, load_report, split_from_histories
 
 TINY_FLAGS = ["--hidden-dim", "12", "--item-embedding-dim", "6",
               "--user-embedding-dim", "3", "--gap-embedding-dim", "2",
@@ -533,6 +533,32 @@ class TestEvaluate:
         assert rc == 0
         mae = {r["model"]: r["mae_days"] for r in _records(capsys)}
         assert sorted(mae) == ["hawkes_long", "hawkes_short", "mean_gap", "popularity", "thrnn"]
+        assert all(np.isfinite(mae[m]) for m in ("thrnn", "hawkes_short", "hawkes_long",
+                                                 "mean_gap"))
+
+    @pytest.mark.parametrize("train_gap", [1.0, 0.0], ids=["user-mean-0", "split-mean-0"])
+    def test_zero_mean_train_gap_evaluates_all_models(self, tmp_path, capsys, train_gap):
+        # split files allow a gap of 0: user 0's train gaps average 0 days,
+        # user 1's average train_gap, and each user has a 1-day test gap
+        train, test = [], []
+        for u, gap in enumerate((0.0, train_gap)):
+            t, sessions = 0.0, []
+            for k, g in enumerate((0.0, gap, gap, 1.0)):
+                t += g * 86400.0
+                sessions.append(Session(items=[k % 3, (k + 1) % 3], start_time=t,
+                                        end_time=t + 600.0, gap_before=g * 86400.0))
+                t += 600.0
+            train.append(UserHistory(f"u{u}", u, sessions[:3]))
+            test.append(UserHistory(f"u{u}", u, sessions[3:]))
+        split = str(tmp_path / "zero-gap.split")
+        save_split(split_from_histories(train, test, 3), split)
+        assert main(["train", "--split", split, "--out", str(tmp_path / "z.ckpt"),
+                     "--epochs", "1", *TINY_FLAGS]) == 0
+        capsys.readouterr()
+        rc = main(["evaluate", "--checkpoint", str(tmp_path / "z.ckpt"), "--split", split,
+                   "--out-dir", str(tmp_path / "r")])
+        assert rc == 0
+        mae = {r["model"]: r["mae_days"] for r in _records(capsys)}
         assert all(np.isfinite(mae[m]) for m in ("thrnn", "hawkes_short", "hawkes_long",
                                                  "mean_gap"))
 

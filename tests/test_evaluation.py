@@ -236,6 +236,20 @@ class TestBaselines:
         assert report.num_gap_events == 2
         assert np.isfinite(report.overall_mae_days)
 
+    @pytest.mark.parametrize("train_gaps, rates", [((1.0, 1.0), [2.0, 1.0]),
+                                                   ((0.0, 0.0), [1.0, 1.0])],
+                             ids=["user-mean-0", "split-mean-0"])
+    def test_hawkes_zero_mean_train_gap_falls_back(self, monkeypatch, train_gaps, rates):
+        # split gaps may be 0: a user whose train gaps average 0 gets the
+        # split's rate (here 1 / 0.5 days), a split whose do gets 1 per day
+        split = _mk_split([((0.0, 0.0), (2.0,)), (train_gaps, (1.0,))])
+        seen, real = [], ev.fit
+        monkeypatch.setattr(ev, "fit", lambda h, cfg, r: seen.append(r) or real(h, cfg, r))
+        q = QuadratureConfig(cutoff=60.0)
+        assert np.isfinite(ev.hawkes_report(split, FitConfig(), q).overall_mae_days)
+        assert seen == [rates]
+        _assert_hawkes_matches_oracle(monkeypatch, split, FitConfig(), q)
+
 
 def _scored(monkeypatch, module, report):
     """The (predicted, target) seconds that report() hands to
@@ -335,3 +349,28 @@ class TestHawkesWalkIsLinear:
             assert visited[n] <= n
             _assert_hawkes_matches_oracle(monkeypatch, split, cfg, q)
         assert visited[2000] / visited[50] <= 2000 / 50
+
+    @pytest.mark.parametrize("cfg", [FitConfig(window="last_k", last_k=15), FitConfig()],
+                             ids=["last_k", "full"])
+    def test_likelihood_cells_grow_linearly(self, cfg, monkeypatch):
+        # the fit's likelihood reads a (rows, width) padded batch per call; its
+        # cells per call grow with the window, never with the window squared,
+        # and one fit makes at most MAX_ITERATIONS calls, not one per test gap
+        cells, calls = {}, {}
+        real = hk._nll_and_grads
+
+        def counted(times, *args):
+            cells[n] += times.size
+            calls[n] += 1
+            return real(times, *args)
+
+        monkeypatch.setattr(hk, "_nll_and_grads", counted)
+        for n in (50, 500, 2000):
+            gaps = np.random.default_rng(n).exponential(1.0, n - 1)
+            cells[n] = calls[n] = 0
+            ev.hawkes_report(_mk_split([(gaps[:int(0.8 * n) - 1], gaps[int(0.8 * n) - 1:])]),
+                             cfg, QuadratureConfig(cutoff=60.0))
+            assert 0 < cells[n] <= calls[n] * n
+            assert calls[n] <= hk.MAX_ITERATIONS
+        per_call = {n: cells[n] / calls[n] for n in cells}
+        assert per_call[2000] / per_call[50] <= 2000 / 50

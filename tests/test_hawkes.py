@@ -177,6 +177,37 @@ class TestBatchedEvaluator:
         for h, f in zip(hess, fd):
             np.testing.assert_allclose(h, f, rtol=1e-6, atol=1e-7 * np.abs(h).max())
 
+    def test_taken_geometry_is_exact(self):
+        # every longest-first subset of rows, evaluated on the rows it takes
+        # from the batch's geometry, gives the batch's own numbers bit for bit
+        windows, params = _ragged_batch(self.LENGTHS, seed=22)
+        times, lengths = hk._pad(windows)
+        geometry = hk._geometry(times, lengths)
+        full = hk._nll_and_grads(times, lengths, params)
+        for mask in range(1, 2 ** len(self.LENGTHS)):
+            rows = np.flatnonzero([mask >> k & 1 for k in range(len(self.LENGTHS))])
+            got = hk._nll_and_grads(times[rows], lengths[rows], params[rows],
+                                    hk._take(geometry, rows))
+            for g, f in zip(got, full):
+                np.testing.assert_array_equal(g, f[rows])
+
+    def test_fit_evaluates_on_the_live_rows_geometry(self, monkeypatch):
+        # the fit takes the live rows' geometry as users converge; each call
+        # must give what a geometry built from its own rows gives
+        windows, _ = _ragged_batch(self.LENGTHS, seed=23)
+        real, batch_rows = hk._nll_and_grads, set()
+
+        def checked(times, lengths, params, geometry=None):
+            got = real(times, lengths, params, geometry)
+            for g, f in zip(got, real(times, lengths, params)):
+                np.testing.assert_array_equal(g, f)
+            batch_rows.add(len(times))
+            return got
+
+        monkeypatch.setattr(hk, "_nll_and_grads", checked)
+        hk.fit(windows[:-1], hk.FitConfig())  # the 1-event window needs a fallback rate
+        assert len(batch_rows) >= 3  # the live rows shrank at least twice
+
 
 def _projected_log_grad(events, p):
     """Log-space NLL gradient at p with its outward component on the
