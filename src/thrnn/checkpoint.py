@@ -25,8 +25,8 @@ mapping, so predict and evaluate read weights straight from the page
 cache, and an in-place update (Adam on resume) lands in private pages
 and never reaches the file. An array whose view is not 8-byte aligned,
 as in a file written before the header was padded, is copied instead.
-`optimizer=False` skips the Adam moments, two thirds of a trained file,
-for predict and evaluate.
+The Adam moments, two thirds of a trained file, are mapped too; predict
+and evaluate never read them, so their pages are never faulted in.
 
 A save writes a temporary file beside the target and renames it over the
 target (through a symlink; a target that is not a regular file is
@@ -86,10 +86,9 @@ def save_checkpoint(path: str, params: ModelParams, cfg: ModelConfig,
     return digest.hexdigest()
 
 
-def load_checkpoint(path: str, *, optimizer: bool = True
-                    ) -> tuple[ModelParams, ModelConfig,
-                               dict[str, np.ndarray] | None, dict | None]:
-    """The optimizer state is None when absent or when optimizer=False."""
+def load_checkpoint(path: str) -> tuple[ModelParams, ModelConfig,
+                                        dict[str, np.ndarray] | None, dict | None]:
+    """The optimizer state is None when the file holds none."""
     with open(path, "rb") as fh:
         size, prefix = os.fstat(fh.fileno()).st_size, fh.read(20)
         if prefix[:8] != MAGIC:
@@ -142,12 +141,11 @@ def load_checkpoint(path: str, *, optimizer: bool = True
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
 
     named, offset = [], 20 + hlen
-    for rec in header["params"] + (opt_recs if optimizer else []):
+    for rec in header["params"] + opt_recs:
         count = math.prod(rec["shape"])
         view = np.frombuffer(mapped, dtype="<f8", count=count, offset=offset).reshape(rec["shape"])
         named.append((rec["name"], view if view.flags.aligned else view.copy()))
         offset += 8 * count
-    n_params = len(header["params"])
-    params = ModelParams.from_arrays(dict(named[:n_params]))
-    opt_state = None if not optimizer or header["optimizer"] is None else dict(named[n_params:])
-    return params, cfg, opt_state, header.get("meta")
+    n = len(header["params"])
+    opt_state = None if header["optimizer"] is None else dict(named[n:])
+    return ModelParams.from_arrays(dict(named[:n])), cfg, opt_state, header.get("meta")

@@ -225,7 +225,7 @@ def cmd_evaluate(args) -> int:
         raise ValueError(f"unknown models {bad}; pick from {list(known)}")
     if not names:
         raise ValueError("--models named nothing to evaluate")
-    params, cfg, _, _ = ckpt.load_checkpoint(args.checkpoint, optimizer=False)
+    params, cfg, _, _ = ckpt.load_checkpoint(args.checkpoint)
     split = data.load_split(args.split)
     _check_split_matches(split, cfg, args.split)
     # every report is made before any is written, so a failed model leaves no files
@@ -294,7 +294,7 @@ def _history_from_file(path: str, num_items: int) -> UserHistory:
 def cmd_predict(args) -> int:
     if args.k < 1:
         raise ValueError(f"-k must be at least 1, got {args.k}")
-    params, cfg, _, _ = ckpt.load_checkpoint(args.checkpoint, optimizer=False)
+    params, cfg, _, _ = ckpt.load_checkpoint(args.checkpoint)
     history = _history_from_file(args.history, cfg.num_items)
     pred = model.predict(history, params, cfg, k=args.k)
     _emit({"kind": "prediction",

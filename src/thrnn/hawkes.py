@@ -133,8 +133,7 @@ def _take(geometry: list, rows: np.ndarray) -> list:
     return [chunks] + [x[rows] for x in per_row]
 
 
-def _nll_and_grads(times: np.ndarray, lengths: np.ndarray, params: np.ndarray,
-                   geometry=None):
+def _nll_and_grads(times: np.ndarray, params: np.ndarray, geometry: list):
     """NLL over [first event, last event] of every row of a `_pad` batch,
     with its gradient and Hessian in (gamma0, excitation, decay).
 
@@ -150,13 +149,13 @@ def _nll_and_grads(times: np.ndarray, lengths: np.ndarray, params: np.ndarray,
     chunk are summed directly; earlier events enter through the three sums
     at the previous chunk's last event, decayed to each event.
 
-    `geometry` is the batch's `_geometry`, built here when not given; a
-    call forms only what the parameters change.
+    `geometry` is the batch's `_geometry`; a call forms only what the
+    parameters change.
 
     Returns nll (users,), grad (users, 3) and hess (users, 3, 3).
     """
     users, width = times.shape
-    chunks, valid, tau, tau2, span = geometry or _geometry(times, lengths)
+    chunks, valid, tau, tau2, span = geometry
     gamma0, a, beta = params.T
     sums = np.zeros((3, users, width))  # A, B, C at every event
     carry = np.zeros((3, users))  # A + 1, B, C at the previous chunk's last event
@@ -273,9 +272,9 @@ def _newton(windows: list[np.ndarray]) -> np.ndarray:
             break
         if live.size < taken.size:
             rows, taken = np.searchsorted(taken, live), live
-            times, lengths, geometry = times[rows], lengths[rows], _take(geometry, rows)
+            times, geometry = times[rows], _take(geometry, rows)
         p = np.exp(trial[live])
-        f_t, g_t, h_t = _nll_and_grads(times, lengths, p, geometry)
+        f_t, g_t, h_t = _nll_and_grads(times, p, geometry)
         # chain rule into log space
         g_t = g_t * p
         h_t = h_t * p[:, :, None] * p[:, None, :]

@@ -432,9 +432,9 @@ def _forward_batch(tape: Tape, params: ModelParams, cfg: ModelConfig,
                        np.bincount(steps), last=True)
 
     time_masked = examples.time_masked[batch]
-    g_alpha = np.where(time_masked, 0.0, examples.gap[batch] ** cfg.alpha_exp)
     s = matmul(tape, h_j, params.time_v, params.time_b)
-    l_time = pp.time_nll(tape, s, params.time_w, g_alpha, masked=time_masked)
+    l_time = pp.time_nll(tape, s, params.time_w, examples.gap[batch], cfg.alpha_exp,
+                         masked=time_masked)
 
     lens = examples.length[batch] - 1  # inputs: every item but the last
     width, rec_steps = int(lens.max()), int(lens.sum())
@@ -550,6 +550,16 @@ def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
 # ---------------------------------------------------------------------------
 # evaluation and prediction
 
+def _return_seconds(params: ModelParams, cfg: ModelConfig, h: np.ndarray) -> np.ndarray:
+    """Expected seconds to the next session after inter state(s) h; refuses non-finite."""
+    s = h @ params.time_v.value[:, 0] + params.time_b.value[0]
+    gaps = pp.expected_return_time_from_s(s, float(params.time_w.value), cfg.quadrature(),
+                                          cfg.alpha_exp) * cfg.time_unit
+    if not np.isfinite(gaps).all():
+        raise ValueError("the model's expected return time is not finite")
+    return gaps
+
+
 def evaluate(params: ModelParams, cfg: ModelConfig, split: DatasetSplit,
              model_name: str = "thrnn") -> EvalReport:
     """Teacher-forced walk over each user's full timeline: every test-step
@@ -562,13 +572,9 @@ def evaluate(params: ModelParams, cfg: ModelConfig, split: DatasetSplit,
     t, test = split.sessions, ~split.is_train()
     # a user has n + 1 inter states; a test gap reads its session's one
     rows = np.flatnonzero(test & t.gap_events())
-    targets = t.gap[rows]
     _, _, h_before, ranks = _hierarchy_walk(params, cfg, t, ranked=test, intra_rows=[],
                                             inter_rows=rows + (np.cumsum(t.first()) - 1)[rows])
-    s_vec = h_before @ params.time_v.value[:, 0] + params.time_b.value[0]
-    preds = pp.expected_return_time_from_s(
-        s_vec, float(params.time_w.value), cfg.quadrature()) * cfg.time_unit
-    return build_report(model_name, ranks, preds, targets)
+    return build_report(model_name, ranks, _return_seconds(params, cfg, h_before), t.gap[rows])
 
 
 @dataclass
@@ -609,10 +615,5 @@ def predict(history: UserHistory, params: ModelParams, cfg: ModelConfig,
     order = cand[np.argsort(neg[cand], kind="stable")][:k]
 
     # the next gap conditions on the session that just ended
-    s = float(h_before[-1] @ params.time_v.value[:, 0] + params.time_b.value[0])
-    gap = float(pp.expected_return_time_from_s(s, float(params.time_w.value),
-                                               cfg.quadrature())[0])
-    if not math.isfinite(gap):
-        raise ValueError(f"the model's expected return time is not finite: {gap}")
     return Prediction(items=order, scores=scores[order],
-                      return_gap_seconds=gap * cfg.time_unit)
+                      return_gap_seconds=float(_return_seconds(params, cfg, h_before[-1])[0]))

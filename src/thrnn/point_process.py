@@ -1,18 +1,18 @@
 """Return-time model: intensity, compensator, loss, expectation.
 
-The next-gap intensity given the inter-session state h, and its
-integral over [0, g], the compensator, are
+The head models x = g^alpha, g the gap in model units (days by default).
+Its intensity given the inter-session state h, and the compensator, are
 
-    lam(g) = exp(s + w*g),   Lam(g) = exp(s) * expm1(w*g) / w,   s = v . h + b
+    lam(x) = exp(s + w*x),   Lam(x) = exp(s) * expm1(w*x) / w,   s = v . h + b
 
 with the removable w -> 0 singularity handled by an explicit
-exponential-distribution branch, Lam(g) = exp(s) * g. The expm1 form
+exponential-distribution branch, Lam(x) = exp(s) * x. The expm1 form
 keeps small |w| numerically exact. For w < 0 the density is defective:
 total mass 1 - exp(exp(s)/w) < 1, some probability "never returns".
 
-The head depends on h only through s, so every function here takes
-the precomputed s = v.h + b (a scalar or an array of them) and never h
-itself. Return times come from truncated_mean, one fixed rule over any
+The head's functions take gaps in model units and s = v.h + b, never h,
+and apply alpha here alone, so training and every report read one
+transform. Return times come from truncated_mean, one rule over any
 compensator, which the Hawkes baseline shares. time_nll at the bottom is
 the taped training op, with analytic gradients. The log density, CDF and
 quantile function the tests check these against are in tests/oracles.py.
@@ -40,7 +40,7 @@ _WEIGHTS = (_HALF * _W).ravel()
 
 
 class ExponentOverflowError(RuntimeError):
-    """The linear exponent s + w*g left the representable range."""
+    """The linear exponent s + w*x left the representable range."""
 
 
 @dataclass(frozen=True)
@@ -75,31 +75,32 @@ def truncated_mean(compensator: Callable[[np.ndarray], np.ndarray],
     return cutoff * (y @ _WEIGHTS)
 
 
-def expected_return_time_from_s(s, w: float, q: QuadratureConfig) -> np.ndarray:
-    """E[gap; gap < cutoff] for each s = v.h + b. No renormalization: the
-    truncated tail is treated as negligible, so pick the cutoff to hold
-    >= 99.9% of the mass."""
+def expected_return_time_from_s(s, w: float, q: QuadratureConfig,
+                                alpha: float = 1.0) -> np.ndarray:
+    """E[g; g < cutoff] in model units for each s = v.h + b: the gap's
+    compensator is Lam(t^alpha). No renormalization: the truncated tail is
+    treated as negligible, so pick the cutoff to hold >= 99.9% of the mass."""
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
     _check_exponent(s)
     es = np.exp(s)[:, None]
     if abs(w) < W_LIMIT:
-        return truncated_mean(lambda t: es * t, q.cutoff)
-    _check_exponent(s + w * q.cutoff)
-    return truncated_mean(lambda t: es * (np.expm1(w * t) / w), q.cutoff)
+        return truncated_mean(lambda t: es * t ** alpha, q.cutoff)
+    _check_exponent(s + w * q.cutoff ** alpha)
+    return truncated_mean(lambda t: es * (np.expm1(w * t ** alpha) / w), q.cutoff)
 
 
 # ---------------------------------------------------------------------------
 # taped training op
 
 
-def time_nll(tape: Tape, s: Tensor, w: Tensor, g_alpha: np.ndarray,
+def time_nll(tape: Tape, s: Tensor, w: Tensor, gaps: np.ndarray, alpha: float = 1.0,
              masked: np.ndarray | None = None) -> Tensor:
-    """Mean of -log f(g_alpha) over unmasked rows (0 if none), on the tape.
+    """Mean of -log f(gaps^alpha) over unmasked rows (0 if none), on the tape.
 
     s is the (B, 1) linear part v.h + b built from taped ops, so its
     gradient flows back into v, b and the hidden states; w is the scalar
-    decay Tensor. g_alpha holds the alpha-exponentiated targets. Masked
-    rows contribute nothing to the value or any gradient.
+    decay Tensor. gaps are in model units, and g below is gap^alpha.
+    Masked rows contribute nothing to the value or any gradient.
 
     Per row (exact branch):   nll = -(s + w*g) + exp(s) * expm1(w*g) / w
       d nll / d s = -1 + exp(s) * expm1(w*g) / w
@@ -110,11 +111,11 @@ def time_nll(tape: Tape, s: Tensor, w: Tensor, g_alpha: np.ndarray,
     """
     sv = s.value.reshape(-1)
     wv = float(w.value)
-    g = np.asarray(g_alpha, dtype=np.float64).reshape(-1)
+    g = np.asarray(gaps, dtype=np.float64).reshape(-1)
     if g.shape != sv.shape:
-        raise ValueError(f"g_alpha shape {g.shape} != batch {sv.shape}")
+        raise ValueError(f"gaps shape {g.shape} != batch {sv.shape}")
     if np.any(g < 0):
-        raise ValueError("g_alpha must be non-negative")
+        raise ValueError("gaps must be non-negative")
     valid = np.ones_like(g, dtype=bool) if masked is None else ~np.asarray(masked, dtype=bool)
     count = int(valid.sum())
     _check_exponent(sv[valid])
@@ -122,7 +123,7 @@ def time_nll(tape: Tape, s: Tensor, w: Tensor, g_alpha: np.ndarray,
     # masked rows are computed with neutral (0, 0) stand-ins so that no
     # overflow or 0 * inf from their garbage values can leak into the batch
     sv = np.where(valid, sv, 0.0)
-    g = np.where(valid, g, 0.0)
+    g = np.where(valid, g, 0.0) ** alpha
     es = np.exp(sv)
     if abs(wv) < W_LIMIT:
         nll = -sv + g * es

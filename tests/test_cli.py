@@ -655,7 +655,7 @@ class TestEvaluate:
     def test_non_finite_model_exits_2_and_writes_nothing(self, ws, tmp_path, capsys):
         # NaN scores are never ahead of the target: unchecked, this model
         # would report recall@5 = MRR@5 = 1.0
-        params, cfg, _, _ = load_checkpoint(str(ws / "m2.ckpt"), optimizer=False)
+        params, cfg, _, _ = load_checkpoint(str(ws / "m2.ckpt"))
         params.out_b.value[:] = np.nan
         save_checkpoint(str(tmp_path / "nan.ckpt"), params, cfg)
         rc = main(["evaluate", "--checkpoint", str(tmp_path / "nan.ckpt"),
@@ -713,7 +713,7 @@ class TestPredict:
         assert rec["return_days"] == pytest.approx(rec["return_seconds"] / 86400.0)
 
     def test_non_finite_model_exits_2(self, ws, tmp_path, capsys):
-        params, cfg, _, _ = load_checkpoint(str(ws / "m2.ckpt"), optimizer=False)
+        params, cfg, _, _ = load_checkpoint(str(ws / "m2.ckpt"))
         params.out_b.value[:] = np.nan
         save_checkpoint(str(tmp_path / "nan.ckpt"), params, cfg)
         self._history(tmp_path / "h.json")

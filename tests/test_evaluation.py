@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from thrnn import evaluation as ev
 from thrnn import hawkes as hk
 from thrnn import model as md
+from thrnn import point_process as pp
 from thrnn import synthetic as sy
 from thrnn.data import Session, UserHistory
 from thrnn.hawkes import FitConfig
@@ -327,7 +328,8 @@ class TestFirstSessionIsNoGapEvent:
 class TestHawkesWalkIsLinear:
     """hawkes_report walks each user's timeline once, so the excitation
     events it visits grow linearly with the timeline; a walk per test gap
-    over everything before it grows with the square."""
+    over everything before it grows with the square. The same holds for the
+    model's evaluate walk and for both models' return-time read-outs."""
 
     def test_excitation_events_grow_linearly(self, monkeypatch):
         visited = {}
@@ -374,3 +376,47 @@ class TestHawkesWalkIsLinear:
             assert calls[n] <= hk.MAX_ITERATIONS
         per_call = {n: cells[n] / calls[n] for n in cells}
         assert per_call[2000] / per_call[50] <= 2000 / 50
+
+    def test_walk_ranks_and_quadrature_grow_linearly(self, monkeypatch):
+        # per session, evaluate's walk steps each item once and each rep into
+        # at most max_session_reps windows, and ranks each target once; the
+        # model reads out each test gap once and the Hawkes baseline each
+        # prefix once, on one rule of num_points + 1 nodes. A rep that steps
+        # every later window, or a read-out per prefix, grows with the square
+        work = {}
+        real_cell, real_rank = md.gru_cell_np, md.rank_of_target
+
+        def cell(xw, h, w):
+            work[n]["walk_rows"] += len(xw)
+            return real_cell(xw, h, w)
+
+        def rank(scores, targets):
+            work[n]["rank_rows"] += len(targets)
+            return real_rank(scores, targets)
+
+        def nodes(real):
+            def counted(compensator, cutoff):
+                def lam(t):
+                    out = compensator(t)
+                    work[n]["nodes"] += out.size
+                    return out
+                return real(lam, cutoff)
+            return counted
+
+        monkeypatch.setattr(md, "gru_cell_np", cell)
+        monkeypatch.setattr(md, "rank_of_target", rank)
+        monkeypatch.setattr(pp, "truncated_mean", nodes(pp.truncated_mean))
+        monkeypatch.setattr(hk, "truncated_mean", nodes(hk.truncated_mean))
+        cfg = md.ModelConfig(num_items=3, num_users=1, item_embedding_dim=4,
+                             user_embedding_dim=2, gap_embedding_dim=2, hidden_dim=6)
+        params = md.ModelParams.init(cfg, seed=0)
+        for n in (50, 500, 2000):
+            gaps = np.random.default_rng(n).exponential(1.0, n - 1)
+            split = _mk_split([(gaps[:int(0.8 * n) - 1], gaps[int(0.8 * n) - 1:])])
+            work[n] = {"walk_rows": 0, "rank_rows": 0, "nodes": 0}
+            md.evaluate(params, cfg, split)
+            ev.hawkes_report(split, FitConfig(window="last_k", last_k=15), cfg.quadrature())
+            assert min(work[n].values()) > 0, work[n]
+            assert work[n]["walk_rows"] <= n * (3 + cfg.max_session_reps)  # 3 items each
+            assert work[n]["rank_rows"] <= n * 2
+            assert work[n]["nodes"] <= (2 * n + 1) * (QuadratureConfig.num_points + 1)

@@ -155,7 +155,8 @@ class TestBatchedEvaluator:
 
     def test_matches_scalar_recursion(self):
         windows, params = _ragged_batch(self.LENGTHS, seed=20)
-        nll, grad, _ = hk._nll_and_grads(*hk._pad(windows), params)
+        times, lengths = hk._pad(windows)
+        nll, grad, _ = hk._nll_and_grads(times, params, hk._geometry(times, lengths))
         for w, p, got_nll, got_grad in zip(windows, params, nll, grad):
             want_nll, want_grad = oracles.hawkes_nll_and_grads(w, *p, t_start=float(w[0]),
                                                                horizon=float(w[-1]))
@@ -165,15 +166,16 @@ class TestBatchedEvaluator:
     def test_hessian_matches_central_differences(self):
         windows, params = _ragged_batch(self.LENGTHS, seed=21)
         times, lengths = hk._pad(windows)
-        _, _, hess = hk._nll_and_grads(times, lengths, params)
+        geometry = hk._geometry(times, lengths)
+        _, _, hess = hk._nll_and_grads(times, params, geometry)
         eps = 1e-6
         fd = np.empty_like(hess)
         for k in range(3):
             up, dn = params.copy(), params.copy()
             up[:, k] += eps
             dn[:, k] -= eps
-            fd[:, :, k] = (hk._nll_and_grads(times, lengths, up)[1]
-                           - hk._nll_and_grads(times, lengths, dn)[1]) / (2 * eps)
+            fd[:, :, k] = (hk._nll_and_grads(times, up, geometry)[1]
+                           - hk._nll_and_grads(times, dn, geometry)[1]) / (2 * eps)
         for h, f in zip(hess, fd):
             np.testing.assert_allclose(h, f, rtol=1e-6, atol=1e-7 * np.abs(h).max())
 
@@ -183,11 +185,10 @@ class TestBatchedEvaluator:
         windows, params = _ragged_batch(self.LENGTHS, seed=22)
         times, lengths = hk._pad(windows)
         geometry = hk._geometry(times, lengths)
-        full = hk._nll_and_grads(times, lengths, params)
+        full = hk._nll_and_grads(times, params, geometry)
         for mask in range(1, 2 ** len(self.LENGTHS)):
             rows = np.flatnonzero([mask >> k & 1 for k in range(len(self.LENGTHS))])
-            got = hk._nll_and_grads(times[rows], lengths[rows], params[rows],
-                                    hk._take(geometry, rows))
+            got = hk._nll_and_grads(times[rows], params[rows], hk._take(geometry, rows))
             for g, f in zip(got, full):
                 np.testing.assert_array_equal(g, f[rows])
 
@@ -196,10 +197,12 @@ class TestBatchedEvaluator:
         # must give what a geometry built from its own rows gives
         windows, _ = _ragged_batch(self.LENGTHS, seed=23)
         real, batch_rows = hk._nll_and_grads, set()
+        length_of = {w[0]: len(w) for w in windows}  # every window starts apart
 
-        def checked(times, lengths, params, geometry=None):
-            got = real(times, lengths, params, geometry)
-            for g, f in zip(got, real(times, lengths, params)):
+        def checked(times, params, geometry):
+            got = real(times, params, geometry)
+            lengths = np.array([length_of[t] for t in times[:, 0]])
+            for g, f in zip(got, real(times, params, hk._geometry(times, lengths))):
                 np.testing.assert_array_equal(g, f)
             batch_rows.add(len(times))
             return got

@@ -1111,6 +1111,22 @@ class TestPredict:
         with pytest.raises(ValueError, match=message):
             predict(train[0], params, cfg, k=1)
 
+    def test_evaluate_and_predict_read_out_at_the_model_alpha(self, monkeypatch):
+        # both reports hand the config's alpha to point_process, whose read-out
+        # is in days at every alpha, and scale it to seconds
+        train, cfg, params = self._setup(alpha_exp=0.5)
+        seen, real = [], pp.expected_return_time_from_s
+
+        def spy(s, w, q, alpha=1.0):
+            seen.append((alpha, real(s, w, q, alpha)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(pp, "expected_return_time_from_s", spy)
+        md.evaluate(params, cfg, _tiny_corpus(users=6, sessions=5))
+        got = predict(train[0], params, cfg, k=1).return_gap_seconds
+        assert [alpha for alpha, _ in seen] == [0.5, 0.5]
+        assert got == seen[1][1][0] * cfg.time_unit
+
     def test_two_calls_identical(self):
         train, cfg, params = self._setup(dropout_rate=0.4)
         a = predict(train[2], params, cfg, k=5)
@@ -1265,18 +1281,22 @@ class TestCheckpoint:
         assert {n: t.value.shape for n, t in params.named().items()} == ModelParams.shapes(cfg)
 
     def test_load_without_optimizer_reads_only_the_model(self, tmp_path):
+        # every array, the Adam moments too, is a view of the file's mapping:
+        # predict and evaluate never read the moments, so none of their pages
+        # is faulted in
         from thrnn.checkpoint import load_checkpoint, save_checkpoint
         cfg = _cfg()
         params = _rand_params(cfg, seed=31)
         path = str(tmp_path / "model.ckpt")
-        save_checkpoint(path, params, cfg, optimizer_state=_opt_state(params),
-                        meta={"seed": 1})
-        loaded, cfg2, opt_state, meta = load_checkpoint(path, optimizer=False)
-        assert (cfg2, opt_state, meta) == (cfg, None, {"seed": 1})
+        state = _opt_state(params)
+        save_checkpoint(path, params, cfg, optimizer_state=state, meta={"seed": 1})
+        loaded, cfg2, opt_state, meta = load_checkpoint(path)
+        assert (cfg2, meta) == (cfg, {"seed": 1})
+        assert sorted(opt_state) == sorted(state)
         values = []
-        for name, tensor in params.named().items():
-            value = loaded.named()[name].value
-            assert np.array_equal(tensor.value, value), name
+        for name, want in [(n, t.value) for n, t in params.named().items()] + list(state.items()):
+            value = loaded.named()[name].value if name in params.named() else opt_state[name]
+            assert np.array_equal(want, value), name
             # an aligned view of the file's mapping, not a copy, and writeable for Adam
             assert value.dtype == np.float64 and value.flags.writeable, name
             assert value.flags.aligned and not value.flags.owndata, name
@@ -1312,7 +1332,7 @@ class TestCheckpoint:
             value += 1.0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         # and a save over the path leaves an already loaded model as it was
-        kept, _, _, _ = load_checkpoint(str(path), optimizer=False)
+        kept, _, _, _ = load_checkpoint(str(path))
         save_checkpoint(str(path), _rand_params(cfg, seed=33), cfg)
         for name, tensor in params.named().items():
             assert np.array_equal(kept.named()[name].value, tensor.value), name
@@ -1376,7 +1396,7 @@ class TestCheckpoint:
 
         outputs = []
         for path in (padded, unpadded):
-            params, cfg2, _, _ = load_checkpoint(str(path), optimizer=False)
+            params, cfg2, _, _ = load_checkpoint(str(path))
             assert cfg2 == cfg
             assert all(t.value.flags.aligned for t in params.named().values())
             preds = [predict(u, params, cfg, k=3) for u in oracles.histories(split)[0]]
@@ -1504,7 +1524,7 @@ class TestCheckpoint:
         save_checkpoint(str(path), _rand_params(cfg), cfg)
         _edit_header(path, lambda header: header["config"].update({field: value}))
         with pytest.raises(ValueError, match=f"m.ckpt: bad config: {field} {rule}"):
-            load_checkpoint(str(path), optimizer=False)
+            load_checkpoint(str(path))
 
     def test_rejects_truncation(self, tmp_path):
         from thrnn.checkpoint import load_checkpoint, save_checkpoint
@@ -1516,8 +1536,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("optimizer", [True, False])
-    def test_rejects_truncation_inside_optimizer_section(self, tmp_path, optimizer):
+    def test_rejects_truncation_inside_optimizer_section(self, tmp_path):
         from thrnn.checkpoint import load_checkpoint, save_checkpoint
         cfg = _cfg()
         params = _rand_params(cfg)
@@ -1525,11 +1544,10 @@ class TestCheckpoint:
         save_checkpoint(str(path), params, cfg, optimizer_state=_opt_state(params))
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(ValueError, match="m.ckpt: truncated"):
-            load_checkpoint(str(path), optimizer=optimizer)
+            load_checkpoint(str(path))
 
     @pytest.mark.parametrize("with_optimizer", [True, False])
-    @pytest.mark.parametrize("optimizer", [True, False])
-    def test_rejects_trailing_bytes(self, tmp_path, with_optimizer, optimizer):
+    def test_rejects_trailing_bytes(self, tmp_path, with_optimizer):
         from thrnn.checkpoint import load_checkpoint, save_checkpoint
         cfg = _cfg()
         params = _rand_params(cfg)
@@ -1538,7 +1556,7 @@ class TestCheckpoint:
                         optimizer_state=_opt_state(params) if with_optimizer else None)
         path.write_bytes(path.read_bytes() + b"\0" * 8)
         with pytest.raises(ValueError, match="m.ckpt: trailing bytes"):
-            load_checkpoint(str(path), optimizer=optimizer)
+            load_checkpoint(str(path))
 
     def test_rejects_wrong_shape_naming_the_array(self, tmp_path):
         from thrnn.checkpoint import load_checkpoint, save_checkpoint
@@ -1553,7 +1571,7 @@ class TestCheckpoint:
         _edit_header(path, reshape)
         with pytest.raises(ValueError, match=r"m.ckpt: array 'inter.u' has shape \(8, 6\), "
                                              r"config implies \(4, 12\)"):
-            load_checkpoint(str(path), optimizer=False)
+            load_checkpoint(str(path))
 
     @pytest.mark.parametrize("section", ["params", "optimizer"])
     @pytest.mark.parametrize("shape", [[6.0], ["6"], [True], [-1]])
@@ -1571,7 +1589,7 @@ class TestCheckpoint:
         _edit_header(path, edit)
         with pytest.raises(ValueError, match=rf"m.ckpt: array '{name}' has shape "
                                              r"\[.*\], not a list of non-negative integers"):
-            load_checkpoint(str(path), optimizer=False)
+            load_checkpoint(str(path))
 
     def test_rejects_parameter_set_mismatch(self, tmp_path):
         from thrnn.checkpoint import load_checkpoint, save_checkpoint

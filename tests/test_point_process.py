@@ -3,6 +3,7 @@ rule against closed-form, quantile and Monte Carlo oracles across rates,
 and tape gradients."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -27,9 +28,9 @@ def _intensity(s, g, w, step=1e-5):
     return w - float(slope)
 
 
-def _time_nll(s, w, g_alpha, masked=False):
-    """time_nll's value for one row; g_alpha already carries the alpha power."""
-    out = pp.time_nll(Tape(), Tensor([[s]]), Tensor(w), np.array([g_alpha]),
+def _time_nll(s, w, gap, alpha=1.0, masked=False):
+    """time_nll's value for one row; time_nll raises the gap to alpha."""
+    out = pp.time_nll(Tape(), Tensor([[s]]), Tensor(w), np.array([gap]), alpha,
                       masked=np.array([masked]))
     return float(out.value)
 
@@ -103,23 +104,23 @@ class TestLogDensity:
 class TestTimeLoss:
     def test_alpha_one_is_plain_nll(self):
         s = float(np.dot([0.2, -0.1], [0.5, 1.0]) + 0.1)
-        assert _time_nll(s, 0.4, 3.0 ** 1.0) == pytest.approx(
+        assert _time_nll(s, 0.4, 3.0) == pytest.approx(
             -float(oracles.log_density_from_s(s, 3.0, 0.4)))
 
     def test_closed_form_alpha_half(self):
         # g = 4 becomes g^0.5 = 2; with s = 0, w = 1 the nll is e^2 - 3
-        got = _time_nll(0.0, 1.0, 4.0 ** 0.5)
+        got = _time_nll(0.0, 1.0, 4.0, alpha=0.5)
         assert got == pytest.approx(np.exp(2.0) - 3.0, abs=1e-12)
 
     def test_masked_is_zero(self):
-        assert _time_nll(0.0, 1.0, 5.0 ** 0.7, masked=True) == 0.0
+        assert _time_nll(0.0, 1.0, 5.0, alpha=0.7, masked=True) == 0.0
 
     def test_shrinking_alpha_shifts_weight_to_short_gaps(self):
         # share of the total loss carried by the short gap grows as the
         # exponent shrinks (the long gap is compressed harder)
         def share(alpha, w):
-            lo = _time_nll(0.0, w, 0.1 ** alpha)
-            hi = _time_nll(0.0, w, 10.0 ** alpha)
+            lo = _time_nll(0.0, w, 0.1, alpha)
+            hi = _time_nll(0.0, w, 10.0, alpha)
             assert lo > 0 and hi > 0
             return lo / (lo + hi)
 
@@ -292,6 +293,71 @@ class TestCdfSampling:
         for w in (-0.02, 0.0, 0.4):
             c = oracles.cdf_from_s(t, 0.1, w)
             assert np.all(np.diff(c) >= 0) and c[0] == 0.0
+
+
+def _lower_gamma(a, z):
+    """gamma(a, z) from its series z^a e^-z sum_k z^k / (a (a+1) ... (a+k)),
+    each term formed in logs so that a large z cannot overflow."""
+    k = np.arange(int(z + 30.0 * math.sqrt(z) + 200))
+    log_terms = (a + k) * math.log(z) - z - np.cumsum(np.log(a + k))
+    return math.fsum(np.exp(log_terms))
+
+
+def _dense_reference(s, w, alpha, cutoff, n=400_001, depth=60.0):
+    """E[G; G < c] = int_0^c exp(-Lam(t)) * -expm1(Lam(t) - Lam(c)) dt for the
+    gap compensator Lam(t) = e^s expm1(w t^alpha) / w, by composite Simpson
+    in y = log(c / t) over [0, depth]; what lies below c e^-depth is < 1e-25."""
+    y = np.linspace(0.0, depth, n)
+    t = cutoff * np.exp(-y)
+    lam_t, lam_c = (np.exp(s) * np.expm1(w * x ** alpha) / w for x in (t, cutoff))
+    f = np.exp(-lam_t) * -np.expm1(lam_t - lam_c) * t  # dt = t dy
+    return (y[1] - y[0]) / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
+
+
+class TestAlphaReadOut:
+    """The head models x = g^alpha with x exponential-intensity; the read-out
+    is E[g; g < c] in model units (days), from 1 minute to 10 days."""
+
+    CUTOFF = 30.0
+    ALPHAS = [0.3, 0.5, 0.7, 1.0]
+    MEAN_GAPS = [1.0 / 1440, 1.0 / 24, 1.0, 10.0]  # days
+
+    @staticmethod
+    def _rate(alpha, mean):
+        # w = 0: x ~ Exp(rate), so E[g] = rate^(-1/alpha) Gamma(1 + 1/alpha)
+        return (math.gamma(1.0 + 1.0 / alpha) / mean) ** alpha
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("mean", MEAN_GAPS)
+    def test_weibull_matches_incomplete_gamma(self, alpha, mean):
+        rate, a = self._rate(alpha, mean), 1.0 + 1.0 / alpha
+        got = pp.expected_return_time_from_s(math.log(rate), 0.0,
+                                             pp.QuadratureConfig(self.CUTOFF), alpha)[0]
+        want = rate ** (-1.0 / alpha) * _lower_gamma(a, rate * self.CUTOFF ** alpha)
+        assert got == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("mean", MEAN_GAPS)
+    @pytest.mark.parametrize("w", [-1.0, 0.3])
+    def test_decay_matches_dense_quadrature(self, alpha, mean, w):
+        s = math.log(self._rate(alpha, mean))
+        got = pp.expected_return_time_from_s(s, w, pp.QuadratureConfig(self.CUTOFF), alpha)[0]
+        assert got == pytest.approx(_dense_reference(s, w, alpha, self.CUTOFF), rel=1e-6)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_references_agree_near_w_zero(self, alpha):
+        # the dense rule at a tiny w against the series at w = 0
+        rate, a = self._rate(alpha, 1.0), 1.0 + 1.0 / alpha
+        want = rate ** (-1.0 / alpha) * _lower_gamma(a, rate * self.CUTOFF ** alpha)
+        got = _dense_reference(math.log(rate), 1e-9, alpha, self.CUTOFF)
+        assert got == pytest.approx(want, rel=1e-7)
+
+    def test_overflow_guard_reads_the_transformed_cutoff(self):
+        # s + w * c^alpha: 8 * 100 = 800 overflows, 8 * 100^0.3 ~ 32 does not
+        q = pp.QuadratureConfig(100.0)
+        with pytest.raises(pp.ExponentOverflowError):
+            pp.expected_return_time_from_s(0.0, 8.0, q, 1.0)
+        assert np.isfinite(pp.expected_return_time_from_s(0.0, 8.0, q, 0.3)[0])
 
 
 class TestTimeNllOp:
