@@ -10,12 +10,16 @@ at fan-out. A tensor keeps its first gradient uncopied when a backward
 allocated it fresh for that input alone, and copies a view or an array
 also handed elsewhere; embedding lookups scatter-add straight into the
 table's `.grad`. A GRU cell is three packed tensors (gate blocks in r, z,
-c order). Its input projection x·w + b, bias included, is formed by
-gru_input_projection, over many rows in one product. A whole unroll over
-packed, step-major rows, each step on a live-row prefix, is one record
-with an analytic backward. Its steps run gru_cell_np, the tape-free,
-in-place step kernel on a given projection: two matmuls, h·u_rz and
-(r∘h)·u_c, gates σ(v) = 0.5·tanh(0.5·v) + 0.5 and the blend h + z∘(c − h).
+c order). Its step form, GRUStep, is built once per unroll or walk level:
+the r/z columns of w, b and u halved, and u split by gate into contiguous
+blocks. The step form projects many rows at once, x·w + b with the bias
+included. σ(v) = 0.5·tanh(0.5·v) + 0.5 then starts at the tanh, and
+halving is exact, so the states are those of the unhalved formula bit for
+bit. A whole unroll over packed, step-major rows, each step on a live-row
+prefix, is one record with an analytic backward. Its steps run
+gru_cell_np, the tape-free step kernel on a given projection: two
+matmuls, h·u_rz and (r∘h)·u_c, the gates and the blend h + z∘(c − h),
+which the tape-free walk adds into its running state in place.
 """
 
 from __future__ import annotations
@@ -270,6 +274,33 @@ class GRUWeights:
     def tensors(self) -> list[Tensor]:
         return [self.w, self.u, self.b]
 
+    def step_form(self) -> GRUStep:
+        """The cell as its steps read it, from the current values."""
+        n = self.u.value.shape[0]
+        half = np.repeat([0.5, 1.0], [2 * n, n])  # over the [r|z|c] columns
+        return GRUStep(self.w.value * half, self.b.value * half,
+                       self.u.value[:, :2 * n] * 0.5, self.u.value[:, 2 * n:].copy())
+
+
+@dataclass(slots=True)
+class GRUStep:
+    """A GRUWeights cell in step form, built once per walk level or taped
+    unroll: the r/z columns of w, b and u halved, and u split by gate into
+    contiguous blocks, so no step slices or scales a weight."""
+
+    w: np.ndarray  # [0.5·w_rz | w_c]
+    b: np.ndarray  # [0.5·b_rz | b_c]
+    u_rz: np.ndarray  # 0.5·u[:, :2h]
+    u_c: np.ndarray  # u[:, 2h:]
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """x·w + b for every row of x, as one product, its r/z columns
+        halved: the kernel reads a step's rows of its first 2h columns and
+        of its last h. The bias rides here, so the steps never add it."""
+        xw = x @ self.w
+        xw += self.b
+        return xw
+
 
 def gru_cell(tape: Tape, x: Tensor, h0: Tensor, w: GRUWeights, live,
              last: bool = False) -> Tensor:
@@ -279,10 +310,11 @@ def gru_cell(tape: Tape, x: Tensor, h0: Tensor, w: GRUWeights, live,
     updates rows [:live[t]] of the running state, which starts at h0
     (B, h); live never grows, and rows past live[t] pass through
     unchanged. Returns the packed states, row for row with x, or with
-    `last` each row's state after the final step (B, h). The input
-    projection x·w + b and, backward, the weight gradients and dx are one
-    matmul each over all steps; the reverse loop carries only the state
-    gradient.
+    `last` each row's state after the final step (B, h). The step form is
+    built once per record; its input projection and, backward, the weight
+    gradients and dx are one matmul each over all steps. Each step is
+    gru_cell_np writing the packed rows of its step; the reverse loop
+    carries only the state gradient, against the unhalved u.
     """
     if x.value.shape[1] != w.w.value.shape[0]:
         raise ValueError(f"gru_cell: input width {x.value.shape[1]} != {w.w.value.shape[0]}")
@@ -297,14 +329,16 @@ def gru_cell(tape: Tape, x: Tensor, h0: Tensor, w: GRUWeights, live,
     n, k0, live = h0.value.shape[1], live[0] if live else 0, np.array(live, dtype=np.int64)
     starts = np.cumsum(live) - live
     spans = list(zip(starts.tolist(), (starts + live).tolist()))
-    xw = gru_input_projection(xv, w)
-    # per packed row: [r|z], r∘h, c, c − h and the state it writes; packed
+    step = w.step_form()
+    xw = step.project(xv)
+    x_rz, x_c = xw[:, :2 * n], xw[:, 2 * n:]
+    # per packed row: [r|z], r∘h, c, z∘(c − h) and the state it writes; packed
     # row p of step t reads row p of h0 at step 0, else row p − live[t − 1]
-    rz, rh, c, ch, states = (np.empty((len(xv), k * n)) for k in (2, 1, 1, 1, 1))
+    rz, rh, c, zch, states = (np.empty((len(xv), k * n)) for k in (2, 1, 1, 1, 1))
     read = h0.value
     for (lo, hi), back in zip(spans, [0, *live.tolist()]):
-        gru_cell_np(xw[lo:hi], read[lo - back:hi - back], w, rz[lo:hi], rh[lo:hi], c[lo:hi],
-                    ch[lo:hi], states[lo:hi])
+        gru_cell_np(x_rz[lo:hi], x_c[lo:hi], read[lo - back:hi - back], step, rz[lo:hi],
+                    rh[lo:hi], c[lo:hi], zch[lo:hi], states[lo:hi])
         read = states
     if last:  # row i's final state is at its last step, the last t with live[t] > i
         h, i = h0.value.copy(), np.arange(k0)
@@ -323,9 +357,8 @@ def gru_cell(tape: Tape, x: Tensor, h0: Tensor, w: GRUWeights, live,
         a_c *= z
         a_r = np.subtract(1.0, r)
         a_r *= rh
-        a_z = np.multiply(ch, z, out=ch)
         keep = np.subtract(1.0, z, out=z)
-        a_z *= keep
+        a_z = np.multiply(zch, keep, out=zch)
         u_rz, u_c = u[:, :2 * n].T, u[:, 2 * n:].T
         d_a = np.empty((len(xv), 3 * n))  # pre-activation gradients [r|z|c]
         d_h = g.copy() if last else np.zeros_like(h0.value)
@@ -346,35 +379,27 @@ def gru_cell(tape: Tape, x: Tensor, h0: Tensor, w: GRUWeights, live,
     return tape.record((x, h0, *w.tensors()), out, bwd)
 
 
-def gru_input_projection(x: np.ndarray, w: GRUWeights) -> np.ndarray:
-    """x·w + b for every row of x, as one product: the input half of each
-    gate's pre-activation, bias included, which the step kernel reads."""
-    xw = x @ w.w.value
-    xw += w.b.value
-    return xw
-
-
-def gru_cell_np(xw: np.ndarray, h_prev: np.ndarray, w: GRUWeights, rz=None, rh=None,
-                c=None, ch=None, out=None) -> np.ndarray:
-    """The tape-free GRUWeights step from input projection xw = x·w + b
-    (rows of gru_input_projection) and state h_prev, written into [r|z],
-    r∘h, c, c − h and h' (each allocated where not given: h' is fresh
-    unless `out` is given); returns h'. Each pre-activation is
-    h·u + (x·w + b), so the bias costs the step nothing. The candidate
-    needs r∘h, so it has a matmul of its own."""
+def gru_cell_np(x_rz: np.ndarray, x_c: np.ndarray, h_prev: np.ndarray, step: GRUStep,
+                rz=None, rh=None, c=None, zch=None, out=None) -> np.ndarray:
+    """The tape-free GRU step from a step-form projection, its r/z columns
+    x_rz and its c columns x_c, and state h_prev, written into [r|z], r∘h,
+    c, z∘(c − h) and h' (each allocated where not given); returns h'.
+    h' = h + z∘(c − h) goes to `out`, by default into h_prev itself: the
+    walk updates its running state in place, and a rounded sum does not
+    depend on the order of its terms. Both r/z terms come halved, so
+    0.5·v = h·(0.5·u_rz) + 0.5·(x·w_rz + b_rz) exactly and
+    σ(v) = 0.5·tanh(0.5·v) + 0.5 costs no multiply before the tanh. The
+    candidate needs r∘h, so it has a matmul of its own."""
     n = h_prev.shape[1]
-    u = w.u.value
-    rz = np.matmul(h_prev, u[:, :2 * n], out=rz)
-    rz += xw[:, :2 * n]
-    rz *= 0.5  # σ(v) = 0.5·tanh(0.5·v) + 0.5: in [0, 1], no overflow branch
-    np.tanh(rz, out=rz)
+    rz = np.matmul(h_prev, step.u_rz, out=rz)
+    rz += x_rz
+    np.tanh(rz, out=rz)  # σ in [0, 1] with no overflow branch
     rz *= 0.5
     rz += 0.5
     rh = np.multiply(rz[:, :n], h_prev, out=rh)
-    c = np.matmul(rh, u[:, 2 * n:], out=c)
-    c += xw[:, 2 * n:]
+    c = np.matmul(rh, step.u_c, out=c)
+    c += x_c
     np.tanh(c, out=c)
-    ch = np.subtract(c, h_prev, out=ch)
-    out = np.multiply(ch, rz[:, n:], out=ch if out is None else out)
-    out += h_prev  # h' = h + z∘(c − h)
-    return out
+    zch = np.subtract(c, h_prev, out=zch)
+    zch *= rz[:, n:]
+    return np.add(h_prev, zch, out=h_prev if out is None else out)

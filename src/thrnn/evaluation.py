@@ -183,7 +183,8 @@ def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig,
                   time_unit: float = SECONDS_PER_DAY) -> EvalReport:
     """Hawkes fits on the train events of every user with a test gap, all in
     one batched call; predictions teacher-forced over the test walk, one
-    pass over each user's timeline.
+    pass over each user's timeline, and one quadrature call over the scored
+    gaps alone.
 
     Event times are session starts of real sittings; the second half of a
     length-split session is the same sitting, so it never becomes an event.
@@ -193,17 +194,14 @@ def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig,
     # a mean gap that is missing or 0 gives no rate: fall back to the split's, then to 1
     global_rate = time_unit / overall if overall else 1.0
     users, bounds = np.unique(t.user[scored]).tolist(), split.user_offsets()
-    times, histories, rates = [], [], []
+    times, histories, rates, at = [], [], [], []
     for u in users:
         lo, cut, hi = bounds[u], bounds[u] + split.train_counts[u], bounds[u + 1]
         sitting = ~t.masked[lo:hi]
         times.append(t.start[lo:hi][sitting] / time_unit)
         histories.append(times[-1][:np.count_nonzero(sitting[:cut - lo])])
         rates.append(time_unit / float(means[u]) if means[u] > 0 else global_rate)
-    preds = []
-    for u, params, ts in zip(users, fit(histories, cfg, rates), times):
-        lo, hi = bounds[u], bounds[u + 1]
-        before = np.cumsum(~t.masked[lo:hi]) - 1  # sittings before each session
-        preds.append(hawkes_predict_next(ts, params, q)[before[scored[lo:hi]]] * time_unit)
+        at.append((np.cumsum(sitting) - 1)[scored[lo:hi]])  # sittings before each scored gap
+    preds = hawkes_predict_next(times, fit(histories, cfg, rates), q, at) * time_unit
     name = "hawkes_short" if cfg.window == "last_k" else "hawkes_long"
-    return build_report(name, [], np.concatenate(preds) if preds else [], t.gap[scored])
+    return build_report(name, [], preds, t.gap[scored])

@@ -11,9 +11,10 @@ NLL, its gradient and its 3x3 Hessian of every user at once, from padded
 recursion carried to second order in the decay. What the parameters do
 not change (pair distances, masks, compensator lags, spans) is built once
 per fit; as users converge, the rows of the rest are taken from it.
-Prediction walks a user's timeline once, carrying the excitation state,
-and hands the next gap's closed-form compensator after every prefix to one
-point_process.truncated_mean call, the rule the neural time head uses.
+Prediction walks each user's timeline once, carrying the excitation
+state, and hands the next gap's closed-form compensator after the prefixes
+asked for, of every user, to one point_process.truncated_mean call, the
+rule the neural time head uses.
 
 All times are in model units (the same normalization the neural time
 head uses, days by default), so MAE numbers are directly comparable.
@@ -133,9 +134,10 @@ def _take(geometry: list, rows: np.ndarray) -> list:
     return [chunks] + [x[rows] for x in per_row]
 
 
-def _nll_and_grads(times: np.ndarray, params: np.ndarray, geometry: list):
+def _nll_and_grads(params: np.ndarray, geometry: list):
     """NLL over [first event, last event] of every row of a `_pad` batch,
-    with its gradient and Hessian in (gamma0, excitation, decay).
+    at its row of params (gamma0, excitation, decay), with its gradient and
+    Hessian in those.
 
     Rows must be ordered longest first, so that the users with events in a
     chunk are a prefix of the rows. With w_ij = exp(-decay * (t_i - t_j)),
@@ -149,13 +151,13 @@ def _nll_and_grads(times: np.ndarray, params: np.ndarray, geometry: list):
     chunk are summed directly; earlier events enter through the three sums
     at the previous chunk's last event, decayed to each event.
 
-    `geometry` is the batch's `_geometry`; a call forms only what the
-    parameters change.
+    `geometry` is the batch's `_geometry`, the only place its events enter;
+    a call forms only what the parameters change.
 
     Returns nll (users,), grad (users, 3) and hess (users, 3, 3).
     """
-    users, width = times.shape
     chunks, valid, tau, tau2, span = geometry
+    users, width = valid.shape
     gamma0, a, beta = params.T
     sums = np.zeros((3, users, width))  # A, B, C at every event
     carry = np.zeros((3, users))  # A + 1, B, C at the previous chunk's last event
@@ -266,15 +268,15 @@ def _newton(windows: list[np.ndarray]) -> np.ndarray:
     grad = np.zeros((users, 3))
     hess = np.zeros((users, 3, 3))
     damping = np.zeros(users)
-    live = taken = np.arange(users)  # taken: the rows times and geometry hold
+    live = taken = np.arange(users)  # taken: the rows the geometry holds
     for _ in range(MAX_ITERATIONS):
         if not live.size:
             break
         if live.size < taken.size:
             rows, taken = np.searchsorted(taken, live), live
-            times, geometry = times[rows], _take(geometry, rows)
+            geometry = _take(geometry, rows)
         p = np.exp(trial[live])
-        f_t, g_t, h_t = _nll_and_grads(times, p, geometry)
+        f_t, g_t, h_t = _nll_and_grads(p, geometry)
         # chain rule into log space
         g_t = g_t * p
         h_t = h_t * p[:, :, None] * p[:, None, :]
@@ -343,13 +345,20 @@ def fit(histories, cfg: FitConfig, fallback_rates=None) -> list[HawkesParams]:
     return out
 
 
-def hawkes_predict_next(history: np.ndarray, p: HawkesParams,
-                        q: QuadratureConfig) -> np.ndarray:
-    """Expected gap to the next event after each prefix of the history, the
-    empty one first (n + 1 values), truncated at the cutoff, all in one
-    pass. The next gap's compensator is
+def hawkes_predict_next(histories, params, q: QuadratureConfig, at) -> np.ndarray:
+    """Expected gap to the next event after chosen prefixes of each
+    history, at its HawkesParams in params, truncated at the cutoff, all
+    in one quadrature call. at[i] indexes the n + 1 prefixes of history i,
+    prefix k its first k events. Returns the gaps history by history. The
+    excitation states come from one pass over each history. The next gap's
+    compensator is
     Lam(tau) = gamma0*tau - K*expm1(-decay*tau), K = S*excitation/decay,
     with S the excitation state at the prefix's last event."""
-    k = excitation_state(np.asarray(history, dtype=np.float64), p.decay) * p.excitation / p.decay
-    return truncated_mean(lambda tau: p.gamma0 * tau - k[:, None] * np.expm1(-p.decay * tau),
-                          q.cutoff)
+    k, rates = [np.zeros(0)], []
+    for i, (history, p) in enumerate(zip(histories, params)):
+        s = excitation_state(np.asarray(history, dtype=np.float64), p.decay)
+        k.append(s[at[i]] * p.excitation / p.decay)
+        rates += [(p.gamma0, p.decay)] * len(k[-1])
+    gamma0, decay = np.reshape(rates, (-1, 2)).T[:, :, None]
+    k = np.concatenate(k)[:, None]
+    return truncated_mean(lambda tau: gamma0 * tau - k * np.expm1(-decay * tau), q.cutoff)

@@ -44,8 +44,7 @@ import numpy as np
 
 from . import point_process as pp
 from .autodiff import (GRUWeights, Tape, Tensor, add, concat, dropout, embedding,
-                       gather_rows, gru_cell, gru_cell_np, gru_input_projection,
-                       masked_softmax_xent, matmul, scale)
+                       gather_rows, gru_cell, gru_cell_np, masked_softmax_xent, matmul, scale)
 from .data import DatasetSplit, SessionTable, UserHistory
 from .evaluation import EvalReport, build_report, rank_of_target
 from .optim import Adam, ParamGroup
@@ -265,9 +264,13 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
     their rows of x·w_intra + b_intra from one product per block of
     consecutive steps, at most max(rows of the slot's first step,
     batch_size) rows: a one-user walk projects a session of up to
-    batch_size items at once. What the slots index (ring entries,
-    rep tails, live-row counts, step-major items, (rep row, ring entry)
-    pairs) is built once before the slot loop, as flat arrays they slice.
+    batch_size items at once. Each level's step form (autodiff.GRUStep)
+    and what the slots index (ring entries, rep tails, live-row counts,
+    step-major items, (rep row, ring entry) pairs) are built once before
+    the slot loop. Every step hands gru_cell_np the block's r/z and c
+    projection rows: an intra step updates the live prefix of the slot's
+    states in place, and an inter step its gathered ring rows, which go
+    back to the ring.
 
     Returns flat arrays. Row k of the table, of user u, has gap bucket k
     (sessions,) int64, intra state k and inter state k + u: a user with n
@@ -352,6 +355,7 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
     bounds, pairs, live = bounds.tolist(), pairs[bounds].tolist(), live.tolist()
     firsts, at = firsts.tolist(), at.tolist()
     ring = np.zeros((n_users * reach_max, h_dim))
+    intra, inter = params.intra.step_form(), params.inter.step_form()
     for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         entries = ring_at[lo:hi]
         hh = ring[entries]
@@ -369,23 +373,24 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
             if p1 > end:  # the next block: every step from s whose rows fit in cap
                 start, cap = p0, max(live[at[j]], bs)
                 end = firsts[bisect.bisect_right(firsts, o + p0 + cap, s + 1, s_end + 1) - 1] - o
-                xw = gru_input_projection(x[start:end], params.intra)
-            hh[:k] = gru_cell_np(xw[p0 - start:p1 - start], hh[:k], params.intra)
-            # rows [:after] have a next item, the target of this state
-            after = live[s + 1] if s + 1 < s_end else 0
-            need = [row for row in ranked_rows if row < after]
-            if need:
-                queue.append((hh[need], ids[p1:][need], blocks[lo:hi][need]))
-                rank_queue()
+                xw = intra.project(x[start:end])
+                x_rz, x_c = xw[:, :2 * h_dim], xw[:, 2 * h_dim:]
+            gru_cell_np(x_rz[p0 - start:p1 - start], x_c[p0 - start:p1 - start], hh[:k], intra)
+            if ranked_rows:  # rows [:after] have a next item, the target of this state
+                after = live[s + 1] if s + 1 < s_end else 0
+                need = [row for row in ranked_rows if row < after]
+                if need:
+                    queue.append((hh[need], ids[p1:][need], blocks[lo:hi][need]))
+                    rank_queue()
         write(intra_states, *intra_plan, j, hh)
 
         rep = np.concatenate([hh, tail[lo:hi]], axis=1)
-        proj = gru_input_projection(rep, params.inter)
+        proj = inter.project(rep)
         ring[entries] = 0.0
         for q in range(pairs[j], pairs[j + 1], bs):
             b = src[q:min(q + bs, pairs[j + 1])]
-            to = ring_to[q:q + len(b)]
-            ring[to] = gru_cell_np(proj[b], ring[to], params.inter)
+            to, pb = ring_to[q:q + len(b)], proj[b]
+            ring[to] = gru_cell_np(pb[:, :2 * h_dim], pb[:, 2 * h_dim:], ring[to], inter)
     users = np.flatnonzero(last_to >= 0)
     h_before[last_to[users]] = ring[users * reach_max + n_slots[users] % reach_max]
 

@@ -3,7 +3,8 @@
 Nothing in the package calls these: finite-difference gradients, the
 where-form sigmoid and the per-step taped GRU cell that the packed unroll
 replaced (a textbook forward that shares no code with the package's
-step kernel), the score-taking softmax cross-entropy and the chunked
+step kernel), the step kernel on unhalved weights that the step form
+replaced, the score-taking softmax cross-entropy and the chunked
 chain around it that the fused output op replaced, exact Hawkes
 intensity, thinning draws and the one-user likelihood loop that the
 batched fit evaluator must match, the log density, closed-form
@@ -116,6 +117,34 @@ def gru_cell(tape: Tape, x: Tensor, h_prev: Tensor, w: GRUWeights,
         return d_a @ w.w.value.T, d_h, xv.T @ d_a, d_u, d_a.sum(axis=0)
 
     return tape.record((x, h_prev, *w.tensors()), out, bwd)
+
+
+def gru_step_reference(xw: np.ndarray, h_prev: np.ndarray, w: GRUWeights) -> np.ndarray:
+    """The step kernel before the step form, from the unhalved projection
+    xw = x·w + b: it slices u and xw per step, halves the r/z
+    pre-activation before the tanh and returns a fresh (z∘(c − h)) + h.
+    The step form must reproduce it bit for bit."""
+    n = h_prev.shape[1]
+    u = w.u.value
+    rz = h_prev @ u[:, :2 * n]
+    rz += xw[:, :2 * n]
+    rz *= 0.5
+    np.tanh(rz, out=rz)
+    rz *= 0.5
+    rz += 0.5
+    c = (rz[:, :n] * h_prev) @ u[:, 2 * n:]
+    c += xw[:, 2 * n:]
+    np.tanh(c, out=c)
+    out = (c - h_prev) * rz[:, n:]
+    out += h_prev
+    return out
+
+
+def gru_project_reference(x: np.ndarray, w: GRUWeights) -> np.ndarray:
+    """x·w + b, unhalved, as gru_step_reference reads it."""
+    xw = x @ w.w.value
+    xw += w.b.value
+    return xw
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +909,7 @@ def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig,
     preds, targets = [], []
     for user, gap, events, _ in gaps:
         history = np.asarray(events, dtype=np.float64) / time_unit
-        preds.append(hawkes_predict_next(history, params_by_user[user], q)[-1] * time_unit)
+        preds.append(hawkes_predict_next([history], [params_by_user[user]], q, [[-1]])[0] * time_unit)
         targets.append(gap)
     name = "hawkes_short" if cfg.window == "last_k" else "hawkes_long"
     return build_report(name, [], preds, targets)

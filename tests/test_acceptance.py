@@ -188,7 +188,7 @@ def test_criterion_4_hawkes_fit_recovers_planted_parameters():
 
     history = events[:50]
     q = pp.QuadratureConfig(cutoff=30.0)
-    pred = hawkes_predict_next(history, true, q)[-1]
+    pred = hawkes_predict_next([history], [true], q, [[-1]])[0]
     sim = float(np.mean(oracles.sample_next_gaps(history, true,
                                          np.random.default_rng(1),
                                          n=200_000)))

@@ -408,19 +408,73 @@ class TestGRUCell:
 
     def test_np_twin_matches_taped(self):
         # one formula: the unroll's states are gru_cell_np's, bit for bit,
-        # given the same input projection, bias included
+        # given the same input projection, bias included, stepped in place
         rng = np.random.default_rng(9)
         w = _random_gru(rng, 5, 6)
         live = [4, 3, 1]
         x = rng.normal(size=(sum(live), 5))
         h = rng.normal(size=(4, 6))
         taped = ad.gru_cell(ad.Tape(), ad.Tensor(x), ad.Tensor(h), w, live).value
-        xw, lo, plain = ad.gru_input_projection(x, w), 0, []
+        step, lo, plain = w.step_form(), 0, []
+        x_rz, x_c = _columns(step.project(x))
         for k in live:
-            h[:k] = ad.gru_cell_np(xw[lo:lo + k], h[:k], w)
+            ad.gru_cell_np(x_rz[lo:lo + k], x_c[lo:lo + k], h[:k], step)
             plain.append(h[:k].copy())
             lo += k
         np.testing.assert_array_equal(taped, np.concatenate(plain))
+
+    def test_step_form_once_per_record(self, monkeypatch):
+        # the step form is built per unroll, never per step
+        rng = np.random.default_rng(17)
+        w = _random_gru(rng, 3, 4)
+        built, real = [], ad.GRUWeights.step_form
+        monkeypatch.setattr(ad.GRUWeights, "step_form",
+                            lambda self: built.append(self) or real(self))
+        tape = ad.Tape()
+        ad.gru_cell(tape, ad.Tensor(rng.normal(size=(6, 3))),
+                    ad.Tensor(rng.normal(size=(3, 4))), w, [3, 2, 1])
+        assert built == [w]
+        ad.gru_cell(tape, ad.Tensor(rng.normal(size=(8, 3))),
+                    ad.Tensor(rng.normal(size=(2, 4))), w, [2] * 4, last=True)
+        assert built == [w, w]
+
+
+class TestStepForm:
+    """The step kernel on the step form against the kernel it replaced, on
+    unhalved weights: halving u's r/z block and the projection's r/z
+    columns is exact, and so is the in-place blend."""
+
+    @pytest.mark.parametrize("n", [32, 100])
+    @pytest.mark.parametrize("rows", [1, 37])
+    def test_states_equal_the_reference_bit_for_bit(self, n, rows):
+        rng = np.random.default_rng(n + rows)
+        w = _random_gru(rng, 24, n)
+        x = rng.normal(size=(3 * rows, 24))
+        h0 = rng.uniform(-1.0, 1.0, size=(rows, n))
+        step = w.step_form()
+        x_rz, x_c = _columns(step.project(x))
+        xw = oracles.gru_project_reference(x, w)
+        want, fresh, live = h0.copy(), h0.copy(), h0.copy()
+        for lo in range(0, len(x), rows):
+            want = oracles.gru_step_reference(xw[lo:lo + rows], want, w)
+            fresh = ad.gru_cell_np(x_rz[lo:lo + rows], x_c[lo:lo + rows], fresh, step,
+                                   out=np.empty_like(fresh))
+            out = ad.gru_cell_np(x_rz[lo:lo + rows], x_c[lo:lo + rows], live, step)
+            assert out is live  # in place by default
+            np.testing.assert_array_equal(fresh, want)
+            np.testing.assert_array_equal(live, want)
+
+    def test_step_form_holds_the_exact_halves(self):
+        rng = np.random.default_rng(18)
+        w = _random_gru(rng, 5, 6)
+        step = w.step_form()
+        halves = np.repeat([2.0, 1.0], [12, 6])
+        for got, cell in ((step.w, w.w.value), (step.b, w.b.value),
+                          (np.concatenate([step.u_rz, step.u_c], axis=1), w.u.value)):
+            assert np.array_equal(got * halves, cell) and not np.shares_memory(got, cell)
+        assert step.u_rz.flags.c_contiguous and step.u_c.flags.c_contiguous
+        x = rng.normal(size=(4, 5))
+        assert np.array_equal(step.project(x) * halves, oracles.gru_project_reference(x, w))
 
 
 class TestDropout:
@@ -470,12 +524,13 @@ def _gate(v, n=5):
     pre = np.zeros(rows * n)
     pre[:len(v)] = v
     pre = pre.reshape(rows, n)
-    xw = np.concatenate([pre, pre, np.zeros((rows, n))], axis=1)
-    w = ad.GRUWeights(ad.Tensor(np.zeros((1, 3 * n))), ad.Tensor(np.zeros((n, 3 * n))),
-                      ad.Tensor(np.zeros(3 * n)))
+    x_rz = np.concatenate([pre, pre], axis=1)
+    x_rz *= 0.5  # the step form's projection is halved in its r/z columns
+    step = ad.GRUWeights(ad.Tensor(np.zeros((1, 3 * n))), ad.Tensor(np.zeros((n, 3 * n))),
+                         ad.Tensor(np.zeros(3 * n))).step_form()
     rz = np.empty((rows, 2 * n))
     with np.errstate(invalid="ignore"):
-        ad.gru_cell_np(xw, np.zeros((rows, n)), w, rz=rz)
+        ad.gru_cell_np(x_rz, np.zeros((rows, n)), np.zeros((rows, n)), step, rz=rz)
     r, z = rz[:, :n].ravel()[:len(v)], rz[:, n:].ravel()[:len(v)]
     assert np.array_equal(r, z, equal_nan=True)
     return r
@@ -499,26 +554,36 @@ def test_gate_is_the_where_form_sigmoid_to_rounding():
 
 
 def test_gru_steps_leave_their_inputs_unmodified():
-    # the walk hands gru_cell_np a prefix view of its running states
+    # the walk hands gru_cell_np a prefix view of its running states and
+    # steps it in place: those rows change, and nothing else does
     rng = np.random.default_rng(16)
     w = _random_gru(rng, 3, 4)
     big = rng.normal(size=(7, 4))
     x = rng.normal(size=(3, 3))
-    xw = ad.gru_input_projection(x, w)
+    step = w.step_form()
+    x_rz, x_c = _columns(step.project(x))
     h_prev = big[2:5]
-    before = [a.copy() for a in (big, x, xw, *(t.value for t in w.tensors()))]
-    out = ad.gru_cell_np(xw, h_prev, w)
-    assert not any(np.shares_memory(out, a) for a in (big, xw))
+    before = [a.copy() for a in (big, x, x_rz, x_c, *(t.value for t in w.tensors()))]
+    out = ad.gru_cell_np(x_rz, x_c, h_prev, step, out=np.empty_like(h_prev))
+    for a, b in zip((big, x, x_rz, x_c, *(t.value for t in w.tensors())), before):
+        np.testing.assert_array_equal(a, b)
+    assert not any(np.shares_memory(out, a) for a in (big, x_rz, x_c))
+    assert ad.gru_cell_np(x_rz, x_c, h_prev, step) is h_prev
+    np.testing.assert_array_equal(big[2:5], out)
+    np.testing.assert_array_equal(np.delete(big, [2, 3, 4], axis=0),
+                                  np.delete(before[0], [2, 3, 4], axis=0))
+    for a, b in zip((x, x_rz, x_c, *(t.value for t in w.tensors())), before[1:]):
+        np.testing.assert_array_equal(a, b)
+    # the taped unroll writes only its own arrays
     h0 = ad.Tensor(big[1:6])
     assert np.shares_memory(h0.value, big)
     xt = ad.Tensor(rng.normal(size=(9, 3)))
-    x_before = xt.value.copy()
+    before = [a.copy() for a in (big, xt.value, *(t.value for t in w.tensors()))]
     for last in (False, True):
         tape = ad.Tape()
         out = ad.gru_cell(tape, xt, h0, w, [4, 3, 2], last=last)
         tape.backward(_total(tape, out))
-    np.testing.assert_array_equal(xt.value, x_before)
-    for a, b in zip((big, x, xw, *(t.value for t in w.tensors())), before):
+    for a, b in zip((big, xt.value, *(t.value for t in w.tensors())), before):
         np.testing.assert_array_equal(a, b)
 
 
@@ -546,6 +611,12 @@ def test_rel_error_metric():
 
 
 # -- helpers ----------------------------------------------------------------
+
+def _columns(xw):
+    """A step-form projection's r/z and c columns, as the kernel reads them."""
+    n = xw.shape[1] // 3
+    return xw[:, :2 * n], xw[:, 2 * n:]
+
 
 def _total(tape, t):
     """Reduce to a scalar by summing; weights each element equally."""

@@ -361,10 +361,10 @@ class TestHawkesWalkIsLinear:
         cells, calls = {}, {}
         real = hk._nll_and_grads
 
-        def counted(times, *args):
-            cells[n] += times.size
+        def counted(params, geometry):
+            cells[n] += geometry[1].size  # the valid-event mask, (rows, width)
             calls[n] += 1
-            return real(times, *args)
+            return real(params, geometry)
 
         monkeypatch.setattr(hk, "_nll_and_grads", counted)
         for n in (50, 500, 2000):
@@ -377,6 +377,23 @@ class TestHawkesWalkIsLinear:
         per_call = {n: cells[n] / calls[n] for n in cells}
         assert per_call[2000] / per_call[50] <= 2000 / 50
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_read_out_per_report_over_the_scored_gaps(self, seed, monkeypatch):
+        # a report integrates once, and only where it scores a gap
+        rows, real = [], hk.truncated_mean
+
+        def counted(compensator, cutoff):
+            out = real(compensator, cutoff)
+            rows.append(len(out))
+            return out
+
+        monkeypatch.setattr(hk, "truncated_mean", counted)
+        split = oracles.random_split(np.random.default_rng(seed))
+        for cfg in (FitConfig(window="last_k", last_k=3), FitConfig()):
+            rows.clear()
+            report = ev.hawkes_report(split, cfg, QuadratureConfig(cutoff=60.0))
+            assert rows == [report.num_gap_events]
+
     def test_walk_ranks_and_quadrature_grow_linearly(self, monkeypatch):
         # per session, evaluate's walk steps each item once and each rep into
         # at most max_session_reps windows, and ranks each target once; the
@@ -386,9 +403,9 @@ class TestHawkesWalkIsLinear:
         work = {}
         real_cell, real_rank = md.gru_cell_np, md.rank_of_target
 
-        def cell(xw, h, w):
-            work[n]["walk_rows"] += len(xw)
-            return real_cell(xw, h, w)
+        def cell(x_rz, *args):
+            work[n]["walk_rows"] += len(x_rz)
+            return real_cell(x_rz, *args)
 
         def rank(scores, targets):
             work[n]["rank_rows"] += len(targets)

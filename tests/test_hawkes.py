@@ -155,8 +155,7 @@ class TestBatchedEvaluator:
 
     def test_matches_scalar_recursion(self):
         windows, params = _ragged_batch(self.LENGTHS, seed=20)
-        times, lengths = hk._pad(windows)
-        nll, grad, _ = hk._nll_and_grads(times, params, hk._geometry(times, lengths))
+        nll, grad, _ = hk._nll_and_grads(params, hk._geometry(*hk._pad(windows)))
         for w, p, got_nll, got_grad in zip(windows, params, nll, grad):
             want_nll, want_grad = oracles.hawkes_nll_and_grads(w, *p, t_start=float(w[0]),
                                                                horizon=float(w[-1]))
@@ -165,17 +164,16 @@ class TestBatchedEvaluator:
 
     def test_hessian_matches_central_differences(self):
         windows, params = _ragged_batch(self.LENGTHS, seed=21)
-        times, lengths = hk._pad(windows)
-        geometry = hk._geometry(times, lengths)
-        _, _, hess = hk._nll_and_grads(times, params, geometry)
+        geometry = hk._geometry(*hk._pad(windows))
+        _, _, hess = hk._nll_and_grads(params, geometry)
         eps = 1e-6
         fd = np.empty_like(hess)
         for k in range(3):
             up, dn = params.copy(), params.copy()
             up[:, k] += eps
             dn[:, k] -= eps
-            fd[:, :, k] = (hk._nll_and_grads(times, up, geometry)[1]
-                           - hk._nll_and_grads(times, dn, geometry)[1]) / (2 * eps)
+            fd[:, :, k] = (hk._nll_and_grads(up, geometry)[1]
+                           - hk._nll_and_grads(dn, geometry)[1]) / (2 * eps)
         for h, f in zip(hess, fd):
             np.testing.assert_allclose(h, f, rtol=1e-6, atol=1e-7 * np.abs(h).max())
 
@@ -183,12 +181,11 @@ class TestBatchedEvaluator:
         # every longest-first subset of rows, evaluated on the rows it takes
         # from the batch's geometry, gives the batch's own numbers bit for bit
         windows, params = _ragged_batch(self.LENGTHS, seed=22)
-        times, lengths = hk._pad(windows)
-        geometry = hk._geometry(times, lengths)
-        full = hk._nll_and_grads(times, params, geometry)
+        geometry = hk._geometry(*hk._pad(windows))
+        full = hk._nll_and_grads(params, geometry)
         for mask in range(1, 2 ** len(self.LENGTHS)):
             rows = np.flatnonzero([mask >> k & 1 for k in range(len(self.LENGTHS))])
-            got = hk._nll_and_grads(times[rows], params[rows], hk._take(geometry, rows))
+            got = hk._nll_and_grads(params[rows], hk._take(geometry, rows))
             for g, f in zip(got, full):
                 np.testing.assert_array_equal(g, f[rows])
 
@@ -197,14 +194,14 @@ class TestBatchedEvaluator:
         # must give what a geometry built from its own rows gives
         windows, _ = _ragged_batch(self.LENGTHS, seed=23)
         real, batch_rows = hk._nll_and_grads, set()
-        length_of = {w[0]: len(w) for w in windows}  # every window starts apart
+        window_of = {w[-1] - w[0]: w for w in windows}  # every window spans apart
 
-        def checked(times, params, geometry):
-            got = real(times, params, geometry)
-            lengths = np.array([length_of[t] for t in times[:, 0]])
-            for g, f in zip(got, real(times, params, hk._geometry(times, lengths))):
+        def checked(params, geometry):
+            got = real(params, geometry)
+            own = hk._geometry(*hk._pad([window_of[span] for span in geometry[-1]]))
+            for g, f in zip(got, real(params, own)):
                 np.testing.assert_array_equal(g, f)
-            batch_rows.add(len(times))
+            batch_rows.add(len(params))
             return got
 
         monkeypatch.setattr(hk, "_nll_and_grads", checked)
@@ -329,28 +326,41 @@ class TestFit:
 class TestPredictNext:
     def test_poisson_mean_empty_history(self):
         p = hk.HawkesParams(0.5, 0.3, 1.0)
-        got = hk.hawkes_predict_next(np.array([]), p, QuadratureConfig(60.0))[-1]
+        got = hk.hawkes_predict_next([np.array([])], [p], QuadratureConfig(60.0), [[-1]])[0]
         assert got == pytest.approx(2.0, rel=1e-3)
 
     def test_no_excitation_ignores_history(self):
         p = hk.HawkesParams(2.0, 0.0, 1.0)
         q = QuadratureConfig(20.0)
-        a = hk.hawkes_predict_next(np.array([]), p, q)[-1]
-        b = hk.hawkes_predict_next(np.array([0.0, 1.0, 2.0]), p, q)[-1]
+        a = hk.hawkes_predict_next([np.array([])], [p], q, [[-1]])[0]
+        b = hk.hawkes_predict_next([np.array([0.0, 1.0, 2.0])], [p], q, [[-1]])[0]
         assert a == pytest.approx(0.5, rel=1e-3)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_matches_simulated_next_gap(self):
         p = hk.HawkesParams(0.5, 0.8, 2.0)
         history = oracles.simulate_thinning(p, 50, np.random.default_rng(11))
-        quad = hk.hawkes_predict_next(history, p, QuadratureConfig(40.0))[-1]
+        quad = hk.hawkes_predict_next([history], [p], QuadratureConfig(40.0), [[-1]])[0]
         draws = oracles.sample_next_gaps(history, p, np.random.default_rng(12), 20000)
         assert quad == pytest.approx(float(draws.mean()), rel=0.03)
+
+    def test_chosen_prefixes_of_many_histories(self):
+        # one read-out over the prefixes `at` picks, history by history: each
+        # is the prefix's own read-out up to where BLAS rounds a row
+        q = QuadratureConfig(40.0)
+        ps = [hk.HawkesParams(0.5, 0.8, 2.0), hk.HawkesParams(1.5, 0.2, 0.7)]
+        hs = [np.array([0.0, 0.1, 0.5, 2.0]), np.array([1.0, 3.0])]
+        at = [np.array([4, 0, 2]), np.array([1])]
+        got = hk.hawkes_predict_next(hs, ps, q, at)
+        want = [hk.hawkes_predict_next([h[:k]], [p], q, [[-1]])[0]
+                for h, p, ks in zip(hs, ps, at) for k in ks]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        assert hk.hawkes_predict_next([], [], q, []).shape == (0,)
 
     def test_excited_history_shortens_wait(self):
         p = hk.HawkesParams(0.5, 0.8, 2.0)
         q = QuadratureConfig(40.0)
         recent = np.array([0.0, 0.1, 0.2, 0.3])
-        cold = hk.hawkes_predict_next(np.array([]), p, q)[-1]
-        hot = hk.hawkes_predict_next(recent, p, q)[-1]
+        cold = hk.hawkes_predict_next([np.array([])], [p], q, [[-1]])[0]
+        hot = hk.hawkes_predict_next([recent], [p], q, [[-1]])[0]
         assert hot < cold

@@ -15,7 +15,7 @@ from thrnn import evaluation as ev
 from thrnn import model as md
 from thrnn import point_process as pp
 from thrnn import synthetic as sy
-from thrnn.autodiff import Tape, gru_cell_np, gru_input_projection
+from thrnn.autodiff import GRUWeights, Tape, gru_cell_np
 from thrnn.data import Session, UserHistory
 from thrnn.evaluation import mean_gap_report
 from thrnn.model import (ModelConfig, ModelParams, TrainingDivergedError,
@@ -92,8 +92,15 @@ def _sessions(rng, cfg, lengths, gap=5000.0):
 
 
 def _step(x, h, w):
-    """One GRU step of the rows x from h, projecting x first."""
-    return gru_cell_np(gru_input_projection(x, w), h, w)
+    """One GRU step of the rows x from h, projecting x first; h is left as is."""
+    step = w.step_form()
+    xw, n = step.project(x), len(h[0])
+    return gru_cell_np(xw[:, :2 * n], xw[:, 2 * n:], h, step, out=np.empty_like(h))
+
+
+def _is_level(step, w):
+    """Whether the step form `step` is that of the cell w."""
+    return np.array_equal(step.u_c, w.u.value[:, 2 * len(step.u_c):])
 
 
 def _step_scores(params, cfg, sessions, j, user=0):
@@ -240,10 +247,11 @@ class TestForward:
         # differently from a multi-row one
         want = []
         for t in range(1, len(sessions[20].items)):
-            x, h = params.item_emb.value[sessions[20].items[:t]], h_before[20][None, :]
-            xw = gru_input_projection(x, params.intra)
+            x, h = params.item_emb.value[sessions[20].items[:t]], h_before[20][None, :].copy()
+            step = params.intra.step_form()
+            xw, n = step.project(x), cfg.hidden_dim
             for i in range(t):
-                h = gru_cell_np(xw[i:i + 1], h, params.intra)
+                gru_cell_np(xw[i:i + 1, :2 * n], xw[i:i + 1, 2 * n:], h, step)
             want.append(h[0] @ params.out_w.value + params.out_b.value)
         assert np.array_equal(_step_scores(params, cfg, sessions, 20), np.array(want))
 
@@ -318,9 +326,9 @@ class TestForward:
 
         calls = []
 
-        def counted(xw, h, w):
-            calls.append((w is params.inter, xw.shape[0]))
-            return gru_cell_np(xw, h, w)
+        def counted(x_rz, x_c, h, step):
+            calls.append((_is_level(step, params.inter), x_rz.shape[0]))
+            return gru_cell_np(x_rz, x_c, h, step)
 
         monkeypatch.setattr(md, "gru_cell_np", counted)
         table = session_table(lists, range(5))
@@ -375,9 +383,9 @@ class TestForward:
                  for n in rng.integers(1, 26, size=cfg.num_users)]
         calls = []
 
-        def spy(xw, h, w):
-            calls.append((w is params.intra, xw))
-            return gru_cell_np(xw, h, w)
+        def spy(x_rz, x_c, h, step):
+            calls.append((_is_level(step, params.intra), x_rz))
+            return gru_cell_np(x_rz, x_c, h, step)
 
         def blocks(table, cfg):
             # per slot, its distinct projections: a slot's intra steps run
@@ -404,6 +412,31 @@ class TestForward:
         # items is one product
         one = dataclasses.replace(cfg, batch_size=8)
         assert blocks(session_table([lists[0]], [0]), one) == [1] * len(lists[0])
+
+    def test_step_form_once_per_level_per_walk(self, monkeypatch):
+        # the walk builds each level's step form once, before its slot loop,
+        # and a training batch once per taped unroll: never per slot or step
+        built, real = [], GRUWeights.step_form
+        monkeypatch.setattr(GRUWeights, "step_form",
+                            lambda self: built.append(self) or real(self))
+        steps, real_cell = [], md.gru_cell_np
+        monkeypatch.setattr(md, "gru_cell_np",
+                            lambda *a, **k: steps.append(1) or real_cell(*a, **k))
+        cfg = _cfg(num_users=6, max_session_reps=3, batch_size=2)
+        params = _rand_params(cfg, seed=10)
+        rng = np.random.default_rng(11)
+        lists = [_sessions(rng, cfg, rng.integers(1, 6, size=n)) for n in (3, 8, 5, 2, 7, 4)]
+        md._hierarchy_walk(params, cfg, session_table(lists, range(cfg.num_users)))
+        assert len(steps) > 8 * 2  # at least an intra and an inter call per slot
+        assert [id(w) for w in built] == [id(params.intra), id(params.inter)]
+
+        split = _tiny_corpus(users=12, sessions=6)
+        cfg = _train_cfg(split, batch_size=16)
+        built.clear()
+        train(split, cfg, epochs=1, seed=0)
+        batches = -(-len(md.build_examples(split, cfg)) // cfg.batch_size)
+        # the refresh walk's two, then the inter and the intra unroll of each batch
+        assert len(built) == 2 + 2 * batches
 
 
 class TestJointLoss:

@@ -210,8 +210,8 @@ class TestTruncatedMean:
     @pytest.mark.parametrize("rate", RATES_PER_DAY)
     def test_poisson_hawkes_rate_sweep_matches_closed_form(self, rate):
         p = HawkesParams(gamma0=rate, excitation=0.0, decay=1.0)
-        got = hawkes_predict_next(np.array([0.0, 0.5, 0.9]), p,
-                                  pp.QuadratureConfig(self.CUTOFF))[-1]
+        got = hawkes_predict_next([np.array([0.0, 0.5, 0.9])], [p],
+                                  pp.QuadratureConfig(self.CUTOFF), [[-1]])[0]
         want = _truncated_exponential_mean(rate, self.CUTOFF)
         assert abs(got - want) <= 1e-9 * want
 
@@ -230,14 +230,14 @@ class TestTruncatedMean:
     def test_excited_hawkes_matches_thinning_draws(self):
         p = HawkesParams(gamma0=2.0, excitation=30.0, decay=40.0)
         history = np.array([0.0, 0.3, 0.31, 0.315])
-        got = hawkes_predict_next(history, p, pp.QuadratureConfig(self.CUTOFF))[-1]
+        got = hawkes_predict_next([history], [p], pp.QuadratureConfig(self.CUTOFF), [[-1]])[0]
         draws = oracles.sample_next_gaps(history, p, np.random.default_rng(4), 100_000)
         # every draw lands inside the cutoff, so the two means agree to
         # sampling error; allow four standard errors
         assert draws.max() < self.CUTOFF
         assert abs(got - draws.mean()) <= 4.0 * draws.std() / np.sqrt(draws.size)
-        poisson = hawkes_predict_next(history, HawkesParams(2.0, 0.0, 40.0),
-                                      pp.QuadratureConfig(self.CUTOFF))[-1]
+        poisson = hawkes_predict_next([history], [HawkesParams(2.0, 0.0, 40.0)],
+                                      pp.QuadratureConfig(self.CUTOFF), [[-1]])[0]
         assert got < 0.5 * poisson
 
     @pytest.mark.parametrize("s", [-700.0, -300.0, -50.0, -10.0, 0.0, 5.0, 8.0])
