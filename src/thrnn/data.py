@@ -14,6 +14,8 @@ generator, drops users with too few sessions, builds the sorted
 vocabulary and orders the SessionTable user by user, each user's
 earliest sessions train. Training, evaluation and the split file read
 that table's columns; Session objects describe only a single history.
+save_split writes the columns as JSON tokens, a block of users at a
+time, in the bytes json.dumps gives one dict per session.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import math
 import operator
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain
@@ -339,73 +342,108 @@ def read_reddit_csv(path: str) -> tuple[InteractionLog, IngestReport]:
 
     Columns past the third are ignored. A row with fewer than three
     columns, with an empty user or subreddit, with a time that is not a
-    finite number >= 0, or that csv cannot parse is malformed. The first
-    row is a header when its third column is not a number.
+    finite number >= 0, or that csv cannot parse is malformed; reading
+    resumes after the last. The first row that csv parses is a header
+    when its third column is not a number.
     """
     users, items, times = [], [], []
     report = IngestReport()
     with open(path, encoding="utf-8", errors="replace", newline="") as fh:
-        rows = _csv_rows(csv.reader(fh), report)
-        head = next(rows, [])
-        try:
-            float(head[2])
-        except (IndexError, ValueError):
-            head = []  # a header, or a blank row
-        for parts in chain([head], rows):
+        reader = csv.reader(fh)
+        rows = None  # once csv parses a row: the reader, behind that row unless a header
+        while True:
             try:
-                user, item, t = parts[0].strip(), parts[1].strip(), float(parts[2])
-            except (IndexError, ValueError):
-                user = ""
-            if user and item and 0.0 <= t < math.inf:  # NaN fails both
-                users.append(user)
-                items.append(item)
-                times.append(t)
-            elif any(p.strip() for p in parts):  # blank rows are no rows
-                report.note_bad(",".join(parts))
+                if rows is None:
+                    head = next(reader, [])
+                    try:
+                        float(head[2])
+                        rows = chain([head], reader)
+                    except (IndexError, ValueError):  # a header, or a blank row
+                        rows = reader
+                for parts in rows:  # after a csv.Error, chain resumes its reader
+                    try:
+                        user, item, t = parts[0].strip(), parts[1].strip(), float(parts[2])
+                    except (IndexError, ValueError):
+                        user = ""
+                    if user and item and 0.0 <= t < math.inf:  # NaN fails both
+                        users.append(user)
+                        items.append(item)
+                        times.append(t)
+                    elif any(p.strip() for p in parts):  # blank rows are no rows
+                        report.note_bad(",".join(parts))
+                break
+            except csv.Error as err:  # a field over csv.field_size_limit(), say
+                report.note_bad(f"line {reader.line_num}: {err}")
     report.rows_total = len(times) + report.rows_bad
     report.check(path)
     return InteractionLog(users, items, times), report
 
 
-def _csv_rows(reader, report: IngestReport):
-    """The reader's rows. One that csv cannot parse (a field over
-    csv.field_size_limit(), say) counts as bad, and reading resumes after it."""
-    while True:
-        try:
-            yield next(reader)
-        except StopIteration:
-            return
-        except csv.Error as err:
-            report.note_bad(f"line {reader.line_num}: {err}")
-
-
 # ---------------------------------------------------------------------------
 # split file persistence (line-delimited JSON, versioned)
+
+_BLOCK_SESSIONS = 256  # save_split forms the sessions of this many at a time
 
 
 def save_split(split: DatasetSplit, path: str) -> None:
     """Write the split as JSON lines: header, vocabulary, one line per user.
 
-    Key order and float formatting are fixed so identical splits produce
-    byte-identical files.
+    The bytes are those of json.dumps with sorted keys over one dict per
+    session, so identical splits produce byte-identical files. The user
+    lines are formed from column tokens, a block of about _BLOCK_SESSIONS
+    sessions at a time, and each is written as soon as it is formed. A
+    non-finite time has no JSON token: it is refused before the file is
+    opened.
     """
     t = split.sessions
-    items, bounds = t.items.tolist(), t.offsets().tolist()
-    start, end, gap, masked = t.start.tolist(), t.end.tolist(), t.gap.tolist(), t.masked.tolist()
+    _refuse_non_finite(split, path)
     first, n_train = split.user_offsets().tolist(), split.train_counts.tolist()
+    bounds = t.offsets()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_jline({"kind": "header", "version": SPLIT_FORMAT_VERSION,
                          "num_items": split.num_items, "num_users": split.num_users}))
         fh.write(_jline({"kind": "vocabulary", "items": split.item_ids}))
-        for u, user_id in enumerate(split.user_ids):
-            lo, hi = first[u], first[u + 1]
-            sessions = [{"items": items[a:b], "start": s, "end": e, "gap": g, "masked": m}
-                        for a, b, s, e, g, m in zip(bounds[lo:hi], bounds[lo + 1:hi + 1],
-                                                    start[lo:hi], end[lo:hi], gap[lo:hi],
-                                                    masked[lo:hi])]
-            fh.write(_jline({"kind": "user", "user_id": user_id, "user_index": u,
-                             "train": sessions[:n_train[u]],
-                             "test": sessions[n_train[u]:]}))
+        u = 0
+        while u < split.num_users:  # a block: users u..v-1, never a user cut in two
+            v = min(bisect_left(first, first[u] + _BLOCK_SESSIONS, u + 1), split.num_users)
+            lo, hi = first[u], first[v]
+            sessions = _session_tokens(t, bounds, lo, hi)
+            for w in range(u, v):
+                a, b = first[w] - lo, first[w + 1] - lo
+                cut = a + n_train[w]
+                fh.write(f'{{"kind":"user","test":[{",".join(sessions[cut:b])}],'
+                         f'"train":[{",".join(sessions[a:cut])}],'
+                         f'"user_id":{json.dumps(split.user_ids[w])},"user_index":{w}}}\n')
+            u = v
+
+
+def _session_tokens(t: SessionTable, bounds: np.ndarray, lo: int, hi: int) -> list[str]:
+    """The JSON of sessions lo..hi-1 of t as json.dumps writes them with
+    sorted keys: items through str, times through float.__repr__, masked
+    as true or false."""
+    at = (bounds[lo:hi + 1] - bounds[lo]).tolist()
+    tokens = list(map(str, t.items[bounds[lo]:bounds[hi]].tolist()))
+    items = [",".join(tokens[a:b]) for a, b in zip(at[:-1], at[1:])]
+    return [f'{{"end":{e!r},"gap":{g!r},"items":[{i}],"masked":{("false", "true")[m]},'
+            f'"start":{s!r}}}'
+            for e, g, i, m, s in zip(t.end[lo:hi].tolist(), t.gap[lo:hi].tolist(), items,
+                                     t.masked[lo:hi].tolist(), t.start[lo:hi].tolist())]
+
+
+def _refuse_non_finite(split: DatasetSplit, path: str) -> None:
+    """Refuse the first session whose start, end or gap is not finite,
+    by field, user and session, as load_split would."""
+    t = split.sessions
+    bad = ~(np.isfinite(t.start) & np.isfinite(t.end) & np.isfinite(t.gap))
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    u = int(t.user[k])
+    j, n_train = k - int(split.user_offsets()[u]), int(split.train_counts[u])
+    part, j = ("train", j) if j < n_train else ("test", j - n_train)
+    name = next(f for f in ("start", "end", "gap") if not np.isfinite(getattr(t, f)[k]))
+    raise ValueError(f"{path}: user {split.user_ids[u]!r}: field {name!r} of {part} "
+                     f"session {j} is {float(getattr(t, name)[k])!r}, not a finite number")
 
 
 def load_split(path: str) -> DatasetSplit:

@@ -11,9 +11,10 @@ batched fit evaluator must match, the log density, closed-form
 CDF and quantile function of the time head, a trapezoid normalization
 check, the Bayes-optimal ranking of a synthetic corpus, the per-draw
 synthetic generator that the cached-row sampler in thrnn.synthetic must
-reproduce byte for byte, a report reader and bucket label, and the
+reproduce byte for byte, a report reader and bucket label, the
 per-row preprocessing chain that the columnar pipeline in thrnn.data
-must reproduce byte for byte.
+must reproduce byte for byte, and the dict-per-session split writer
+whose bytes the column-token writer in thrnn.data must equal.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from thrnn.autodiff import GRUWeights, Tape, Tensor, add, gather_rows, matmul
-from thrnn.data import (SECONDS_PER_DAY, DatasetSplit, PreprocessConfig, Session,
-                        SessionTable, UserHistory, build_split)
+from thrnn.data import (SECONDS_PER_DAY, SPLIT_FORMAT_VERSION, DatasetSplit,
+                        PreprocessConfig, Session, SessionTable, UserHistory, build_split)
 from thrnn.evaluation import (REPORT_FORMAT_VERSION, BucketRow, EvalReport, build_report,
                               rank_of_target)
 from thrnn.model import Examples
@@ -740,6 +741,29 @@ def histories(split: DatasetSplit) -> tuple[list[UserHistory], list[UserHistory]
         train.append(UserHistory(user_id, u, sessions[first[u]:cut]))
         test.append(UserHistory(user_id, u, sessions[cut:first[u + 1]]))
     return train, test
+
+
+def save_split_reference(split: DatasetSplit, path: str) -> None:
+    """The split file as JSON lines of one dict per session, each line
+    encoded by json.dumps with sorted keys: the bytes save_split writes."""
+
+    def line(obj) -> str:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+    t = split.sessions
+    items, bounds = t.items.tolist(), t.offsets().tolist()
+    start, end, gap, masked = t.start.tolist(), t.end.tolist(), t.gap.tolist(), t.masked.tolist()
+    first, n_train = split.user_offsets().tolist(), split.train_counts.tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(line({"kind": "header", "version": SPLIT_FORMAT_VERSION,
+                       "num_items": split.num_items, "num_users": split.num_users}))
+        fh.write(line({"kind": "vocabulary", "items": split.item_ids}))
+        for u, user_id in enumerate(split.user_ids):
+            sessions = [{"items": items[bounds[k]:bounds[k + 1]], "start": start[k],
+                         "end": end[k], "gap": gap[k], "masked": masked[k]}
+                        for k in range(first[u], first[u + 1])]
+            fh.write(line({"kind": "user", "user_id": user_id, "user_index": u,
+                           "train": sessions[:n_train[u]], "test": sessions[n_train[u]:]}))
 
 
 def random_split(rng, num_items: int = 7) -> DatasetSplit:

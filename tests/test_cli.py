@@ -74,6 +74,20 @@ class TestSynth:
             blobs.append((tmp_path / name).read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_gap_past_float_range_refused_without_a_file(self, tmp_path, capsys):
+        # gaps of about 1e305 days put session times past float64's range;
+        # JSON has no token for them, so no split file is written
+        spec = {"num_users": 4, "sessions_per_user": 4,
+                "item_transition": [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]],
+                "gap_mixture": [[1.0, 1e305]], "session_length": [2, 4]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        rc = main(["synth", "--spec", str(tmp_path / "spec.json"),
+                   "--output", str(tmp_path / "c.split"), "--seed", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "field 'start' of train session 1 is inf, not a finite number" in err
+        assert not (tmp_path / "c.split").exists()
+
     def test_unknown_spec_key_rejected(self, tmp_path, capsys):
         spec = {"num_users": 4, "sessions_per_user": 4,
                 "item_transition": [[1.0]], "gap_mixture": [[1.0, 1.0]],

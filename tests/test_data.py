@@ -387,6 +387,20 @@ class TestAdapters:
                                     f"({csv.field_size_limit()})"]
         assert rows.users[59:61] == ["u59", "u60"]
 
+    def test_header_rule_applies_to_the_first_row_csv_parses(self, tmp_path):
+        # line 1 is over the field limit, so line 2 is the first row csv
+        # parses: a header, not a bad row
+        p = tmp_path / "late-header.csv"
+        lines = ['u0,"' + "x" * (csv.field_size_limit() + 1) + '",1400000000',
+                 "author,subreddit,created_utc"]
+        lines += ["u%d,sub,%d" % (i, 1400000000 + i) for i in range(300)]
+        p.write_text("\n".join(lines) + "\n")
+        rows, rep = D.read_reddit_csv(str(p))
+        assert (len(rows), rep.rows_bad, rep.rows_total) == (300, 1, 301)
+        assert rep.bad_examples == [f"line 1: field larger than field limit "
+                                    f"({csv.field_size_limit()})"]
+        assert rows.users[0] == "u0" and "author" not in rows.users
+
 
 class TestSplitFile:
     def _split(self):
@@ -420,6 +434,20 @@ class TestSplitFile:
         D.save_split(split, str(p1))
         D.save_split(self._split(), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("field", ["start", "end", "gap"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_time_refused_before_the_file_is_opened(self, tmp_path, field, value):
+        # JSON has no token for it, and load_split would refuse the file
+        split = self._split()
+        row = split.user_offsets()[1] + split.train_counts[1] + 1  # u2's second test session
+        getattr(split.sessions, field)[row] = value
+        p = tmp_path / "nonfinite.split"
+        with pytest.raises(ValueError) as err:
+            D.save_split(split, str(p))
+        assert str(err.value) == (f"{p}: user 'u2': field {field!r} of test session 1 is "
+                                  f"{float(value)!r}, not a finite number")
+        assert not p.exists()
 
     def test_version_check(self, tmp_path):
         p = tmp_path / "v.jsonl"
@@ -634,6 +662,51 @@ class TestSplitFile:
         assert (columns is not None) == walk_ok
 
 
+# ids JSON must escape, and times at the edges of float64's finite range
+_ODD_IDS = st.text(alphabet=st.sampled_from('ab"\\,\n\t\x00\x7f é中😀\u2028'), max_size=6)
+_ODD_TIMES = [0.0, -0.0, 5e-324, 1e16, 1.7976931348623157e308, 0.1, 1e-7, 1400000000.5]
+
+
+@st.composite
+def _odd_splits(draw):
+    """A hand-built split: odd ids and times, a user with an empty test part
+    (the first) and one with an empty train part (the second), sometimes
+    users with no sessions, and sometimes more than one block of the
+    writer's, cut between users."""
+    item_ids = draw(st.lists(_ODD_IDS, min_size=1, max_size=4, unique=True))
+    user_ids = draw(st.lists(_ODD_IDS, min_size=2, max_size=6))
+    extra = draw(st.sampled_from([0, 0, D._BLOCK_SESSIONS // 2 - 28, D._BLOCK_SESSIONS + 44]))
+    counts = [draw(st.integers(0, 5)) + extra for _ in user_ids]
+    counts[0], counts[1] = max(counts[0], 1), max(counts[1], 1)
+    n = sum(counts)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_ODD_TIMES)
+    drawn = draw(st.lists(floats, min_size=3, max_size=24))
+    scaled = rng.standard_normal(8) * 10.0 ** rng.integers(-300, 300, 8)
+    pool = np.array(_ODD_TIMES + drawn + scaled.tolist())
+    lengths = rng.integers(1, 5, n)
+    train = [c if u == 0 else 0 if u == 1 else int(rng.integers(0, c + 1))
+             for u, c in enumerate(counts)]
+    table = D.SessionTable(user=np.repeat(np.arange(len(counts)), counts),
+                           start=rng.choice(pool, n), end=rng.choice(pool, n),
+                           gap=rng.choice(pool, n), masked=rng.random(n) < 0.3,
+                           lengths=lengths, items=rng.integers(0, len(item_ids), lengths.sum()))
+    return D.DatasetSplit(sessions=table, train_counts=np.array(train, dtype=np.int64),
+                          user_ids=user_ids, item_ids=item_ids)
+
+
+class TestSplitWriterMatchesReference:
+    @given(_odd_splits())
+    @settings(max_examples=60, deadline=None)
+    def test_same_bytes_as_the_dict_writer(self, split):
+        with tempfile.TemporaryDirectory() as tmp:
+            want, got = os.path.join(tmp, "want.split"), os.path.join(tmp, "got.split")
+            oracles.save_split_reference(split, want)
+            D.save_split(split, got)
+            with open(want, "rb") as a, open(got, "rb") as b:
+                assert b.read() == a.read()
+
+
 class TestWrittenSplitsLoad:
     """The session check refuses a session that ends before it starts or
     starts before the previous one ends; no split the program writes
@@ -710,3 +783,16 @@ class TestSplitBytesPinned:
         assert split.sessions.masked.any()
         assert self._digest(split, tmp_path) == (
             "10f905ed821272b5be017ba3d7e56cc03f519b568eb0d377052b7b35a0bcbc0f")
+
+    def test_ci_reddit_csv(self, tmp_path):
+        # the log of the installed-CLI check in CI, read and split as
+        # `thrnn preprocess --dataset reddit` does by default
+        rows = ["author,subreddit,created_utc\n"]
+        rows += [f"user{k % 4},sub{k % 7},{1400000000 + 4000 * k}\n" for k in range(120)]
+        rows += ["user0,sub1,nan\n"]
+        (tmp_path / "comments.csv").write_text("".join(rows))
+        log, report = D.read_reddit_csv(str(tmp_path / "comments.csv"))
+        assert report.rows_bad == 1
+        split = D.preprocess(log, D.PreprocessConfig(gap_threshold=1800.0))
+        assert self._digest(split, tmp_path) == (
+            "8a60e0d92250d794ab89b2e134b01975425de0bda0400fead60bdadeca8e603b")

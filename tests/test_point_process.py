@@ -172,6 +172,18 @@ class TestExpectedReturnTime:
             assert batch[i] == pytest.approx(
                 pp.expected_return_time_from_s(s, 0.2, q)[0], rel=1e-12)
 
+    @pytest.mark.parametrize("w", [0.0, 0.2])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_batch_position_moves_a_row_by_rounding_only(self, w, alpha):
+        # the quadrature sum is one BLAS product over the batch, which may
+        # round a row by its place in it: predict reads one row, evaluate
+        # many, and the two must agree to the last few bits
+        q = pp.QuadratureConfig(cutoff=30.0)
+        ss = np.linspace(-6.0, 6.0, 600)
+        batch = pp.expected_return_time_from_s(ss, w, q, alpha)
+        rows = np.array([pp.expected_return_time_from_s(s, w, q, alpha)[0] for s in ss])
+        assert np.all(np.abs(batch - rows) <= 1e-14 * np.abs(rows))
+
     def test_overflow_detected(self):
         with pytest.raises(pp.ExponentOverflowError, match="diverged"):
             pp.expected_return_time_from_s(800.0, 0.0, pp.QuadratureConfig(30.0))
