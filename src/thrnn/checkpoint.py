@@ -18,8 +18,9 @@ the same params twice produces identical bytes.
 
 A load checks the prefix, the header length against the file size, the
 header's fields and array records (each shape a list of non-negative
-integers), the model manifest against the config's shapes, and the file
-length against both manifests, before it maps the file. The file is
+integers), the config's keys (by data._require's rule) and values, the
+model manifest against the config's shapes, and the file length against
+both manifests, before it maps the file. The file is
 mapped once, copy-on-write: each array is a writeable view of the
 mapping, so predict and evaluate read weights straight from the page
 cache, and an in-place update (Adam on resume) lands in private pages
@@ -103,7 +104,8 @@ def load_checkpoint(path: str) -> tuple[ModelParams, ModelConfig,
         header = _json_line(fh.read(hlen), path, 1)
         _require(header, ("config", "params", "optimizer"), f"{path}: header")
         config = header["config"]
-        _require(config, (), f"{path}: field 'config'")
+        _require(config, ("num_items", "num_users"), f"{path}: field 'config'",
+                 {f.name for f in dataclasses.fields(ModelConfig)})
         opt_recs = [] if header["optimizer"] is None else header["optimizer"]
         for field, recs in (("params", header["params"]), ("optimizer", opt_recs)):
             if not isinstance(recs, list):
@@ -116,12 +118,9 @@ def load_checkpoint(path: str) -> tuple[ModelParams, ModelConfig,
                         type(d) is not int or d < 0 for d in rec["shape"]):
                     raise ValueError(f"{path}: array {rec['name']!r} has shape {rec['shape']!r}, "
                                      "not a list of non-negative integers")
-        unknown = sorted(set(config) - {f.name for f in dataclasses.fields(ModelConfig)})
-        if unknown:
-            raise ValueError(f"{path}: unknown config field {unknown[0]!r}")
         try:
-            cfg = ModelConfig(**config)
-        except (TypeError, ValueError) as err:
+            cfg = ModelConfig(**config)  # which checks every value by field
+        except ValueError as err:
             raise ValueError(f"{path}: bad config: {err}") from err
 
         expected = ModelParams.shapes(cfg)

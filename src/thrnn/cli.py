@@ -11,9 +11,9 @@ Five subcommands cover the whole workflow:
 Every command writes machine-parseable JSON lines to stdout (each record
 carries a "kind" field) and returns exit code 0 on success, 2 on any
 recognized error. Configuration is validated before any data is read.
-Sessions, from a split file or a predict history file, are checked by
-one function, data.session_columns, and a synth spec by one class,
-synthetic.SynthSpec; this module checks neither itself.
+This module decodes no file: data reads them, and refuses each JSON
+object input by one rule, data._require, naming file and field. Values
+are checked by ModelConfig, SynthSpec and data.session_columns.
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import checkpoint as ckpt
 from . import data, evaluation, model, synthetic
-from .data import SECONDS_PER_DAY, IngestError, Session, UserHistory, _is_int
+from .data import SECONDS_PER_DAY, IngestError, _is_int
 from .hawkes import FitConfig
 from .model import TrainingDivergedError
 
@@ -38,6 +36,8 @@ from .model import TrainingDivergedError
 _FLAG_FIELDS = [(f.name, {"int": int, "float": float}[f.type])
                 for f in dataclasses.fields(model.ModelConfig) if f.type in ("int", "float")
                 and f.name not in ("num_items", "num_users", "gap_bucket_bound")]
+_CONFIG_FIELDS = ({f.name for f in dataclasses.fields(model.ModelConfig)}
+                  - {"num_items", "num_users"})
 
 BASELINE_MODELS = ("hawkes_short", "hawkes_long", "mean_gap", "popularity")
 
@@ -65,22 +65,10 @@ def _add_model_flags(sp: argparse.ArgumentParser) -> None:
 def _config_values(args) -> dict:
     """Collect ModelConfig overrides from --config and flags, flags winning.
 
-    Unknown keys in the config file are an error; num_items and num_users
-    always come from the split, never from here.
+    The config file may hold any ModelConfig field but num_items and
+    num_users, which always come from the split.
     """
-    values: dict = {}
-    if args.config:
-        with open(args.config, "rb") as fh:
-            loaded = data._json_line(fh.read(), args.config, 1)
-        if not isinstance(loaded, dict):
-            raise ValueError(f"{args.config}: expected a JSON object")
-        allowed = ({f.name for f in dataclasses.fields(model.ModelConfig)}
-                   - {"num_items", "num_users"})
-        unknown = sorted(set(loaded) - allowed)
-        if unknown:
-            raise ValueError(f"{args.config}: unknown config keys {unknown}; "
-                             f"allowed: {sorted(allowed)}")
-        values.update(loaded)
+    values = data.read_json_object(args.config, allowed=_CONFIG_FIELDS) if args.config else {}
     for name, _ in _FLAG_FIELDS:
         v = getattr(args, name)
         if v is not None:
@@ -133,24 +121,12 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _spec_from_file(path: str) -> synthetic.SynthSpec:
-    """The SynthSpec of a JSON object of its fields, which SynthSpec checks."""
-    with open(path, "rb") as fh:
-        obj = data._json_line(fh.read(), path, 1)
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    fields = dataclasses.fields(synthetic.SynthSpec)
-    unknown = sorted(set(obj) - {f.name for f in fields})
-    if unknown:
-        raise ValueError(f"{path}: unknown spec keys {unknown}")
-    missing = sorted({f.name for f in fields if f.default is dataclasses.MISSING} - set(obj))
-    if missing:
-        raise ValueError(f"{path}: missing spec keys {missing}")
-    return synthetic.SynthSpec(**obj)
-
-
 def cmd_synth(args) -> int:
-    split = synthetic.generate_corpus(_spec_from_file(args.spec), seed=args.seed)
+    fields = dataclasses.fields(synthetic.SynthSpec)  # SynthSpec checks the values
+    spec = data.read_json_object(
+        args.spec, [f.name for f in fields if f.default is dataclasses.MISSING],
+        allowed={f.name for f in fields})
+    split = synthetic.generate_corpus(synthetic.SynthSpec(**spec), seed=args.seed)
     data.save_split(split, args.output)
     _emit({"kind": "split-stats", "path": args.output, "seed": args.seed,
            **split.stats()})
@@ -167,16 +143,18 @@ def cmd_train(args) -> int:
             raise ValueError("--resume reads config and seed from the "
                              "checkpoint; drop the config and seed flags")
         params, cfg, opt_state, meta = ckpt.load_checkpoint(args.resume)
-        if opt_state is None or not isinstance(meta, dict) \
-                or "epochs_completed" not in meta or "seed" not in meta:
+        if opt_state is None:
             raise ValueError(f"{args.resume}: checkpoint has no recorded "
                              "training state, cannot resume")
-        seed = int(meta["seed"])
-        start_epoch = int(meta["epochs_completed"]) + 1
+        data._require(meta, ("epochs_completed", "seed"), f"{args.resume}: field 'meta'")
+        for name in ("epochs_completed", "seed"):
+            if not _is_int(meta[name]) or meta[name] < 0:
+                raise IngestError(f"{args.resume}: field {name!r} of field 'meta' is "
+                                  f"{meta[name]!r:.80}, not a non-negative integer")
+        seed, start_epoch = meta["seed"], meta["epochs_completed"] + 1
         if args.epochs < start_epoch:
-            raise ValueError(
-                f"{args.resume}: already trained through epoch "
-                f"{start_epoch - 1}; --epochs {args.epochs} adds nothing")
+            raise ValueError(f"{args.resume}: already trained through epoch "
+                             f"{start_epoch - 1}; --epochs {args.epochs} adds nothing")
         split = data.load_split(args.split)
         _check_split_matches(split, cfg, args.split)
     else:
@@ -186,8 +164,7 @@ def cmd_train(args) -> int:
         start_epoch = 1
         params = opt_state = None
         split = data.load_split(args.split)
-        cfg = model.ModelConfig(num_items=split.num_items,
-                                num_users=split.num_users, **values)
+        cfg = model.ModelConfig(num_items=split.num_items, num_users=split.num_users, **values)
 
     params, _, opt_state = model.train(
         split, cfg, epochs=args.epochs, seed=seed, log=print,
@@ -252,50 +229,11 @@ def cmd_evaluate(args) -> int:
 # predict
 
 
-def _history_from_file(path: str, num_items: int) -> UserHistory:
-    """One user's timeline as JSON: {"user_index": int, "sessions": [...]}.
-
-    Sessions hold a split file's session fields, but "gap" (seconds since
-    the previous session ended, 0 for the first) and "masked" (true for the
-    first session only) may be omitted. The sessions then pass the split
-    file's own check, data.session_columns, with items in [0, num_items).
-    """
-    with open(path, "rb") as fh:
-        obj = data._json_line(fh.read(), path, 1)
-    data._require(obj, ("user_index", "sessions"), path)
-    if not _is_int(obj["user_index"]):
-        raise IngestError(f"{path}: field 'user_index' is {obj['user_index']!r:.80}, "
-                          f"not an integer")
-    sessions = obj["sessions"]
-    if not isinstance(sessions, list) or not sessions:
-        raise IngestError(f"{path}: field 'sessions' is {sessions!r:.80}, "
-                          f"not a non-empty list")
-    prev_end = None
-    for k, o in enumerate(sessions):
-        if isinstance(o, dict):
-            o.setdefault("masked", k == 0)
-            if "gap" not in o:
-                try:
-                    o["gap"] = 0.0 if prev_end is None else o["start"] - prev_end
-                except (KeyError, TypeError, OverflowError):
-                    o["gap"] = 0.0  # a placeholder: the check names the bad start or end
-            prev_end = o.get("end")
-    items, lengths, cols = data.session_columns({"": sessions}, num_items, path)
-    cuts = np.cumsum([0, *lengths]).tolist()
-    user_index = obj["user_index"]
-    return UserHistory(
-        user_id=str(obj.get("user_id", f"u{user_index}")), user_index=user_index,
-        sessions=[Session(items=items[a:b], start_time=float(s), end_time=float(e),
-                          gap_before=float(g), gap_masked=m)
-                  for a, b, s, e, g, m in zip(cuts, cuts[1:], cols["start"], cols["end"],
-                                              cols["gap"], cols["masked"])])
-
-
 def cmd_predict(args) -> int:
     if args.k < 1:
         raise ValueError(f"-k must be at least 1, got {args.k}")
     params, cfg, _, _ = ckpt.load_checkpoint(args.checkpoint)
-    history = _history_from_file(args.history, cfg.num_items)
+    history = data.load_history(args.history, cfg.num_items)
     pred = model.predict(history, params, cfg, k=args.k)
     _emit({"kind": "prediction",
            "user_id": history.user_id,

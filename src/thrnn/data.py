@@ -15,7 +15,9 @@ vocabulary and orders the SessionTable user by user, each user's
 earliest sessions train. Training, evaluation and the split file read
 that table's columns; Session objects describe only a single history.
 save_split writes the columns as JSON tokens, a block of users at a
-time, in the bytes json.dumps gives one dict per session.
+time, in the bytes json.dumps gives one dict per session. One rule,
+_require, refuses every JSON object input, by file and field, that lacks
+a field or holds a key its reader does not allow.
 """
 
 from __future__ import annotations
@@ -492,6 +494,48 @@ def load_split(path: str) -> DatasetSplit:
                         user_ids=user_ids, item_ids=item_ids)
 
 
+def load_history(path: str, num_items: int) -> UserHistory:
+    """One user's timeline as JSON: {"user_index": int, "sessions": [...]}
+    and an optional "user_id". Sessions hold a split file's session fields,
+    but "gap" (seconds since the previous session ended, 0 for the first)
+    and "masked" (true for the first session only) may be omitted. The
+    sessions then pass the split file's own check, session_columns."""
+    obj = read_json_object(path, ("user_index", "sessions"))
+    if not _is_int(obj["user_index"]):
+        raise IngestError(f"{path}: field 'user_index' is {obj['user_index']!r:.80}, "
+                          f"not an integer")
+    sessions = obj["sessions"]
+    if not isinstance(sessions, list) or not sessions:
+        raise IngestError(f"{path}: field 'sessions' is {sessions!r:.80}, "
+                          f"not a non-empty list")
+    prev_end = None
+    for k, o in enumerate(sessions):
+        if isinstance(o, dict):
+            o.setdefault("masked", k == 0)
+            try:
+                o.setdefault("gap", 0.0 if prev_end is None else o["start"] - prev_end)
+            except (KeyError, TypeError, OverflowError):
+                o.setdefault("gap", 0.0)  # a placeholder: the check names the bad start or end
+            prev_end = o.get("end")
+    items, lengths, cols = session_columns({"": sessions}, num_items, path)
+    cuts = np.cumsum([0, *lengths]).tolist()
+    return UserHistory(
+        user_id=str(obj.get("user_id", f"u{obj['user_index']}")), user_index=obj["user_index"],
+        sessions=[Session(items=items[a:b], start_time=float(s), end_time=float(e),
+                          gap_before=float(g), gap_masked=m)
+                  for a, b, s, e, g, m in zip(cuts, cuts[1:], cols["start"], cols["end"],
+                                              cols["gap"], cols["masked"])])
+
+
+def read_json_object(path: str, fields=(), allowed=None) -> dict:
+    """The JSON object a whole file holds, refused by _require's rule:
+    each of fields present and, when allowed is given, no other key."""
+    with open(path, "rb") as fh:
+        obj = _json_line(fh.read(), path, 1)
+    _require(obj, fields, path, allowed)
+    return obj
+
+
 def _json_line(raw: bytes, path: str, number: int):
     """The JSON value of raw, bytes from line `number` of the file on. Every JSON
     input is decoded here: a byte that is not UTF-8 is refused by file and line."""
@@ -523,10 +567,14 @@ def _check_vocabulary(item_ids, num_items: int, path: str) -> None:
         raise IngestError(f"{what} holds {dup!r:.80} twice")
 
 
-def _require(obj, fields, what: str) -> None:
-    """Refuse anything but a JSON object that holds every one of fields."""
+def _require(obj, fields, what: str, allowed=None) -> None:
+    """Refuse anything but a JSON object that holds every one of fields
+    and, when allowed is given, no key outside it: every JSON object input's rule."""
     if not isinstance(obj, dict):
         raise IngestError(f"{what} is {obj!r:.80}, not an object")
+    unknown = [] if allowed is None else [k for k in obj if k not in allowed]
+    if unknown:
+        raise IngestError(f"{what} has unknown field {unknown[0]!r:.80}")
     missing = [f for f in fields if f not in obj]
     if missing:
         raise IngestError(f"{what} has no field {missing[0]!r}")

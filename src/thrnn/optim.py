@@ -6,7 +6,8 @@ checkpointed state can resume mid-run.
 
 The update streams each flattened parameter through cache-sized BLOCK
 slices and two scratch buffers, in the textbook order of operations, so
-it is bit-identical to whole-array Adam.
+it is bit-identical to whole-array Adam. State loaded for a resume is
+refused by array name unless each array is present, shaped and in range.
 """
 
 from __future__ import annotations
@@ -115,12 +116,24 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.t = int(arrays["adam_t"][0])
-        for gi, group in enumerate(self.groups):
-            for pi in range(len(group.params)):
-                m = arrays[f"adam_m_{group.name}_{pi}"]
-                v = arrays[f"adam_v_{group.name}_{pi}"]
-                if m.shape != self._m[gi][pi].shape:
-                    raise ValueError(f"optimizer state shape mismatch for {group.name}[{pi}]")
-                self._m[gi][pi] = m.copy()
-                self._v[gi][pi] = v.copy()
+        """Take back what state_arrays gave: each moment finite and shaped as its
+        parameter, each second moment >= 0 and adam_t one integer >= 0."""
+        def array(name: str, shape: tuple, low: float) -> np.ndarray:
+            a = arrays.get(name)
+            if a is None:
+                raise ValueError(f"optimizer state has no array {name!r}")
+            if a.shape != shape:
+                raise ValueError(f"optimizer array {name!r} has shape {a.shape}, not {shape}")
+            bad = ~(np.isfinite(a) & (a >= low))
+            if bad.any():
+                raise ValueError(f"optimizer array {name!r} holds {float(a[bad][0])!r}, not a "
+                                 f"finite{' non-negative' if low == 0 else ''} number")
+            return a.copy()
+
+        t = float(array("adam_t", (1,), 0.0)[0])
+        if t != int(t):
+            raise ValueError(f"optimizer array 'adam_t' holds {t!r}, not an integer")
+        self._m, self._v = ([[array(f"adam_{kind}_{g.name}_{pi}", p.value.shape, low)
+                              for pi, p in enumerate(g.params)] for g in self.groups]
+                            for kind, low in (("m", -np.inf), ("v", 0.0)))
+        self.t = int(t)

@@ -72,7 +72,8 @@ def truncated_mean(compensator: Callable[[np.ndarray], np.ndarray],
     lam = compensator(cutoff * np.append(_NODES, 1.0))
     lam, lam_c = lam[..., :-1], lam[..., -1:]
     y = np.exp(-lam) * -np.expm1(lam - lam_c)
-    return cutoff * (y @ _WEIGHTS)
+    y *= _WEIGHTS  # then summed row by row: a row reads the same at any place in a batch
+    return cutoff * y.sum(axis=-1)
 
 
 def expected_return_time_from_s(s, w: float, q: QuadratureConfig,

@@ -14,9 +14,9 @@ import pytest
 
 import thrnn
 from thrnn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from thrnn.cli import _history_from_file, main
+from thrnn.cli import main
 from thrnn import synthetic
-from thrnn.data import IngestError, Session, UserHistory, load_split, save_split
+from thrnn.data import IngestError, Session, UserHistory, load_history, load_split, save_split
 
 from oracles import histories, load_report, split_from_histories
 
@@ -110,7 +110,8 @@ class TestSynth:
         rc = main(["synth", "--spec", str(tmp_path / "spec.json"),
                    "--output", str(tmp_path / "c.split")])
         assert rc == 2
-        assert "missing spec keys" in capsys.readouterr().err
+        assert (f"{tmp_path / 'spec.json'} has no field 'sessions_per_user'"
+                in capsys.readouterr().err)
 
 
 # each malformed spec: (edit of the base spec, field the message must name)
@@ -808,7 +809,7 @@ class TestPredict:
         (tmp_path / "h.json").write_text(json.dumps({"user_index": 0, "sessions": [
             {"items": [1], "start": 0.0, "end": 500.0}, {"items": [2], **session}]}))
         with pytest.raises(IngestError, match=f"h.json: {message}"):
-            _history_from_file(str(tmp_path / "h.json"), 10)
+            load_history(str(tmp_path / "h.json"), 10)
 
     def test_bad_session_field_exits_2(self, ws, tmp_path, capsys):
         (tmp_path / "h.json").write_text(json.dumps({"user_index": 0, "sessions": [
@@ -837,7 +838,7 @@ class TestPredict:
         obj = {"user_index": 0, "sessions": [{"items": [1], "start": 0.0, "end": 5.0}]}
         (tmp_path / "h.json").write_text(json.dumps({**obj, **edit}))
         with pytest.raises(IngestError, match=f"h.json: {message}"):
-            _history_from_file(str(tmp_path / "h.json"), 10)
+            load_history(str(tmp_path / "h.json"), 10)
 
     @pytest.mark.parametrize("edit, message", [
         ({"user_index": 1.7}, "field 'user_index' is 1.7, not an integer"),
@@ -875,7 +876,7 @@ class TestPredict:
             {"items": [1], "start": 0.0, "end": 500.0},
             {"items": [], "start": 900.0, "end": 1000.0}]}))
         with pytest.raises(IngestError, match="h.json: field 'items' of session 1 is empty"):
-            _history_from_file(str(tmp_path / "h.json"), 10)
+            load_history(str(tmp_path / "h.json"), 10)
 
     def test_last_session_without_items_exits_2(self, ws, tmp_path, capsys):
         # with no items there is no intra state to rank from
@@ -927,7 +928,8 @@ class TestPredict:
         rc = main(["predict", "--checkpoint", str(tmp_path / "bogus.ckpt"),
                    "--history", str(tmp_path / "h.json")])
         assert rc == 2
-        assert "bogus.ckpt: unknown config field 'bogus'" in capsys.readouterr().err
+        assert ("bogus.ckpt: field 'config' has unknown field 'bogus'"
+                in capsys.readouterr().err)
 
     def test_usage_error_exits_nonzero(self):
         with pytest.raises(SystemExit):
@@ -1032,12 +1034,122 @@ class TestOneSessionCheck:
             {"items": [1], "start": 10, "end": 20},
             {"items": [2, 3], "start": 50.0, "end": 60.0},
             {"items": [4], "start": 60.0, "end": 70.0, "gap": 1.5, "masked": True}]}))
-        history = _history_from_file(str(tmp_path / "h.json"), 10)
+        history = load_history(str(tmp_path / "h.json"), 10)
         assert (history.user_id, history.user_index) == ("u3", 3)
         assert [(s.items, s.start_time, s.end_time, s.gap_before, s.gap_masked)
                 for s in history.sessions] == [([1], 10.0, 20.0, 0.0, True),
                                                ([2, 3], 50.0, 60.0, 30.0, False),
                                                ([4], 60.0, 70.0, 1.5, True)]
+
+
+def _without(key):
+    return lambda o: {k: v for k, v in o.items() if k != key}
+
+
+def _with(**fields):
+    return lambda o: {**o, **fields}
+
+
+# the command that reads each JSON object input ({bad} is the file that holds
+# it, {out} the file the command would write); a checkpoint's config and its
+# training record are read by `train --resume`
+_OBJECT_COMMANDS = {
+    "config": ["train", "--split", "{ws}/corpus.split", "--out", "{out}", "--epochs", "1",
+               "--config", "{bad}"],
+    "spec": ["synth", "--spec", "{bad}", "--output", "{out}"],
+    "history": ["predict", "--checkpoint", "{ws}/m2.ckpt", "--history", "{bad}"],
+    "checkpoint config": ["train", "--split", "{ws}/corpus.split", "--out", "{out}",
+                          "--epochs", "3", "--resume", "{bad}"],
+}
+_OBJECT_COMMANDS["checkpoint meta"] = _OBJECT_COMMANDS["checkpoint config"]
+
+# each malformed object: (input, edit of a good one, message). A --config
+# file has no required field, and a history or training record may hold
+# more keys than it reads.
+_BAD_OBJECTS = {
+    "config-not-object": ("config", lambda o: [1], "{bad} is [1], not an object"),
+    "config-unknown": ("config", _with(hiden_dim=8), "{bad} has unknown field 'hiden_dim'"),
+    "config-split-count": ("config", _with(num_items=5), "{bad} has unknown field 'num_items'"),
+    "spec-not-object": ("spec", lambda o: [1], "{bad} is [1], not an object"),
+    "spec-missing": ("spec", _without("gap_mixture"), "{bad} has no field 'gap_mixture'"),
+    "spec-unknown": ("spec", _with(sesion_length=[3, 5]),
+                     "{bad} has unknown field 'sesion_length'"),
+    "history-not-object": ("history", lambda o: [1], "{bad} is [1], not an object"),
+    "history-missing": ("history", _without("user_index"), "{bad} has no field 'user_index'"),
+    "ckpt-config-not-object": ("checkpoint config", lambda o: [1],
+                               "{bad}: field 'config' is [1], not an object"),
+    "ckpt-config-missing": ("checkpoint config", _without("num_items"),
+                            "{bad}: field 'config' has no field 'num_items'"),
+    "ckpt-config-unknown": ("checkpoint config", _with(bogus=1),
+                            "{bad}: field 'config' has unknown field 'bogus'"),
+    "meta-not-object": ("checkpoint meta", lambda o: [1],
+                        "{bad}: field 'meta' is [1], not an object"),
+    "meta-null": ("checkpoint meta", lambda o: None,
+                  "{bad}: field 'meta' is None, not an object"),
+    "meta-missing": ("checkpoint meta", _without("seed"),
+                     "{bad}: field 'meta' has no field 'seed'"),
+    **{f"meta-{name}-{value!r}": (
+        "checkpoint meta", _with(**{name: value}),
+        f"{{bad}}: field {name!r} of field 'meta' is {value!r}, not a non-negative integer")
+       for name in ("seed", "epochs_completed") for value in (None, [1], 1.7, True, -1)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_OBJECTS))
+def test_object_input_refused_by_one_rule(ws, tmp_path, capsys, case):
+    """Each JSON object input is refused by data._require's rule: exit 2,
+    the file and the field named, no traceback and nothing written."""
+    what, edit, message = _BAD_OBJECTS[case]
+    bad = tmp_path / "bad"
+    if what.startswith("checkpoint"):
+        part = what.split()[1]
+        bad.write_bytes(_edit_header(lambda h: h.update({part: edit(h[part])}))(
+            (ws / "m2.ckpt").read_bytes()))
+    else:
+        TestPredict._history(tmp_path / "h.json")
+        good = {"config": {"hidden_dim": 8}, "spec": json.loads((ws / "spec.json").read_text()),
+                "history": json.loads((tmp_path / "h.json").read_text())}[what]
+        bad.write_text(json.dumps(edit(good)))
+    out_file = tmp_path / "out"
+    rc = main([a.format(ws=ws, bad=bad, out=out_file) for a in _OBJECT_COMMANDS[what]])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and "Traceback" not in err
+    assert message.format(bad=bad) in err
+    assert not out_file.exists()
+
+
+# each malformed optimizer section of a resumed checkpoint: (edit, message)
+_BAD_OPTIMIZER = {
+    "missing": (lambda s: s.pop("adam_v_time_2"), "optimizer state has no array 'adam_v_time_2'"),
+    "negative-step": (lambda s: s.update(adam_t=np.array([-3.0])),
+                      "optimizer array 'adam_t' holds -3.0, not a finite non-negative number"),
+    "fractional-step": (lambda s: s.update(adam_t=np.array([2.5])),
+                        "optimizer array 'adam_t' holds 2.5, not an integer"),
+    "two-steps": (lambda s: s.update(adam_t=np.array([2.0, 2.0])),
+                  "optimizer array 'adam_t' has shape (2,), not (1,)"),
+    "negative-second-moment": (
+        lambda s: s["adam_v_main_0"].flat.__setitem__(3, -1.0),
+        "optimizer array 'adam_v_main_0' holds -1.0, not a finite non-negative number"),
+    "nan-first-moment": (lambda s: s["adam_m_time_0"].flat.__setitem__(0, np.nan),
+                         "optimizer array 'adam_m_time_0' holds nan, not a finite number"),
+    "half-size": (lambda s: s.update(adam_v_main_0=s["adam_v_main_0"].ravel()[:6]),
+                  "optimizer array 'adam_v_main_0' has shape (6,), not "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_OPTIMIZER))
+def test_resume_refuses_malformed_optimizer_state(ws, tmp_path, capsys, case):
+    edit, message = _BAD_OPTIMIZER[case]
+    params, cfg, opt_state, meta = load_checkpoint(str(ws / "m2.ckpt"))
+    state = {k: v.copy() for k, v in opt_state.items()}
+    edit(state)
+    save_checkpoint(str(tmp_path / "bad.ckpt"), params, cfg, optimizer_state=state, meta=meta)
+    rc = main(["train", "--split", str(ws / "corpus.split"), "--out", str(tmp_path / "x.ckpt"),
+               "--epochs", "3", "--resume", str(tmp_path / "bad.ckpt")])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and "Traceback" not in err
+    assert message in err
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 class TestRepeatedMain:
