@@ -126,7 +126,11 @@ def cmd_synth(args) -> int:
     spec = data.read_json_object(
         args.spec, [f.name for f in fields if f.default is dataclasses.MISSING],
         allowed={f.name for f in fields})
-    split = synthetic.generate_corpus(synthetic.SynthSpec(**spec), seed=args.seed)
+    try:
+        spec = synthetic.SynthSpec(**spec)
+    except ValueError as err:
+        raise ValueError(f"{args.spec}: {err}") from None
+    split = synthetic.generate_corpus(spec, seed=args.seed)
     data.save_split(split, args.output)
     _emit({"kind": "split-stats", "path": args.output, "seed": args.seed,
            **split.stats()})
@@ -151,6 +155,10 @@ def cmd_train(args) -> int:
             if not _is_int(meta[name]) or meta[name] < 0:
                 raise IngestError(f"{args.resume}: field {name!r} of field 'meta' is "
                                   f"{meta[name]!r:.80}, not a non-negative integer")
+        try:  # the moments are checked as they load, before any split is read
+            opt = model.optimizer(params, cfg, opt_state)
+        except ValueError as err:
+            raise ValueError(f"{args.resume}: {err}") from None
         seed, start_epoch = meta["seed"], meta["epochs_completed"] + 1
         if args.epochs < start_epoch:
             raise ValueError(f"{args.resume}: already trained through epoch "
@@ -162,13 +170,13 @@ def cmd_train(args) -> int:
         model.ModelConfig(num_items=2, num_users=1, **values)  # fail fast
         seed = 0 if args.seed is None else args.seed
         start_epoch = 1
-        params = opt_state = None
+        params = opt = None
         split = data.load_split(args.split)
         cfg = model.ModelConfig(num_items=split.num_items, num_users=split.num_users, **values)
 
     params, _, opt_state = model.train(
         split, cfg, epochs=args.epochs, seed=seed, log=print,
-        params=params, opt_state=opt_state, start_epoch=start_epoch)
+        params=params, opt=opt, start_epoch=start_epoch)
     digest = ckpt.save_checkpoint(args.out, params, cfg, optimizer_state=opt_state,
                                   meta={"epochs_completed": args.epochs, "seed": seed})
     _emit({"kind": "checkpoint", "path": args.out,

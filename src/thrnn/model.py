@@ -29,6 +29,11 @@ is one packed unroll, the inter level over the batch sorted by history
 reach and the intra level over it sorted by session length, longest
 first, so that the rows live at a step are a prefix. The packed intra
 states are scored by one fused projection and softmax record per batch.
+
+The tape-free walk behind the refresh, `evaluate` and `predict` steps a
+user's inter windows only up to the last one its caller reads, and the
+first max_session_reps of them, which all start at the user's first
+session, as prefixes of one unroll.
 """
 
 from __future__ import annotations
@@ -251,20 +256,24 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
     The inter level keeps a ring of in-flight windows per user, one flat
     (users·R, hidden) array: ring[u·R + m % R] is the state of the inter
     GRU over the reps of slots max(0, m - R) .. m - 1 read so far (R =
-    max_session_reps), the window that ends before slot m. At slot j,
-    window j is complete and becomes h_before; its ring entry is zeroed to
-    start window j + R, and slot j's reps step every window m in
-    [j + 1, min(j + R, n_u)] of their user in one batched GRU step, cut
-    into blocks of at most batch_size rows so the step's temporaries stay
-    small. Each (window, rep) pair is computed once, as a from-scratch
-    unroll of every window would, but in about one call per slot instead
-    of min(j, R); each rep's projection rep·w_inter + b_inter is computed
-    once for all its windows. Within a slot the sessions go longest first,
-    so intra step t steps only the live prefix, and the intra steps take
-    their rows of x·w_intra + b_intra from one product per block of
-    consecutive steps, at most max(rows of the slot's first step,
-    batch_size) rows: a one-user walk projects a session of up to
-    batch_size items at once. Each level's step form (autodiff.GRUStep)
+    max_session_reps), the window that ends before slot m. Windows are
+    stepped only up to N_u, the last one the caller reads: n_u where
+    `inter_rows` keeps the state after the user's last session, n_u - 1
+    otherwise. Windows 1 .. c_u = min(R, N_u) all start at slot 0, so
+    each is a prefix of the chain window c_u, and only that one is
+    stepped. At slot j, window j is complete and becomes h_before, read
+    from the chain's entry where j <= c_u; entry j % R is zeroed to start
+    window j + R, and slot j's reps step every window m in
+    [max(j + 1, c_u), min(j + R, N_u)] of their user in one batched GRU
+    step, cut into blocks of at most batch_size rows so the step's
+    temporaries stay small. A user's windows take c_u + (N_u - c_u)·R GRU
+    rows, in about one call per slot; each rep's projection
+    rep·w_inter + b_inter is computed once for all its windows. Within a
+    slot the sessions go longest first, so intra step t steps only the
+    live prefix, and the intra steps take their rows of
+    x·w_intra + b_intra from one product per block of consecutive steps,
+    at most max(rows of the slot's first step, batch_size) rows: a
+    one-user walk projects a session of up to batch_size items at once. Each level's step form (autodiff.GRUStep)
     and what the slots index (ring entries, rep tails, live-row counts,
     step-major items, (rep row, ring entry) pairs) are built once before
     the slot loop. Every step hands gru_cell_np the block's r/z and c
@@ -310,9 +319,8 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
             done.append((rank_of_target(sc, targets[lo:lo + bs]), users[lo:lo + bs]))
         queue[:] = [(states[rows:], targets[rows:], users[rows:])]
 
-    # per row: its ring entry, h_before row, place in its slot and rep tail
-    ring_at, before_at = blocks * reach_max + slot % reach_max, by_slot + blocks
-    place = np.arange(len(table)) - bounds[slot]
+    # per row: its h_before row, place in its slot and rep tail
+    before_at, place = by_slot + blocks, np.arange(len(table)) - bounds[slot]
 
     def keep(rows, n, at):
         # the output, each of n numbered states' row in it (-1: dropped), and
@@ -332,6 +340,13 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
     intra_states, _, intra_plan = keep(intra_rows, len(table), by_slot)
     h_before, inter_to, inter_plan = keep(inter_rows, len(table) + n_users, before_at)
     last_to = inter_to[base + n_slots + np.arange(n_users)]  # after each user's last session
+    # last[u]: user u's last window read. Per row, its user's windows 1 .. chain
+    # are prefixes of window chain: only that one is stepped, and a row at
+    # slot <= chain reads h_before from its entry
+    last = n_slots - (last_to < 0)
+    chain = np.minimum(last, reach_max)[blocks]
+    ring_at = blocks * reach_max + slot % reach_max
+    read_at = np.where(slot <= chain, blocks * reach_max + chain % reach_max, ring_at)
     tail = np.concatenate([params.gap_emb.value[buckets[by_slot]],
                            params.user_emb.value[table.user[by_slot]]], axis=1)
     # intra step t of slot j steps the live[at[j] + t] rows with more than t
@@ -344,11 +359,13 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
     items[firsts[step] + np.repeat(place, lengths)] = table.items[
         np.repeat(table.offsets()[by_slot], lengths) + item_no]
     del item_no, step  # one int64 per item each: not held through the slot loop
-    # a row's rep enters windows slot + 1 .. min(slot + R, n_u) of its user: pairs[j]
-    # .. pairs[j + 1] of (place, ring entry) are slot j's, int32, as R per row
-    reach = np.minimum(n_slots[blocks] - slot, reach_max)
+    # a row's rep enters windows max(slot + 1, chain) .. min(slot + R, last) of its
+    # user: pairs[j] .. pairs[j + 1] of (place, ring entry) are slot j's, int32
+    first_window = np.maximum(slot + 1, chain)
+    reach = np.minimum(slot + reach_max, last[blocks]) + 1 - first_window
     pairs = np.append(0, np.cumsum(reach))
-    src, ring_to = (np.repeat(a.astype(np.int32), reach) for a in (place, slot + 1 - pairs[:-1]))
+    src, ring_to = (np.repeat(a.astype(np.int32), reach)
+                    for a in (place, first_window - pairs[:-1]))
     ring_to += np.arange(pairs[-1], dtype=np.int32)
     ring_to %= reach_max
     ring_to += np.repeat((blocks * reach_max).astype(np.int32), reach)
@@ -357,8 +374,7 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
     ring = np.zeros((n_users * reach_max, h_dim))
     intra, inter = params.intra.step_form(), params.inter.step_form()
     for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        entries = ring_at[lo:hi]
-        hh = ring[entries]
+        hh = ring[read_at[lo:hi]]
         write(h_before, *inter_plan, j, hh)
 
         # step s reads packed rows firsts[s] .. firsts[s + 1] - 1, counted
@@ -386,7 +402,7 @@ def _hierarchy_walk(params: ModelParams, cfg: ModelConfig, table: SessionTable,
 
         rep = np.concatenate([hh, tail[lo:hi]], axis=1)
         proj = inter.project(rep)
-        ring[entries] = 0.0
+        ring[ring_at[lo:hi]] = 0.0
         for q in range(pairs[j], pairs[j + 1], bs):
             b = src[q:min(q + bs, pairs[j + 1])]
             to, pb = ring_to[q:q + len(b)], proj[b]
@@ -475,9 +491,21 @@ class EpochStats:
     rec_nll: float
 
 
+def optimizer(params: ModelParams, cfg: ModelConfig, state: dict | None = None) -> Adam:
+    """The Adam that trains params: the main group, and the time head's
+    with its own rate and clip. `state`, a dict state_arrays gave, is
+    checked and loaded; a malformed array raises ValueError naming it."""
+    opt = Adam([ParamGroup("main", params.main_tensors(), lr=cfg.learning_rate),
+                ParamGroup("time", params.time_tensors(), lr=cfg.learning_rate_time,
+                           clip_norm=cfg.time_clip_norm)])
+    if state is not None:
+        opt.load_state_arrays(state)
+    return opt
+
+
 def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
           log=None, *, params: ModelParams | None = None,
-          opt_state: dict | None = None, start_epoch: int = 1,
+          opt: Adam | None = None, start_epoch: int = 1,
           ) -> tuple[ModelParams, list[EpochStats], dict]:
     """Mini-batch training over shuffled (user, session) examples.
 
@@ -487,8 +515,9 @@ def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
     epoch, so training straight through or stopping at any epoch and
     resuming with the saved params and optimizer state produces identical
     parameters. `log` (if given) receives one JSON line of losses per
-    epoch; training never reads the test split. The returned dict is the
-    final optimizer state, suitable for resuming.
+    epoch; training never reads the test split. `opt`, optimizer(params,
+    cfg, saved state) when resuming, must step `params`. The returned dict
+    is the final optimizer state, suitable for resuming.
     """
     if start_epoch < 1:
         raise ValueError("start_epoch must be >= 1")
@@ -497,11 +526,8 @@ def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
     if params is None:
         params = ModelParams.init(cfg, seed)
     examples = build_examples(split, cfg)
-    opt = Adam([ParamGroup("main", params.main_tensors(), lr=cfg.learning_rate),
-                ParamGroup("time", params.time_tensors(), lr=cfg.learning_rate_time,
-                           clip_norm=cfg.time_clip_norm)])
-    if opt_state is not None:
-        opt.load_state_arrays(opt_state)
+    if opt is None:
+        opt = optimizer(params, cfg)
     opt.zero_grad()  # each step then drops its own
 
     stats: list[EpochStats] = []

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (SECONDS_PER_DAY, DatasetSplit, SessionTable, _is_finite, _is_int,
-                   build_split)
+from .data import (SECONDS_PER_DAY, DatasetSplit, IngestError, SessionTable, _is_finite,
+                   _is_int, _require, build_split)
 
 ITEM_SPACING_SECONDS = 30.0
 
@@ -57,7 +57,8 @@ class CouplingState:
 class SynthSpec:
     """A corpus generator's spec, whose every type and value is checked here
     and nowhere else: a refusal is a ValueError that names the field. A
-    context_coupling state may be a mapping, built as CouplingState(**state)."""
+    context_coupling state may be an object, whose keys data._require
+    checks before it is built as CouplingState(**state)."""
 
     num_users: int
     sessions_per_user: int
@@ -131,10 +132,17 @@ class SynthSpec:
 
 
 def _coupling_state(k: int, state) -> CouplingState:
-    try:  # a TypeError names a missing or unknown key
-        return state if isinstance(state, CouplingState) else CouplingState(**state)
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"context_coupling state {k}: {err}") from None
+    """A spec's state k: a CouplingState, or an object with exactly its keys."""
+    if isinstance(state, CouplingState):
+        return state
+    what, keys = f"context_coupling state {k}", ("items", "gap_mean_days")
+    try:
+        _require(state, keys, what, allowed=keys)
+        return CouplingState(**state)
+    except IngestError as err:  # a library caller gets the spec's ValueError
+        raise ValueError(str(err)) from None
+    except ValueError as err:
+        raise ValueError(f"{what}: {err}") from None
 
 
 def item_id(index: int) -> str:

@@ -713,6 +713,17 @@ def session_table(session_lists, user_indices) -> SessionTable:
                                     "items")))
 
 
+def walk_inter_rows(n: int, reps: int, last_read: bool) -> int:
+    """Inter GRU rows the tape-free walk steps for a user with n sessions.
+    It steps windows up to N (n if the state after the last session is
+    read, else n - 1); windows 1 .. c = min(reps, N) are prefixes of
+    window c, so only that one runs, c rows, and each later window runs
+    its reps rows."""
+    last = max(n - (not last_read), 0)
+    chain = min(reps, last)
+    return chain + (last - chain) * reps
+
+
 def split_from_histories(train: list[UserHistory], test: list[UserHistory],
                          item_ids) -> DatasetSplit:
     """The split whose user u has the sessions train[u] then test[u];

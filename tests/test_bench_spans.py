@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 
+import oracles
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 INSTALL = ("import sys; sys.path[:0] = [{src!r}, {bench!r}]; "
@@ -113,7 +115,7 @@ def test_tracer_counts_the_walks_gru_rows(tmp_path):
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # every item steps the intra level once; session j of n enters the
-    # windows j + 1 .. n, of which it steps at most reps
-    want = sum(sum(ls) + sum(min(reps, len(ls) - j) for j in range(len(ls))) for ls in lengths)
+    # every item steps the intra level once; of a user's windows 1 .. n,
+    # the first min(reps, n) share one unroll and each later one runs reps
+    want = sum(sum(ls) + oracles.walk_inter_rows(len(ls), reps, True) for ls in lengths)
     assert int(proc.stdout.split()[-1]) == want, proc.stdout

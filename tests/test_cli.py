@@ -180,6 +180,27 @@ class TestSynthSpecRefused:
         with pytest.raises(ValueError, match=field):
             synthetic.SynthSpec(**spec)
 
+    @pytest.mark.parametrize("state, message", [
+        ({"items": [0, 1], "gap_mean_days": 1.0, "weight": 2}, "has unknown field 'weight'"),
+        ({"gap_mean_days": 1.0}, "has no field 'items'"),
+        ({"items": [0, 1]}, "has no field 'gap_mean_days'"),
+        (3, "is 3, not an object")])
+    def test_coupling_state_keys_refused_by_one_rule(self, tmp_path, capsys, state, message):
+        # synth names the spec file and the field; the library raises the
+        # same words as a ValueError
+        spec = {"num_users": 4, "sessions_per_user": 4,
+                "item_transition": [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]],
+                "gap_mixture": [[1.0, 1.0]], "context_coupling": [state]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc = main(["synth", "--spec", str(path), "--output", str(tmp_path / "c.split")])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "" and "Traceback" not in err
+        assert err == f"error: {path}: context_coupling state 0 {message}\n"
+        assert not (tmp_path / "c.split").exists()
+        with pytest.raises(ValueError, match=f"^context_coupling state 0 {message}$"):
+            synthetic.SynthSpec(**spec)
+
     def test_train_fraction_refused_before_any_session_is_drawn(self, tmp_path, capsys,
                                                                   monkeypatch):
         def drawn(*args, **kwargs):
@@ -1143,13 +1164,16 @@ def test_resume_refuses_malformed_optimizer_state(ws, tmp_path, capsys, case):
     params, cfg, opt_state, meta = load_checkpoint(str(ws / "m2.ckpt"))
     state = {k: v.copy() for k, v in opt_state.items()}
     edit(state)
-    save_checkpoint(str(tmp_path / "bad.ckpt"), params, cfg, optimizer_state=state, meta=meta)
-    rc = main(["train", "--split", str(ws / "corpus.split"), "--out", str(tmp_path / "x.ckpt"),
-               "--epochs", "3", "--resume", str(tmp_path / "bad.ckpt")])
-    out, err = capsys.readouterr()
-    assert rc == 2 and out == "" and "Traceback" not in err
-    assert message in err
-    assert not (tmp_path / "x.ckpt").exists()
+    bad = str(tmp_path / "bad.ckpt")
+    save_checkpoint(bad, params, cfg, optimizer_state=state, meta=meta)
+    # a split that does not exist gets the same refusal: it is never read
+    for split in (ws / "corpus.split", tmp_path / "missing.split"):
+        rc = main(["train", "--split", str(split), "--out", str(tmp_path / "x.ckpt"),
+                   "--epochs", "3", "--resume", bad])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "" and "Traceback" not in err
+        assert err.startswith(f"error: {bad}: {message}"), err
+        assert not (tmp_path / "x.ckpt").exists()
 
 
 class TestRepeatedMain:

@@ -58,6 +58,19 @@ class TestRankMetrics:
         assert got.tolist() == [ev.rank_of_target(row, t) for row, t in zip(block, targets)]
         assert got.tolist() == [1, 1, 3, 4, 1]  # the shifted copy ranks as row 0
 
+    @pytest.mark.parametrize("rows", [0, 1, 7])
+    def test_rank_block_is_the_row_rule_row_by_row(self, rows):
+        # 40 scores drawn from 5 values: targets tie with about 7 others, and
+        # a tie never pushes the target down, so each rank is 1 + the
+        # strictly greater scores
+        rng = np.random.default_rng(rows)
+        block = rng.integers(0, 5, size=(rows, 40)).astype(np.float64)
+        targets = rng.integers(0, 40, size=rows)
+        got = ev.rank_of_target(block, targets)
+        assert got.shape == (rows,) and got.dtype.kind == "i"
+        assert got.tolist() == [ev.rank_of_target(row, t) for row, t in zip(block, targets)]
+        assert got.tolist() == [1 + int((row > row[t]).sum()) for row, t in zip(block, targets)]
+
     def test_rank_invariant_under_monotone_shift(self):
         rng = np.random.default_rng(0)
         scores = rng.normal(size=20)

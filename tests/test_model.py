@@ -296,10 +296,12 @@ class TestForward:
         scores = _step_scores(params, cfg, sessions, 2, user=1)
         assert np.allclose(scores, np.array(expected), atol=1e-12)
 
-    @pytest.mark.parametrize("reps", [1, 3, 40])
+    @pytest.mark.parametrize("reps", [1, 3, 4, 40])
     def test_ring_walk_matches_window_unrolls(self, reps, monkeypatch):
         # every window unrolled from scratch one row at a time, against the
-        # walk that steps all in-flight windows together in row blocks
+        # walk that steps all in-flight windows together in row blocks and
+        # each window that is a prefix of another as part of it; the users
+        # have n = 0, 1, 7, 12 and 4 sessions, so reps 4 has n = R
         cfg = _cfg(num_users=5, max_session_reps=reps, batch_size=4)
         params = _rand_params(cfg, seed=6)
         rng = np.random.default_rng(7)
@@ -347,16 +349,28 @@ class TestForward:
             for g, want in zip(got, ref_h + ref_intra, strict=True):
                 np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
 
-        # each (window, rep) pair once, in blocks of at most batch_size rows
-        inter_rows = [n for is_inter, n in calls if is_inter]
-        assert sum(inter_rows) == sum(min(j, reps) for n in counts for j in range(n + 1))
-        assert max(inter_rows) <= cfg.batch_size
+        # windows 1 .. min(R, n) share one unroll and each later window is
+        # stepped once per rep, in blocks of at most batch_size rows
+        def inter_calls():
+            rows = [n for is_inter, n in calls if is_inter]
+            calls.clear()
+            return rows
+
         live_items = sum(len(s.items) for sl in lists for s in sl)
         assert sum(n for is_inter, n in calls if not is_inter) == live_items
+        inter_rows = inter_calls()
+        assert sum(inter_rows) == sum(oracles.walk_inter_rows(n, reps, True) for n in counts)
+        assert max(inter_rows) <= cfg.batch_size
+        for u, n in enumerate(counts):  # the same rows with each user walked alone
+            if n:
+                md._hierarchy_walk(params, cfg, session_table([lists[u]], [u]))
+                assert sum(inter_calls()) == oracles.walk_inter_rows(n, reps, True)
 
-        # the history refresh's form: the same states, no inter states kept
+        # the history refresh's form: the same states, no inter states kept,
+        # and no user's window after its last session stepped
         lean = md._hierarchy_walk(params, cfg, table, inter_rows=[])
         assert lean[2].shape == (0, cfg.hidden_dim) and np.array_equal(lean[0], intra_states)
+        assert sum(inter_calls()) == sum(oracles.walk_inter_rows(n, reps, False) for n in counts)
         # chosen rows, in the order asked for, and nothing else allocated
         intra_rows, inter_rows = [5, 0, sum(counts) - 1], [len(h_before) - 1, 3, 0, 9]
         picked = md._hierarchy_walk(params, cfg, table, intra_rows=intra_rows,
@@ -364,8 +378,12 @@ class TestForward:
         assert np.array_equal(picked[0], intra_states[intra_rows])
         assert np.array_equal(picked[2], h_before[inter_rows])
         assert np.array_equal(picked[1], lean[1])
+        calls.clear()
         last = md._hierarchy_walk(params, cfg, table, intra_rows=[-1], inter_rows=[-1])
         assert np.array_equal(last[0], intra_states[-1:]) and np.array_equal(last[2], h_before[-1:])
+        # only the last user's state after its last session is read
+        assert sum(inter_calls()) == sum(oracles.walk_inter_rows(n, reps, u == len(counts) - 1)
+                                         for u, n in enumerate(counts))
 
         # one user: one inter step per slot once a block holds every window
         calls.clear()
@@ -764,7 +782,7 @@ def _check_resume(tmp_path, make_cfg):
                     meta={"epochs_completed": 2, "seed": 5})
     loaded, cfg2, opt2, meta = load_checkpoint(path)
     resumed, stats, _ = train(split, cfg2, epochs=4, seed=meta["seed"],
-                              params=loaded, opt_state=opt2,
+                              params=loaded, opt=md.optimizer(loaded, cfg2, opt2),
                               start_epoch=meta["epochs_completed"] + 1)
     assert [s.epoch for s in stats] == [3, 4]
     for name, t in straight.named().items():
