@@ -1,25 +1,26 @@
 """Minimal reverse-mode autodiff on float64 numpy arrays.
 
 Just enough machinery for the models in this package: dense linear maps
-(`matmul` adds an optional bias in place), a GRU unroll, embedding
-lookups, a row gather, and the output projection fused with its softmax
-cross-entropy, streamed in row blocks that form their gradients in the
-forward pass. Operations record themselves on a Tape; the backward pass
-replays the records in reverse order and accumulates gradients additively
-at fan-out. A tensor keeps its first gradient uncopied when a backward
-allocated it fresh for that input alone, and copies a view or an array
-also handed elsewhere; embedding lookups scatter-add straight into the
-table's `.grad`. A GRU cell is three packed tensors (gate blocks in r, z,
-c order). Its step form, GRUStep, is built once per unroll or walk level:
-the r/z columns of w, b and u halved, and u split by gate into contiguous
-blocks. The step form projects many rows at once, x·w + b with the bias
-included. σ(v) = 0.5·tanh(0.5·v) + 0.5 then starts at the tanh, and
-halving is exact, so the states are those of the unhalved formula bit for
-bit. A whole unroll over packed, step-major rows, each step on a live-row
-prefix, is one record with an analytic backward. Its steps run
-gru_cell_np, the tape-free step kernel on a given projection: two
-matmuls, h·u_rz and (r∘h)·u_c, the gates and the blend h + z∘(c − h),
-which the tape-free walk adds into its running state in place.
+(`matmul` adds its bias in place), a weighted sum of scalar losses, a
+GRU unroll, embedding lookups, a row gather, and the output projection
+fused with its softmax cross-entropy, streamed in row blocks that form
+their gradients in the forward pass. Operations record themselves on a
+Tape; the backward pass replays the records in reverse order and
+accumulates gradients additively at fan-out. A tensor keeps its first
+gradient uncopied when a backward allocated it fresh for that input
+alone, and copies a view or an array also handed elsewhere; embedding
+lookups scatter-add straight into the table's `.grad`. A GRU cell is
+three packed tensors (gate blocks in r, z, c order). Its step form,
+GRUStep, is built once per unroll or walk level: the r/z columns of w, b
+and u halved, and u split by gate into contiguous blocks. The step form
+projects many rows at once, x·w + b with the bias included. σ(v) =
+0.5·tanh(0.5·v) + 0.5 then starts at the tanh, and halving is exact, so
+the states are those of the unhalved formula bit for bit. A whole unroll
+over packed, step-major rows, each step on a live-row prefix, is one
+record with an analytic backward. Its steps run gru_cell_np, the
+tape-free step kernel on a given projection: two matmuls, h·u_rz and
+(r∘h)·u_c, the gates and the blend h + z∘(c − h), which the tape-free
+walk adds into its running state in place.
 """
 
 from __future__ import annotations
@@ -98,51 +99,30 @@ class Tape:
                     tensor.accumulate(g, owned)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `g` down to `shape`, undoing numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # primitive ops
 
 
-def matmul(tape: Tape, a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """a @ b, plus `bias` broadcast over the rows when given."""
+def matmul(tape: Tape, a: Tensor, b: Tensor, bias: Tensor) -> Tensor:
+    """a @ b + bias, the bias broadcast over the rows."""
     av, bv = a.value, b.value
     out = Tensor(av @ bv)
-    if bias is not None:
-        out.value += bias.value
+    out.value += bias.value
 
     def bwd(g):
-        grads = (g @ bv.T, av.T @ g)
-        return grads if bias is None else (*grads, _unbroadcast(g, bias.value.shape))
+        return g @ bv.T, av.T @ g, g.sum(axis=0)
 
-    return tape.record((a, b) if bias is None else (a, b, bias), out, bwd)
-
-
-def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.value + b.value)
-    ash, bsh = a.value.shape, b.value.shape
-
-    def bwd(g):
-        return _unbroadcast(g, ash), _unbroadcast(g, bsh)
-
-    return tape.record((a, b), out, bwd)
+    return tape.record((a, b, bias), out, bwd)
 
 
-def scale(tape: Tape, a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.value * c)
+def weighted_sum(tape: Tape, terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
+    """Σ wᵢ·tᵢ over scalar tensors; term i's gradient is g·wᵢ."""
+    out = Tensor(sum(w * t.value for t, w in zip(terms, weights)))
 
     def bwd(g):
-        return (g * c,)
+        return [g * w for w in weights]
 
-    return tape.record((a,), out, bwd)
+    return tape.record(tuple(terms), out, bwd)
 
 
 def concat(tape: Tape, parts: Sequence[Tensor]) -> Tensor:

@@ -327,8 +327,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, IndexError, OSError, IngestError,
-            TrainingDivergedError) as err:
+    except (ValueError, IndexError, OSError, TrainingDivergedError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

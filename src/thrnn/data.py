@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import operator
 from array import array
 from bisect import bisect_left
@@ -38,8 +39,9 @@ SPLIT_FORMAT_VERSION = 1
 SECONDS_PER_DAY = 86400.0
 
 
-class IngestError(RuntimeError):
-    """Raised when an input file cannot be trusted (too many bad rows, etc.)."""
+class IngestError(ValueError):
+    """Raised when an input file cannot be trusted (too many bad rows, etc.);
+    a ValueError, as is every refusal."""
 
 
 @dataclass
@@ -76,18 +78,6 @@ class UserHistory:
     user_id: str
     user_index: int
     sessions: list[Session]
-
-    def table(self) -> "SessionTable":
-        """The history as a one-user session table."""
-        s = self.sessions
-        return SessionTable(
-            user=np.full(len(s), self.user_index, dtype=np.int64),
-            start=np.array([x.start_time for x in s], dtype=np.float64),
-            end=np.array([x.end_time for x in s], dtype=np.float64),
-            gap=np.array([x.gap_before for x in s], dtype=np.float64),
-            masked=np.array([x.gap_masked for x in s], dtype=bool),
-            lengths=np.array([len(x.items) for x in s], dtype=np.int64),
-            items=np.array([i for x in s for i in x.items], dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -595,7 +585,8 @@ def session_columns(parts: dict, num_items: int, who: str):
     """The sessions of parts, {part name: list of sessions}, one timeline in
     order, as flat lists: the items, the lengths and a list per field of
     start, end, gap and masked. A split's user record passes its train and
-    test parts; a history file passes one part named "" ("session k").
+    test parts; a history file, and predict's hand-built history, one part
+    named "" ("session k").
 
     Reject sessions the model would misread: a session with no items has
     no intra state, numpy takes item -1 as the last embedding row and an
@@ -673,16 +664,17 @@ def _check_sessions(parts: dict, num_items: int, who: str) -> None:
 
 
 def _is_finite(v) -> bool:
-    """An int or float, not a bool, that float64 holds as a finite number."""
+    """A real number, not a bool, that float64 holds as a finite number:
+    an integer too large for a float is refused."""
     try:
-        return type(v) in (int, float) and math.isfinite(v)
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
     except OverflowError:
         return False
 
 
 def _is_int(v) -> bool:
-    """A JSON integer: an int, and not a bool."""
-    return isinstance(v, int) and not isinstance(v, bool)
+    """An integer (a numpy one too), and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _jline(obj) -> str:

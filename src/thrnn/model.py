@@ -42,15 +42,14 @@ import bisect
 import dataclasses
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import point_process as pp
-from .autodiff import (GRUWeights, Tape, Tensor, add, concat, dropout, embedding,
-                       gather_rows, gru_cell, gru_cell_np, masked_softmax_xent, matmul, scale)
-from .data import DatasetSplit, SessionTable, UserHistory
+from .autodiff import (GRUWeights, Tape, Tensor, concat, dropout, embedding, gather_rows,
+                       gru_cell, gru_cell_np, masked_softmax_xent, matmul, weighted_sum)
+from .data import DatasetSplit, SessionTable, UserHistory, _is_finite, _is_int, session_columns
 from .evaluation import EvalReport, build_report, rank_of_target
 from .optim import Adam, ParamGroup
 from .point_process import ExponentOverflowError, QuadratureConfig
@@ -88,15 +87,14 @@ class ModelConfig:
             if not ok:
                 raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
 
-        # types first, so that the range checks below compare numbers
+        # types first, by the split file's number rule, so that the range
+        # checks below compare numbers
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
             if f.type == "int":
-                need(isinstance(v, numbers.Integral) and not isinstance(v, bool),
-                     f.name, "must be an integer")
+                need(_is_int(v), f.name, "must be an integer")
             elif f.type.startswith("float") and v is not None:
-                need(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                     and math.isfinite(v), f.name, "must be a finite real number")
+                need(_is_finite(v), f.name, "must be a finite real number")
         for name in ("item_embedding_dim", "user_embedding_dim", "gap_embedding_dim",
                      "hidden_dim", "num_users", "max_session_reps", "batch_size",
                      "num_gap_buckets", "time_unit", "gap_bucket_bound"):
@@ -471,13 +469,14 @@ def _forward_batch(tape: Tape, params: ModelParams, cfg: ModelConfig,
         # one record, streamed in blocks no larger than one step's (n, items) scores
         total = masked_softmax_xent(tape, states, params.out_w, params.out_b,
                                     examples.items[at + 1], cfg.batch_size)
-        l_rec = scale(tape, total, 1.0 / max(rec_steps, 1))
     else:
-        l_rec = Tensor(np.zeros(()))
+        total = Tensor(np.zeros(()))
 
-    loss = add(tape, scale(tape, l_time, cfg.loss_weight_time),
-               scale(tape, l_rec, cfg.loss_weight_rec))
-    return loss, float(l_time.value), float(l_rec.value), int((~time_masked).sum()), rec_steps
+    per_step = 1.0 / max(rec_steps, 1)
+    loss = weighted_sum(tape, (l_time, total), (cfg.loss_weight_time,
+                                                per_step * cfg.loss_weight_rec))
+    return (loss, float(l_time.value), float(total.value) * per_step,
+            int((~time_masked).sum()), rec_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -618,23 +617,31 @@ class Prediction:
 def predict(history: UserHistory, params: ModelParams, cfg: ModelConfig,
             k: int = 5) -> Prediction:
     """Continuation ranking after the last consumed item, plus the
-    expected gap until the user's next session (in seconds). Non-finite
-    scores or a non-finite gap raise ValueError."""
+    expected gap until the user's next session (in seconds). The sessions
+    must pass the split file's check, data.session_columns, which refuses
+    a bad field by name. Non-finite scores or a non-finite gap raise
+    ValueError."""
     if not history.sessions:
         raise ValueError("need at least one session to predict from")
-    empty = [i for i, s in enumerate(history.sessions) if len(s.items) == 0]
-    if empty:
-        raise ValueError(f"session {empty[0]} field 'items' is empty")
-    if not 0 <= history.user_index < cfg.num_users:
+    if not (_is_int(history.user_index) and 0 <= history.user_index < cfg.num_users):
         raise ValueError(f"user index {history.user_index} outside [0, {cfg.num_users})")
     if not 1 <= k <= cfg.num_items:
         raise ValueError(f"k must lie in [1, {cfg.num_items}]")
-    bad = sorted({int(i) for s in history.sessions for i in s.items
-                  if not 0 <= int(i) < cfg.num_items})
-    if bad:
-        raise IndexError(f"unknown item indices: {bad}")
 
-    intra_states, _, h_before, _ = _hierarchy_walk(params, cfg, history.table(),
+    def plain(v):  # a numpy scalar as the Python value it holds
+        return v.item() if isinstance(v, np.generic) else v
+
+    items, lengths, cols = session_columns({"": [
+        {"items": [plain(i) for i in s.items], "start": plain(s.start_time),
+         "end": plain(s.end_time), "gap": plain(s.gap_before), "masked": plain(s.gap_masked)}
+        for s in history.sessions]}, cfg.num_items, "history")
+    table = SessionTable(user=np.full(len(lengths), history.user_index, dtype=np.int64),
+                         lengths=np.array(lengths, dtype=np.int64),
+                         items=np.array(items, dtype=np.int64),
+                         **{name: np.array(col, dtype=bool if name == "masked" else np.float64)
+                            for name, col in cols.items()})
+
+    intra_states, _, h_before, _ = _hierarchy_walk(params, cfg, table,
                                                    intra_rows=[-1], inter_rows=[-1])
     scores = intra_states[-1] @ params.out_w.value + params.out_b.value
     if not np.isfinite(scores).all():

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (SECONDS_PER_DAY, DatasetSplit, IngestError, SessionTable, _is_finite,
-                   _is_int, _require, build_split)
+from .data import (SECONDS_PER_DAY, DatasetSplit, SessionTable, _is_finite, _is_int,
+                   _require, build_split)
 
 ITEM_SPACING_SECONDS = 30.0
 
@@ -136,11 +136,9 @@ def _coupling_state(k: int, state) -> CouplingState:
     if isinstance(state, CouplingState):
         return state
     what, keys = f"context_coupling state {k}", ("items", "gap_mean_days")
+    _require(state, keys, what, allowed=keys)
     try:
-        _require(state, keys, what, allowed=keys)
         return CouplingState(**state)
-    except IngestError as err:  # a library caller gets the spec's ValueError
-        raise ValueError(str(err)) from None
     except ValueError as err:
         raise ValueError(f"{what}: {err}") from None
 

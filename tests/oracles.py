@@ -1,6 +1,7 @@
 """Reference implementations the tests check the program against.
 
-Nothing in the package calls these: finite-difference gradients, the
+Nothing in the package calls these: finite-difference gradients, a
+weighted total record written apart from the package's weighted_sum, the
 where-form sigmoid and the per-step taped GRU cell that the packed unroll
 replaced (a textbook forward that shares no code with the package's
 step kernel), the step kernel on unhalved weights that the step form
@@ -26,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from thrnn.autodiff import GRUWeights, Tape, Tensor, add, gather_rows, matmul
+from thrnn.autodiff import GRUWeights, Tape, Tensor, gather_rows, matmul
 from thrnn.data import (SECONDS_PER_DAY, SPLIT_FORMAT_VERSION, DatasetSplit,
                         PreprocessConfig, Session, SessionTable, UserHistory, build_split)
 from thrnn.evaluation import (REPORT_FORMAT_VERSION, BucketRow, EvalReport, build_report,
@@ -59,6 +60,19 @@ def fd_gradient(f: Callable[[], float], arr: np.ndarray, eps: float = 1e-5) -> n
         arr[i] = orig
         g[i] = (fp - fm) / (2.0 * eps)
     return g
+
+
+def total(tape: Tape, terms, weights=None) -> Tensor:
+    """Σᵢ Σ (wᵢ ∘ tᵢ) as one scalar record: each weight broadcasts over its
+    term (1 when weights is None), and term i's gradient is g·wᵢ at the
+    term's shape. A reducer for tests, apart from autodiff.weighted_sum."""
+    weights = [1.0] * len(terms) if weights is None else weights
+    out = Tensor(sum(float(np.sum(w * t.value)) for t, w in zip(terms, weights)))
+
+    def bwd(g):
+        return [g * np.broadcast_to(w, t.value.shape) for t, w in zip(terms, weights)]
+
+    return tape.record(tuple(terms), out, bwd)
 
 
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -186,14 +200,13 @@ def masked_softmax_xent(tape: Tape, scores: Tensor, targets: np.ndarray,
 def chunked_softmax_xent(tape: Tape, x: Tensor, w: Tensor, b: Tensor, targets: np.ndarray,
                          block: int) -> Tensor:
     """The fused op's loss as a chain of records: chunks of `block` rows,
-    each gathered, projected, scored and added to the running total."""
-    total = None
+    each gathered, projected and scored, and one total of the pieces."""
+    pieces = []
     for lo in range(0, len(x.value), block):
         part = np.arange(lo, min(lo + block, len(x.value)))
         live = gather_rows(tape, x, part)
-        piece = masked_softmax_xent(tape, matmul(tape, live, w, b), targets[part])
-        total = piece if total is None else add(tape, total, piece)
-    return total
+        pieces.append(masked_softmax_xent(tape, matmul(tape, live, w, b), targets[part]))
+    return total(tape, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -707,10 +720,15 @@ def preprocess_rows(interactions: list[RawInteraction],
 
 def session_table(session_lists, user_indices) -> SessionTable:
     """One table of the timelines session_lists[k] of users user_indices[k]."""
-    tables = [UserHistory("", u, list(sl)).table() for sl, u in zip(session_lists, user_indices)]
-    return SessionTable(*(np.concatenate([getattr(t, f) for t in tables])
-                          for f in ("user", "start", "end", "gap", "masked", "lengths",
-                                    "items")))
+    rows = [(u, s) for sl, u in zip(session_lists, user_indices) for s in sl]
+    return SessionTable(
+        user=np.array([u for u, _ in rows], dtype=np.int64),
+        start=np.array([s.start_time for _, s in rows], dtype=np.float64),
+        end=np.array([s.end_time for _, s in rows], dtype=np.float64),
+        gap=np.array([s.gap_before for _, s in rows], dtype=np.float64),
+        masked=np.array([s.gap_masked for _, s in rows], dtype=bool),
+        lengths=np.array([len(s.items) for _, s in rows], dtype=np.int64),
+        items=np.array([i for _, s in rows for i in s.items], dtype=np.int64))
 
 
 def walk_inter_rows(n: int, reps: int, last_read: bool) -> int:

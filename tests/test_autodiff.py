@@ -37,14 +37,21 @@ def _gradcheck(build, arrays, seed=0, n_points=10, tol=TOL):
 
 
 class TestCoreOps:
-    def test_matmul(self):
-        _gradcheck(lambda tp, ts: _total(tp, ad.matmul(tp, ts[0], ts[1])), [(3, 4), (4, 2)])
+    def test_weighted_sum(self):
+        # scalar terms, one of them read twice: its gradients add
+        def build(tp, ts):
+            terms = [oracles.total(tp, [t]) for t in ts]
+            return ad.weighted_sum(tp, (*terms, terms[0]), (0.45, -2.5, 0.37, 1.5))
 
-    def test_add_broadcast_bias(self):
-        _gradcheck(lambda tp, ts: _total(tp, ad.add(tp, ts[0], ts[1])), [(3, 4), (4,)])
+        _gradcheck(build, [(3, 4), (2,), ()])
 
-    def test_scale(self):
-        _gradcheck(lambda tp, ts: _total(tp, ad.scale(tp, ts[0], -2.5)), [(4, 2)])
+    def test_weighted_sum_is_one_record(self):
+        a, b = ad.Tensor(2.0), ad.Tensor(-3.0)
+        tape = ad.Tape()
+        out = ad.weighted_sum(tape, (a, b), (0.45, 0.5))
+        assert len(tape) == 1 and float(out.value) == 0.45 * 2.0 + 0.5 * -3.0
+        tape.backward(out)
+        assert (float(a.grad), float(b.grad)) == (0.45, 0.5)
 
     def test_concat(self):
         _gradcheck(lambda tp, ts: _total(tp, ad.concat(tp, ts)), [(3, 2), (3, 4), (3, 1)])
@@ -54,12 +61,12 @@ class TestCoreOps:
                    [(3, 4), (4, 5), (5,)])
 
     def test_fanout_accumulates(self):
-        # y = x@x + (x + x): x feeds four inputs, and their grads must sum
+        # Σ(x@x + 0) + Σx + Σx: x feeds four inputs, and their grads must sum
         rng = np.random.default_rng(1)
         x = ad.Tensor(rng.normal(size=(3, 3)))
         tape = ad.Tape()
-        y = ad.add(tape, ad.matmul(tape, x, x), ad.add(tape, x, x))
-        out = _total(tape, y)
+        y = ad.matmul(tape, x, x, ad.Tensor(np.zeros(3)))
+        out = oracles.total(tape, [y, x, x])
         tape.backward(out)
         ones = np.ones((3, 3))
         np.testing.assert_allclose(x.grad, ones @ x.value.T + x.value.T @ ones + 2.0,
@@ -80,14 +87,14 @@ class TestCoreOps:
         np.testing.assert_array_equal(ad.gather_rows(ad.Tape(), a, rows).value, a.value[rows])
 
     def test_no_gradient_aliases_another(self):
-        # x feeds two matmuls; add hands the one g it receives to both of
-        # them, and the embedding table is looked up twice
+        # x feeds two matmuls; a sum record hands the one g it receives to
+        # both of them, and the embedding table is looked up twice
         rng = np.random.default_rng(6)
         x, w1, w2, table = (ad.Tensor(rng.normal(size=s))
                             for s in ((3, 4), (4, 2), (4, 2), (5, 3)))
         tape = ad.Tape()
-        a, b = ad.matmul(tape, x, w1), ad.matmul(tape, x, w2)
-        c = ad.add(tape, a, b)
+        a, b = (ad.matmul(tape, x, w, ad.Tensor(np.zeros(2))) for w in (w1, w2))
+        c = tape.record((a, b), ad.Tensor(a.value + b.value), lambda g: (g, g))
         e = ad.concat(tape, [ad.embedding(tape, table, np.array([0, 2, 0])),
                              ad.embedding(tape, table, np.array([2, 4, 1]))])
         out = _total(tape, ad.concat(tape, [c, e]))
@@ -203,7 +210,7 @@ class TestFusedSoftmaxXent:
         ts = [ad.Tensor(a.copy()) for a in (x, w, b)]
         tape = ad.Tape()
         # a non-unit incoming gradient, so that the backward's scaling counts
-        loss = ad.scale(tape, op(tape, *ts, tgt, block), 0.37)
+        loss = oracles.total(tape, [op(tape, *ts, tgt, block)], [0.37])
         tape.backward(loss)
         return float(loss.value), [t.grad for t in ts], len(tape)
 
@@ -212,7 +219,7 @@ class TestFusedSoftmaxXent:
         args = self._inputs(rows)
         got_loss, got, records = self._loss_and_grads(ad.masked_softmax_xent, *args, 5)
         want_loss, want, _ = self._loss_and_grads(oracles.chunked_softmax_xent, *args, 5)
-        assert records == 2  # the fused op and the scale
+        assert records == 2  # the fused op and the scaling total
         assert got_loss == pytest.approx(want_loss, rel=1e-12)
         for name, a, b in zip(("dx", "dw", "db"), got, want):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
@@ -314,12 +321,12 @@ class TestGRUCell:
         w = _random_gru(rng, 3, 4)
         x = ad.Tensor(rng.normal(size=(sum(live), 3)))
         h0 = ad.Tensor(rng.normal(size=(5, 4)))
-        weights = ad.Tensor(rng.normal(size=(4, 4)))
+        weights = rng.normal(size=4)  # per state column
 
         def build(tp):
             out = ad.gru_cell(tp, x, h0, w, live, last=last)
             assert out.value.shape == ((5, 4) if last else (sum(live), 4))
-            return _total(tp, ad.matmul(tp, out, weights))
+            return oracles.total(tp, [out], [weights])
 
         tape = ad.Tape()
         tape.backward(build(tape))
@@ -336,7 +343,7 @@ class TestGRUCell:
         live = [5, 4, 4, 2, 1]
         x = ad.Tensor(rng.normal(size=(sum(live), 3)))
         h0 = ad.Tensor(rng.normal(size=(6, 4)))
-        weights = ad.Tensor(rng.normal(size=(4, 4)))
+        weights = rng.normal(size=4)  # per state column
         grads = []
         for packed in (True, False):
             tape = ad.Tape()
@@ -351,7 +358,7 @@ class TestGRUCell:
                     out = oracles.gru_cell(tape, step, out, w,
                                            update_mask=(np.arange(6) < k)[:, None])
                     lo += k
-            tape.backward(_total(tape, ad.matmul(tape, out, weights)))
+            tape.backward(oracles.total(tape, [out], [weights]))
             grads.append((out.value.copy(), [p.grad.copy() for p in w.tensors() + [h0]]))
             for p in w.tensors() + [x, h0]:
                 p.zero_grad()
@@ -620,28 +627,11 @@ def _columns(xw):
 
 def _total(tape, t):
     """Reduce to a scalar by summing; weights each element equally."""
-    if t.value.ndim == 0:
-        return t
-    if t.value.ndim == 1:
-        return ad.matmul(tape, ad.Tensor(np.ones((1, t.value.shape[0]))), _vec_to_col(tape, t))
-    ones_r = ad.Tensor(np.ones((1, t.value.shape[0])))
-    ones_c = ad.Tensor(np.ones((t.value.shape[1], 1)))
-    return ad.matmul(tape, ad.matmul(tape, ones_r, t), ones_c)
-
-
-def _vec_to_col(tape, t):
-    # reshape a vector to a column without a dedicated reshape op
-    out = ad.Tensor(t.value[:, None])
-
-    def bwd(g):
-        return (g[:, 0],)
-
-    return tape.record((t,), out, bwd)
+    return oracles.total(tape, [t])
 
 
 def _total_rows(tape, t, row):
     """Sum only one row of a 2-D tensor."""
-    sel = np.zeros((1, t.value.shape[0]))
-    sel[0, row] = 1.0
-    return ad.matmul(tape, ad.matmul(tape, ad.Tensor(sel), t),
-                     ad.Tensor(np.ones((t.value.shape[1], 1))))
+    sel = np.zeros((t.value.shape[0], 1))
+    sel[row] = 1.0
+    return oracles.total(tape, [t], [sel])

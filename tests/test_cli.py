@@ -440,7 +440,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", -0.01), ("learning_rate", float("nan")), ("time_clip_norm", -1),
-        ("batch_size", "100"), ("hidden_dim", 4.5)])
+        ("batch_size", "100"), ("hidden_dim", 4.5),
+        pytest.param("alpha_exp", 10 ** 400, id="alpha_exp-10**400")])
     def test_config_value_that_breaks_training_exits_2(self, ws, tmp_path, capsys, field, value):
         (tmp_path / "cfg.json").write_text(json.dumps({field: value}))
         rc = main(["train", "--split", str(ws / "corpus.split"),
@@ -687,6 +688,17 @@ class TestEvaluate:
         assert (f"'num_users' is {n_users}, but the file holds {n_users - 1} user records"
                 in capsys.readouterr().err)
 
+    def test_checkpoint_config_integer_past_float_range_exits_2(self, ws, tmp_path, capsys):
+        tamper = _edit_header(lambda h: h["config"].update(learning_rate=10 ** 400))
+        (tmp_path / "big.ckpt").write_bytes(tamper((ws / "m2.ckpt").read_bytes()))
+        rc = main(["evaluate", "--checkpoint", str(tmp_path / "big.ckpt"),
+                   "--split", str(ws / "corpus.split"), "--out-dir", str(tmp_path / "r")])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert (f"error: {tmp_path / 'big.ckpt'}: bad config: learning_rate must be a finite "
+                "real number" in err)
+        assert not (tmp_path / "r").exists()
 
     def test_non_finite_model_exits_2_and_writes_nothing(self, ws, tmp_path, capsys):
         # NaN scores are never ahead of the target: unchecked, this model

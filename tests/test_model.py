@@ -4,6 +4,7 @@ training behavior, and prediction contracts."""
 import dataclasses
 import itertools
 import json
+import re
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ from thrnn import model as md
 from thrnn import point_process as pp
 from thrnn import synthetic as sy
 from thrnn.autodiff import GRUWeights, Tape, gru_cell_np
-from thrnn.data import IngestError, Session, UserHistory
+from thrnn.data import Session, UserHistory
 from thrnn.evaluation import mean_gap_report
 from thrnn.model import (ModelConfig, ModelParams, TrainingDivergedError,
                          build_examples, evaluate, predict, train)
@@ -38,6 +39,8 @@ BAD_CONFIGS = [
     ("hidden_dim", 4.5, "must be an integer"),
     ("max_session_reps", True, "must be an integer"),
     ("dropout_rate", "0.1", "must be a finite real number"),
+    # no float holds it
+    pytest.param("alpha_exp", 10 ** 400, "must be a finite real number", id="alpha_exp-10**400"),
 ]
 
 
@@ -667,21 +670,19 @@ def _per_step_forward(tape, params, cfg, examples, index, draws, table):
     time_masked = np.array([ex.time_masked for ex in batch])
     g_alpha = np.array([0.0 if ex.time_masked else ex.gap_target ** cfg.alpha_exp
                         for ex in batch])
-    s = ad.add(tape, ad.matmul(tape, h, params.time_v), params.time_b)
+    s = ad.matmul(tape, h, params.time_v, params.time_b)
     l_time = pp.time_nll(tape, s, params.time_w, g_alpha, masked=time_masked)
-    total = None
+    pieces = []
     for t in range(lens.max()):
         ids = np.array([ex.inputs[t] if t < len(ex.inputs) else 0 for ex in batch])
         tgt = np.array([ex.targets[t] if t < len(ex.targets) else 0 for ex in batch])
         x = drop(ad.embedding(tape, params.item_emb, ids), intra_u, intra_at[t])
         h = oracles.gru_cell(tape, x, h, params.intra)
-        sc = ad.add(tape, ad.matmul(tape, h, params.out_w), params.out_b)
-        piece = oracles.masked_softmax_xent(tape, sc, tgt, masked=lens <= t)
-        total = piece if total is None else ad.add(tape, total, piece)
-    l_rec = ad.scale(tape, total, 1.0 / lens.sum())
-    loss = ad.add(tape, ad.scale(tape, l_time, cfg.loss_weight_time),
-                  ad.scale(tape, l_rec, cfg.loss_weight_rec))
-    return loss, float(l_time.value), float(l_rec.value)
+        sc = ad.matmul(tape, h, params.out_w, params.out_b)
+        pieces.append(oracles.masked_softmax_xent(tape, sc, tgt, masked=lens <= t))
+    loss = oracles.total(tape, [l_time, *pieces], [cfg.loss_weight_time]
+                         + [cfg.loss_weight_rec / lens.sum()] * len(pieces))
+    return loss, float(l_time.value), sum(float(p.value) for p in pieces) / lens.sum()
 
 
 class TestAblationEquivalence:
@@ -873,14 +874,14 @@ class TestTraining:
 
     def test_dropout_draws_only_packed_rows(self):
         # one uniform per packed entry, inter reps then item embeddings, and no
-        # record beyond the 14 a batch makes without dropout (two more with it)
+        # record beyond the 11 a batch makes without dropout (two more with it)
         split = _tiny_corpus(users=12, sessions=8, session_length=(1, 4))
         examples = md.build_examples(split, _train_cfg(split, max_session_reps=3))
         batch = np.random.default_rng(3).permutation(len(examples))[:16]
         reach = np.minimum(examples.slot[batch], 3).sum()
         inputs = (examples.length[batch] - 1).sum()
         assert reach and inputs
-        for rate, records in ((0.0, 14), (0.3, 16)):
+        for rate, records in ((0.0, 11), (0.3, 13)):
             cfg = _train_cfg(split, max_session_reps=3, dropout_rate=rate)
             params = ModelParams.init(cfg, 0)
             table = md._refresh_histories(split, params, cfg)
@@ -1189,7 +1190,8 @@ class TestPredict:
         train, cfg, params = self._setup()
         with pytest.raises(ValueError, match="session"):
             predict(UserHistory("u", 0, []), params, cfg)
-        with pytest.raises(IndexError, match="unknown item"):
+        with pytest.raises(ValueError, match=r"history: field 'items' of session 0 holds 99, "
+                                             r"outside \[0, 8\)"):
             bad = UserHistory("u", 0, [Session(items=[0, 99], start_time=0.0,
                                                end_time=30.0)])
             predict(bad, params, cfg)
@@ -1202,8 +1204,34 @@ class TestPredict:
         train, cfg, params = self._setup()
         sessions = list(train[0].sessions)
         sessions[1] = dataclasses.replace(sessions[1], items=[])
-        with pytest.raises(ValueError, match="session 1 field 'items' is empty"):
+        with pytest.raises(ValueError, match="history: field 'items' of session 1 is empty"):
             predict(UserHistory("u", 0, sessions), params, cfg)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"items": [1.5, 2.9]}, "field 'items' of session 1 holds 1.5, not an integer"),
+        ({"items": [0, True]}, "field 'items' of session 1 holds True, not an integer"),
+        ({"items": [np.bool_(True)]}, "field 'items' of session 1 holds True, not an integer"),
+        ({"gap_before": float("nan")}, "field 'gap' of session 1 is nan, not a finite number"),
+        ({"gap_before": -5.0}, "field 'gap' of session 1 is -5.0, negative"),
+        ({"end_time": -1.0}, "field 'end' of session 1 is -1.0, before its start"),
+    ])
+    def test_history_refused_by_the_split_files_rule(self, change, message):
+        # a hand-built history passes data.session_columns, as a history file
+        # does: no item is cast to an integer and no NaN reaches the walk
+        train, cfg, params = self._setup()
+        sessions = list(train[0].sessions)
+        sessions[1] = dataclasses.replace(sessions[1], **change)
+        with pytest.raises(ValueError, match=re.escape(f"history: {message}")):
+            predict(UserHistory("u", 0, sessions), params, cfg)
+
+    def test_numpy_scalars_are_the_numbers_they_hold(self):
+        train, cfg, params = self._setup()
+        sessions = [dataclasses.replace(s, items=np.array(s.items), start_time=np.float64(
+            s.start_time)) for s in train[0].sessions]
+        got = predict(UserHistory("u", np.int64(0), sessions), params, cfg)
+        want = predict(train[0], params, cfg)
+        assert got.items.tolist() == want.items.tolist()
+        assert got.return_gap_seconds == want.return_gap_seconds
 
     def test_return_time_conditions_on_the_last_window(self):
         # six sessions, window two: the return time reads the inter state
@@ -1322,6 +1350,16 @@ def _edit_header(path, edit):
     edit(header)
     blob = json.dumps(header).encode()
     path.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob + raw[20 + hlen:])
+
+
+def _in_bytes(change):
+    """A tampering that rewrites a checkpoint file's bytes with `change`."""
+    return lambda path: path.write_bytes(change(path.read_bytes()))
+
+
+def _in_header(edit):
+    """A tampering that rewrites a checkpoint file's JSON header with `edit`."""
+    return lambda path: _edit_header(path, edit)
 
 
 class TestCheckpoint:
@@ -1564,9 +1602,43 @@ class TestCheckpoint:
         blob = json.dumps(header).encode()
         path.write_bytes(MAGIC + raw[8:12] + struct.pack("<Q", len(blob)) + blob
                          + raw[20 + hlen:])
-        # a key the config may not hold is refused by data._require's rule, an IngestError
-        with pytest.raises((ValueError, IngestError), match=f"m.ckpt: {message}"):
+        with pytest.raises(ValueError, match=f"m.ckpt: {message}"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_in_bytes(lambda raw: b"NOTACKPT" + raw[8:]), "not a checkpoint file"),
+        (_in_bytes(lambda raw: raw[:15]), "truncated: 15 bytes, under the 20-byte prefix"),
+        (_in_bytes(lambda raw: raw[:8] + (99).to_bytes(4, "little") + raw[12:]),
+         "unsupported checkpoint version 99"),
+        (_in_bytes(lambda raw: raw[:12] + (10 ** 9).to_bytes(8, "little") + raw[20:]),
+         "truncated: a 1000000000-byte header"),
+        (_in_bytes(lambda raw: raw[:20] + b"x" + raw[21:]), "line 1 is not JSON"),
+        (_in_header(lambda h: h.pop("params")), "header has no field 'params'"),
+        (_in_header(lambda h: h["config"].update(colour=1)),
+         "field 'config' has unknown field 'colour'"),
+        (_in_header(lambda h: h.update(params=3)), "field 'params' is 3, not a list"),
+        (_in_header(lambda h: h["params"][0].update(name=5)), "params record 0 has name 5"),
+        (_in_header(lambda h: h["params"][0].update(shape=[1.5])),
+         "not a list of non-negative integers"),
+        (_in_header(lambda h: h["config"].update(alpha_exp=2.0)),
+         "bad config: alpha_exp must lie in (0, 1]"),
+        (_in_header(lambda h: h["params"].pop(0)), "parameter set mismatch"),
+        (_in_bytes(lambda raw: raw + bytes(8)), "trailing bytes"),
+    ])
+    def test_every_refusal_is_a_value_error(self, tmp_path, corrupt, message):
+        # the file's bytes, its header's JSON and keys (data's IngestError),
+        # the manifest and the config: one except clause catches them all
+        from thrnn.checkpoint import load_checkpoint, save_checkpoint
+        cfg = _cfg()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), _rand_params(cfg), cfg)
+        corrupt(path)
+        try:
+            load_checkpoint(str(path))
+        except ValueError as err:
+            assert str(err).startswith(f"{path}: ") and message in str(err), err
+        else:
+            raise AssertionError("load_checkpoint accepted a corrupt file")
 
     @pytest.mark.parametrize("field, value, rule", BAD_CONFIGS)
     def test_rejects_config_values_that_break_training(self, tmp_path, field, value, rule):
