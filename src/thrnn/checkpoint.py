@@ -52,7 +52,7 @@ from .data import IngestError, _json_line, _require
 from .model import ModelConfig, ModelParams
 
 MAGIC = b"THRNCKPT"
-FORMAT_VERSION = 3  # 3: packed [r|z|c] GRU weights (2: nine per-gate tensors)
+FORMAT_VERSION = 4  # 4: a config of numbers (3: time_unit, gap_bucket_*; 2: per-gate GRU)
 PAYLOAD_ALIGN = 64
 
 

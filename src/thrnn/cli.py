@@ -10,10 +10,12 @@ Five subcommands cover the whole workflow:
 
 Every command writes machine-parseable JSON lines to stdout (each record
 carries a "kind" field) and returns exit code 0 on success, 2 on any
-recognized error. Configuration is validated before any data is read.
-This module decodes no file: data reads them, and refuses each JSON
-object input by one rule, data._require, naming file and field. Values
-are checked by ModelConfig, SynthSpec and data.session_columns.
+recognized error. `thrnn train` sets each ModelConfig field but the
+split's num_items and num_users by one flag of the field's own name, and
+the config is validated before any data is read. This module decodes no
+file: data reads them, and refuses each JSON object input by one rule,
+data._require, naming file and field. Values are checked by ModelConfig,
+SynthSpec and data.session_columns.
 """
 
 from __future__ import annotations
@@ -30,14 +32,13 @@ from . import data, evaluation, model, synthetic
 from .data import SECONDS_PER_DAY, IngestError, _is_int
 from .hawkes import FitConfig
 from .model import TrainingDivergedError
+from .point_process import QUADRATURE
 
-# ModelConfig's int and float fields, each set by a flag of the same name;
-# the split sets num_items and num_users, --gap-bucket-days gap_bucket_bound
+# every ModelConfig field but the split's num_items and num_users, each set
+# by the one flag of its own name
 _FLAG_FIELDS = [(f.name, {"int": int, "float": float}[f.type])
-                for f in dataclasses.fields(model.ModelConfig) if f.type in ("int", "float")
-                and f.name not in ("num_items", "num_users", "gap_bucket_bound")]
-_CONFIG_FIELDS = ({f.name for f in dataclasses.fields(model.ModelConfig)}
-                  - {"num_items", "num_users"})
+                for f in dataclasses.fields(model.ModelConfig)
+                if f.name not in ("num_items", "num_users")]
 
 BASELINE_MODELS = ("hawkes_short", "hawkes_long", "mean_gap", "popularity")
 
@@ -47,40 +48,15 @@ BASELINE_MODELS = ("hawkes_short", "hawkes_long", "mean_gap", "popularity")
 
 
 def _add_model_flags(sp: argparse.ArgumentParser) -> None:
-    g = sp.add_argument_group(
-        "model configuration",
-        "defaults come from ModelConfig; a --config file is applied first "
-        "and explicit flags win")
-    g.add_argument("--config", metavar="JSON",
-                   help="JSON object of ModelConfig fields")
-    g.add_argument("--time-clip-norm", type=float,
-                   help="gradient-norm cap for the time head; 0 disables")
-    g.add_argument("--gap-bucket-days", type=float,
-                   help="upper edge of the last inter-session gap bucket")
-    g.add_argument("--gap-bucket-scheme", choices=("uniform", "log"))
+    g = sp.add_argument_group("model configuration", "defaults come from ModelConfig")
     for name, typ in _FLAG_FIELDS:
         g.add_argument("--" + name.replace("_", "-"), type=typ)
 
 
 def _config_values(args) -> dict:
-    """Collect ModelConfig overrides from --config and flags, flags winning.
-
-    The config file may hold any ModelConfig field but num_items and
-    num_users, which always come from the split.
-    """
-    values = data.read_json_object(args.config, allowed=_CONFIG_FIELDS) if args.config else {}
-    for name, _ in _FLAG_FIELDS:
-        v = getattr(args, name)
-        if v is not None:
-            values[name] = v
-    if args.time_clip_norm is not None:
-        values["time_clip_norm"] = (args.time_clip_norm
-                                    if args.time_clip_norm > 0 else None)
-    if args.gap_bucket_days is not None:
-        values["gap_bucket_bound"] = args.gap_bucket_days * SECONDS_PER_DAY
-    if args.gap_bucket_scheme is not None:
-        values["gap_bucket_scheme"] = args.gap_bucket_scheme
-    return values
+    """The ModelConfig fields the command line sets."""
+    return {name: getattr(args, name) for name, _ in _FLAG_FIELDS
+            if getattr(args, name) is not None}
 
 
 def _check_split_matches(split: data.DatasetSplit, cfg: model.ModelConfig,
@@ -143,7 +119,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     if args.resume:
-        if args.config or _config_values(args) or args.seed is not None:
+        if _config_values(args) or args.seed is not None:
             raise ValueError("--resume reads config and seed from the "
                              "checkpoint; drop the config and seed flags")
         params, cfg, opt_state, meta = ckpt.load_checkpoint(args.resume)
@@ -198,8 +174,7 @@ def model_report(name: str, params, cfg, split) -> evaluation.EvalReport:
         return evaluation.popularity_report(split)
     fit = (FitConfig(window="last_k", last_k=cfg.max_session_reps)
            if name == "hawkes_short" else FitConfig(window="full"))
-    return evaluation.hawkes_report(split, fit, cfg.quadrature(),
-                                    time_unit=cfg.time_unit)
+    return evaluation.hawkes_report(split, fit, QUADRATURE)
 
 
 def cmd_evaluate(args) -> int:

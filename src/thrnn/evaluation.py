@@ -183,8 +183,7 @@ def popularity_report(split: DatasetSplit) -> EvalReport:
     return build_report("popularity", ranks, [], [])
 
 
-def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig,
-                  time_unit: float = SECONDS_PER_DAY) -> EvalReport:
+def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig) -> EvalReport:
     """Hawkes fits on the train events of every user with a test gap, all in
     one batched call; predictions teacher-forced over the test walk, one
     pass over each user's timeline, and one quadrature call over the scored
@@ -196,16 +195,16 @@ def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig,
     t = split.sessions
     scored, means, overall = _gap_events(split)
     # a mean gap that is missing or 0 gives no rate: fall back to the split's, then to 1
-    global_rate = time_unit / overall if overall else 1.0
+    global_rate = SECONDS_PER_DAY / overall if overall else 1.0
     users, bounds = np.unique(t.user[scored]).tolist(), split.user_offsets()
     times, histories, rates, at = [], [], [], []
     for u in users:
         lo, cut, hi = bounds[u], bounds[u] + split.train_counts[u], bounds[u + 1]
         sitting = ~t.masked[lo:hi]
-        times.append(t.start[lo:hi][sitting] / time_unit)
+        times.append(t.start[lo:hi][sitting] / SECONDS_PER_DAY)
         histories.append(times[-1][:np.count_nonzero(sitting[:cut - lo])])
-        rates.append(time_unit / float(means[u]) if means[u] > 0 else global_rate)
+        rates.append(SECONDS_PER_DAY / float(means[u]) if means[u] > 0 else global_rate)
         at.append((np.cumsum(sitting) - 1)[scored[lo:hi]])  # sittings before each scored gap
-    preds = hawkes_predict_next(times, fit(histories, cfg, rates), q, at) * time_unit
+    preds = hawkes_predict_next(times, fit(histories, cfg, rates), q, at) * SECONDS_PER_DAY
     name = "hawkes_short" if cfg.window == "last_k" else "hawkes_long"
     return build_report(name, [], preds, t.gap[scored])

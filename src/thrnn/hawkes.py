@@ -16,8 +16,8 @@ state, and hands the next gap's closed-form compensator after the prefixes
 asked for, of every user, to one point_process.truncated_mean call, the
 rule the neural time head uses.
 
-All times are in model units (the same normalization the neural time
-head uses, days by default), so MAE numbers are directly comparable.
+All times are in days, as in the neural time head, and read out to the
+same horizon, so MAE numbers are directly comparable.
 The exact intensity, the one-user likelihood loop and the thinning sampler
 that the tests check the fit and the predictor against are in tests/oracles.py.
 """

@@ -49,10 +49,11 @@ import numpy as np
 from . import point_process as pp
 from .autodiff import (GRUWeights, Tape, Tensor, concat, dropout, embedding, gather_rows,
                        gru_cell, gru_cell_np, masked_softmax_xent, matmul, weighted_sum)
-from .data import DatasetSplit, SessionTable, UserHistory, _is_finite, _is_int, session_columns
+from .data import (SECONDS_PER_DAY, DatasetSplit, SessionTable, UserHistory, _is_finite, _is_int,
+                   session_columns)
 from .evaluation import EvalReport, build_report, rank_of_target
 from .optim import Adam, ParamGroup
-from .point_process import ExponentOverflowError, QuadratureConfig
+from .point_process import ExponentOverflowError
 
 
 class TrainingDivergedError(RuntimeError):
@@ -75,11 +76,8 @@ class ModelConfig:
     batch_size: int = 100
     learning_rate: float = 1e-3
     learning_rate_time: float = 1e-4
-    time_clip_norm: float | None = 5.0
-    time_unit: float = 86400.0
-    gap_bucket_bound: float = 30 * 86400.0
-    num_gap_buckets: int = 30
-    gap_bucket_scheme: str = "uniform"
+    time_clip_norm: float = 5.0
+    num_gap_buckets: int = 30  # splitting [0, pp.HORIZON_DAYS] evenly
 
     def __post_init__(self):
         # every message names its field: a checkpoint's config is checked here
@@ -93,41 +91,31 @@ class ModelConfig:
             v = getattr(self, f.name)
             if f.type == "int":
                 need(_is_int(v), f.name, "must be an integer")
-            elif f.type.startswith("float") and v is not None:
+            else:
                 need(_is_finite(v), f.name, "must be a finite real number")
         for name in ("item_embedding_dim", "user_embedding_dim", "gap_embedding_dim",
                      "hidden_dim", "num_users", "max_session_reps", "batch_size",
-                     "num_gap_buckets", "time_unit", "gap_bucket_bound"):
+                     "num_gap_buckets", "time_clip_norm"):
             need(getattr(self, name) > 0, name, "must be positive")
         need(self.num_items >= 2, "num_items", "must be >= 2")
         for name in ("loss_weight_time", "loss_weight_rec", "learning_rate",
                      "learning_rate_time"):
             need(getattr(self, name) >= 0, name, "must be non-negative")
-        need(self.time_clip_norm is None or self.time_clip_norm > 0, "time_clip_norm",
-             "must be None or positive")
-        need(0.0 < self.alpha_exp <= 1.0, "alpha_exp", "must lie in (0, 1]")
+        # below 0.3 the read-out misses 1e-6 relative at minute-scale gaps
+        need(0.3 <= self.alpha_exp <= 1.0, "alpha_exp", "must lie in [0.3, 1]")
         need(0.0 <= self.dropout_rate < 1.0, "dropout_rate", "must lie in [0, 1)")
-        need(self.gap_bucket_scheme in ("uniform", "log"), "gap_bucket_scheme",
-             "must be 'uniform' or 'log'")
 
     @property
     def rep_dim(self) -> int:
         return self.hidden_dim + self.gap_embedding_dim + self.user_embedding_dim
 
     def gap_buckets(self, gaps) -> np.ndarray:
-        """Monotone discretization of gap seconds into [0, num_gap_buckets)."""
-        g = np.asarray(gaps, dtype=np.float64)
+        """Gap seconds into [0, num_gap_buckets), even up to the horizon."""
+        g, bound = np.asarray(gaps, dtype=np.float64), pp.HORIZON_DAYS * SECONDS_PER_DAY
         if np.any(g < 0):
             raise ValueError(f"negative gap {g.min()}")
-        g = np.minimum(g, self.gap_bucket_bound)
-        if self.gap_bucket_scheme == "uniform":
-            frac = g / self.gap_bucket_bound
-        else:
-            frac = np.log1p(g) / math.log1p(self.gap_bucket_bound)
+        frac = np.minimum(g, bound) / bound
         return np.minimum(self.num_gap_buckets - 1, (frac * self.num_gap_buckets).astype(np.int64))
-
-    def quadrature(self) -> QuadratureConfig:
-        return QuadratureConfig(cutoff=self.gap_bucket_bound / self.time_unit)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +204,7 @@ class Examples:
     user: np.ndarray
     offset: np.ndarray
     length: np.ndarray
-    gap: np.ndarray  # gap target in model time units (seconds / time_unit)
+    gap: np.ndarray  # gap target in days
     time_masked: np.ndarray
     items: np.ndarray
 
@@ -239,7 +227,7 @@ def build_examples(split: DatasetSplit, cfg: ModelConfig) -> Examples:
     return Examples(row=np.cumsum(train)[rows] - 1,
                     slot=rows - split.user_offsets()[t.user[rows]], user=t.user[rows],
                     offset=t.offsets()[rows], length=t.lengths[rows],
-                    gap=t.gap[rows] / cfg.time_unit, time_masked=time_masked[rows],
+                    gap=t.gap[rows] / SECONDS_PER_DAY, time_masked=time_masked[rows],
                     items=t.items)
 
 
@@ -583,8 +571,8 @@ def train(split: DatasetSplit, cfg: ModelConfig, epochs: int, seed: int,
 def _return_seconds(params: ModelParams, cfg: ModelConfig, h: np.ndarray) -> np.ndarray:
     """Expected seconds to the next session after inter state(s) h; refuses non-finite."""
     s = h @ params.time_v.value[:, 0] + params.time_b.value[0]
-    gaps = pp.expected_return_time_from_s(s, float(params.time_w.value), cfg.quadrature(),
-                                          cfg.alpha_exp) * cfg.time_unit
+    gaps = pp.expected_return_time_from_s(s, float(params.time_w.value), pp.QUADRATURE,
+                                          cfg.alpha_exp) * SECONDS_PER_DAY
     if not np.isfinite(gaps).all():
         raise ValueError("the model's expected return time is not finite")
     return gaps
@@ -623,7 +611,9 @@ def predict(history: UserHistory, params: ModelParams, cfg: ModelConfig,
     ValueError."""
     if not history.sessions:
         raise ValueError("need at least one session to predict from")
-    if not (_is_int(history.user_index) and 0 <= history.user_index < cfg.num_users):
+    if not _is_int(history.user_index):
+        raise ValueError(f"user_index is {history.user_index!r:.80}, not an integer")
+    if not 0 <= history.user_index < cfg.num_users:
         raise ValueError(f"user index {history.user_index} outside [0, {cfg.num_users})")
     if not 1 <= k <= cfg.num_items:
         raise ValueError(f"k must lie in [1, {cfg.num_items}]")

@@ -1,7 +1,7 @@
 """Return-time model: intensity, compensator, loss, expectation.
 
-The head models x = g^alpha, g the gap in model units (days by default).
-Its intensity given the inter-session state h, and the compensator, are
+The head models x = g^alpha, g the gap in days. Its intensity given the
+inter-session state h, and the compensator, are
 
     lam(x) = exp(s + w*x),   Lam(x) = exp(s) * expm1(w*x) / w,   s = v . h + b
 
@@ -10,11 +10,12 @@ exponential-distribution branch, Lam(x) = exp(s) * x. The expm1 form
 keeps small |w| numerically exact. For w < 0 the density is defective:
 total mass 1 - exp(exp(s)/w) < 1, some probability "never returns".
 
-The head's functions take gaps in model units and s = v.h + b, never h,
-and apply alpha here alone, so training and every report read one
-transform. Return times come from truncated_mean, one rule over any
-compensator, which the Hawkes baseline shares. time_nll at the bottom is
-the taped training op, with analytic gradients. The log density, CDF and
+The head's functions take gaps in days and s = v.h + b, never h, and
+apply alpha here alone, so training and every report read one transform.
+Return times come from truncated_mean, one rule over any compensator,
+which the Hawkes baseline shares, up to HORIZON_DAYS, QUADRATURE's
+cutoff, where the gap buckets end too. time_nll at the bottom is the
+taped training op, with analytic gradients. The log density, CDF and
 quantile function the tests check these against are in tests/oracles.py.
 """
 
@@ -53,6 +54,10 @@ class QuadratureConfig:
             raise ValueError("cutoff must be positive")
 
 
+HORIZON_DAYS = 30.0  # return times are read out, and gaps bucketed, up to here
+QUADRATURE = QuadratureConfig(cutoff=HORIZON_DAYS)
+
+
 def _check_exponent(x) -> None:
     if np.any(np.asarray(x) > MAX_EXPONENT):
         raise ExponentOverflowError(
@@ -78,7 +83,7 @@ def truncated_mean(compensator: Callable[[np.ndarray], np.ndarray],
 
 def expected_return_time_from_s(s, w: float, q: QuadratureConfig,
                                 alpha: float = 1.0) -> np.ndarray:
-    """E[g; g < cutoff] in model units for each s = v.h + b: the gap's
+    """E[g; g < cutoff] in days for each s = v.h + b: the gap's
     compensator is Lam(t^alpha). No renormalization: the truncated tail is
     treated as negligible, so pick the cutoff to hold >= 99.9% of the mass."""
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
@@ -100,7 +105,7 @@ def time_nll(tape: Tape, s: Tensor, w: Tensor, gaps: np.ndarray, alpha: float = 
 
     s is the (B, 1) linear part v.h + b built from taped ops, so its
     gradient flows back into v, b and the hidden states; w is the scalar
-    decay Tensor. gaps are in model units, and g below is gap^alpha.
+    decay Tensor. gaps are in days, and g below is gap^alpha.
     Masked rows contribute nothing to the value or any gradient.
 
     Per row (exact branch):   nll = -(s + w*g) + exp(s) * expm1(w*g) / w

@@ -835,7 +835,7 @@ class TrainingExample:
     row: int  # its session's row in the history table; history is the rows before
     inputs: np.ndarray  # items[:-1], consumed step by step
     targets: np.ndarray  # items[1:], one label per consumed step
-    gap_target: float  # model time units (seconds / time_unit)
+    gap_target: float  # days
     time_masked: bool
 
 
@@ -855,7 +855,7 @@ def build_examples(split: DatasetSplit, cfg) -> list[TrainingExample]:
                 user_index=hist.user_index, slot=j, row=row + j,
                 inputs=np.asarray(s.items[:-1], dtype=np.int64),
                 targets=np.asarray(s.items[1:], dtype=np.int64),
-                gap_target=s.gap_before / cfg.time_unit,
+                gap_target=s.gap_before / SECONDS_PER_DAY,
                 time_masked=time_masked))
         row += len(hist.sessions)
     if not examples:
@@ -940,29 +940,29 @@ def popularity_report(split: DatasetSplit) -> EvalReport:
     return build_report("popularity", ranks, [], [])
 
 
-def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig,
-                  time_unit: float = SECONDS_PER_DAY) -> EvalReport:
+def hawkes_report(split: DatasetSplit, cfg: FitConfig, q: QuadratureConfig) -> EvalReport:
     """Hawkes fits on the train events of every user with a test gap, all in
     one batched call; predictions teacher-forced over the test walk."""
     all_train = [s.gap_before for u in histories(split)[0]
                  for s in u.sessions[1:] if not s.gap_masked]
     # a train gap mean of 0 gives no rate, like no train gap at all
     overall = float(np.mean(all_train)) if all_train else 0.0
-    global_rate = time_unit / overall if overall > 0 else 1.0
+    global_rate = SECONDS_PER_DAY / overall if overall > 0 else 1.0
     gaps = list(iter_test_gaps(split))
     users, histories_, rates = [], [], []
     for tr, te in zip(*histories(split)):
         if any(row[0] == tr.user_index for row in gaps):
             events, train_gaps = _train_events(tr)
             users.append(tr.user_index)
-            histories_.append(np.asarray(events, dtype=np.float64) / time_unit)
+            histories_.append(np.asarray(events, dtype=np.float64) / SECONDS_PER_DAY)
             mean = float(np.mean(train_gaps)) if train_gaps else 0.0
-            rates.append(time_unit / mean if mean > 0 else global_rate)
+            rates.append(SECONDS_PER_DAY / mean if mean > 0 else global_rate)
     params_by_user = dict(zip(users, fit(histories_, cfg, rates)))
     preds, targets = [], []
     for user, gap, events, _ in gaps:
-        history = np.asarray(events, dtype=np.float64) / time_unit
-        preds.append(hawkes_predict_next([history], [params_by_user[user]], q, [[-1]])[0] * time_unit)
+        history = np.asarray(events, dtype=np.float64) / SECONDS_PER_DAY
+        preds.append(hawkes_predict_next([history], [params_by_user[user]], q, [[-1]])[0]
+                     * SECONDS_PER_DAY)
         targets.append(gap)
     name = "hawkes_short" if cfg.window == "last_k" else "hawkes_long"
     return build_report(name, [], preds, targets)

@@ -267,7 +267,7 @@ def test_criterion_6_joint_model_beats_hawkes_and_mean_gap():
         maes["thrnn"].append(evaluate(params, cfg, split).overall_mae_days)
         maes["hawkes_short"].append(
             hawkes_report(split, FitConfig(window="last_k", last_k=15),
-                          cfg.quadrature()).overall_mae_days)
+                          pp.QUADRATURE).overall_mae_days)
         maes["mean_gap"].append(mean_gap_report(split).overall_mae_days)
     ours = float(np.mean(maes["thrnn"]))
     hk = float(np.mean(maes["hawkes_short"]))

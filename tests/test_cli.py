@@ -3,6 +3,7 @@ through main() the way a shell would, and stdout is parsed as JSON."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
@@ -17,6 +18,7 @@ from thrnn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from thrnn.cli import main
 from thrnn import synthetic
 from thrnn.data import IngestError, Session, UserHistory, load_history, load_split, save_split
+from thrnn.model import ModelConfig
 
 from oracles import histories, load_report, split_from_histories
 
@@ -414,42 +416,38 @@ class TestTrain:
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "x.ckpt").exists()
 
-    def test_invalid_config_fails_before_reading_split(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha-exp", "0.0", "alpha_exp must lie in [0.3, 1], got 0.0"),
+        ("--alpha-exp", "0.29", "alpha_exp must lie in [0.3, 1], got 0.29"),
+        ("--time-clip-norm", "0", "time_clip_norm must be positive, got 0.0"),
+    ])
+    def test_invalid_config_fails_before_reading_split(self, tmp_path, capsys, flag, value,
+                                                       message):
         rc = main(["train", "--split", str(tmp_path / "no_such.split"),
-                   "--out", str(tmp_path / "x.ckpt"), "--epochs", "1",
-                   "--alpha-exp", "0.0"])
+                   "--out", str(tmp_path / "x.ckpt"), "--epochs", "1", flag, value])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert "alpha_exp" in err and "no_such" not in err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_config_file_unknown_key_rejected(self, ws, tmp_path, capsys):
-        (tmp_path / "cfg.json").write_text(json.dumps({"hiden_dim": 8}))
-        rc = main(["train", "--split", str(ws / "corpus.split"),
-                   "--out", str(tmp_path / "x.ckpt"), "--epochs", "1",
-                   "--config", str(tmp_path / "cfg.json")])
-        assert rc == 2
-        assert "hiden_dim" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--config", "--time-unit", "--gap-bucket-days",
+                                      "--gap-bucket-scheme"])
+    def test_removed_flag_is_an_unknown_argument(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exit_:
+            main(["train", "--split", str(tmp_path / "s.split"),
+                  "--out", str(tmp_path / "x.ckpt"), "--epochs", "1", flag, "1"])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
-    def test_config_file_that_is_not_json_names_file_and_line(self, ws, tmp_path, capsys):
-        (tmp_path / "cfg.json").write_text('{"hidden_dim": 8,\n')
-        rc = main(["train", "--split", str(ws / "corpus.split"),
-                   "--out", str(tmp_path / "x.ckpt"), "--epochs", "1",
-                   "--config", str(tmp_path / "cfg.json")])
-        assert rc == 2
-        assert f"{tmp_path / 'cfg.json'}: line 1 is not JSON" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("field, value", [
-        ("learning_rate", -0.01), ("learning_rate", float("nan")), ("time_clip_norm", -1),
-        ("batch_size", "100"), ("hidden_dim", 4.5),
-        pytest.param("alpha_exp", 10 ** 400, id="alpha_exp-10**400")])
-    def test_config_value_that_breaks_training_exits_2(self, ws, tmp_path, capsys, field, value):
-        (tmp_path / "cfg.json").write_text(json.dumps({field: value}))
-        rc = main(["train", "--split", str(ws / "corpus.split"),
-                   "--out", str(tmp_path / "x.ckpt"), "--epochs", "1",
-                   "--config", str(tmp_path / "cfg.json")])
-        assert rc == 2
-        assert f"error: {field} must be" in capsys.readouterr().err
-        assert not (tmp_path / "x.ckpt").exists()
+    def test_model_flags_are_model_config_fields(self, capsys):
+        # one --dashed-name flag per field the split does not set, each a number
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        help_text = capsys.readouterr().out
+        section = help_text[help_text.index("model configuration:"):]
+        flags = [tok for tok in section.split() if tok.startswith("--")]
+        fields = dataclasses.fields(ModelConfig)
+        assert flags == ["--" + f.name.replace("_", "-") for f in fields
+                         if f.name not in ("num_items", "num_users")]
+        assert all(f.type in ("int", "float") for f in fields)
 
     def test_negative_learning_rate_flag_exits_2(self, ws, tmp_path, capsys):
         # gradient ascent: the loss would rise while the run exits 0
@@ -458,19 +456,6 @@ class TestTrain:
                    "--learning-rate", "-0.01", *TINY_FLAGS])
         assert rc == 2
         assert "learning_rate must be non-negative" in capsys.readouterr().err
-
-    def test_flags_override_config_file(self, ws, tmp_path, capsys):
-        (tmp_path / "cfg.json").write_text(json.dumps(
-            {"hidden_dim": 16, "item_embedding_dim": 6, "user_embedding_dim": 3,
-             "gap_embedding_dim": 2, "batch_size": 16,
-             "num_gap_buckets": 6}))
-        assert main(["train", "--split", str(ws / "corpus.split"),
-                     "--out", str(tmp_path / "x.ckpt"), "--epochs", "1",
-                     "--config", str(tmp_path / "cfg.json"),
-                     "--hidden-dim", "8"]) == 0
-        _, cfg, _, _ = load_checkpoint(str(tmp_path / "x.ckpt"))
-        assert cfg.hidden_dim == 8
-        assert cfg.item_embedding_dim == 6
 
     def test_mistyped_split_field_exits_2(self, ws, tmp_path, capsys):
         # item 1.5 would be truncated to item 1 by the embedding lookup
@@ -975,8 +960,6 @@ _NOT_UTF8 = {
     "split": (["train", "--split", "{bad}", "--out", "{tmp}/x.ckpt", "--epochs", "1"], 3),
     "history": (["predict", "--checkpoint", "{ws}/m2.ckpt", "--history", "{bad}"], 1),
     "checkpoint": (["predict", "--checkpoint", "{bad}", "--history", "{tmp}/h.json"], 1),
-    "config": (["train", "--split", "{ws}/corpus.split", "--out", "{tmp}/x.ckpt",
-                "--epochs", "1", "--config", "{bad}"], 2),
     "spec": (["synth", "--spec", "{bad}", "--output", "{tmp}/c.split"], 2),
 }
 
@@ -992,7 +975,6 @@ def test_input_that_is_not_utf8_names_file_and_line(ws, tmp_path, capsys, case):
         "history": (tmp_path / "h.json").read_bytes().replace(
             b'"sessions"', b'"user_id": "\xff", "sessions"'),
         "checkpoint": bytes(ckpt),
-        "config": b'{"hidden_dim": 8,\n "time_unit": "\xff"}',
         "spec": (ws / "spec.json").read_bytes() + b"\n\xff",
     }[case]
     (tmp_path / "bad").write_bytes(bad)
@@ -1087,8 +1069,6 @@ def _with(**fields):
 # it, {out} the file the command would write); a checkpoint's config and its
 # training record are read by `train --resume`
 _OBJECT_COMMANDS = {
-    "config": ["train", "--split", "{ws}/corpus.split", "--out", "{out}", "--epochs", "1",
-               "--config", "{bad}"],
     "spec": ["synth", "--spec", "{bad}", "--output", "{out}"],
     "history": ["predict", "--checkpoint", "{ws}/m2.ckpt", "--history", "{bad}"],
     "checkpoint config": ["train", "--split", "{ws}/corpus.split", "--out", "{out}",
@@ -1096,13 +1076,9 @@ _OBJECT_COMMANDS = {
 }
 _OBJECT_COMMANDS["checkpoint meta"] = _OBJECT_COMMANDS["checkpoint config"]
 
-# each malformed object: (input, edit of a good one, message). A --config
-# file has no required field, and a history or training record may hold
-# more keys than it reads.
+# each malformed object: (input, edit of a good one, message). A history
+# or training record may hold more keys than it reads.
 _BAD_OBJECTS = {
-    "config-not-object": ("config", lambda o: [1], "{bad} is [1], not an object"),
-    "config-unknown": ("config", _with(hiden_dim=8), "{bad} has unknown field 'hiden_dim'"),
-    "config-split-count": ("config", _with(num_items=5), "{bad} has unknown field 'num_items'"),
     "spec-not-object": ("spec", lambda o: [1], "{bad} is [1], not an object"),
     "spec-missing": ("spec", _without("gap_mixture"), "{bad} has no field 'gap_mixture'"),
     "spec-unknown": ("spec", _with(sesion_length=[3, 5]),
@@ -1140,7 +1116,7 @@ def test_object_input_refused_by_one_rule(ws, tmp_path, capsys, case):
             (ws / "m2.ckpt").read_bytes()))
     else:
         TestPredict._history(tmp_path / "h.json")
-        good = {"config": {"hidden_dim": 8}, "spec": json.loads((ws / "spec.json").read_text()),
+        good = {"spec": json.loads((ws / "spec.json").read_text()),
                 "history": json.loads((tmp_path / "h.json").read_text())}[what]
         bad.write_text(json.dumps(edit(good)))
     out_file = tmp_path / "out"

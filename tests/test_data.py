@@ -270,39 +270,29 @@ class TestColumnarMatchesRowChain:
 
 
 class TestGapBuckets:
-    def _cfg(self, bound=86400, buckets=24, scheme="uniform"):
-        return ModelConfig(num_items=2, num_users=1, gap_bucket_bound=bound,
-                           num_gap_buckets=buckets, gap_bucket_scheme=scheme)
+    def _cfg(self, buckets=30):
+        return ModelConfig(num_items=2, num_users=1, num_gap_buckets=buckets)
 
     def test_frozen_examples(self):
+        # even buckets over the 30-day horizon; longer gaps share the last
         cfg = self._cfg()
-        assert cfg.gap_buckets(19800) == 5
-        assert cfg.gap_buckets(200000) == 23
+        assert cfg.gap_buckets(5.5 * 86400) == 5
+        assert cfg.gap_buckets(200 * 86400) == 29
         assert cfg.gap_buckets(0) == 0
-        assert cfg.gap_buckets([0, 19800, 200000]).tolist() == [0, 5, 23]
+        assert cfg.gap_buckets([0, 5.5 * 86400, 200 * 86400]).tolist() == [0, 5, 29]
+        assert self._cfg(buckets=10).gap_buckets([2.99 * 86400, 3 * 86400]).tolist() == [0, 1]
 
-    def test_log_scheme(self):
-        b = self._cfg(buckets=10, scheme="log")
-        assert b.gap_buckets(0) == 0
-        assert b.gap_buckets(86400) == 9
-        # log scheme spreads small gaps across more buckets than uniform
-        u = self._cfg(buckets=10)
-        assert b.gap_buckets(600) > u.gap_buckets(600)
-
-    @given(st.floats(min_value=0, max_value=1e7), st.floats(min_value=0, max_value=1e7),
-           st.sampled_from(["uniform", "log"]))
+    @given(st.floats(min_value=0, max_value=1e7), st.floats(min_value=0, max_value=1e7))
     @settings(max_examples=200, deadline=None)
-    def test_monotone(self, g1, g2, scheme):
-        b = self._cfg(buckets=17, scheme=scheme)
+    def test_monotone(self, g1, g2):
+        b = self._cfg(buckets=17)
         lo, hi = sorted((g1, g2))
         assert b.gap_buckets(lo) <= b.gap_buckets(hi)
         assert 0 <= b.gap_buckets(lo) < 17
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            self._cfg(bound=0)
-        with pytest.raises(ValueError):
-            self._cfg(scheme="quadratic")
+            self._cfg(buckets=0)
         with pytest.raises(ValueError):
             self._cfg().gap_buckets(-1.0)
 

@@ -445,7 +445,7 @@ class TestHawkesWalkIsLinear:
             split = _mk_split([(gaps[:int(0.8 * n) - 1], gaps[int(0.8 * n) - 1:])])
             work[n] = {"walk_rows": 0, "rank_rows": 0, "nodes": 0}
             md.evaluate(params, cfg, split)
-            ev.hawkes_report(split, FitConfig(window="last_k", last_k=15), cfg.quadrature())
+            ev.hawkes_report(split, FitConfig(window="last_k", last_k=15), pp.QUADRATURE)
             assert min(work[n].values()) > 0, work[n]
             assert work[n]["walk_rows"] <= n * (3 + cfg.max_session_reps)  # 3 items each
             assert work[n]["rank_rows"] <= n * 2

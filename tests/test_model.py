@@ -34,7 +34,9 @@ BAD_CONFIGS = [
     ("learning_rate", -0.01, "must be non-negative"),
     ("learning_rate", float("nan"), "must be a finite real number"),
     ("learning_rate_time", float("inf"), "must be a finite real number"),
-    ("time_clip_norm", -1, "must be None or positive"),
+    ("time_clip_norm", -1, "must be positive"),
+    ("time_clip_norm", None, "must be a finite real number"),
+    ("alpha_exp", 0.29, r"must lie in \[0\.3, 1\]"),  # the rule is a regex
     ("batch_size", "100", "must be an integer"),
     ("hidden_dim", 4.5, "must be an integer"),
     ("max_session_reps", True, "must be an integer"),
@@ -159,10 +161,10 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} {rule}, got"):
             _cfg(**{field: value})
 
-    def test_accepts_numpy_integers_zero_rates_and_no_clip(self):
+    def test_accepts_numpy_integers_and_zero_rates(self):
         cfg = _cfg(hidden_dim=np.int64(5), batch_size=np.int32(3), learning_rate=0.0,
-                   learning_rate_time=0, time_clip_norm=None, time_unit=3600)
-        assert cfg.hidden_dim == 5 and cfg.time_clip_norm is None
+                   learning_rate_time=0)
+        assert cfg.hidden_dim == 5 and cfg.learning_rate_time == 0
 
 
 class TestBuildExamples:
@@ -193,7 +195,7 @@ class TestBuildExamples:
     @pytest.mark.parametrize("seed", range(12))
     def test_columns_match_object_reference(self, seed):
         split = oracles.random_split(np.random.default_rng(seed))
-        cfg = _cfg(num_items=split.num_items, num_users=split.num_users, time_unit=3600.0)
+        cfg = _cfg(num_items=split.num_items, num_users=split.num_users)
         try:
             want = oracles.build_examples(split, cfg)
         except ValueError as err:
@@ -1177,7 +1179,7 @@ class TestPredict:
         md.evaluate(params, cfg, _tiny_corpus(users=6, sessions=5))
         got = predict(train[0], params, cfg, k=1).return_gap_seconds
         assert [alpha for alpha, _ in seen] == [0.5, 0.5]
-        assert got == seen[1][1][0] * cfg.time_unit
+        assert got == seen[1][1][0] * DAY
 
     def test_two_calls_identical(self):
         train, cfg, params = self._setup(dropout_rate=0.4)
@@ -1195,10 +1197,18 @@ class TestPredict:
             bad = UserHistory("u", 0, [Session(items=[0, 99], start_time=0.0,
                                                end_time=30.0)])
             predict(bad, params, cfg)
-        with pytest.raises(ValueError, match="user index"):
+        with pytest.raises(ValueError, match=r"user index 99 outside \[0, "):
             predict(UserHistory("u", 99, train[0].sessions), params, cfg)
         with pytest.raises(ValueError, match="k must"):
             predict(train[0], params, cfg, k=0)
+
+    @pytest.mark.parametrize("index", [0.5, 1.0, "0", None, True])
+    def test_non_integer_user_index_is_a_type_fault(self, index):
+        # the split file's rule and wording, not a range message
+        train, cfg, params = self._setup()
+        with pytest.raises(ValueError, match=f"^user_index is {re.escape(repr(index))}, "
+                                             "not an integer$"):
+            predict(UserHistory("u", index, train[0].sessions), params, cfg)
 
     def test_session_without_items_rejected(self):
         train, cfg, params = self._setup()
@@ -1260,7 +1270,7 @@ class TestPredict:
                                      params.user_emb.value[1]]), h, params.inter)
         s = float(h @ params.time_v.value[:, 0] + params.time_b.value[0])
         want = pp.expected_return_time_from_s(s, float(params.time_w.value),
-                                              cfg.quadrature())[0] * cfg.time_unit
+                                              pp.QUADRATURE)[0] * DAY
         got = predict(UserHistory("u", 1, sessions), params, cfg).return_gap_seconds
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -1478,9 +1488,12 @@ class TestCheckpoint:
         cfg = _train_cfg(split)
         padded, unpadded = tmp_path / "padded.ckpt", tmp_path / "unpadded.ckpt"
         save_checkpoint(str(padded), _rand_params(cfg, seed=36), cfg)
-        unpadded.write_bytes(padded.read_bytes())
-        _edit_header(unpadded, lambda header: None)
-        (hlen,) = struct.unpack("<Q", unpadded.read_bytes()[12:20])
+        for k in range(8):  # a k-byte note in the metadata sets the header's length
+            unpadded.write_bytes(padded.read_bytes())
+            _edit_header(unpadded, lambda header: header.update(meta={"note": "x" * k}))
+            (hlen,) = struct.unpack("<Q", unpadded.read_bytes()[12:20])
+            if (20 + hlen) % 8 != 0:
+                break
         assert (20 + hlen) % 8 != 0
 
         outputs = []
@@ -1566,6 +1579,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version 99"):
             load_checkpoint(str(path))
 
+    def test_rejects_v3_checkpoint_by_its_version(self, tmp_path):
+        # version 3's config held time_unit, gap_bucket_bound and
+        # gap_bucket_scheme; the version alone refuses such a file
+        import struct
+        from thrnn.checkpoint import load_checkpoint, save_checkpoint
+        cfg = _cfg()
+        path = tmp_path / "v3.ckpt"
+        save_checkpoint(str(path), _rand_params(cfg), cfg)
+        _edit_header(path, lambda header: (header.update(version=3), header["config"].update(
+            time_unit=86400.0, gap_bucket_bound=30 * 86400.0, gap_bucket_scheme="uniform")))
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = struct.pack("<I", 3)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=r"v3\.ckpt: unsupported checkpoint version 3$"):
+            load_checkpoint(str(path))
+
     def test_rejects_v1_and_v2_checkpoints(self, tmp_path):
         # version 1 had separate inter and intra widths, version 2 nine
         # tensors per GRU cell; both are refused before their config is
@@ -1586,7 +1615,6 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit, message", [
         ({"bogus": 1}, "field 'config' has unknown field 'bogus'"),
         ({"hidden_dim": 0}, "bad config: hidden_dim must be positive, got 0"),
-        ({"gap_bucket_scheme": "cubic"}, "bad config: gap_bucket_scheme must be"),
     ])
     def test_rejects_bad_config_naming_the_field(self, tmp_path, edit, message):
         import json
@@ -1621,7 +1649,7 @@ class TestCheckpoint:
         (_in_header(lambda h: h["params"][0].update(shape=[1.5])),
          "not a list of non-negative integers"),
         (_in_header(lambda h: h["config"].update(alpha_exp=2.0)),
-         "bad config: alpha_exp must lie in (0, 1]"),
+         "bad config: alpha_exp must lie in [0.3, 1]"),
         (_in_header(lambda h: h["params"].pop(0)), "parameter set mismatch"),
         (_in_bytes(lambda raw: raw + bytes(8)), "trailing bytes"),
     ])
